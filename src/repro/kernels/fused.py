@@ -35,6 +35,7 @@ from repro.core.activations import hidden_activation_grad, relu, softmax_rows
 from repro.kernels.active import select_active_batch
 from repro.optim.base import Optimizer
 from repro.types import FloatArray, IntArray, SparseBatch
+from repro.utils.sparse import spans_all
 
 __all__ = [
     "Workspace",
@@ -155,7 +156,7 @@ def _scatter_dense(
     x_block: FloatArray, cols: IntArray | None, width: int
 ) -> FloatArray:
     """Expand a column-restricted block back to ``(batch, width)`` dense."""
-    if cols is None:
+    if spans_all(cols, width):
         return x_block
     dense = np.zeros((x_block.shape[0], width), dtype=np.float64)
     dense[:, cols] = x_block
@@ -221,9 +222,11 @@ def fused_forward_batch(
             rows = np.arange(layer.size, dtype=np.int64)
 
         gemm_start = time.perf_counter()
+        # A full-width ``cols`` (a hidden layer without LSH below) gathers
+        # whole contiguous rows instead of single elements.
         block = (
             layer.weights[rows]
-            if cols is None
+            if spans_all(cols, layer.fan_in)
             else layer.weights[np.ix_(rows, cols)]
         )
         pre = x_block @ block.T + layer.biases[rows]

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.config import OptimizerConfig
 from repro.optim.base import Optimizer
-from repro.types import FloatArray, IntArray
+from repro.types import FloatArray
 
 __all__ = ["AdamOptimizer"]
 
@@ -74,50 +74,27 @@ class AdamOptimizer(Optimizer):
         t = max(self.step_count, 1)
         return 1.0 - self.beta1**t, 1.0 - self.beta2**t
 
-    def _clip_delta(self, delta: FloatArray) -> FloatArray:
-        """Bound each element of an update to ``update_clip * lr`` (in place)."""
+    def _update_chunk(
+        self, param: FloatArray, state: dict[str, FloatArray], grad: FloatArray
+    ) -> None:
+        # Textbook order — m, v, m_hat, v_hat, lr * m_hat / (sqrt(v_hat) + eps)
+        # — with every intermediate written into one of two scratch arrays.
+        m, v = state["m"], state["v"]
+        delta = np.multiply(grad, 1.0 - self.beta1)
+        m *= self.beta1
+        m += delta
+        denom = np.square(grad)
+        denom *= 1.0 - self.beta2
+        v *= self.beta2
+        v += denom
+        bc1, bc2 = self._bias_correction()
+        np.divide(m, bc1, out=delta)
+        delta *= self.learning_rate
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.epsilon
+        delta /= denom
         if self.update_clip is not None:
             bound = self.update_clip * self.learning_rate
             np.clip(delta, -bound, bound, out=delta)
-        return delta
-
-    def step(self, name: str, param: FloatArray, grad: FloatArray) -> None:
-        state = self._state[name]
-        m, v = state["m"], state["v"]
-        m *= self.beta1
-        m += (1.0 - self.beta1) * grad
-        v *= self.beta2
-        v += (1.0 - self.beta2) * np.square(grad)
-        bc1, bc2 = self._bias_correction()
-        m_hat = m / bc1
-        v_hat = v / bc2
-        delta = self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
-        param -= self._clip_delta(delta)
-
-    def sparse_step(
-        self,
-        name: str,
-        param: FloatArray,
-        rows: IntArray,
-        cols: IntArray | None,
-        grad_block: FloatArray,
-    ) -> None:
-        if rows.size == 0:
-            return
-        state = self._state[name]
-        view = self._block_view(param, rows, cols)
-        # The gathered blocks are fresh copies (fancy indexing), so the
-        # moment updates can run in place on them before scattering back.
-        m_block = state["m"][view]
-        v_block = state["v"][view]
-        m_block *= self.beta1
-        m_block += (1.0 - self.beta1) * grad_block
-        v_block *= self.beta2
-        v_block += (1.0 - self.beta2) * np.square(grad_block)
-        state["m"][view] = m_block
-        state["v"][view] = v_block
-        bc1, bc2 = self._bias_correction()
-        m_hat = m_block / bc1
-        v_hat = v_block / bc2
-        delta = self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
-        param[view] = param[view] - self._clip_delta(delta)
+        param -= delta

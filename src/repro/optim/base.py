@@ -14,8 +14,20 @@ import abc
 import numpy as np
 
 from repro.types import FloatArray, IntArray
+from repro.utils.sparse import spans_all
 
 __all__ = ["Optimizer"]
+
+# Elements per array that one chunk of a block update works on.  A chunk of
+# the parameter, its state arrays (two for Adam), the gradient and the update
+# rule's scratch is then ~0.4 MB of float64: resident in L2, and small enough
+# that the allocator recycles the temporaries instead of mapping fresh pages.
+_CHUNK_ELEMENTS = 8192
+
+
+def _rows_per_chunk(width: int) -> int:
+    """Rows of ``width`` elements that make up one chunk (at least one)."""
+    return max(1, _CHUNK_ELEMENTS // max(width, 1))
 
 
 class Optimizer(abc.ABC):
@@ -71,11 +83,24 @@ class Optimizer(abc.ABC):
         """Advance the global step counter (call once per mini-batch)."""
         self.step_count += self.step_stride
 
-    @abc.abstractmethod
     def step(self, name: str, param: FloatArray, grad: FloatArray) -> None:
-        """Dense in-place update of ``param`` given its full gradient."""
+        """Dense in-place update of ``param`` given its full gradient.
 
-    @abc.abstractmethod
+        Walks ``param``, its state and ``grad`` in row slices of about
+        ``_CHUNK_ELEMENTS`` (views, so nothing is gathered or scattered):
+        the update rule's temporaries stay chunk-sized however large the
+        parameter is.
+        """
+        state = self._state[name]
+        stride = _rows_per_chunk(1 if param.ndim == 1 else param.shape[1])
+        for start in range(0, param.shape[0], stride):
+            stop = start + stride
+            self._update_chunk(
+                param[start:stop],
+                {key: array[start:stop] for key, array in state.items()},
+                grad[start:stop],
+            )
+
     def sparse_step(
         self,
         name: str,
@@ -87,7 +112,22 @@ class Optimizer(abc.ABC):
         """In-place update of ``param[rows][:, cols]`` given its gradient block.
 
         When ``cols`` is ``None`` the update applies to whole rows (used for
-        biases, which are one-dimensional).
+        biases, which are one-dimensional); a ``cols`` that is exactly
+        ``0..fan_in-1`` is treated the same way, so a full-width block is
+        moved as contiguous rows and not element by element.
+
+        The block is walked in chunks of about ``_CHUNK_ELEMENTS`` along
+        ``rows`` only (a ``cols`` set is never split): each chunk of the
+        parameter and its state is gathered once, advanced in place by
+        :meth:`_update_chunk`, and scattered once, so the working set stays
+        cache-resident and no block-sized temporary is ever allocated.  The
+        chunk copies are call-local; nothing is kept between calls, which
+        keeps the routine re-entrant for HOGWILD workers sharing ``param``.
+
+        **Precondition: ``rows`` holds no duplicates.**  A duplicated row
+        inside one chunk keeps only its last update, and one straddling two
+        chunks would see its own first update.  Every in-repo caller passes
+        sorted-unique ids (``tests/test_kernels.py`` checks them all).
 
         Callers use this in two patterns: HOGWILD training applies one small
         block per *sample* (many calls per ``begin_step``), while the batched
@@ -95,6 +135,34 @@ class Optimizer(abc.ABC):
         apply one union-active-set block per layer per ``begin_step`` — the
         standard mini-batch semantics.  Implementations must therefore not
         assume any particular number of ``sparse_step`` calls per step.
+        """
+        state = self._state[name]
+        whole_rows = param.ndim == 1 or spans_all(cols, param.shape[1])
+        stride = _rows_per_chunk(
+            1 if param.ndim == 1 else (param.shape[1] if whole_rows else cols.size)
+        )
+        for start in range(0, rows.size, stride):
+            chunk_rows = rows[start : start + stride]
+            index = chunk_rows if whole_rows else np.ix_(chunk_rows, cols)
+            param_chunk = param[index]
+            state_chunk = {key: array[index] for key, array in state.items()}
+            self._update_chunk(
+                param_chunk, state_chunk, grad_block[start : start + stride]
+            )
+            for key, array in state.items():
+                array[index] = state_chunk[key]
+            param[index] = param_chunk
+
+    @abc.abstractmethod
+    def _update_chunk(
+        self, param: FloatArray, state: dict[str, FloatArray], grad: FloatArray
+    ) -> None:
+        """The update rule: advance ``param`` and ``state`` in place by ``grad``.
+
+        All three have the same shape — row slices of the full arrays from
+        :meth:`step`, gathered copies from :meth:`sparse_step` — and ``grad``
+        must be left untouched.  Temporaries should be written with ``out=``
+        so that at most a chunk or two of scratch is live.
         """
 
     # ------------------------------------------------------------------
@@ -133,10 +201,3 @@ class Optimizer(abc.ABC):
                 f"cannot rebind to shape {array.shape}"
             )
         self._state[name][key] = array
-
-    @staticmethod
-    def _block_view(param: FloatArray, rows: IntArray, cols: IntArray | None):
-        """Index helper returning a fancy-index tuple for a sub-block."""
-        if cols is None:
-            return (rows,)
-        return np.ix_(rows, cols)

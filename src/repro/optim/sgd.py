@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.config import OptimizerConfig
 from repro.optim.base import Optimizer
-from repro.types import FloatArray, IntArray
+from repro.types import FloatArray
 
 __all__ = ["SGDOptimizer"]
 
@@ -32,30 +32,12 @@ class SGDOptimizer(Optimizer):
             momentum=self.momentum,
         )
 
-    def step(self, name: str, param: FloatArray, grad: FloatArray) -> None:
-        if self.momentum == 0.0:
-            param -= self.learning_rate * grad
-            return
-        velocity = self._state[name]["velocity"]
-        velocity *= self.momentum
-        velocity += grad
-        param -= self.learning_rate * velocity
-
-    def sparse_step(
-        self,
-        name: str,
-        param: FloatArray,
-        rows: IntArray,
-        cols: IntArray | None,
-        grad_block: FloatArray,
+    def _update_chunk(
+        self, param: FloatArray, state: dict[str, FloatArray], grad: FloatArray
     ) -> None:
-        if rows.size == 0:
-            return
-        view = self._block_view(param, rows, cols)
-        if self.momentum == 0.0:
-            param[view] = param[view] - self.learning_rate * grad_block
-            return
-        velocity = self._state[name]["velocity"]
-        v_block = self.momentum * velocity[view] + grad_block
-        velocity[view] = v_block
-        param[view] = param[view] - self.learning_rate * v_block
+        if self.momentum != 0.0:
+            velocity = state["velocity"]
+            velocity *= self.momentum
+            velocity += grad
+            grad = velocity
+        param -= self.learning_rate * grad

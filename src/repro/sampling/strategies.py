@@ -78,18 +78,20 @@ class VanillaSampling(SamplingStrategy):
         which the batched-selection parity guarantees depend on.
         """
         order = self._rng.permutation(num_tables)
-        collected: list[np.ndarray] = []
-        count = 0
+        # Running sorted-unique union of the probed buckets: each probe merges
+        # one bucket instead of re-deduplicating everything collected so far.
+        # Sort + neighbour compare is np.union1d without its fixed cost, which
+        # dominates on bucket-sized arrays.
+        unique = np.zeros(0, dtype=np.int64)
         for table_idx in order:
             bucket = get_bucket(int(table_idx))
             if bucket.size:
-                collected.append(bucket)
-                count = np.unique(np.concatenate(collected)).size
-            if target_active is not None and count >= target_active:
+                merged = np.sort(np.concatenate((unique, bucket)))
+                first = np.ones(merged.size, dtype=bool)
+                np.not_equal(merged[1:], merged[:-1], out=first[1:])
+                unique = merged[first]
+            if target_active is not None and unique.size >= target_active:
                 break
-        if not collected:
-            return np.zeros(0, dtype=np.int64)
-        unique = np.unique(np.concatenate(collected))
         if target_active is not None and unique.size > target_active:
             # Keep a uniformly random subset so the expected size matches beta.
             keep = self._rng.choice(unique.size, size=target_active, replace=False)

@@ -2,6 +2,7 @@
 
 from repro.utils.rng import derive_rng, spawn_rngs
 from repro.utils.sparse import (
+    spans_all,
     sparse_dense_matvec,
     sparse_rows_dot,
     normalize_rows,
@@ -18,6 +19,7 @@ from repro.utils.validation import (
 __all__ = [
     "derive_rng",
     "spawn_rngs",
+    "spans_all",
     "sparse_dense_matvec",
     "sparse_rows_dot",
     "normalize_rows",

@@ -12,11 +12,23 @@ import numpy as np
 from repro.types import FloatArray, IntArray
 
 __all__ = [
+    "spans_all",
     "sparse_dense_matvec",
     "sparse_rows_dot",
     "normalize_rows",
     "random_sparse_matrix",
 ]
+
+
+def spans_all(cols: IntArray | None, width: int) -> bool:
+    """Whether a column selection is every column ``0..width-1`` in order.
+
+    ``a[rows]`` then equals ``a[np.ix_(rows, cols)]`` and moves contiguous
+    rows instead of single elements.  ``None`` means "all columns".
+    """
+    return cols is None or (
+        cols.size == width and bool(np.array_equal(cols, np.arange(width)))
+    )
 
 
 def sparse_dense_matvec(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines.sampled_softmax import SampledSoftmaxConfig, SampledSoftmaxNetwork
 from repro.config import (
     LayerConfig,
     LSHConfig,
@@ -38,6 +39,9 @@ from repro.hashing.wta import WTAHash
 from repro.kernels import Workspace, fused_forward_batch, select_active_batch
 from repro.kernels.fused import _masked_softmax_rows
 from repro.lsh.index import LSHIndex
+from repro.optim.adam import AdamOptimizer
+from repro.optim.base import Optimizer
+from repro.optim.sgd import SGDOptimizer
 from repro.types import SparseBatch, SparseExample, SparseVector
 
 
@@ -349,6 +353,29 @@ class TestFusedTrainingParity:
             off = out.mask[sample_idx] == 0.0
             assert np.all(out.act[sample_idx, off] == 0.0)
 
+    def test_full_width_cols_gather_matches_ix_gather(self, rng, monkeypatch):
+        """A hidden layer without LSH hands the output layer ``cols =
+        arange(fan_in)``: the whole-row gather must be bit-equal to the
+        element-wise ``np.ix_`` one it replaces."""
+        batch = make_batch(rng)
+        fast = fused_forward_batch(lsh_network(seed=8), batch, include_labels=True)
+        monkeypatch.setattr(
+            "repro.kernels.fused.spans_all", lambda cols, width: cols is None
+        )
+        net = lsh_network(seed=8)
+        slow = fused_forward_batch(net, batch, include_labels=True)
+
+        out = fast.output_state
+        np.testing.assert_array_equal(out.cols, np.arange(net.layers[-1].fan_in))
+        np.testing.assert_array_equal(
+            out.block, net.layers[-1].weights[np.ix_(out.rows, out.cols)]
+        )
+        for state_fast, state_slow in zip(fast.layer_states, slow.layer_states):
+            np.testing.assert_array_equal(state_fast.rows, state_slow.rows)
+            np.testing.assert_array_equal(state_fast.block, state_slow.block)
+            np.testing.assert_array_equal(state_fast.pre, state_slow.pre)
+            np.testing.assert_array_equal(state_fast.act, state_slow.act)
+
     def test_linear_hidden_layer_gradient_not_gated(self, rng):
         """Backward through a linear hidden layer must not apply the ReLU
         gate: neurons with negative pre-activations still carry gradient
@@ -450,6 +477,61 @@ class TestHogwildUnchanged:
             results.append([layer.weights.copy() for layer in net.layers])
         for weights_a, weights_b in zip(*results):
             np.testing.assert_array_equal(weights_a, weights_b)
+
+
+class TestSparseStepRowsUnique:
+    """``Optimizer.sparse_step`` chunks along ``rows`` and so requires them
+    duplicate-free; every in-repo caller must hand it sorted-unique ids."""
+
+    @pytest.fixture
+    def seen_rows(self, monkeypatch):
+        seen: list[np.ndarray] = []
+        original = Optimizer.sparse_step
+
+        def recording(self, name, param, rows, cols, grad_block):
+            seen.append(np.array(rows))
+            original(self, name, param, rows, cols, grad_block)
+
+        # On the concrete classes: perfbench's tracer patches and restores
+        # ``AdamOptimizer.sparse_step``, which leaves a class-level copy that
+        # would shadow a patch on the base class.
+        for cls in (AdamOptimizer, SGDOptimizer):
+            monkeypatch.setattr(cls, "sparse_step", recording)
+        return seen
+
+    @staticmethod
+    def assert_sorted_unique(seen):
+        assert seen
+        for rows in seen:
+            assert np.all(np.diff(rows) > 0)
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_slide_training_paths(self, rng, seen_rows, batched):
+        net = lsh_network(seed=4, hidden_lsh=True)
+        optimizer = net.build_optimizer(TrainingConfig())
+        for _ in range(4):
+            net.train_batch(
+                make_batch(rng), optimizer, hogwild=not batched, batched=batched
+            )
+        self.assert_sorted_unique(seen_rows)
+
+    def test_finalize_active_repairs_unsorted_duplicates(self):
+        layer = lsh_network(seed=4).layers[-1]
+        active, _, _ = layer.finalize_active(
+            np.array([9, 3, 3, 40, 9]), forced_active=np.array([40, 1])
+        )
+        assert {1, 3, 9, 40} <= set(active.tolist())
+        assert np.all(np.diff(active) > 0)
+
+    def test_sampled_softmax_candidates(self, rng, seen_rows):
+        network = SampledSoftmaxNetwork(
+            SampledSoftmaxConfig(
+                input_dim=64, hidden_dim=16, output_dim=48, sample_fraction=0.25
+            )
+        )
+        for _ in range(3):
+            network.train_batch(make_batch(rng))
+        self.assert_sorted_unique(seen_rows)
 
 
 class TestSortedActiveGuard:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.config import OptimizerConfig
 from repro.optim.adam import AdamOptimizer
+from repro.optim.base import _CHUNK_ELEMENTS
 from repro.optim.factory import make_optimizer
 from repro.optim.sgd import SGDOptimizer
 
@@ -173,6 +176,172 @@ class TestSGD:
     def test_invalid_momentum_raises(self):
         with pytest.raises(ValueError):
             SGDOptimizer(momentum=1.0)
+
+
+def unblocked_adam_step(param, state, view, grad, opt):
+    """The sparse Adam step as one whole-block gather/update/scatter."""
+    m, v = state["m"], state["v"]
+    m_block = m[view]
+    v_block = v[view]
+    m_block *= opt.beta1
+    m_block += (1.0 - opt.beta1) * grad
+    v_block *= opt.beta2
+    v_block += (1.0 - opt.beta2) * np.square(grad)
+    m[view] = m_block
+    v[view] = v_block
+    m_hat = m_block / (1.0 - opt.beta1**opt.step_count)
+    v_hat = v_block / (1.0 - opt.beta2**opt.step_count)
+    delta = opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.epsilon)
+    if opt.update_clip is not None:
+        bound = opt.update_clip * opt.learning_rate
+        np.clip(delta, -bound, bound, out=delta)
+    param[view] = param[view] - delta
+
+
+def unblocked_sgd_step(param, state, view, grad, opt):
+    """The sparse SGD / heavy-ball step as one whole-block update."""
+    if opt.momentum == 0.0:
+        param[view] = param[view] - opt.learning_rate * grad
+        return
+    velocity = state["velocity"]
+    v_block = opt.momentum * velocity[view] + grad
+    velocity[view] = v_block
+    param[view] = param[view] - opt.learning_rate * v_block
+
+
+OPTIMISERS = {
+    "adam": (lambda: AdamOptimizer(learning_rate=0.01), unblocked_adam_step),
+    "adam_clip": (
+        lambda: AdamOptimizer(learning_rate=0.01, update_clip=0.5),
+        unblocked_adam_step,
+    ),
+    "sgd": (lambda: SGDOptimizer(learning_rate=0.1), unblocked_sgd_step),
+    "sgd_momentum": (
+        lambda: SGDOptimizer(learning_rate=0.1, momentum=0.9),
+        unblocked_sgd_step,
+    ),
+}
+
+
+def _sorted_rows(rng, upper, count):
+    return np.sort(rng.choice(upper, size=count, replace=False))
+
+
+# name -> (param shape, rows, cols, chunks the block is walked in)
+def block_cases(rng):
+    return {
+        "three_chunks_partial_cols": (
+            (400, 96), _sorted_rows(rng, 400, 300), _sorted_rows(rng, 96, 70), 3
+        ),
+        "exactly_one_chunk": (
+            (100, 128), _sorted_rows(rng, 100, _CHUNK_ELEMENTS // 128), None, 1
+        ),
+        "small_partial_cols": ((6, 5), np.array([1, 4]), np.array([0, 2, 3]), 1),
+        "full_width_cols": (
+            (300, 128), _sorted_rows(rng, 300, 200), np.arange(128), 4
+        ),
+        "bias_vector": ((20000,), _sorted_rows(rng, 20000, 18000), None, 3),
+        "empty_rows": ((5, 4), np.zeros(0, dtype=np.int64), np.array([1, 2]), 0),
+    }
+
+
+CASE_NAMES = sorted(block_cases(np.random.default_rng(0)))
+
+
+class TestChunkedSparseStep:
+    """The row-chunked ``sparse_step`` against the unblocked formula, bitwise."""
+
+    @pytest.mark.parametrize("case", CASE_NAMES)
+    @pytest.mark.parametrize("optimiser", sorted(OPTIMISERS))
+    def test_bit_identical_to_unblocked_oracle(self, rng, optimiser, case):
+        make, oracle_step = OPTIMISERS[optimiser]
+        shape, rows, cols, chunks = block_cases(rng)[case]
+        width = 1 if len(shape) == 1 else (shape[1] if cols is None else cols.size)
+        stride = max(1, _CHUNK_ELEMENTS // width)
+        assert -(-rows.size // stride) == chunks
+
+        opt = make()
+        opt.register("w", shape)
+        param = rng.normal(size=shape)
+        initial = param.copy()
+        expected = param.copy()
+        expected_state = {k: a.copy() for k, a in opt.state_of("w").items()}
+        view = (rows,) if cols is None else np.ix_(rows, cols)
+        grad_shape = param[view].shape
+        for _ in range(3):
+            grad = rng.normal(size=grad_shape)
+            grad_before = grad.copy()
+            opt.begin_step()
+            opt.sparse_step("w", param, rows, cols, grad)
+            oracle_step(expected, expected_state, view, grad, opt)
+            np.testing.assert_array_equal(grad, grad_before)
+            np.testing.assert_array_equal(param, expected)
+            for key, array in opt.state_of("w").items():
+                np.testing.assert_array_equal(array, expected_state[key])
+
+        untouched = np.ones(shape, dtype=bool)
+        untouched[view] = False
+        np.testing.assert_array_equal(param[untouched], initial[untouched])
+        for array in opt.state_of("w").values():
+            assert not array[untouched].any()
+        if rows.size:
+            assert not np.array_equal(param[view], initial[view])
+
+    @pytest.mark.parametrize("optimiser", sorted(OPTIMISERS))
+    def test_dense_step_bit_identical_to_whole_array_formula(self, rng, optimiser):
+        """The dense step is the same rule walked over row slices."""
+        make, oracle_step = OPTIMISERS[optimiser]
+        shape = (3 * _CHUNK_ELEMENTS // 128 + 5, 128)
+        opt = make()
+        opt.register("w", shape)
+        param = rng.normal(size=shape)
+        expected = param.copy()
+        expected_state = {k: a.copy() for k, a in opt.state_of("w").items()}
+        for _ in range(3):
+            grad = rng.normal(size=shape)
+            opt.begin_step()
+            opt.step("w", param, grad)
+            oracle_step(expected, expected_state, (slice(None),), grad, opt)
+            np.testing.assert_array_equal(param, expected)
+            for key, array in opt.state_of("w").items():
+                np.testing.assert_array_equal(array, expected_state[key])
+
+    @pytest.mark.parametrize(
+        "cols", [np.arange(128), np.arange(0, 128, 2)], ids=["full_width", "partial"]
+    )
+    def test_sparse_step_allocates_no_block_sized_temporary(self, rng, cols):
+        """Peak traced memory is a few chunks (parameter, two moments, two
+        scratch arrays, index arrays), far under the 2-4 MB block."""
+        rows = _sorted_rows(rng, 8192, 4096)
+        opt = AdamOptimizer(update_clip=1.0)
+        opt.register("w", (8192, 128))
+        param = rng.normal(size=(8192, 128))
+        grad = rng.normal(size=(rows.size, cols.size))
+        opt.begin_step()
+        opt.sparse_step("w", param, rows, cols, grad)
+        tracemalloc.start()
+        try:
+            opt.sparse_step("w", param, rows, cols, grad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grad.nbytes >= 32 * _CHUNK_ELEMENTS * 8
+        assert peak < 10 * _CHUNK_ELEMENTS * 8
+
+    def test_dense_step_allocates_no_parameter_sized_temporary(self, rng):
+        shape = (4096, 128)
+        opt = AdamOptimizer()
+        opt.register("w", shape)
+        param = rng.normal(size=shape)
+        grad = rng.normal(size=shape)
+        opt.begin_step()
+        tracemalloc.start()
+        try:
+            opt.step("w", param, grad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * _CHUNK_ELEMENTS * 8
 
 
 class TestFactory:

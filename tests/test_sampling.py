@@ -57,6 +57,41 @@ class TestVanillaSampling:
         result = QueryResult(buckets=[np.zeros(0, dtype=np.int64)] * 3)
         assert strategy.select_from_result(result, 5).size == 0
 
+    @pytest.mark.parametrize("target", [None, 0, 4, 25, 1000])
+    def test_running_union_matches_recount_from_scratch(self, rng, target):
+        """Ids and RNG consumption equal the loop that re-deduplicated every
+        bucket collected so far after each probe."""
+
+        def recount_collect(generator, buckets, target_active):
+            order = generator.permutation(len(buckets))
+            collected, count = [], 0
+            for table_idx in order:
+                if buckets[table_idx].size:
+                    collected.append(buckets[table_idx])
+                    count = np.unique(np.concatenate(collected)).size
+                if target_active is not None and count >= target_active:
+                    break
+            if not collected:
+                return np.zeros(0, dtype=np.int64)
+            unique = np.unique(np.concatenate(collected))
+            if target_active is not None and unique.size > target_active:
+                keep = generator.choice(unique.size, size=target_active, replace=False)
+                unique = np.sort(unique[keep])
+            return unique.astype(np.int64)
+
+        for seed in range(20):
+            buckets = [
+                rng.choice(60, size=rng.integers(0, 12), replace=False)
+                for _ in range(10)
+            ]
+            strategy = VanillaSampling(rng=np.random.default_rng(seed))
+            oracle_rng = np.random.default_rng(seed)
+            selected = strategy.select_from_result(QueryResult(buckets=buckets), target)
+            expected = recount_collect(oracle_rng, buckets, target)
+            assert selected.dtype == np.int64
+            np.testing.assert_array_equal(selected, expected)
+            assert strategy._rng.integers(1 << 30) == oracle_rng.integers(1 << 30)
+
 
 class TestTopKSampling:
     def test_selects_most_frequent(self):
