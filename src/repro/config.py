@@ -9,19 +9,36 @@ These configs mirror the tunable parameters called out in the paper:
   update frequency (Section 4.2).
 * sampling strategy and target active-set size ``beta`` (Section 4.1).
 
-Beyond training, :class:`ServingConfig` describes the inference side
-(:mod:`repro.serving`): engine kind, active-neuron budget, micro-batching
-and worker-pool parameters of the model server.  The ``*_to_dict`` /
-``*_from_dict`` helpers give every config a stable JSON representation used
-by the checkpoint format.
+Beyond training, :class:`ServingConfig`, :class:`RouterConfig` and
+:class:`FaultToleranceConfig` describe the serving and supervision side.
+
+Every config reaches checkpoints, HOGWILD worker payloads and
+``repro-serve --config`` files through one codec at the bottom of this
+module: :func:`to_dict`, :func:`from_dict` and :func:`load_config` read
+the dataclass fields and their type annotations, so adding a knob means
+adding the annotated field and nothing else.  ``from_dict`` is strict for
+every class at every nesting depth: unknown keys, missing required keys
+and wrongly typed values raise ``ValueError`` naming the field
+(``layers[1].lsh.k``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+import re
+import types
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Literal, Mapping
+from typing import (
+    Any,
+    Literal,
+    Mapping,
+    TypeVar,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 __all__ = [
     "HashFamilyName",
@@ -37,29 +54,9 @@ __all__ = [
     "ServingConfig",
     "RouterConfig",
     "FaultToleranceConfig",
-    "fault_tolerance_config_to_dict",
-    "fault_tolerance_config_from_dict",
-    "lsh_config_to_dict",
-    "lsh_config_from_dict",
-    "rebuild_schedule_config_to_dict",
-    "rebuild_schedule_config_from_dict",
-    "sampling_config_to_dict",
-    "sampling_config_from_dict",
-    "layer_config_to_dict",
-    "layer_config_from_dict",
-    "network_config_to_dict",
-    "network_config_from_dict",
-    "optimizer_config_to_dict",
-    "optimizer_config_from_dict",
-    "training_config_to_dict",
-    "training_config_from_dict",
-    "serving_config_to_dict",
-    "serving_config_from_dict",
-    "load_serving_config",
-    "router_config_to_dict",
-    "router_config_from_dict",
-    "CONFIG_CODECS",
-    "config_examples",
+    "to_dict",
+    "from_dict",
+    "load_config",
 ]
 
 HashFamilyName = Literal["simhash", "wta", "dwta", "doph", "minhash"]
@@ -228,7 +225,9 @@ class SlideNetworkConfig:
 
     input_dim: int
     layers: tuple[LayerConfig, ...]
-    seed: int = 0
+    # The seed regenerates the hash functions that a checkpoint's stored LSH
+    # codes were computed with, so the dict form must always carry it.
+    seed: int = field(default=0, metadata={"required_in_dict": True})
 
     def __post_init__(self) -> None:
         if self.input_dim <= 0:
@@ -629,472 +628,121 @@ class RouterConfig:
 
 
 # ----------------------------------------------------------------------
-# JSON-friendly (de)serialisation used by the checkpoint format
+# The codec: one strict, annotation-driven dict form for every dataclass
 # ----------------------------------------------------------------------
-def _reject_unknown(cls: type, data: Mapping[str, Any], label: str) -> None:
-    """Raise ``ValueError`` naming any key of ``data`` that is not a field.
+T = TypeVar("T")
 
-    Every ``*_from_dict`` below is strict through this helper: a typo in a
-    config file (or a field removed from the schema) must surface with the
-    offending name, never be silently dropped.
+
+def to_dict(config: Any) -> dict[str, Any]:
+    """The JSON-ready dict form of a config dataclass instance.
+
+    One key per field; nested dataclasses become dicts and tuples lists,
+    so ``json.dumps`` takes the result as is.
     """
-    valid = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - valid)
+    if not is_dataclass(config) or isinstance(config, type):
+        raise TypeError(f"to_dict needs a dataclass instance, got {config!r}")
+    return _encode(config)
+
+
+def _encode(value: Any) -> Any:
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    return value
+
+
+def from_dict(cls: type[T], data: Any) -> T:
+    """Rebuild a ``cls`` instance from its dict form, strictly.
+
+    Driven by ``cls``'s field annotations: ``int`` rejects ``bool`` and
+    floats, ``float`` accepts ``int``, ``Literal`` checks membership, and
+    ``X | None``, ``tuple[X, ...]`` (from a list) and nested dataclasses
+    recurse.  A missing key takes the field's default, unless the field
+    has none or is marked ``metadata={"required_in_dict": True}``.  A
+    non-mapping, an unknown key, a missing required key, a wrongly typed
+    value or a range error out of ``__post_init__`` raises ``ValueError``
+    naming the field by its path from ``cls``; an annotation the codec does
+    not understand raises ``TypeError``.
+    """
+    # "FaultToleranceConfig" -> "fault tolerance config", "LSHConfig" -> "lsh config"
+    words = re.sub(r"(?<=[a-z])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])", " ", cls.__name__)
+    return _decode(cls, data, words.lower(), "")
+
+
+def load_config(cls: type[T], path: str | Path) -> T:
+    """Read the JSON file at ``path`` into a ``cls`` (see :func:`from_dict`)."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        return from_dict(cls, data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _decode(tp: Any, value: Any, label: str, path: str) -> Any:
+    """Check ``value`` against annotation ``tp`` and return the typed form."""
+    if is_dataclass(tp):
+        return _decode_dataclass(tp, value, label, path)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, types.UnionType) and len(args) == 2 and args[1] is type(None):
+        return None if value is None else _decode(args[0], value, label, path)
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        if not isinstance(value, (list, tuple)):
+            raise _invalid(label, path, value)
+        return tuple(
+            _decode(args[0], item, label, f"{path}[{i}]")
+            for i, item in enumerate(value)
+        )
+    if origin is Literal:
+        ok = any(type(value) is type(arg) and value == arg for arg in args)
+    elif tp is int or tp is float:
+        # bool is an int subclass; "true" is never a worker count.
+        numeric = int if tp is int else (int, float)
+        ok = isinstance(value, numeric) and not isinstance(value, bool)
+    elif tp is bool or tp is str:
+        ok = isinstance(value, tp)
+    else:
+        raise TypeError(f"{label} field {path!r}: the codec does not support {tp!r}")
+    if not ok:
+        raise _invalid(label, path, value)
+    return float(value) if tp is float else value
+
+
+def _decode_dataclass(cls: type[T], data: Any, label: str, path: str) -> T:
+    if not isinstance(data, Mapping):
+        if path:
+            raise _invalid(label, path, data)
+        raise ValueError(f"{label} must be a JSON object, got {data!r}")
+    prefix = f"{path}." if path else ""
+    valid = [f.name for f in fields(cls)]
+    unknown = [key for key in data if key not in valid]
     if unknown:
-        names = ", ".join(repr(name) for name in unknown)
+        names = ", ".join(repr(f"{prefix}{key}") for key in unknown)
         raise ValueError(
             f"unknown {label} field{'s' if len(unknown) > 1 else ''} {names}; "
             f"valid fields: {', '.join(sorted(valid))}"
         )
-
-
-def lsh_config_to_dict(config: LSHConfig) -> dict[str, Any]:
-    """A plain-dict (JSON-serialisable) view of an LSH config."""
-    return asdict(config)
-
-
-def lsh_config_from_dict(data: Mapping[str, Any]) -> LSHConfig:
-    """Rebuild an :class:`LSHConfig` from its dict form (strict)."""
-    _reject_unknown(LSHConfig, data, "lsh config")
-    return LSHConfig(**data)
-
-
-def rebuild_schedule_config_to_dict(config: RebuildScheduleConfig) -> dict[str, Any]:
-    """A plain-dict (JSON-serialisable) view of a rebuild schedule."""
-    return asdict(config)
-
-
-def rebuild_schedule_config_from_dict(data: Mapping[str, Any]) -> RebuildScheduleConfig:
-    """Rebuild a :class:`RebuildScheduleConfig` from its dict form (strict)."""
-    _reject_unknown(RebuildScheduleConfig, data, "rebuild schedule config")
-    return RebuildScheduleConfig(**data)
-
-
-def sampling_config_to_dict(config: SamplingConfig) -> dict[str, Any]:
-    """A plain-dict (JSON-serialisable) view of a sampling config."""
-    return asdict(config)
-
-
-def sampling_config_from_dict(data: Mapping[str, Any]) -> SamplingConfig:
-    """Rebuild a :class:`SamplingConfig` from its dict form (strict)."""
-    _reject_unknown(SamplingConfig, data, "sampling config")
-    return SamplingConfig(**data)
-
-
-def layer_config_to_dict(config: LayerConfig) -> dict[str, Any]:
-    """A plain-dict (JSON-serialisable) view of a layer config."""
-    return asdict(config)
-
-
-def layer_config_from_dict(data: Mapping[str, Any]) -> LayerConfig:
-    """Rebuild a :class:`LayerConfig` from its dict form (strict, recursive)."""
-    _reject_unknown(LayerConfig, data, "layer config")
-    lsh = data.get("lsh")
-    return LayerConfig(
-        size=int(data["size"]),
-        activation=data.get("activation", "relu"),
-        lsh=lsh_config_from_dict(lsh) if lsh is not None else None,
-        sampling=(
-            sampling_config_from_dict(data["sampling"])
-            if "sampling" in data
-            else SamplingConfig()
-        ),
-        rebuild=(
-            rebuild_schedule_config_from_dict(data["rebuild"])
-            if "rebuild" in data
-            else RebuildScheduleConfig()
-        ),
-    )
-
-
-def network_config_to_dict(config: SlideNetworkConfig) -> dict[str, Any]:
-    """A plain-dict (JSON-serialisable) view of a network config."""
-    data = asdict(config)
-    data["layers"] = list(data["layers"])
-    return data
-
-
-def network_config_from_dict(data: Mapping[str, Any]) -> SlideNetworkConfig:
-    """Rebuild a :class:`SlideNetworkConfig` from its dict form (strict)."""
-    _reject_unknown(SlideNetworkConfig, data, "network config")
-    return SlideNetworkConfig(
-        input_dim=int(data["input_dim"]),
-        layers=tuple(layer_config_from_dict(layer) for layer in data["layers"]),
-        seed=int(data["seed"]),
-    )
-
-
-def optimizer_config_to_dict(config: OptimizerConfig) -> dict[str, Any]:
-    """A plain-dict (JSON-serialisable) view of an optimiser config."""
-    return asdict(config)
-
-
-def optimizer_config_from_dict(data: Mapping[str, Any]) -> OptimizerConfig:
-    """Rebuild an :class:`OptimizerConfig` from its dict form (strict)."""
-    _reject_unknown(OptimizerConfig, data, "optimizer config")
-    return OptimizerConfig(**data)
-
-
-def training_config_to_dict(config: TrainingConfig) -> dict[str, Any]:
-    """A plain-dict (JSON-serialisable) view of a training config."""
-    return asdict(config)
-
-
-def training_config_from_dict(data: Mapping[str, Any]) -> TrainingConfig:
-    """Rebuild a :class:`TrainingConfig` from its dict form (strict)."""
-    _reject_unknown(TrainingConfig, data, "training config")
-    kwargs = dict(data)
-    if "optimizer" in kwargs:
-        kwargs["optimizer"] = optimizer_config_from_dict(kwargs["optimizer"])
-    return TrainingConfig(**kwargs)
-
-
-def fault_tolerance_config_to_dict(config: FaultToleranceConfig) -> dict[str, Any]:
-    """A plain-dict (JSON-serialisable) view of a fault-tolerance config."""
-    return asdict(config)
-
-
-def fault_tolerance_config_from_dict(data: Mapping[str, Any]) -> FaultToleranceConfig:
-    """Rebuild a :class:`FaultToleranceConfig` from its dict form (strict)."""
-    valid = {f.name for f in fields(FaultToleranceConfig)}
-    unknown = sorted(set(data) - valid)
-    if unknown:
-        names = ", ".join(repr(name) for name in unknown)
-        raise ValueError(
-            f"unknown fault tolerance config field"
-            f"{'s' if len(unknown) > 1 else ''} {names}; "
-            f"valid fields: {', '.join(sorted(valid))}"
-        )
-    coerced: dict[str, Any] = {}
-    for name, value in data.items():
-        checker = (
-            _check_int
-            if name in ("max_restarts", "checkpoint_every_batches", "checkpoint_keep_last")
-            else _check_float
-        )
-        try:
-            coerced[name] = checker(value)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"fault tolerance config field {name!r}: invalid value {value!r}"
-            ) from None
-    return FaultToleranceConfig(**coerced)
-
-
-def serving_config_to_dict(config: ServingConfig) -> dict[str, Any]:
-    """A plain-dict (JSON-serialisable) view of a serving config."""
-    return asdict(config)
-
-
-def serving_config_from_dict(data: Mapping[str, Any]) -> ServingConfig:
-    """Rebuild a :class:`ServingConfig` from its dict form.
-
-    Strict: unknown keys and wrongly typed values raise ``ValueError``
-    messages that *name the offending field*, so a typo in a config file
-    surfaces as ``unknown serving config field 'workerz'`` rather than an
-    opaque ``TypeError`` out of the dataclass constructor.
-    """
-    valid = {f.name for f in fields(ServingConfig)}
-    unknown = sorted(set(data) - valid)
-    if unknown:
-        names = ", ".join(repr(name) for name in unknown)
-        raise ValueError(
-            f"unknown serving config field{'s' if len(unknown) > 1 else ''} "
-            f"{names}; valid fields: {', '.join(sorted(valid))}"
-        )
-    coerced: dict[str, Any] = {}
-    for name, value in data.items():
-        checker = _SERVING_FIELD_CHECKS[name]
-        try:
-            coerced[name] = checker(value)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"serving config field {name!r}: invalid value {value!r}"
-            ) from None
+    hints = get_type_hints(cls)
+    kwargs: dict[str, Any] = {}
+    for f in fields(cls):
+        name = prefix + f.name
+        if f.name in data:
+            kwargs[f.name] = _decode(hints[f.name], data[f.name], label, name)
+        elif (
+            f.default is MISSING and f.default_factory is MISSING
+        ) or f.metadata.get("required_in_dict"):
+            raise ValueError(f"{label} field {name!r} is required")
     try:
-        return ServingConfig(**coerced)
-    except (TypeError, ValueError) as exc:
+        return cls(**kwargs)
+    except ValueError as exc:
         # __post_init__ messages already name the field ("top_k must be
-        # positive"); re-raise uniformly as ValueError for CLI handling.
-        raise ValueError(f"invalid serving config: {exc}") from exc
+        # positive"); add which config (and which nested part) they are in.
+        where = f"{label} field {path!r}" if path else label
+        raise ValueError(f"invalid {where}: {exc}") from exc
 
 
-def load_serving_config(path: str | Path) -> ServingConfig:
-    """Read a JSON file into a :class:`ServingConfig` (strict, see above)."""
-    text = Path(path).read_text()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"serving config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"serving config {path} must be a JSON object")
-    return serving_config_from_dict(data)
-
-
-def router_config_to_dict(config: RouterConfig) -> dict[str, Any]:
-    """A plain-dict (JSON-serialisable) view of a router config."""
-    data = asdict(config)
-    data["degradation_budget_steps"] = list(data["degradation_budget_steps"])
-    return data
-
-
-def router_config_from_dict(data: Mapping[str, Any]) -> RouterConfig:
-    """Rebuild a :class:`RouterConfig` from its dict form (strict).
-
-    Mirrors :func:`serving_config_from_dict`: unknown keys and wrongly
-    typed values raise ``ValueError`` messages naming the offending field.
-    """
-    valid = {f.name for f in fields(RouterConfig)}
-    unknown = sorted(set(data) - valid)
-    if unknown:
-        names = ", ".join(repr(name) for name in unknown)
-        raise ValueError(
-            f"unknown router config field{'s' if len(unknown) > 1 else ''} "
-            f"{names}; valid fields: {', '.join(sorted(valid))}"
-        )
-    coerced: dict[str, Any] = {}
-    for name, value in data.items():
-        checker = _ROUTER_FIELD_CHECKS[name]
-        try:
-            coerced[name] = checker(value)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"router config field {name!r}: invalid value {value!r}"
-            ) from None
-    try:
-        return RouterConfig(**coerced)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"invalid router config: {exc}") from exc
-
-
-def _check_str(value: Any) -> str:
-    if not isinstance(value, str):
-        raise TypeError
-    return value
-
-
-def _check_bool(value: Any) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError
-    return value
-
-
-def _check_int(value: Any) -> int:
-    # bool is an int subclass; "true" is never a worker count.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError
-    return value
-
-
-def _check_float(value: Any) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError
-    return float(value)
-
-
-def _check_optional(check):
-    def wrapped(value: Any):
-        return None if value is None else check(value)
-
-    return wrapped
-
-
-_SERVING_FIELD_CHECKS: dict[str, Any] = {
-    "engine": _check_str,
-    "active_budget": _check_optional(_check_int),
-    "top_k": _check_int,
-    "max_batch_size": _check_int,
-    "max_wait_ms": _check_float,
-    "num_workers": _check_int,
-    "queue_capacity": _check_int,
-    "admission_policy": _check_str,
-    "deadline_ms": _check_optional(_check_float),
-    "reload_poll_s": _check_float,
-    "autoscale": _check_bool,
-    "min_workers": _check_int,
-    "max_workers": _check_int,
-    "autoscale_interval_s": _check_float,
-    "target_p99_ms": _check_float,
-    "autoscale_queue_per_worker": _check_float,
-    "autoscale_up_patience": _check_int,
-    "autoscale_down_patience": _check_int,
-    "autoscale_cooldown_s": _check_float,
-    "host": _check_str,
-    "port": _check_int,
-    "max_body_bytes": _check_int,
-}
-
-
-def _check_float_list(value: Any) -> tuple[float, ...]:
-    if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
-        raise TypeError
-    return tuple(_check_float(item) for item in value)
-
-
-_ROUTER_FIELD_CHECKS: dict[str, Any] = {
-    "num_replicas": _check_int,
-    "health_interval_s": _check_float,
-    "probe_timeout_s": _check_float,
-    "readiness_max_staleness": _check_int,
-    "retry_max_attempts": _check_int,
-    "retry_backoff_base_s": _check_float,
-    "retry_backoff_max_s": _check_float,
-    "request_deadline_s": _check_float,
-    "attempt_timeout_s": _check_float,
-    "breaker_failure_threshold": _check_int,
-    "breaker_p99_ms": _check_optional(_check_float),
-    "breaker_window": _check_int,
-    "breaker_recovery_s": _check_float,
-    "breaker_half_open_probes": _check_int,
-    "degradation_budget_steps": _check_float_list,
-    "degradation_interval_s": _check_float,
-    "degradation_queue_high": _check_float,
-    "degradation_up_patience": _check_int,
-    "degradation_down_patience": _check_int,
-    "degradation_shed_depth": _check_int,
-    "seed": _check_int,
-}
-
-
-# ----------------------------------------------------------------------
-# Codec registry — the machine-readable map from every *Config dataclass
-# to its (to_dict, from_dict) pair.  CFG001 (tools/lint) checks this
-# registry for completeness and round-trips the config_examples()
-# instances, so a knob added to a dataclass without a codec update fails
-# lint rather than silently vanishing from checkpoints.
-# ----------------------------------------------------------------------
-CONFIG_CODECS: dict[type, tuple[Any, Any]] = {
-    LSHConfig: (lsh_config_to_dict, lsh_config_from_dict),
-    RebuildScheduleConfig: (
-        rebuild_schedule_config_to_dict,
-        rebuild_schedule_config_from_dict,
-    ),
-    SamplingConfig: (sampling_config_to_dict, sampling_config_from_dict),
-    LayerConfig: (layer_config_to_dict, layer_config_from_dict),
-    SlideNetworkConfig: (network_config_to_dict, network_config_from_dict),
-    OptimizerConfig: (optimizer_config_to_dict, optimizer_config_from_dict),
-    TrainingConfig: (training_config_to_dict, training_config_from_dict),
-    ServingConfig: (serving_config_to_dict, serving_config_from_dict),
-    RouterConfig: (router_config_to_dict, router_config_from_dict),
-    FaultToleranceConfig: (
-        fault_tolerance_config_to_dict,
-        fault_tolerance_config_from_dict,
-    ),
-}
-
-
-def config_examples() -> dict[type, Any]:
-    """One representative instance per registered config class.
-
-    Used by CFG001 and the round-trip tests.  Values deliberately differ
-    from every field default — a codec that drops a field and lets the
-    default leak back in would still pass a default-valued round-trip.
-    """
-    lsh = LSHConfig(
-        hash_family="dwta",
-        k=4,
-        l=8,
-        bucket_size=64,
-        insertion_policy="reservoir",
-        simhash_sparsity=0.5,
-        wta_bin_size=4,
-        doph_top_k=16,
-    )
-    rebuild = RebuildScheduleConfig(initial_period=10, decay=0.05, max_period=500)
-    sampling = SamplingConfig(
-        strategy="topk",
-        target_active=32,
-        hard_threshold=3,
-        include_labels=False,
-        min_active=8,
-    )
-    layer = LayerConfig(
-        size=64, activation="softmax", lsh=lsh, sampling=sampling, rebuild=rebuild
-    )
-    optimizer = OptimizerConfig(
-        name="sgd",
-        learning_rate=5e-4,
-        beta1=0.8,
-        beta2=0.99,
-        epsilon=1e-7,
-        momentum=0.5,
-        update_clip=2.0,
-    )
-    return {
-        LSHConfig: lsh,
-        RebuildScheduleConfig: rebuild,
-        SamplingConfig: sampling,
-        LayerConfig: layer,
-        SlideNetworkConfig: SlideNetworkConfig(
-            input_dim=16,
-            layers=(LayerConfig(size=32, activation="relu"), layer),
-            seed=7,
-        ),
-        OptimizerConfig: optimizer,
-        TrainingConfig: TrainingConfig(
-            batch_size=64,
-            epochs=2,
-            optimizer=optimizer,
-            shuffle=False,
-            seed=3,
-            eval_every=10,
-            eval_samples=128,
-        ),
-        ServingConfig: ServingConfig(
-            engine="dense",
-            active_budget=128,
-            top_k=3,
-            max_batch_size=16,
-            max_wait_ms=1.0,
-            num_workers=3,
-            queue_capacity=256,
-            admission_policy="block",
-            deadline_ms=100.0,
-            reload_poll_s=0.5,
-            autoscale=True,
-            min_workers=1,
-            max_workers=4,
-            autoscale_interval_s=0.5,
-            target_p99_ms=25.0,
-            autoscale_queue_per_worker=2.0,
-            autoscale_up_patience=3,
-            autoscale_down_patience=5,
-            autoscale_cooldown_s=2.0,
-            host="0.0.0.0",
-            port=9090,
-            max_body_bytes=65536,
-        ),
-        RouterConfig: RouterConfig(
-            num_replicas=3,
-            health_interval_s=0.5,
-            probe_timeout_s=0.5,
-            readiness_max_staleness=1,
-            retry_max_attempts=2,
-            retry_backoff_base_s=0.02,
-            retry_backoff_max_s=0.5,
-            request_deadline_s=1.0,
-            attempt_timeout_s=0.5,
-            breaker_failure_threshold=3,
-            breaker_p99_ms=25.0,
-            breaker_window=32,
-            breaker_recovery_s=0.5,
-            breaker_half_open_probes=1,
-            degradation_budget_steps=(0.6, 0.3),
-            degradation_interval_s=0.25,
-            degradation_queue_high=4.0,
-            degradation_up_patience=1,
-            degradation_down_patience=2,
-            degradation_shed_depth=16,
-            seed=11,
-        ),
-        FaultToleranceConfig: FaultToleranceConfig(
-            heartbeat_timeout_s=15.0,
-            poll_interval_s=0.1,
-            max_restarts=1,
-            backoff_base_s=0.05,
-            backoff_max_s=2.0,
-            checkpoint_every_s=1.0,
-            checkpoint_every_batches=5,
-            checkpoint_keep_last=2,
-        ),
-    }
+def _invalid(label: str, path: str, value: Any) -> ValueError:
+    return ValueError(f"{label} field {path!r}: invalid value {value!r}")

@@ -62,6 +62,8 @@ from typing import Any, Iterable, Mapping
 
 import numpy as np
 
+from repro import config
+
 __all__ = [
     "FAULT_KINDS",
     "SERVING_FAULT_KINDS",
@@ -118,23 +120,11 @@ class FaultSpec:
             raise ValueError("duration_s must be non-negative")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "worker_id": self.worker_id,
-            "at_batch": self.at_batch,
-            "duration_s": self.duration_s,
-            "once": self.once,
-        }
+        return config.to_dict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultSpec":
-        return cls(
-            kind=str(data["kind"]),
-            worker_id=int(data["worker_id"]),
-            at_batch=int(data["at_batch"]),
-            duration_s=float(data.get("duration_s", 0.0)),
-            once=bool(data.get("once", True)),
-        )
+        return config.from_dict(cls, data)
 
 
 @dataclass(frozen=True)
@@ -159,12 +149,11 @@ class FaultPlan:
         return tuple(s for s in self.specs if s.worker_id == worker_id)
 
     def to_dict(self) -> dict[str, Any]:
-        return {"specs": [spec.to_dict() for spec in self.specs]}
+        return config.to_dict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
-        specs: Iterable[Mapping[str, Any]] = data.get("specs", ())
-        return cls(specs=tuple(FaultSpec.from_dict(s) for s in specs))
+        return config.from_dict(cls, data)
 
 
 @dataclass
@@ -260,25 +249,6 @@ class ServingFaultSpec:
         if self.duration_s < 0:
             raise ValueError("duration_s must be non-negative")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "replica": self.replica,
-            "at_request": self.at_request,
-            "count": self.count,
-            "duration_s": self.duration_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ServingFaultSpec":
-        return cls(
-            kind=str(data["kind"]),
-            replica=str(data["replica"]),
-            at_request=int(data.get("at_request", 0)),
-            count=int(data.get("count", 1)),
-            duration_s=float(data.get("duration_s", 0.0)),
-        )
-
 
 @dataclass(frozen=True)
 class ServingFaultPlan:
@@ -299,14 +269,6 @@ class ServingFaultPlan:
     def injector_for(self, replica: str) -> "ServingFaultInjector":
         """The per-replica injector to attach as ``engine.fault_injector``."""
         return ServingFaultInjector(specs=self.for_replica(replica))
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"specs": [spec.to_dict() for spec in self.specs]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ServingFaultPlan":
-        specs: Iterable[Mapping[str, Any]] = data.get("specs", ())
-        return cls(specs=tuple(ServingFaultSpec.from_dict(s) for s in specs))
 
 
 class ServingFaultInjector:

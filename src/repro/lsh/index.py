@@ -428,16 +428,6 @@ class LSHIndex:
         self.num_queries += batch
         return BatchQueryResult(codes=codes, candidates=candidates, sizes=sizes)
 
-    def query_batch(self, queries: FloatArray) -> list[QueryResult]:
-        """Probe the tables with every row of a dense query block.
-
-        A compatibility wrapper over :meth:`query_batch_flat` returning one
-        :class:`QueryResult` per row, identical to ``[self.query(q) for q in
-        queries]`` table-for-table.
-        """
-        flat = self.query_batch_flat(queries)
-        return [flat.result(row) for row in range(flat.batch_size)]
-
     # ------------------------------------------------------------------
     # Diagnostics
     # ------------------------------------------------------------------

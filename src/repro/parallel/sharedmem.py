@@ -59,11 +59,11 @@ import numpy as np
 
 from repro.config import (
     FaultToleranceConfig,
+    OptimizerConfig,
+    SlideNetworkConfig,
     TrainingConfig,
-    network_config_from_dict,
-    network_config_to_dict,
-    optimizer_config_from_dict,
-    optimizer_config_to_dict,
+    from_dict,
+    to_dict,
 )
 from repro.core.network import SlideNetwork
 from repro.data.shards import ShardedDataset
@@ -579,9 +579,11 @@ def _run_worker(payload: dict, task_queue, result_queue) -> None:
     network: SlideNetwork | None = None
     optimizer: Optimizer | None = None
     try:
-        network = SlideNetwork(network_config_from_dict(payload["network_config"]))
+        network = SlideNetwork(
+            from_dict(SlideNetworkConfig, payload["network_config"])
+        )
         optimizer = make_optimizer(
-            optimizer_config_from_dict(payload["optimizer_config"])
+            from_dict(OptimizerConfig, payload["optimizer_config"])
         )
         for layer in network.layers:
             layer.register_parameters(optimizer)
@@ -1577,7 +1579,7 @@ class ProcessHogwildTrainer:
                 worker_optimizer = replace(
                     worker_optimizer, update_clip=DEFAULT_UPDATE_CLIP
                 )
-            optimizer_config = optimizer_config_to_dict(worker_optimizer)
+            optimizer_config = to_dict(worker_optimizer)
             training_spec = {
                 "batch_size": int(self.training.batch_size),
                 "epochs": int(self.training.epochs),
@@ -1592,9 +1594,7 @@ class ProcessHogwildTrainer:
                 {
                     "worker_id": worker_id,
                     "manifest": manifest,
-                    "network_config": network_config_to_dict(
-                        self._worker_network_config(worker_id)
-                    ),
+                    "network_config": to_dict(self._worker_network_config(worker_id)),
                     "optimizer_config": optimizer_config,
                     "training": training_spec,
                     "data": data_per_worker[worker_id],

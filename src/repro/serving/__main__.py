@@ -15,9 +15,11 @@ Configuration can come from a JSON file instead of flags::
 
     repro-serve /path/to/store --config serving.json --watch
 
-``serving.json`` maps field-for-field onto :class:`~repro.config.ServingConfig`
-(including the admission/autoscale/hot-reload knobs); unknown keys and bad
-values are rejected with an error naming the offending field.  Explicit
+``serving.json`` is read by :func:`repro.config.load_config`, the same strict
+codec that reads checkpoint manifests: its keys are the fields of
+:class:`~repro.config.ServingConfig` (any subset; the rest keep their
+defaults), and an unknown key, a wrongly typed value or an out-of-range one
+is rejected with an error naming the file and the offending field.  Explicit
 command-line flags override the file.  ``--watch`` (requires a store root)
 runs the :class:`~repro.serving.runtime.OnlineRuntime`: new checkpoint
 versions published into the store are hot-swapped in with zero downtime.
@@ -30,7 +32,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from repro.config import ServingConfig, load_serving_config
+from repro.config import ServingConfig, load_config
 from repro.serving.checkpoint import CheckpointError, CheckpointStore, load_checkpoint
 from repro.serving.pool import ServingRuntime, build_engine
 from repro.serving.runtime import OnlineRuntime
@@ -96,7 +98,9 @@ def _resolve_checkpoint(path: Path) -> Path:
 def _build_config(args: argparse.Namespace, output_dim: int) -> ServingConfig:
     """File config (if any) + explicit flag overrides, validated once."""
     config = (
-        load_serving_config(args.config) if args.config is not None else ServingConfig()
+        load_config(ServingConfig, args.config)
+        if args.config is not None
+        else ServingConfig()
     )
     overrides: dict[str, object] = {}
     for flag, field_name in (

@@ -48,13 +48,7 @@ from typing import Any, Iterator, Mapping
 import numpy as np
 
 from repro import __version__
-from repro.config import (
-    SlideNetworkConfig,
-    network_config_from_dict,
-    network_config_to_dict,
-    optimizer_config_from_dict,
-    optimizer_config_to_dict,
-)
+from repro.config import OptimizerConfig, SlideNetworkConfig, from_dict, to_dict
 from repro.core.network import SlideNetwork
 from repro.optim.base import Optimizer
 from repro.optim.factory import make_optimizer
@@ -157,7 +151,7 @@ def save_checkpoint(
     optimizer_entry: dict[str, Any] | None = None
     if optimizer is not None:
         optimizer_entry = {
-            "config": optimizer_config_to_dict(optimizer.to_config()),
+            "config": to_dict(optimizer.to_config()),
             "step_count": int(optimizer.step_count),
             "parameters": {},
         }
@@ -176,7 +170,7 @@ def save_checkpoint(
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "repro_version": __version__,
         "saved_unix_time": time.time(),  # repro: allow[clock] metadata, not replayed
-        "network_config": network_config_to_dict(network.config),
+        "network_config": to_dict(network.config),
         "lsh_layers": lsh_layers,
         "optimizer": optimizer_entry,
         "metadata": dict(metadata or {}),
@@ -235,6 +229,21 @@ def _read_arrays(path: Path, manifest: Mapping[str, Any]) -> dict[str, np.ndarra
         return {key: np.array(data[key]) for key in data.files}
 
 
+def _stored_config(cls: type, entry: Mapping[str, Any], key: str, path: Path) -> Any:
+    """Decode the config a manifest stores under ``key``, strictly.
+
+    A hand-edited or damaged manifest must fail the load as a
+    :class:`CheckpointError` (what the checkpoint watcher records and
+    survives), never as a bare ``KeyError``/``TypeError``.
+    """
+    try:
+        return from_dict(cls, entry.get(key))
+    except ValueError as exc:
+        raise CheckpointError(
+            f"malformed {key!r} in the manifest of {path}: {exc}"
+        ) from exc
+
+
 def load_checkpoint(
     path: str | Path, load_optimizer: bool = True
 ) -> LoadedCheckpoint:
@@ -243,7 +252,7 @@ def load_checkpoint(
     manifest = _read_manifest(path)
     arrays = _read_arrays(path, manifest)
 
-    config = network_config_from_dict(manifest["network_config"])
+    config = _stored_config(SlideNetworkConfig, manifest, "network_config", path)
     network = SlideNetwork(config)
     network.iteration = int(arrays.get("iteration", 0))
 
@@ -275,7 +284,7 @@ def load_checkpoint(
     optimizer_entry = manifest.get("optimizer")
     if load_optimizer and optimizer_entry is not None:
         optimizer = make_optimizer(
-            optimizer_config_from_dict(optimizer_entry["config"])
+            _stored_config(OptimizerConfig, optimizer_entry, "config", path)
         )
         for layer in network.layers:
             layer.register_parameters(optimizer)
@@ -343,7 +352,7 @@ def restore_checkpoint_into(
     manifest = _read_manifest(path)
     arrays = _read_arrays(path, manifest)
 
-    stored_config = network_config_from_dict(manifest["network_config"])
+    stored_config = _stored_config(SlideNetworkConfig, manifest, "network_config", path)
     if stored_config != network.config:
         raise CheckpointError(
             f"checkpoint {path} was saved with a different network config; "

@@ -189,24 +189,20 @@ class TestRouterConfig:
     def test_dict_round_trip(self):
         import json as _json
 
-        from repro.config import (
-            RouterConfig,
-            router_config_from_dict,
-            router_config_to_dict,
-        )
+        from repro.config import RouterConfig, from_dict, to_dict
 
         config = RouterConfig(
             num_replicas=3,
             breaker_p99_ms=50.0,
             degradation_budget_steps=(0.75, 0.5, 0.125),
         )
-        data = _json.loads(_json.dumps(router_config_to_dict(config)))
-        assert router_config_from_dict(data) == config
+        data = _json.loads(_json.dumps(to_dict(config)))
+        assert from_dict(RouterConfig, data) == config
 
     def test_from_dict_rejects_unknown_and_bad_fields(self):
-        from repro.config import router_config_from_dict
+        from repro.config import RouterConfig, from_dict
 
         with pytest.raises(ValueError, match="unknown router config field"):
-            router_config_from_dict({"replicas": 3})
+            from_dict(RouterConfig, {"replicas": 3})
         with pytest.raises(ValueError, match="num_replicas"):
-            router_config_from_dict({"num_replicas": "many"})
+            from_dict(RouterConfig, {"num_replicas": "many"})

@@ -1,19 +1,43 @@
-"""Auto round-trip of every *Config dataclass via the CONFIG_CODECS registry.
+"""Round-trip, strictness and wire-format tests of the one config codec.
 
-This is the test-suite twin of lint rule CFG001: the classes are found by
-*introspection* of :mod:`repro.config`, so a newly added config dataclass
-fails here (no codec / no example) before anyone wires it to a file format.
+The ``*Config`` classes are found by *introspection* of :mod:`repro.config`
+and their fields by ``dataclasses.fields``, so a newly added class fails
+here until it has an example, and a newly added field is round-tripped and
+mutation-tested with no edit to this file.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import random
+import re
+from pathlib import Path
+from typing import Any, Iterator
 
 import pytest
 
 import repro.config as config_module
-from repro.config import CONFIG_CODECS, config_examples
+from repro.config import (
+    FaultToleranceConfig,
+    LayerConfig,
+    LSHConfig,
+    OptimizerConfig,
+    RebuildScheduleConfig,
+    RouterConfig,
+    SamplingConfig,
+    ServingConfig,
+    SlideNetworkConfig,
+    TrainingConfig,
+    from_dict,
+    load_config,
+    to_dict,
+)
+from repro.faults import FaultPlan
+from repro.serving.checkpoint import load_checkpoint
+
+# Written by the parent commit's (PR 12) hand-written codecs; see test (iv).
+DATA = Path(__file__).parent / "data"
 
 
 def _all_config_classes() -> list[type]:
@@ -30,75 +54,345 @@ def _all_config_classes() -> list[type]:
 
 
 CONFIG_CLASSES = _all_config_classes()
+per_class = pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda cls: cls.__name__)
 
 
-def test_every_config_class_is_registered():
-    missing = [cls.__name__ for cls in CONFIG_CLASSES if cls not in CONFIG_CODECS]
-    assert not missing, f"unregistered config classes: {missing}"
+def config_examples() -> dict[type, Any]:
+    """One representative instance per config class.
+
+    Values deliberately differ from every field default — a codec that
+    drops a field and lets the default leak back in would still pass a
+    default-valued round-trip.
+    """
+    lsh = LSHConfig(
+        hash_family="dwta",
+        k=4,
+        l=8,
+        bucket_size=64,
+        insertion_policy="reservoir",
+        simhash_sparsity=0.5,
+        wta_bin_size=4,
+        doph_top_k=16,
+    )
+    rebuild = RebuildScheduleConfig(initial_period=10, decay=0.05, max_period=500)
+    sampling = SamplingConfig(
+        strategy="topk",
+        target_active=32,
+        hard_threshold=3,
+        include_labels=False,
+        min_active=8,
+    )
+    layer = LayerConfig(
+        size=64, activation="softmax", lsh=lsh, sampling=sampling, rebuild=rebuild
+    )
+    optimizer = OptimizerConfig(
+        name="sgd",
+        learning_rate=5e-4,
+        beta1=0.8,
+        beta2=0.99,
+        epsilon=1e-7,
+        momentum=0.5,
+        update_clip=2.0,
+    )
+    return {
+        LSHConfig: lsh,
+        RebuildScheduleConfig: rebuild,
+        SamplingConfig: sampling,
+        LayerConfig: layer,
+        SlideNetworkConfig: SlideNetworkConfig(
+            input_dim=16,
+            layers=(LayerConfig(size=32, activation="relu"), layer),
+            seed=7,
+        ),
+        OptimizerConfig: optimizer,
+        TrainingConfig: TrainingConfig(
+            batch_size=64,
+            epochs=2,
+            optimizer=optimizer,
+            shuffle=False,
+            seed=3,
+            eval_every=10,
+            eval_samples=128,
+        ),
+        ServingConfig: ServingConfig(
+            engine="dense",
+            active_budget=128,
+            top_k=3,
+            max_batch_size=16,
+            max_wait_ms=1.0,
+            num_workers=3,
+            queue_capacity=256,
+            admission_policy="block",
+            deadline_ms=100.0,
+            reload_poll_s=0.5,
+            autoscale=True,
+            min_workers=1,
+            max_workers=4,
+            autoscale_interval_s=0.5,
+            target_p99_ms=25.0,
+            autoscale_queue_per_worker=2.0,
+            autoscale_up_patience=3,
+            autoscale_down_patience=5,
+            autoscale_cooldown_s=2.0,
+            host="0.0.0.0",
+            port=9090,
+            max_body_bytes=65536,
+        ),
+        RouterConfig: RouterConfig(
+            num_replicas=3,
+            health_interval_s=0.5,
+            probe_timeout_s=0.5,
+            readiness_max_staleness=1,
+            retry_max_attempts=2,
+            retry_backoff_base_s=0.02,
+            retry_backoff_max_s=0.5,
+            request_deadline_s=1.0,
+            attempt_timeout_s=0.5,
+            breaker_failure_threshold=3,
+            breaker_p99_ms=25.0,
+            breaker_window=32,
+            breaker_recovery_s=0.5,
+            breaker_half_open_probes=1,
+            degradation_budget_steps=(0.6, 0.3),
+            degradation_interval_s=0.25,
+            degradation_queue_high=4.0,
+            degradation_up_patience=1,
+            degradation_down_patience=2,
+            degradation_shed_depth=16,
+            seed=11,
+        ),
+        FaultToleranceConfig: FaultToleranceConfig(
+            heartbeat_timeout_s=15.0,
+            poll_interval_s=0.1,
+            max_restarts=1,
+            backoff_base_s=0.05,
+            backoff_max_s=2.0,
+            checkpoint_every_s=1.0,
+            checkpoint_every_batches=5,
+            checkpoint_keep_last=2,
+        ),
+    }
 
 
-def test_every_registered_class_has_an_example():
-    examples = config_examples()
-    missing = [cls.__name__ for cls in CONFIG_CODECS if cls not in examples]
+EXAMPLES = config_examples()
+
+
+def names_field(path: str) -> str:
+    """Regex: an error message quoting ``path`` (or an element / key under it)."""
+    return "'" + re.escape(path) + r"['\[.]"
+
+
+def test_every_config_class_has_an_example():
+    missing = [cls.__name__ for cls in CONFIG_CLASSES if cls not in EXAMPLES]
     assert not missing, f"example-less config classes: {missing}"
 
 
-@pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda cls: cls.__name__)
+@per_class
 def test_round_trip(cls):
-    to_dict, from_dict = CONFIG_CODECS[cls]
-    example = config_examples()[cls]
+    example = EXAMPLES[cls]
     data = to_dict(example)
 
     # Coverage: exactly the dataclass's fields, nothing more or less.
     assert set(data) == {f.name for f in dataclasses.fields(cls)}
-    # The dict form is JSON-serialisable (the whole point of the codecs).
-    rebuilt = from_dict(json.loads(json.dumps(data)))
-    assert rebuilt == example
+    # The dict form is JSON as is: a tuple anywhere would come back a list.
+    assert json.loads(json.dumps(data)) == data
+    assert from_dict(cls, json.loads(json.dumps(data))) == example
 
 
-@pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda cls: cls.__name__)
+@per_class
 def test_unknown_key_is_rejected_by_name(cls):
-    to_dict, from_dict = CONFIG_CODECS[cls]
-    data = to_dict(config_examples()[cls])
+    data = to_dict(EXAMPLES[cls])
     data["definitely_not_a_field"] = 1
     with pytest.raises(ValueError, match="definitely_not_a_field"):
-        from_dict(data)
+        from_dict(cls, data)
 
 
 def test_examples_differ_from_defaults():
     """A default-valued example could hide a codec that drops fields and
     lets defaults leak back in; keep the examples deliberately non-default."""
-    examples = config_examples()
-    for cls, example in examples.items():
-        if cls.__name__ == "SlideNetworkConfig":
-            continue  # has required fields, no full-default instance exists
-        if cls.__name__ == "LayerConfig":
-            continue
+    for cls, example in EXAMPLES.items():
+        if cls in (SlideNetworkConfig, LayerConfig):
+            continue  # have required fields, no full-default instance exists
         assert example != cls(), f"{cls.__name__} example is all-defaults"
 
 
 def test_nested_training_codec_rebuilds_optimizer():
-    to_dict, from_dict = CONFIG_CODECS[config_module.TrainingConfig]
-    example = config_examples()[config_module.TrainingConfig]
-    rebuilt = from_dict(to_dict(example))
-    assert isinstance(rebuilt.optimizer, config_module.OptimizerConfig)
+    example = EXAMPLES[TrainingConfig]
+    rebuilt = from_dict(TrainingConfig, to_dict(example))
+    assert isinstance(rebuilt.optimizer, OptimizerConfig)
     assert rebuilt.optimizer == example.optimizer
 
 
 def test_nested_layer_codec_rebuilds_lsh():
-    to_dict, from_dict = CONFIG_CODECS[config_module.LayerConfig]
-    example = config_examples()[config_module.LayerConfig]
-    rebuilt = from_dict(to_dict(example))
-    assert isinstance(rebuilt.lsh, config_module.LSHConfig)
+    example = EXAMPLES[LayerConfig]
+    rebuilt = from_dict(LayerConfig, to_dict(example))
+    assert isinstance(rebuilt.lsh, LSHConfig)
     assert rebuilt == example
-    # lsh=None survives too.
-    bare = config_module.LayerConfig(size=8)
-    assert from_dict(to_dict(bare)) == bare
+    # lsh=None survives too, and defaulted fields may be left out.
+    bare = LayerConfig(size=8)
+    assert from_dict(LayerConfig, to_dict(bare)) == bare
+    assert from_dict(LayerConfig, {"size": 8}) == bare
 
 
 def test_network_codec_rejects_unknown_nested_layer_key():
-    to_dict, from_dict = CONFIG_CODECS[config_module.SlideNetworkConfig]
-    data = to_dict(config_examples()[config_module.SlideNetworkConfig])
+    data = to_dict(EXAMPLES[SlideNetworkConfig])
     data["layers"][0]["workerz"] = 3
-    with pytest.raises(ValueError, match="workerz"):
-        from_dict(data)
+    with pytest.raises(ValueError, match=r"unknown .* field 'layers\[0\]\.workerz'"):
+        from_dict(SlideNetworkConfig, data)
+
+
+# ----------------------------------------------------------------------
+# (i) Inputs the hand-written codecs mishandled: TypeError / KeyError leaks,
+# silent acceptance, silent truncation.  All are ValueErrors naming the field.
+# ----------------------------------------------------------------------
+def _network_without_seed() -> dict[str, Any]:
+    data = to_dict(EXAMPLES[SlideNetworkConfig])
+    del data["seed"]
+    return data
+
+
+@pytest.mark.parametrize(
+    "cls, data, field",
+    [
+        (LSHConfig, {"k": "6"}, "k"),
+        (OptimizerConfig, {"learning_rate": "0.1"}, "learning_rate"),
+        (LayerConfig, {}, "size"),
+        (SlideNetworkConfig, _network_without_seed(), "seed"),
+        (LSHConfig, {"hash_family": "nope"}, "hash_family"),
+        (LSHConfig, {"k": True}, "k"),
+        (TrainingConfig, {"shuffle": "no"}, "shuffle"),
+        (SamplingConfig, {"target_active": 2.5}, "target_active"),
+        (LayerConfig, {"size": 64.9}, "size"),
+    ],
+)
+def test_drifted_inputs_raise_value_error_naming_the_field(cls, data, field):
+    with pytest.raises(ValueError, match=names_field(field)):
+        from_dict(cls, data)
+
+
+def test_errors_name_nested_fields_by_path():
+    data = to_dict(EXAMPLES[SlideNetworkConfig])
+    data["layers"][1]["lsh"]["k"] = "6"
+    expected = r"slide network config field 'layers\[1\]\.lsh\.k': invalid value '6'"
+    with pytest.raises(ValueError, match=expected):
+        from_dict(SlideNetworkConfig, data)
+    # Range errors out of a nested __post_init__ say where they happened.
+    data["layers"][1]["lsh"]["k"] = 0
+    with pytest.raises(ValueError, match=r"'layers\[1\]\.lsh': k must be positive"):
+        from_dict(SlideNetworkConfig, data)
+    with pytest.raises(ValueError, match="JSON object"):
+        from_dict(SlideNetworkConfig, [data])
+
+
+def test_unsupported_annotation_raises_at_first_use():
+    @dataclasses.dataclass
+    class Odd:
+        table: dict[str, int] = dataclasses.field(default_factory=dict)
+
+    with pytest.raises(TypeError, match="does not support"):
+        from_dict(Odd, {"table": {"a": 1}})
+
+
+# ----------------------------------------------------------------------
+# (ii) Seeded mutation sweep over every field of every example, nested
+# ones included.  pytest.raises(ValueError) lets a TypeError / KeyError /
+# AttributeError out of the codec propagate and fail the test.
+# ----------------------------------------------------------------------
+_WRONG: dict[type, list[Any]] = {
+    int: ["6", 2.5, True, [1], {"a": 1}],
+    float: ["0.1", True, [0.5], {"a": 1}],
+    bool: ["no", 1, 0.0, [True]],
+    str: [7, 1.5, True, ["x"]],
+    type(None): [[1], [[]]],
+    list: ["ab", 5, True, {"a": 1}],
+    dict: [5, "x", True, [1]],
+}
+
+
+def _nodes(value: Any, tokens: tuple = ()) -> Iterator[tuple[tuple, Any]]:
+    """``(path tokens, instance)`` for ``value`` and every dataclass inside it."""
+    if dataclasses.is_dataclass(value):
+        yield tokens, value
+        for f in dataclasses.fields(value):
+            yield from _nodes(getattr(value, f.name), tokens + (f.name,))
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from _nodes(item, tokens + (i,))
+
+
+def _path(tokens: tuple) -> str:
+    path = ""
+    for token in tokens:
+        if isinstance(token, int):
+            path += f"[{token}]"
+        else:
+            path += f".{token}" if path else token
+    return path
+
+
+def _mutated(example: Any, tokens: tuple) -> tuple[dict[str, Any], dict[str, Any]]:
+    """A fresh dict form of ``example`` and the nested dict at ``tokens``."""
+    data = to_dict(example)
+    node = data
+    for token in tokens:
+        node = node[token]
+    return data, node
+
+
+@per_class
+def test_mutation_sweep(cls):
+    example = EXAMPLES[cls]
+    rng = random.Random(cls.__name__)
+    for tokens, instance in _nodes(example):
+        data, node = _mutated(example, tokens)
+        node["zz_unknown"] = 1
+        unknown_path = _path(tokens + ("zz_unknown",))
+        with pytest.raises(ValueError, match=names_field(unknown_path)):
+            from_dict(cls, data)
+
+        for f in dataclasses.fields(instance):
+            field_path = _path(tokens + (f.name,))
+
+            data, node = _mutated(example, tokens)
+            node[f.name] = rng.choice(_WRONG[type(node[f.name])])
+            with pytest.raises(ValueError, match=names_field(field_path)):
+                from_dict(cls, data)
+
+            if f.default is f.default_factory is dataclasses.MISSING:
+                data, node = _mutated(example, tokens)
+                del node[f.name]
+                with pytest.raises(ValueError, match=names_field(field_path)):
+                    from_dict(cls, data)
+
+
+# ----------------------------------------------------------------------
+# (iv) Wire format: what the parent commit's hand-written codecs wrote
+# loads unchanged — same keys, same nesting, same values back out.
+# ----------------------------------------------------------------------
+PARENT_DICTS = json.loads((DATA / "parent_config_dicts.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "cls", CONFIG_CLASSES + [FaultPlan], ids=lambda cls: cls.__name__
+)
+def test_parent_written_dict_round_trips_bit_for_bit(cls):
+    written = PARENT_DICTS[cls.__name__]
+    config = from_dict(cls, written)
+    assert to_dict(config) == written
+    if cls in EXAMPLES:  # the examples moved here verbatim
+        assert config == EXAMPLES[cls]
+
+
+def test_parent_written_serving_json_loads():
+    config = load_config(ServingConfig, DATA / "parent_serving.json")
+    assert config == EXAMPLES[ServingConfig]
+
+
+def test_parent_written_checkpoint_loads():
+    path = DATA / "parent_checkpoint"
+    manifest = json.loads((path / "manifest.json").read_text())
+    loaded = load_checkpoint(path)
+    assert to_dict(loaded.network.config) == manifest["network_config"]
+    assert to_dict(loaded.optimizer.to_config()) == manifest["optimizer"]["config"]
+    assert loaded.network.config.seed == 7
+    assert loaded.network.config.layers[1].lsh.hash_family == "dwta"

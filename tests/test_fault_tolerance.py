@@ -19,11 +19,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.config import (
-    FaultToleranceConfig,
-    fault_tolerance_config_from_dict,
-    fault_tolerance_config_to_dict,
-)
+from repro.config import FaultToleranceConfig, from_dict, to_dict
 from repro.core.network import SlideNetwork
 from repro.core.trainer import SlideTrainer
 from repro.data.ingest import ingest_examples
@@ -85,6 +81,10 @@ class TestFaultPlan:
         assert restored == plan
         assert restored.for_worker(1) == (plan.specs[0],)
         assert restored.for_worker(7) == ()
+        # Strict like every other config: bool("false") used to read as True.
+        spec = {**plan.specs[0].to_dict(), "once": "false"}
+        with pytest.raises(ValueError, match=r"'specs\[0\]\.once'"):
+            FaultPlan.from_dict({"specs": [spec]})
 
     def test_injector_fires_crash_at_exact_coordinate(self):
         injector = FaultInjector(
@@ -158,10 +158,10 @@ class TestFaultToleranceConfig:
 
     def test_dict_round_trip_is_strict(self):
         config = FaultToleranceConfig(max_restarts=5, checkpoint_every_batches=7)
-        data = fault_tolerance_config_to_dict(config)
-        assert fault_tolerance_config_from_dict(data) == config
+        data = to_dict(config)
+        assert from_dict(FaultToleranceConfig, data) == config
         with pytest.raises(ValueError, match="unknown fault tolerance"):
-            fault_tolerance_config_from_dict({**data, "typo_field": 1})
+            from_dict(FaultToleranceConfig, {**data, "typo_field": 1})
 
 
 # ----------------------------------------------------------------------

@@ -124,7 +124,8 @@ class TestBatchedHashing:
         index = LSHIndex(input_dim=32, config=LSHConfig(k=3, l=8), seed=2)
         index.build(rng.normal(size=(60, 32)))
         queries = rng.normal(size=(10, 32))
-        batched = index.query_batch(queries)
+        flat = index.query_batch_flat(queries)
+        batched = [flat.result(r) for r in range(flat.batch_size)]
         for row in range(queries.shape[0]):
             single = index.query(queries[row])
             assert len(batched[row].buckets) == len(single.buckets)

@@ -272,7 +272,7 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("LCK001", "DET001", "MPX001", "EXC001", "CFG001", "THR001"):
+        for code in ("LCK001", "DET001", "MPX001", "EXC001", "THR001"):
             assert code in out
         assert "DOC001" in out and "--all" in out
 

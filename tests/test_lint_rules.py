@@ -17,7 +17,6 @@ import pytest
 
 from tools.lint.core import REPO_ROOT, ModuleSource, collect_sources, run_rules
 from tools.lint.rules import ALL_RULES, default_rules, select_rules
-from tools.lint.rules.cfg001 import ConfigSchemaSyncRule
 from tools.lint.rules.det001 import DeterminismRule
 from tools.lint.rules.exc001 import ExceptionDisciplineRule
 from tools.lint.rules.lck001 import LockDisciplineRule
@@ -539,14 +538,6 @@ class TestThreadHygiene:
                 return worker
             """,
         )
-
-
-# ----------------------------------------------------------------------
-# CFG001 — live check against the real repro.config
-# ----------------------------------------------------------------------
-def test_cfg001_is_clean_on_the_repo():
-    violations = list(ConfigSchemaSyncRule().check_project(REPO_ROOT))
-    assert violations == [], [v.message for v in violations]
 
 
 # ----------------------------------------------------------------------

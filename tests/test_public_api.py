@@ -9,6 +9,7 @@ it.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 import pytest
 
@@ -80,6 +81,23 @@ class TestSubpackageExports:
 
         for name in harness.__all__:
             assert hasattr(harness, name), name
+
+    def test_config_exports_exactly_one_codec(self):
+        from repro import config
+
+        for name in config.__all__:
+            assert hasattr(config, name), name
+        # One codec: the module defines no other public function, and
+        # __all__ lists nothing else in lower case (the rest are classes and
+        # Literal aliases).
+        codec = {"to_dict", "from_dict", "load_config"}
+        defined = {
+            name
+            for name, obj in vars(config).items()
+            if inspect.isfunction(obj) and obj.__module__ == config.__name__
+        }
+        assert {name for name in defined if not name.startswith("_")} == codec
+        assert {name for name in config.__all__ if name.islower()} == codec
 
     def test_datasets_exports(self):
         from repro import datasets

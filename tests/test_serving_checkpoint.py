@@ -14,6 +14,7 @@ from repro.serving.checkpoint import (
     CheckpointError,
     CheckpointStore,
     load_checkpoint,
+    restore_checkpoint_into,
     save_checkpoint,
 )
 from repro.serving.engine import SparseInferenceEngine
@@ -150,6 +151,49 @@ def test_unknown_format_version_rejected(tmp_path, trained):
     (path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(CheckpointError, match="format version"):
         load_checkpoint(path)
+
+
+def _drop_input_dim(manifest):
+    del manifest["network_config"]["input_dim"]
+
+
+def _string_k(manifest):
+    manifest["network_config"]["layers"][1]["lsh"]["k"] = "6"
+
+
+def _unknown_nested_key(manifest):
+    manifest["network_config"]["layers"][0]["sampling"]["workerz"] = 3
+
+
+def _string_learning_rate(manifest):
+    manifest["optimizer"]["config"]["learning_rate"] = "0.1"
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (_drop_input_dim, "'input_dim'"),
+        (_string_k, r"'layers\[1\]\.lsh\.k'"),
+        (_unknown_nested_key, r"'layers\[0\]\.sampling\.workerz'"),
+        (_string_learning_rate, "'learning_rate'"),
+    ],
+)
+def test_hand_edited_manifest_config_is_a_checkpoint_error(
+    tmp_path, trained, edit, field
+):
+    """A malformed stored config names the path and the field — and is a
+    CheckpointError, not the KeyError/TypeError the loaders used to leak."""
+    network, optimizer = trained
+    path = save_checkpoint(tmp_path / "ckpt", network, optimizer=optimizer)
+    manifest = json.loads((path / "manifest.json").read_text())
+    edit(manifest)
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointError, match=field) as excinfo:
+        load_checkpoint(path)
+    assert str(path) in str(excinfo.value)
+    if edit is not _string_learning_rate:  # restore reads only the network config
+        with pytest.raises(CheckpointError, match=field):
+            restore_checkpoint_into(path, network, optimizer)
 
 
 def test_lsh_snapshot_restore_round_trip(trained):

@@ -25,8 +25,8 @@ from repro.config import (
     ServingConfig,
     SlideNetworkConfig,
     TrainingConfig,
-    load_serving_config,
-    serving_config_from_dict,
+    from_dict,
+    load_config,
 )
 from repro.core.network import SlideNetwork
 from repro.core.trainer import SlideTrainer
@@ -306,6 +306,31 @@ def test_watcher_quarantines_persistently_bad_version(trained_store, tiny_datase
     assert metrics.reloads == 1
 
 
+def test_watcher_survives_a_hand_edited_manifest(trained_store):
+    """A malformed stored config is a recorded failed load ("corrupt"), not
+    an exception that escapes poll_once and kills the poll thread."""
+    v1, v2 = trained_store.versions()
+    engine = SparseInferenceEngine(
+        load_checkpoint(v1, load_optimizer=False).network, active_budget=32
+    )
+    metrics = ServingMetrics()
+    manifest = json.loads((v2 / "manifest.json").read_text())
+    manifest["network_config"]["layers"][1]["lsh"]["k"] = "6"
+    (v2 / "manifest.json").write_text(json.dumps(manifest))
+    watcher = CheckpointWatcher(
+        trained_store,
+        engine,
+        metrics=metrics,
+        current_version=v1.name,
+        max_load_attempts=1,
+        retry_backoff_s=0.0,
+    )
+    assert watcher.poll_once() is None
+    assert metrics.reload_failures_by_cause == {"corrupt": 1}
+    assert v2.name in watcher.quarantined_versions
+    assert watcher.current_version == v1.name
+
+
 def test_watcher_backoff_spaces_out_retries(trained_store):
     from repro.faults import tear_checkpoint
 
@@ -508,15 +533,16 @@ def test_autoscaler_step_resizes_elastic_pool(tiny_dataset):
 # ----------------------------------------------------------------------
 def test_serving_config_from_dict_names_bad_fields():
     with pytest.raises(ValueError, match="'workerz'"):
-        serving_config_from_dict({"workerz": 3})
+        from_dict(ServingConfig, {"workerz": 3})
     with pytest.raises(ValueError, match="'top_k'"):
-        serving_config_from_dict({"top_k": "five"})
+        from_dict(ServingConfig, {"top_k": "five"})
     with pytest.raises(ValueError, match="'autoscale'"):
-        serving_config_from_dict({"autoscale": "yes"})
+        from_dict(ServingConfig, {"autoscale": "yes"})
     with pytest.raises(ValueError, match="num_workers"):
-        serving_config_from_dict({"num_workers": -1})
-    config = serving_config_from_dict(
-        {"deadline_ms": 25, "admission_policy": "shed", "autoscale": True}
+        from_dict(ServingConfig, {"num_workers": -1})
+    config = from_dict(
+        ServingConfig,
+        {"deadline_ms": 25, "admission_policy": "shed", "autoscale": True},
     )
     assert config.deadline_ms == 25.0
     assert config.autoscale is True
@@ -525,14 +551,14 @@ def test_serving_config_from_dict_names_bad_fields():
 def test_load_serving_config_file(tmp_path):
     path = tmp_path / "serving.json"
     path.write_text(json.dumps({"num_workers": 3, "deadline_ms": 40}))
-    config = load_serving_config(path)
+    config = load_config(ServingConfig, path)
     assert config.num_workers == 3 and config.deadline_ms == 40.0
     path.write_text("[1, 2]")
     with pytest.raises(ValueError, match="JSON object"):
-        load_serving_config(path)
+        load_config(ServingConfig, path)
     path.write_text("{not json")
     with pytest.raises(ValueError, match="not valid JSON"):
-        load_serving_config(path)
+        load_config(ServingConfig, path)
 
 
 def test_cli_rejects_bad_config_naming_field(tmp_path, tiny_dataset, capsys):

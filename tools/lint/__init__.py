@@ -4,9 +4,8 @@ An AST-visitor rule framework plus repository-specific rules encoding the
 contracts this codebase otherwise enforces only by convention: lock
 discipline (LCK001), determinism of seeded paths (DET001),
 multiprocessing hygiene (MPX001), exception discipline and the serving
-error taxonomy (EXC001), config-schema sync (CFG001), thread hygiene
-(THR001), and the docs contracts (DOC001, folded in from
-``tools/check_docs.py``).
+error taxonomy (EXC001), thread hygiene (THR001), and the docs contracts
+(DOC001, folded in from ``tools/check_docs.py``).
 
 Run with ``python -m tools.lint`` — see :mod:`tools.lint.cli` for flags,
 :mod:`tools.lint.baseline` for the only-new-violations CI workflow and

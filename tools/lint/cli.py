@@ -83,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 
-    # Project rules (CFG001, DOC001 doctests) import the package.
+    # Project rules (DOC001 doctests) import the package.
     src = REPO_ROOT / "src"
     if str(src) not in sys.path:
         sys.path.insert(0, str(src))

@@ -10,7 +10,7 @@ survivors.
 
 Rules encode *this repository's* concurrency/determinism/resource
 contracts (lock discipline, seeded-RNG flow, multiprocessing hygiene, the
-serving error taxonomy, config-schema sync, thread hygiene) — the classes
+serving error taxonomy, thread hygiene) — the classes
 of invariant that previous PRs only caught by measurement (PR 5's torn
 shared Adam moments, PR 6's seqlock generation protocol).  A generic linter
 cannot know that ``predict`` under a write lock stalls every reader or that
@@ -159,7 +159,7 @@ class Rule:
     Subclasses set ``code`` (``LCK001``), ``name``, ``description`` and
     optionally ``tags`` — extra pragma spellings accepted besides the code
     itself.  Per-file rules override :meth:`check_module`; whole-repo rules
-    (config-schema sync, the docs checker) override :meth:`check_project`.
+    (the docs checker) override :meth:`check_project`.
     ``default_enabled = False`` keeps a rule out of the default run (it
     still runs under ``--all`` or an explicit ``--select``).
     """

@@ -8,7 +8,6 @@ rule means adding a module here and one entry to the list.
 from __future__ import annotations
 
 from tools.lint.core import Rule
-from tools.lint.rules.cfg001 import ConfigSchemaSyncRule
 from tools.lint.rules.det001 import DeterminismRule
 from tools.lint.rules.doc001 import DocsContractRule
 from tools.lint.rules.exc001 import ExceptionDisciplineRule
@@ -23,7 +22,6 @@ ALL_RULES: tuple[Rule, ...] = (
     DeterminismRule(),
     MultiprocessingHygieneRule(),
     ExceptionDisciplineRule(),
-    ConfigSchemaSyncRule(),
     ThreadHygieneRule(),
     DocsContractRule(),
 )
