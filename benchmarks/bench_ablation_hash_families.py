@@ -6,48 +6,44 @@ reports final accuracy and the measured active-set size, confirming that the
 pipeline works end to end with every family (DESIGN.md §5).
 """
 
-from repro.harness.experiment import HeadToHeadExperiment
+from repro.harness.experiment import HeadToHeadExperiment, small_experiment_config
 from repro.harness.report import format_table
+from repro.reports.schema import CONFIG, FRACTION, POS, STR, rows
+from repro.reports.spec import BenchSpec, MetricGate
 
 FAMILIES = ("simhash", "dwta", "wta", "doph", "minhash")
 
-
-def test_ablation_hash_families(run_once, delicious_config):
-    def sweep():
-        rows = []
-        for family in FAMILIES:
-            experiment = HeadToHeadExperiment(delicious_config)
-            run = experiment.run_slide(hash_family=family)
-            rows.append(
+SPEC = BenchSpec(
+    bench_id="ablation_hash_families",
+    title="Ablation: hash family choice (SimHash/DWTA/WTA/DOPH/MinHash)",
+    paper_anchor="Ablation (paper §5.3 / DESIGN §5)",
+    schema={
+        "type": "object",
+        "required": ["config", "rows"],
+        "properties": {
+            "config": CONFIG,
+            "rows": rows(
                 {
-                    "hash_family": family,
-                    "final_accuracy": run.final_accuracy,
-                    "avg_active_output": run.avg_active_output,
-                    "active_fraction": run.avg_active_output
-                    / delicious_config.dataset.label_dim,
-                }
-            )
-        return rows
-
-    rows = run_once(sweep)
-    print()
-    print(format_table(rows, title="Ablation: hash family choice (Delicious-200K-like)"))
-
-    random_baseline = 1.0 / delicious_config.dataset.label_dim
-    for row in rows:
-        # Every family must actually learn (well above random) and keep the
-        # output layer sparse.
-        assert row["final_accuracy"] > 5 * random_baseline, row["hash_family"]
-        assert row["active_fraction"] < 0.9, row["hash_family"]
+                    "hash_family": STR,
+                    "final_accuracy": FRACTION,
+                    "avg_active_output": POS,
+                    "active_fraction": FRACTION,
+                },
+                min_items=2,
+            ),
+        },
+    },
+    smoke_params={"scale": 1 / 2048, "epochs": 1},
+    full_params={"scale": 1 / 1024, "epochs": 2},
+    measured=True,
+    gates=(MetricGate("rows[hash_family=simhash].final_accuracy", "higher", 0.5, 0.1),),
+    timeout_s=180.0,
+)
 
 
-# ----------------------------------------------------------------------
-# Registry generator (see repro.reports): bench id "ablation_hash_families"
-# ----------------------------------------------------------------------
+
 def run(params: dict | None = None) -> dict:
     """Pure payload generator for the report registry."""
-    from repro.harness.experiment import small_experiment_config
-
     p = dict(params or {})
     families = tuple(str(f) for f in p.get("families", FAMILIES))
     config = small_experiment_config(
@@ -88,13 +84,3 @@ def check(payload: dict, smoke: bool) -> list[str]:
 
 def print_report(payload: dict) -> None:
     print(format_table(payload["rows"], title="Ablation: hash family choice"))
-
-
-def main() -> None:
-    from repro.reports.cli import bench_main
-
-    raise SystemExit(bench_main("ablation_hash_families"))
-
-
-if __name__ == "__main__":
-    main()

@@ -7,51 +7,43 @@ the same initial period, reporting accuracy and the number of rebuilds (the
 overhead proxy).
 """
 
-from repro.harness.experiment import HeadToHeadExperiment
+from repro.core.trainer import SlideTrainer
+from repro.harness.experiment import HeadToHeadExperiment, small_experiment_config
 from repro.harness.report import format_table
+from repro.reports.schema import CONFIG, FRACTION, NAT, STR, rows
+from repro.reports.spec import BenchSpec, MetricGate
 
-
-def test_ablation_rebuild_schedule(run_once, delicious_config):
-    def sweep():
-        rows = []
-        for decay, label in ((0.5, "exponential decay (lambda=0.5)"), (0.0, "fixed period")):
-            experiment = HeadToHeadExperiment(delicious_config)
-            network = experiment.build_slide_network(rebuild_decay=decay)
-            from repro.core.trainer import SlideTrainer
-
-            trainer = SlideTrainer(network, experiment.training_config())
-            trainer.train(experiment.dataset.train, experiment.dataset.test)
-            rows.append(
+SPEC = BenchSpec(
+    bench_id="ablation_rebuild_schedule",
+    title="Ablation: exponential-decay vs fixed-period rebuild schedule",
+    paper_anchor="Ablation (paper §4.2)",
+    schema={
+        "type": "object",
+        "required": ["config", "rows"],
+        "properties": {
+            "config": CONFIG,
+            "rows": rows(
                 {
-                    "schedule": label,
-                    "final_accuracy": trainer.evaluate(experiment.dataset.test[:128]),
-                    "rebuilds": network.output_layer.num_rebuilds,
-                    "iterations": network.iteration,
-                }
-            )
-        return rows
-
-    rows = run_once(sweep)
-    print()
-    print(format_table(rows, title="Ablation: hash-table rebuild schedule (Delicious-200K-like)"))
-
-    by_schedule = {row["schedule"]: row for row in rows}
-    decayed = by_schedule["exponential decay (lambda=0.5)"]
-    fixed = by_schedule["fixed period"]
-    # The decayed schedule performs no more rebuilds than the fixed one while
-    # keeping accuracy in the same range.
-    assert decayed["rebuilds"] <= fixed["rebuilds"]
-    assert decayed["final_accuracy"] >= fixed["final_accuracy"] - 0.1
+                    "schedule": STR,
+                    "final_accuracy": FRACTION,
+                    "rebuilds": NAT,
+                    "iterations": NAT,
+                },
+                min_items=2,
+            ),
+        },
+    },
+    smoke_params={"scale": 1 / 2048, "epochs": 1},
+    full_params={"scale": 1 / 1024, "epochs": 2},
+    measured=True,
+    gates=(
+        MetricGate("rows[schedule=exponential_decay].final_accuracy", "higher", 0.5, 0.1),
+    ),
+)
 
 
-# ----------------------------------------------------------------------
-# Registry generator (see repro.reports): bench id "ablation_rebuild_schedule"
-# ----------------------------------------------------------------------
 def run(params: dict | None = None) -> dict:
     """Pure payload generator for the report registry."""
-    from repro.core.trainer import SlideTrainer
-    from repro.harness.experiment import small_experiment_config
-
     p = dict(params or {})
     config = small_experiment_config(
         dataset="delicious",
@@ -93,13 +85,3 @@ def check(payload: dict, smoke: bool) -> list[str]:
 
 def print_report(payload: dict) -> None:
     print(format_table(payload["rows"], title="Ablation: hash-table rebuild schedule"))
-
-
-def main() -> None:
-    from repro.reports.cli import bench_main
-
-    raise SystemExit(bench_main("ablation_rebuild_schedule"))
-
-
-if __name__ == "__main__":
-    main()

@@ -6,46 +6,43 @@ cheap Vanilla strategy is the default.  This ablation verifies the accuracy
 side of that claim (the overhead side is Figure 4's bench).
 """
 
-from repro.harness.experiment import HeadToHeadExperiment
+from repro.harness.experiment import HeadToHeadExperiment, small_experiment_config
 from repro.harness.report import format_table
+from repro.reports.schema import CONFIG, FRACTION, POS, STR, rows
+from repro.reports.spec import BenchSpec, MetricGate
 
 STRATEGIES = ("vanilla", "topk", "hard_threshold")
 
-
-def test_ablation_sampling_strategies(run_once, delicious_config):
-    def sweep():
-        rows = []
-        for strategy in STRATEGIES:
-            experiment = HeadToHeadExperiment(delicious_config)
-            run = experiment.run_slide(sampling_strategy=strategy)
-            rows.append(
+SPEC = BenchSpec(
+    bench_id="ablation_sampling_strategies",
+    title="Ablation: sampling strategy accuracy (vanilla/topk/hard-threshold)",
+    paper_anchor="Ablation (paper Appendix C)",
+    schema={
+        "type": "object",
+        "required": ["config", "rows"],
+        "properties": {
+            "config": CONFIG,
+            "rows": rows(
                 {
-                    "strategy": strategy,
-                    "final_accuracy": run.final_accuracy,
-                    "avg_active_output": run.avg_active_output,
-                }
-            )
-        return rows
-
-    rows = run_once(sweep)
-    print()
-    print(format_table(rows, title="Ablation: sampling strategy (Delicious-200K-like)"))
-
-    accuracies = {row["strategy"]: row["final_accuracy"] for row in rows}
-    # Vanilla's convergence is within a small margin of the more expensive
-    # TopK aggregation — the paper's justification for using it by default.
-    assert accuracies["vanilla"] >= accuracies["topk"] - 0.1
-    for strategy, accuracy in accuracies.items():
-        assert accuracy > 5.0 / delicious_config.dataset.label_dim, strategy
+                    "strategy": STR,
+                    "final_accuracy": FRACTION,
+                    "avg_active_output": POS,
+                },
+                min_items=3,
+            ),
+        },
+    },
+    smoke_params={"scale": 1 / 2048, "epochs": 1},
+    full_params={"scale": 1 / 1024, "epochs": 2},
+    measured=True,
+    gates=(MetricGate("rows[strategy=vanilla].final_accuracy", "higher", 0.5, 0.1),),
+    timeout_s=180.0,
+)
 
 
-# ----------------------------------------------------------------------
-# Registry generator (see repro.reports): bench id "ablation_sampling_strategies"
-# ----------------------------------------------------------------------
+
 def run(params: dict | None = None) -> dict:
     """Pure payload generator for the report registry."""
-    from repro.harness.experiment import small_experiment_config
-
     p = dict(params or {})
     strategies = tuple(str(s) for s in p.get("strategies", STRATEGIES))
     config = small_experiment_config(
@@ -87,13 +84,3 @@ def check(payload: dict, smoke: bool) -> list[str]:
 
 def print_report(payload: dict) -> None:
     print(format_table(payload["rows"], title="Ablation: sampling strategy"))
-
-
-def main() -> None:
-    from repro.reports.cli import bench_main
-
-    raise SystemExit(bench_main("ablation_sampling_strategies"))
-
-
-if __name__ == "__main__":
-    main()

@@ -16,13 +16,9 @@ written out in the real XC text format:
 
 The streamed path must beat the eager path (it replaces text parsing with
 mmap reads), and shard-cache training must match eager-loader training loss
-bit-for-bit under the same seed.  The registry
-(``python -m repro.reports --run data_pipeline``) writes
+bit-for-bit under the same seed.
+``python -m repro.reports --run data_pipeline`` writes
 ``BENCH_data_pipeline.json`` at the repository root.
-
-Runs under the pytest bench harness or standalone::
-
-    PYTHONPATH=src python benchmarks/bench_data_pipeline.py [--smoke]
 """
 
 from __future__ import annotations
@@ -49,8 +45,44 @@ from repro.data import BatchPrefetcher, ShardedDataset, ingest_xc_file
 from repro.datasets.loaders import load_xc_file, write_xc_file
 from repro.datasets.synthetic import delicious_like_config, generate_synthetic_xc
 from repro.harness.report import format_table
+from repro.reports.schema import BOOL, CONFIG, NAT, POS, STR, rows
+from repro.reports.spec import BenchSpec, MetricGate
 from repro.types import SparseBatch
 from repro.utils.rng import derive_rng
+
+SPEC = BenchSpec(
+    bench_id="data_pipeline",
+    title="Streaming shard pipeline vs eager re-parse",
+    paper_anchor="beyond-paper (data pipeline)",
+    schema={
+        "type": "object",
+        "required": [
+            "config",
+            "rows",
+            "speedup_sharded_vs_eager",
+            "max_open_shards_during_stream",
+            "training_loss_parity_bitwise",
+        ],
+        "properties": {
+            "config": CONFIG,
+            "rows": rows(
+                {"stage": STR, "wall_time_s": POS, "examples_per_sec": POS},
+                min_items=3,
+            ),
+            "speedup_sharded_vs_eager": POS,
+            "max_open_shards_during_stream": NAT,
+            "training_loss_parity_bitwise": BOOL,
+        },
+    },
+    smoke_params={"scale": 1 / 2048},
+    full_params={"scale": 1 / 512},
+    measured=True,
+    gates=(
+        MetricGate("speedup_sharded_vs_eager", "higher", rel_tol=0.6),
+        MetricGate("rows[stage=sharded_epoch].examples_per_sec", "higher", rel_tol=0.6),
+    ),
+)
+
 
 def _slide_network(feature_dim: int, label_dim: int, seed: int) -> SlideNetwork:
     layers = (
@@ -117,14 +149,14 @@ def _training_losses(
     return trainer.train(source).losses()
 
 
-def measure_data_pipeline(
-    scale: float = 1.0 / 512.0,
-    batch_size: int = 64,
-    shard_size: int = 256,
-    prefetch_depth: int = 4,
-    seed: int = 0,
-) -> dict[str, object]:
+def run(params: dict | None = None) -> dict:
     """Ingest + epoch-throughput rows plus the bit-for-bit training parity."""
+    p = dict(params or {})
+    scale = float(p.get("scale", 1.0 / 512.0))
+    batch_size = int(p.get("batch_size", 64))
+    shard_size = int(p.get("shard_size", 128 if scale <= 1.0 / 1024.0 else 256))
+    prefetch_depth = int(p.get("prefetch_depth", 4))
+    seed = int(p.get("seed", 0))
     dataset = generate_synthetic_xc(delicious_like_config(scale=scale, seed=seed))
     feature_dim = dataset.config.feature_dim
     label_dim = dataset.config.label_dim
@@ -212,41 +244,6 @@ def measure_data_pipeline(
     }
 
 
-def test_data_pipeline_table(run_once):
-    report = run_once(measure_data_pipeline)
-    print()
-    print(
-        format_table(
-            report["rows"],
-            title="Data pipeline: ingest, eager epoch, sharded+prefetched epoch",
-        )
-    )
-    # Streaming the shard cache must beat re-parsing the text file.
-    assert report["speedup_sharded_vs_eager"] >= 1.0
-    # One shard resident at a time (plus nothing lingering afterwards).
-    assert report["max_open_shards_during_stream"] <= 2
-    # Same seed, same losses — the streaming path is not allowed to change
-    # the training trajectory at all.
-    assert report["training_loss_parity_bitwise"]
-
-
-# ----------------------------------------------------------------------
-# Registry generator (see repro.reports): bench id "data_pipeline"
-# ----------------------------------------------------------------------
-def run(params: dict | None = None) -> dict:
-    """Pure payload generator for the report registry."""
-    p = dict(params or {})
-    scale = float(p.get("scale", 1.0 / 512.0))
-    shard_size = int(p.get("shard_size", 128 if scale <= 1.0 / 1024.0 else 256))
-    return measure_data_pipeline(
-        scale=scale,
-        batch_size=int(p.get("batch_size", 64)),
-        shard_size=shard_size,
-        prefetch_depth=int(p.get("prefetch_depth", 4)),
-        seed=int(p.get("seed", 0)),
-    )
-
-
 def check(payload: dict, smoke: bool) -> list[str]:
     """Streaming must beat re-parsing and must not change training at all."""
     problems = []
@@ -274,13 +271,3 @@ def print_report(payload: dict) -> None:
     )
     print(f"sharded / eager epoch speedup: {payload['speedup_sharded_vs_eager']}x")
     print(f"training loss parity (bitwise): {payload['training_loss_parity_bitwise']}")
-
-
-def main() -> None:
-    from repro.reports.cli import bench_main
-
-    raise SystemExit(bench_main("data_pipeline"))
-
-
-if __name__ == "__main__":
-    main()

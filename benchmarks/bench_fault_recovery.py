@@ -19,11 +19,8 @@ and records what recovery actually cost:
   onward — the strongest statement that nothing about the crash leaked into
   the resumed model.
 
-The registry (``python -m repro.reports --run fault_recovery``) writes
-``BENCH_fault_recovery.json``.  Runs under the pytest bench harness or
-standalone::
-
-    PYTHONPATH=src python benchmarks/bench_fault_recovery.py [--smoke]
+``python -m repro.reports --run fault_recovery`` writes
+``BENCH_fault_recovery.json``.
 """
 
 from __future__ import annotations
@@ -49,6 +46,8 @@ from repro.faults import FaultPlan
 from repro.harness.report import format_table
 from repro.harness.scaling import build_scaling_network_config
 from repro.parallel.sharedmem import ProcessHogwildTrainer
+from repro.reports.schema import BOOL, FRACTION, NAT, POS
+from repro.reports.spec import BenchSpec, MetricGate
 from repro.serving import CheckpointStore
 
 # The killed run loses at most a couple of batches of telemetry and retrains
@@ -67,6 +66,67 @@ _INLINE_FT = FaultToleranceConfig(
     checkpoint_every_batches=CHECKPOINT_EVERY_BATCHES, checkpoint_keep_last=8
 )
 
+SPEC = BenchSpec(
+    bench_id="fault_recovery",
+    title="Chaos training: worker SIGKILL recovery + mid-run checkpoint resume",
+    paper_anchor="beyond-paper (fault tolerance)",
+    schema={
+        "type": "object",
+        "required": ["worker_kill", "parent_kill_resume"],
+        "properties": {
+            "worker_kill": {
+                "type": "object",
+                "required": ["baseline", "killed", "precision_gap"],
+                "properties": {
+                    "baseline": {
+                        "type": "object",
+                        "required": ["precision_at_1"],
+                        "properties": {"precision_at_1": FRACTION},
+                    },
+                    "killed": {
+                        "type": "object",
+                        "required": ["precision_at_1", "restarts", "mean_recovery_latency_s"],
+                        "properties": {
+                            "precision_at_1": FRACTION,
+                            "restarts": NAT,
+                            "lost_batches": NAT,
+                            "mean_recovery_latency_s": POS,
+                        },
+                    },
+                    "precision_gap": POS,
+                },
+            },
+            "parent_kill_resume": {
+                "type": "object",
+                "required": [
+                    "killed_mid_run",
+                    "loss_trajectory_matches",
+                    "final_weights_match",
+                    "recovery_wall_s",
+                ],
+                "properties": {
+                    "killed_mid_run": BOOL,
+                    "loss_trajectory_matches": BOOL,
+                    "final_weights_match": BOOL,
+                    "recovery_wall_s": POS,
+                    "max_loss_divergence": POS,
+                },
+            },
+        },
+    },
+    smoke_params={"smoke": True},
+    full_params={"smoke": False},
+    measured=True,
+    gates=(
+        MetricGate(
+            "worker_kill.killed.mean_recovery_latency_s", "lower", rel_tol=2.0, abs_tol=0.1
+        ),
+        MetricGate("worker_kill.precision_gap", "lower", rel_tol=1.0, abs_tol=0.04),
+        MetricGate("parent_kill_resume.recovery_wall_s", "lower", rel_tol=2.0, abs_tol=0.3),
+    ),
+    timeout_s=240.0,
+)
+
 
 def _training_config(batch_size: int, epochs: int, seed: int) -> TrainingConfig:
     return TrainingConfig(
@@ -80,7 +140,7 @@ def _training_config(batch_size: int, epochs: int, seed: int) -> TrainingConfig:
 # ----------------------------------------------------------------------
 # Scenario 1: SIGKILL a worker mid-epoch, supervised run completes
 # ----------------------------------------------------------------------
-def run_worker_kill_scenario(
+def _worker_kill_scenario(
     scale: float, epochs: int, batch_size: int, seed: int
 ) -> dict[str, object]:
     dataset = generate_synthetic_xc(delicious_like_config(scale=scale, seed=seed))
@@ -110,7 +170,7 @@ def run_worker_kill_scenario(
             backoff_max_s=0.5,
         )
 
-        def run(fault_plan):
+        def train(fault_plan):
             network = SlideNetwork(network_config)
             trainer = ProcessHogwildTrainer(
                 network,
@@ -121,8 +181,8 @@ def run_worker_kill_scenario(
             )
             return trainer.train(sharded, dataset.test)
 
-        baseline = run(None)
-        chaos = run(FaultPlan.kill_worker(1, at_batch=kill_at_batch))
+        baseline = train(None)
+        chaos = train(FaultPlan.kill_worker(1, at_batch=kill_at_batch))
     finally:
         shutil.rmtree(cache, ignore_errors=True)
 
@@ -186,7 +246,7 @@ def _parent_kill_victim(network_config, training, examples, store_dir) -> None:
     trainer.train(examples)
 
 
-def run_parent_kill_scenario(
+def _parent_kill_scenario(
     scale: float, epochs: int, batch_size: int, seed: int
 ) -> dict[str, object]:
     dataset = generate_synthetic_xc(delicious_like_config(scale=scale, seed=seed))
@@ -297,29 +357,30 @@ def run_parent_kill_scenario(
 
 
 # ----------------------------------------------------------------------
-# Report assembly and acceptance checks
+# Registry entry points
 # ----------------------------------------------------------------------
-def build_report(
-    scale: float = 1.0 / 512.0,
-    epochs: int = 3,
-    batch_size: int = 32,
-    seed: int = 0,
-) -> dict[str, object]:
+def run(params: dict | None = None) -> dict:
+    """Both chaos scenarios, end to end."""
+    p = dict(params or {})
+    if p.get("smoke", False):
+        scale, epochs = 1.0 / 2048.0, 2
+    else:
+        scale, epochs = 1.0 / 512.0, 3
+    scale = float(p.get("scale", scale))
+    epochs = int(p.get("epochs", epochs))
+    batch_size = int(p.get("batch_size", 32))
+    seed = int(p.get("seed", 0))
     return {
-        "worker_kill": run_worker_kill_scenario(scale, epochs, batch_size, seed),
-        "parent_kill_resume": run_parent_kill_scenario(
-            scale, epochs, batch_size, seed
-        ),
+        "worker_kill": _worker_kill_scenario(scale, epochs, batch_size, seed),
+        "parent_kill_resume": _parent_kill_scenario(scale, epochs, batch_size, seed),
     }
 
 
-def check_report(
-    report: dict[str, object],
-    precision_tolerance: float = PRECISION_TOLERANCE,
-) -> list[str]:
-    """Acceptance checks; returns human-readable failures (empty = pass)."""
+def check(payload: dict, smoke: bool) -> list[str]:
+    """Both chaos scenarios recovered within the precision/parity bars."""
+    precision_tolerance = SMOKE_PRECISION_TOLERANCE if smoke else PRECISION_TOLERANCE
     failures: list[str] = []
-    kill = report["worker_kill"]
+    kill = payload["worker_kill"]
     if kill["killed"]["restarts"] < 1:
         failures.append("worker-kill run recorded no restart")
     if not kill["killed"]["recovery_latency_s"]:
@@ -331,7 +392,7 @@ def check_report(
             f"killed-run precision@1 deviates {kill['precision_gap']} from the "
             f"uninterrupted baseline (tolerance {precision_tolerance})"
         )
-    resume = report["parent_kill_resume"]
+    resume = payload["parent_kill_resume"]
     if not resume["loss_trajectory_matches"]:
         failures.append(
             "resumed run diverged from the uninterrupted loss trajectory "
@@ -344,10 +405,10 @@ def check_report(
     return failures
 
 
-def _summary_rows(report: dict[str, object]) -> list[dict[str, object]]:
-    kill = report["worker_kill"]
-    resume = report["parent_kill_resume"]
-    return [
+def print_report(payload: dict) -> None:
+    kill = payload["worker_kill"]
+    resume = payload["parent_kill_resume"]
+    summary = [
         {
             "scenario": "worker SIGKILL",
             "completed": True,
@@ -365,68 +426,14 @@ def _summary_rows(report: dict[str, object]) -> list[dict[str, object]]:
             "precision_gap": 0.0 if resume["final_weights_match"] else None,
         },
     ]
-
-
-# ----------------------------------------------------------------------
-# pytest bench harness entry point
-# ----------------------------------------------------------------------
-def test_fault_recovery_chaos(run_once):
-    report = run_once(
-        build_report, scale=1.0 / 2048.0, epochs=2, batch_size=32, seed=0
-    )
-    print()
-    print(format_table(_summary_rows(report), title="Fault recovery (chaos smoke)"))
-    failures = check_report(
-        report, precision_tolerance=SMOKE_PRECISION_TOLERANCE
-    )
-    assert not failures, "\n".join(failures)
-
-
-# ----------------------------------------------------------------------
-# Registry generator (see repro.reports): bench id "fault_recovery"
-# ----------------------------------------------------------------------
-def run(params: dict | None = None) -> dict:
-    """Pure payload generator for the report registry."""
-    p = dict(params or {})
-    if p.get("smoke", False):
-        scale, epochs = 1.0 / 2048.0, 2
-    else:
-        scale, epochs = 1.0 / 512.0, 3
-    return build_report(
-        scale=float(p.get("scale", scale)),
-        epochs=int(p.get("epochs", epochs)),
-        batch_size=int(p.get("batch_size", 32)),
-        seed=int(p.get("seed", 0)),
-    )
-
-
-def check(payload: dict, smoke: bool) -> list[str]:
-    """Both chaos scenarios recovered within the precision/parity bars."""
-    tolerance = SMOKE_PRECISION_TOLERANCE if smoke else PRECISION_TOLERANCE
-    return check_report(payload, precision_tolerance=tolerance)
-
-
-def print_report(payload: dict) -> None:
-    print(format_table(_summary_rows(payload), title="Fault recovery"))
-    kill = payload["worker_kill"]
+    print(format_table(summary, title="Fault recovery"))
     print(
         f"worker kill: {kill['killed']['restarts']} restart(s), mean recovery "
         f"{kill['killed']['mean_recovery_latency_s']}s, precision gap "
         f"{kill['precision_gap']}"
     )
-    resume = payload["parent_kill_resume"]
     print(
         f"parent kill: resumed at batch {resume['resume_position_batches']}/"
         f"{resume['workload']['total_batches']}, trajectory match: "
         f"{resume['loss_trajectory_matches']}"
     )
-
-
-def main() -> None:
-    from repro.reports.cli import bench_main
-
-    raise SystemExit(bench_main("fault_recovery"))
-
-
-if __name__ == "__main__":
-    main()

@@ -1,64 +1,66 @@
 """Figure 11 — hard-thresholding selection probability trade-off (exact).
 
 This figure is a closed-form plot of Equation (3); the reproduction is exact,
-not approximate.
+not approximate: with ``L=10`` tables, higher frequency thresholds ``m``
+suppress low-collision (bad) neurons but also lose some high-collision (good)
+ones.
 """
 
 import numpy as np
 
-from repro.harness.figures import figure11_hard_threshold_tradeoff
 from repro.harness.report import format_series
+from repro.reports.schema import CONFIG, FRACTION
+from repro.reports.spec import BenchSpec
+from repro.sampling.probability import hard_threshold_curve
+
+_CURVE = {"type": "array", "items": FRACTION, "minItems": 2}
+
+SPEC = BenchSpec(
+    bench_id="fig11_hard_threshold",
+    title="Hard-thresholding selection/collision trade-off",
+    paper_anchor="Fig 11",
+    schema={
+        "type": "object",
+        "required": ["config", "series"],
+        "properties": {
+            "config": CONFIG,
+            "series": {
+                "type": "object",
+                "patternProperties": {
+                    "^m=": {
+                        "type": "object",
+                        "required": ["collision_p", "selection_p"],
+                        "properties": {"collision_p": _CURVE, "selection_p": _CURVE},
+                    }
+                },
+            },
+        },
+    },
+    smoke_params={"k": 1, "l": 10, "thresholds": [1, 3, 5, 7, 9], "num_points": 17},
+    full_params={"k": 1, "l": 10, "thresholds": [1, 3, 5, 7, 9], "num_points": 33},
+    measured=False,
+    notes="Closed-form plot of Equation (3): exact, host-independent.",
+)
 
 
-def test_fig11_hard_threshold_tradeoff(run_once):
-    series = run_once(figure11_hard_threshold_tradeoff, k=1, l=10, thresholds=(1, 3, 5, 7, 9))
-    print()
-    print(
-        format_series(
-            "collision_p",
-            "Pr(selected)",
-            series,
-            title="Figure 11: selection probability vs collision probability (L=10)",
-        )
-    )
-
-    # Qualitative claims from the paper's discussion of Figure 11:
-    # m=9 only retrieves neurons whose collision probability is high...
-    _, m9 = series["m=9"]
-    p_values, m1 = series["m=1"]
-    low_p = p_values < 0.45
-    assert np.all(m9[low_p] < 0.1)
-    # ...while m=1 retrieves low-collision (bad) neurons with high probability.
-    assert m1[np.argmin(np.abs(p_values - 0.2))] > 0.8
-    # Curves are ordered: lower thresholds always select at least as often.
-    for low, high in ((1, 3), (3, 5), (5, 7), (7, 9)):
-        _, a = series[f"m={low}"]
-        _, b = series[f"m={high}"]
-        assert np.all(a >= b - 1e-12)
-
-
-# ----------------------------------------------------------------------
-# Registry generator (see repro.reports): bench id "fig11_hard_threshold"
-# ----------------------------------------------------------------------
 def run(params: dict | None = None) -> dict:
-    """Pure payload generator for the report registry (exact closed form)."""
+    """Selection probability vs collision probability for several ``m`` values."""
     p = dict(params or {})
     k = int(p.get("k", 1))
     l = int(p.get("l", 10))
     thresholds = tuple(int(m) for m in p.get("thresholds", (1, 3, 5, 7, 9)))
     num_points = int(p.get("num_points", 17))
-    series = figure11_hard_threshold_tradeoff(
-        k=k, l=l, thresholds=thresholds, num_points=num_points
-    )
+    probabilities = np.linspace(0.1, 0.9, num_points)
+    series = {}
+    for m in thresholds:
+        p_values, selected = hard_threshold_curve(k, l, m, probabilities)
+        series[f"m={m}"] = {
+            "collision_p": [float(x) for x in p_values],
+            "selection_p": [float(y) for y in selected],
+        }
     return {
         "config": {"k": k, "l": l, "thresholds": list(thresholds), "num_points": num_points},
-        "series": {
-            name: {
-                "collision_p": [float(x) for x in p_values],
-                "selection_p": [float(y) for y in selected],
-            }
-            for name, (p_values, selected) in series.items()
-        },
+        "series": series,
     }
 
 
@@ -87,13 +89,3 @@ def print_report(payload: dict) -> None:
             title="Figure 11: selection probability vs collision probability",
         )
     )
-
-
-def main() -> None:
-    from repro.reports.cli import bench_main
-
-    raise SystemExit(bench_main("fig11_hard_threshold"))
-
-
-if __name__ == "__main__":
-    main()

@@ -4,35 +4,57 @@ Paper finding: memory-bound stalls dominate for both frameworks; they *grow*
 with thread count for TF-CPU and *shrink* for SLIDE.
 """
 
-from repro.harness.figures import figure6_inefficiency_breakdown
 from repro.harness.report import format_table
+from repro.perf.cpu_counters import slide_breakdown, tf_breakdown
+from repro.reports.schema import CONFIG, FRACTION, NAT, STR, rows
+from repro.reports.spec import BenchSpec
+
+SPEC = BenchSpec(
+    bench_id="fig6_inefficiencies",
+    title="Top-down CPU pipeline-slot inefficiency breakdown",
+    paper_anchor="Fig 6",
+    schema={
+        "type": "object",
+        "required": ["config", "rows"],
+        "properties": {
+            "config": CONFIG,
+            "rows": rows(
+                {
+                    "framework": STR,
+                    "threads": NAT,
+                    "front_end_bound": FRACTION,
+                    "memory_bound": FRACTION,
+                    "retiring": FRACTION,
+                    "core_bound": FRACTION,
+                    "utilization": FRACTION,
+                },
+                min_items=2,
+            ),
+        },
+    },
+    smoke_params={"threads": [8, 16, 32]},
+    full_params={"threads": [8, 16, 32]},
+    measured=False,
+    notes="Mechanistic pipeline-slot model; no hardware counters are read.",
+)
+
+# The paper's Amazon-670K workload at batch 256 with ~3000 active outputs.
+_OUTPUT_DIM = 670_091
+_HIDDEN_DIM = 128
+_BATCH_SIZE = 256
+_AVG_ACTIVE_OUTPUT = 3000.0
 
 
-def test_fig6_inefficiency_breakdown(run_once):
-    rows = run_once(figure6_inefficiency_breakdown, threads=(8, 16, 32))
-    print()
-    print(format_table(rows, title="Figure 6: CPU usage inefficiency breakdown"))
-
-    tf_rows = [r for r in rows if r["framework"] == "Tensorflow-CPU"]
-    slide_rows = [r for r in rows if r["framework"] == "SLIDE"]
-
-    # Memory-bound is the dominant inefficiency everywhere.
-    for row in rows:
-        assert row["memory_bound"] >= row["front_end_bound"]
-        assert row["memory_bound"] >= row["core_bound"]
-    # Opposite trends with increasing threads.
-    assert tf_rows[0]["memory_bound"] < tf_rows[-1]["memory_bound"]
-    assert slide_rows[0]["memory_bound"] > slide_rows[-1]["memory_bound"]
-
-
-# ----------------------------------------------------------------------
-# Registry generator (see repro.reports): bench id "fig6_inefficiencies"
-# ----------------------------------------------------------------------
 def run(params: dict | None = None) -> dict:
-    """Pure payload generator for the report registry (MODELLED breakdown)."""
+    """Top-down pipeline-slot breakdown for TF-CPU and SLIDE (MODELLED)."""
     p = dict(params or {})
     threads = tuple(int(t) for t in p.get("threads", (8, 16, 32)))
-    rows = figure6_inefficiency_breakdown(threads=threads)
+    rows = [
+        tf_breakdown(t, _OUTPUT_DIM, _HIDDEN_DIM, _BATCH_SIZE).as_row() for t in threads
+    ] + [
+        slide_breakdown(t, _AVG_ACTIVE_OUTPUT, _HIDDEN_DIM, _BATCH_SIZE, _OUTPUT_DIM).as_row()
+        for t in threads
+    ]
     return {"config": {"threads": list(threads)}, "rows": rows}
 
 
@@ -57,13 +79,3 @@ def check(payload: dict, smoke: bool) -> list[str]:
 
 def print_report(payload: dict) -> None:
     print(format_table(payload["rows"], title="Figure 6: CPU usage inefficiency breakdown"))
-
-
-def main() -> None:
-    from repro.reports.cli import bench_main
-
-    raise SystemExit(bench_main("fig6_inefficiencies"))
-
-
-if __name__ == "__main__":
-    main()

@@ -16,32 +16,38 @@ backs that claim with real processes instead of a model:
   spirit): SLIDE vs TF-CPU vs TF-GPU convergence-time curves and the
   Figure 13 ratio view.
 
-The registry (``python -m repro.reports --run fig9_scalability``) writes
+``python -m repro.reports --run fig9_scalability`` writes
 ``BENCH_fig9_scalability.json``.  Measured speedup is
-hardware-bounded: the JSON records ``available_cores`` and the assertions
+hardware-bounded: the JSON records ``available_cores`` and the checks
 only demand speedup the machine can physically deliver (a 1-core container
 cannot run 4 processes faster than 1 — the projection section carries the
 paper-scale story there).
-
-Runs under the pytest bench harness or standalone::
-
-    PYTHONPATH=src python benchmarks/bench_fig9_scalability.py [--smoke]
 """
 
 from __future__ import annotations
 
-from repro.harness.experiment import AMAZON_PAPER_DIMS, DELICIOUS_PAPER_DIMS
-from repro.harness.figures import figure9_scalability, figure13_scalability_ratio
+from repro.harness.experiment import (
+    DELICIOUS_PAPER_DIMS,
+    ExperimentConfig,
+    HeadToHeadExperiment,
+    PaperScaleDims,
+    project_run_to_paper_scale,
+    small_experiment_config,
+)
 from repro.harness.report import format_table
 from repro.harness.scaling import available_cores, measure_process_scaling
+from repro.perf.devices import SLIDE_CPU_PROFILE, TF_CPU_PROFILE, TF_GPU_PROFILE
+from repro.perf.simulator import WallClockSimulator
+from repro.reports.schema import BOOL, FRACTION, POS, POSITIVE_INT, rows
+from repro.reports.spec import BenchSpec, MetricGate
 
 PROCESS_COUNTS = (1, 2, 4)
 CORE_COUNTS = (2, 4, 8, 16, 32, 44)
 # Acceptance bars for the measured section: the async multi-process runs
 # must stay within one precision point of the fused single-process baseline,
 # and — when the machine actually has >= 4 usable cores — deliver >= 1.5x
-# wall-clock speedup at 4 processes.  The smoke/pytest configs use a much
-# looser precision bar: their eval sets are ~100-200 examples (one flipped
+# wall-clock speedup at 4 processes.  The smoke config uses a much
+# looser precision bar: its eval set is ~100-200 examples (one flipped
 # prediction is already ~0.5-1%) and HOGWILD run-to-run variance on a
 # seconds-long workload spans a few points.  The smoke bar exists to catch
 # divergence-class regressions — e.g. the shared-moment tearing bug showed
@@ -49,6 +55,123 @@ CORE_COUNTS = (2, 4, 8, 16, 32, 44)
 PRECISION_TOLERANCE = 0.01
 SMOKE_PRECISION_TOLERANCE = 0.05
 SPEEDUP_AT_4_BAR = 1.5
+
+SPEC = BenchSpec(
+    bench_id="fig9_scalability",
+    title="Core scalability: measured process-HOGWILD speedup + 44-core projection",
+    paper_anchor="Fig 9 (and Fig 13)",
+    schema={
+        "type": "object",
+        "required": ["measured", "precision_gap_vs_baseline"],
+        "properties": {
+            "measured": {
+                "type": "object",
+                "required": [
+                    "available_cores",
+                    "rows",
+                    "baseline_precision_at_1",
+                    "max_measured_speedup",
+                    "cores_limit_speedup",
+                ],
+                "properties": {
+                    "available_cores": POSITIVE_INT,
+                    "rows": rows(
+                        {
+                            "processes": POSITIVE_INT,
+                            "wall_time_s": POS,
+                            "samples_per_sec": POS,
+                            "speedup_vs_1": POS,
+                            "parallel_efficiency": POS,
+                            "precision_at_1": FRACTION,
+                            "cpu_utilization": POS,
+                        }
+                    ),
+                    "baseline_precision_at_1": FRACTION,
+                    "max_measured_speedup": POS,
+                    "cores_limit_speedup": BOOL,
+                },
+            },
+            "precision_gap_vs_baseline": {"type": "object", "patternProperties": {".": POS}},
+            "projection": {"type": "object"},
+        },
+    },
+    smoke_params={
+        "process_counts": [1, 2],
+        "scale": 1 / 2048,
+        "epochs": 2,
+        "include_projection": False,
+    },
+    full_params={
+        "process_counts": [1, 2, 4],
+        "scale": 1 / 256,
+        "epochs": 5,
+        "include_projection": True,
+    },
+    measured=True,
+    gates=(
+        MetricGate("measured.rows[processes=1].samples_per_sec", "higher", rel_tol=0.6),
+        MetricGate("precision_gap_vs_baseline.2", "lower", rel_tol=1.0, abs_tol=0.04),
+    ),
+    timeout_s=180.0,
+    notes="Measured speedup is bounded by available cores (1 on this container); "
+    "the projection section is the calibrated device model.",
+)
+
+
+def figure9_scalability(
+    config: ExperimentConfig,
+    core_counts: tuple[int, ...] = (2, 4, 8, 16, 32, 44),
+    paper_dims: PaperScaleDims | None = None,
+) -> list[dict[str, float | int | str]]:
+    """Convergence time vs core count for SLIDE, TF-CPU and TF-GPU.
+
+    The per-iteration *work* is measured once (it does not depend on the core
+    count); the device profiles then attribute time at each core count.
+    """
+    experiment = HeadToHeadExperiment(config)
+    slide_run = experiment.run_slide()
+    dense_run = experiment.run_dense()
+    if paper_dims is not None:
+        slide_run = project_run_to_paper_scale(slide_run, paper_dims)
+        dense_run = project_run_to_paper_scale(dense_run, paper_dims)
+
+    rows: list[dict[str, float | int | str]] = []
+    gpu_sim = dense_run.simulate(WallClockSimulator(TF_GPU_PROFILE), "TF-GPU")
+    gpu_time = gpu_sim.convergence_time()
+    for cores in core_counts:
+        slide_sim = slide_run.simulate(
+            WallClockSimulator(SLIDE_CPU_PROFILE, cores=cores), "SLIDE"
+        )
+        cpu_sim = dense_run.simulate(
+            WallClockSimulator(TF_CPU_PROFILE, cores=cores), "TF-CPU"
+        )
+        rows.append(
+            {
+                "cores": cores,
+                "SLIDE_convergence_s": slide_sim.convergence_time(),
+                "TF-CPU_convergence_s": cpu_sim.convergence_time(),
+                "TF-GPU_convergence_s": gpu_time,
+            }
+        )
+    return rows
+
+
+def figure13_scalability_ratio(
+    scalability_rows: list[dict[str, float | int | str]]
+) -> list[dict[str, float | int | str]]:
+    """Ratio of convergence time to the best (max-core) time (Figure 13)."""
+    if not scalability_rows:
+        return []
+    slide_best = min(float(r["SLIDE_convergence_s"]) for r in scalability_rows)
+    cpu_best = min(float(r["TF-CPU_convergence_s"]) for r in scalability_rows)
+    return [
+        {
+            "cores": r["cores"],
+            "SLIDE_ratio": float(r["SLIDE_convergence_s"]) / slide_best,
+            "TF-CPU_ratio": float(r["TF-CPU_convergence_s"]) / cpu_best,
+        }
+        for r in scalability_rows
+    ]
 
 
 def _crossover(rows, column):
@@ -59,20 +182,19 @@ def _crossover(rows, column):
     return None
 
 
-def paper_projection(config, dims) -> dict[str, object]:
+def paper_projection(config: ExperimentConfig, dims: PaperScaleDims) -> dict[str, object]:
     """The calibrated device-model section (SLIDE/TF-CPU/TF-GPU vs cores)."""
     rows = figure9_scalability(config, core_counts=CORE_COUNTS, paper_dims=dims)
-    ratios = figure13_scalability_ratio(rows)
     return {
         "paper_dims": dims.name,
         "rows": rows,
-        "figure13_ratios": ratios,
+        "figure13_ratios": figure13_scalability_ratio(rows),
         "tf_cpu_crossover_cores": _crossover(rows, "TF-CPU_convergence_s"),
         "tf_gpu_crossover_cores": _crossover(rows, "TF-GPU_convergence_s"),
     }
 
 
-def precision_gaps(measured: dict[str, object]) -> dict[int, float]:
+def _precision_gaps(measured: dict[str, object]) -> dict[int, float]:
     """Absolute precision@1 gap of each multi-process run vs the baseline."""
     baseline = float(measured["baseline_precision_at_1"])
     return {
@@ -82,34 +204,25 @@ def precision_gaps(measured: dict[str, object]) -> dict[int, float]:
     }
 
 
-def build_report(
-    process_counts: tuple[int, ...] = PROCESS_COUNTS,
-    scale: float = 1.0 / 256.0,
-    epochs: int = 5,
-    batch_size: int = 32,
-    seed: int = 0,
-    start_method: str | None = None,
-    include_projection: bool = True,
-) -> dict[str, object]:
+def run(params: dict | None = None) -> dict:
     """Measured process scaling plus (optionally) the paper-scale projection."""
+    p = dict(params or {})
+    seed = int(p.get("seed", 0))
     measured = measure_process_scaling(
-        process_counts=process_counts,
-        scale=scale,
-        epochs=epochs,
-        batch_size=batch_size,
+        process_counts=tuple(int(n) for n in p.get("process_counts", PROCESS_COUNTS)),
+        scale=float(p.get("scale", 1.0 / 256.0)),
+        epochs=int(p.get("epochs", 5)),
+        batch_size=int(p.get("batch_size", 32)),
         seed=seed,
-        start_method=start_method,
     )
     report: dict[str, object] = {
         "measured": measured,
         "precision_gap_vs_baseline": {
             str(processes): round(gap, 4)
-            for processes, gap in sorted(precision_gaps(measured).items())
+            for processes, gap in sorted(_precision_gaps(measured).items())
         },
     }
-    if include_projection:
-        from repro.harness.experiment import small_experiment_config
-
+    if bool(p.get("include_projection", True)):
         delicious = small_experiment_config(
             dataset="delicious", scale=1.0 / 1024.0, epochs=2, seed=seed
         )
@@ -117,29 +230,26 @@ def build_report(
     return report
 
 
-def check_measured(
-    report: dict[str, object],
-    precision_tolerance: float = PRECISION_TOLERANCE,
-    require_speedup: bool = True,
-) -> list[str]:
-    """Hardware-aware acceptance checks; returns human-readable failures.
+def check(payload: dict, smoke: bool) -> list[str]:
+    """Hardware-aware acceptance: precision parity always, speedup when possible.
 
-    ``require_speedup=False`` is for smoke/pytest configs: their workloads
-    are deliberately sub-second, so fixed per-process costs (fork/spawn,
-    network construction, LSH re-hash) dominate and a speedup bar would
-    only measure overhead, not scaling.  Precision parity is always checked.
+    The speedup bars do not bind in smoke mode: its workload is deliberately
+    sub-second, so fixed per-process costs (fork/spawn, network construction,
+    LSH re-hash) dominate and a speedup bar would only measure overhead, not
+    scaling.
     """
-    measured = report["measured"]
+    precision_tolerance = SMOKE_PRECISION_TOLERANCE if smoke else PRECISION_TOLERANCE
+    measured = payload["measured"]
     rows = {int(row["processes"]): row for row in measured["rows"]}
     cores = int(measured["available_cores"])
     failures: list[str] = []
-    for processes, gap in precision_gaps(measured).items():
+    for processes, gap in _precision_gaps(measured).items():
         if gap > precision_tolerance:
             failures.append(
                 f"{processes}-process precision@1 deviates {gap:.4f} from the "
                 f"fused baseline (tolerance {precision_tolerance})"
             )
-    if not require_speedup:
+    if smoke:
         return failures
     if 4 in rows and cores >= 4:
         speedup = float(rows[4]["speedup_vs_1"])
@@ -156,96 +266,6 @@ def check_measured(
                 f"{cores}-core machine"
             )
     return failures
-
-
-# ----------------------------------------------------------------------
-# pytest bench harness entry points
-# ----------------------------------------------------------------------
-def test_fig9_measured_process_scaling(run_once):
-    report = run_once(
-        build_report,
-        process_counts=(1, 2),
-        scale=1.0 / 1024.0,
-        epochs=3,
-        include_projection=False,
-    )
-    measured = report["measured"]
-    print()
-    print(
-        format_table(
-            measured["rows"],
-            title=(
-                "Figure 9 (measured): process-HOGWILD scaling "
-                f"({measured['available_cores']} usable cores)"
-            ),
-        )
-    )
-    failures = check_measured(
-        report,
-        precision_tolerance=SMOKE_PRECISION_TOLERANCE,
-        require_speedup=False,
-    )
-    assert not failures, "\n".join(failures)
-    # The async run really trained: every worker applied updates and the
-    # conflict counters saw the output layer.
-    two_proc = next(r for r in measured["rows"] if r["processes"] == 2)
-    assert two_proc["neurons_updated"] > 0
-    workload = measured["workload"]
-    assert two_proc["samples"] == workload["num_train"] * workload["epochs"]
-
-
-def test_fig9_projection_delicious_like(run_once, delicious_config):
-    projection = run_once(paper_projection, delicious_config, DELICIOUS_PAPER_DIMS)
-    rows = projection["rows"]
-    print()
-    print(format_table(rows, title="Figure 9 (projected): convergence vs cores (Delicious-200K)"))
-    print(
-        format_table(
-            projection["figure13_ratios"],
-            title="Figure 13: ratio to best convergence time (Delicious-200K)",
-        )
-    )
-    # SLIDE improves monotonically with cores; at 44 cores it beats the GPU.
-    slide_times = [r["SLIDE_convergence_s"] for r in rows]
-    assert all(b < a for a, b in zip(slide_times, slide_times[1:]))
-    assert rows[-1]["SLIDE_convergence_s"] < rows[-1]["TF-GPU_convergence_s"]
-    # A GPU crossover exists and is not at the minimum core count (paper:
-    # between 16 and 32 cores).
-    assert projection["tf_gpu_crossover_cores"] is not None
-    assert projection["tf_gpu_crossover_cores"] > 2
-
-
-def test_fig9_projection_amazon_like(run_once, amazon_config):
-    projection = run_once(paper_projection, amazon_config, AMAZON_PAPER_DIMS)
-    rows = projection["rows"]
-    print()
-    print(format_table(rows, title="Figure 9 (projected): convergence vs cores (Amazon-670K)"))
-    assert rows[-1]["SLIDE_convergence_s"] < rows[-1]["TF-GPU_convergence_s"]
-    # Against TF-CPU, SLIDE wins from a very small core count (paper: 2).
-    crossover = projection["tf_cpu_crossover_cores"]
-    assert crossover is not None and crossover <= 8
-
-
-# ----------------------------------------------------------------------
-# Registry generator (see repro.reports): bench id "fig9_scalability"
-# ----------------------------------------------------------------------
-def run(params: dict | None = None) -> dict:
-    """Pure payload generator for the report registry."""
-    p = dict(params or {})
-    return build_report(
-        process_counts=tuple(int(n) for n in p.get("process_counts", PROCESS_COUNTS)),
-        scale=float(p.get("scale", 1.0 / 256.0)),
-        epochs=int(p.get("epochs", 5)),
-        batch_size=int(p.get("batch_size", 32)),
-        seed=int(p.get("seed", 0)),
-        include_projection=bool(p.get("include_projection", True)),
-    )
-
-
-def check(payload: dict, smoke: bool) -> list[str]:
-    """Hardware-aware acceptance: precision parity always, speedup when possible."""
-    tolerance = SMOKE_PRECISION_TOLERANCE if smoke else PRECISION_TOLERANCE
-    return check_measured(payload, precision_tolerance=tolerance, require_speedup=not smoke)
 
 
 def print_report(payload: dict) -> None:
@@ -270,13 +290,3 @@ def print_report(payload: dict) -> None:
         f"max measured speedup: {measured['max_measured_speedup']}x "
         f"(cores available: {available_cores()})"
     )
-
-
-def main() -> None:
-    from repro.reports.cli import bench_main
-
-    raise SystemExit(bench_main("fig9_scalability"))
-
-
-if __name__ == "__main__":
-    main()

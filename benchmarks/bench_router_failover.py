@@ -23,11 +23,8 @@ publishes it into a shared :class:`CheckpointStore`, and fronts two
    breaker opens, every request fails over, and the client sees zero
    errors.
 
-The registry (``python -m repro.reports --run router_failover``) writes
-``BENCH_router_failover.json``.  Runs under the pytest bench harness or
-standalone::
-
-    PYTHONPATH=src python benchmarks/bench_router_failover.py [--smoke]
+``python -m repro.reports --run router_failover`` writes
+``BENCH_router_failover.json``.
 """
 
 from __future__ import annotations
@@ -36,22 +33,12 @@ import threading
 import time
 from tempfile import TemporaryDirectory
 
-from repro.config import (
-    LayerConfig,
-    LSHConfig,
-    OptimizerConfig,
-    RebuildScheduleConfig,
-    RouterConfig,
-    SamplingConfig,
-    ServingConfig,
-    SlideNetworkConfig,
-    TrainingConfig,
-)
-from repro.core.network import SlideNetwork
-from repro.core.trainer import SlideTrainer
-from repro.datasets.synthetic import delicious_like_config, generate_synthetic_xc
+from repro.config import RouterConfig, ServingConfig
 from repro.faults import ServingFaultPlan, ServingFaultSpec
 from repro.harness.report import format_table
+from repro.harness.serving_sweep import train_serving_network
+from repro.reports.schema import CONFIG, FRACTION, NAT, POS, STR, rows
+from repro.reports.spec import BenchSpec, MetricGate
 from repro.serving import CheckpointStore, ReplicaRouter, run_open_loop
 
 # Availability floor under a replica kill: non-shed requests that completed
@@ -59,39 +46,66 @@ from repro.serving import CheckpointStore, ReplicaRouter, run_open_loop
 # futures included.  Sheds are admission control doing its job, not outages.
 AVAILABILITY_FLOOR = 0.99
 
-
-def _train_network(scale: float, seed: int = 0):
-    dataset = generate_synthetic_xc(delicious_like_config(scale=scale, seed=seed))
-    label_dim = dataset.config.label_dim
-    lsh = LSHConfig(hash_family="simhash", k=4, l=24, bucket_size=max(96, label_dim))
-    layers = (
-        LayerConfig(size=64, activation="relu", lsh=None),
-        LayerConfig(
-            size=label_dim,
-            activation="softmax",
-            lsh=lsh,
-            sampling=SamplingConfig(
-                strategy="vanilla",
-                target_active=max(16, label_dim // 12),
-                min_active=16,
+SPEC = BenchSpec(
+    bench_id="router_failover",
+    title="Multi-replica router chaos: failover, degradation ladder, breakers",
+    paper_anchor="beyond-paper (serving resilience)",
+    schema={
+        "type": "object",
+        "required": ["config", "capacity", "baseline", "failover", "degradation_ladder", "chaos"],
+        "properties": {
+            "config": CONFIG,
+            "capacity": {"type": "object"},
+            "baseline": {
+                "type": "object",
+                "required": ["availability"],
+                "properties": {
+                    "availability": FRACTION,
+                    "traffic": {
+                        "type": "object",
+                        "required": ["completed", "errors"],
+                        "properties": {"completed": NAT, "errors": NAT},
+                    },
+                },
+            },
+            "failover": {
+                "type": "object",
+                "required": ["availability", "detection_ms", "killed_replica"],
+                "properties": {
+                    "availability": FRACTION,
+                    "detection_ms": POS,
+                    "killed_replica": STR,
+                },
+            },
+            "degradation_ladder": rows(
+                {
+                    "level": NAT,
+                    "precision_at_1": FRACTION,
+                    "p99_ms": POS,
+                    "mean_candidates_scored": POS,
+                },
+                min_items=2,
             ),
-            rebuild=RebuildScheduleConfig(initial_period=20, decay=0.3),
+            "chaos": {
+                "type": "object",
+                "required": ["availability", "injections_fired"],
+                "properties": {"availability": FRACTION, "injections_fired": NAT},
+            },
+        },
+    },
+    smoke_params={"smoke": True},
+    full_params={"smoke": False},
+    measured=True,
+    gates=(
+        MetricGate("failover.availability", "higher", rel_tol=0.0, abs_tol=0.01),
+        MetricGate("failover.detection_ms", "lower", rel_tol=1.5, abs_tol=150.0),
+        MetricGate(
+            "degradation_ladder[level=0].precision_at_1", "higher", rel_tol=0.2, abs_tol=0.1
         ),
-    )
-    network = SlideNetwork(
-        SlideNetworkConfig(input_dim=dataset.config.feature_dim, layers=layers, seed=seed)
-    )
-    trainer = SlideTrainer(
-        network,
-        TrainingConfig(
-            batch_size=64,
-            epochs=1,
-            optimizer=OptimizerConfig(name="adam", learning_rate=1e-3),
-            seed=seed,
-        ),
-    )
-    trainer.train(dataset.train, dataset.test)
-    return network, dataset, trainer
+        MetricGate("chaos.availability", "higher", rel_tol=0.0, abs_tol=0.01),
+    ),
+    timeout_s=240.0,
+)
 
 
 def _serving_config(budget: int) -> ServingConfig:
@@ -195,16 +209,17 @@ def _measure_ladder(router, examples, k: int = 5):
     return rows
 
 
-def build_report(
-    scale: float = 1.0 / 1024.0,
-    probe_s: float = 1.5,
-    baseline_s: float = 2.0,
-    failover_s: float = 4.0,
-    chaos_s: float = 2.0,
-    eval_n: int = 64,
-    seed: int = 0,
-) -> dict:
-    network, dataset, trainer = _train_network(scale=scale, seed=seed)
+def run(params: dict | None = None) -> dict:
+    """Baseline, failover under a replica kill, degradation ladder, chaos."""
+    p = dict(params or {})
+    if p.get("smoke", False):
+        scale, eval_n = 1.0 / 2048.0, 32
+        probe_s, baseline_s, failover_s, chaos_s = 0.8, 1.0, 2.5, 1.2
+    else:
+        scale, eval_n = 1.0 / 1024.0, 64
+        probe_s, baseline_s, failover_s, chaos_s = 1.5, 2.0, 4.0, 2.0
+    scale = float(p.get("scale", scale))
+    network, dataset, trainer, _train_s = train_serving_network(scale=scale)
     budget = max(16, int(0.15 * network.output_dim))
     examples = list(dataset.test)
     eval_examples = examples[: min(eval_n, len(examples))]
@@ -306,12 +321,12 @@ def build_report(
     }
 
 
-def check_report(report: dict) -> list[str]:
-    """Acceptance invariants; returns human-readable failures (empty = pass)."""
+def check(payload: dict, smoke: bool) -> list[str]:
+    """Failover/degradation/chaos acceptance invariants."""
     failures: list[str] = []
-    baseline = report["baseline"]
-    failover = report["failover"]
-    chaos = report["chaos"]
+    baseline = payload["baseline"]
+    failover = payload["failover"]
+    chaos = payload["chaos"]
 
     if baseline["traffic"]["errors"]:
         failures.append(
@@ -322,23 +337,23 @@ def check_report(report: dict) -> list[str]:
     if failover["detection_ms"] is None:
         failures.append("health checker never recorded the kill (no live flip)")
     else:
-        bound_ms = report["config"]["detection_bound_s"] * 1e3
+        bound_ms = payload["config"]["detection_bound_s"] * 1e3
         if failover["detection_ms"] > bound_ms:
             failures.append(
                 f"failover detection took {failover['detection_ms']:.0f}ms, "
                 f"bound {bound_ms:.0f}ms"
             )
-    if failover["availability"] < report["config"]["availability_floor"]:
+    if failover["availability"] < payload["config"]["availability_floor"]:
         failures.append(
             f"availability {failover['availability']:.4f} under replica kill "
-            f"below floor {report['config']['availability_floor']}"
+            f"below floor {payload['config']['availability_floor']}"
         )
     survivors = failover["traffic"]["replicas"]
     if survivors.get("r1", 0) == 0:
         failures.append("no traffic reached the surviving replica after the kill")
 
-    ladder = report["degradation_ladder"]
-    steps = report["config"]["degradation_budget_steps"]
+    ladder = payload["degradation_ladder"]
+    steps = payload["config"]["degradation_budget_steps"]
     full = ladder[0]
     deepest_budget = ladder[len(steps)]
     if deepest_budget["mean_candidates_scored"] >= full["mean_candidates_scored"]:
@@ -366,20 +381,20 @@ def check_report(report: dict) -> list[str]:
     return failures
 
 
-def _print_report(report: dict) -> None:
-    failover = report["failover"]
+def print_report(payload: dict) -> None:
+    failover = payload["failover"]
     detection = (
         f"{failover['detection_ms']:.0f}ms"
         if failover["detection_ms"] is not None
         else "not detected"
     )
     print(
-        f"capacity {report['capacity']['sustained_qps']:.0f} rps, "
-        f"load {report['capacity']['load_qps']:.0f} rps"
+        f"capacity {payload['capacity']['sustained_qps']:.0f} rps, "
+        f"load {payload['capacity']['load_qps']:.0f} rps"
     )
     print(
-        f"baseline: availability {report['baseline']['availability']:.4f}, "
-        f"errors {report['baseline']['traffic']['errors']}"
+        f"baseline: availability {payload['baseline']['availability']:.4f}, "
+        f"errors {payload['baseline']['traffic']['errors']}"
     )
     print(
         f"failover: kill r0 at t+{failover['kill_after_s']:.1f}s, "
@@ -396,66 +411,13 @@ def _print_report(report: dict) -> None:
             "candidates": round(row["mean_candidates_scored"], 1),
             "modes": ",".join(sorted(row["modes"])),
         }
-        for row in report["degradation_ladder"]
+        for row in payload["degradation_ladder"]
     ]
     print()
     print(format_table(rows, title="Degradation ladder (precision/latency per level)"))
-    chaos = report["chaos"]
+    chaos = payload["chaos"]
     print(
         f"chaos: {chaos['injections_fired']} crashes injected on r0, "
         f"client errors {chaos['traffic']['errors']}, "
         f"failovers {chaos['failovers']:.0f}, r0 breaker {chaos['r0_breaker']}"
     )
-
-
-def test_router_failover_bench_smoke(run_once):
-    report = run_once(
-        build_report,
-        scale=1.0 / 2048.0,
-        probe_s=0.6,
-        baseline_s=0.8,
-        failover_s=2.0,
-        chaos_s=1.0,
-        eval_n=32,
-    )
-    print()
-    _print_report(report)
-    failures = check_report(report)
-    assert not failures, "\n".join(failures)
-
-
-# ----------------------------------------------------------------------
-# Registry generator (see repro.reports): bench id "router_failover"
-# ----------------------------------------------------------------------
-def run(params: dict | None = None) -> dict:
-    """Pure payload generator for the report registry."""
-    p = dict(params or {})
-    if p.get("smoke", False):
-        return build_report(
-            scale=float(p.get("scale", 1.0 / 2048.0)),
-            probe_s=0.8,
-            baseline_s=1.0,
-            failover_s=2.5,
-            chaos_s=1.2,
-            eval_n=32,
-        )
-    return build_report(scale=float(p.get("scale", 1.0 / 1024.0)))
-
-
-def check(payload: dict, smoke: bool) -> list[str]:
-    """Failover/degradation/chaos acceptance invariants."""
-    return check_report(payload)
-
-
-def print_report(payload: dict) -> None:
-    _print_report(payload)
-
-
-def main() -> None:
-    from repro.reports.cli import bench_main
-
-    raise SystemExit(bench_main("router_failover"))
-
-
-if __name__ == "__main__":
-    main()

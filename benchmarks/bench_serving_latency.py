@@ -21,11 +21,8 @@ from :mod:`repro.serving.loadgen`:
 4. **Parity** — after both swaps the resident engine's top-k must be
    *bitwise* identical to a cold load of the same checkpoint.
 
-The registry (``python -m repro.reports --run serving_latency``) writes
-``BENCH_serving_latency.json``.  Runs under the pytest bench harness or
-standalone::
-
-    PYTHONPATH=src python benchmarks/bench_serving_latency.py [--smoke]
+``python -m repro.reports --run serving_latency`` writes
+``BENCH_serving_latency.json``.
 """
 
 from __future__ import annotations
@@ -36,20 +33,11 @@ from tempfile import TemporaryDirectory
 
 import numpy as np
 
-from repro.config import (
-    LayerConfig,
-    LSHConfig,
-    OptimizerConfig,
-    RebuildScheduleConfig,
-    SamplingConfig,
-    ServingConfig,
-    SlideNetworkConfig,
-    TrainingConfig,
-)
-from repro.core.network import SlideNetwork
-from repro.core.trainer import SlideTrainer
-from repro.datasets.synthetic import delicious_like_config, generate_synthetic_xc
+from repro.config import ServingConfig
 from repro.harness.report import format_table
+from repro.harness.serving_sweep import train_serving_network
+from repro.reports.schema import BOOL, CONFIG, FRACTION, NAT, POS, STR, rows
+from repro.reports.spec import BenchSpec, MetricGate
 from repro.serving import (
     CheckpointStore,
     OnlineRuntime,
@@ -62,56 +50,88 @@ from repro.serving import (
 # measured against — admitted requests must finish within it plus compute.
 DEADLINE_MS = 250.0
 
+_LATENCY = {
+    "type": "object",
+    "required": ["p50", "p99", "p999", "mean", "max"],
+    "properties": {"p50": POS, "p99": POS, "p999": POS, "mean": POS, "max": POS},
+}
 
-def _train_network(scale: float, seed: int = 0):
-    dataset = generate_synthetic_xc(delicious_like_config(scale=scale, seed=seed))
-    label_dim = dataset.config.label_dim
-    # bucket_size >= label_dim: no FIFO bucket can ever overflow, which is
-    # the precondition for bitwise hot-swap parity (overflow eviction order
-    # is the one piece of table state an incremental patch does not carry).
-    lsh = LSHConfig(hash_family="simhash", k=4, l=24, bucket_size=max(96, label_dim))
-    layers = (
-        LayerConfig(size=64, activation="relu", lsh=None),
-        LayerConfig(
-            size=label_dim,
-            activation="softmax",
-            lsh=lsh,
-            sampling=SamplingConfig(
-                strategy="vanilla",
-                target_active=max(16, label_dim // 12),
-                min_active=16,
+SPEC = BenchSpec(
+    bench_id="serving_latency",
+    title="Serving under sustained load + zero-downtime hot reload",
+    paper_anchor="beyond-paper (serving runtime)",
+    schema={
+        "type": "object",
+        "required": ["config", "capacity", "qps_sweep", "hot_reload", "parity"],
+        "properties": {
+            "config": CONFIG,
+            "capacity": {
+                "type": "object",
+                "required": ["sustained_qps"],
+                "properties": {"sustained_qps": POS, "probe_shed_rate": FRACTION},
+            },
+            "qps_sweep": rows(
+                {
+                    "offered_qps": POS,
+                    "achieved_qps": POS,
+                    "sent": NAT,
+                    "completed": NAT,
+                    "errors": NAT,
+                    "shed_rate": FRACTION,
+                    "latency_ms": _LATENCY,
+                    "load_fraction": POS,
+                },
+                min_items=2,
             ),
-            rebuild=RebuildScheduleConfig(initial_period=20, decay=0.3),
+            "hot_reload": {
+                "type": "object",
+                "required": ["num_swaps", "swaps", "incremental_swaps"],
+                "properties": {
+                    "num_swaps": NAT,
+                    "incremental_swaps": NAT,
+                    "swaps": rows(
+                        {"blip_ms": POS, "full_rebuild": BOOL, "version": STR},
+                        min_items=1,
+                    ),
+                },
+            },
+            "parity": {
+                "type": "object",
+                "required": ["bitwise_topk_equal_to_cold_load"],
+                "properties": {"bitwise_topk_equal_to_cold_load": BOOL},
+            },
+        },
+    },
+    smoke_params={"smoke": True},
+    full_params={"smoke": False},
+    measured=True,
+    gates=(
+        MetricGate("capacity.sustained_qps", "higher", rel_tol=0.6),
+        MetricGate(
+            "qps_sweep[load_fraction=2].latency_ms.p99", "lower", rel_tol=0.75, abs_tol=5.0
         ),
-    )
-    network = SlideNetwork(
-        SlideNetworkConfig(input_dim=dataset.config.feature_dim, layers=layers, seed=seed)
-    )
-    trainer = SlideTrainer(
-        network,
-        TrainingConfig(
-            batch_size=64,
-            epochs=1,
-            optimizer=OptimizerConfig(name="adam", learning_rate=1e-3),
-            seed=seed,
+        MetricGate(
+            "qps_sweep[load_fraction=2].shed_rate", "lower", rel_tol=0.75, abs_tol=0.15
         ),
-    )
-    t0 = time.monotonic()
-    trainer.train(dataset.train, dataset.test)
-    train_s = time.monotonic() - t0
-    return network, dataset, trainer, train_s
+    ),
+    timeout_s=240.0,
+)
 
 
-def build_report(
-    scale: float = 1.0 / 1024.0,
-    probe_s: float = 2.0,
-    sweep_s: float = 3.0,
-    load_fractions: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0),
-    reload_s: float = 5.0,
-    num_swaps: int = 2,
-    seed: int = 0,
-) -> dict:
-    network, dataset, trainer, train_s = _train_network(scale=scale, seed=seed)
+def run(params: dict | None = None) -> dict:
+    """Capacity probe, QPS sweep, hot reload under traffic, post-swap parity."""
+    p = dict(params or {})
+    if p.get("smoke", False):
+        # The 2x point stays in the smoke sweep: the committed baseline's
+        # overload p99 / shed rate are the trend-gated metrics.
+        scale, probe_s, sweep_s, reload_s = 1.0 / 2048.0, 0.8, 1.0, 2.0
+        load_fractions = (0.5, 1.0, 2.0)
+    else:
+        scale, probe_s, sweep_s, reload_s = 1.0 / 1024.0, 2.0, 3.0, 5.0
+        load_fractions = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
+    scale = float(p.get("scale", scale))
+    num_swaps = 2
+    network, dataset, trainer, train_s = train_serving_network(scale=scale)
     budget = max(16, int(0.15 * network.output_dim))
     examples = list(dataset.test)
 
@@ -246,12 +266,12 @@ def build_report(
     }
 
 
-def check_report(report: dict) -> list[str]:
-    """Acceptance invariants; returns human-readable failures (empty = pass)."""
+def check(payload: dict, smoke: bool) -> list[str]:
+    """Graceful-degradation + hot-reload acceptance invariants."""
     failures: list[str] = []
-    sweep = report["qps_sweep"]
-    hot = report["hot_reload"]
-    bound_ms = report["config"]["deadline_ms"] + 500.0
+    sweep = payload["qps_sweep"]
+    hot = payload["hot_reload"]
+    bound_ms = payload["config"]["deadline_ms"] + 500.0
 
     for row in sweep:
         if row["errors"]:
@@ -280,12 +300,12 @@ def check_report(report: dict) -> list[str]:
             f"traffic spanned {len(hot['traffic']['generations'])} weight "
             f"generations, expected {hot['num_swaps'] + 1} (every swap under load)"
         )
-    if not report["parity"]["bitwise_topk_equal_to_cold_load"]:
+    if not payload["parity"]["bitwise_topk_equal_to_cold_load"]:
         failures.append("post-swap engine diverges from cold-loaded checkpoint")
     return failures
 
 
-def _print_report(report: dict) -> None:
+def print_report(payload: dict) -> None:
     rows = [
         {
             "load": f"{row['load_fraction']}x",
@@ -297,15 +317,15 @@ def _print_report(report: dict) -> None:
             "shed_rate": round(row["shed_rate"], 3),
             "errors": row["errors"],
         }
-        for row in report["qps_sweep"]
+        for row in payload["qps_sweep"]
     ]
     print(
         format_table(
             rows,
             title=(
                 f"Sustained-QPS sweep (capacity "
-                f"{report['capacity']['sustained_qps']:.0f} rps, "
-                f"deadline {report['config']['deadline_ms']:.0f}ms)"
+                f"{payload['capacity']['sustained_qps']:.0f} rps, "
+                f"deadline {payload['config']['deadline_ms']:.0f}ms)"
             ),
         )
     )
@@ -318,10 +338,10 @@ def _print_report(report: dict) -> None:
             "moved_entries": r["moved_entries"],
             "full_rebuild": r["full_rebuild"],
         }
-        for r in report["hot_reload"]["swaps"]
+        for r in payload["hot_reload"]["swaps"]
     ]
     print(format_table(swap_rows, title="Hot reload under live traffic"))
-    traffic = report["hot_reload"]["traffic"]
+    traffic = payload["hot_reload"]["traffic"]
     print(
         f"reload-phase traffic: {traffic['completed']} completed, "
         f"{traffic['errors']} errors, shed rate {traffic['shed_rate']:.3f}, "
@@ -329,58 +349,5 @@ def _print_report(report: dict) -> None:
     )
     print(
         "parity (post-swap vs cold load): "
-        f"{report['parity']['bitwise_topk_equal_to_cold_load']}"
+        f"{payload['parity']['bitwise_topk_equal_to_cold_load']}"
     )
-
-
-def test_serving_latency_bench_smoke(run_once):
-    report = run_once(
-        build_report,
-        scale=1.0 / 2048.0,
-        probe_s=0.6,
-        sweep_s=0.8,
-        load_fractions=(0.5, 1.5),
-        reload_s=1.5,
-    )
-    print()
-    _print_report(report)
-    failures = check_report(report)
-    assert not failures, "\n".join(failures)
-
-
-# ----------------------------------------------------------------------
-# Registry generator (see repro.reports): bench id "serving_latency"
-# ----------------------------------------------------------------------
-def run(params: dict | None = None) -> dict:
-    """Pure payload generator for the report registry."""
-    p = dict(params or {})
-    if p.get("smoke", False):
-        # The 2x point stays in the smoke sweep: the committed baseline's
-        # overload p99 / shed rate are the trend-gated metrics.
-        return build_report(
-            scale=float(p.get("scale", 1.0 / 2048.0)),
-            probe_s=0.8,
-            sweep_s=1.0,
-            load_fractions=(0.5, 1.0, 2.0),
-            reload_s=2.0,
-        )
-    return build_report(scale=float(p.get("scale", 1.0 / 1024.0)))
-
-
-def check(payload: dict, smoke: bool) -> list[str]:
-    """Graceful-degradation + hot-reload acceptance invariants."""
-    return check_report(payload)
-
-
-def print_report(payload: dict) -> None:
-    _print_report(payload)
-
-
-def main() -> None:
-    from repro.reports.cli import bench_main
-
-    raise SystemExit(bench_main("serving_latency"))
-
-
-if __name__ == "__main__":
-    main()

@@ -14,13 +14,9 @@ training the same synthetic extreme-classification task:
   accumulated optimiser step per layer per micro-batch.
 
 The batched path must be at least 2x the per-sample path at matching
-precision@1; the registry (``python -m repro.reports --run train_throughput``)
-writes ``BENCH_train_throughput.json`` at the repository root so the
-trajectory is trend-gated from PR to PR.
-
-Runs under the pytest bench harness or standalone::
-
-    PYTHONPATH=src python benchmarks/bench_train_throughput.py [--smoke]
+precision@1; ``python -m repro.reports --run train_throughput`` writes
+``BENCH_train_throughput.json`` at the repository root so the trajectory is
+trend-gated from PR to PR.
 """
 
 from __future__ import annotations
@@ -42,8 +38,50 @@ from repro.core.network import SlideNetwork
 from repro.core.trainer import SlideTrainer
 from repro.datasets.synthetic import delicious_like_config, generate_synthetic_xc
 from repro.harness.report import format_table
+from repro.reports.schema import CONFIG, FRACTION, POS, rows
+from repro.reports.spec import BenchSpec, MetricGate
 from repro.types import SparseBatch
 from repro.utils.rng import derive_rng
+
+SPEC = BenchSpec(
+    bench_id="train_throughput",
+    title="Training throughput: dense vs per-sample vs batched sparse",
+    paper_anchor="beyond-paper (perf anchor)",
+    schema={
+        "type": "object",
+        "required": ["config", "rows", "phase_breakdown", "speedup_batched_vs_per_sample"],
+        "properties": {
+            "config": CONFIG,
+            "rows": rows(
+                {
+                    "mode": {"enum": ["dense", "sparse_per_sample", "sparse_batched"]},
+                    "samples_per_sec": POS,
+                    "wall_time_s": POS,
+                    "precision_at_1": FRACTION,
+                    "active_fraction": FRACTION,
+                    "rebuild_share": FRACTION,
+                },
+                min_items=3,
+            ),
+            "phase_breakdown": {
+                "type": "object",
+                "patternProperties": {".": {"type": "object", "patternProperties": {".": POS}}},
+            },
+            "speedup_batched_vs_per_sample": POS,
+        },
+    },
+    smoke_params={"scale": 1 / 2048, "epochs": 1},
+    full_params={"scale": 1 / 512, "epochs": 6},
+    measured=True,
+    gates=(
+        MetricGate("rows[mode=sparse_batched].samples_per_sec", "higher", rel_tol=0.6),
+        MetricGate("speedup_batched_vs_per_sample", "higher", rel_tol=0.5),
+        MetricGate(
+            "rows[mode=sparse_batched].precision_at_1", "higher", rel_tol=0.1, abs_tol=0.05
+        ),
+    ),
+)
+
 
 def _slide_config(dataset, seed: int) -> SlideNetworkConfig:
     label_dim = dataset.config.label_dim
@@ -127,13 +165,13 @@ def _train_dense(dataset, training: TrainingConfig, seed: int):
     }
 
 
-def measure_training_throughput(
-    scale: float = 1.0 / 512.0,
-    epochs: int = 6,
-    batch_size: int = 32,
-    seed: int = 0,
-) -> dict[str, object]:
+def run(params: dict | None = None) -> dict:
     """Throughput/precision rows for all three training paths."""
+    p = dict(params or {})
+    scale = float(p.get("scale", 1.0 / 512.0))
+    epochs = int(p.get("epochs", 6))
+    batch_size = int(p.get("batch_size", 32))
+    seed = int(p.get("seed", 0))
     dataset = generate_synthetic_xc(delicious_like_config(scale=scale, seed=seed))
     training = TrainingConfig(
         batch_size=batch_size,
@@ -182,49 +220,6 @@ def measure_training_throughput(
     }
 
 
-def test_train_throughput_table(run_once):
-    report = run_once(measure_training_throughput)
-    print()
-    print(
-        format_table(
-            report["rows"],
-            title="Training throughput: dense vs per-sample vs batched sparse",
-        )
-    )
-    by_mode = {row["mode"]: row for row in report["rows"]}
-    # The phase breakdown must cover the batched run: the fused kernels and
-    # the rebuild hook both record real time.
-    batched_phases = report["phase_breakdown"]["sparse_batched"]
-    assert batched_phases.get("hash", 0.0) > 0.0
-    assert batched_phases.get("select", 0.0) > 0.0
-    assert batched_phases.get("gather_gemm", 0.0) > 0.0
-    assert batched_phases.get("optimiser", 0.0) > 0.0
-    assert "rebuild" in batched_phases
-    # The fused kernels must beat the per-sample hot path decisively...
-    assert report["speedup_batched_vs_per_sample"] >= 2.0
-    # ...without giving up accuracy (within 1% absolute precision@1).
-    assert (
-        by_mode["sparse_batched"]["precision_at_1"]
-        >= by_mode["sparse_per_sample"]["precision_at_1"] - 0.01
-    )
-    # Sparsity claim: the sparse paths touch a small fraction of the neurons.
-    assert by_mode["sparse_batched"]["active_fraction"] < 0.5
-
-
-# ----------------------------------------------------------------------
-# Registry generator (see repro.reports): bench id "train_throughput"
-# ----------------------------------------------------------------------
-def run(params: dict | None = None) -> dict:
-    """Pure payload generator for the report registry."""
-    p = dict(params or {})
-    return measure_training_throughput(
-        scale=float(p.get("scale", 1.0 / 512.0)),
-        epochs=int(p.get("epochs", 6)),
-        batch_size=int(p.get("batch_size", 32)),
-        seed=int(p.get("seed", 0)),
-    )
-
-
 def check(payload: dict, smoke: bool) -> list[str]:
     """The fused batched kernels beat the per-sample path at matching p@1."""
     by_mode = {row["mode"]: row for row in payload["rows"]}
@@ -264,13 +259,3 @@ def print_report(payload: dict) -> None:
         )
     )
     print(f"batched / per-sample speedup: {payload['speedup_batched_vs_per_sample']}x")
-
-
-def main() -> None:
-    from repro.reports.cli import bench_main
-
-    raise SystemExit(bench_main("train_throughput"))
-
-
-if __name__ == "__main__":
-    main()

@@ -29,11 +29,10 @@ from repro.harness.experiment import (
     DELICIOUS_PAPER_DIMS,
     small_experiment_config,
 )
-from repro.harness.figures import figure9_scalability, figure13_scalability_ratio
 from repro.harness.report import format_table
 from repro.harness.scaling import available_cores, measure_process_scaling
+from repro.reports import get_spec
 
-CORE_COUNTS = (2, 4, 8, 16, 32, 44)
 PROCESS_COUNTS = (1, 2, 4)
 
 
@@ -64,25 +63,21 @@ def measured_study(process_counts: tuple[int, ...] = PROCESS_COUNTS) -> None:
         )
 
 
-def crossover(rows, column):
-    """Smallest core count at which SLIDE's convergence time beats a baseline."""
-    for row in rows:
-        if row["SLIDE_convergence_s"] < row[column]:
-            return int(row["cores"])
-    return None
-
-
 def projected_study(dataset: str, dims, paper_note: str) -> None:
     config = small_experiment_config(dataset=dataset, scale=1.0 / 1024.0, epochs=2)
     print(f"\n=== {dims.name} (synthetic stand-in: {config.dataset.name}) ===")
-    rows = figure9_scalability(config, core_counts=CORE_COUNTS, paper_dims=dims)
-    print(format_table(rows, title="Convergence time (s) vs CPU cores (projected)"))
-    ratios = figure13_scalability_ratio(rows)
-    print(format_table(ratios, title="Ratio to the 44-core convergence time"))
-
-    cpu_cross = crossover(rows, "TF-CPU_convergence_s")
-    gpu_cross = crossover(rows, "TF-GPU_convergence_s")
-    print(f"SLIDE overtakes TF-CPU at {cpu_cross} cores and TF-GPU at {gpu_cross} cores.")
+    # The Figure 9 projection is defined once, in its bench file.
+    projection = get_spec("fig9_scalability").load_module().paper_projection(config, dims)
+    print(
+        format_table(projection["rows"], title="Convergence time (s) vs CPU cores (projected)")
+    )
+    print(
+        format_table(projection["figure13_ratios"], title="Ratio to the 44-core convergence time")
+    )
+    print(
+        f"SLIDE overtakes TF-CPU at {projection['tf_cpu_crossover_cores']} cores "
+        f"and TF-GPU at {projection['tf_gpu_crossover_cores']} cores."
+    )
     print(f"paper: {paper_note}")
 
 

@@ -20,9 +20,9 @@ Public API overview
 * :mod:`repro.data` — the streaming pipeline for real XC datasets: one-time
   ingest into memory-mapped CSR shards (``python -m repro.data``), the
   bounded-memory ``ShardedDataset`` and the background ``BatchPrefetcher``.
-* :mod:`repro.parallel` — HOGWILD-style asynchronous update simulation,
-  conflict analysis, and real multi-process training over shared-memory
-  parameters (``SharedParamStore`` / ``ProcessHogwildTrainer``).
+* :mod:`repro.parallel` — update-conflict analysis and real multi-process
+  HOGWILD training over shared-memory parameters (``SharedParamStore`` /
+  ``ProcessHogwildTrainer``).
 * :mod:`repro.perf` — operation counting, calibrated device profiles and the
   wall-clock / CPU-counter / memory models behind the paper's figures, plus
   the real-measurement latency histogram used by the serving path.

@@ -24,6 +24,7 @@ from repro.core.layer import LayerForwardState, SlideLayer
 from repro.kernels.fused import Workspace, fused_train_step
 from repro.optim.base import Optimizer
 from repro.optim.factory import make_optimizer
+from repro.perf.phases import PhaseTimer
 from repro.types import FloatArray, IntArray, SparseBatch, SparseExample, dense_features
 from repro.utils.rng import derive_rng
 
@@ -89,11 +90,7 @@ class SlideNetwork:
         self._workspace = Workspace()
         # Per-phase wall-clock accounting (hash / gather-GEMM / optimiser on
         # the fused path, table rebuilds on every path); read by the
-        # throughput benchmarks to track where training time goes.  Imported
-        # lazily: repro.perf.simulator imports repro.core.trainer, so a
-        # module-level import of the perf package would be circular.
-        from repro.perf.phases import PhaseTimer
-
+        # throughput benchmarks to track where training time goes.
         self.phase_timer = PhaseTimer()
 
     # ------------------------------------------------------------------
@@ -261,8 +258,7 @@ class SlideNetwork:
 
         The per-sample update primitive shared by HOGWILD-style training
         (``scale=1``) and the legacy averaged synchronous loop
-        (``scale=1/batch``); :class:`repro.parallel.hogwild.HogwildSimulator`
-        uses it for its lock-free phase-2 replay as well.
+        (``scale=1/batch``).
         """
         for layer, state, w_grad, b_grad in zip(
             self.layers,

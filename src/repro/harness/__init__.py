@@ -1,5 +1,6 @@
-"""Experiment harness: shared head-to-head machinery plus one driver per
-table and figure of the paper's evaluation section."""
+"""Experiment harness: the machinery more than one bench shares (head-to-head
+experiments, report rendering, process-scaling and serving measurements).
+Each figure and table itself is defined in its ``benchmarks/bench_<id>.py``."""
 
 from repro.harness.report import format_table, format_series, format_comparison
 from repro.harness.experiment import (
@@ -11,13 +12,13 @@ from repro.harness.serving_sweep import (
     ServingSweepResult,
     measure_engine,
     serving_accuracy_latency_sweep,
+    train_serving_network,
 )
 from repro.harness.scaling import (
     ScalingRun,
     available_cores,
     measure_process_scaling,
 )
-from repro.harness import figures, tables
 
 __all__ = [
     "ScalingRun",
@@ -32,6 +33,5 @@ __all__ = [
     "ServingSweepResult",
     "measure_engine",
     "serving_accuracy_latency_sweep",
-    "figures",
-    "tables",
+    "train_serving_network",
 ]

@@ -1,8 +1,8 @@
 """Measured process-scaling driver (Figure 9 / Table 2, for real).
 
-Unlike :func:`repro.harness.figures.figure9_scalability` — which *projects*
-convergence times onto the paper's 44-core machine with the calibrated
-device model — this module actually trains the same synthetic XC workload at
+Unlike ``figure9_scalability`` in ``benchmarks/bench_fig9_scalability.py`` —
+which *projects* convergence times onto the paper's 44-core machine with the
+calibrated device model — this module actually trains the same synthetic XC workload at
 several worker-process counts through
 :class:`repro.parallel.sharedmem.ProcessHogwildTrainer` and reports measured
 wall-clock speedups, CPU utilisation and gradient-conflict counts.  The Fig 9
@@ -94,15 +94,15 @@ class ScalingRun:
 
 
 def build_scaling_network_config(
-    feature_dim: int, label_dim: int, seed: int, hidden_dim: int = 64
+    feature_dim: int, label_dim: int, seed: int, hidden_dim: int = 64, bucket_size: int = 96
 ) -> SlideNetworkConfig:
-    """The SLIDE architecture every scaling run trains (LSH output layer)."""
+    """The SLIDE architecture every scaling and serving run trains (LSH output layer)."""
     layers = (
         LayerConfig(size=hidden_dim, activation="relu", lsh=None),
         LayerConfig(
             size=label_dim,
             activation="softmax",
-            lsh=LSHConfig(hash_family="simhash", k=4, l=24, bucket_size=96),
+            lsh=LSHConfig(hash_family="simhash", k=4, l=24, bucket_size=bucket_size),
             sampling=SamplingConfig(
                 strategy="vanilla",
                 target_active=max(16, label_dim // 12),

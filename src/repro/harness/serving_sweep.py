@@ -1,4 +1,6 @@
-"""Serving accuracy-vs-latency sweep over the sparse engine's active budget.
+"""Serving-side measurement machinery: the accuracy-vs-latency sweep over the
+sparse engine's active budget, and the trained network the serving benches
+publish.
 
 The serving-side counterpart of the paper's ``beta`` ablation: for a trained
 network, sweep the :class:`~repro.serving.engine.SparseInferenceEngine`
@@ -17,7 +19,15 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.config import OptimizerConfig, TrainingConfig
 from repro.core.network import SlideNetwork
+from repro.core.trainer import SlideTrainer
+from repro.datasets.synthetic import (
+    SyntheticXCDataset,
+    delicious_like_config,
+    generate_synthetic_xc,
+)
+from repro.harness.scaling import build_scaling_network_config
 from repro.perf.latency import LatencyHistogram
 from repro.serving.engine import (
     DenseInferenceEngine,
@@ -26,7 +36,12 @@ from repro.serving.engine import (
 )
 from repro.types import SparseExample
 
-__all__ = ["ServingSweepResult", "measure_engine", "serving_accuracy_latency_sweep"]
+__all__ = [
+    "ServingSweepResult",
+    "measure_engine",
+    "serving_accuracy_latency_sweep",
+    "train_serving_network",
+]
 
 
 @dataclass(frozen=True)
@@ -158,3 +173,36 @@ def serving_accuracy_latency_sweep(
             )
         )
     return results
+
+
+def train_serving_network(
+    scale: float, seed: int = 0
+) -> tuple[SlideNetwork, SyntheticXCDataset, SlideTrainer, float]:
+    """One-epoch SLIDE network for the serving benches to publish and serve.
+
+    Returns ``(network, dataset, trainer, train_seconds)``; the trainer is
+    kept so a bench can train further epochs and publish new versions.
+    """
+    dataset = generate_synthetic_xc(delicious_like_config(scale=scale, seed=seed))
+    label_dim = dataset.config.label_dim
+    # bucket_size >= label_dim: no FIFO bucket can ever overflow, which is
+    # the precondition for bitwise hot-swap parity (overflow eviction order
+    # is the one piece of table state an incremental patch does not carry).
+    network = SlideNetwork(
+        build_scaling_network_config(
+            dataset.config.feature_dim, label_dim, seed, bucket_size=max(96, label_dim)
+        )
+    )
+    trainer = SlideTrainer(
+        network,
+        TrainingConfig(
+            batch_size=64,
+            epochs=1,
+            optimizer=OptimizerConfig(name="adam", learning_rate=1e-3),
+            seed=seed,
+        ),
+    )
+    t0 = time.monotonic()
+    trainer.train(dataset.train, dataset.test)
+    train_s = time.monotonic() - t0
+    return network, dataset, trainer, train_s

@@ -1,11 +1,4 @@
-"""Parallelism substrate, in two tiers.
-
-**Simulators (thread-based, GIL-bound)** — :class:`HogwildSimulator` and
-:class:`BatchParallelExecutor` reproduce SLIDE's asynchronous *update
-semantics* (staleness, arbitrary ordering, conflict behaviour) inside one
-Python process.  They are measurement instruments for the HOGWILD theory,
-not a route to core scaling: the interpreter serialises their bookkeeping no
-matter how many threads run.
+"""Parallelism substrate.
 
 **Real process parallelism** — :mod:`repro.parallel.sharedmem` places the
 model's parameters (and optimiser moments) in ``multiprocessing``
@@ -14,12 +7,13 @@ lock-free asynchronous updates, each owning a private LSH index.  This is
 the execution model behind the paper's Figure 9 / Table 2 scalability
 claims; ``benchmarks/bench_fig9_scalability.py`` measures it for real.
 
-:mod:`repro.parallel.conflicts` quantifies update overlap for both tiers.
+:mod:`repro.parallel.conflicts` quantifies update overlap between concurrent
+sparse updates; :class:`WorkerPool` owns the serving path's long-lived
+worker threads.
 """
 
 from repro.parallel.conflicts import ConflictReport, analyze_update_conflicts
-from repro.parallel.hogwild import HogwildSimulator, HogwildStepReport
-from repro.parallel.executor import BatchParallelExecutor, WorkerPool
+from repro.parallel.executor import WorkerPool
 from repro.parallel.sharedmem import (
     ProcessConflictStats,
     ProcessHogwildTrainer,
@@ -31,9 +25,6 @@ from repro.parallel.sharedmem import (
 __all__ = [
     "ConflictReport",
     "analyze_update_conflicts",
-    "HogwildSimulator",
-    "HogwildStepReport",
-    "BatchParallelExecutor",
     "WorkerPool",
     "SharedParamStore",
     "ProcessHogwildTrainer",

@@ -1,47 +1,29 @@
-"""Thread-pool execution of per-sample gradient computation.
-
-SLIDE assigns each sample of a batch to its own OpenMP thread.  The Python
-equivalent uses a ``ThreadPoolExecutor``: gradient computation is dominated
-by NumPy kernels that release the GIL, so per-sample work genuinely overlaps,
-while the final (tiny) gradient application stays on the calling thread to
-keep the update semantics identical to the sequential path.
+"""Long-lived worker threads for the serving path.
 
 **Scope: thread-based, GIL-bound.**  Only the time spent inside GIL-releasing
-NumPy kernels overlaps; the per-sample Python bookkeeping (hashing dispatch,
-gather setup, gradient application) serialises on the interpreter lock, so
-this executor is a *fidelity* substrate — it reproduces the execution shape,
-not the speedup.  Measured multi-core scaling (real wall-clock, Figure 9 /
-Table 2) comes from the process-level trainer in
-:mod:`repro.parallel.sharedmem`; the analytical projections at the paper's
-44-core scale come from the device model in :mod:`repro.perf`.
+NumPy kernels overlaps; per-request Python bookkeeping serialises on the
+interpreter lock.  Measured multi-core *training* scaling (real wall-clock,
+Figure 9 / Table 2) comes from the process-level trainer in
+:mod:`repro.parallel.sharedmem`.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
-from repro.core.network import SampleGradient, SlideNetwork
-from repro.optim.base import Optimizer
-from repro.types import SparseBatch
-
-__all__ = ["BatchParallelExecutor", "WorkerPool"]
+__all__ = ["WorkerPool"]
 
 
 class WorkerPool:
     """A pool of named, long-lived worker threads.
 
-    ``BatchParallelExecutor`` fans a *batch* out over short-lived tasks; the
-    serving path instead needs ``N`` workers that each run a loop for the
+    The serving path needs ``N`` workers that each run a loop for the
     lifetime of the server (pull micro-batch, run inference, repeat).  This
     class owns those threads: it starts ``num_workers`` copies of a loop
     function, tracks liveness, and joins them on shutdown.  NumPy kernels
     release the GIL, so worker loops dominated by matrix work genuinely
-    overlap — the same property :class:`BatchParallelExecutor` relies on.
+    overlap.
 
     A worker loop that raises does not die silently: the pool records the
     first exception (thread start order breaks ties) and re-raises it from
@@ -101,57 +83,3 @@ class WorkerPool:
     def alive_count(self) -> int:
         """Number of worker threads still running."""
         return sum(1 for thread in self._threads if thread.is_alive())
-
-
-@dataclass
-class _BatchOutcome:
-    loss: float
-    active_neurons: int
-    active_weights: int
-
-
-class BatchParallelExecutor:
-    """Compute per-sample gradients on a thread pool, apply them serially."""
-
-    def __init__(self, network: SlideNetwork, optimizer: Optimizer, num_threads: int = 4) -> None:
-        if num_threads <= 0:
-            raise ValueError("num_threads must be positive")
-        self.network = network
-        self.optimizer = optimizer
-        self.num_threads = int(num_threads)
-
-    def train_batch(self, batch: SparseBatch) -> dict[str, float]:
-        """One batch step with thread-parallel gradient computation."""
-        self.optimizer.begin_step()
-        with ThreadPoolExecutor(max_workers=self.num_threads) as pool:
-            gradients: list[SampleGradient] = list(
-                pool.map(self.network.compute_sample_gradient, list(batch))
-            )
-
-        for gradient in gradients:
-            for layer, state, w_grad, b_grad in zip(
-                self.network.layers,
-                gradient.layer_states,
-                gradient.weight_grads,
-                gradient.bias_grads,
-            ):
-                layer.apply_gradients(self.optimizer, state, w_grad, b_grad)
-
-        self.network.iteration += 1
-        for layer in self.network.layers:
-            layer.maybe_rebuild(self.network.iteration)
-
-        outcome = _BatchOutcome(
-            loss=float(np.mean([g.loss for g in gradients])) if gradients else 0.0,
-            active_neurons=sum(s.num_active for g in gradients for s in g.layer_states),
-            active_weights=sum(
-                s.num_active_weights for g in gradients for s in g.layer_states
-            ),
-        )
-        return {
-            "loss": outcome.loss,
-            "active_neurons": float(outcome.active_neurons),
-            "active_weights": float(outcome.active_weights),
-            "batch_size": float(len(batch)),
-            "num_threads": float(self.num_threads),
-        }

@@ -1,11 +1,8 @@
 """True multi-process HOGWILD training over shared-memory parameters.
 
-The thread-based substrates in this package (:class:`~repro.parallel.hogwild.
-HogwildSimulator`, :class:`~repro.parallel.executor.BatchParallelExecutor`)
-reproduce SLIDE's asynchronous *update semantics* but execute under the GIL,
-so they cannot demonstrate the paper's central systems claim — near-linear
-scaling with CPU cores (Figure 9, Table 2).  This module provides the real
-thing:
+Threads execute under the GIL, so they cannot demonstrate the paper's
+central systems claim — near-linear scaling with CPU cores (Figure 9,
+Table 2).  This module provides the real thing:
 
 * :class:`SharedParamStore` places named parameter arrays (layer weights and
   biases, optimiser moment buffers, diagnostic counters) in

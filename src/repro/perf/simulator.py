@@ -9,12 +9,15 @@ scalability figures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.trainer import TrainingHistory
 from repro.perf.cost_model import WorkloadCounts
 from repro.perf.devices import DeviceProfile
+
+if TYPE_CHECKING:
+    from repro.core.trainer import TrainingHistory
 
 __all__ = ["SimulatedRun", "WallClockSimulator"]
 

@@ -1,10 +1,12 @@
-"""repro.reports — the registry-driven benchmark/report factory.
+"""repro.reports — the benchmark/report factory.
 
-A declarative registry (:mod:`repro.reports.registry`) maps every figure,
-table and ablation the repo reproduces to a :class:`~repro.reports.spec.BenchSpec`:
-the generator in ``benchmarks/bench_*.py``, the ``BENCH_*.json`` artifact,
-a JSON schema for its payload, smoke vs full parameters, a measured/modelled
-flag, and per-metric regression tolerances.
+Each figure, table and ablation the repo reproduces is one file,
+``benchmarks/bench_<id>.py``, exporting ``SPEC`` (a
+:class:`~repro.reports.spec.BenchSpec`: title, paper anchor, payload JSON
+schema, smoke vs full parameters, a measured/modelled flag, per-metric
+regression tolerances) next to ``run``, ``check`` and ``print_report``.
+:mod:`repro.reports.registry` discovers those files; adding a figure is
+adding one file, then ``--sync-docs``.
 
 Drive it with::
 

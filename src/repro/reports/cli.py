@@ -1,6 +1,4 @@
-"""Drivers for the report registry: the ``python -m repro.reports`` CLI and
-the thin per-bench ``main()`` shim every ``benchmarks/bench_*.py`` keeps.
-"""
+"""``python -m repro.reports`` — the one way to list, run and gate benches."""
 
 from __future__ import annotations
 
@@ -20,7 +18,7 @@ from repro.reports.registry import all_specs, bench_ids, get_spec
 from repro.reports.spec import REPO_ROOT, BenchSpec
 from repro.reports.trend import check_trend
 
-__all__ = ["main", "bench_main", "run_bench"]
+__all__ = ["main", "run_bench"]
 
 
 def run_bench(
@@ -28,23 +26,27 @@ def run_bench(
     smoke: bool,
     out_dir: Path | None = None,
     param_overrides: dict[str, Any] | None = None,
-    out_path: Path | None = None,
-) -> tuple[dict[str, Any], Path, list[str]]:
-    """Generate, stamp, validate and write one artifact.
+) -> tuple[dict[str, Any], Path | None, list[str]]:
+    """Generate, check, stamp, validate and write one artifact.
 
     Returns ``(payload, written_path, checker_problems)``.  Schema problems
     raise; checker problems are returned so the caller decides severity.
+    Without ``out_dir`` the target is the committed baseline at the repo
+    root, which a payload that fails its own ``check`` must not replace (the
+    trend gate would compare every later run against it): nothing is written
+    and ``written_path`` is ``None``.  Under ``out_dir`` the artifact is
+    written either way, so CI can upload what failed.
     """
     params = spec.params_for(smoke)
-    if param_overrides:
-        params.update(param_overrides)
-    payload = spec.generator()(params)
-    target = out_path if out_path is not None else spec.artifact_path(out_dir)
-    written = write_artifact(spec, payload, mode="smoke" if smoke else "full", path=target)
-    problems: list[str] = []
-    check_fn = spec.check_fn()
-    if check_fn is not None:
-        problems = list(check_fn(payload, smoke))
+    params.update(param_overrides or {})
+    module = spec.load_module()
+    payload = module.run(params)
+    problems = list(module.check(payload, smoke))
+    if problems and out_dir is None:
+        return payload, None, problems
+    written = write_artifact(
+        spec, payload, mode="smoke" if smoke else "full", path=spec.artifact_path(out_dir)
+    )
     return payload, written, problems
 
 
@@ -58,51 +60,9 @@ def _parse_param(text: str) -> tuple[str, Any]:
         return key, raw
 
 
-def _print_payload(spec: BenchSpec, payload: dict[str, Any]) -> None:
-    printer = getattr(spec.load_module(), "print_report", None)
-    if callable(printer):
-        printer(payload)
-    else:
-        print(json.dumps(payload, indent=2, default=str)[:2000])
-
-
-def bench_main(bench_id: str, argv: Sequence[str] | None = None) -> int:
-    """Standalone entry point for one bench script (kept for compatibility).
-
-    ``python benchmarks/bench_x.py [--smoke] [--out FILE] [--param k=v ...]``
-    runs the registered generator, writes the schema-validated artifact and
-    exits non-zero when the bench's own invariant checker reports problems.
-    """
-    spec = get_spec(bench_id)
-    parser = argparse.ArgumentParser(description=spec.title)
-    parser.add_argument("--smoke", action="store_true", help="CI-scale parameters")
-    parser.add_argument("--out", type=Path, default=None, help="artifact path override")
-    parser.add_argument(
-        "--param",
-        action="append",
-        type=_parse_param,
-        default=[],
-        metavar="KEY=VALUE",
-        help="override one generator parameter (value parsed as JSON, else string)",
-    )
-    args = parser.parse_args(argv)
-    payload, written, problems = run_bench(
-        spec,
-        smoke=args.smoke,
-        param_overrides=dict(args.param),
-        out_path=args.out,
-    )
-    _print_payload(spec, payload)
-    print(f"wrote {written}")
-    if problems:
-        print(f"{bench_id} checks FAILED:", file=sys.stderr)
-        for problem in problems:
-            print(f"  - {problem}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _run_isolated(spec: BenchSpec, smoke: bool, out_dir: Path | None) -> list[str]:
+def _run_isolated(
+    spec: BenchSpec, smoke: bool, out_dir: Path | None, overrides: dict[str, Any]
+) -> list[str]:
     """Run one bench in a fresh child process; returns failure strings.
 
     Isolation matters for two reasons: the per-spec ``timeout_s`` becomes
@@ -116,6 +76,8 @@ def _run_isolated(spec: BenchSpec, smoke: bool, out_dir: Path | None) -> list[st
         argv.append("--smoke")
     if out_dir is not None:
         argv.extend(["--out-dir", str(out_dir)])
+    for key, value in overrides.items():
+        argv.extend(["--param", f"{key}={json.dumps(value)}"])
     env = dict(os.environ)
     src_dir = str(Path(__file__).resolve().parents[2])
     existing = env.get("PYTHONPATH", "")
@@ -136,18 +98,22 @@ def _run_isolated(spec: BenchSpec, smoke: bool, out_dir: Path | None) -> list[st
     return []
 
 
-def _run_one(spec: BenchSpec, smoke: bool, out_dir: Path | None) -> list[str]:
+def _run_one(
+    spec: BenchSpec, smoke: bool, out_dir: Path | None, overrides: dict[str, Any]
+) -> list[str]:
     """Run one bench in this interpreter; returns failure strings."""
     started = time.perf_counter()
     try:
-        _, written, problems = run_bench(spec, smoke=smoke, out_dir=out_dir)
+        payload, written, problems = run_bench(spec, smoke, out_dir, overrides)
     except Exception as exc:
         print(f"[FAIL] {spec.bench_id}: {exc}", file=sys.stderr)
         return [f"{spec.bench_id}: generation failed: {exc}"]
     elapsed = time.perf_counter() - started
+    spec.load_module().print_report(payload)
     mode = "smoke" if smoke else "full"
     status = "ok" if not problems else "CHECK-FAILED"
-    print(f"[{status}] {spec.bench_id} ({mode}, {elapsed:.1f}s) -> {written}")
+    target = written if written is not None else f"{spec.artifact_path()} left untouched"
+    print(f"[{status}] {spec.bench_id} ({mode}, {elapsed:.1f}s) -> {target}")
     for problem in problems:
         print(f"    - {problem}", file=sys.stderr)
     return [f"{spec.bench_id}: {problem}" for problem in problems]
@@ -178,6 +144,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument("--all", action="store_true", help="run every registered bench")
     parser.add_argument("--smoke", action="store_true", help="CI-scale parameters")
+    parser.add_argument(
+        "--param",
+        action="append",
+        type=_parse_param,
+        default=[],
+        metavar="KEY=VALUE",
+        help="override one generator parameter of the single --run bench "
+        "(value parsed as JSON, else string)",
+    )
     parser.add_argument(
         "--check",
         action="store_true",
@@ -225,6 +200,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not args.run and not args.all:
         parser.print_help()
         return 2
+    if args.param and (args.all or len(args.run) != 1):
+        parser.error("--param needs exactly one --run (parameters are per bench)")
+    overrides = dict(args.param)
 
     ids = bench_ids() if args.all else args.run
     specs = [get_spec(bench_id) for bench_id in ids]
@@ -238,7 +216,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         failures: list[str] = []
         runner = _run_one if args.in_process else _run_isolated
         for spec in specs:
-            failures.extend(runner(spec, args.smoke, out_dir))
+            failures.extend(runner(spec, args.smoke, out_dir, overrides))
 
         if args.check:
             report = check_trend(specs, fresh_dir=out_dir or REPO_ROOT)

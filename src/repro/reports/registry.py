@@ -1,14 +1,13 @@
-"""The benchmark registry: every figure/table/ablation the repo reproduces.
+"""The benchmark registry: every ``benchmarks/bench_<id>.py`` and its ``SPEC``.
 
-One :class:`~repro.reports.spec.BenchSpec` per ``benchmarks/bench_*.py``
-script.  The registry is what makes the repo's perf claims mechanically
-checkable: ``python -m repro.reports --all --smoke --check`` regenerates
-every artifact from the declared smoke parameters, validates each payload
-against its schema, runs the bench's own invariant checker, and gates every
-declared metric against the committed baseline.
+Discovery, not a table: a figure is defined in exactly one file, and adding
+that file registers it.  ``python -m repro.reports --all --smoke --check``
+regenerates every artifact from the declared smoke parameters, validates
+each payload against its schema, runs the bench's own ``check`` and gates
+every declared metric against the committed baseline.
 
-Conventions
------------
+Conventions for a ``SPEC``
+--------------------------
 * ``smoke_params`` are CI-scale: the committed ``BENCH_*.json`` baselines
   are generated in smoke mode so trend comparisons are like-for-like.
 * ``measured=False`` marks benchmarks whose headline numbers restate the
@@ -21,351 +20,24 @@ Conventions
 
 from __future__ import annotations
 
-from repro.reports.schemas import PAYLOAD_SCHEMAS
-from repro.reports.spec import BenchSpec, MetricGate
+from repro.reports.spec import BENCHMARKS_DIR, BenchSpec, load_bench_module
 
 __all__ = ["REGISTRY", "get_spec", "all_specs", "bench_ids"]
 
 
-def _spec(bench_id: str, **kwargs) -> BenchSpec:
-    return BenchSpec(bench_id=bench_id, schema=PAYLOAD_SCHEMAS[bench_id], **kwargs)
+def _discover() -> dict[str, BenchSpec]:
+    registry: dict[str, BenchSpec] = {}
+    for stem in sorted(path.stem for path in BENCHMARKS_DIR.glob("bench_*.py")):
+        spec = load_bench_module(stem).SPEC
+        # File name and id name each other (spec.load_module and the artifact
+        # name rely on it), which also makes a duplicate id impossible.
+        if stem != f"bench_{spec.bench_id}":
+            raise RuntimeError(f"benchmarks/{stem}.py declares bench_id {spec.bench_id!r}")
+        registry[spec.bench_id] = spec
+    return registry
 
 
-_SPECS = (
-    _spec(
-        "fig4_sampling",
-        title="Sampling-strategy retrieval overhead vs neuron count",
-        paper_anchor="Fig 4 (and Fig 12)",
-        module="bench_fig4_sampling_strategies",
-        artifact="BENCH_fig4_sampling.json",
-        smoke_params={"neuron_counts": [1000, 2000], "queries": 5},
-        full_params={"neuron_counts": [2000, 3000, 4000, 5000, 6000, 7000], "queries": 20},
-        measured=True,
-        checker="check",
-        notes="Wall-clock micro-timing; ordering (TopK most expensive) is the claim.",
-    ),
-    _spec(
-        "fig5_time_accuracy",
-        title="SLIDE vs TF-GPU vs TF-CPU time/iteration to accuracy",
-        paper_anchor="Fig 5",
-        module="bench_fig5_time_vs_accuracy",
-        artifact="BENCH_fig5_time_accuracy.json",
-        smoke_params={"scale_delicious": 1 / 2048, "scale_amazon": 1 / 4096, "epochs": 1},
-        full_params={"scale_delicious": 1 / 1024, "scale_amazon": 1 / 2048, "epochs": 2},
-        measured=False,
-        checker="check",
-        notes="Accuracies are real scaled-down training; wall-clock comes from "
-        "calibrated device profiles projected to the paper's 44-core/V100 setup.",
-    ),
-    _spec(
-        "fig6_inefficiencies",
-        title="Top-down CPU pipeline-slot inefficiency breakdown",
-        paper_anchor="Fig 6",
-        module="bench_fig6_inefficiencies",
-        artifact="BENCH_fig6_inefficiencies.json",
-        smoke_params={"threads": [8, 16, 32]},
-        full_params={"threads": [8, 16, 32]},
-        measured=False,
-        checker="check",
-        notes="Mechanistic pipeline-slot model; no hardware counters are read.",
-    ),
-    _spec(
-        "fig7_sampled_softmax",
-        title="SLIDE vs static sampled softmax",
-        paper_anchor="Fig 7",
-        module="bench_fig7_sampled_softmax",
-        artifact="BENCH_fig7_sampled_softmax.json",
-        smoke_params={"scale_delicious": 1 / 2048, "scale_amazon": 1 / 4096, "epochs": 1},
-        full_params={"scale_delicious": 1 / 1024, "scale_amazon": 1 / 2048, "epochs": 2},
-        measured=True,
-        gates=(
-            MetricGate("delicious.final_accuracy.slide", "higher", rel_tol=0.25, abs_tol=0.05),
-            MetricGate("delicious.accuracy_advantage", "higher", rel_tol=0.5, abs_tol=0.05),
-        ),
-        checker="check",
-        notes="Final accuracies and active fractions are measured (deterministic "
-        "seeded training); the time axis is device-model attributed.",
-    ),
-    _spec(
-        "fig8_batch_size",
-        title="Batch-size effect on convergence time",
-        paper_anchor="Fig 8",
-        module="bench_fig8_batch_size",
-        artifact="BENCH_fig8_batch_size.json",
-        smoke_params={"scale": 1 / 4096, "epochs": 1, "batch_sizes": [16, 32]},
-        full_params={"scale": 1 / 2048, "epochs": 2, "batch_sizes": [16, 32, 64]},
-        measured=False,
-        checker="check",
-        notes="Convergence times are device-model projections at each batch size.",
-    ),
-    _spec(
-        "fig9_scalability",
-        title="Core scalability: measured process-HOGWILD speedup + 44-core projection",
-        paper_anchor="Fig 9 (and Fig 13)",
-        module="bench_fig9_scalability",
-        artifact="BENCH_fig9_scalability.json",
-        smoke_params={
-            "process_counts": [1, 2],
-            "scale": 1 / 2048,
-            "epochs": 2,
-            "include_projection": False,
-        },
-        full_params={
-            "process_counts": [1, 2, 4],
-            "scale": 1 / 256,
-            "epochs": 5,
-            "include_projection": True,
-        },
-        measured=True,
-        gates=(
-            MetricGate(
-                "measured.rows[processes=1].samples_per_sec", "higher", rel_tol=0.6
-            ),
-            MetricGate(
-                "precision_gap_vs_baseline.2", "lower", rel_tol=1.0, abs_tol=0.04
-            ),
-        ),
-        checker="check",
-        timeout_s=180.0,
-        notes="Measured speedup is bounded by available cores (1 on this container); "
-        "the projection section is the calibrated device model.",
-    ),
-    _spec(
-        "fig10_hugepages_simd",
-        title="Hugepages + SIMD cache-optimisation effect",
-        paper_anchor="Fig 10",
-        module="bench_fig10_hugepages_simd",
-        artifact="BENCH_fig10_hugepages_simd.json",
-        smoke_params={"scale": 1 / 4096, "epochs": 1},
-        full_params={"scale": 1 / 2048, "epochs": 2},
-        measured=False,
-        checker="check",
-        notes="MODELLED: assumes the paper's 1.3x cache-optimisation factor "
-        "(repro.perf.memory.HUGEPAGES_SPEEDUP); no hugepages/SIMD measurement "
-        "happens, so these metrics are excluded from trend gating.",
-    ),
-    _spec(
-        "fig11_hard_threshold",
-        title="Hard-thresholding selection/collision trade-off",
-        paper_anchor="Fig 11",
-        module="bench_fig11_hard_threshold",
-        artifact="BENCH_fig11_hard_threshold.json",
-        smoke_params={"k": 1, "l": 10, "thresholds": [1, 3, 5, 7, 9], "num_points": 17},
-        full_params={"k": 1, "l": 10, "thresholds": [1, 3, 5, 7, 9], "num_points": 33},
-        measured=False,
-        checker="check",
-        notes="Closed-form plot of Equation (3): exact, host-independent.",
-    ),
-    _spec(
-        "table1_datasets",
-        title="Dataset statistics: paper datasets vs synthetic stand-ins",
-        paper_anchor="Table 1",
-        module="bench_table1_datasets",
-        artifact="BENCH_table1_datasets.json",
-        smoke_params={"scale": 1 / 1024},
-        full_params={"scale": 1 / 1024},
-        measured=True,
-        checker="check",
-        notes="Paper rows restate Table 1; synthetic rows are measured from the "
-        "generated stand-ins.  Smoke keeps the full 1/1024 scale (cheap, and "
-        "the sparsity invariant needs a non-degenerate feature dimension).",
-    ),
-    _spec(
-        "table2_core_utilization",
-        title="Core utilisation: measured process-HOGWILD + calibrated model",
-        paper_anchor="Table 2",
-        module="bench_table2_core_utilization",
-        artifact="BENCH_table2_core_utilization.json",
-        smoke_params={"process_counts": [1, 2], "scale": 1 / 2048, "epochs": 1},
-        full_params={"process_counts": [1, 2, 4], "scale": 1 / 512, "epochs": 2},
-        measured=True,
-        gates=(
-            MetricGate(
-                "measured.rows[processes=1].SLIDE_utilization_measured",
-                "higher",
-                rel_tol=0.4,
-                abs_tol=0.05,
-            ),
-        ),
-        checker="check",
-        timeout_s=180.0,
-    ),
-    _spec(
-        "table3_insertion",
-        title="Hash-table insertion schemes: per-item vs batched vs code-diff update",
-        paper_anchor="Table 3",
-        module="bench_table3_insertion",
-        artifact="BENCH_table3_insertion.json",
-        smoke_params={"num_neurons": 2000, "min_speedup": 1.0},
-        full_params={"num_neurons": 50_000, "min_speedup": 5.0},
-        measured=True,
-        gates=(
-            MetricGate("min_batched_speedup_vs_per_item", "higher", rel_tol=0.7),
-            MetricGate("rows[policy=FIFO].batched_items_per_s", "higher", rel_tol=0.7),
-        ),
-        checker="check",
-    ),
-    _spec(
-        "table4_hugepages_counters",
-        title="TLB/page-walk/page-fault counters with and without hugepages",
-        paper_anchor="Table 4",
-        module="bench_table4_hugepages_counters",
-        artifact="BENCH_table4_hugepages_counters.json",
-        smoke_params={},
-        full_params={},
-        measured=False,
-        checker="check",
-        notes="MODELLED: derived from the analytical memory-footprint model "
-        "anchored on the paper's Table 4; no perf counters are read, so these "
-        "metrics are excluded from trend gating.",
-    ),
-    _spec(
-        "ablation_hash_families",
-        title="Ablation: hash family choice (SimHash/DWTA/WTA/DOPH/MinHash)",
-        paper_anchor="Ablation (paper §5.3 / DESIGN §5)",
-        module="bench_ablation_hash_families",
-        artifact="BENCH_ablation_hash_families.json",
-        smoke_params={"scale": 1 / 2048, "epochs": 1},
-        full_params={"scale": 1 / 1024, "epochs": 2},
-        measured=True,
-        gates=(
-            MetricGate("rows[hash_family=simhash].final_accuracy", "higher", 0.5, 0.1),
-        ),
-        checker="check",
-        timeout_s=180.0,
-    ),
-    _spec(
-        "ablation_rebuild_schedule",
-        title="Ablation: exponential-decay vs fixed-period rebuild schedule",
-        paper_anchor="Ablation (paper §4.2)",
-        module="bench_ablation_rebuild_schedule",
-        artifact="BENCH_ablation_rebuild_schedule.json",
-        smoke_params={"scale": 1 / 2048, "epochs": 1},
-        full_params={"scale": 1 / 1024, "epochs": 2},
-        measured=True,
-        gates=(
-            MetricGate(
-                "rows[schedule=exponential_decay].final_accuracy", "higher", 0.5, 0.1
-            ),
-        ),
-        checker="check",
-    ),
-    _spec(
-        "ablation_sampling_strategies",
-        title="Ablation: sampling strategy accuracy (vanilla/topk/hard-threshold)",
-        paper_anchor="Ablation (paper Appendix C)",
-        module="bench_ablation_sampling_strategies",
-        artifact="BENCH_ablation_sampling_strategies.json",
-        smoke_params={"scale": 1 / 2048, "epochs": 1},
-        full_params={"scale": 1 / 1024, "epochs": 2},
-        measured=True,
-        gates=(
-            MetricGate("rows[strategy=vanilla].final_accuracy", "higher", 0.5, 0.1),
-        ),
-        checker="check",
-        timeout_s=180.0,
-    ),
-    _spec(
-        "train_throughput",
-        title="Training throughput: dense vs per-sample vs batched sparse",
-        paper_anchor="beyond-paper (perf anchor)",
-        module="bench_train_throughput",
-        artifact="BENCH_train_throughput.json",
-        smoke_params={"scale": 1 / 2048, "epochs": 1},
-        full_params={"scale": 1 / 512, "epochs": 6},
-        measured=True,
-        gates=(
-            MetricGate("rows[mode=sparse_batched].samples_per_sec", "higher", rel_tol=0.6),
-            MetricGate("speedup_batched_vs_per_sample", "higher", rel_tol=0.5),
-            MetricGate(
-                "rows[mode=sparse_batched].precision_at_1", "higher", rel_tol=0.1, abs_tol=0.05
-            ),
-        ),
-        checker="check",
-    ),
-    _spec(
-        "data_pipeline",
-        title="Streaming shard pipeline vs eager re-parse",
-        paper_anchor="beyond-paper (data pipeline)",
-        module="bench_data_pipeline",
-        artifact="BENCH_data_pipeline.json",
-        smoke_params={"scale": 1 / 2048},
-        full_params={"scale": 1 / 512},
-        measured=True,
-        gates=(
-            MetricGate("speedup_sharded_vs_eager", "higher", rel_tol=0.6),
-            MetricGate("rows[stage=sharded_epoch].examples_per_sec", "higher", rel_tol=0.6),
-        ),
-        checker="check",
-    ),
-    _spec(
-        "serving_latency",
-        title="Serving under sustained load + zero-downtime hot reload",
-        paper_anchor="beyond-paper (serving runtime)",
-        module="bench_serving_latency",
-        artifact="BENCH_serving_latency.json",
-        smoke_params={"smoke": True},
-        full_params={"smoke": False},
-        measured=True,
-        gates=(
-            MetricGate("capacity.sustained_qps", "higher", rel_tol=0.6),
-            MetricGate(
-                "qps_sweep[load_fraction=2].latency_ms.p99", "lower", rel_tol=0.75, abs_tol=5.0
-            ),
-            MetricGate(
-                "qps_sweep[load_fraction=2].shed_rate", "lower", rel_tol=0.75, abs_tol=0.15
-            ),
-        ),
-        checker="check",
-        timeout_s=240.0,
-    ),
-    _spec(
-        "fault_recovery",
-        title="Chaos training: worker SIGKILL recovery + mid-run checkpoint resume",
-        paper_anchor="beyond-paper (fault tolerance)",
-        module="bench_fault_recovery",
-        artifact="BENCH_fault_recovery.json",
-        smoke_params={"smoke": True},
-        full_params={"smoke": False},
-        measured=True,
-        gates=(
-            MetricGate(
-                "worker_kill.killed.mean_recovery_latency_s", "lower", rel_tol=2.0, abs_tol=0.1
-            ),
-            MetricGate("worker_kill.precision_gap", "lower", rel_tol=1.0, abs_tol=0.04),
-            MetricGate("parent_kill_resume.recovery_wall_s", "lower", rel_tol=2.0, abs_tol=0.3),
-        ),
-        checker="check",
-        timeout_s=240.0,
-    ),
-    _spec(
-        "router_failover",
-        title="Multi-replica router chaos: failover, degradation ladder, breakers",
-        paper_anchor="beyond-paper (serving resilience)",
-        module="bench_router_failover",
-        artifact="BENCH_router_failover.json",
-        smoke_params={"smoke": True},
-        full_params={"smoke": False},
-        measured=True,
-        gates=(
-            MetricGate("failover.availability", "higher", rel_tol=0.0, abs_tol=0.01),
-            MetricGate("failover.detection_ms", "lower", rel_tol=1.5, abs_tol=150.0),
-            MetricGate(
-                "degradation_ladder[level=0].precision_at_1", "higher", rel_tol=0.2, abs_tol=0.1
-            ),
-            MetricGate("chaos.availability", "higher", rel_tol=0.0, abs_tol=0.01),
-        ),
-        checker="check",
-        timeout_s=240.0,
-    ),
-)
-
-REGISTRY: dict[str, BenchSpec] = {spec.bench_id: spec for spec in _SPECS}
-if len(REGISTRY) != len(_SPECS):  # pragma: no cover - construction-time guard
-    raise RuntimeError("duplicate bench_id in registry")
-_ARTIFACTS = {spec.artifact for spec in _SPECS}
-if len(_ARTIFACTS) != len(_SPECS):  # pragma: no cover - construction-time guard
-    raise RuntimeError("duplicate artifact name in registry")
+REGISTRY: dict[str, BenchSpec] = _discover()
 
 
 def get_spec(bench_id: str) -> BenchSpec:

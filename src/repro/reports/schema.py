@@ -1,7 +1,8 @@
-"""Minimal JSON-schema validation for benchmark artifacts.
+"""Minimal JSON-schema validation for benchmark artifacts, plus the schema
+fragments more than one bench shares.
 
 The repo is stdlib+numpy only, so this implements the small, explicit subset
-of JSON Schema the registry's payload schemas actually use:
+of JSON Schema the benches' payload schemas actually use:
 
 ``type`` (including lists of types), ``properties`` / ``required`` /
 ``additionalProperties`` (bool or schema), ``patternProperties``, ``items``,
@@ -10,6 +11,13 @@ of JSON Schema the registry's payload schemas actually use:
 
 Unknown schema keywords are an *error at validation time* — a typo'd
 constraint must not silently validate nothing.
+
+Each bench declares its payload schema inline in its ``SPEC`` (next to the
+``run`` that produces the payload), built from the fragments below.  Schemas
+are deliberately strict about the keys and types the repo's claims rest on —
+a hand-edited, truncated or shape-drifted ``BENCH_*.json`` must fail the
+golden-artifact contract test — while config blocks stay open
+(``additionalProperties``) so adding a knob is not a schema migration.
 """
 
 from __future__ import annotations
@@ -18,7 +26,64 @@ import math
 import re
 from typing import Any
 
-__all__ = ["SchemaError", "validate", "check"]
+__all__ = [
+    "SchemaError",
+    "validate",
+    "check",
+    "NUM",
+    "POS",
+    "FRACTION",
+    "NAT",
+    "POSITIVE_INT",
+    "STR",
+    "BOOL",
+    "MAYBE_NUM",
+    "CONFIG",
+    "NUM_LIST",
+    "rows",
+    "series",
+]
+
+NUM: dict[str, Any] = {"type": "number"}
+POS: dict[str, Any] = {"type": "number", "minimum": 0}
+FRACTION: dict[str, Any] = {"type": "number", "minimum": 0, "maximum": 1}
+NAT: dict[str, Any] = {"type": "integer", "minimum": 0}
+POSITIVE_INT: dict[str, Any] = {"type": "integer", "minimum": 1}
+STR: dict[str, Any] = {"type": "string"}
+BOOL: dict[str, Any] = {"type": "boolean"}
+# Coerced non-finite floats (repro.reports.artifacts.to_jsonable).
+MAYBE_NUM: dict[str, Any] = {"type": ["number", "string"]}
+CONFIG: dict[str, Any] = {"type": "object"}
+NUM_LIST: dict[str, Any] = {"type": "array", "items": NUM}
+
+
+def rows(required: dict[str, Any], *, min_items: int = 1, extra: bool = True) -> dict[str, Any]:
+    """A non-empty array of row objects with the given required columns."""
+    return {
+        "type": "array",
+        "minItems": min_items,
+        "items": {
+            "type": "object",
+            "required": sorted(required),
+            "properties": required,
+            "additionalProperties": extra,
+        },
+    }
+
+
+def series(x_name: str = "x", y_name: str = "y") -> dict[str, Any]:
+    """``{label: {x: [...], y: [...]}}`` curve families."""
+    return {
+        "type": "object",
+        "patternProperties": {
+            ".": {
+                "type": "object",
+                "required": [x_name, y_name],
+                "properties": {x_name: NUM_LIST, y_name: NUM_LIST},
+            }
+        },
+    }
+
 
 _KNOWN_KEYWORDS = {
     "type",

@@ -1,16 +1,16 @@
 """Declarative benchmark specifications for the report registry.
 
 A :class:`BenchSpec` is the single source of truth for one figure/table/
-ablation reproduction: which generator produces it, where the artifact
-lives, what shape the payload must have (JSON schema), which parameters the
-smoke and full modes use, whether the numbers are *measured* on this host or
-derived from a calibrated model, and which metrics are gated against the
-committed baseline by :mod:`repro.reports.trend`.
-
-Generators live in ``benchmarks/bench_<module>.py`` as a pure
-``run(params) -> dict`` function (no I/O, no envelope — the registry runner
-stamps and validates).  They are resolved lazily so importing the registry
-never pays for numpy-heavy bench imports.
+ablation reproduction, and it lives in the file that produces the numbers:
+``benchmarks/bench_<bench_id>.py`` exports ``SPEC`` (this dataclass: title,
+paper anchor, payload JSON schema, smoke and full parameters, whether the
+numbers are *measured* on this host or derived from a calibrated model, and
+which metrics :mod:`repro.reports.trend` gates against the committed
+baseline) next to ``run(params) -> dict`` (pure: no I/O, no envelope — the
+registry runner stamps and validates), ``check(payload, smoke) -> list[str]``
+(the figure's invariants) and ``print_report(payload)``.  Everything else
+about a bench — its module, its ``BENCH_<bench_id>.json`` artifact — follows
+from ``bench_id``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import ModuleType
-from typing import Any, Callable
+from typing import Any
 
 __all__ = [
     "MetricGate",
@@ -77,34 +77,32 @@ class MetricGate:
 
 @dataclass(frozen=True)
 class BenchSpec:
-    """Registry entry mapping one paper artifact to its generator."""
+    """One paper artifact's definition, exported as ``SPEC`` by its bench file."""
 
-    bench_id: str
+    bench_id: str  # names benchmarks/bench_<bench_id>.py and BENCH_<bench_id>.json
     title: str
     paper_anchor: str  # e.g. "Fig 10", "Table 4", "Ablation", "beyond-paper"
-    module: str  # bench module name under benchmarks/, e.g. "bench_fig11_hard_threshold"
-    artifact: str  # artifact file name at the repo root, e.g. "BENCH_fig11.json"
     schema: dict[str, Any]  # JSON schema for the *payload* (envelope is shared)
     smoke_params: dict[str, Any] = field(default_factory=dict)
     full_params: dict[str, Any] = field(default_factory=dict)
     measured: bool = True  # False: derived from a calibrated model, never trend-gated
     gates: tuple[MetricGate, ...] = ()
-    checker: str | None = None  # optional `check(payload, smoke) -> list[str]` in the module
     timeout_s: float = 120.0  # per-generator smoke budget (tests enforce it)
     notes: str = ""
 
     def __post_init__(self) -> None:
         if not self.bench_id:
             raise ValueError("bench_id must be non-empty")
-        if not self.module.startswith("bench_"):
-            raise ValueError(f"{self.bench_id}: module must be a bench_* name")
-        if not (self.artifact.startswith("BENCH_") and self.artifact.endswith(".json")):
-            raise ValueError(f"{self.bench_id}: artifact must match BENCH_*.json")
         if self.gates and not self.measured:
             raise ValueError(
                 f"{self.bench_id}: modelled benchmarks must not declare trend "
                 "gates — modelled metrics are excluded from regression gating"
             )
+
+    @property
+    def artifact(self) -> str:
+        """Artifact file name at the repo root."""
+        return f"BENCH_{self.bench_id}.json"
 
     def params_for(self, smoke: bool) -> dict[str, Any]:
         return dict(self.smoke_params if smoke else self.full_params)
@@ -113,26 +111,7 @@ class BenchSpec:
         return (root or REPO_ROOT) / self.artifact
 
     def load_module(self) -> ModuleType:
-        return load_bench_module(self.module)
-
-    def generator(self) -> Callable[[dict[str, Any]], dict[str, Any]]:
-        module = self.load_module()
-        run = getattr(module, "run", None)
-        if not callable(run):
-            raise AttributeError(
-                f"{self.bench_id}: benchmarks/{self.module}.py has no run(params) generator"
-            )
-        return run
-
-    def check_fn(self) -> Callable[[dict[str, Any], bool], list[str]] | None:
-        if self.checker is None:
-            return None
-        fn = getattr(self.load_module(), self.checker, None)
-        if not callable(fn):
-            raise AttributeError(
-                f"{self.bench_id}: benchmarks/{self.module}.py has no {self.checker}() checker"
-            )
-        return fn
+        return load_bench_module(f"bench_{self.bench_id}")
 
 
 def load_bench_module(module: str) -> ModuleType:

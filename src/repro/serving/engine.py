@@ -331,20 +331,6 @@ class SparseInferenceEngine(InferenceEngine):
     # ------------------------------------------------------------------
     # Candidate selection
     # ------------------------------------------------------------------
-    def _select_candidates(self, hidden: FloatArray) -> IntArray:
-        """Budgeted candidate set for one output-layer input vector."""
-        index = self.network.output_layer.lsh_index
-        assert index is not None
-        return self._select_from_result(index.query(hidden))
-
-    def _select_from_result(self, result) -> IntArray:
-        """Budgeted candidate set from an existing table query result."""
-        return self._select_from_counts(*result.frequencies())
-
-    def _select_from_counts(self, ids: IntArray, counts: IntArray) -> IntArray:
-        """Budgeted candidate set from aggregated collision counts."""
-        return ids[self._budget_positions(ids, counts)]
-
     def _budget_positions(
         self, ids: IntArray, counts: IntArray, floor: int = 0
     ) -> IntArray:

@@ -1,8 +1,13 @@
 """Tests for the report renderer, experiment machinery and figure/table drivers.
 
 These use the smallest possible synthetic scales so the whole module runs in
-a few tens of seconds; the benchmark harness exercises the same drivers at a
-more meaningful scale.
+a few tens of seconds; ``python -m repro.reports`` exercises the same bench
+files at a more meaningful scale.  Each figure and table lives in its
+``benchmarks/bench_<id>.py``: drivers that take an ``ExperimentConfig`` are
+called directly at micro scale, the rest through ``run`` — and where that
+builds a payload whose invariants hold at micro scale (fig4's is a timing
+ordering, table1's needs a non-degenerate feature dimension) the bench's own
+``check`` supplies them.
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.datasets.synthetic import SyntheticXCConfig
-from repro.harness import figures, tables
 from repro.harness.experiment import (
     AMAZON_PAPER_DIMS,
     DELICIOUS_PAPER_DIMS,
@@ -23,6 +27,12 @@ from repro.harness.experiment import (
 from repro.harness.report import format_comparison, format_series, format_table
 from repro.perf.devices import SLIDE_CPU_PROFILE
 from repro.perf.simulator import WallClockSimulator
+from repro.reports import get_spec
+
+
+def bench(bench_id: str):
+    """The ``benchmarks/bench_<bench_id>.py`` module."""
+    return get_spec(bench_id).load_module()
 
 
 @pytest.fixture(scope="module")
@@ -132,16 +142,19 @@ class TestExperimentMachinery:
 
 class TestFigureDrivers:
     def test_figure4_sampling_strategy_timing(self):
-        rows = figures.figure4_sampling_strategy_timing(
-            neuron_counts=(300, 600), dim=32, k=3, l=8, queries=5
-        )
+        fig4 = bench("fig4_sampling")
+        payload = fig4.run({"neuron_counts": [300, 600], "dim": 32, "k": 3, "l": 8, "queries": 5})
+        rows = payload["rows"]
         assert len(rows) == 6
         strategies = {row["strategy"] for row in rows}
         assert strategies == {"Vanilla Sampling", "TopK Sampling", "Hard Thresholding"}
         assert all(row["seconds_per_query"] > 0 for row in rows)
+        assert set(payload["total_seconds_per_query"]) == strategies
 
     def test_figure5_structure_and_ordering(self, micro_config):
-        out = figures.figure5_time_vs_accuracy(micro_config, paper_dims=DELICIOUS_PAPER_DIMS)
+        out = bench("fig5_time_accuracy").figure5_time_vs_accuracy(
+            micro_config, paper_dims=DELICIOUS_PAPER_DIMS
+        )
         assert set(out["time_series"]) == {"SLIDE CPU", "TF-GPU", "TF-CPU"}
         assert set(out["iteration_series"]) == {"SLIDE CPU", "TF-GPU"}
         assert out["speedup_vs_cpu"] > out["speedup_vs_gpu"] > 0
@@ -149,27 +162,31 @@ class TestFigureDrivers:
         assert out["speedup_vs_gpu"] > 1.0
 
     def test_figure6_trends(self):
-        rows = figures.figure6_inefficiency_breakdown(threads=(8, 16, 32))
+        fig6 = bench("fig6_inefficiencies")
+        payload = fig6.run({"threads": [8, 16, 32]})
+        rows = payload["rows"]
         tf_rows = [r for r in rows if r["framework"] == "Tensorflow-CPU"]
         slide_rows = [r for r in rows if r["framework"] == "SLIDE"]
         assert len(tf_rows) == len(slide_rows) == 3
-        assert tf_rows[0]["memory_bound"] < tf_rows[-1]["memory_bound"]
-        assert slide_rows[0]["memory_bound"] > slide_rows[-1]["memory_bound"]
+        assert fig6.check(payload, smoke=True) == []
 
     def test_figure7_sampled_softmax(self, micro_config):
-        out = figures.figure7_sampled_softmax(micro_config, paper_dims=DELICIOUS_PAPER_DIMS)
+        out = bench("fig7_sampled_softmax").figure7_sampled_softmax(
+            micro_config, paper_dims=DELICIOUS_PAPER_DIMS
+        )
         assert set(out["final_accuracy"]) == {"SLIDE CPU", "TF-GPU SSM"}
         assert out["active_fraction"]["SLIDE CPU"] < 1.0
 
     def test_figure8_batch_size(self, micro_config):
-        rows = figures.figure8_batch_size_effect(
+        rows = bench("fig8_batch_size").figure8_batch_size_effect(
             micro_config, batch_sizes=(8, 16), paper_dims=AMAZON_PAPER_DIMS
         )
         assert len(rows) == 6
         assert {r["framework"] for r in rows} == {"SLIDE CPU", "TF-GPU", "TF-GPU SSM"}
 
     def test_figure9_and_13_scalability(self, micro_config):
-        rows = figures.figure9_scalability(
+        fig9 = bench("fig9_scalability")
+        rows = fig9.figure9_scalability(
             micro_config, core_counts=(2, 8, 44), paper_dims=DELICIOUS_PAPER_DIMS
         )
         assert len(rows) == 3
@@ -179,28 +196,29 @@ class TestFigureDrivers:
         gpu_times = {r["TF-GPU_convergence_s"] for r in rows}
         assert len(gpu_times) == 1
 
-        ratios = figures.figure13_scalability_ratio(rows)
+        ratios = fig9.figure13_scalability_ratio(rows)
         assert ratios[-1]["SLIDE_ratio"] == pytest.approx(1.0)
         assert ratios[0]["SLIDE_ratio"] > 1.0
-        assert figures.figure13_scalability_ratio([]) == []
+        assert fig9.figure13_scalability_ratio([]) == []
 
     def test_figure10_hugepages(self, micro_config):
-        out = figures.figure10_hugepages_simd(micro_config, paper_dims=AMAZON_PAPER_DIMS)
+        out = bench("fig10_hugepages_simd").figure10_hugepages_simd(
+            micro_config, paper_dims=AMAZON_PAPER_DIMS
+        )
         assert out["optimized_speedup"] == pytest.approx(out["expected_speedup"], rel=0.05)
         assert set(out["time_series"]) == {"SLIDE-CPU", "SLIDE-CPU Optimized", "TF-GPU"}
 
     def test_figure11_hard_threshold_curves(self):
-        series = figures.figure11_hard_threshold_tradeoff()
-        assert set(series) == {"m=1", "m=3", "m=5", "m=7", "m=9"}
+        fig11 = bench("fig11_hard_threshold")
+        payload = fig11.run({})
+        assert set(payload["series"]) == {"m=1", "m=3", "m=5", "m=7", "m=9"}
         # Lower thresholds select at least as often at every collision probability.
-        _, m1 = series["m=1"]
-        _, m9 = series["m=9"]
-        assert np.all(m1 >= m9 - 1e-12)
+        assert fig11.check(payload, smoke=True) == []
 
 
 class TestTableDrivers:
     def test_table1(self):
-        rows = tables.table1_dataset_statistics(scale=1 / 4096)
+        rows = bench("table1_datasets").run({"scale": 1 / 4096})["rows"]
         sources = {row["source"] for row in rows}
         assert sources == {"paper", "synthetic"}
         assert len(rows) == 4
@@ -208,23 +226,28 @@ class TestTableDrivers:
         assert {r["dataset"] for r in paper_rows} == {"Delicious-200K", "Amazon-670K"}
 
     def test_table2(self):
-        rows = tables.table2_core_utilization()
+        rows = bench("table2_core_utilization").calibrated_model_rows()
         assert len(rows) == 3
         for row in rows:
             assert row["SLIDE_utilization_calibrated"] > row["TF-CPU_utilization_calibrated"]
             assert row["SLIDE_utilization_model"] > row["TF-CPU_utilization_model"]
 
     def test_table3(self):
-        rows = tables.table3_insertion_timing(num_neurons=800, dim=32, k=3, l=8)
+        table3 = bench("table3_insertion")
+        payload = table3.run({"num_neurons": 800, "dim": 32, "k": 3, "l": 8, "min_speedup": 1.0})
+        rows = payload["rows"]
         assert len(rows) == 2
         assert {r["policy"] for r in rows} == {"Reservoir Sampling", "FIFO"}
         for row in rows:
             assert row["full_insertion_s"] >= row["insertion_to_ht_s"]
+        assert table3.check(payload, smoke=True) == []
 
     def test_table4(self):
-        rows = tables.table4_hugepages_counters()
-        metrics = {row["metric"] for row in rows}
+        table4 = bench("table4_hugepages_counters")
+        payload = table4.run({})
+        metrics = {row["metric"] for row in payload["rows"]}
         assert "dTLB load miss rate" in metrics
         assert "PageFaults per second" in metrics
-        for row in rows:
+        for row in payload["rows"]:
             assert row["improvement_factor"] >= 1.0
+        assert table4.check(payload, smoke=True) == []

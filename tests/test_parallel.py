@@ -1,4 +1,4 @@
-"""Tests for conflict analysis, the HOGWILD simulator and the thread executor."""
+"""Tests for update-conflict analysis and the serving worker pool."""
 
 from __future__ import annotations
 
@@ -7,15 +7,11 @@ import threading
 import numpy as np
 import pytest
 
-from repro.config import OptimizerConfig, TrainingConfig
-from repro.core.network import SlideNetwork
 from repro.parallel.conflicts import (
     analyze_update_conflicts,
     expected_conflict_fraction,
 )
-from repro.parallel.executor import BatchParallelExecutor, WorkerPool
-from repro.parallel.hogwild import HogwildSimulator
-from repro.types import SparseBatch
+from repro.parallel.executor import WorkerPool
 
 
 class TestConflictAnalysis:
@@ -79,76 +75,6 @@ class TestConflictAnalysis:
         )
         assert sparse_report.is_sparse_enough_for_hogwild
         assert not dense_report.is_sparse_enough_for_hogwild
-
-
-class TestHogwildSimulator:
-    def _setup(self, tiny_dataset, tiny_network_config):
-        network = SlideNetwork(tiny_network_config)
-        optimizer = network.build_optimizer(
-            TrainingConfig(optimizer=OptimizerConfig(learning_rate=2e-3))
-        )
-        batch = SparseBatch.from_examples(
-            tiny_dataset.train[:16],
-            feature_dim=tiny_dataset.config.feature_dim,
-            label_dim=tiny_dataset.config.label_dim,
-        )
-        return network, optimizer, batch
-
-    def test_step_reports_conflicts_and_loss(self, tiny_dataset, tiny_network_config):
-        network, optimizer, batch = self._setup(tiny_dataset, tiny_network_config)
-        simulator = HogwildSimulator(network, optimizer, seed=0)
-        report = simulator.step(batch)
-        assert report.loss >= 0
-        assert report.active_neurons > 0
-        assert 0.0 <= report.conflict_report.conflicted_update_fraction <= 1.0
-        assert simulator.mean_conflict_fraction() == pytest.approx(
-            report.conflict_report.conflicted_update_fraction
-        )
-
-    def test_maximally_stale_updates_still_learn(self, tiny_dataset, tiny_network_config):
-        network, optimizer, batch = self._setup(tiny_dataset, tiny_network_config)
-        simulator = HogwildSimulator(network, optimizer, seed=1)
-        first = simulator.step(batch).loss
-        for _ in range(15):
-            last = simulator.step(batch).loss
-        assert last < first
-
-    def test_iteration_counter_advances(self, tiny_dataset, tiny_network_config):
-        network, optimizer, batch = self._setup(tiny_dataset, tiny_network_config)
-        simulator = HogwildSimulator(network, optimizer, seed=2)
-        simulator.step(batch)
-        simulator.step(batch)
-        assert network.iteration == 2
-
-    def test_mean_conflict_fraction_empty(self, tiny_dataset, tiny_network_config):
-        network, optimizer, _ = self._setup(tiny_dataset, tiny_network_config)
-        assert HogwildSimulator(network, optimizer).mean_conflict_fraction() == 0.0
-
-
-class TestBatchParallelExecutor:
-    def test_parallel_training_learns(self, tiny_dataset, tiny_network_config):
-        network = SlideNetwork(tiny_network_config)
-        optimizer = network.build_optimizer(
-            TrainingConfig(optimizer=OptimizerConfig(learning_rate=2e-3))
-        )
-        executor = BatchParallelExecutor(network, optimizer, num_threads=4)
-        batch = SparseBatch.from_examples(
-            tiny_dataset.train[:16],
-            feature_dim=tiny_dataset.config.feature_dim,
-            label_dim=tiny_dataset.config.label_dim,
-        )
-        first = executor.train_batch(batch)["loss"]
-        for _ in range(10):
-            metrics = executor.train_batch(batch)
-        assert metrics["loss"] < first
-        assert metrics["num_threads"] == 4
-        assert network.iteration == 11
-
-    def test_invalid_thread_count_raises(self, tiny_dataset, tiny_network_config):
-        network = SlideNetwork(tiny_network_config)
-        optimizer = network.build_optimizer(TrainingConfig())
-        with pytest.raises(ValueError):
-            BatchParallelExecutor(network, optimizer, num_threads=0)
 
 
 class TestWorkerPoolErrorSurfacing:

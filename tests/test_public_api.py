@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +61,33 @@ class TestTopLevelExports:
 
 
 class TestSubpackageExports:
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro",
+            "repro.perf",
+            "repro.core",
+            "repro.perf.simulator",
+            "repro.serving",
+            "repro.harness",
+            "repro.parallel",
+            "repro.baselines",
+            "repro.reports",
+        ],
+    )
+    def test_imports_first_in_a_fresh_interpreter(self, module):
+        # repro.core imports repro.perf (PhaseTimer) at module level; that is
+        # only cycle-free while repro.perf needs repro.core for annotations
+        # alone, whichever of the packages a process happens to import first.
+        result = subprocess.run(
+            [sys.executable, "-c", f"import {module}"],
+            env={"PYTHONPATH": str(Path(repro.__file__).parents[1])},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+
     def test_hashing_exports(self):
         from repro import hashing
 

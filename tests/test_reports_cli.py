@@ -1,4 +1,4 @@
-"""CLI tests for ``python -m repro.reports`` and the per-bench main() shim.
+"""CLI tests for ``python -m repro.reports``.
 
 These stick to the cheapest registered generators (fig4/fig11 run in well
 under a second) so tier-1 exercises the real end-to-end path — generate,
@@ -13,7 +13,7 @@ import pytest
 
 import repro.reports.cli as cli
 from repro.reports.artifacts import read_artifact
-from repro.reports.cli import bench_main, main, run_bench
+from repro.reports.cli import main, run_bench
 from repro.reports.registry import bench_ids, get_spec
 from repro.reports.trend import TrendReport
 
@@ -70,7 +70,7 @@ def test_trend_failure_turns_into_exit_code_1(monkeypatch, tmp_path, capsys):
     # Plumbing test: when the trend checker reports a problem, the CLI must
     # exit non-zero and say why (the gate math itself is covered in
     # test_reports_trend.py).
-    def fake_run(spec, smoke, out_dir):
+    def fake_run(spec, smoke, out_dir, overrides):
         return []
 
     failing = TrendReport()
@@ -89,7 +89,9 @@ def test_trend_failure_turns_into_exit_code_1(monkeypatch, tmp_path, capsys):
 def test_checker_problems_fail_the_run(monkeypatch, tmp_path, capsys):
     spec = get_spec("fig4_sampling")
     monkeypatch.setattr(
-        cli, "run_bench", lambda *a, **k: ({}, tmp_path / spec.artifact, ["bad invariant"])
+        cli,
+        "run_bench",
+        lambda *a, **k: ({"rows": []}, tmp_path / spec.artifact, ["bad invariant"]),
     )
     rc = main(["--run", "fig4_sampling", "--in-process", "--out-dir", str(tmp_path)])
     assert rc == 1
@@ -99,38 +101,88 @@ def test_checker_problems_fail_the_run(monkeypatch, tmp_path, capsys):
 
 
 def test_run_bench_applies_param_overrides(tmp_path):
-    spec = get_spec("fig4_sampling")
+    spec = get_spec("fig11_hard_threshold")
     payload, written, problems = run_bench(
         spec,
         smoke=True,
-        param_overrides={"neuron_counts": [500, 1000], "queries": 2},
-        out_path=tmp_path / "override.json",
+        out_dir=tmp_path,
+        param_overrides={"thresholds": [1, 3], "num_points": 5},
     )
     assert problems == []
-    assert payload["config"]["neuron_counts"] == [500, 1000]
-    assert payload["config"]["queries"] == 2
+    assert payload["config"]["thresholds"] == [1, 3]
+    assert payload["config"]["num_points"] == 5
+    assert written == tmp_path / spec.artifact
     document = json.loads(written.read_text())
-    assert document["envelope"]["bench_id"] == "fig4_sampling"
+    assert document["envelope"]["bench_id"] == "fig11_hard_threshold"
 
 
-def test_bench_main_shim_smoke(tmp_path, capsys):
-    out = tmp_path / "shim.json"
-    rc = bench_main(
-        "fig4_sampling",
-        ["--smoke", "--out", str(out), "--param", "queries=2", "--param", "neuron_counts=[500]"],
+def test_run_with_params_prints_report_and_writes_artifact(tmp_path, capsys):
+    rc = main(
+        ["--run", "fig11_hard_threshold", "--in-process", "--smoke", "--out-dir", str(tmp_path)]
+        + ["--param", "num_points=5", "--param", "thresholds=[1, 3]"]
     )
     assert rc == 0
-    assert out.is_file()
-    assert f"wrote {out}" in capsys.readouterr().out
+    written = tmp_path / "BENCH_fig11_hard_threshold.json"
+    document = json.loads(written.read_text())
+    assert document["payload"]["config"] == {
+        "k": 1, "l": 10, "thresholds": [1, 3], "num_points": 5
+    }
+    out = capsys.readouterr().out
+    assert "Figure 11: selection probability" in out  # the bench's print_report table
+    assert f"-> {written}" in out
 
 
-def test_bench_main_reports_checker_failures(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(
-        cli, "run_bench", lambda *a, **k: ({"rows": []}, tmp_path / "x.json", ["broken"])
+def test_params_are_forwarded_to_the_isolated_child(tmp_path):
+    rc = main(
+        ["--run", "fig11_hard_threshold", "--smoke", "--param", "num_points=5"]
+        + ["--out-dir", str(tmp_path)]
     )
-    rc = bench_main("fig4_sampling", ["--smoke", "--out", str(tmp_path / "x.json")])
+    assert rc == 0
+    document = json.loads((tmp_path / "BENCH_fig11_hard_threshold.json").read_text())
+    assert document["payload"]["config"]["num_points"] == 5
+
+
+@pytest.mark.parametrize(
+    "selection", [["--run", "fig4_sampling", "--run", "fig11_hard_threshold"], ["--all"]]
+)
+def test_param_needs_exactly_one_run(selection, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*selection, "--param", "queries=2"])
+    assert excinfo.value.code == 2
+    assert "--param needs exactly one --run" in capsys.readouterr().err
+
+
+def test_run_reports_checker_failures_but_still_writes_under_out_dir(
+    monkeypatch, tmp_path, capsys
+):
+    spec = get_spec("fig11_hard_threshold")
+    monkeypatch.setattr(spec.load_module(), "check", lambda payload, smoke: ["broken"])
+    rc = main(
+        ["--run", "fig11_hard_threshold", "--in-process", "--smoke", "--param", "num_points=5"]
+        + ["--out-dir", str(tmp_path)]
+    )
     assert rc == 1
-    assert "checks FAILED" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "CHECK-FAILED" in captured.out
+    assert "broken" in captured.err
+    # CI uploads failing artifacts from --out-dir, so the write is unconditional.
+    assert (tmp_path / spec.artifact).is_file()
+
+
+def test_failed_check_never_replaces_the_committed_baseline(monkeypatch, capsys):
+    # Regression: the artifact used to be written *before* the bench's own
+    # check ran, so one flaky plain `--run ID` silently replaced the committed
+    # baseline with a payload that failed its invariants.
+    spec = get_spec("fig11_hard_threshold")
+    baseline = spec.artifact_path()
+    before = baseline.read_bytes()
+    monkeypatch.setattr(spec.load_module(), "check", lambda payload, smoke: ["broken"])
+    rc = main(["--run", "fig11_hard_threshold", "--in-process", "--smoke"])
+    assert rc == 1
+    assert baseline.read_bytes() == before
+    captured = capsys.readouterr()
+    assert "broken" in captured.err
+    assert "left untouched" in captured.out
 
 
 def test_sync_docs_roundtrip(capsys):
