@@ -352,8 +352,9 @@ class ServingConfig:
         Default number of predictions returned per request.
     max_batch_size / max_wait_ms:
         Micro-batching knobs: a worker dispatches as soon as it has
-        ``max_batch_size`` requests or the oldest queued request has waited
-        ``max_wait_ms`` milliseconds.
+        ``max_batch_size`` requests, or ``max_wait_ms`` milliseconds after
+        it picked up the batch's first request (time that request spent
+        queued before the pick-up does not count).
     num_workers:
         Size of the engine worker pool (the *initial* size when autoscaling
         is enabled).

@@ -417,7 +417,35 @@ class SlideLayer:
                 f"expected inputs of shape (batch, {self.fan_in}), "
                 f"got {dense_inputs.shape}"
             )
-        pre = dense_inputs @ self.weights.T + self.biases
+        return self._activate_rows(dense_inputs @ self.weights.T + self.biases)
+
+    def sparse_forward_batch(
+        self, indices: list[IntArray], values: list[FloatArray]
+    ) -> FloatArray:
+        """Full forward pass for examples given as ``(indices, values)`` pairs.
+
+        Equal to :meth:`dense_forward_batch` on the densified examples, but
+        only the weight columns the examples reference are read, and each
+        output row is summed from its own example alone — so it does not
+        change in the last bits with whatever else shares the batch, as a
+        GEMM's rows do.  An example's indices must be unique (the
+        ``SparseVector`` contract): a repeated index is summed here, where
+        densifying keeps its last value.
+        """
+        counts = np.array([len(idx) for idx in indices], dtype=np.int64)
+        pre = np.zeros((counts.size, self.size), dtype=np.float64)
+        filled = np.flatnonzero(counts)
+        if filled.size:
+            # reduceat yields the element *at* the offset for an empty
+            # segment, so only the non-empty examples' offsets go in.
+            starts = (np.cumsum(counts) - counts)[filled]
+            columns = np.take(self.weights, np.concatenate(indices), axis=1)
+            columns *= np.concatenate(values)
+            pre[filled] = np.add.reduceat(columns, starts, axis=1).T
+        pre += self.biases
+        return self._activate_rows(pre)
+
+    def _activate_rows(self, pre: FloatArray) -> FloatArray:
         if self.activation_name == "relu":
             return relu(pre)
         if self.activation_name == "softmax":

@@ -6,11 +6,12 @@ aggregation of neurons" (Section 3.2).
 
 Two implementations live here:
 
-* :class:`FlatBuckets` — the production layout.  All buckets of one table
-  share a single fixed-width ``int64`` slot matrix (one row per bucket, the
-  paper's fixed bucket size as the row width) plus parallel ``sizes`` /
-  ``seen`` / ``rejections`` counter arrays, so whole-batch insertions and
-  removals are plain array ops instead of per-item object mutations.
+* :class:`FlatBuckets` — the production layout.  All buckets of all ``L``
+  tables of an index share a single fixed-width ``int64`` slot matrix (one
+  row per bucket, the paper's fixed bucket size as the row width) plus
+  parallel ``sizes`` / ``seen`` / ``rejections`` counter arrays, so
+  whole-batch insertions and removals are plain array ops instead of
+  per-item object mutations and a probe of every table is one gather.
 * :class:`Bucket` — the original object-per-bucket container, kept as the
   reference for the sequential insertion-policy semantics (the policy unit
   tests pin FIFO/reservoir behaviour against it).
@@ -28,10 +29,12 @@ _EMPTY_SLOT = -1
 
 
 class FlatBuckets:
-    """All buckets of one table as a flat slot matrix plus counter arrays.
+    """The buckets of its users as a flat slot matrix plus counter arrays.
 
-    Row ``r`` holds one bucket: ``slots[r, :sizes[r]]`` are the stored ids
-    (``-1`` marks an empty slot), ``seen[r]`` counts every insertion attempt
+    A user (one :class:`~repro.lsh.table.HashTable`) owns the rows it
+    ``alloc``-ed until it ``release``-s them.  Row ``r`` holds one bucket:
+    ``slots[r, :sizes[r]]`` are the stored ids and ``slots[r, sizes[r]:]``
+    is all ``-1`` (the empty slot), ``seen[r]`` counts every insertion attempt
     ever made against the bucket and ``rejections[r]`` the attempts a policy
     declined to store (reservoir only).  FIFO buckets keep their slots in
     arrival order (oldest first), which is what makes batched FIFO eviction
@@ -88,10 +91,10 @@ class FlatBuckets:
 
     def release(self, rows: IntArray) -> None:
         """Return emptied bucket rows to the allocator for reuse."""
-        self._free.extend(int(row) for row in np.asarray(rows, dtype=np.int64))
+        self._free.extend(np.asarray(rows, dtype=np.int64).tolist())
 
     def clear(self) -> None:
-        """Drop every bucket (allocation is retained for reuse)."""
+        """Drop every user's buckets (allocation is retained for reuse)."""
         self.num_rows = 0
         self._free.clear()
 

@@ -27,6 +27,7 @@ import numpy as np
 from repro.config import LSHConfig
 from repro.hashing.base import LSHFamily, VectorLike
 from repro.hashing.factory import make_hash_family
+from repro.lsh.bucket import FlatBuckets
 from repro.lsh.policies import make_insertion_policy
 from repro.lsh.table import HashTable
 from repro.types import FloatArray, IntArray
@@ -118,8 +119,7 @@ class BatchQueryResult:
         if values.size == 0:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty
-        ids, counts = np.unique(values, return_counts=True)
-        return ids.astype(np.int64), counts.astype(np.int64)
+        return np.unique(values, return_counts=True)
 
 
 class LSHIndex:
@@ -136,20 +136,29 @@ class LSHIndex:
         self.seed = int(seed)
         self._rng = derive_rng(seed, stream=7)
         self.hash_family: LSHFamily = make_hash_family(input_dim, config, seed=seed)
+        # One slot matrix for all L tables, so a probe is one gather.  Row 0
+        # is never handed to a table: it stays the empty bucket that
+        # query_batch_flat reads for a fingerprint no table has mapped.
+        self._store = FlatBuckets(config.bucket_size)
+        self._store.alloc(1)
         self._tables = [
             HashTable(
                 k=config.k,
                 code_cardinality=self.hash_family.code_cardinality,
                 bucket_size=config.bucket_size,
                 policy=make_insertion_policy(config.insertion_policy, rng=self._rng),
+                store=self._store,
             )
             for _ in range(config.l)
         ]
+        # Stored codes are only ever read back through item_codes and
+        # snapshot_codes, so they are kept in the narrowest dtype that fits.
+        self._code_dtype = np.min_scalar_type(self.hash_family.code_cardinality - 1)
         # Contiguous per-item state: row r of every matrix describes the item
         # stored in self._items[r].  The fingerprint matrix is what makes
         # update() a code diff — only rows whose fingerprint changed move.
         self._items = np.zeros(0, dtype=np.int64)
-        self._codes = np.zeros((0, config.l, config.k), dtype=np.int64)
+        self._codes = np.zeros((0, config.l, config.k), dtype=self._code_dtype)
         self._fps = np.zeros((0, config.l), dtype=np.int64)
         self._row_of: dict[int, int] = {}
         # Counters used by the cost model and diagnostics.
@@ -185,23 +194,15 @@ class LSHIndex:
         row = self._row_of.get(int(item))
         if row is None:
             raise KeyError(f"item {item} is not indexed")
-        return self._codes[row].copy()
+        return self._codes[row].astype(np.int64)
 
     def _fingerprint_matrix(self, all_codes: IntArray) -> IntArray:
         """Per-item ``(n, L)`` bucket fingerprints for ``(n, L, K)`` codes.
 
-        One vectorised packing per table replaces the per-item, per-table
-        Python loop; this is what makes bulk rebuilds of thousands of
-        neurons cheap.
+        Every table has the same ``K`` and cardinality, hence the same
+        packing, so any one of them packs the block for all ``L`` at once.
         """
-        n = all_codes.shape[0]
-        if n == 0:
-            return np.zeros((0, self.l), dtype=np.int64)
-        columns = [
-            table.fingerprint_many(all_codes[:, table_idx, :])
-            for table_idx, table in enumerate(self._tables)
-        ]
-        return np.stack(columns, axis=1)
+        return self._tables[0].fingerprint_many(all_codes)
 
     def insert(self, item: int, vector: VectorLike) -> None:
         """Hash ``vector`` and store ``item`` in every table."""
@@ -215,7 +216,7 @@ class LSHIndex:
         for table_idx, table in enumerate(self._tables):
             table.insert_many(fps[:, table_idx], item_ids)
         self._items = item_ids.copy()
-        self._codes = codes.astype(np.int64, copy=True)
+        self._codes = codes.astype(self._code_dtype)
         self._fps = fps
         self._row_of = {int(item): row for row, item in enumerate(item_ids)}
         self.num_insertions += int(item_ids.size)
@@ -255,7 +256,7 @@ class LSHIndex:
             base = self._items.size
             self._items = np.concatenate([self._items, fresh_ids])
             self._codes = np.concatenate(
-                [self._codes, codes[~known].astype(np.int64)], axis=0
+                [self._codes, codes[~known].astype(self._code_dtype)], axis=0
             )
             self._fps = np.concatenate([self._fps, fresh_fps], axis=0)
             for offset, item in enumerate(fresh_ids):
@@ -310,7 +311,7 @@ class LSHIndex:
         everything :meth:`restore_codes` needs to rebuild the tables without
         re-hashing (the serialisation surface used by checkpoints).
         """
-        return self._items.copy(), self._codes.copy()
+        return self._items.copy(), self._codes.astype(np.int64)
 
     def restore_codes(self, items: IntArray, codes: IntArray) -> None:
         """Rebuild the tables from a :meth:`snapshot_codes` snapshot.
@@ -355,7 +356,7 @@ class LSHIndex:
         for table in self._tables:
             table.clear()
         self._items = np.zeros(0, dtype=np.int64)
-        self._codes = np.zeros((0, self.l, self.k), dtype=np.int64)
+        self._codes = np.zeros((0, self.l, self.k), dtype=self._code_dtype)
         self._fps = np.zeros((0, self.l), dtype=np.int64)
         self._row_of = {}
 
@@ -410,23 +411,22 @@ class LSHIndex:
     def query_batch_flat(self, queries: FloatArray) -> BatchQueryResult:
         """Probe the tables with a dense query block; flat-array result.
 
-        Hashing, fingerprint packing and the bucket gathers are vectorised
-        across the batch — per table, one ``searchsorted`` resolves every
-        query's bucket row and one fancy-index gather pulls the slot matrix
-        rows.  No per-query Python objects are created.
+        One hash sweep, one fingerprint pack for all ``L`` tables, one
+        directory ``searchsorted`` per table, then a single fancy-index
+        gather from the shared slot matrix: ``slots[r, sizes[r]:] == -1``
+        holds for every row, the empty row 0 included, so the gathered
+        block is already ``-1`` padded.
         """
         codes = self.hash_batch(queries)
         fps = self._fingerprint_matrix(codes)
-        batch = codes.shape[0]
-        bucket_size = self.config.bucket_size
-        candidates = np.full((batch, self.l, bucket_size), -1, dtype=np.int64)
-        sizes = np.zeros((batch, self.l), dtype=np.int64)
+        rows = np.empty(fps.shape, dtype=np.int64)
         for table_idx, table in enumerate(self._tables):
-            cand_t, sizes_t = table.query_many(fps[:, table_idx])
-            candidates[:, table_idx, :] = cand_t
-            sizes[:, table_idx] = sizes_t
-        self.num_queries += batch
-        return BatchQueryResult(codes=codes, candidates=candidates, sizes=sizes)
+            rows[:, table_idx] = table.rows_of(fps[:, table_idx])
+        np.maximum(rows, 0, out=rows)
+        self.num_queries += codes.shape[0]
+        return BatchQueryResult(
+            codes=codes, candidates=self._store.slots[rows], sizes=self._store.sizes[rows]
+        )
 
     # ------------------------------------------------------------------
     # Diagnostics

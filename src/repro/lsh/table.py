@@ -57,6 +57,9 @@ class HashTable:
         Maximum ids per bucket (the slot-matrix row width).
     policy:
         Replacement policy applied when a bucket is full.
+    store:
+        The slot matrix this table allocates its bucket rows from; the
+        tables of one :class:`~repro.lsh.index.LSHIndex` share one.
     """
 
     def __init__(
@@ -65,6 +68,7 @@ class HashTable:
         code_cardinality: int,
         bucket_size: int,
         policy: InsertionPolicy,
+        store: FlatBuckets | None = None,
     ) -> None:
         if k <= 0:
             raise ValueError("k must be positive")
@@ -77,7 +81,10 @@ class HashTable:
         self.bucket_size = int(bucket_size)
         self.policy = policy
         self._chunks = _radix_chunks(self.k, self.code_cardinality)
-        self._flat = FlatBuckets(self.bucket_size)
+        # An index hands all its tables one store; a lone table makes its own.
+        self._flat = FlatBuckets(self.bucket_size) if store is None else store
+        if self._flat.capacity != self.bucket_size:
+            raise ValueError("store capacity must equal bucket_size")
         # Fingerprint -> bucket-row directory as parallel sorted arrays.
         self._keys = np.zeros(0, dtype=np.int64)
         self._key_rows = np.zeros(0, dtype=np.int64)
@@ -90,10 +97,6 @@ class HashTable:
     # ------------------------------------------------------------------
     # Fingerprinting
     # ------------------------------------------------------------------
-    def _validate_codes(self, codes: np.ndarray) -> None:
-        if codes.size and (codes.min() < 0 or codes.max() >= self.code_cardinality):
-            raise ValueError("code value out of range for code_cardinality")
-
     def fingerprint(self, codes: IntArray) -> int:
         """Pack ``K`` elementary codes into one int64 fingerprint."""
         codes = np.asarray(codes, dtype=np.int64)
@@ -102,26 +105,26 @@ class HashTable:
         return int(self.fingerprint_many(codes[None, :])[0])
 
     def fingerprint_many(self, codes: IntArray) -> IntArray:
-        """Fingerprints for ``(n, K)`` codes as an ``int64`` array.
+        """Fingerprints for ``(..., K)`` codes as an ``int64`` array.
 
-        The batched counterpart of :meth:`fingerprint`: packing ``n`` code
-        tuples costs one ``(n, chunk) @ (chunk,)`` product per radix chunk
-        instead of ``n * K`` Python-level multiply-adds.  Over-wide radixes
-        stay batched too — each chunk packs vectorised and the chunk values
-        are mixed into one 64-bit word.
+        The batched counterpart of :meth:`fingerprint`: one product per
+        radix chunk packs the whole block — ``(n, K)`` tuples, or the
+        ``(n, L, K)`` codes of every table of an index at once, since its
+        tables share ``K`` and the cardinality — and one range check covers
+        it.  Over-wide radixes stay batched too: each chunk packs vectorised
+        and the chunk values are mixed into one 64-bit word.
         """
         codes = np.asarray(codes, dtype=np.int64)
-        if codes.ndim != 2 or codes.shape[1] != self.k:
-            raise ValueError(f"expected shape (n, {self.k}), got {codes.shape}")
-        if codes.shape[0] == 0:
-            return np.zeros(0, dtype=np.int64)
-        self._validate_codes(codes)
+        if codes.ndim < 2 or codes.shape[-1] != self.k:
+            raise ValueError(f"expected shape (..., {self.k}), got {codes.shape}")
+        if codes.size and (codes.min() < 0 or codes.max() >= self.code_cardinality):
+            raise ValueError("code value out of range for code_cardinality")
         cols, radix = self._chunks[0][0], self._chunks[0][1]
         if len(self._chunks) == 1:
             return codes @ radix
-        mixed = (codes[:, cols] @ radix).astype(np.uint64)
+        mixed = (codes[..., cols] @ radix).astype(np.uint64)
         for cols, radix in self._chunks[1:]:
-            packed = (codes[:, cols] @ radix).astype(np.uint64)
+            packed = (codes[..., cols] @ radix).astype(np.uint64)
             combined = (
                 packed
                 + _MIX_CONSTANT
@@ -134,13 +137,14 @@ class HashTable:
     # ------------------------------------------------------------------
     # Fingerprint -> bucket-row directory
     # ------------------------------------------------------------------
-    def _rows_of(self, keys: IntArray) -> IntArray:
+    def rows_of(self, keys: IntArray) -> IntArray:
         """Bucket rows for a batch of fingerprints (``-1`` where unmapped)."""
         keys = np.asarray(keys, dtype=np.int64)
         if self._keys.size == 0:
             return np.full(keys.shape, -1, dtype=np.int64)
-        pos = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
-        return np.where(self._keys[pos] == keys, self._key_rows[pos], -1)
+        pos = self._keys.searchsorted(keys)  # == size past the last key: clipped
+        hit = self._keys.take(pos, mode="clip") == keys
+        return np.where(hit, self._key_rows.take(pos, mode="clip"), -1)
 
     def _row_of_scalar(self, key: int) -> int:
         """Bucket row for one fingerprint (``-1`` when unmapped)."""
@@ -150,8 +154,8 @@ class HashTable:
         return -1
 
     def _rows_for_insert(self, keys: IntArray) -> IntArray:
-        """Like :meth:`_rows_of` but allocates buckets for unmapped keys."""
-        rows = self._rows_of(keys)
+        """Like :meth:`rows_of` but allocates buckets for unmapped keys."""
+        rows = self.rows_of(keys)
         missing = rows < 0
         if np.any(missing):
             new_keys = np.unique(keys[missing])
@@ -161,7 +165,7 @@ class HashTable:
             order = np.argsort(merged_keys, kind="stable")
             self._keys = merged_keys[order]
             self._key_rows = merged_rows[order]
-            rows = self._rows_of(keys)
+            rows = self.rows_of(keys)
         return rows
 
     def _row_for_insert_scalar(self, key: int) -> int:
@@ -253,7 +257,7 @@ class HashTable:
             raise ValueError("keys and items must be 1-D arrays of equal length")
         if keys.size == 0:
             return 0
-        rows = self._rows_of(keys)
+        rows = self.rows_of(keys)
         present = rows >= 0
         if not np.any(present):
             return 0
@@ -296,8 +300,8 @@ class HashTable:
         return removed
 
     def clear(self) -> None:
-        """Drop every bucket."""
-        self._flat.clear()
+        """Drop every bucket of this table (other users of the store keep theirs)."""
+        self._flat.release(self._key_rows)
         self._keys = np.zeros(0, dtype=np.int64)
         self._key_rows = np.zeros(0, dtype=np.int64)
 
@@ -315,45 +319,23 @@ class HashTable:
             return np.zeros(0, dtype=np.int64)
         return self._flat.contents(row)
 
-    def query_many(self, keys: IntArray) -> tuple[IntArray, IntArray]:
-        """Bucket contents for a batch of fingerprints in one gather.
-
-        Returns ``(candidates, sizes)`` where ``candidates`` is an
-        ``(n, bucket_size)`` int64 matrix padded with ``-1`` beyond each
-        row's ``sizes`` entry (missing buckets are all ``-1``).
-        """
-        keys = np.asarray(keys, dtype=np.int64)
-        rows = self._rows_of(keys)
-        present = rows >= 0
-        if self._flat.num_rows == 0 or not np.any(present):
-            return (
-                np.full((keys.size, self.bucket_size), -1, dtype=np.int64),
-                np.zeros(keys.size, dtype=np.int64),
-            )
-        safe = np.where(present, rows, 0)
-        candidates = self._flat.slots[safe]
-        sizes = np.where(present, self._flat.sizes[safe], 0)
-        if not np.all(present):
-            candidates[~present] = -1
-        return candidates, sizes
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
     def num_buckets(self) -> int:
         """Number of non-empty buckets currently in the table."""
-        return int(np.count_nonzero(self._flat.sizes[: self._flat.num_rows]))
+        return int(np.count_nonzero(self._flat.sizes[self._key_rows]))
 
     @property
     def num_items(self) -> int:
         """Total number of ids stored across all buckets."""
-        return int(self._flat.sizes[: self._flat.num_rows].sum())
+        return int(self._flat.sizes[self._key_rows].sum())
 
     def bucket_sizes(self) -> np.ndarray:
         """Sizes of all non-empty buckets (for load-balance diagnostics)."""
-        sizes = self._flat.sizes[: self._flat.num_rows]
-        return sizes[sizes > 0].copy()
+        sizes = self._flat.sizes[self._key_rows]
+        return sizes[sizes > 0]
 
     def load_factor(self) -> float:
         """Mean bucket occupancy relative to the bucket size limit."""

@@ -5,9 +5,11 @@ multiply serves the whole batch), but a serving queue cannot wait forever
 for a batch to fill.  :class:`MicroBatchQueue` implements the standard
 two-knob policy used by production model servers:
 
-* dispatch as soon as ``max_batch_size`` requests are queued, or
-* dispatch whatever has accumulated once the oldest request has waited
-  ``max_wait_ms`` milliseconds.
+* dispatch as soon as a worker has gathered ``max_batch_size`` requests, or
+* dispatch whatever it has gathered ``max_wait_ms`` milliseconds after it
+  picked up the batch's first request — counted from the pick-up, not from
+  when that request was queued, so an idle server adds the full
+  ``max_wait_ms`` to a lone request's latency.
 
 Workers call :meth:`MicroBatchQueue.next_batch` directly — each worker
 assembles its own micro-batch, so there is no central dispatcher thread to

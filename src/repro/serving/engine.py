@@ -7,8 +7,10 @@ the per-layer :class:`~repro.lsh.index.LSHIndex` **query** path read-only and
 aggregates candidate frequencies across all ``L`` tables (the paper's TopK
 collection scheme) instead of going through the layer's sampler:
 
-1. hidden layers run as one batched dense matrix multiply (they are narrow;
-   the output layer is where extreme classification's cost lives);
+1. the first hidden layer runs on the sparse input, reading only the weight
+   columns the examples reference, and later hidden layers as one batched
+   dense matrix multiply (they are narrow; the output layer is where
+   extreme classification's cost lives);
 2. the wide output layer is probed through the hash tables; the
    ``active_budget`` knob caps how many candidate neurons survive (most
    collisions first), trading accuracy for latency;
@@ -360,15 +362,22 @@ class SparseInferenceEngine(InferenceEngine):
         self._check_k(k)
         if not examples:
             return []
-        # Hidden layers: one dense matrix multiply for the whole batch.
-        features = dense_features(examples, self.network.input_dim)
-        for layer in self.network.layers[:-1]:
-            features = layer.dense_forward_batch(features)
+        *hidden_layers, output_layer = self.network.layers
+        if hidden_layers:
+            # The first layer reads only the weight columns the sparse
+            # inputs name; no (batch, input_dim) matrix is built.
+            features = hidden_layers[0].sparse_forward_batch(
+                [example.features.indices for example in examples],
+                [example.features.values for example in examples],
+            )
+            for layer in hidden_layers[1:]:
+                features = layer.dense_forward_batch(features)
+        else:
+            features = dense_features(examples, self.network.input_dim)
 
-        output_layer = self.network.output_layer
         assert output_layer.lsh_index is not None
         # Flat batched LSH probing (the same kernel path training uses): one
-        # hash sweep and one bucket gather per table for the whole batch; no
+        # hash sweep and one bucket gather for the whole batch; no
         # per-request query objects are materialised.
         flat = output_layer.lsh_index.query_batch_flat(features)
         min_candidates = max(k, self.min_candidate_factor * k)

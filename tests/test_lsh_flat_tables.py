@@ -18,6 +18,9 @@ Pins four contracts of the PR-3 storage refactor:
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -428,3 +431,118 @@ class TestFlatStorage:
         stats = index.stats()
         assert stats["update_items"] == 1.0
         assert stats["moved_entries"] >= 0.0
+
+
+# ----------------------------------------------------------------------
+# 5. One slot matrix per index, one gather per probe
+# ----------------------------------------------------------------------
+# DWTA codes take 9 values: 9 ** 20 >= 2 ** 62, so this one takes the chunked
+# pack-and-mix fingerprint path.
+SHARED_STORE_CASES = {
+    **{
+        f"{family}-{policy}": dict(family=family, policy=policy)
+        for family in FAMILIES
+        for policy in POLICIES
+    },
+    "dwta-fifo-chunked": dict(family="dwta", policy="fifo", k=20, l=4),
+}
+# Written at the commit before the tables shared a store (see dump_table_stats).
+PARENT_TABLE_STATS = Path(__file__).parent / "data" / "lsh_parent_table_stats.json"
+
+
+def seeded_build(case: str) -> tuple[LSHIndex, np.ndarray]:
+    rng = np.random.default_rng(2024)
+    weights = rng.normal(size=(120, 24))
+    weights[rng.random(size=weights.shape) < 0.5] = 0.0
+    index = make_index(**SHARED_STORE_CASES[case])
+    index.build(weights)
+    return index, weights
+
+
+def table_stats(index: LSHIndex) -> dict:
+    return {
+        "num_buckets": [table.num_buckets for table in index.tables],
+        "num_items": [table.num_items for table in index.tables],
+        "bucket_sizes": [sorted(table.bucket_sizes().tolist()) for table in index.tables],
+        "mean_load_factor": index.stats()["mean_load_factor"],
+    }
+
+
+def dump_table_stats() -> None:
+    """How the fixture was written (run once, at the parent commit)."""
+    stats = {case: table_stats(seeded_build(case)[0]) for case in SHARED_STORE_CASES}
+    PARENT_TABLE_STATS.write_text(json.dumps(stats, separators=(",", ":")) + "\n")
+
+
+@pytest.mark.parametrize("case", SHARED_STORE_CASES)
+def test_per_table_stats_equal_the_parents(case):
+    """Each table counts its own rows of the shared store, not everybody's."""
+    index, _ = seeded_build(case)
+    assert table_stats(index) == json.loads(PARENT_TABLE_STATS.read_text())[case]
+    assert len({id(table._flat) for table in index.tables}) == 1
+
+
+def assert_probe_equals_scalar(index: LSHIndex, queries: np.ndarray) -> None:
+    """``query_batch_flat`` against ``query_with_codes``, row for row."""
+    flat = index.query_batch_flat(queries)
+    assert flat.batch_size == queries.shape[0]
+    for row in range(queries.shape[0]):
+        single = index.query_with_codes(flat.codes[row])
+        for table, expected in enumerate(single.buckets):
+            size = flat.sizes[row, table]
+            np.testing.assert_array_equal(flat.candidates[row, table, :size], expected)
+            assert np.all(flat.candidates[row, table, size:] == -1)
+
+
+@pytest.mark.parametrize("case", SHARED_STORE_CASES)
+def test_shared_store_probe_through_build_update_remove_clear(case):
+    """Rows released by one table are reused by another; ids never leak."""
+    index, weights = seeded_build(case)
+    rng = np.random.default_rng(7)
+
+    def check(current: np.ndarray, items: np.ndarray) -> None:
+        fresh = make_index(**SHARED_STORE_CASES[case])
+        fresh.build(current, items)
+        assert_same_tables(index, fresh)  # bucket_size 256: nothing overflows
+        for table in index.tables:
+            stored = np.concatenate([*table_contents(table).values(), items[:0]])
+            assert np.isin(stored, items).all()
+            assert table.num_items == items.size
+        # Stored vectors find themselves; random ones mostly miss.
+        assert_probe_equals_scalar(
+            index, np.concatenate([current[:12], rng.normal(size=(6, 24))])
+        )
+
+    items = np.arange(120, dtype=np.int64)
+    check(weights, items)
+
+    dirty = rng.choice(120, size=60, replace=False)
+    weights[dirty] = rng.normal(size=(60, 24))
+    index.update(dirty, weights[dirty])
+    check(weights, items)
+
+    # Every emptied bucket goes back to the one free list ...
+    for item in range(0, 120, 2):
+        assert index.remove(item)
+    items = items[1::2]
+    check(weights[1::2], items)
+    # ... and whichever table inserts next takes those rows.
+    index.update(np.arange(200, 230), rng.normal(size=(30, 24)))
+    assert_probe_equals_scalar(index, rng.normal(size=(8, 24)))
+
+    index.clear()
+    assert index.query_batch_flat(rng.normal(size=(3, 24))).sizes.sum() == 0
+    smaller = rng.normal(size=(40, 24))
+    index.build(smaller)
+    check(smaller, np.arange(40, dtype=np.int64))
+
+
+def test_a_standalone_table_still_owns_its_store():
+    table = HashTable(k=2, code_cardinality=4, bucket_size=4, policy=FIFOPolicy())
+    other = HashTable(k=2, code_cardinality=4, bucket_size=4, policy=FIFOPolicy())
+    assert table._flat is not other._flat
+    with pytest.raises(ValueError, match="bucket_size"):
+        HashTable(
+            k=2, code_cardinality=4, bucket_size=4, policy=FIFOPolicy(),
+            store=FlatBuckets(8),
+        )

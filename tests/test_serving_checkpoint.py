@@ -202,6 +202,8 @@ def test_lsh_snapshot_restore_round_trip(trained):
     items, codes = index.snapshot_codes()
     assert items.shape[0] == index.num_items
     assert codes.shape == (items.shape[0], index.l, index.k)
+    # Stored narrow (uint8 for SimHash), handed out as the checkpoint dtype.
+    assert codes.dtype == np.int64 and index.item_codes(int(items[0])).dtype == np.int64
 
     from repro.lsh.index import LSHIndex
 
