@@ -44,7 +44,7 @@ setup(
     python_requires=">=3.11",
     install_requires=["numpy"],
     extras_require={
-        "test": ["pytest"],
+        "test": ["pytest", "hypothesis"],
         "lint": ["ruff"],
     },
     entry_points={

@@ -181,9 +181,17 @@ class SlideLayer:
             fallback = int(needed)
 
         if forced_active is not None and forced_active.size:
-            sampled = np.union1d(sampled, np.asarray(forced_active, dtype=np.int64))
+            # Merge in only the forced ids the tables did not retrieve; a
+            # duplicated or unsorted one trips the guard below.
+            forced = np.asarray(forced_active, dtype=np.int64)
+            if sampled.size:
+                at = np.minimum(np.searchsorted(sampled, forced), sampled.size - 1)
+                forced = forced[sampled[at] != forced]
+            if forced.size:
+                sampled = np.concatenate((sampled, forced))
+                sampled.sort()
         sampled = np.asarray(sampled, dtype=np.int64)
-        if sampled.size > 1 and np.any(np.diff(sampled) <= 0):
+        if sampled.size > 1 and not np.all(sampled[1:] > sampled[:-1]):
             # Samplers return sorted unique ids; guard against a custom
             # strategy violating that contract rather than silently breaking
             # the sorted-active-set invariant.

@@ -7,8 +7,9 @@ empirical collision rates of the hash-family implementations.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.stats import binom
 
 from repro.utils.validation import check_probability
 
@@ -66,11 +67,18 @@ def hard_threshold_selection_probability(p: float, k: int, l: int, m: int) -> fl
     """Equation (3): probability a neuron appears in at least ``m`` buckets.
 
     ``Pr = sum_{i=m}^{L} C(L, i) (p^K)^i (1 - p^K)^(L-i)`` — the binomial
-    upper tail, evaluated with scipy's survival function for stability.
+    upper tail, summed term by term: the terms are all positive, the
+    coefficients exact integers and ``fsum`` adds without rounding, so for
+    the ``L`` of a few hundred tables an index has, the result is good to a
+    few ulps.
     """
     check_probability(p, "p")
     if not 1 <= m <= l:
         raise ValueError("m must lie in [1, L]")
     pk = p**k
-    # P(X >= m) for X ~ Binomial(L, pk)
-    return float(binom.sf(m - 1, l, pk))
+    # P(X >= m) for X ~ Binomial(L, pk); the terms' own rounding can carry a
+    # sum that should be 1 an ulp past it.
+    tail = math.fsum(
+        math.comb(l, i) * pk**i * (1.0 - pk) ** (l - i) for i in range(m, l + 1)
+    )
+    return min(tail, 1.0)

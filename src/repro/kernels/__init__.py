@@ -10,9 +10,9 @@ kernels in this package restructure that work around the micro-batch:
   active sets (RNG-compatible with the per-sample selection path);
 * :mod:`repro.kernels.fused` — forward/backward over the *union* active set
   of the batch: one gather + GEMM per layer instead of a gather + GEMV per
-  sample, with each sample's own active set enforced by masking so sparse
-  softmax/ReLU semantics match the per-sample path, and the whole batch's
-  weight gradient accumulated into one reusable block buffer.
+  sample, with element-wise work done on each sample's own (sample, neuron)
+  pairs so sparse softmax/ReLU semantics match the per-sample path, and the
+  whole batch's weight gradient accumulated into one reusable block buffer.
 
 ``SlideNetwork.train_batch(..., hogwild=False)`` routes through
 :func:`~repro.kernels.fused.fused_train_step` by default; the HOGWILD

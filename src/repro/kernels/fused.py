@@ -7,10 +7,12 @@ gather, a GEMV, an ``np.outer`` gradient materialisation and an optimiser
 * the batch's per-sample active sets are unioned per layer; the layer's
   weight block for the union rows (and the union input columns) is gathered
   **once** and a single GEMM computes every sample's pre-activations;
-* each sample's own active set is enforced with a 0/1 mask, so ReLU output
-  support and the sparse softmax's partition function match the per-sample
-  semantics exactly — extra union neurons never leak into a sample's
-  activations, next-layer inputs, or loss;
+* the same sort that unions the active sets gives every (sample, active
+  neuron) pair its column in the union block; activations, softmax and
+  cross-entropy targets are computed on those pairs only and scattered into
+  the block, so ReLU output support and the sparse softmax's partition
+  function match the per-sample semantics exactly — extra union neurons
+  never leak into a sample's activations, next-layer inputs, or loss;
 * the batch's weight gradient for the union block is one ``delta^T @ X``
   GEMM accumulated directly into a reusable workspace buffer (no per-sample
   outer products), and it is applied with **one** optimiser step per layer
@@ -136,20 +138,44 @@ class FusedBatchResult:
         return total
 
 
-def _masked_softmax_rows(pre: FloatArray, mask: FloatArray) -> FloatArray:
-    """Row-wise softmax over each row's masked-in entries only.
+def _segment_softmax(values: FloatArray, counts: IntArray) -> FloatArray:
+    """Softmax within each consecutive segment of ``values``.
 
-    Equivalent to running :func:`~repro.core.activations.sparse_softmax` on
-    every row restricted to its own active subset: masked-out entries get
-    probability zero and do not enter the partition function.  Rows with no
-    active entries come back all-zero.
+    Segment ``i`` is the next ``counts[i]`` entries: one sample's logits on
+    its own active set, so this is :func:`~repro.core.activations.sparse_softmax`
+    run per sample in one pass.  Empty segments are allowed.
     """
-    neg_inf = np.where(mask > 0.0, pre, -np.inf)
-    row_max = neg_inf.max(axis=1, keepdims=True)
-    row_max = np.where(np.isfinite(row_max), row_max, 0.0)
-    exp = np.exp(neg_inf - row_max)
-    norm = exp.sum(axis=1, keepdims=True)
-    return np.divide(exp, norm, out=np.zeros_like(exp), where=norm > 0.0)
+    # reduceat yields the element *at* the offset for an empty segment, so
+    # only the non-empty segments' offsets go in.
+    filled = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[filled]
+    sizes = counts[filled]
+    exp = np.exp(values - np.repeat(np.maximum.reduceat(values, starts), sizes))
+    exp /= np.repeat(np.add.reduceat(exp, starts), sizes)
+    return exp
+
+
+def _pairs(id_sets: list[IntArray]) -> tuple[IntArray, IntArray, IntArray]:
+    """Per-sample id arrays as flat ``(sample, id)`` pairs, in sample order.
+
+    Returns ``(counts, pair_sample, pair_id)``.  ``np.unique(pair_id,
+    return_inverse=True)`` then gives, from one sort, the sorted union of the
+    ids and every pair's position within it.
+    """
+    counts = np.array([ids.size for ids in id_sets], dtype=np.int64)
+    pair_id = np.concatenate(id_sets) if id_sets else np.zeros(0, dtype=np.int64)
+    return counts, np.repeat(np.arange(counts.size), counts), pair_id
+
+
+def _activate(name: str, pre: FloatArray, softmax) -> FloatArray:
+    """``name``'s activation of ``pre``; ``softmax`` knows its grouping."""
+    if name == "relu":
+        return relu(pre)
+    if name == "softmax":
+        return softmax(pre)
+    if name == "linear":
+        return pre.copy()
+    raise ValueError(f"unknown activation {name!r}")  # pragma: no cover
 
 
 def _scatter_dense(
@@ -175,15 +201,18 @@ def fused_forward_batch(
     sparse softmax support) match ``forward_sample`` run per example.
     """
     batch_size = len(batch)
-    features = batch.to_dense_features()
-    support = [example.features.indices for example in batch]
-    cols: IntArray | None = (
-        np.unique(np.concatenate(support)) if support else np.zeros(0, dtype=np.int64)
+    # The input block straight from the examples' index/value arrays: its
+    # columns are the batch's distinct feature ids, and a repeated index
+    # keeps its last value, as ``dense_features`` does.
+    input_counts, pair_sample, pair_id = _pairs(
+        [example.features.indices for example in batch]
     )
-    x_block = features[:, cols]
-    input_counts = np.array(
-        [example.features.indices.size for example in batch], dtype=np.int64
-    )
+    cols, pair_pos = np.unique(pair_id, return_inverse=True)
+    x_block = np.zeros((batch_size, cols.size), dtype=np.float64)
+    if cols.size:
+        x_block[pair_sample, pair_pos] = np.concatenate(
+            [example.features.values for example in batch]
+        )
 
     states: list[FusedLayerState] = []
     result = FusedBatchResult(layer_states=states)
@@ -199,8 +228,10 @@ def fused_forward_batch(
             ]
 
         if layer.lsh_index is not None:
+            # The dense (batch, fan_in) queries exist only for a layer that
+            # hashes them.
             queries = (
-                features
+                batch.to_dense_features()
                 if layer_idx == 0
                 else _scatter_dense(x_block, cols, layer.fan_in)
             )
@@ -210,12 +241,8 @@ def fused_forward_batch(
             active_sets: list[IntArray] | None = [sel[0] for sel in selections]
             from_tables = sum(sel[1] for sel in selections)
             fallback = sum(sel[2] for sel in selections)
-            non_empty = [active for active in active_sets if active.size]
-            rows = (
-                np.unique(np.concatenate(non_empty))
-                if non_empty
-                else np.zeros(0, dtype=np.int64)
-            )
+            active_counts, pair_sample, pair_id = _pairs(active_sets)
+            rows, pair_pos = np.unique(pair_id, return_inverse=True)
         else:
             active_sets = None
             from_tables = fallback = 0
@@ -223,34 +250,31 @@ def fused_forward_batch(
 
         gemm_start = time.perf_counter()
         # A full-width ``cols`` (a hidden layer without LSH below) gathers
-        # whole contiguous rows instead of single elements.
-        block = (
-            layer.weights[rows]
-            if spans_all(cols, layer.fan_in)
-            else layer.weights[np.ix_(rows, cols)]
-        )
-        pre = x_block @ block.T + layer.biases[rows]
+        # whole contiguous rows, and an all-row layer whole columns, instead
+        # of single elements.
+        if spans_all(cols, layer.fan_in):
+            block = layer.weights[rows]
+        elif active_sets is None:
+            block = layer.weights.take(cols, axis=1)
+        else:
+            block = layer.weights[np.ix_(rows, cols)]
+        pre = x_block @ block.T
+        pre += layer.biases[rows]
 
         mask: FloatArray | None = None
-        if active_sets is not None:
+        if active_sets is None:
+            act = _activate(layer.activation_name, pre, softmax_rows)
+        else:
+            # Element-wise work on the pairs only; everything else in the
+            # (batch, |union|) block is zero.
             mask = np.zeros_like(pre)
-            for row_idx, active in enumerate(active_sets):
-                if active.size:
-                    mask[row_idx, np.searchsorted(rows, active)] = 1.0
-
-        if layer.activation_name == "relu":
-            act = relu(pre)
-            if mask is not None:
-                act *= mask
-        elif layer.activation_name == "softmax":
-            if mask is not None:
-                act = _masked_softmax_rows(pre, mask)
-            else:
-                act = softmax_rows(pre)
-        elif layer.activation_name == "linear":
-            act = pre * mask if mask is not None else pre.copy()
-        else:  # pragma: no cover - config validation prevents this
-            raise ValueError(f"unknown activation {layer.activation_name!r}")
+            mask[pair_sample, pair_pos] = 1.0
+            act = np.zeros_like(pre)
+            act[pair_sample, pair_pos] = _activate(
+                layer.activation_name,
+                pre[pair_sample, pair_pos],
+                lambda values: _segment_softmax(values, active_counts),
+            )
 
         layer.num_forward_calls += batch_size
         states.append(
@@ -275,7 +299,8 @@ def fused_forward_batch(
         # mirroring the per-sample path's explicit zero pruning.
         x_block = act
         cols = rows
-        input_counts = np.count_nonzero(act, axis=1).astype(np.int64)
+        if not is_output:
+            input_counts = np.count_nonzero(act, axis=1).astype(np.int64)
         gemm_seconds += time.perf_counter() - gemm_start
 
     if timer is not None:
@@ -283,43 +308,37 @@ def fused_forward_batch(
     return result
 
 
-def _output_targets_and_losses(
+def _output_delta_and_losses(
     batch: SparseBatch, output_state: FusedLayerState
 ) -> tuple[FloatArray, FloatArray]:
-    """Cross-entropy targets over the union set and per-sample losses.
+    """Softmax + cross-entropy ``dL/dz = p - y`` over the union set, and losses.
 
-    Mirrors the label-matching block of ``compute_sample_gradient``: each
-    ground-truth label present in the sample's *own* active set receives
-    probability mass ``1/|labels|``; labels outside it contribute nothing.
+    Mirrors the label-matching block of ``compute_sample_gradient`` in one
+    pass over the batch's ``(sample, label)`` pairs: each ground-truth label
+    present in the sample's *own* active set receives probability mass
+    ``1/|labels|``; labels outside it contribute nothing.
     ``output_state.rows`` is sorted (guaranteed by ``finalize_active``), so
     ``searchsorted`` label lookup is exact.
     """
     probabilities = output_state.act
     rows = output_state.rows
-    target = np.zeros_like(probabilities)
-    losses = np.zeros(probabilities.shape[0], dtype=np.float64)
-    for sample_idx, example in enumerate(batch):
-        labels = example.labels
-        if not labels.size or rows.size == 0:
-            continue
-        positions = np.searchsorted(rows, labels)
-        in_range = positions < rows.size
-        positions = positions[in_range]
-        matched = rows[positions] == labels[in_range]
-        label_positions = positions[matched]
-        if output_state.mask is not None and label_positions.size:
-            label_positions = label_positions[
-                output_state.mask[sample_idx, label_positions] > 0.0
-            ]
-        if label_positions.size:
-            target[sample_idx, label_positions] = 1.0 / labels.size
-            losses[sample_idx] = float(
-                -np.sum(
-                    target[sample_idx, label_positions]
-                    * np.log(probabilities[sample_idx, label_positions] + 1e-12)
-                )
-            )
-    return target, losses
+    delta = probabilities.copy()
+    if not rows.size:
+        return delta, np.zeros(len(batch), dtype=np.float64)
+    label_counts, sample, labels = _pairs([example.labels for example in batch])
+    positions = np.minimum(np.searchsorted(rows, labels), rows.size - 1)
+    matched = rows[positions] == labels
+    if output_state.mask is not None:
+        matched &= output_state.mask[sample, positions] > 0.0
+    sample, positions = sample[matched], positions[matched]
+    mass = 1.0 / label_counts[sample]
+    losses = np.bincount(
+        sample,
+        weights=-(mass * np.log(probabilities[sample, positions] + 1e-12)),
+        minlength=len(batch),
+    )
+    delta[sample, positions] -= mass
+    return delta, losses
 
 
 def fused_backward_batch(
@@ -342,10 +361,8 @@ def fused_backward_batch(
     timer = getattr(network, "phase_timer", None)
     gemm_seconds = 0.0
     optim_seconds = 0.0
-    target, losses = _output_targets_and_losses(batch, result.output_state)
-    # Softmax + cross-entropy: dL/dz = p - y on each sample's active set
-    # (both terms vanish outside it).
-    delta = result.output_state.act - target
+    # Both terms of ``p - y`` vanish outside each sample's active set.
+    delta, losses = _output_delta_and_losses(batch, result.output_state)
     scale = 1.0 / max(batch_size, 1)
 
     for layer_idx in range(len(states) - 1, -1, -1):

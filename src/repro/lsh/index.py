@@ -100,9 +100,9 @@ class BatchQueryResult:
 
     def result(self, row: int) -> QueryResult:
         """Per-row :class:`QueryResult` (bucket arrays are views)."""
+        candidates = self.candidates[row]
         buckets = [
-            self.candidates[row, t, : self.sizes[row, t]]
-            for t in range(self.num_tables)
+            candidates[t, :size] for t, size in enumerate(self.sizes[row].tolist())
         ]
         return QueryResult(buckets=buckets, codes=self.codes[row])
 

@@ -23,6 +23,12 @@ __all__ = ["Optimizer"]
 # rule's scratch is then ~0.4 MB of float64: resident in L2, and small enough
 # that the allocator recycles the temporaries instead of mapping fresh pages.
 _CHUNK_ELEMENTS = 8192
+# Least rows in a chunk of ``sparse_step``'s all-rows walk, whose scatter
+# writes column by column, one element per row: fewer rows pay the per-chunk
+# calls more often; more, under a power-of-two fan-in, put more lines into
+# one L1 set than it has ways.  Measured on (128, 8192) with 2848 columns:
+# 2 rows 14.5 ms, 8 rows 7.7, 16 rows 10.4, 128 rows 19.0 (``np.ix_`` 13.1).
+_TAKE_CHUNK_ROWS = 8
 
 
 def _rows_per_chunk(width: int) -> int:
@@ -114,7 +120,11 @@ class Optimizer(abc.ABC):
         When ``cols`` is ``None`` the update applies to whole rows (used for
         biases, which are one-dimensional); a ``cols`` that is exactly
         ``0..fan_in-1`` is treated the same way, so a full-width block is
-        moved as contiguous rows and not element by element.
+        moved as contiguous rows and not element by element.  The mirror
+        image — ``rows`` exactly ``0..n-1`` under a column subset, a layer
+        without LSH over sparse inputs — walks row slices of the parameter
+        as views and moves each chunk with a column ``take``: the same
+        elements read and written as ``np.ix_`` would, hence the same bits.
 
         The block is walked in chunks of about ``_CHUNK_ELEMENTS`` along
         ``rows`` only (a ``cols`` set is never split): each chunk of the
@@ -138,6 +148,20 @@ class Optimizer(abc.ABC):
         """
         state = self._state[name]
         whole_rows = param.ndim == 1 or spans_all(cols, param.shape[1])
+        if not whole_rows and spans_all(rows, param.shape[0]):
+            stride = max(_TAKE_CHUNK_ROWS, _rows_per_chunk(cols.size))
+            for start in range(0, rows.size, stride):
+                span = slice(start, start + stride)
+                param_chunk = param[span].take(cols, axis=1)
+                state_chunk = {
+                    key: array[span].take(cols, axis=1)
+                    for key, array in state.items()
+                }
+                self._update_chunk(param_chunk, state_chunk, grad_block[span])
+                for key, array in state.items():
+                    array[span][:, cols] = state_chunk[key]
+                param[span][:, cols] = param_chunk
+            return
         stride = _rows_per_chunk(
             1 if param.ndim == 1 else (param.shape[1] if whole_rows else cols.size)
         )

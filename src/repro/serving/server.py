@@ -171,6 +171,13 @@ class _Handler(BaseHTTPRequestHandler):
         features = SparseVector(
             indices=indices, values=values, dimension=self.input_dim
         )
+        # A repeated index is summed by the sparse first layer and keeps its
+        # last value when densified, so the two engines would answer the
+        # same body differently: refuse it here, where outside input enters.
+        _, first = np.unique(indices, return_index=True)
+        if first.size != indices.size:
+            again = np.delete(np.arange(indices.size), first)[0]
+            raise ValueError(f"indices must be unique: {indices[again]} is repeated")
         return SparseExample(features=features, labels=np.zeros(0, dtype=np.int64))
 
 

@@ -38,7 +38,12 @@ class SparseVector:
     Parameters
     ----------
     indices:
-        Sorted, unique ``int64`` indices of the non-zero coordinates.
+        Sorted, unique ``int64`` indices of the non-zero coordinates.  The
+        constructor checks shape and range only; uniqueness is enforced where
+        outside input enters — the XC parser sums duplicates, the shard
+        writer and the HTTP server reject them — because code that densifies
+        (last value wins) and code that sums per index answer a repeated
+        index differently.
     values:
         ``float64`` values aligned with ``indices``.
     dimension:

@@ -78,6 +78,36 @@ class TestCollisionFormulas:
         expected = sum(comb(l, i) * pk**i * (1 - pk) ** (l - i) for i in range(m, l + 1))
         assert hard_threshold_selection_probability(p, k, l, m) == pytest.approx(expected)
 
+    @pytest.mark.parametrize(
+        "p, k, l, m, expected",
+        [
+            # scipy.stats.binom.sf(m - 1, l, p**k), generated once (scipy
+            # 1.17.1) when the package stopped importing scipy for this.
+            (0.9, 6, 50, 1, 1.0),
+            (0.9, 6, 50, 5, 0.9999999999857956),
+            (0.9, 6, 50, 27, 0.5093262106174301),
+            (0.9, 6, 50, 50, 1.873927703884804e-14),
+            (0.5, 9, 32, 1, 0.06064434742264824),
+            (0.5, 9, 32, 2, 0.0018197273003874629),
+            (0.5, 9, 32, 32, 2.010764683385949e-87),
+            (0.05, 4, 64, 1, 0.0003999212601709056),  # p^K near 0
+            (0.05, 4, 64, 3, 1.0168966915725647e-11),
+            (0.9999, 2, 40, 1, 1.0),  # p^K near 1
+            (0.9999, 2, 40, 39, 0.9999689607384677),
+            (0.9999, 2, 40, 40, 0.9920315179979208),
+            (0.97, 3, 300, 1, 1.0),
+            (0.97, 3, 300, 250, 0.9999963668440238),
+            (0.97, 3, 300, 280, 0.11942302479328866),
+            (0.97, 3, 300, 300, 1.2432567895039273e-12),
+            (0.7, 1, 1, 1, 0.7),
+            (1.0, 3, 10, 10, 1.0),
+            (0.0, 3, 10, 1, 0.0),
+        ],
+    )
+    def test_hard_threshold_matches_scipy_reference(self, p, k, l, m, expected):
+        got = hard_threshold_selection_probability(p, k, l, m)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     @given(
         p=st.floats(min_value=0.0, max_value=1.0),
         k=st.integers(1, 8),

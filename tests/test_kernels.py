@@ -37,7 +37,7 @@ from repro.hashing.dwta import DWTAHash
 from repro.hashing.simhash import SimHash
 from repro.hashing.wta import WTAHash
 from repro.kernels import Workspace, fused_forward_batch, select_active_batch
-from repro.kernels.fused import _masked_softmax_rows
+from repro.kernels.fused import _segment_softmax
 from repro.lsh.index import LSHIndex
 from repro.optim.adam import AdamOptimizer
 from repro.optim.base import Optimizer
@@ -187,13 +187,22 @@ class TestMaskedSoftmax:
         mask = (rng.random(size=(6, 10)) < 0.5).astype(np.float64)
         mask[0] = 1.0  # fully active row
         mask[1] = 0.0  # empty row
-        out = _masked_softmax_rows(pre, mask)
+        mask[4] = 0.0  # a second empty row, not next to the first
+        sample, position = np.nonzero(mask)
+        counts = mask.sum(axis=1).astype(np.int64)
+        out = np.zeros_like(pre)
+        out[sample, position] = _segment_softmax(pre[sample, position], counts)
         for row in range(pre.shape[0]):
             members = np.flatnonzero(mask[row])
             expected = np.zeros(pre.shape[1])
             if members.size:
                 expected[members] = sparse_softmax(pre[row, members])
             np.testing.assert_allclose(out[row], expected, atol=1e-12)
+        # Nothing active at all, and a trailing empty segment.
+        assert _segment_softmax(np.zeros(0), np.zeros(3, dtype=np.int64)).size == 0
+        np.testing.assert_allclose(
+            _segment_softmax(np.array([0.0, 0.0]), np.array([2, 0])), [0.5, 0.5]
+        )
 
 
 class TestWorkspace:

@@ -73,14 +73,31 @@ class TestSubpackageExports:
             "repro.parallel",
             "repro.baselines",
             "repro.reports",
+            "repro.hashing",
+            "repro.lsh",
+            "repro.sampling",
+            "repro.kernels",
+            "repro.optim",
+            "repro.data",
+            "repro.datasets",
+            "repro.metrics",
+            "repro.utils",
         ],
     )
     def test_imports_first_in_a_fresh_interpreter(self, module):
         # repro.core imports repro.perf (PhaseTimer) at module level; that is
         # only cycle-free while repro.perf needs repro.core for annotations
         # alone, whichever of the packages a process happens to import first.
+        # scipy is not a declared dependency (setup.py: numpy only), and where
+        # it is installed it would be most of the import time of every bench
+        # child, HOGWILD worker and serving replica.
         result = subprocess.run(
-            [sys.executable, "-c", f"import {module}"],
+            [
+                sys.executable,
+                "-c",
+                f"import sys, {module}; assert 'scipy' not in sys.modules, "
+                f"'importing {module} pulled in scipy'",
+            ],
             env={"PYTHONPATH": str(Path(repro.__file__).parents[1])},
             capture_output=True,
             text=True,

@@ -143,6 +143,42 @@ def test_predict_rejects_out_of_range_indices(http_server):
     assert excinfo.value.code == 400
 
 
+def test_predict_rejects_repeated_indices_before_the_engine(http_server):
+    """A repeated index is summed by the sparse first layer and last-wins
+    when densified: the boundary refuses it, naming the first one that
+    repeats, and the runtime never sees the request."""
+    base, _ = http_server
+    _, before = _get(base + "/v1/stats")
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        _post(
+            base + "/v1/predict",
+            {"indices": [7, 2, 9, 2, 7], "values": [1.0, 2.0, 3.0, 4.0, 5.0]},
+        )
+    assert excinfo.value.code == 400
+    error = json.loads(excinfo.value.read())["error"]
+    assert "unique" in error and "2 is repeated" in error
+    _, after = _get(base + "/v1/stats")
+    assert after["requests"] == before["requests"]
+    assert after["batches"] == before["batches"]
+
+
+def test_predict_answers_a_valid_unsorted_body(http_server):
+    base, dataset = http_server
+    example = dataset.test[1]
+    body = {
+        "indices": [int(i) for i in example.features.indices],
+        "values": [float(v) for v in example.features.values],
+    }
+    _, in_order = _post(base + "/v1/predict", body)
+    status, reversed_order = _post(
+        base + "/v1/predict",
+        {"indices": body["indices"][::-1], "values": body["values"][::-1]},
+    )
+    assert status == 200
+    assert reversed_order["class_ids"] == in_order["class_ids"]
+    assert reversed_order["scores"] == pytest.approx(in_order["scores"])
+
+
 def test_unknown_path_404(http_server):
     base, _ = http_server
     with pytest.raises(urllib.error.HTTPError) as excinfo:
