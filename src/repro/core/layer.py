@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.config import LayerConfig
 from repro.core.activations import relu, relu_grad, softmax_rows, sparse_softmax
+from repro.kernels.active import select_active_batch
 from repro.lsh.index import LSHIndex
 from repro.lsh.scheduler import ExponentialDecaySchedule, RebuildSchedule
 from repro.optim.base import Optimizer
@@ -134,28 +135,6 @@ class SlideLayer:
     # ------------------------------------------------------------------
     # Active-set selection
     # ------------------------------------------------------------------
-    def select_active(
-        self,
-        input_indices: IntArray,
-        input_values: FloatArray,
-        forced_active: IntArray | None = None,
-    ) -> tuple[IntArray, int, int]:
-        """Choose the active output neurons for one sparse input.
-
-        Returns ``(active_ids, sampled_from_tables, fallback_random)``.
-        ``forced_active`` (e.g. the ground-truth labels of the sample) is
-        always unioned into the result, matching the reference implementation.
-        """
-        if self.lsh_index is None or self.sampler is None:
-            active = np.arange(self.size, dtype=np.int64)
-            return active, 0, 0
-
-        dense_query = np.zeros(self.fan_in, dtype=np.float64)
-        dense_query[input_indices] = input_values
-        target = self.config.sampling.target_active
-        sampled = self.sampler.sample(self.lsh_index, dense_query, target)
-        return self.finalize_active(sampled, forced_active)
-
     def finalize_active(
         self,
         sampled: IntArray,
@@ -163,11 +142,12 @@ class SlideLayer:
     ) -> tuple[IntArray, int, int]:
         """Random-fallback padding and forced-id union for a sampled set.
 
-        The tail half of :meth:`select_active`, shared with the batched
-        selection kernel (:mod:`repro.kernels.active`) so both paths draw
-        identical random padding from the layer's RNG.  The returned array is
-        always sorted and unique — downstream ``searchsorted`` label matching
-        relies on that.
+        The tail of active-set selection (:mod:`repro.kernels.active`):
+        returns ``(active_ids, sampled_from_tables, fallback_random)``.
+        ``forced_active`` (e.g. the ground-truth labels of the sample) is
+        always unioned into the result, matching the reference
+        implementation.  The returned array is always sorted and unique —
+        downstream ``searchsorted`` label matching relies on that.
         """
         from_tables = int(sampled.size)
         fallback = 0
@@ -214,9 +194,17 @@ class SlideLayer:
         """
         input_indices = np.asarray(input_indices, dtype=np.int64)
         input_values = np.asarray(input_values, dtype=np.float64)
-        active_out, from_tables, fallback = self.select_active(
-            input_indices, input_values, forced_active
-        )
+        if self.lsh_index is None:
+            active_out, from_tables, fallback = np.arange(self.size, dtype=np.int64), 0, 0
+        else:
+            # The batched selection on a one-row block: the same probe and
+            # the same RNG draws as a row of a fused batch.
+            query = np.zeros((1, self.fan_in), dtype=np.float64)
+            query[0, input_indices] = input_values
+            forced = None if forced_active is None else [forced_active]
+            ((active_out, from_tables, fallback),) = select_active_batch(
+                self, query, forced
+            )
 
         if active_out.size and input_indices.size:
             block = self.weights[np.ix_(active_out, input_indices)]

@@ -53,7 +53,7 @@ class LSHFamily(abc.ABC):
     def code_cardinality(self) -> int:
         """Number of distinct values an elementary code can take.
 
-        Used by the LSH table to pack ``K`` elementary codes into a single
+        Used by the LSH index to pack ``K`` elementary codes into a single
         bucket fingerprint without collisions between distinct code tuples.
         """
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hashing.base import HashCodes, LSHFamily, VectorLike
-from repro.types import FloatArray, IntArray, SparseVector
+from repro.types import FloatArray, IntArray
 from repro.utils.rng import derive_rng
 
 __all__ = ["SimHash"]
@@ -69,6 +69,12 @@ class SimHash(LSHFamily):
         cols = np.repeat(np.arange(total), nnz)
         dense[rows, cols] = self._proj_signs.reshape(-1)
         self._dense_projection = dense
+        # Any summation order of ``input_dim`` exact products lands within
+        # ``gamma * sum|x_j|`` of the true projection (unit roundoff 2**-53);
+        # a projection within twice that of zero could take either sign.
+        unit = np.finfo(np.float64).eps / 2
+        gamma = input_dim * unit / (1.0 - input_dim * unit)
+        self._sign_margin = 2.0 * gamma * np.sqrt(input_dim)
 
     # ------------------------------------------------------------------
     # LSHFamily interface
@@ -78,32 +84,43 @@ class SimHash(LSHFamily):
         return 2
 
     def hash_vector(self, vector: VectorLike) -> HashCodes:
-        projections = self.project(vector)
-        return (projections > 0).astype(np.int64).reshape(self.l, self.k)
+        return self.codes_from_projections(self.project(vector))
 
     def hash_matrix(self, matrix: FloatArray) -> HashCodes:
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[1] != self.input_dim:
             raise ValueError("hash_matrix expects shape (rows, input_dim)")
-        projections = matrix @ self._dense_projection
-        codes = (projections > 0).astype(np.int64)
+        codes = (self._projections(matrix) > 0).astype(np.int64)
         return codes.reshape(matrix.shape[0], self.l, self.k)
 
     # ------------------------------------------------------------------
     # Projections and incremental updates
     # ------------------------------------------------------------------
+    def _projections(self, matrix: FloatArray) -> FloatArray:
+        """``(rows, K*L)`` projections of a dense ``(rows, input_dim)`` block.
+
+        One BLAS product computes them, and its summation order depends on
+        the kernel and on how many rows share the call.  Where that order
+        could decide the sign — within twice the rounding bound of every
+        order — the projection is summed again over its own coordinates in
+        one fixed order.  So a row's codes never depend on the rows hashed
+        beside it, and a row hashed alone gets the same codes.
+        """
+        projections = matrix @ self._dense_projection
+        # sum_j |x_j| <= sqrt(d) * ||x||_2, which is cheaper to take.
+        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+        bound = (norms * self._sign_margin)[:, None]
+        uncertain = projections <= bound
+        uncertain &= projections >= -bound
+        if uncertain.any():
+            rows, cols = np.nonzero(uncertain)
+            gathered = matrix[rows[:, None], self._proj_indices[cols]]
+            projections[rows, cols] = np.sum(gathered * self._proj_signs[cols], axis=1)
+        return projections
+
     def project(self, vector: VectorLike) -> FloatArray:
         """Return the ``K*L`` signed projections ``w_i . x``."""
-        if isinstance(vector, SparseVector):
-            sparse = self._as_sparse(vector)
-            # Sparse path: iterate over the (few) non-zero input coordinates.
-            dense = np.zeros(self.input_dim, dtype=np.float64)
-            dense[sparse.indices] = sparse.values
-            gathered = dense[self._proj_indices]
-            return np.sum(gathered * self._proj_signs, axis=1)
-        dense = self._as_dense(vector)
-        gathered = dense[self._proj_indices]
-        return np.sum(gathered * self._proj_signs, axis=1)
+        return self._projections(self._as_dense(vector)[None, :])[0]
 
     def codes_from_projections(self, projections: FloatArray) -> HashCodes:
         """Convert memoised projections into ``(L, K)`` elementary codes."""

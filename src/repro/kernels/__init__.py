@@ -5,9 +5,11 @@ NumPy call overhead for every example: one LSH hash, one ``np.ix_`` gather,
 one GEMV, one ``np.outer`` and one optimiser step per sample per layer.  The
 kernels in this package restructure that work around the micro-batch:
 
-* :mod:`repro.kernels.active` — hash an entire batch of queries with one
-  matrix operation per hash family and turn the per-sample buckets into
-  active sets (RNG-compatible with the per-sample selection path);
+* :mod:`repro.kernels.active` — the one active-set selection path: hash a
+  block of queries with one matrix operation per hash family, probe every
+  table with one directory lookup and one gather, and turn each row's
+  buckets into an active set.  The fused step passes the micro-batch; the
+  per-sample path (HOGWILD) passes a one-row block;
 * :mod:`repro.kernels.fused` — forward/backward over the *union* active set
   of the batch: one gather + GEMM per layer instead of a gather + GEMV per
   sample, with element-wise work done on each sample's own (sample, neuron)
@@ -16,7 +18,8 @@ kernels in this package restructure that work around the micro-batch:
 
 ``SlideNetwork.train_batch(..., hogwild=False)`` routes through
 :func:`~repro.kernels.fused.fused_train_step` by default; the HOGWILD
-per-sample path is untouched and remains the asynchronous mode.
+per-sample step remains the asynchronous mode and selects through the same
+:func:`~repro.kernels.active.select_active_batch`.
 """
 
 from repro.kernels.active import select_active_batch

@@ -1,31 +1,33 @@
-"""Batched active-neuron selection.
+"""Active-neuron selection: the one selection path, per sample or batched.
 
-The per-sample path (:meth:`repro.core.layer.SlideLayer.select_active`)
-hashes one query vector at a time — for SimHash that is a ``(K*L, nnz)``
-gather and reduction *per sample*, which dominates the cost of a training
-step.  :func:`select_active_batch` hashes the whole micro-batch in one
-:meth:`~repro.lsh.index.LSHIndex.hash_batch` call (one matmul per SimHash
-family, one gather/reduce sweep for (D)WTA/DOPH), packs bucket fingerprints
-vectorised, and only then walks the per-sample bucket lookups.
+:func:`select_active_batch` probes a layer's tables with a ``(batch,
+fan_in)`` block of dense queries through
+:meth:`~repro.lsh.index.LSHIndex.query_batch_flat` — one hash sweep (one
+matmul for SimHash, one gather/reduce sweep for (D)WTA/DOPH), one key pack,
+one directory ``searchsorted`` and one gather for every table of every row —
+and only then walks the rows through the layer's sampling strategy and
+:meth:`~repro.core.layer.SlideLayer.finalize_active`.
 
-RNG compatibility: the sampling strategies draw from the layer's generator in
-the same order whether they are fed a fresh query
-(``SamplingStrategy.sample``) or a pre-computed
-:class:`~repro.lsh.index.QueryResult` (``select_from_result``) — one table
-permutation, plus one subset draw when over target.  Random fallback padding
-goes through the shared :meth:`~repro.core.layer.SlideLayer.finalize_active`.
-The batched selection therefore consumes the layer RNG identically to the
-per-sample path, which is what the kernel parity tests pin down.
+The fused training step calls it with the whole micro-batch; the per-sample
+path (:meth:`~repro.core.layer.SlideLayer.forward`, which HOGWILD and the
+legacy synchronous loop run) calls it with a one-row block.  Rows are
+selected in order and each draws from the layer's generator — one table
+permutation, plus one subset draw when over target, plus any random
+fallback padding — so a batch consumes the RNG exactly like its rows one
+at a time.
 """
 
 from __future__ import annotations
 
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.layer import SlideLayer
 from repro.types import FloatArray, IntArray
+
+if TYPE_CHECKING:
+    from repro.core.layer import SlideLayer
 
 __all__ = ["select_active_batch"]
 
@@ -39,12 +41,11 @@ def select_active_batch(
     """Active output sets for a ``(batch, fan_in)`` block of dense queries.
 
     Returns one ``(active_ids, sampled_from_tables, fallback_random)`` tuple
-    per row, matching :meth:`SlideLayer.select_active` sample-for-sample.
-    ``forced_active`` optionally supplies per-sample ids (e.g. ground-truth
-    labels) that are always unioned into the corresponding active set.
-    ``timer`` (a :class:`~repro.perf.phases.PhaseTimer`) optionally receives
-    the split between the vectorised table probe (``hash``) and the
-    per-sample strategy selection (``select``).
+    per row.  ``forced_active`` optionally supplies per-sample ids (e.g.
+    ground-truth labels) that are always unioned into the corresponding
+    active set.  ``timer`` (a :class:`~repro.perf.phases.PhaseTimer`)
+    optionally receives the split between the table probe (``hash``) and
+    the per-sample strategy selection (``select``).
     """
     dense_queries = np.asarray(dense_queries, dtype=np.float64)
     if dense_queries.ndim != 2 or dense_queries.shape[1] != layer.fan_in:
@@ -61,9 +62,8 @@ def select_active_batch(
         return [(all_active, 0, 0) for _ in range(batch_size)]
 
     target = layer.config.sampling.target_active
-    # One flat batched probe: hashing, fingerprint packing and the bucket
-    # gathers are vectorised across the batch; per-row QueryResult views are
-    # materialised lazily only for the sampler hand-off.
+    # One flat batched probe; per-row QueryResult views are materialised
+    # only for the sampler hand-off.
     probe_start = time.perf_counter()
     flat = layer.lsh_index.query_batch_flat(dense_queries)
     select_start = time.perf_counter()

@@ -13,8 +13,8 @@ Two implementations live here:
   whole-batch insertions and removals are plain array ops instead of
   per-item object mutations and a probe of every table is one gather.
 * :class:`Bucket` — the original object-per-bucket container, kept as the
-  reference for the sequential insertion-policy semantics (the policy unit
-  tests pin FIFO/reservoir behaviour against it).
+  one sequential reference for the insertion-policy semantics (the policy
+  and index tests pin the batched kernels against it).
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ _EMPTY_SLOT = -1
 
 
 class FlatBuckets:
-    """The buckets of its users as a flat slot matrix plus counter arrays.
+    """The buckets of an index's tables as a flat slot matrix plus counters.
 
-    A user (one :class:`~repro.lsh.table.HashTable`) owns the rows it
+    The owner (one :class:`~repro.lsh.index.LSHIndex`) holds the rows it
     ``alloc``-ed until it ``release``-s them.  Row ``r`` holds one bucket:
     ``slots[r, :sizes[r]]`` are the stored ids and ``slots[r, sizes[r]:]``
     is all ``-1`` (the empty slot), ``seen[r]`` counts every insertion attempt
@@ -46,15 +46,14 @@ class FlatBuckets:
 
     __slots__ = ("capacity", "slots", "sizes", "seen", "rejections", "num_rows", "_free")
 
-    def __init__(self, capacity: int, initial_rows: int = 0) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = int(capacity)
-        rows = max(int(initial_rows), 0)
-        self.slots = np.full((rows, self.capacity), _EMPTY_SLOT, dtype=np.int64)
-        self.sizes = np.zeros(rows, dtype=np.int64)
-        self.seen = np.zeros(rows, dtype=np.int64)
-        self.rejections = np.zeros(rows, dtype=np.int64)
+        self.slots = np.full((0, self.capacity), _EMPTY_SLOT, dtype=np.int64)
+        self.sizes = np.zeros(0, dtype=np.int64)
+        self.seen = np.zeros(0, dtype=np.int64)
+        self.rejections = np.zeros(0, dtype=np.int64)
         self.num_rows = 0
         # Rows released by emptied buckets, reused before the matrix grows —
         # keeps table memory tracking the *live* bucket count.
@@ -82,7 +81,7 @@ class FlatBuckets:
         fresh = np.arange(self.num_rows, needed, dtype=np.int64)
         self.num_rows = needed
         rows = np.concatenate([np.asarray(reused, dtype=np.int64), fresh])
-        # Rows may have been used before (clear() or release()); re-blank.
+        # A released row still holds its last bucket; re-blank.
         self.slots[rows] = _EMPTY_SLOT
         self.sizes[rows] = 0
         self.seen[rows] = 0
@@ -92,15 +91,6 @@ class FlatBuckets:
     def release(self, rows: IntArray) -> None:
         """Return emptied bucket rows to the allocator for reuse."""
         self._free.extend(np.asarray(rows, dtype=np.int64).tolist())
-
-    def clear(self) -> None:
-        """Drop every user's buckets (allocation is retained for reuse)."""
-        self.num_rows = 0
-        self._free.clear()
-
-    def contents(self, row: int) -> IntArray:
-        """Copy of one bucket's stored ids."""
-        return self.slots[row, : int(self.sizes[row])].copy()
 
 
 class Bucket:

@@ -3,19 +3,36 @@
 This is the data structure at the heart of SLIDE (Figure 2).  It supports:
 
 * bulk construction from a weight matrix (one row per neuron);
-* querying with a layer input, returning per-table candidate buckets that the
-  sampling strategies (:mod:`repro.sampling`) turn into an active-neuron set;
+* probing with a block of layer inputs, returning per-table candidate
+  buckets that the sampling strategies (:mod:`repro.sampling`) turn into
+  active-neuron sets;
 * full rebuilds and *incremental* rebuilds of a subset of neurons after
   their weights change.
 
-Storage is flat and contiguous: the index keeps one ``(n,)`` item array, one
-``(n, L, K)`` code matrix and one ``(n, L)`` fingerprint matrix instead of
-per-item dictionary entries.  ``build``/``restore_codes`` are pure array ops
-(one vectorised hash sweep, one fingerprint pack and one batched table
-insert per table), and ``update`` is a *code diff*: an item is moved between
-buckets of table ``t`` only when its fingerprint in table ``t`` actually
-changed, so an incremental rebuild costs O(changed entries), not O(dirty
-items × L).
+The ``L`` tables are not objects of their own.  All their buckets share one
+:class:`~repro.lsh.bucket.FlatBuckets` slot matrix, whose row 0 is never
+handed out and stays the empty bucket, and one *directory* — a pair of
+parallel sorted arrays — maps a (table, fingerprint) key to a bucket row.  A
+key carries the table id in its high ``ceil(log2 L)`` bits and the table's
+packed ``K`` codes below them, so each table owns one contiguous run of the
+directory.  When ``cardinality ** K * 2 ** ceil(log2 L)`` fits in ``2 ** 63``
+the packing is exact (injective over code tuples, and ordered like them);
+wider combinations pack chunk by chunk and mix the chunks into one 64-bit
+word whose high bits fill the space below the table id, which may collide —
+harmless for LSH, where the fingerprint is itself a hash.  Either way two
+tables never share a bucket row.
+
+Every probe, one query or a whole batch, in training or in serving, is hash
+→ pack → **one** ``searchsorted`` → one gather (:meth:`LSHIndex.query_batch_flat`).
+
+Per-item state is flat too: one ``(n,)`` item array, one ``(n, L, K)`` code
+matrix and one ``(n, L)`` key matrix.  ``build``/``restore_codes`` are array
+ops, and ``update`` is a *code diff*: an item is moved between buckets of
+table ``t`` only when its key in table ``t`` actually changed, so an
+incremental rebuild costs O(changed entries), not O(dirty items × L).
+Mutations walk the tables in order and call the insertion policy's batched
+kernel once per table, new keys taking rows from the free list in ascending
+key order.
 """
 
 from __future__ import annotations
@@ -25,20 +42,39 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.config import LSHConfig
-from repro.hashing.base import LSHFamily, VectorLike
+from repro.hashing.base import LSHFamily
 from repro.hashing.factory import make_hash_family
 from repro.lsh.bucket import FlatBuckets
 from repro.lsh.policies import make_insertion_policy
-from repro.lsh.table import HashTable
 from repro.types import FloatArray, IntArray
 from repro.utils.rng import derive_rng
 
 __all__ = ["LSHIndex", "QueryResult", "BatchQueryResult"]
 
+# splitmix64-flavoured combine constant for chunked fingerprint mixing.
+_MIX_CONSTANT = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _radix_chunks(k: int, cardinality: int, bits: int) -> list[tuple[slice, np.ndarray]]:
+    """Split ``K`` code positions into chunks whose packing fits ``bits`` bits.
+
+    Each chunk is ``(column_slice, radix_weights)``; a single chunk means the
+    whole tuple packs exactly (the common case).  Wider (cardinality, K)
+    combinations pack chunk by chunk and mix the chunk values into one 64-bit
+    fingerprint.
+    """
+    digits_per_chunk = max(1, int(np.floor(bits / np.log2(cardinality))))
+    chunks: list[tuple[slice, np.ndarray]] = []
+    for start in range(0, k, digits_per_chunk):
+        width = min(digits_per_chunk, k - start)
+        radix = cardinality ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        chunks.append((slice(start, start + width), radix))
+    return chunks
+
 
 @dataclass
 class QueryResult:
-    """Outcome of probing the ``L`` tables with one query vector.
+    """The ``L`` candidate buckets one query row drew from the tables.
 
     Attributes
     ----------
@@ -51,12 +87,6 @@ class QueryResult:
     buckets: list[IntArray] = field(default_factory=list)
     codes: IntArray | None = None
 
-    def union(self) -> IntArray:
-        """Unique union of all candidate ids across the probed tables."""
-        if not self.buckets:
-            return np.zeros(0, dtype=np.int64)
-        return np.unique(np.concatenate(self.buckets))
-
     def frequencies(self) -> tuple[IntArray, IntArray]:
         """Candidate ids with the number of tables in which each appeared."""
         if not self.buckets:
@@ -68,11 +98,6 @@ class QueryResult:
             return empty, empty
         ids, counts = np.unique(concatenated, return_counts=True)
         return ids.astype(np.int64), counts.astype(np.int64)
-
-    @property
-    def total_candidates(self) -> int:
-        """Number of (non-unique) candidates returned across tables."""
-        return int(sum(bucket.size for bucket in self.buckets))
 
 
 @dataclass
@@ -94,10 +119,6 @@ class BatchQueryResult:
     def batch_size(self) -> int:
         return int(self.candidates.shape[0])
 
-    @property
-    def num_tables(self) -> int:
-        return int(self.candidates.shape[1])
-
     def result(self, row: int) -> QueryResult:
         """Per-row :class:`QueryResult` (bucket arrays are views)."""
         candidates = self.candidates[row]
@@ -105,12 +126,6 @@ class BatchQueryResult:
             candidates[t, :size] for t, size in enumerate(self.sizes[row].tolist())
         ]
         return QueryResult(buckets=buckets, codes=self.codes[row])
-
-    def union(self, row: int) -> IntArray:
-        """Unique union of one row's candidates across all tables."""
-        values = self.candidates[row]
-        values = values[values >= 0]
-        return np.unique(values)
 
     def frequencies(self, row: int) -> tuple[IntArray, IntArray]:
         """One row's candidate ids with their cross-table collision counts."""
@@ -136,30 +151,27 @@ class LSHIndex:
         self.seed = int(seed)
         self._rng = derive_rng(seed, stream=7)
         self.hash_family: LSHFamily = make_hash_family(input_dim, config, seed=seed)
-        # One slot matrix for all L tables, so a probe is one gather.  Row 0
-        # is never handed to a table: it stays the empty bucket that
-        # query_batch_flat reads for a fingerprint no table has mapped.
+        self._policy = make_insertion_policy(config.insertion_policy, rng=self._rng)
         self._store = FlatBuckets(config.bucket_size)
-        self._store.alloc(1)
-        self._tables = [
-            HashTable(
-                k=config.k,
-                code_cardinality=self.hash_family.code_cardinality,
-                bucket_size=config.bucket_size,
-                policy=make_insertion_policy(config.insertion_policy, rng=self._rng),
-                store=self._store,
-            )
-            for _ in range(config.l)
-        ]
+        self._store.alloc(1)  # row 0: the empty bucket every unmapped key reads
+        # Key = table id above ``_fp_bits`` fingerprint bits.
+        self._fp_bits = 63 - (config.l - 1).bit_length()
+        self._table_base = np.arange(config.l, dtype=np.int64) << self._fp_bits
+        self._chunks = _radix_chunks(
+            config.k, self.hash_family.code_cardinality, self._fp_bits
+        )
+        # The directory: sorted (table, fingerprint) keys and their rows.
+        self._dir_keys = np.zeros(0, dtype=np.int64)
+        self._dir_rows = np.zeros(0, dtype=np.int64)
         # Stored codes are only ever read back through item_codes and
         # snapshot_codes, so they are kept in the narrowest dtype that fits.
         self._code_dtype = np.min_scalar_type(self.hash_family.code_cardinality - 1)
         # Contiguous per-item state: row r of every matrix describes the item
-        # stored in self._items[r].  The fingerprint matrix is what makes
-        # update() a code diff — only rows whose fingerprint changed move.
+        # stored in self._items[r].  The key matrix is what makes update() a
+        # code diff — only entries whose key changed move.
         self._items = np.zeros(0, dtype=np.int64)
         self._codes = np.zeros((0, config.l, config.k), dtype=self._code_dtype)
-        self._fps = np.zeros((0, config.l), dtype=np.int64)
+        self._keys = np.zeros((0, config.l), dtype=np.int64)
         self._row_of: dict[int, int] = {}
         # Counters used by the cost model and diagnostics.
         self.num_insertions = 0
@@ -181,10 +193,6 @@ class LSHIndex:
         return self.config.k
 
     @property
-    def tables(self) -> list[HashTable]:
-        return self._tables
-
-    @property
     def num_items(self) -> int:
         """Number of distinct items currently indexed."""
         return int(self._items.size)
@@ -196,40 +204,125 @@ class LSHIndex:
             raise KeyError(f"item {item} is not indexed")
         return self._codes[row].astype(np.int64)
 
-    def _fingerprint_matrix(self, all_codes: IntArray) -> IntArray:
-        """Per-item ``(n, L)`` bucket fingerprints for ``(n, L, K)`` codes.
+    def _pack(self, codes: IntArray) -> IntArray:
+        """Directory keys ``(..., L)`` for ``(..., L, K)`` codes."""
+        cols, radix = self._chunks[0]
+        fingerprints = codes[..., cols] @ radix
+        if len(self._chunks) > 1:
+            mixed = fingerprints.astype(np.uint64)
+            for cols, radix in self._chunks[1:]:
+                packed = (codes[..., cols] @ radix).astype(np.uint64)
+                mixed ^= (
+                    packed
+                    + _MIX_CONSTANT
+                    + (mixed << np.uint64(6))
+                    + (mixed >> np.uint64(2))
+                )
+            fingerprints = (mixed >> np.uint64(64 - self._fp_bits)).astype(np.int64)
+        return fingerprints + self._table_base
 
-        Every table has the same ``K`` and cardinality, hence the same
-        packing, so any one of them packs the block for all ``L`` at once.
+    def _rows_of(self, keys: IntArray) -> IntArray:
+        """Bucket rows of directory keys; the empty row 0 where unmapped."""
+        if self._dir_keys.size == 0:
+            return np.zeros(keys.shape, dtype=np.int64)
+        pos = self._dir_keys.searchsorted(keys)  # == size past the last key: clipped
+        hit = self._dir_keys.take(pos, mode="clip") == keys
+        return np.where(hit, self._dir_rows.take(pos, mode="clip"), 0)
+
+    def _locate(self, keys: IntArray) -> tuple[IntArray, IntArray]:
+        """Directory positions of ``keys`` (clipped) and which are present.
+
+        Searches only the run between the smallest and the largest key —
+        one table's run when the keys are one table's, as builds and
+        rebuilds hand them — and needs a non-empty directory.
         """
-        return self._tables[0].fingerprint_many(all_codes)
+        lo = int(self._dir_keys.searchsorted(keys.min()))
+        hi = int(self._dir_keys.searchsorted(keys.max(), side="right"))
+        pos = self._dir_keys[lo:hi].searchsorted(keys) + lo
+        np.minimum(pos, self._dir_keys.size - 1, out=pos)
+        return pos, self._dir_keys[pos] == keys
 
-    def insert(self, item: int, vector: VectorLike) -> None:
-        """Hash ``vector`` and store ``item`` in every table."""
-        codes = self.hash_family.hash_vector(vector)
-        self._apply_codes(np.asarray([int(item)], dtype=np.int64), codes[None])
+    def _insert(self, keys: IntArray, items: IntArray) -> None:
+        """Store ``items`` under ``keys`` through the insertion policy.
 
-    def _set_contents(
-        self, item_ids: IntArray, codes: IntArray, fps: IntArray
-    ) -> None:
-        """Replace the index contents wholesale (tables already cleared)."""
-        for table_idx, table in enumerate(self._tables):
-            table.insert_many(fps[:, table_idx], item_ids)
-        self._items = item_ids.copy()
-        self._codes = codes.astype(self._code_dtype)
-        self._fps = fps
-        self._row_of = {int(item): row for row, item in enumerate(item_ids)}
-        self.num_insertions += int(item_ids.size)
+        Keys the directory lacks get bucket rows from the free list in
+        ascending key order and are merged in by ``searchsorted`` insertion.
+        """
+        rows = np.zeros(keys.shape, dtype=np.int64)
+        if self._dir_keys.size:
+            pos, present = self._locate(keys)
+            rows[present] = self._dir_rows[pos[present]]
+        missing = rows == 0
+        if np.any(missing):
+            new_keys, inverse = np.unique(keys[missing], return_inverse=True)
+            new_rows = self._store.alloc(new_keys.size)
+            at = self._dir_keys.searchsorted(new_keys)
+            self._dir_keys = np.insert(self._dir_keys, at, new_keys)
+            self._dir_rows = np.insert(self._dir_rows, at, new_rows)
+            rows[missing] = new_rows[inverse]
+        self._policy.insert_many_flat(self._store, rows, items)
+
+    def _remove(self, keys: IntArray, items: IntArray) -> None:
+        """Remove every ``(key, item)`` pair in one sweep.
+
+        Buckets are compacted in place preserving the order of the surviving
+        slots; pairs whose bucket or item is absent are ignored.  Emptied
+        buckets leave the directory and their rows go back to the free list
+        (ascending), so memory tracks the *live* bucket count.
+        """
+        if keys.size == 0 or self._dir_keys.size == 0:
+            return
+        pos, present = self._locate(keys)
+        if not np.any(present):
+            return
+        pos = pos[present]
+        items = items[present]
+        affected, row_index = np.unique(self._dir_rows[pos], return_inverse=True)
+        block = self._store.slots[affected]
+        capacity = self._store.capacity
+
+        # Encode (bucket, item) pairs as single int64 keys so membership of
+        # every slot in the removal set is one np.isin sweep.
+        base = int(max(int(items.max()), int(block.max()), 0)) + 2
+        if affected.size * base < 2**62:
+            removal_keys = row_index * base + items
+            slot_keys = np.arange(affected.size, dtype=np.int64)[:, None] * base + block
+            hit = np.isin(slot_keys, removal_keys) & (block >= 0)
+        else:  # pragma: no cover - astronomically large ids
+            hit = np.zeros_like(block, dtype=bool)
+            for index in range(affected.size):
+                hit[index] = np.isin(block[index], items[row_index == index])
+        if not np.any(hit):
+            return
+
+        sizes = self._store.sizes[affected]
+        keep = ~hit & (np.arange(capacity)[None, :] < sizes[:, None])
+        order = np.argsort(~keep, axis=1, kind="stable")
+        compacted = np.take_along_axis(block, order, axis=1)
+        new_sizes = keep.sum(axis=1)
+        compacted[np.arange(capacity)[None, :] >= new_sizes[:, None]] = -1
+        self._store.slots[affected] = compacted
+        self._store.sizes[affected] = new_sizes
+        emptied = new_sizes == 0
+        if np.any(emptied):
+            self._store.release(affected[emptied])
+            where = np.empty_like(affected)
+            where[row_index] = pos  # every pair of a bucket has its position
+            drop = where[emptied]
+            self._dir_keys = np.delete(self._dir_keys, drop)
+            self._dir_rows = np.delete(self._dir_rows, drop)
 
     def _apply_codes(self, item_ids: IntArray, codes: IntArray) -> None:
         """Index ``item_ids`` under fresh ``(d, L, K)`` codes.
 
         Already-indexed items are *moved*: for each table, only the entries
-        whose fingerprint differs from the stored one are removed from their
-        old bucket and inserted into the new one (the code diff).  Unknown
-        items are appended.
+        whose key differs from the stored one are removed from their old
+        bucket and inserted into the new one (the code diff).  Unknown items
+        are appended.
         """
-        fps = self._fingerprint_matrix(codes)
+        if item_ids.size and item_ids.min() < 0:
+            raise ValueError("items must be non-negative (−1 is the slot sentinel)")
+        keys = self._pack(codes)
         rows = np.fromiter(
             (self._row_of.get(int(item), -1) for item in item_ids),
             dtype=np.int64,
@@ -239,30 +332,30 @@ class LSHIndex:
         if np.any(known):
             known_rows = rows[known]
             known_ids = item_ids[known]
-            old_fps = self._fps[known_rows]
-            new_fps = fps[known]
-            changed = old_fps != new_fps
-            for table_idx, table in enumerate(self._tables):
-                moved = changed[:, table_idx]
+            old_keys = self._keys[known_rows]
+            new_keys = keys[known]
+            changed = old_keys != new_keys
+            for table in range(self.l):
+                moved = changed[:, table]
                 if np.any(moved):
-                    table.remove_many(old_fps[moved, table_idx], known_ids[moved])
-                    table.insert_many(new_fps[moved, table_idx], known_ids[moved])
+                    self._remove(old_keys[moved, table], known_ids[moved])
+                    self._insert(new_keys[moved, table], known_ids[moved])
             self._codes[known_rows] = codes[known]
-            self._fps[known_rows] = new_fps
+            self._keys[known_rows] = new_keys
             self.num_moved_entries += int(changed.sum())
         if not np.all(known):
             fresh_ids = item_ids[~known]
-            fresh_fps = fps[~known]
+            fresh_keys = keys[~known]
             base = self._items.size
             self._items = np.concatenate([self._items, fresh_ids])
             self._codes = np.concatenate(
                 [self._codes, codes[~known].astype(self._code_dtype)], axis=0
             )
-            self._fps = np.concatenate([self._fps, fresh_fps], axis=0)
+            self._keys = np.concatenate([self._keys, fresh_keys], axis=0)
             for offset, item in enumerate(fresh_ids):
                 self._row_of[int(item)] = base + offset
-            for table_idx, table in enumerate(self._tables):
-                table.insert_many(fresh_fps[:, table_idx], fresh_ids)
+            for table in range(self.l):
+                self._insert(fresh_keys[:, table], fresh_ids)
         self.num_insertions += int(item_ids.size)
 
     def build(self, weights: FloatArray, item_ids: IntArray | None = None) -> None:
@@ -279,16 +372,16 @@ class LSHIndex:
             if np.unique(item_ids).size != item_ids.size:
                 raise ValueError("item_ids must be unique")
         self.clear()
-        all_codes = self.hash_family.hash_matrix(weights)
-        self._set_contents(item_ids, all_codes, self._fingerprint_matrix(all_codes))
+        self._apply_codes(item_ids, self.hash_family.hash_matrix(weights))
 
     def update(self, item_ids: IntArray, weights: FloatArray) -> None:
         """Re-hash only the given items (incremental rebuild after updates).
 
-        The new codes are compared against the stored fingerprint matrix and
-        only entries whose bucket actually changed are moved, so the cost
-        scales with the number of *changed* fingerprints rather than the
-        size of the dirty set.  Duplicate ids keep their last occurrence.
+        The new codes are compared against the stored key matrix and only
+        entries whose bucket actually changed are moved, so the cost scales
+        with the number of *changed* keys rather than the size of the dirty
+        set.  Duplicate ids keep their last occurrence; unknown ids are
+        indexed.
         """
         item_ids = np.asarray(item_ids, dtype=np.int64)
         weights = np.asarray(weights, dtype=np.float64)
@@ -326,79 +419,58 @@ class LSHIndex:
             raise ValueError(
                 f"codes must have shape ({items.shape[0]}, {self.l}, {self.k})"
             )
+        if codes.size and (
+            codes.min() < 0 or codes.max() >= self.hash_family.code_cardinality
+        ):
+            raise ValueError("code value out of range for code_cardinality")
         if np.unique(items).size != items.size:
             raise ValueError("snapshot items must be unique")
         self.clear()
-        self._set_contents(items, codes, self._fingerprint_matrix(codes))
+        self._apply_codes(items, codes)
 
     def remove(self, item: int) -> bool:
         """Remove ``item`` from every table (if it was indexed)."""
         row = self._row_of.pop(int(item), None)
         if row is None:
             return False
-        fps = self._fps[row]
-        for table_idx, table in enumerate(self._tables):
-            table.remove_fingerprint(int(fps[table_idx]), item)
+        self._remove(self._keys[row], np.full(self.l, int(item), dtype=np.int64))
         last = self._items.size - 1
         if row != last:
             moved_item = int(self._items[last])
             self._items[row] = self._items[last]
             self._codes[row] = self._codes[last]
-            self._fps[row] = self._fps[last]
+            self._keys[row] = self._keys[last]
             self._row_of[moved_item] = row
         self._items = self._items[:last]
         self._codes = self._codes[:last]
-        self._fps = self._fps[:last]
+        self._keys = self._keys[:last]
         return True
 
     def clear(self) -> None:
-        """Drop every bucket in every table."""
-        for table in self._tables:
-            table.clear()
+        """Drop every bucket in every table.
+
+        Rows go back to the free list in directory order — table by table,
+        each in key order — so a rebuild hands them out in a fixed order.
+        """
+        self._store.release(self._dir_rows)
+        self._dir_keys = np.zeros(0, dtype=np.int64)
+        self._dir_rows = np.zeros(0, dtype=np.int64)
         self._items = np.zeros(0, dtype=np.int64)
         self._codes = np.zeros((0, self.l, self.k), dtype=self._code_dtype)
-        self._fps = np.zeros((0, self.l), dtype=np.int64)
+        self._keys = np.zeros((0, self.l), dtype=np.int64)
         self._row_of = {}
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def query(self, vector: VectorLike, max_tables: int | None = None) -> QueryResult:
-        """Probe the tables with ``vector``.
+    def query_batch_flat(self, queries: FloatArray) -> BatchQueryResult:
+        """Probe the tables with a ``(batch, input_dim)`` block of dense queries.
 
-        Parameters
-        ----------
-        max_tables:
-            When given, only the first ``max_tables`` tables (in a random
-            order) are probed — the Vanilla-sampling fast path.
-        """
-        codes = self.hash_family.hash_vector(vector)
-        result = QueryResult(codes=codes)
-        order = np.arange(self.l)
-        if max_tables is not None and max_tables < self.l:
-            order = self._rng.permutation(self.l)[:max_tables]
-        for table_idx in order:
-            result.buckets.append(self._tables[table_idx].query(codes[table_idx]))
-        self.num_queries += 1
-        return result
-
-    def query_with_codes(self, codes: IntArray) -> QueryResult:
-        """Probe every table with pre-computed ``(L, K)`` codes."""
-        codes = np.asarray(codes, dtype=np.int64)
-        if codes.shape != (self.l, self.k):
-            raise ValueError(f"codes must have shape ({self.l}, {self.k})")
-        result = QueryResult(codes=codes)
-        for table_idx, table in enumerate(self._tables):
-            result.buckets.append(table.query(codes[table_idx]))
-        self.num_queries += 1
-        return result
-
-    def hash_batch(self, queries: FloatArray) -> IntArray:
-        """Codes for a ``(batch, input_dim)`` block of dense queries.
-
-        One call into the hash family's vectorised matrix path (one matmul
-        for SimHash, one gather/reduce sweep for (D)WTA/DOPH) replaces
-        ``batch`` per-vector hashes.
+        One hash sweep (one matmul for SimHash, one gather/reduce sweep for
+        (D)WTA/DOPH), one key pack for all ``L`` tables, one directory
+        ``searchsorted``, then a single fancy-index gather from the slot
+        matrix: ``slots[r, sizes[r]:] == -1`` holds for every row, the empty
+        row 0 included, so the gathered block is already ``-1`` padded.
         """
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != self.input_dim:
@@ -406,23 +478,8 @@ class LSHIndex:
                 f"queries must have shape (batch, {self.input_dim}), "
                 f"got {queries.shape}"
             )
-        return self.hash_family.hash_matrix(queries)
-
-    def query_batch_flat(self, queries: FloatArray) -> BatchQueryResult:
-        """Probe the tables with a dense query block; flat-array result.
-
-        One hash sweep, one fingerprint pack for all ``L`` tables, one
-        directory ``searchsorted`` per table, then a single fancy-index
-        gather from the shared slot matrix: ``slots[r, sizes[r]:] == -1``
-        holds for every row, the empty row 0 included, so the gathered
-        block is already ``-1`` padded.
-        """
-        codes = self.hash_batch(queries)
-        fps = self._fingerprint_matrix(codes)
-        rows = np.empty(fps.shape, dtype=np.int64)
-        for table_idx, table in enumerate(self._tables):
-            rows[:, table_idx] = table.rows_of(fps[:, table_idx])
-        np.maximum(rows, 0, out=rows)
+        codes = self.hash_family.hash_matrix(queries)
+        rows = self._rows_of(self._pack(codes))
         self.num_queries += codes.shape[0]
         return BatchQueryResult(
             codes=codes, candidates=self._store.slots[rows], sizes=self._store.sizes[rows]
@@ -433,15 +490,21 @@ class LSHIndex:
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, float]:
         """Summary statistics used by tests and the benchmark harness."""
-        bucket_counts = np.array([t.num_buckets for t in self._tables])
-        items = np.array([t.num_items for t in self._tables])
-        load = np.array([t.load_factor() for t in self._tables])
+        # Every directory entry is a non-empty bucket of its key's table.
+        table_of = self._dir_keys >> self._fp_bits
+        buckets = np.bincount(table_of, minlength=self.l)
+        items = np.bincount(
+            table_of, weights=self._store.sizes[self._dir_rows], minlength=self.l
+        )
+        load = np.zeros(self.l)
+        filled = buckets > 0
+        load[filled] = items[filled] / buckets[filled] / self.config.bucket_size
         return {
             "tables": float(self.l),
             "indexed_items": float(self.num_items),
-            "mean_buckets_per_table": float(bucket_counts.mean()) if self.l else 0.0,
-            "mean_items_per_table": float(items.mean()) if self.l else 0.0,
-            "mean_load_factor": float(load.mean()) if self.l else 0.0,
+            "mean_buckets_per_table": float(buckets.mean()),
+            "mean_items_per_table": float(items.mean()),
+            "mean_load_factor": float(load.mean()),
             "insertions": float(self.num_insertions),
             "queries": float(self.num_queries),
             "update_items": float(self.num_update_items),

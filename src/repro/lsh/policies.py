@@ -8,13 +8,11 @@ The paper implements two:
   the adaptive-sampling property of the LSH tables (Wang et al., 2018).
 * **FIFO** — the new item always replaces the oldest one.
 
-Each policy exposes three entry points:
+Each policy exposes two entry points:
 
 * ``insert(bucket, item)`` — the sequential reference semantics on the
   object-per-bucket :class:`~repro.lsh.bucket.Bucket` (pinned by the policy
-  unit tests);
-* ``insert_flat(store, row, item)`` — the same sequential semantics on one
-  row of a :class:`~repro.lsh.bucket.FlatBuckets` slot matrix;
+  unit tests, and the oracle the batched kernel is tested against);
 * ``insert_many_flat(store, rows, items)`` — the batched kernel: the whole
   item batch is applied with array ops (one stable sort to group items by
   bucket, then vectorised slot arithmetic), producing the same final bucket
@@ -63,10 +61,6 @@ class InsertionPolicy(abc.ABC):
         """Insert ``item`` into ``bucket``; return True if it was stored."""
 
     @abc.abstractmethod
-    def insert_flat(self, store: FlatBuckets, row: int, item: int) -> bool:
-        """Sequential insert into one row of a flat slot matrix."""
-
-    @abc.abstractmethod
     def insert_many_flat(
         self, store: FlatBuckets, rows: IntArray, items: IntArray
     ) -> int:
@@ -77,8 +71,8 @@ class FIFOPolicy(InsertionPolicy):
     """Replace the oldest item when the bucket is full (always stores).
 
     On the flat layout FIFO buckets keep their slots in arrival order, so the
-    sequential overflow step is a left shift and the batched step keeps, per
-    bucket, the newest ``capacity`` of (existing items + batch arrivals).
+    batched step keeps, per bucket, the newest ``capacity`` of (existing
+    items + batch arrivals).
     """
 
     name = "fifo"
@@ -88,18 +82,6 @@ class FIFOPolicy(InsertionPolicy):
             bucket.append(item)
         else:
             bucket.replace(bucket.oldest_slot(), item)
-        return True
-
-    def insert_flat(self, store: FlatBuckets, row: int, item: int) -> bool:
-        capacity = store.capacity
-        size = int(store.sizes[row])
-        if size < capacity:
-            store.slots[row, size] = item
-            store.sizes[row] = size + 1
-        else:
-            store.slots[row, : capacity - 1] = store.slots[row, 1:capacity]
-            store.slots[row, capacity - 1] = item
-        store.seen[row] += 1
         return True
 
     def insert_many_flat(
@@ -160,21 +142,6 @@ class ReservoirPolicy(InsertionPolicy):
             bucket.replace(slot, item)
             return True
         bucket.count_rejection()
-        return False
-
-    def insert_flat(self, store: FlatBuckets, row: int, item: int) -> bool:
-        size = int(store.sizes[row])
-        if size < store.capacity:
-            store.slots[row, size] = item
-            store.sizes[row] = size + 1
-            store.seen[row] += 1
-            return True
-        slot = int(self._rng.integers(0, int(store.seen[row]) + 1))
-        store.seen[row] += 1
-        if slot < store.capacity:
-            store.slots[row, slot] = item
-            return True
-        store.rejections[row] += 1
         return False
 
     def insert_many_flat(

@@ -79,6 +79,10 @@ def _run_isolated(
     for key, value in overrides.items():
         argv.extend(["--param", f"{key}={json.dumps(value)}"])
     env = dict(os.environ)
+    # Single-thread BLAS: a multi-threaded GEMM in one worker spills onto the
+    # other cores, which the timing and core-utilisation checks then see.
+    for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[variable] = "1"
     src_dir = str(Path(__file__).resolve().parents[2])
     existing = env.get("PYTHONPATH", "")
     if src_dir not in existing.split(os.pathsep):

@@ -1,8 +1,8 @@
 """The three active-neuron sampling strategies (paper Section 4.1).
 
-Given the per-table candidate buckets returned by
-:meth:`repro.lsh.index.LSHIndex.query`, each strategy decides which neuron
-ids become *active* for the current input:
+Given the per-table candidate buckets one query row drew from the tables
+(:meth:`repro.lsh.index.BatchQueryResult.result`), each strategy decides
+which neuron ids become *active* for the current input:
 
 * **Vanilla** — probe tables one at a time in random order, stop as soon as
   ``beta`` distinct neurons have been collected.  ``O(beta)`` time, lowest
@@ -20,7 +20,7 @@ import abc
 import numpy as np
 
 from repro.config import SamplingConfig
-from repro.lsh.index import LSHIndex, QueryResult
+from repro.lsh.index import QueryResult
 from repro.types import IntArray
 from repro.utils.topk import top_k_indices
 
@@ -42,49 +42,33 @@ class SamplingStrategy(abc.ABC):
         self._rng = rng if rng is not None else np.random.default_rng()
 
     @abc.abstractmethod
-    def sample(
-        self,
-        index: LSHIndex,
-        query_vector,
-        target_active: int | None,
-    ) -> IntArray:
-        """Return a unique array of active neuron ids for ``query_vector``."""
-
-    # Shared helper: strategies that already have a QueryResult can reuse it.
-    @abc.abstractmethod
     def select_from_result(
         self, result: QueryResult, target_active: int | None
     ) -> IntArray:
-        """Select ids from an existing :class:`QueryResult`."""
+        """Return a sorted unique array of active neuron ids for one query."""
 
 
 class VanillaSampling(SamplingStrategy):
     """Random-table probing until ``beta`` neurons are collected.
 
     The time complexity is ``O(beta)`` because each additional table probe is
-    a single bucket lookup and the loop stops as soon as enough candidates
+    a single bucket merge and the loop stops as soon as enough candidates
     have been gathered.
     """
 
     name = "vanilla"
 
-    def _collect(self, num_tables, get_bucket, target_active: int | None) -> IntArray:
-        """Shared random-order early-stop collection loop.
-
-        ``sample`` and ``select_from_result`` differ only in where buckets
-        come from (a live table probe vs. a prefetched result); the RNG
-        consumption — one table permutation plus one over-target subset draw
-        — lives here so the two entry points stay draw-for-draw identical,
-        which the batched-selection parity guarantees depend on.
-        """
-        order = self._rng.permutation(num_tables)
+    def select_from_result(self, result: QueryResult, target_active: int | None) -> IntArray:
+        # RNG consumption: one table permutation, plus one subset draw when
+        # over target.
+        order = self._rng.permutation(len(result.buckets))
         # Running sorted-unique union of the probed buckets: each probe merges
         # one bucket instead of re-deduplicating everything collected so far.
         # Sort + neighbour compare is np.union1d without its fixed cost, which
         # dominates on bucket-sized arrays.
         unique = np.zeros(0, dtype=np.int64)
         for table_idx in order:
-            bucket = get_bucket(int(table_idx))
+            bucket = result.buckets[table_idx]
             if bucket.size:
                 merged = np.sort(np.concatenate((unique, bucket)))
                 first = np.ones(merged.size, dtype=bool)
@@ -98,32 +82,11 @@ class VanillaSampling(SamplingStrategy):
             unique = np.sort(unique[keep])
         return unique.astype(np.int64)
 
-    def sample(self, index: LSHIndex, query_vector, target_active: int | None) -> IntArray:
-        codes = index.hash_family.hash_vector(query_vector)
-        selected = self._collect(
-            index.l,
-            lambda table_idx: index.tables[table_idx].query(codes[table_idx]),
-            target_active,
-        )
-        index.num_queries += 1
-        return selected
-
-    def select_from_result(self, result: QueryResult, target_active: int | None) -> IntArray:
-        return self._collect(
-            len(result.buckets),
-            lambda table_idx: result.buckets[table_idx],
-            target_active,
-        )
-
 
 class TopKSampling(SamplingStrategy):
     """Frequency aggregation across all tables, keep the top ``beta``."""
 
     name = "topk"
-
-    def sample(self, index: LSHIndex, query_vector, target_active: int | None) -> IntArray:
-        result = index.query(query_vector)
-        return self.select_from_result(result, target_active)
 
     def select_from_result(self, result: QueryResult, target_active: int | None) -> IntArray:
         ids, counts = result.frequencies()
@@ -145,10 +108,6 @@ class HardThresholdSampling(SamplingStrategy):
         if threshold <= 0:
             raise ValueError("threshold must be positive")
         self.threshold = int(threshold)
-
-    def sample(self, index: LSHIndex, query_vector, target_active: int | None) -> IntArray:
-        result = index.query(query_vector)
-        return self.select_from_result(result, target_active)
 
     def select_from_result(self, result: QueryResult, target_active: int | None) -> IntArray:
         ids, counts = result.frequencies()

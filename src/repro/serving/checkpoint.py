@@ -14,9 +14,9 @@ initialised parameters in place, and *replays* the stored hash codes into
 the rebuilt index — the hash functions themselves are deterministic given
 ``(config, seed)``, so only the table contents need to travel.  The snapshot
 surface is the index's contiguous ``(n,)`` item / ``(n, L, K)`` code
-matrices (``snapshot_codes``/``restore_codes``), so the replay is a batched
-fingerprint pack plus one ``insert_many`` per table rather than a per-item
-loop.  Replaying codes in row order reproduces bucket membership exactly
+matrices (``snapshot_codes``/``restore_codes``), so the replay is one
+batched key pack plus one batched insertion per table rather than a
+per-item loop.  Replaying codes in row order reproduces bucket membership exactly
 for any bucket that never overflowed; the exact eviction order of
 overflowed FIFO buckets is not preserved (a full ``rebuild_all_tables()``
 restores the canonical state if required).

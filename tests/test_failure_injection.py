@@ -144,8 +144,8 @@ class TestHashFamiliesOnDegenerateInputs:
 class TestLSHIndexEdgeCases:
     def test_query_on_empty_index_returns_nothing(self, rng):
         index = LSHIndex(16, LSHConfig(hash_family="simhash", k=3, l=4), seed=0)
-        result = index.query(rng.normal(size=16))
-        assert result.union().size == 0
+        flat = index.query_batch_flat(rng.normal(size=(2, 16)))
+        assert flat.sizes.sum() == 0 and np.all(flat.candidates == -1)
 
     def test_bucket_overflow_keeps_index_consistent(self, rng):
         """Index far more items than one bucket can hold: every table keeps at
@@ -154,10 +154,9 @@ class TestLSHIndexEdgeCases:
         index = LSHIndex(8, config, seed=0)
         weights = rng.normal(size=(100, 8))
         index.build(weights)
-        for table in index.tables:
-            assert max(table.bucket_sizes(), default=0) <= 4
-        result = index.query(weights[0])
-        union = result.union()
+        flat = index.query_batch_flat(weights)
+        assert flat.sizes.max() <= 4
+        union = flat.frequencies(0)[0]
         assert union.size <= 2 * 4
         assert np.all((union >= 0) & (union < 100))
 
@@ -170,8 +169,10 @@ class TestLSHIndexEdgeCases:
             weights = weights + rng.normal(scale=0.1, size=weights.shape)
             index.update(np.arange(20), weights)
         assert index.num_items == 20
-        for table in index.tables:
-            assert table.num_items == 20
+        assert index.stats()["mean_items_per_table"] == 20
+        flat = index.query_batch_flat(weights)
+        for item in range(20):
+            np.testing.assert_array_equal((flat.candidates[item] == item).sum(axis=1), 1)
 
 
 class TestTrainerRobustness:

@@ -454,7 +454,9 @@ class TestSupervisedChaos:
     ):
         dataset = _sharded(tiny_dataset, tmp_path)
         config = dataclasses.replace(tiny_training_config, epochs=2)
-        ft = dataclasses.replace(_CHAOS_FT, checkpoint_every_s=0.05)
+        # A checkpoint on every supervisor pass: the whole run can finish
+        # inside any coarser interval, which left nothing to resume from.
+        ft = dataclasses.replace(_CHAOS_FT, checkpoint_every_s=1e-6)
         store_root = tmp_path / "ckpt"
 
         network = SlideNetwork(tiny_network_config)
@@ -508,7 +510,7 @@ class TestSupervisedChaos:
             SlideNetwork(tiny_network_config),
             tiny_training_config,
             num_processes=2,
-            fault_tolerance=dataclasses.replace(_CHAOS_FT, checkpoint_every_s=0.02),
+            fault_tolerance=dataclasses.replace(_CHAOS_FT, checkpoint_every_s=1e-6),
             checkpoint_dir=store_root,
         )
         report = trainer.train(dataset)

@@ -2,9 +2,9 @@
 
 Three contracts are pinned down:
 
-1. the batched building blocks (matrix hashing, fingerprint packing, batched
-   table queries, batched active-set selection) agree element-for-element
-   with their per-sample counterparts;
+1. the batched building blocks (matrix hashing, table probes, active-set
+   selection) answer every row as they answer it alone, which is what the
+   per-sample path asks of them;
 2. the fused synchronous training step produces the same losses and work
    metrics as the legacy per-sample synchronous loop on a fixed seed, and —
    with a linear optimiser, where accumulated and sequential block updates
@@ -89,6 +89,7 @@ def lsh_network(
 # Building blocks
 # ----------------------------------------------------------------------
 class TestBatchedHashing:
+    @pytest.mark.parametrize("values", ["gaussian", "rounded", "tied"])
     @pytest.mark.parametrize(
         "family_cls, kwargs",
         [
@@ -98,38 +99,51 @@ class TestBatchedHashing:
             (DOPH, {"top_k": 16}),
         ],
     )
-    def test_hash_matrix_matches_per_vector(self, rng, family_cls, kwargs):
+    def test_hash_matrix_matches_per_vector(self, rng, family_cls, kwargs, values):
+        """A row's codes do not depend on the rows hashed beside it.  Values
+        rounded to 0.1 make SimHash projections cancel to (nearly) zero,
+        where summation order could flip the sign; tied values exercise the
+        (D)WTA / DOPH tie-breaks."""
         dim = 120
         family = family_cls(input_dim=dim, k=4, l=6, seed=9, **kwargs)
-        matrix = np.zeros((24, dim))
-        for row in range(23):
-            idx = rng.choice(dim, size=int(rng.integers(1, 24)), replace=False)
-            matrix[row, idx] = rng.normal(size=idx.size)
-        # Row 23 stays all-zero: the degenerate densification case.
+        rows = 500 if values == "rounded" else 24
+        matrix = np.zeros((rows, dim))
+        for row in range(rows - 1):
+            idx = rng.choice(dim, size=int(rng.integers(1, 60)), replace=False)
+            if values == "gaussian":
+                matrix[row, idx] = rng.normal(size=idx.size)
+            elif values == "rounded":
+                matrix[row, idx] = np.round(rng.normal(size=idx.size), 1)
+            else:
+                matrix[row, idx] = rng.integers(1, 3, size=idx.size)
+        # The last row stays all-zero: the degenerate densification case.
         batched = family.hash_matrix(matrix)
         looped = LSHFamily.hash_matrix(family, matrix)
         np.testing.assert_array_equal(batched, looped)
+        for row in range(0, rows, 25):
+            np.testing.assert_array_equal(
+                family.hash_vector(matrix[row]), family.hash_matrix(matrix[row : row + 1])[0]
+            )
 
-    def test_fingerprint_many_matches_scalar(self, rng):
-        index = LSHIndex(input_dim=32, config=LSHConfig(k=5, l=4), seed=1)
-        table = index.tables[0]
-        codes = rng.integers(0, 2, size=(50, 5))
-        many = table.fingerprint_many(codes)
-        assert isinstance(many, np.ndarray) and many.dtype == np.int64
-        np.testing.assert_array_equal(
-            many, [table.fingerprint(row) for row in codes]
-        )
+    def test_simhash_codes_are_the_signs_of_its_projections(self, rng):
+        family = SimHash(input_dim=40, k=3, l=5, seed=2)
+        for _ in range(50):
+            x = np.round(rng.normal(size=40) * (rng.random(40) < 0.4), 1)
+            np.testing.assert_array_equal(
+                family.codes_from_projections(family.project(x)), family.hash_vector(x)
+            )
 
     def test_query_batch_matches_per_query(self, rng):
+        """A batch probe answers every row as the one-row probe of the
+        per-sample path does."""
         index = LSHIndex(input_dim=32, config=LSHConfig(k=3, l=8), seed=2)
         index.build(rng.normal(size=(60, 32)))
-        queries = rng.normal(size=(10, 32))
+        queries = np.round(rng.normal(size=(10, 32)), 1)
         flat = index.query_batch_flat(queries)
-        batched = [flat.result(r) for r in range(flat.batch_size)]
         for row in range(queries.shape[0]):
-            single = index.query(queries[row])
-            assert len(batched[row].buckets) == len(single.buckets)
-            for got, expected in zip(batched[row].buckets, single.buckets):
+            single = index.query_batch_flat(queries[row : row + 1])
+            np.testing.assert_array_equal(single.codes[0], flat.codes[row])
+            for got, expected in zip(flat.result(row).buckets, single.result(0).buckets):
                 np.testing.assert_array_equal(got, expected)
 
 
@@ -143,19 +157,25 @@ class TestBatchedSelection:
         )
         return SlideLayer(fan_in=24, config=config, seed=seed)
 
+    @pytest.mark.parametrize("rounded", [False, True])
     @pytest.mark.parametrize("strategy", ["vanilla", "topk", "hard_threshold"])
-    def test_rng_compatible_with_per_sample_selection(self, rng, strategy):
-        """Batched selection must consume the layer RNG exactly like the
-        per-sample path, sample for sample."""
+    def test_rng_compatible_with_per_sample_selection(self, rng, strategy, rounded):
+        """The per-sample path (``SlideLayer.forward``, one query at a time)
+        must select what the batched call selects and consume the layer RNG
+        exactly like it, sample for sample — also on inputs rounded to 0.1,
+        whose projections cancel to zero."""
         layer_a = self._layer(strategy=strategy)
         layer_b = self._layer(strategy=strategy)
         queries = rng.normal(size=(12, 24))
+        if rounded:
+            queries = np.round(queries * (rng.random(size=queries.shape) < 0.3), 1)
         queries[5] = 0.0  # all-zero query exercises the fallback padding
         per_sample = []
         for row in range(queries.shape[0]):
             indices = np.flatnonzero(queries[row])
+            state = layer_a.forward(indices, queries[row][indices])
             per_sample.append(
-                layer_a.select_active(indices, queries[row][indices])
+                (state.active_out, state.sampled_from_tables, state.fallback_random)
             )
         batched = select_active_batch(layer_b, queries)
         for (a_ids, a_tables, a_fallback), (b_ids, b_tables, b_fallback) in zip(
@@ -164,6 +184,7 @@ class TestBatchedSelection:
             np.testing.assert_array_equal(a_ids, b_ids)
             assert a_tables == b_tables
             assert a_fallback == b_fallback
+        assert layer_a._rng.integers(1 << 30) == layer_b._rng.integers(1 << 30)
 
     def test_forced_ids_always_included(self, rng):
         layer = self._layer()

@@ -1,19 +1,25 @@
-"""Equivalence and regression tests for the flat array-backed LSH tables.
+"""Equivalence and regression tests for the flat array-backed LSH index.
 
-Pins four contracts of the PR-3 storage refactor:
+Pins five contracts of the flat storage:
 
-1. **Batched ≡ per-item** — building tables through the batched
-   ``insert_many`` path produces the same buckets as the sequential
-   per-item scalar path (exactly for FIFO, and for reservoir wherever no
-   bucket overflows), across SimHash / DWTA / DOPH and both policies.
+1. **Batched ≡ sequential reference** — the index's batched insertion
+   stores what inserting the items one at a time into
+   :class:`~repro.lsh.bucket.Bucket` objects through ``policy.insert``
+   stores (slot for slot, in arrival order, for FIFO; and for reservoir
+   wherever no bucket overflows, plus its bookkeeping where they do),
+   across SimHash / DWTA / DOPH and both policies.
 2. **Code-diff ``update`` ≡ full ``build``** — after an incremental update
-   the index answers queries exactly like an index built from scratch over
-   the new weights, stale entries are gone, and untouched rows never move.
+   the index holds exactly what an index built from scratch over the new
+   weights holds, stale entries are gone, and untouched rows never move.
 3. **Snapshot round-trip** — ``snapshot_codes``/``restore_codes`` reproduce
-   bucket membership on the flat layout.
-4. **Batched fingerprints** — ``fingerprint_many`` returns int64 arrays,
-   agrees with the scalar path, and stays batched (chunked pack-and-mix)
-   for over-wide radixes.
+   bucket membership.
+4. **Directory keys** — the (table, fingerprint) key packs the codes exactly
+   beside the table id when they fit and stays batched (chunked pack-and-mix)
+   when they do not; in both regimes a key of one table is never found in
+   another.
+5. **One store, one probe** — per-table counts equal the parent commit's,
+   and every probe equals a brute-force oracle through build, update,
+   remove, clear and rebuild.
 """
 
 from __future__ import annotations
@@ -27,10 +33,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import LSHConfig
-from repro.lsh.bucket import FlatBuckets
+from repro.lsh.bucket import Bucket, FlatBuckets
 from repro.lsh.index import LSHIndex
-from repro.lsh.policies import FIFOPolicy, ReservoirPolicy
-from repro.lsh.table import HashTable
+from repro.lsh.policies import FIFOPolicy, ReservoirPolicy, make_insertion_policy
 
 FAMILIES = ["simhash", "dwta", "doph"]
 POLICIES = ["fifo", "reservoir"]
@@ -42,145 +47,146 @@ def make_index(family: str, policy: str, dim: int = 24, **overrides) -> LSHIndex
     return LSHIndex(input_dim=dim, config=LSHConfig(**params), seed=3)
 
 
-def table_contents(table: HashTable) -> dict[int, np.ndarray]:
-    """Bucket contents keyed by fingerprint (sorted ids per bucket)."""
-    contents = {}
-    for key, row in zip(table._keys, table._key_rows):
-        bucket = table._flat.contents(int(row))
-        if bucket.size:
-            contents[int(key)] = np.sort(bucket)
-    return contents
+def one_table(policy: str, bucket_size: int) -> LSHIndex:
+    """An index of one table, fed raw keys through its insertion helper."""
+    config = LSHConfig(k=1, l=1, bucket_size=bucket_size, insertion_policy=policy)
+    return LSHIndex(input_dim=4, config=config, seed=0)
+
+
+def tables_of(index: LSHIndex) -> list[dict[int, np.ndarray]]:
+    """Each table's buckets as ``{key: stored ids}`` in slot order.
+
+    The index keeps no table objects: this reads its private directory,
+    where a key's high bits are its table id, and its slot matrix.
+    """
+    tables: list[dict[int, np.ndarray]] = [{} for _ in range(index.l)]
+    store = index._store
+    for key, row in zip(index._dir_keys.tolist(), index._dir_rows.tolist()):
+        tables[key >> index._fp_bits][key] = store.slots[row, : store.sizes[row]]
+    return tables
+
+
+def bucket_of(index: LSHIndex, key: int) -> np.ndarray:
+    row = int(index._rows_of(np.array([key], dtype=np.int64))[0])
+    return index._store.slots[row, : index._store.sizes[row]]
+
+
+def arrival_order(bucket: Bucket) -> np.ndarray:
+    """A reference bucket's ids, oldest arrival first."""
+    return bucket.items[np.argsort(bucket._arrival, kind="stable")]
+
+
+def sequential(policy, keys, items, capacity: int) -> dict[int, Bucket]:
+    """The reference: one ``policy.insert`` per item into per-key ``Bucket``s."""
+    buckets: dict[int, Bucket] = {}
+    for key, item in zip(keys.tolist(), items.tolist()):
+        policy.insert(buckets.setdefault(key, Bucket(capacity)), item)
+    return buckets
 
 
 def assert_same_tables(index_a: LSHIndex, index_b: LSHIndex) -> None:
-    for table_a, table_b in zip(index_a.tables, index_b.tables):
-        contents_a = table_contents(table_a)
-        contents_b = table_contents(table_b)
+    for contents_a, contents_b in zip(tables_of(index_a), tables_of(index_b)):
         assert contents_a.keys() == contents_b.keys()
         for key in contents_a:
-            np.testing.assert_array_equal(contents_a[key], contents_b[key])
+            np.testing.assert_array_equal(np.sort(contents_a[key]), np.sort(contents_b[key]))
+
+
+def assert_probe_matches_oracle(index: LSHIndex, queries: np.ndarray) -> None:
+    """``query_batch_flat`` against brute force: in each table, the stored
+    items whose codes there equal the query's (no bucket may overflow)."""
+    items, codes = index.snapshot_codes()
+    flat = index.query_batch_flat(queries)
+    assert flat.batch_size == queries.shape[0]
+    for row in range(queries.shape[0]):
+        expected_all = []
+        for table in range(index.l):
+            expected = items[(codes[:, table] == flat.codes[row, table]).all(axis=1)]
+            size = flat.sizes[row, table]
+            got = flat.candidates[row, table]
+            np.testing.assert_array_equal(np.sort(got[:size]), np.sort(expected))
+            assert np.all(got[size:] == -1)
+            expected_all.append(expected)
+        ids, counts = flat.frequencies(row)
+        ids_expected, counts_expected = np.unique(
+            np.concatenate(expected_all), return_counts=True
+        )
+        np.testing.assert_array_equal(ids, ids_expected)
+        np.testing.assert_array_equal(counts, counts_expected)
 
 
 # ----------------------------------------------------------------------
-# 1. Batched vs per-item equivalence
+# 1. Batched vs the sequential reference
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("policy", POLICIES)
 def test_batched_build_matches_per_item_inserts(rng, family, policy):
     """With buckets large enough to never overflow, the batched ``build``
-    stores exactly what the sequential scalar inserts store — for every hash
-    family and both replacement policies (reservoir appends
-    deterministically below capacity)."""
+    stores exactly what per-item ``policy.insert`` calls store, in arrival
+    order — for every hash family and both replacement policies (reservoir
+    appends deterministically below capacity)."""
     dim, n = 24, 80
     weights = rng.normal(size=(n, dim))
     weights[rng.random(size=weights.shape) < 0.5] = 0.0  # sparse-ish rows
 
-    batched = make_index(family, policy, dim=dim)
-    batched.build(weights)
+    index = make_index(family, policy, dim=dim)
+    index.build(weights)
+    items = np.arange(n)
+    keys = index._pack(index.hash_family.hash_matrix(weights))
+    policy_ref = make_insertion_policy(policy, rng=np.random.default_rng(0))
 
-    per_item = make_index(family, policy, dim=dim)
-    for item in range(n):
-        per_item.insert(item, weights[item])
-
-    assert batched.num_items == per_item.num_items == n
-    assert_same_tables(batched, per_item)
-    # Query parity on top of storage parity.
-    for query in rng.normal(size=(10, dim)):
-        np.testing.assert_array_equal(
-            batched.query(query).union(), per_item.query(query).union()
-        )
-
-
-@pytest.mark.parametrize("policy", POLICIES)
-def test_query_batch_flat_matches_scalar_queries(rng, policy):
-    index = make_index("simhash", policy)
-    index.build(rng.normal(size=(70, 24)))
-    queries = rng.normal(size=(9, 24))
-    flat = index.query_batch_flat(queries)
-    assert flat.candidates.shape == (9, index.l, index.config.bucket_size)
-    for row in range(queries.shape[0]):
-        single = index.query(queries[row])
-        view = flat.result(row)
-        for got, expected in zip(view.buckets, single.buckets):
-            np.testing.assert_array_equal(got, expected)
-        ids, counts = flat.frequencies(row)
-        ids_expected, counts_expected = single.frequencies()
-        np.testing.assert_array_equal(ids, ids_expected)
-        np.testing.assert_array_equal(counts, counts_expected)
-        np.testing.assert_array_equal(flat.union(row), single.union())
+    assert index.num_items == n
+    for table, contents in enumerate(tables_of(index)):
+        reference = sequential(policy_ref, keys[:, table], items, index.config.bucket_size)
+        assert contents.keys() == reference.keys()
+        for key, bucket in reference.items():
+            np.testing.assert_array_equal(contents[key], arrival_order(bucket))
+    assert_probe_matches_oracle(index, rng.normal(size=(10, dim)))
 
 
 def test_fifo_overflow_batched_matches_sequential_exactly(rng):
     """FIFO keeps the newest ``capacity`` arrivals; the batched kernel must
-    reproduce the sequential result slot-for-slot, including order."""
+    reproduce the sequential result slot-for-slot, in arrival order."""
     for trial in range(5):
         keys = rng.integers(0, 5, size=60).astype(np.int64)
         items = np.arange(60, dtype=np.int64)
-
-        scalar = HashTable(k=1, code_cardinality=5, bucket_size=4, policy=FIFOPolicy())
-        for key, item in zip(keys, items):
-            scalar.insert_fingerprint(int(key), int(item))
-
-        batched = HashTable(k=1, code_cardinality=5, bucket_size=4, policy=FIFOPolicy())
-        stored = batched.insert_many(keys, items)
-        assert stored == 60
-
-        for key in np.unique(keys):
-            np.testing.assert_array_equal(
-                batched.query_fingerprint(int(key)),
-                scalar.query_fingerprint(int(key)),
-            )
-        assert batched.num_items == scalar.num_items
-        assert batched.num_buckets == scalar.num_buckets
+        index = one_table("fifo", bucket_size=4)
+        index._insert(keys, items)
+        reference = sequential(FIFOPolicy(), keys, items, capacity=4)
+        assert tables_of(index)[0].keys() == reference.keys()
+        for key, bucket in reference.items():
+            np.testing.assert_array_equal(bucket_of(index, key), arrival_order(bucket))
+            assert index._store.seen[index._rows_of(np.array([key]))[0]] == bucket.seen
 
 
-def test_fifo_batched_mixed_with_scalar_inserts(rng):
-    """Scalar and batched mutations interleave on the same table."""
-    table = HashTable(k=1, code_cardinality=3, bucket_size=3, policy=FIFOPolicy())
-    table.insert_fingerprint(0, 1)
-    table.insert_fingerprint(0, 2)
-    table.insert_many(np.zeros(3, dtype=np.int64), np.array([3, 4, 5]))
+def test_fifo_batched_mixed_with_scalar_inserts():
+    """One-item and many-item insertions interleave on the same bucket."""
+    index = one_table("fifo", bucket_size=3)
+    index._insert(np.array([0]), np.array([1]))
+    index._insert(np.array([0]), np.array([2]))
+    index._insert(np.zeros(3, dtype=np.int64), np.array([3, 4, 5]))
     # Capacity 3, newest win: 3, 4, 5.
-    np.testing.assert_array_equal(table.query_fingerprint(0), [3, 4, 5])
-    table.insert_fingerprint(0, 6)
-    np.testing.assert_array_equal(table.query_fingerprint(0), [4, 5, 6])
+    np.testing.assert_array_equal(bucket_of(index, 0), [3, 4, 5])
+    index._insert(np.array([0]), np.array([6]))
+    np.testing.assert_array_equal(bucket_of(index, 0), [4, 5, 6])
 
 
 def test_reservoir_overflow_bookkeeping_matches_sequential(rng):
-    """Under overflow the reservoir draws differ between the scalar and
-    batched paths, but the policy bookkeeping (sizes, seen counts, stored ⊆
-    inserted, stored + rejected = attempts) must agree exactly."""
+    """Under overflow the reservoir draws differ between the sequential
+    reference and the batched kernel, but the policy bookkeeping (sizes, seen
+    counts, stored ⊆ inserted, stored + rejected = attempts) must agree."""
     keys = rng.integers(0, 4, size=120).astype(np.int64)
     items = np.arange(120, dtype=np.int64)
-
-    def build(batched: bool) -> HashTable:
-        table = HashTable(
-            k=1,
-            code_cardinality=4,
-            bucket_size=8,
-            policy=ReservoirPolicy(rng=np.random.default_rng(7)),
-        )
-        if batched:
-            table.insert_many(keys, items)
-        else:
-            for key, item in zip(keys, items):
-                table.insert_fingerprint(int(key), int(item))
-        return table
-
-    scalar, batched = build(batched=False), build(batched=True)
-    assert batched.num_items == scalar.num_items
-    assert batched.num_buckets == scalar.num_buckets
-    flat_s, flat_b = scalar._flat, batched._flat
-    for key in np.unique(keys):
-        row_s = scalar._row_of_scalar(int(key))
-        row_b = batched._row_of_scalar(int(key))
-        assert flat_b.sizes[row_b] == flat_s.sizes[row_s]
-        assert flat_b.seen[row_b] == flat_s.seen[row_s]
+    index = one_table("reservoir", bucket_size=8)
+    index._insert(keys, items)
+    reference = sequential(ReservoirPolicy(rng=np.random.default_rng(7)), keys, items, 8)
+    store = index._store
+    for key, bucket in reference.items():
+        row = int(index._rows_of(np.array([key]))[0])
         attempts = int((keys == key).sum())
-        stored = int(flat_b.sizes[row_b])
-        assert set(batched.query_fingerprint(int(key))) <= set(items[keys == key])
-        assert flat_b.seen[row_b] == attempts
-        assert stored <= min(8, attempts)
+        assert store.sizes[row] == len(bucket) == min(8, attempts)
+        assert store.seen[row] == bucket.seen == attempts
+        assert set(bucket_of(index, key).tolist()) <= set(items[keys == key].tolist())
+        assert bucket.seen - bucket.rejections >= len(bucket)
 
 
 @given(
@@ -195,19 +201,10 @@ def test_fifo_batched_equals_sequential_property(seed, n, capacity, cardinality)
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, cardinality, size=n).astype(np.int64)
     items = rng.integers(0, 1000, size=n).astype(np.int64)
-    scalar = HashTable(
-        k=1, code_cardinality=cardinality, bucket_size=capacity, policy=FIFOPolicy()
-    )
-    for key, item in zip(keys, items):
-        scalar.insert_fingerprint(int(key), int(item))
-    batched = HashTable(
-        k=1, code_cardinality=cardinality, bucket_size=capacity, policy=FIFOPolicy()
-    )
-    batched.insert_many(keys, items)
-    for key in np.unique(keys):
-        np.testing.assert_array_equal(
-            batched.query_fingerprint(int(key)), scalar.query_fingerprint(int(key))
-        )
+    index = one_table("fifo", bucket_size=capacity)
+    index._insert(keys, items)
+    for key, bucket in sequential(FIFOPolicy(), keys, items, capacity).items():
+        np.testing.assert_array_equal(bucket_of(index, key), arrival_order(bucket))
 
 
 # ----------------------------------------------------------------------
@@ -216,10 +213,10 @@ def test_fifo_batched_equals_sequential_property(seed, n, capacity, cardinality)
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("policy", POLICIES)
 def test_incremental_update_equals_full_build(rng, family, policy):
-    """After ``update(dirty)`` the index must answer exactly like a fresh
-    ``build`` over the new weights (buckets large enough to never evict):
-    moved items are retrievable at their new position, stale entries are
-    gone, and every table holds every item exactly once."""
+    """After ``update(dirty)`` the index must hold exactly what a fresh
+    ``build`` over the new weights holds (buckets large enough to never
+    evict): moved items are retrievable at their new position, stale entries
+    are gone, and every table holds every item exactly once."""
     dim, n = 24, 60
     weights = rng.normal(size=(n, dim))
     index = make_index(family, policy, dim=dim)
@@ -233,13 +230,11 @@ def test_incremental_update_equals_full_build(rng, family, policy):
     fresh.build(weights)
 
     assert index.num_items == n
-    for table in index.tables:
-        assert table.num_items == n  # no stale duplicates, no losses
+    for contents in tables_of(index):
+        stored = np.concatenate(list(contents.values()))
+        np.testing.assert_array_equal(np.sort(stored), np.arange(n))  # no stale, no loss
     assert_same_tables(index, fresh)
-    for query in rng.normal(size=(10, dim)):
-        np.testing.assert_array_equal(
-            index.query(query).union(), fresh.query(query).union()
-        )
+    assert_probe_matches_oracle(index, rng.normal(size=(10, dim)))
 
 
 def test_update_moves_only_changed_fingerprints(rng):
@@ -248,14 +243,13 @@ def test_update_moves_only_changed_fingerprints(rng):
     index = make_index("simhash", "fifo")
     weights = rng.normal(size=(50, 24))
     index.build(weights)
-    seen_before = [table._flat.seen[: table._flat.num_rows].copy() for table in index.tables]
+    seen_before = index._store.seen[: index._store.num_rows].copy()
     moved_before = index.num_moved_entries
 
     index.update(np.arange(50, dtype=np.int64), weights)
 
     assert index.num_moved_entries == moved_before  # zero moves applied
-    for table, seen in zip(index.tables, seen_before):
-        np.testing.assert_array_equal(table._flat.seen[: table._flat.num_rows], seen)
+    np.testing.assert_array_equal(index._store.seen[: index._store.num_rows], seen_before)
 
 
 def test_update_move_count_scales_with_changed_items(rng):
@@ -269,9 +263,9 @@ def test_update_move_count_scales_with_changed_items(rng):
     moved = index.num_moved_entries - before
     assert 0 < moved <= index.l
     # The moved item is retrievable under its new codes in every table.
-    codes = index.item_codes(7)
-    for table_idx, table in enumerate(index.tables):
-        assert 7 in table.query(codes[table_idx])
+    flat = index.query_batch_flat(weights[7:8])
+    np.testing.assert_array_equal(flat.codes[0], index.item_codes(7))
+    assert np.all((flat.candidates[0] == 7).any(axis=1))
 
 
 def test_update_handles_duplicate_and_unknown_ids(rng):
@@ -320,94 +314,114 @@ def test_snapshot_restore_round_trip(rng, policy):
 
 
 # ----------------------------------------------------------------------
-# 4. Batched fingerprints
+# 4. Directory keys
 # ----------------------------------------------------------------------
-def test_fingerprint_many_returns_int64_ndarray(rng):
-    table = HashTable(k=4, code_cardinality=8, bucket_size=4, policy=FIFOPolicy())
-    codes = rng.integers(0, 8, size=(30, 4))
-    packed = table.fingerprint_many(codes)
-    assert isinstance(packed, np.ndarray)
-    assert packed.dtype == np.int64
-    assert table.exact_fingerprints
-    np.testing.assert_array_equal(packed, [table.fingerprint(row) for row in codes])
-    assert table.fingerprint_many(np.zeros((0, 4), dtype=np.int64)).shape == (0,)
+def test_keys_pack_codes_exactly_beside_the_table_id(rng):
+    """Exact regime: ``key = table * 2**(63 - ceil(log2 L)) + fingerprint``,
+    with the fingerprint the codes read as base-cardinality digits."""
+    index = make_index("dwta", "fifo", k=4, l=6)
+    cardinality = index.hash_family.code_cardinality
+    codes = rng.integers(0, cardinality, size=(30, index.l, index.k))
+    keys = index._pack(codes)
+    assert isinstance(keys, np.ndarray) and keys.dtype == np.int64
+    digits = cardinality ** np.arange(index.k - 1, -1, -1)
+    np.testing.assert_array_equal(keys, (codes @ digits) + (np.arange(index.l) << 60))
+    assert index._pack(np.zeros((0, index.l, index.k), dtype=np.int64)).shape == (0, index.l)
+
+    # SimHash at K = 58, L = 32 is the widest exact case: 2**58 * 2**5 = 2**63.
+    wide = LSHIndex(8, LSHConfig(k=58, l=32), seed=0)
+    top = wide._pack(np.ones((1, 32, 58), dtype=np.int64))
+    assert top.tolist() == [[table * 2**58 + 2**58 - 1 for table in range(32)]]
+    assert top.max() == 2**63 - 1
 
 
-def test_fingerprint_chunked_over_wide_radix(rng):
+def test_keys_chunked_over_wide_radix(rng):
     """A (cardinality, K) combination that cannot pack into one int64 stays
-    batched: chunk-packed and mixed, scalar and batched paths agreeing."""
-    table = HashTable(k=80, code_cardinality=2, bucket_size=4, policy=FIFOPolicy())
-    assert not table.exact_fingerprints
-    codes = rng.integers(0, 2, size=(200, 80))
-    packed = table.fingerprint_many(codes)
-    assert packed.dtype == np.int64
-    np.testing.assert_array_equal(packed, [table.fingerprint(row) for row in codes])
-    # 2^80 tuples into 64 bits cannot be injective, but random tuples must
+    batched: chunk-packed and mixed, equal tuples agreeing."""
+    index = make_index("simhash", "fifo", k=80, l=2)
+    assert len(index._chunks) > 1
+    codes = rng.integers(0, 2, size=(200, 2, 80))
+    keys = index._pack(codes)
+    assert keys.dtype == np.int64
+    np.testing.assert_array_equal(keys, index._pack(codes.copy()))
+    np.testing.assert_array_equal(keys >> index._fp_bits, np.tile([0, 1], (200, 1)))
+    # 2^80 tuples into 63 bits cannot be injective, but random tuples must
     # essentially never collide if the mix is any good.
-    assert np.unique(packed).size == np.unique(codes, axis=0).shape[0]
-    # Equal tuples agree, and the table round-trips inserts through it.
-    table.insert(codes[0], 42)
-    assert 42 in table.query(codes[0])
+    assert np.unique(keys).size == 400
 
 
-def test_fingerprint_validates_range():
-    table = HashTable(k=2, code_cardinality=3, bucket_size=4, policy=FIFOPolicy())
-    with pytest.raises(ValueError, match="range"):
-        table.fingerprint_many(np.array([[0, 3]]))
-    with pytest.raises(ValueError, match="shape"):
-        table.fingerprint_many(np.array([[0, 1, 2]]))
+KEY_REGIMES = {
+    "exact": dict(family="simhash", policy="fifo", k=16),
+    # DWTA codes take 9 values: 9 ** 20 >= 2 ** 62, so these keys are mixed.
+    "mixed": dict(family="dwta", policy="fifo", k=20, l=4),
+}
+
+
+@pytest.mark.parametrize("regime", KEY_REGIMES)
+def test_a_key_is_never_found_in_another_table(regime):
+    """Item ``j`` stores in table ``t`` what the query hashes to in table
+    ``t + j``.  Only item 0 may answer: were the table id not part of the
+    key, every item would answer in every table."""
+    index = make_index(**KEY_REGIMES[regime])
+    assert (len(index._chunks) == 1) == (regime == "exact")
+    query = np.random.default_rng(5).normal(size=(1, 24))
+    codes = index.hash_family.hash_matrix(query)[0]
+    assert len({tuple(table) for table in codes.tolist()}) == index.l
+    items = np.arange(index.l, dtype=np.int64)
+    index.restore_codes(items, np.stack([np.roll(codes, -j, axis=0) for j in items]))
+    flat = index.query_batch_flat(query)
+    np.testing.assert_array_equal(flat.sizes[0], 1)
+    np.testing.assert_array_equal(flat.candidates[0, :, 0], 0)
 
 
 # ----------------------------------------------------------------------
 # Flat-storage unit behaviour
 # ----------------------------------------------------------------------
 class TestFlatStorage:
-    def test_insert_many_validates(self):
-        table = HashTable(k=1, code_cardinality=4, bucket_size=2, policy=FIFOPolicy())
-        with pytest.raises(ValueError, match="equal length"):
-            table.insert_many(np.array([1, 2]), np.array([1]))
+    def test_negative_item_ids_are_rejected(self, rng):
+        index = make_index("simhash", "fifo")
         with pytest.raises(ValueError, match="non-negative"):
-            table.insert_many(np.array([1]), np.array([-3]))
+            index.update(np.array([-3]), rng.normal(size=(1, 24)))
         with pytest.raises(ValueError, match="non-negative"):
-            table.insert_fingerprint(1, -3)
-        assert table.insert_many(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)) == 0
+            index.build(rng.normal(size=(2, 24)), item_ids=np.array([0, -1]))
+        assert index.num_items == 0
 
-    def test_remove_many_compacts_and_empties(self):
-        table = HashTable(k=1, code_cardinality=4, bucket_size=8, policy=FIFOPolicy())
+    def test_remove_compacts_and_empties(self):
+        index = one_table("fifo", bucket_size=8)
         keys = np.array([0, 0, 0, 1, 1, 2], dtype=np.int64)
         items = np.array([10, 11, 12, 20, 21, 30], dtype=np.int64)
-        table.insert_many(keys, items)
-        assert table.num_buckets == 3
-        removed = table.remove_many(
+        index._insert(keys, items)
+        assert index.stats()["mean_buckets_per_table"] == 3
+        index._remove(
             np.array([0, 0, 1, 2, 3], dtype=np.int64),
             np.array([10, 12, 99, 30, 1], dtype=np.int64),
         )
-        assert removed == 3  # (3, 1) has no bucket, (1, 99) not present
-        np.testing.assert_array_equal(table.query_fingerprint(0), [11])
-        np.testing.assert_array_equal(table.query_fingerprint(1), [20, 21])
-        assert table.query_fingerprint(2).size == 0
-        assert table.num_buckets == 2  # the emptied bucket no longer counts
-        assert table.num_items == 3
+        # (3, 1) has no bucket and (1, 99) is not present.
+        np.testing.assert_array_equal(bucket_of(index, 0), [11])
+        np.testing.assert_array_equal(bucket_of(index, 1), [20, 21])
+        assert bucket_of(index, 2).size == 0
+        stats = index.stats()
+        assert stats["mean_buckets_per_table"] == 2  # the emptied bucket is gone
+        assert stats["mean_items_per_table"] == 3
 
     def test_emptied_buckets_are_reclaimed(self):
         """Emptying a bucket releases its slot row and directory entry, so
-        table memory tracks the live bucket count instead of growing with
-        every fingerprint ever observed (the code-diff update path churns
-        through fingerprints for the whole life of a training run)."""
-        table = HashTable(k=1, code_cardinality=256, bucket_size=4, policy=FIFOPolicy())
+        memory tracks the live bucket count instead of growing with every
+        key ever observed (the code-diff update path churns through keys for
+        the whole life of a training run)."""
+        index = one_table("fifo", bucket_size=4)
         for wave in range(50):
             keys = np.arange(8, dtype=np.int64) + 8 * (wave % 2)
             items = np.arange(8, dtype=np.int64)
-            table.insert_many(keys, items)
-            table.remove_many(keys, items)
-            # Scalar removal path reclaims too.
-            table.insert_fingerprint(99, 1)
-            assert table.remove_fingerprint(99, 1)
-        assert table.num_buckets == 0
-        assert table.num_items == 0
+            index._insert(keys, items)
+            index._remove(keys, items)
+            # Single-item removal reclaims too.
+            index._insert(np.array([99]), np.array([1]))
+            index._remove(np.array([99]), np.array([1]))
+        assert index.stats()["mean_buckets_per_table"] == 0
         # Slot matrix stayed at the high-water mark of *live* buckets.
-        assert table._flat.slots.shape[0] <= 32
-        assert table._keys.size == 0
+        assert index._store.slots.shape[0] <= 32
+        assert index._dir_keys.size == 0
 
     def test_flat_buckets_growth_and_reuse(self):
         store = FlatBuckets(capacity=2)
@@ -415,10 +429,12 @@ class TestFlatStorage:
         np.testing.assert_array_equal(rows, [0, 1, 2])
         store.slots[0, 0] = 5
         store.sizes[0] = 1
-        store.clear()
-        rows = store.alloc(1)  # reused row must come back blank
-        assert store.sizes[int(rows[0])] == 0
-        assert np.all(store.slots[int(rows[0])] == -1)
+        store.seen[0] = 4
+        store.release(np.array([0]))
+        rows = store.alloc(2)  # the released row comes back first, blank
+        np.testing.assert_array_equal(rows, [0, 3])
+        assert store.sizes[0] == 0 and store.seen[0] == 0
+        assert np.all(store.slots[0] == -1)
 
     def test_index_counters_track_updates(self, rng):
         index = make_index("simhash", "fifo")
@@ -437,7 +453,7 @@ class TestFlatStorage:
 # 5. One slot matrix per index, one gather per probe
 # ----------------------------------------------------------------------
 # DWTA codes take 9 values: 9 ** 20 >= 2 ** 62, so this one takes the chunked
-# pack-and-mix fingerprint path.
+# pack-and-mix key path.
 SHARED_STORE_CASES = {
     **{
         f"{family}-{policy}": dict(family=family, policy=policy)
@@ -460,10 +476,11 @@ def seeded_build(case: str) -> tuple[LSHIndex, np.ndarray]:
 
 
 def table_stats(index: LSHIndex) -> dict:
+    sizes = [[ids.size for ids in contents.values()] for contents in tables_of(index)]
     return {
-        "num_buckets": [table.num_buckets for table in index.tables],
-        "num_items": [table.num_items for table in index.tables],
-        "bucket_sizes": [sorted(table.bucket_sizes().tolist()) for table in index.tables],
+        "num_buckets": [int(np.count_nonzero(table)) for table in sizes],
+        "num_items": [int(sum(table)) for table in sizes],
+        "bucket_sizes": [sorted(size for size in table if size) for table in sizes],
         "mean_load_factor": index.stats()["mean_load_factor"],
     }
 
@@ -479,19 +496,17 @@ def test_per_table_stats_equal_the_parents(case):
     """Each table counts its own rows of the shared store, not everybody's."""
     index, _ = seeded_build(case)
     assert table_stats(index) == json.loads(PARENT_TABLE_STATS.read_text())[case]
-    assert len({id(table._flat) for table in index.tables}) == 1
 
 
-def assert_probe_equals_scalar(index: LSHIndex, queries: np.ndarray) -> None:
-    """``query_batch_flat`` against ``query_with_codes``, row for row."""
-    flat = index.query_batch_flat(queries)
-    assert flat.batch_size == queries.shape[0]
-    for row in range(queries.shape[0]):
-        single = index.query_with_codes(flat.codes[row])
-        for table, expected in enumerate(single.buckets):
-            size = flat.sizes[row, table]
-            np.testing.assert_array_equal(flat.candidates[row, table, :size], expected)
-            assert np.all(flat.candidates[row, table, size:] == -1)
+@pytest.mark.parametrize("case", SHARED_STORE_CASES)
+def test_probe_matches_brute_force_oracle(case, rng):
+    index, weights = seeded_build(case)
+    assert_probe_matches_oracle(index, np.concatenate([weights[:20], rng.normal(size=(20, 24))]))
+    # A one-row block — the per-sample path — answers like a row of a batch.
+    for row in range(5):
+        single = index.query_batch_flat(weights[row : row + 1])
+        batch = index.query_batch_flat(weights[:5])
+        np.testing.assert_array_equal(single.candidates[0], batch.candidates[row])
 
 
 @pytest.mark.parametrize("case", SHARED_STORE_CASES)
@@ -504,12 +519,11 @@ def test_shared_store_probe_through_build_update_remove_clear(case):
         fresh = make_index(**SHARED_STORE_CASES[case])
         fresh.build(current, items)
         assert_same_tables(index, fresh)  # bucket_size 256: nothing overflows
-        for table in index.tables:
-            stored = np.concatenate([*table_contents(table).values(), items[:0]])
-            assert np.isin(stored, items).all()
-            assert table.num_items == items.size
+        for contents in tables_of(index):
+            stored = np.concatenate([*contents.values(), items[:0]])
+            np.testing.assert_array_equal(np.sort(stored), np.sort(items))
         # Stored vectors find themselves; random ones mostly miss.
-        assert_probe_equals_scalar(
+        assert_probe_matches_oracle(
             index, np.concatenate([current[:12], rng.normal(size=(6, 24))])
         )
 
@@ -528,21 +542,10 @@ def test_shared_store_probe_through_build_update_remove_clear(case):
     check(weights[1::2], items)
     # ... and whichever table inserts next takes those rows.
     index.update(np.arange(200, 230), rng.normal(size=(30, 24)))
-    assert_probe_equals_scalar(index, rng.normal(size=(8, 24)))
+    assert_probe_matches_oracle(index, rng.normal(size=(8, 24)))
 
     index.clear()
     assert index.query_batch_flat(rng.normal(size=(3, 24))).sizes.sum() == 0
     smaller = rng.normal(size=(40, 24))
     index.build(smaller)
     check(smaller, np.arange(40, dtype=np.int64))
-
-
-def test_a_standalone_table_still_owns_its_store():
-    table = HashTable(k=2, code_cardinality=4, bucket_size=4, policy=FIFOPolicy())
-    other = HashTable(k=2, code_cardinality=4, bucket_size=4, policy=FIFOPolicy())
-    assert table._flat is not other._flat
-    with pytest.raises(ValueError, match="bucket_size"):
-        HashTable(
-            k=2, code_cardinality=4, bucket_size=4, policy=FIFOPolicy(),
-            store=FlatBuckets(8),
-        )

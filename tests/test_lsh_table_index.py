@@ -1,6 +1,8 @@
-"""Tests for the single hash table and the multi-table LSH index."""
+"""Tests for the multi-table LSH index and its query results."""
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
@@ -9,84 +11,53 @@ from hypothesis import strategies as st
 
 from repro.config import LSHConfig
 from repro.lsh.index import LSHIndex, QueryResult
-from repro.lsh.policies import FIFOPolicy
-from repro.lsh.table import HashTable
 
 
-def make_table(k=3, cardinality=4, bucket_size=8):
-    return HashTable(k=k, code_cardinality=cardinality, bucket_size=bucket_size, policy=FIFOPolicy())
+def probe_union(index: LSHIndex, query: np.ndarray) -> np.ndarray:
+    """Unique candidates of one query across all tables."""
+    return index.query_batch_flat(query[None, :]).frequencies(0)[0]
 
 
-class TestHashTable:
-    def test_fingerprint_is_injective_over_code_tuples(self):
-        table = make_table(k=3, cardinality=4)
-        seen = set()
-        for a in range(4):
-            for b in range(4):
-                for c in range(4):
-                    fp = table.fingerprint(np.array([a, b, c]))
-                    assert fp not in seen
-                    seen.add(fp)
+def assert_each_item_once_per_table(index: LSHIndex, vectors: dict[int, np.ndarray]) -> None:
+    """Every indexed item sits in its own bucket of every table exactly once,
+    and nothing else is stored (buckets large enough to never evict)."""
+    items = sorted(vectors)
+    flat = index.query_batch_flat(np.array([vectors[item] for item in items]))
+    for row, item in enumerate(items):
+        np.testing.assert_array_equal((flat.candidates[row] == item).sum(axis=1), 1)
+    assert index.stats()["mean_items_per_table"] == len(items)
 
-    def test_fingerprint_validates_input(self):
-        table = make_table(k=2, cardinality=2)
-        with pytest.raises(ValueError):
-            table.fingerprint(np.array([0, 1, 1]))
-        with pytest.raises(ValueError):
-            table.fingerprint(np.array([0, 5]))
 
-    def test_insert_and_query(self):
-        table = make_table()
-        codes = np.array([1, 2, 3])
-        table.insert(codes, 42)
-        np.testing.assert_array_equal(table.query(codes), [42])
-        assert table.query(np.array([0, 0, 0])).size == 0
+class TestDirectoryKeys:
+    def test_keys_are_injective_over_tables_and_code_tuples(self):
+        config = LSHConfig(hash_family="dwta", k=3, l=5, wta_bin_size=3)
+        index = LSHIndex(input_dim=12, config=config, seed=0)
+        cardinality = index.hash_family.code_cardinality
+        tuples = np.array(list(itertools.product(range(cardinality), repeat=3)))
+        codes = np.repeat(tuples[:, None, :], index.l, axis=1)
+        keys = index._pack(codes)
+        assert keys.dtype == np.int64
+        assert np.unique(keys).size == keys.size == tuples.shape[0] * index.l
 
-    def test_remove(self):
-        table = make_table()
-        codes = np.array([1, 1, 1])
-        table.insert(codes, 5)
-        assert table.remove(codes, 5)
-        assert not table.remove(codes, 5)
-        assert table.num_buckets == 0
-
-    def test_counters_and_load_factor(self):
-        table = make_table(bucket_size=4)
-        for item in range(3):
-            table.insert(np.array([0, 0, 0]), item)
-        assert table.num_buckets == 1
-        assert table.num_items == 3
-        assert table.load_factor() == pytest.approx(0.75)
-        assert table.bucket_sizes().tolist() == [3]
-
-    def test_clear(self):
-        table = make_table()
-        table.insert(np.array([1, 0, 2]), 1)
-        table.clear()
-        assert table.num_buckets == 0
-
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            HashTable(k=0, code_cardinality=2, bucket_size=4, policy=FIFOPolicy())
-        with pytest.raises(ValueError):
-            HashTable(k=2, code_cardinality=1, bucket_size=4, policy=FIFOPolicy())
-        with pytest.raises(ValueError):
-            HashTable(k=2, code_cardinality=2, bucket_size=0, policy=FIFOPolicy())
+    def test_restore_codes_validates_code_range(self):
+        index = LSHIndex(8, LSHConfig(k=2, l=3), seed=0)
+        codes = np.zeros((1, 3, 2), dtype=np.int64)
+        codes[0, 1, 1] = 2  # SimHash codes are bits
+        with pytest.raises(ValueError, match="range"):
+            index.restore_codes(np.array([0]), codes)
+        with pytest.raises(ValueError, match="shape"):
+            index.restore_codes(np.array([0]), np.zeros((1, 3, 3), dtype=np.int64))
 
 
 class TestQueryResult:
-    def test_union_and_frequencies(self):
+    def test_frequencies(self):
         result = QueryResult(buckets=[np.array([1, 2]), np.array([2, 3]), np.array([], dtype=np.int64)])
-        np.testing.assert_array_equal(result.union(), [1, 2, 3])
         ids, counts = result.frequencies()
         np.testing.assert_array_equal(ids, [1, 2, 3])
         np.testing.assert_array_equal(counts, [1, 2, 1])
-        assert result.total_candidates == 4
 
     def test_empty_result(self):
-        result = QueryResult()
-        assert result.union().size == 0
-        ids, counts = result.frequencies()
+        ids, counts = QueryResult().frequencies()
         assert ids.size == 0 and counts.size == 0
 
 
@@ -104,6 +75,16 @@ class TestLSHIndex:
         assert stats["tables"] == 12
         assert index.num_items == 50
 
+    def test_stats_count_buckets_items_and_load(self):
+        index = LSHIndex(8, LSHConfig(k=1, l=2, bucket_size=4), seed=0)
+        weights = np.zeros((3, 8))
+        weights[:, 0] = 1.0  # all three share every code
+        index.build(weights)
+        stats = index.stats()
+        assert stats["mean_buckets_per_table"] == 1.0
+        assert stats["mean_items_per_table"] == 3.0
+        assert stats["mean_load_factor"] == pytest.approx(0.75)
+
     def test_query_retrieves_similar_item(self, index, rng):
         weights = rng.normal(size=(100, 32))
         index.build(weights)
@@ -111,27 +92,13 @@ class TestLSHIndex:
         # from at least one bucket.
         target = 17
         query = weights[target] + 0.01 * rng.normal(size=32)
-        result = index.query(query)
-        assert target in result.union()
+        assert target in probe_union(index, query)
 
-    def test_query_with_codes_matches_query(self, index, rng):
-        weights = rng.normal(size=(30, 32))
-        index.build(weights)
-        query = rng.normal(size=32)
-        codes = index.hash_family.hash_vector(query)
-        a = index.query(query).union()
-        b = index.query_with_codes(codes).union()
-        np.testing.assert_array_equal(a, b)
-
-    def test_query_with_codes_validates_shape(self, index):
-        with pytest.raises(ValueError):
-            index.query_with_codes(np.zeros((2, 2), dtype=np.int64))
-
-    def test_max_tables_limits_probes(self, index, rng):
-        weights = rng.normal(size=(40, 32))
-        index.build(weights)
-        result = index.query(rng.normal(size=32), max_tables=3)
-        assert len(result.buckets) == 3
+    def test_query_batch_flat_validates_shape(self, index):
+        with pytest.raises(ValueError, match="shape"):
+            index.query_batch_flat(np.zeros((2, 31)))
+        with pytest.raises(ValueError, match="shape"):
+            index.query_batch_flat(np.zeros(32))
 
     def test_update_rehashes_items(self, index, rng):
         weights = rng.normal(size=(20, 32))
@@ -142,8 +109,7 @@ class TestLSHIndex:
         index.update(np.array([0]), new_weights[:1])
         assert index.num_items == 20
         # The item should now be retrievable by its new vector.
-        result = index.query(new_weights[0])
-        assert 0 in result.union()
+        assert 0 in probe_union(index, new_weights[0])
 
     def test_remove(self, index, rng):
         weights = rng.normal(size=(10, 32))
@@ -151,17 +117,15 @@ class TestLSHIndex:
         assert index.remove(3)
         assert not index.remove(3)
         assert index.num_items == 9
+        assert 3 not in index.query_batch_flat(weights).candidates
 
-    def test_insert_same_item_twice_keeps_single_entry_per_table(self, index, rng):
+    def test_update_same_item_twice_keeps_single_entry_per_table(self, index, rng):
         vector = rng.normal(size=32)
-        index.insert(7, vector)
-        index.insert(7, vector + 0.001)
+        index.update(np.array([7]), vector[None, :])
+        index.update(np.array([7]), vector[None, :] + 0.001)
         assert index.num_items == 1
-        # Each table should hold item 7 exactly once, under its latest codes.
-        codes = index.item_codes(7)
-        for table_idx, table in enumerate(index.tables):
-            assert int((table.query(codes[table_idx]) == 7).sum()) == 1
-            assert table.num_items == 1
+        # Each table holds item 7 exactly once, under its latest codes.
+        assert_each_item_once_per_table(index, {7: vector + 0.001})
 
     def test_build_validates_shapes(self, index, rng):
         with pytest.raises(ValueError):
@@ -170,10 +134,12 @@ class TestLSHIndex:
             index.build(rng.normal(size=(5, 32)), item_ids=np.arange(4))
 
     def test_clear(self, index, rng):
-        index.build(rng.normal(size=(10, 32)))
+        weights = rng.normal(size=(10, 32))
+        index.build(weights)
         index.clear()
         assert index.num_items == 0
-        assert all(t.num_items == 0 for t in index.tables)
+        assert index.stats()["mean_items_per_table"] == 0.0
+        assert index.query_batch_flat(weights).sizes.sum() == 0
 
     def test_recall_beats_random_guessing(self, rng):
         """Nearest-neighbour recall of the LSH index must far exceed the
@@ -189,7 +155,7 @@ class TestLSHIndex:
         for trial in range(probes):
             target = int(rng.integers(0, n))
             query = weights[target] + 0.05 * rng.normal(size=24)
-            union = index.query(query).union()
+            union = probe_union(index, query)
             total_candidates += union.size
             hits += int(target in union)
         recall = hits / probes
@@ -204,8 +170,8 @@ def test_index_build_indexes_every_item(seed, n_items):
     rng = np.random.default_rng(seed)
     config = LSHConfig(hash_family="simhash", k=3, l=5, bucket_size=64)
     index = LSHIndex(input_dim=16, config=config, seed=seed)
-    index.build(rng.normal(size=(n_items, 16)))
+    weights = rng.normal(size=(n_items, 16))
+    index.build(weights)
     assert index.num_items == n_items
     # Every item must be present in every table (buckets are large enough).
-    for table in index.tables:
-        assert table.num_items == n_items
+    assert_each_item_once_per_table(index, dict(enumerate(weights)))

@@ -15,9 +15,7 @@ from hypothesis import strategies as st
 
 from repro.config import LSHConfig
 from repro.lsh.index import LSHIndex
-from repro.lsh.policies import FIFOPolicy
 from repro.lsh.scheduler import ExponentialDecaySchedule
-from repro.lsh.table import HashTable
 from repro.perf.cost_model import WorkloadCounts, slide_iteration_work
 from repro.perf.devices import SLIDE_CPU_PROFILE, TF_GPU_PROFILE
 from repro.perf.simulator import WallClockSimulator
@@ -35,7 +33,7 @@ from repro.perf.simulator import WallClockSimulator
 def test_lsh_index_consistent_under_arbitrary_operation_sequences(seed, operations):
     """After any sequence of insert/remove/update operations the index's item
     count matches the set of live ids, and every table holds exactly the live
-    ids (buckets large enough to never evict)."""
+    ids, each in its own bucket (buckets large enough to never evict)."""
     rng = np.random.default_rng(seed)
     config = LSHConfig(hash_family="simhash", k=2, l=3, bucket_size=64)
     index = LSHIndex(8, config, seed=seed)
@@ -43,7 +41,7 @@ def test_lsh_index_consistent_under_arbitrary_operation_sequences(seed, operatio
     vectors = rng.normal(size=(16, 8))
     for op, item in operations:
         if op == "insert":
-            index.insert(item, vectors[item])
+            index.update(np.array([item]), vectors[item][None, :])
             live.add(item)
         elif op == "update":
             vectors[item] = rng.normal(size=8)
@@ -53,8 +51,12 @@ def test_lsh_index_consistent_under_arbitrary_operation_sequences(seed, operatio
             index.remove(item)
             live.discard(item)
     assert index.num_items == len(live)
-    for table in index.tables:
-        assert table.num_items == len(live)
+    assert index.stats()["mean_items_per_table"] == len(live)
+    if live:
+        items = sorted(live)
+        flat = index.query_batch_flat(vectors[items])
+        for row, item in enumerate(items):
+            np.testing.assert_array_equal((flat.candidates[row] == item).sum(axis=1), 1)
 
 
 @given(
@@ -64,18 +66,22 @@ def test_lsh_index_consistent_under_arbitrary_operation_sequences(seed, operatio
 )
 @settings(max_examples=60, deadline=None)
 def test_fingerprint_injective_on_random_code_pairs(k, cardinality, data):
-    table = HashTable(k=k, code_cardinality=cardinality, bucket_size=4, policy=FIFOPolicy())
+    config = LSHConfig(hash_family="wta", k=k, l=3, wta_bin_size=cardinality)
+    index = LSHIndex(8, config, seed=0)
+    assert index.hash_family.code_cardinality == cardinality
     codes_a = np.array(
         data.draw(st.lists(st.integers(0, cardinality - 1), min_size=k, max_size=k))
     )
     codes_b = np.array(
         data.draw(st.lists(st.integers(0, cardinality - 1), min_size=k, max_size=k))
     )
-    fp_a, fp_b = table.fingerprint(codes_a), table.fingerprint(codes_b)
+    # The same tuple in all three tables: one key per table.
+    keys_a, keys_b = index._pack(np.stack([[codes_a] * 3, [codes_b] * 3]))
+    assert np.unique(keys_a).size == 3
     if np.array_equal(codes_a, codes_b):
-        assert fp_a == fp_b
+        np.testing.assert_array_equal(keys_a, keys_b)
     else:
-        assert fp_a != fp_b
+        assert not np.isin(keys_a, keys_b).any()
 
 
 @given(

@@ -142,6 +142,26 @@ def test_params_are_forwarded_to_the_isolated_child(tmp_path):
     assert document["payload"]["config"]["num_points"] == 5
 
 
+def test_isolated_child_runs_single_thread_blas(monkeypatch, tmp_path):
+    """Whatever the caller's environment says, the child's BLAS gets one
+    thread: a multi-threaded GEMM spills onto other cores and fails the
+    core-utilisation and timing checks."""
+    seen = {}
+
+    def fake_run(argv, **kwargs):
+        seen.update(kwargs["env"])
+        return cli.subprocess.CompletedProcess(argv, 0, stdout="", stderr="")
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "8")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    monkeypatch.setattr(cli.subprocess, "run", fake_run)
+    spec = get_spec("fig11_hard_threshold")
+    assert cli._run_isolated(spec, smoke=True, out_dir=tmp_path, overrides={}) == []
+    for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert seen[variable] == "1"
+    assert seen["PYTHONPATH"]
+
+
 @pytest.mark.parametrize(
     "selection", [["--run", "fig4_sampling", "--run", "fig11_hard_threshold"], ["--all"]]
 )

@@ -132,12 +132,10 @@ def test_bench_spec_rejects_gates_on_modelled_entries():
 # Smoke-mode execution under the per-spec timeout (isolated runner)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("bench_id", TIER1_SMOKE_IDS)
-def test_generator_runs_in_smoke_mode_under_timeout(bench_id, tmp_path, monkeypatch):
-    # fig4's check compares two ~1 ms timing windows; with multi-threaded BLAS
-    # a busy second core stalls one of them (check failed in 9 of 30 child
-    # runs on a 2-core host, 2 of 30 with BLAS pinned to one thread).
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+def test_generator_runs_in_smoke_mode_under_timeout(bench_id, tmp_path):
+    # The child runs single-thread BLAS (``_run_isolated`` pins it): with a
+    # multi-threaded GEMM, a busy second core stalls one of fig4's timing
+    # windows.
     spec = get_spec(bench_id)
     failures = _run_isolated(spec, smoke=True, out_dir=tmp_path, overrides={})
     assert failures == []

@@ -16,6 +16,11 @@ from repro.sampling.strategies import (
 )
 
 
+def probe(index: LSHIndex, query: np.ndarray) -> QueryResult:
+    """One query row's per-table buckets, as the selection path reads them."""
+    return index.query_batch_flat(query[None, :]).result(0)
+
+
 @pytest.fixture
 def built_index(rng) -> tuple[LSHIndex, np.ndarray]:
     config = LSHConfig(hash_family="simhash", k=4, l=16, bucket_size=32)
@@ -29,21 +34,22 @@ class TestVanillaSampling:
     def test_respects_target_active(self, built_index, rng):
         index, weights = built_index
         strategy = VanillaSampling(rng=np.random.default_rng(0))
-        active = strategy.sample(index, rng.normal(size=24), target_active=10)
+        active = strategy.select_from_result(probe(index, rng.normal(size=24)), 10)
         assert 0 < active.size <= 10 + index.config.bucket_size  # stops after exceeding target
         assert active.size == np.unique(active).size
 
     def test_truncates_to_target_when_overshooting(self, built_index, rng):
         index, _ = built_index
         strategy = VanillaSampling(rng=np.random.default_rng(1))
-        active = strategy.sample(index, rng.normal(size=24), target_active=5)
+        active = strategy.select_from_result(probe(index, rng.normal(size=24)), 5)
         assert active.size <= 5
 
     def test_no_target_returns_union_of_probed_tables(self, built_index, rng):
         index, _ = built_index
         strategy = VanillaSampling(rng=np.random.default_rng(2))
-        active = strategy.sample(index, rng.normal(size=24), target_active=None)
-        assert active.size >= 0
+        result = probe(index, rng.normal(size=24))
+        active = strategy.select_from_result(result, target_active=None)
+        np.testing.assert_array_equal(active, result.frequencies()[0])
 
     def test_select_from_result(self):
         strategy = VanillaSampling(rng=np.random.default_rng(3))
@@ -112,9 +118,14 @@ class TestTopKSampling:
     def test_sample_uses_all_tables(self, built_index, rng):
         index, _ = built_index
         queries_before = index.num_queries
-        strategy = TopKSampling()
-        strategy.sample(index, rng.normal(size=24), target_active=8)
+        result = probe(index, rng.normal(size=24))
         assert index.num_queries == queries_before + 1
+        assert len(result.buckets) == index.l
+        selected = TopKSampling().select_from_result(result, target_active=8)
+        ids, counts = result.frequencies()
+        # Every kept id collides at least as often as every dropped one.
+        kept = np.isin(ids, selected)
+        assert counts[kept].min() >= counts[~kept].max(initial=0)
 
 
 class TestHardThresholdSampling:
@@ -172,7 +183,7 @@ class TestSamplingQuality:
         index.build(weights)
         strategy = TopKSampling()
         query = rng.normal(size=32)
-        active = strategy.sample(index, query, target_active=30)
+        active = strategy.select_from_result(probe(index, query), target_active=30)
         assert active.size > 0
         sampled_mean = np.mean(weights[active] @ query)
         overall_mean = np.mean(weights @ query)
