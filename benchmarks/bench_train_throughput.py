@@ -7,9 +7,10 @@ training the same synthetic extreme-classification task:
 
 * ``dense`` — the full-softmax baseline (one GEMM per layer per batch,
   touches every neuron);
-* ``sparse_per_sample`` — SLIDE's HOGWILD loop: per-sample LSH hashing,
-  gathers, GEMVs and optimiser steps (the paper's execution model);
-* ``sparse_batched`` — the fused kernels (:mod:`repro.kernels`): batched
+* ``sparse_per_sample`` — SLIDE's HOGWILD loop (the paper's execution
+  model): the training kernel (:mod:`repro.kernels`) on one-row blocks, so
+  every sample pays its own LSH probe, gathers, GEMMs and optimiser step;
+* ``sparse_batched`` — the same kernel on the whole micro-batch: batched
   hashing, one gather + GEMM per layer over the union active set, one
   accumulated optimiser step per layer per micro-batch.
 
@@ -115,9 +116,8 @@ def _train_slide(dataset, training: TrainingConfig, hogwild: bool, seed: int):
     total_neurons = sum(layer.size for layer in network.layers)
     # Per-phase wall-clock: hash (vectorised table probe), select
     # (per-sample strategy), gather-GEMM and optimiser are recorded by the
-    # fused kernels (batched mode only); rebuild is recorded on every mode.
-    # Whatever the timer did not see is "other" (per-sample math, batch
-    # assembly, Python overhead).
+    # training kernel, rebuild after each step.  Whatever the timer did not
+    # see is "other" (batch assembly, Python overhead).
     phases = network.phase_timer.snapshot()
     phase_seconds = {name: round(seconds, 4) for name, seconds in phases.items()}
     phase_seconds["other"] = round(max(elapsed - sum(phases.values()), 0.0), 4)
@@ -244,10 +244,11 @@ def check(payload: dict, smoke: bool) -> list[str]:
             problems.append("batched kernels gave up more than 1% absolute precision@1")
         if by_mode["sparse_batched"]["active_fraction"] >= 0.5:
             problems.append("sparse path touched more than half the neurons")
-    batched_phases = payload["phase_breakdown"]["sparse_batched"]
-    for phase in ("hash", "select", "gather_gemm", "optimiser"):
-        if batched_phases.get(phase, 0.0) <= 0.0:
-            problems.append(f"phase breakdown missing time for {phase!r}")
+    for mode in ("sparse_per_sample", "sparse_batched"):
+        phases = payload["phase_breakdown"][mode]
+        for phase in ("hash", "select", "gather_gemm", "optimiser"):
+            if phases.get(phase, 0.0) <= 0.0:
+                problems.append(f"{mode} phase breakdown missing time for {phase!r}")
     return problems
 
 

@@ -7,8 +7,8 @@ from repro.core.activations import (
     softmax_rows,
     log_sparse_softmax,
 )
-from repro.core.layer import SlideLayer, LayerForwardState
-from repro.core.network import SlideNetwork, ForwardResult
+from repro.core.layer import SlideLayer
+from repro.core.network import SlideNetwork
 from repro.core.trainer import SlideTrainer, TrainingHistory, IterationRecord
 from repro.core.inference import (
     predict_top_k,
@@ -25,9 +25,7 @@ __all__ = [
     "softmax_rows",
     "log_sparse_softmax",
     "SlideLayer",
-    "LayerForwardState",
     "SlideNetwork",
-    "ForwardResult",
     "SlideTrainer",
     "TrainingHistory",
     "IterationRecord",

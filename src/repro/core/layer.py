@@ -14,13 +14,10 @@ Responsibilities (paper Figure 2):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.config import LayerConfig
-from repro.core.activations import relu, relu_grad, softmax_rows, sparse_softmax
-from repro.kernels.active import select_active_batch
+from repro.core.activations import relu, softmax_rows, sparse_softmax
 from repro.lsh.index import LSHIndex
 from repro.lsh.scheduler import ExponentialDecaySchedule, RebuildSchedule
 from repro.optim.base import Optimizer
@@ -28,36 +25,7 @@ from repro.sampling.strategies import SamplingStrategy, make_sampling_strategy
 from repro.types import FloatArray, IntArray
 from repro.utils.rng import derive_rng
 
-__all__ = ["SlideLayer", "LayerForwardState"]
-
-
-@dataclass
-class LayerForwardState:
-    """Per-sample bookkeeping produced by the forward pass of one layer.
-
-    Mirrors the per-neuron arrays in Figure 2 of the paper (activation,
-    active flag, accumulated gradient) but stores them sparsely: only the
-    active neurons' entries exist.
-    """
-
-    active_in: IntArray
-    input_values: FloatArray
-    active_out: IntArray
-    pre_activation: FloatArray
-    activation: FloatArray
-    # Filled in during backprop: gradient of the loss w.r.t. pre-activation.
-    delta: FloatArray | None = None
-    # Diagnostics for the cost model.
-    sampled_from_tables: int = 0
-    fallback_random: int = 0
-
-    @property
-    def num_active(self) -> int:
-        return int(self.active_out.shape[0])
-
-    @property
-    def num_active_weights(self) -> int:
-        return int(self.active_out.shape[0] * self.active_in.shape[0])
+__all__ = ["SlideLayer"]
 
 
 class SlideLayer:
@@ -118,8 +86,7 @@ class SlideLayer:
         # actually moved — the measured O(changed) claim.
         self.last_rebuild_dirty = 0
         self.last_rebuild_moved = 0
-        # Rows touched by the most recent gradient application (per-sample or
-        # accumulated block).  Purely diagnostic: the process-parallel trainer
+        # Rows touched by the most recent gradient block.  Purely diagnostic: the process-parallel trainer
         # reads it to stamp each worker's update footprint into the shared
         # gradient-conflict counters.
         self.last_update_rows: IntArray | None = None
@@ -179,122 +146,8 @@ class SlideLayer:
         return sampled, from_tables, fallback
 
     # ------------------------------------------------------------------
-    # Forward
+    # Updates
     # ------------------------------------------------------------------
-    def forward(
-        self,
-        input_indices: IntArray,
-        input_values: FloatArray,
-        forced_active: IntArray | None = None,
-    ) -> LayerForwardState:
-        """Sparse forward pass for one sample.
-
-        Only the activations of the selected active neurons are computed;
-        everything else is implicitly zero.
-        """
-        input_indices = np.asarray(input_indices, dtype=np.int64)
-        input_values = np.asarray(input_values, dtype=np.float64)
-        if self.lsh_index is None:
-            active_out, from_tables, fallback = np.arange(self.size, dtype=np.int64), 0, 0
-        else:
-            # The batched selection on a one-row block: the same probe and
-            # the same RNG draws as a row of a fused batch.
-            query = np.zeros((1, self.fan_in), dtype=np.float64)
-            query[0, input_indices] = input_values
-            forced = None if forced_active is None else [forced_active]
-            ((active_out, from_tables, fallback),) = select_active_batch(
-                self, query, forced
-            )
-
-        if active_out.size and input_indices.size:
-            block = self.weights[np.ix_(active_out, input_indices)]
-            pre = block @ input_values + self.biases[active_out]
-        else:
-            pre = self.biases[active_out].copy() if active_out.size else np.zeros(0)
-
-        if self.activation_name == "relu":
-            act = relu(pre)
-        elif self.activation_name == "softmax":
-            act = sparse_softmax(pre)
-        elif self.activation_name == "linear":
-            act = pre.copy()
-        else:  # pragma: no cover - config validation prevents this
-            raise ValueError(f"unknown activation {self.activation_name!r}")
-
-        self.num_forward_calls += 1
-        return LayerForwardState(
-            active_in=input_indices,
-            input_values=input_values,
-            active_out=active_out,
-            pre_activation=pre,
-            activation=act,
-            sampled_from_tables=from_tables,
-            fallback_random=fallback,
-        )
-
-    # ------------------------------------------------------------------
-    # Backward
-    # ------------------------------------------------------------------
-    def backward(
-        self,
-        state: LayerForwardState,
-        upstream_delta: FloatArray,
-    ) -> FloatArray:
-        """Compute gradients for one sample and the delta for the layer below.
-
-        ``upstream_delta`` is dL/d(pre-activation) for the *active* neurons of
-        this layer.  The returned array is dL/d(activation of the previous
-        layer), restricted to ``state.active_in``.
-        """
-        upstream_delta = np.asarray(upstream_delta, dtype=np.float64)
-        if upstream_delta.shape[0] != state.active_out.shape[0]:
-            raise ValueError("delta must align with the active output neurons")
-        state.delta = upstream_delta
-        if state.active_out.size == 0 or state.active_in.size == 0:
-            return np.zeros(state.active_in.shape[0], dtype=np.float64)
-        block = self.weights[np.ix_(state.active_out, state.active_in)]
-        return block.T @ upstream_delta
-
-    def gradient_blocks(
-        self, state: LayerForwardState
-    ) -> tuple[FloatArray, FloatArray]:
-        """Weight-block and bias-block gradients implied by ``state.delta``.
-
-        The weight gradient is the outer product of the active-neuron delta
-        with the active-input values — exactly the ``s^2`` fraction of weights
-        the paper says get updated.
-        """
-        if state.delta is None:
-            raise ValueError("backward() must run before gradient_blocks()")
-        weight_grad = np.outer(state.delta, state.input_values)
-        bias_grad = state.delta.copy()
-        return weight_grad, bias_grad
-
-    def apply_gradients(
-        self,
-        optimizer: Optimizer,
-        state: LayerForwardState,
-        weight_grad: FloatArray,
-        bias_grad: FloatArray,
-    ) -> None:
-        """Apply sparse gradient blocks through ``optimizer`` and mark dirty."""
-        optimizer.sparse_step(
-            f"{self.name}.weights",
-            self.weights,
-            state.active_out,
-            state.active_in,
-            weight_grad,
-        )
-        optimizer.sparse_step(
-            f"{self.name}.biases",
-            self.biases,
-            state.active_out,
-            None,
-            bias_grad,
-        )
-        self.last_update_rows = state.active_out
-        self.mark_dirty(state.active_out)
-
     def apply_gradient_block(
         self,
         optimizer: Optimizer,
@@ -303,12 +156,12 @@ class SlideLayer:
         weight_grad: FloatArray,
         bias_grad: FloatArray,
     ) -> None:
-        """Apply one accumulated ``(rows, cols)`` gradient block.
+        """Apply one accumulated ``(rows, cols)`` gradient block and mark
+        its rows dirty.
 
-        The micro-batch counterpart of :meth:`apply_gradients`: the batched
-        training path accumulates the whole batch's gradient into a single
-        block per layer and applies it with one optimiser step instead of one
-        per sample.
+        The training kernel accumulates a block's gradient into one
+        ``(rows, cols)`` array per layer and applies it with one optimiser
+        step.
         """
         optimizer.sparse_step(
             f"{self.name}.weights", self.weights, rows, cols, weight_grad
@@ -448,6 +301,3 @@ class SlideLayer:
             return softmax_rows(pre)
         return pre
 
-    def relu_backward_mask(self, state: LayerForwardState) -> FloatArray:
-        """ReLU derivative evaluated at this state's pre-activations."""
-        return relu_grad(state.pre_activation)

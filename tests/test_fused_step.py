@@ -1,6 +1,6 @@
 """The pair-compact fused training step against its parent and its oracles.
 
-Three contracts:
+Four contracts:
 
 1. **Parent steps** — ``tests/data/fused_parent_steps.json`` holds what the
    commit before the pair-compact output layer did over 60 fused Adam steps
@@ -10,11 +10,14 @@ Three contracts:
    are pinned to 1e-12 relative and the final weights to 1e-9 absolute.
 2. **Per-sample oracle** — edge batches (empty active sets, missing or
    duplicated labels, empty examples, a batch of one, stacked LSH layers, a
-   linear LSH layer) give the legacy per-sample synchronous loop's losses
-   and, with SGD, its weights.
+   linear LSH layer) give the averaged per-sample loop's losses
+   (``per_sample_reference.py``) and, with SGD, its weights.
 3. **All-rows optimiser walk** — ``sparse_step`` on ``rows = 0..n-1`` with a
    column subset is bitwise equal to the ``np.ix_`` walk it stands in for,
    which is kept here as the reference.
+4. **Finite differences** — the SGD update of ``fused_backward_batch`` is
+   the central-difference gradient of the batch loss, written out here
+   sample by sample with the forward's active sets held fixed.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import per_sample_reference
 import pytest
 
 from repro.config import (
@@ -207,12 +211,10 @@ def assert_fused_matches_per_sample(network_kwargs: dict, examples: list) -> lis
     for optimizer in (OptimizerConfig(name="adam"), SGD):
         legacy_net, fused_net = edge_network(**network_kwargs), edge_network(**network_kwargs)
         config = TrainingConfig(optimizer=optimizer)
-        legacy = legacy_net.train_batch(
-            batch, legacy_net.build_optimizer(config), hogwild=False, batched=False
+        legacy = per_sample_reference.train_step(
+            legacy_net, batch, legacy_net.build_optimizer(config), interleaved=False
         )
-        got = fused_net.train_batch(
-            batch, fused_net.build_optimizer(config), hogwild=False, batched=True
-        )
+        got = fused_net.train_batch(batch, fused_net.build_optimizer(config), hogwild=False)
         assert got["loss"] == pytest.approx(legacy["loss"], rel=1e-12, abs=1e-15)
         assert got["active_neurons"] == legacy["active_neurons"]
         assert got["active_weights"] == legacy["active_weights"]
@@ -398,3 +400,103 @@ class TestAllRowsWalk:
         np.testing.assert_array_equal(
             (before - param)[:, 1], np.arange(6.0)[::-1]
         )
+
+
+# ----------------------------------------------------------------------
+# 4. Finite differences
+# ----------------------------------------------------------------------
+def batch_loss(network, batch, active) -> float:
+    """Mean cross-entropy of ``batch``, one sample and one layer at a time.
+
+    ``active[l][s]`` is sample ``s``'s active set at layer ``l``; every other
+    neuron outputs zero.  Each label in the output active set carries
+    ``1 / |labels|`` of the target.
+    """
+    total = 0.0
+    for sample, example in enumerate(batch):
+        h = example.features.to_dense()
+        for layer, ids in zip(network.layers, (sets[sample] for sets in active)):
+            z = layer.weights[ids] @ h + layer.biases[ids]
+            h = np.zeros(layer.size)
+            if layer.activation_name == "softmax" and ids.size:
+                shifted = np.exp(z - z.max())
+                h[ids] = shifted / shifted.sum()
+            elif layer.activation_name == "relu":
+                h[ids] = np.maximum(z, 0.0)
+            elif layer.activation_name == "linear":
+                h[ids] = z
+        for label in example.labels:
+            if label in ids:
+                total -= np.log(h[label] + 1e-12) / example.labels.size
+    return total / len(batch)
+
+
+def central_differences(network, batch, active, param, entries, eps=1e-6):
+    grad = np.zeros_like(param)
+    for index in entries:
+        original = param[index]
+        param[index] = original + eps
+        plus = batch_loss(network, batch, active)
+        param[index] = original - eps
+        minus = batch_loss(network, batch, active)
+        param[index] = original
+        grad[index] = (plus - minus) / (2 * eps)
+    return grad
+
+
+FD_CASES = {
+    "b1-relu": ({}, 1, ()),
+    "b4-relu": ({}, 4, ()),
+    "b4-linear": ({"hidden": LayerConfig(size=16, activation="linear")}, 4, ()),
+    "b4-lsh-relu": ({"hidden": lsh_hidden("relu")}, 4, ()),
+    "empty-active-set": ({"min_active": 0, "clear_index": True}, 3, (1,)),
+    "dead-hidden-column": ({}, 4, ()),
+}
+
+
+@pytest.mark.parametrize("case", FD_CASES)
+def test_sgd_update_is_the_finite_difference_gradient(rng, case):
+    network_kwargs, batch_size, unlabelled = FD_CASES[case]
+    network = edge_network(**network_kwargs)
+    if case == "dead-hidden-column":
+        network.layers[0].biases[5] = -100.0  # unit 5 is zero in every row
+    examples = [
+        example(rng, labels=() if s in unlabelled else (3 + s, 17))
+        for s in range(batch_size)
+    ]
+    batch = SparseBatch.from_examples(examples, feature_dim=DIM, label_dim=CLASSES)
+    result = fused.fused_forward_batch(network, batch, include_labels=True)
+    active = [
+        state.active_sets or [state.rows] * batch_size for state in result.layer_states
+    ]
+    if case == "empty-active-set":
+        assert [a.size for a in active[-1]] == [2, 0, 2]
+    if case == "dead-hidden-column":
+        assert 5 not in result.layer_states[-1].cols
+
+    features = np.unique(np.concatenate([ex.features.indices for ex in examples]))
+    expected = []
+    for layer_idx, layer in enumerate(network.layers):
+        width = features if layer_idx == 0 else np.arange(layer.fan_in)
+        weight_entries = [(row, col) for row in range(layer.size) for col in width]
+        expected.append(
+            (
+                central_differences(network, batch, active, layer.weights, weight_entries),
+                central_differences(
+                    network, batch, active, layer.biases, [(row,) for row in range(layer.size)]
+                ),
+            )
+        )
+
+    optimizer = network.build_optimizer(
+        TrainingConfig(optimizer=OptimizerConfig(name="sgd", learning_rate=1.0))
+    )
+    before = [(layer.weights.copy(), layer.biases.copy()) for layer in network.layers]
+    optimizer.begin_step()
+    fused.fused_backward_batch(network, batch, result, optimizer, fused.Workspace())
+    for layer, (weights, biases), (weight_grad, bias_grad) in zip(
+        network.layers, before, expected
+    ):
+        # Columns no example touches get an exactly-zero update.
+        np.testing.assert_allclose(weights - layer.weights, weight_grad, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(biases - layer.biases, bias_grad, rtol=0, atol=1e-8)

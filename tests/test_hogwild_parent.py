@@ -3,13 +3,16 @@
 ``tests/data/hogwild_parent_steps.json`` holds what the commit before the
 per-sample selection moved onto the batched probe did: a ``256 -> 48 LSH
 relu -> 512 LSH softmax`` network trained with ``hogwild=True`` (the
-paper's execution model and ``SlideTrainer``'s default) and with the legacy
-``hogwild=False, batched=False`` loop.  The cases cover the three sampling
+paper's execution model and ``SlideTrainer``'s default) and with the
+averaged per-sample synchronous loop.  HOGWILD now runs the training kernel
+on one-row blocks; the averaged loop lives on as the test-side reference in
+``per_sample_reference.py``.  The cases cover the three sampling
 strategies, both insertion policies with buckets small enough to overflow
 (so reservoir draws land in full buckets), scheduled rebuilds and one full
-``rebuild_all_tables`` on a populated index.  Per-step losses and work, a
-sha256 of every forward's active set, strided final parameters and the index
-statistics must all come back exactly.
+``rebuild_all_tables`` on a populated index.  A sha256 of every selected
+active set, the work counters and the index statistics come back exactly;
+the kernel's GEMMs sum in another order than the reference's GEMVs did, so
+losses are pinned to 1e-12 relative and strided parameters to 1e-9.
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ from repro.config import (
     SlideNetworkConfig,
     TrainingConfig,
 )
-from repro.core.layer import SlideLayer
+import per_sample_reference
 from repro.core.network import SlideNetwork
 from repro.datasets.synthetic import SyntheticXCConfig, generate_synthetic_xc
+from repro.kernels import fused
 from repro.types import SparseBatch
 
 PARENT_STEPS = Path(__file__).parent / "data" / "hogwild_parent_steps.json"
@@ -104,14 +108,14 @@ def run(case: str, monkeypatch) -> dict:
     )
 
     active: list[np.ndarray] = []
-    forward = SlideLayer.forward
+    select = fused.select_active_batch
 
-    def recording_forward(self, *args, **kwargs):
-        state = forward(self, *args, **kwargs)
-        active.append(state.active_out.astype(np.int64))
-        return state
+    def recording_select(*args, **kwargs):
+        selections = select(*args, **kwargs)
+        active.extend(ids.astype(np.int64) for ids, _, _ in selections)
+        return selections
 
-    monkeypatch.setattr(SlideLayer, "forward", recording_forward)
+    monkeypatch.setattr(fused, "select_active_batch", recording_select)
     steps, digests = [], []
     for step in range(STEPS):
         batch = SparseBatch.from_examples(
@@ -120,7 +124,12 @@ def run(case: str, monkeypatch) -> dict:
             label_dim=CLASSES,
         )
         del active[:]
-        metrics = network.train_batch(batch, optimizer, hogwild=hogwild, batched=False)
+        if hogwild:
+            metrics = network.train_batch(batch, optimizer, hogwild=True)
+        else:
+            metrics = per_sample_reference.train_step(
+                network, batch, optimizer, interleaved=False
+            )
         steps.append([metrics["loss"], metrics["active_neurons"], metrics["active_weights"]])
         digests.append(hashlib.sha256(np.concatenate(active).tobytes()).hexdigest())
         if step == STEPS // 2 - 1:
@@ -147,9 +156,17 @@ def dump_parent_steps() -> None:
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_parent_steps_reproduced_bit_for_bit(case, monkeypatch):
+def test_parent_steps_reproduced(case, monkeypatch):
     parent = json.loads(PARENT_STEPS.read_text())[case]
-    assert run(case, monkeypatch) == parent
+    got = run(case, monkeypatch)
+    assert got["active_sha256"] == parent["active_sha256"]
+    assert got["lsh_stats"] == parent["lsh_stats"]
+    steps, expected = np.array(got["steps"]), np.array(parent["steps"])
+    np.testing.assert_array_equal(steps[:, 1:], expected[:, 1:])
+    np.testing.assert_allclose(steps[:, 0], expected[:, 0], rtol=1e-12, atol=0.0)
+    for key in ("weights", "biases"):
+        for got_layer, expected_layer in zip(got[key], parent[key]):
+            np.testing.assert_allclose(got_layer, expected_layer, rtol=0.0, atol=1e-9)
 
 
 def test_the_fixture_overflows_both_policies():

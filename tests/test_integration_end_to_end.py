@@ -31,6 +31,7 @@ from repro.core.inference import evaluate_precision_at_1
 from repro.core.network import SlideNetwork
 from repro.core.trainer import SlideTrainer
 from repro.datasets.synthetic import SyntheticXCConfig, generate_synthetic_xc
+from repro.kernels.fused import fused_forward_batch
 from repro.metrics.accuracy import precision_at_1
 from repro.parallel.conflicts import analyze_update_conflicts
 from repro.types import SparseBatch
@@ -199,11 +200,12 @@ class TestHogwildSafety:
         the pairwise overlap between two samples' footprints stays modest
         (dense updates would overlap 100 %)."""
         network = build_slide(xc_dataset, target_active=16, seed=9)
-        batch = xc_dataset.train[:32]
-        active_sets = []
-        for example in batch:
-            result = network.forward_sample(example, include_labels=True)
-            active_sets.append(result.active_output_ids)
+        batch = SparseBatch.from_examples(
+            xc_dataset.train[:32], network.input_dim, network.output_dim
+        )
+        active_sets = fused_forward_batch(
+            network, batch, include_labels=True
+        ).output_state.active_sets
         report = analyze_update_conflicts(active_sets, network.output_dim)
         assert report.mean_active < 0.35 * network.output_dim
         assert report.pairwise_overlap_rate < 0.5

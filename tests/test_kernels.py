@@ -3,19 +3,20 @@
 Three contracts are pinned down:
 
 1. the batched building blocks (matrix hashing, table probes, active-set
-   selection) answer every row as they answer it alone, which is what the
-   per-sample path asks of them;
-2. the fused synchronous training step produces the same losses and work
-   metrics as the legacy per-sample synchronous loop on a fixed seed, and —
-   with a linear optimiser, where accumulated and sequential block updates
-   commute — bit-identical weights;
-3. HOGWILD mode is unchanged: ``train_batch(hogwild=True)`` equals an
-   explicit per-sample compute/apply replay bit-for-bit.
+   selection) answer every row as they answer it alone, which is what
+   HOGWILD's one-row blocks ask of them;
+2. the synchronous training step produces the same losses and work metrics
+   as the averaged per-sample loop of ``per_sample_reference.py`` on a fixed
+   seed, and — with a linear optimiser, where accumulated and sequential
+   block updates commute — the same weights;
+3. HOGWILD (the kernel on one-row blocks) equals that reference applying
+   each sample's gradient as soon as it is computed.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import per_sample_reference
 import pytest
 
 from repro.baselines.sampled_softmax import SampledSoftmaxConfig, SampledSoftmaxNetwork
@@ -160,23 +161,19 @@ class TestBatchedSelection:
     @pytest.mark.parametrize("rounded", [False, True])
     @pytest.mark.parametrize("strategy", ["vanilla", "topk", "hard_threshold"])
     def test_rng_compatible_with_per_sample_selection(self, rng, strategy, rounded):
-        """The per-sample path (``SlideLayer.forward``, one query at a time)
-        must select what the batched call selects and consume the layer RNG
-        exactly like it, sample for sample — also on inputs rounded to 0.1,
-        whose projections cancel to zero."""
+        """HOGWILD's one-row blocks must select what the batched call
+        selects and consume the layer RNG exactly like it, sample for sample
+        — also on inputs rounded to 0.1, whose projections cancel to zero."""
         layer_a = self._layer(strategy=strategy)
         layer_b = self._layer(strategy=strategy)
         queries = rng.normal(size=(12, 24))
         if rounded:
             queries = np.round(queries * (rng.random(size=queries.shape) < 0.3), 1)
         queries[5] = 0.0  # all-zero query exercises the fallback padding
-        per_sample = []
-        for row in range(queries.shape[0]):
-            indices = np.flatnonzero(queries[row])
-            state = layer_a.forward(indices, queries[row][indices])
-            per_sample.append(
-                (state.active_out, state.sampled_from_tables, state.fallback_random)
-            )
+        per_sample = [
+            select_active_batch(layer_a, queries[row : row + 1])[0]
+            for row in range(queries.shape[0])
+        ]
         batched = select_active_batch(layer_b, queries)
         for (a_ids, a_tables, a_fallback), (b_ids, b_tables, b_fallback) in zip(
             per_sample, batched
@@ -203,6 +200,31 @@ class TestBatchedSelection:
 
 
 class TestMaskedSoftmax:
+    def test_matches_a_plain_softmax_per_segment(self, rng):
+        """``exp(x - max) / sum`` written out for each segment on its own:
+        empty segments (first, inner, last), a one-entry segment, and
+        logits near +-700, where an unshifted ``exp`` would overflow."""
+        counts = np.array([0, 1, 3, 0, 4, 2, 9, 0])
+        segments = [
+            np.zeros(0),
+            np.array([700.0]),
+            np.array([700.0, 699.5, -700.0]),
+            np.zeros(0),
+            np.array([-700.0, -699.0, -701.0, -700.5]),
+            np.array([0.25, 0.25]),
+            rng.normal(size=9) * 5,
+            np.zeros(0),
+        ]
+        got = _segment_softmax(np.concatenate(segments), counts)
+        expected = []
+        for logits in segments:
+            if logits.size:
+                shifted = np.exp(logits - logits.max())
+                expected.append(shifted / shifted.sum())
+        np.testing.assert_allclose(got, np.concatenate(expected), rtol=1e-13, atol=0.0)
+        assert np.all(np.isfinite(got))
+        assert got[0] == 1.0  # the one-entry segment
+
     def test_matches_sparse_softmax_per_row(self, rng):
         pre = rng.normal(size=(6, 10))
         mask = (rng.random(size=(6, 10)) < 0.5).astype(np.float64)
@@ -301,8 +323,8 @@ class TestFusedTrainingParity:
             opt_a = net_a.build_optimizer(TrainingConfig())
             opt_b = net_b.build_optimizer(TrainingConfig())
             batch = make_batch(rng)
-            legacy = net_a.train_batch(batch, opt_a, hogwild=False, batched=False)
-            fused = net_b.train_batch(batch, opt_b, hogwild=False, batched=True)
+            legacy = per_sample_reference.train_step(net_a, batch, opt_a, interleaved=False)
+            fused = net_b.train_batch(batch, opt_b, hogwild=False)
             assert fused["loss"] == pytest.approx(legacy["loss"], abs=1e-9)
             assert fused["active_neurons"] == legacy["active_neurons"]
             assert fused["active_weights"] == legacy["active_weights"]
@@ -321,8 +343,8 @@ class TestFusedTrainingParity:
         opt_b = net_b.build_optimizer(config)
         for _ in range(5):
             batch = make_batch(rng)
-            net_a.train_batch(batch, opt_a, hogwild=False, batched=False)
-            net_b.train_batch(batch, opt_b, hogwild=False, batched=True)
+            per_sample_reference.train_step(net_a, batch, opt_a, interleaved=False)
+            net_b.train_batch(batch, opt_b, hogwild=False)
         for layer_a, layer_b in zip(net_a.layers, net_b.layers):
             np.testing.assert_allclose(
                 layer_a.weights, layer_b.weights, atol=1e-12
@@ -344,11 +366,9 @@ class TestFusedTrainingParity:
         batch = make_batch(rng, n=6, dim=24, classes=12, nnz=5)
         expected = [np.zeros_like(layer.weights) for layer in net.layers]
         for example in batch:
-            gradient = net.compute_sample_gradient(example)
-            for layer_idx, state in enumerate(gradient.layer_states):
-                expected[layer_idx][
-                    np.ix_(state.active_out, state.active_in)
-                ] += gradient.weight_grads[layer_idx] / len(batch)
+            _, grads, _, _ = per_sample_reference.sample_gradient(net, example)
+            for layer_idx, (rows, cols, weight_grad, _) in enumerate(grads):
+                expected[layer_idx][np.ix_(rows, cols)] += weight_grad / len(batch)
 
         learning_rate = 0.5
         optimizer = net.build_optimizer(
@@ -357,28 +377,26 @@ class TestFusedTrainingParity:
             )
         )
         before = [layer.weights.copy() for layer in net.layers]
-        net.train_batch(batch, optimizer, hogwild=False, batched=True)
+        net.train_batch(batch, optimizer, hogwild=False)
         for layer_idx, layer in enumerate(net.layers):
             update = (before[layer_idx] - layer.weights) / learning_rate
             np.testing.assert_allclose(update, expected[layer_idx], atol=1e-12)
 
-    def test_fused_forward_matches_forward_sample(self, rng):
-        """Activations of the fused forward equal per-sample forward_sample
-        on each sample's own active set."""
+    def test_fused_forward_matches_one_row_blocks(self, rng):
+        """Activations of a batch forward equal each sample's forward as a
+        block of one, on the sample's own active set."""
         net_a = lsh_network(seed=8)
         net_b = lsh_network(seed=8)
         batch = make_batch(rng)
         result = fused_forward_batch(net_a, batch, include_labels=True)
         out = result.output_state
         for sample_idx, example in enumerate(batch):
-            per_sample = net_b.forward_sample(example, include_labels=True)
-            state = per_sample.output_state
-            np.testing.assert_array_equal(
-                out.active_sets[sample_idx], state.active_out
-            )
-            positions = np.searchsorted(out.rows, state.active_out)
+            block = SparseBatch([example], batch.feature_dim, batch.label_dim)
+            alone = fused_forward_batch(net_b, block, include_labels=True).output_state
+            np.testing.assert_array_equal(out.active_sets[sample_idx], alone.rows)
+            positions = np.searchsorted(out.rows, alone.rows)
             np.testing.assert_allclose(
-                out.act[sample_idx, positions], state.activation, atol=1e-9
+                out.act[sample_idx, positions], alone.act[0], atol=1e-9
             )
             # Union neurons outside this sample's active set carry nothing.
             off = out.mask[sample_idx] == 0.0
@@ -407,57 +425,6 @@ class TestFusedTrainingParity:
             np.testing.assert_array_equal(state_fast.pre, state_slow.pre)
             np.testing.assert_array_equal(state_fast.act, state_slow.act)
 
-    def test_linear_hidden_layer_gradient_not_gated(self, rng):
-        """Backward through a linear hidden layer must not apply the ReLU
-        gate: neurons with negative pre-activations still carry gradient
-        (checked against finite differences, per-sample and fused)."""
-        config = SlideNetworkConfig(
-            input_dim=12,
-            layers=(
-                LayerConfig(size=6, activation="linear"),
-                LayerConfig(size=5, activation="softmax"),
-            ),
-            seed=1,
-        )
-        net = SlideNetwork(config)
-        example = make_batch(rng, n=1, dim=12, classes=5, nnz=4)[0]
-        gradient = net.compute_sample_gradient(example)
-        state = gradient.layer_states[0]
-        assert np.any(state.pre_activation < 0)  # the gate would zero these
-
-        def loss_fn() -> float:
-            scores = net.predict_dense(example)
-            return -float(
-                sum(np.log(scores[label] + 1e-12) for label in example.labels)
-                / example.labels.size
-            )
-
-        eps = 1e-6
-        neuron = int(np.argmin(state.pre_activation))  # most negative pre
-        feature = int(state.active_in[0])
-        position = int(np.searchsorted(state.active_in, feature))
-        original = net.layers[0].weights[neuron, feature]
-        net.layers[0].weights[neuron, feature] = original + eps
-        loss_plus = loss_fn()
-        net.layers[0].weights[neuron, feature] = original - eps
-        loss_minus = loss_fn()
-        net.layers[0].weights[neuron, feature] = original
-        numerical = (loss_plus - loss_minus) / (2 * eps)
-        assert gradient.weight_grads[0][neuron, position] == pytest.approx(
-            numerical, abs=1e-5
-        )
-
-        # Fused path agrees: one SGD step moves that weight by -lr * grad.
-        net_fused = SlideNetwork(config)
-        batch = SparseBatch.from_examples([example], feature_dim=12, label_dim=5)
-        optimizer = net_fused.build_optimizer(
-            TrainingConfig(optimizer=OptimizerConfig(name="sgd", learning_rate=1.0))
-        )
-        before = net_fused.layers[0].weights[neuron, feature]
-        net_fused.train_batch(batch, optimizer, hogwild=False, batched=True)
-        fused_grad = before - net_fused.layers[0].weights[neuron, feature]
-        assert fused_grad == pytest.approx(numerical, abs=1e-5)
-
     def test_fused_training_learns(self, rng):
         net = lsh_network(seed=11)
         optimizer = net.build_optimizer(
@@ -471,31 +438,29 @@ class TestFusedTrainingParity:
 
 
 # ----------------------------------------------------------------------
-# HOGWILD mode must be unchanged
+# HOGWILD: the kernel on one-row blocks
 # ----------------------------------------------------------------------
-class TestHogwildUnchanged:
-    def test_hogwild_equals_explicit_per_sample_replay(self, rng):
-        """``train_batch(hogwild=True)`` must be bit-identical to computing
-        and immediately applying each sample's gradient in order."""
-        net_a = lsh_network(seed=21)
-        net_b = lsh_network(seed=21)
+class TestHogwild:
+    @pytest.mark.parametrize("hidden_lsh", [False, True])
+    def test_hogwild_matches_interleaved_per_sample_reference(self, rng, hidden_lsh):
+        """``train_batch(hogwild=True)`` equals computing and immediately
+        applying each sample's gradient in order, under Adam: the same
+        active sets and work, and parameters to rounding."""
+        net_a = lsh_network(seed=21, hidden_lsh=hidden_lsh)
+        net_b = lsh_network(seed=21, hidden_lsh=hidden_lsh)
         opt_a = net_a.build_optimizer(TrainingConfig())
         opt_b = net_b.build_optimizer(TrainingConfig())
         for _ in range(3):
             batch = make_batch(rng)
-            net_a.train_batch(batch, opt_a, hogwild=True)
-
-            opt_b.begin_step()
-            for example in batch:
-                gradient = net_b.compute_sample_gradient(example)
-                net_b.apply_sample_gradient(gradient, opt_b)
-            net_b.iteration += 1
-            for layer in net_b.layers:
-                layer.maybe_rebuild(net_b.iteration)
+            got = net_a.train_batch(batch, opt_a, hogwild=True)
+            expected = per_sample_reference.train_step(net_b, batch, opt_b, interleaved=True)
+            assert got["loss"] == pytest.approx(expected["loss"], rel=1e-12)
+            assert got["active_neurons"] == expected["active_neurons"]
+            assert got["active_weights"] == expected["active_weights"]
 
         for layer_a, layer_b in zip(net_a.layers, net_b.layers):
-            np.testing.assert_array_equal(layer_a.weights, layer_b.weights)
-            np.testing.assert_array_equal(layer_a.biases, layer_b.biases)
+            np.testing.assert_allclose(layer_a.weights, layer_b.weights, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(layer_a.biases, layer_b.biases, rtol=0, atol=1e-12)
 
     def test_hogwild_is_deterministic_across_runs(self, rng):
         batches = [make_batch(rng) for _ in range(3)]
@@ -536,14 +501,12 @@ class TestSparseStepRowsUnique:
         for rows in seen:
             assert np.all(np.diff(rows) > 0)
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_slide_training_paths(self, rng, seen_rows, batched):
+    @pytest.mark.parametrize("hogwild", [False, True])
+    def test_slide_training_paths(self, rng, seen_rows, hogwild):
         net = lsh_network(seed=4, hidden_lsh=True)
         optimizer = net.build_optimizer(TrainingConfig())
         for _ in range(4):
-            net.train_batch(
-                make_batch(rng), optimizer, hogwild=not batched, batched=batched
-            )
+            net.train_batch(make_batch(rng), optimizer, hogwild=hogwild)
         self.assert_sorted_unique(seen_rows)
 
     def test_finalize_active_repairs_unsorted_duplicates(self):
@@ -563,21 +526,3 @@ class TestSparseStepRowsUnique:
         for _ in range(3):
             network.train_batch(make_batch(rng))
         self.assert_sorted_unique(seen_rows)
-
-
-class TestSortedActiveGuard:
-    def test_unsorted_active_set_raises_in_gradient(self, rng, monkeypatch):
-        net = lsh_network(seed=2)
-        example = make_batch(rng, n=1)[0]
-
-        original = SlideLayer.forward
-
-        def unsorted_forward(self, *args, **kwargs):
-            state = original(self, *args, **kwargs)
-            if self.activation_name == "softmax" and state.active_out.size > 1:
-                state.active_out = state.active_out[::-1].copy()
-            return state
-
-        monkeypatch.setattr(SlideLayer, "forward", unsorted_forward)
-        with pytest.raises(ValueError, match="sorted"):
-            net.compute_sample_gradient(example)
