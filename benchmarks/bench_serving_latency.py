@@ -50,6 +50,29 @@ from repro.serving import (
 # measured against — admitted requests must finish within it plus compute.
 DEADLINE_MS = 250.0
 
+# Upper bound on the hot-reload traffic window; the window really closes
+# when the last swap has landed plus a tail (see ``_SendUntil``).
+_MAX_RELOAD_WINDOW_S = 120.0
+
+
+class _SendUntil:
+    """Forwards ``submit`` to a runtime until ``closed`` is set.
+
+    After that ``submit`` raises ``RuntimeError``, which
+    :func:`~repro.serving.loadgen.run_open_loop` reads as the runtime going
+    away: it stops sending and settles what is in flight.
+    """
+
+    def __init__(self, runtime: OnlineRuntime, closed: threading.Event) -> None:
+        self.runtime = runtime
+        self.closed = closed
+
+    def submit(self, example, k=None):
+        if self.closed.is_set():
+            raise RuntimeError("reload traffic window closed")
+        return self.runtime.submit(example, k=k)
+
+
 _LATENCY = {
     "type": "object",
     "required": ["p50", "p99", "p999", "mean", "max"],
@@ -124,14 +147,14 @@ def run(params: dict | None = None) -> dict:
     if p.get("smoke", False):
         # The 2x point stays in the smoke sweep: the committed baseline's
         # overload p99 / shed rate are the trend-gated metrics.
-        scale, probe_s, sweep_s, reload_s = 1.0 / 2048.0, 0.8, 1.0, 2.0
+        scale, probe_s, sweep_s, tail_s = 1.0 / 2048.0, 0.8, 1.0, 0.5
         load_fractions = (0.5, 1.0, 2.0)
     else:
-        scale, probe_s, sweep_s, reload_s = 1.0 / 1024.0, 2.0, 3.0, 5.0
+        scale, probe_s, sweep_s, tail_s = 1.0 / 1024.0, 2.0, 3.0, 1.0
         load_fractions = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
     scale = float(p.get("scale", scale))
     num_swaps = 2
-    network, dataset, trainer, train_s = train_serving_network(scale=scale)
+    network, dataset, trainer, _ = train_serving_network(scale=scale)
     budget = max(16, int(0.15 * network.output_dim))
     examples = list(dataset.test)
 
@@ -177,21 +200,27 @@ def run(params: dict | None = None) -> dict:
             # ------------------------------------------------------ phase 3
             time.sleep(0.3)
             reload_qps = max(0.6 * capacity, 1.0)
-            # Each publish retrains one epoch before swapping; size the
-            # traffic window off the measured epoch time so *every* swap
-            # lands while the generator is still sending (the post-swap
-            # generations must carry live traffic, not just exist).
-            reload_window_s = max(reload_s, num_swaps * (1.5 * train_s + 0.6) + 1.2)
+            # The traffic window ends on swap completion, not on a clock
+            # set in advance: each publish retrains an epoch while sharing
+            # the GIL with live traffic, so its duration is unknown until it
+            # lands.  The generator keeps sending until the last swap is in
+            # plus a tail, so the final generation carries live traffic.
+            window_closed = threading.Event()
             reload_reports: list[dict] = []
             loadgen_result: list = []
 
             def client() -> None:
                 loadgen_result.append(
                     run_open_loop(
-                        runtime, examples, qps=reload_qps, duration_s=reload_window_s, k=5
+                        _SendUntil(runtime, window_closed),
+                        examples,
+                        qps=reload_qps,
+                        duration_s=_MAX_RELOAD_WINDOW_S,
+                        k=5,
                     )
                 )
 
+            window_start = time.monotonic()
             thread = threading.Thread(target=client, daemon=True)
             thread.start()
             for _ in range(num_swaps):
@@ -211,8 +240,14 @@ def run(params: dict | None = None) -> dict:
                         "generation": swap.generation,
                     }
                 )
+            time.sleep(tail_s)
+            window_closed.set()
+            reload_window_s = time.monotonic() - window_start
             thread.join(timeout=120.0)
-            reload_traffic = loadgen_result[0].to_dict()
+            traffic = loadgen_result[0]
+            # The nominal duration was only a cap; rates are per real window.
+            traffic.duration_s = reload_window_s
+            reload_traffic = traffic.to_dict()
 
             # ------------------------------------------------------ phase 4
             latest = store.latest()
@@ -300,6 +335,9 @@ def check(payload: dict, smoke: bool) -> list[str]:
             f"traffic spanned {len(hot['traffic']['generations'])} weight "
             f"generations, expected {hot['num_swaps'] + 1} (every swap under load)"
         )
+    last = str(hot["swaps"][-1]["generation"])
+    if not hot["traffic"]["generations"].get(last):
+        failures.append(f"no live traffic after the last swap (generation {last})")
     if not payload["parity"]["bitwise_topk_equal_to_cold_load"]:
         failures.append("post-swap engine diverges from cold-loaded checkpoint")
     return failures

@@ -6,7 +6,7 @@ serve), this example runs the *continuous* loop from
 
 1. train a small SLIDE network and publish v1 into a
    :class:`~repro.serving.checkpoint.CheckpointStore`;
-2. start an :class:`~repro.serving.runtime.OnlineRuntime` — an elastic
+2. start an :class:`~repro.serving.runtime.OnlineRuntime` — a resizable
    worker pool with shed admission, per-request deadlines, and a
    :class:`~repro.serving.runtime.CheckpointWatcher` on the store;
 3. drive sustained open-loop traffic while the trainer keeps training and

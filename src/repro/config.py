@@ -378,7 +378,7 @@ class ServingConfig:
         Enable the queue-depth + p99-driven worker autoscaler
         (:class:`~repro.serving.runtime.AutoscaleController`).
     min_workers / max_workers:
-        Autoscaler bounds on the elastic pool size.
+        Autoscaler bounds on the worker pool size.
     autoscale_interval_s:
         Sampling period of the autoscaler control loop.
     target_p99_ms:

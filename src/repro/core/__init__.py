@@ -5,7 +5,6 @@ from repro.core.activations import (
     relu_grad,
     sparse_softmax,
     softmax_rows,
-    log_sparse_softmax,
 )
 from repro.core.layer import SlideLayer
 from repro.core.network import SlideNetwork
@@ -23,7 +22,6 @@ __all__ = [
     "relu_grad",
     "sparse_softmax",
     "softmax_rows",
-    "log_sparse_softmax",
     "SlideLayer",
     "SlideNetwork",
     "SlideTrainer",

@@ -17,7 +17,6 @@ __all__ = [
     "hidden_activation_grad",
     "sparse_softmax",
     "softmax_rows",
-    "log_sparse_softmax",
 ]
 
 
@@ -75,13 +74,3 @@ def softmax_rows(logits: FloatArray) -> FloatArray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=1, keepdims=True)
-
-
-def log_sparse_softmax(logits: FloatArray) -> FloatArray:
-    """Log of :func:`sparse_softmax`, computed stably."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.size == 0:
-        return logits.copy()
-    shifted = logits - logits.max()
-    log_norm = np.log(np.exp(shifted).sum())
-    return shifted - log_norm

@@ -8,12 +8,11 @@ the execution model behind the paper's Figure 9 / Table 2 scalability
 claims; ``benchmarks/bench_fig9_scalability.py`` measures it for real.
 
 :mod:`repro.parallel.conflicts` quantifies update overlap between concurrent
-sparse updates; :class:`WorkerPool` owns the serving path's long-lived
-worker threads.
+sparse updates.  (The serving path's worker threads live in
+:class:`repro.serving.pool.EnginePool`.)
 """
 
 from repro.parallel.conflicts import ConflictReport, analyze_update_conflicts
-from repro.parallel.executor import WorkerPool
 from repro.parallel.sharedmem import (
     ProcessConflictStats,
     ProcessHogwildTrainer,
@@ -25,7 +24,6 @@ from repro.parallel.sharedmem import (
 __all__ = [
     "ConflictReport",
     "analyze_update_conflicts",
-    "WorkerPool",
     "SharedParamStore",
     "ProcessHogwildTrainer",
     "ProcessTrainingReport",

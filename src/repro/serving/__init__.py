@@ -16,13 +16,14 @@ this package carries that idea from the training loop to the serving path:
   (``max_batch_size`` / ``max_wait_ms``) with block or shed admission;
 * :mod:`~repro.serving.errors` — the typed overload errors
   (:class:`RejectedError` → 429, :class:`DeadlineExceededError` → 504);
-* :mod:`~repro.serving.pool` — the multi-worker :class:`EnginePool` and the
+* :mod:`~repro.serving.pool` — :class:`EnginePool`, the one resizable
+  worker pool (a crashed worker is re-raised at ``stop``), and the
   :class:`ServingRuntime` facade, recording p50/p95/p99 latency and
   throughput via :mod:`repro.perf.latency`;
 * :mod:`~repro.serving.runtime` — the online train-to-serve loop:
-  :class:`CheckpointWatcher` (zero-downtime hot reload),
-  :class:`ElasticEnginePool` + :class:`AutoscaleController` (worker
-  autoscaling with hysteresis), wired together by :class:`OnlineRuntime`;
+  :class:`CheckpointWatcher` (zero-downtime hot reload) and
+  :class:`AutoscaleController` (resizes the pool with hysteresis), wired
+  together by :class:`OnlineRuntime`;
 * :mod:`~repro.serving.router` — resilient multi-replica serving:
   :class:`ReplicaRouter` fronts N :class:`OnlineRuntime` replicas with
   active health checks, power-of-two-choices routing, cross-replica
@@ -83,7 +84,6 @@ from repro.serving.router import (
 from repro.serving.runtime import (
     AutoscaleController,
     CheckpointWatcher,
-    ElasticEnginePool,
     OnlineRuntime,
 )
 from repro.serving.server import ModelServer, build_server
@@ -123,7 +123,6 @@ __all__ = [
     "ReplicaRouter",
     "AutoscaleController",
     "CheckpointWatcher",
-    "ElasticEnginePool",
     "OnlineRuntime",
     "LoadReport",
     "run_open_loop",

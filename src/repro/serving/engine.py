@@ -22,7 +22,9 @@ collection scheme) instead of going through the layer's sampler:
    predictions.
 
 Engines are stateless with respect to requests and therefore safe to share
-across the worker threads of :class:`repro.serving.pool.EnginePool`.
+across the worker threads of :class:`repro.serving.pool.EnginePool`, the
+one pool behind both the fixed and the online runtime, however many workers
+it runs at the moment.
 
 For the online runtime they additionally support **zero-downtime hot
 reload**: :meth:`InferenceEngine.hot_swap` diffs an incoming network against

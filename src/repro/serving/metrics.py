@@ -1,9 +1,9 @@
 """Serving-side metrics: request latency quantiles, batch sizes, throughput.
 
 Thin aggregation over the :mod:`repro.perf.latency` primitives.  One
-:class:`ServingMetrics` instance is shared by every worker of an
-:class:`~repro.serving.pool.EnginePool`; all recording paths are
-thread-safe.
+:class:`ServingMetrics` instance is shared by every worker an
+:class:`~repro.serving.pool.EnginePool` ever runs (worker indices are
+never reused across a resize); all recording paths are thread-safe.
 
 Latency is measured queue-to-completion: the clock starts when a request
 enters the micro-batch queue and stops when its future is resolved, so the

@@ -1,12 +1,14 @@
-"""Multi-worker engine pool and the serving runtime facade.
+"""The serving worker pool and the serving runtime facade.
 
-:class:`EnginePool` hosts ``N`` worker threads (on
-:class:`repro.parallel.executor.WorkerPool`) that each loop: pull a
-micro-batch from the shared :class:`~repro.serving.batching.MicroBatchQueue`,
-run it through the (shared, read-only) inference engine, resolve the
-per-request futures, and record latency/throughput metrics.  NumPy releases
-the GIL inside the matrix kernels that dominate inference, so workers
-genuinely overlap.
+:class:`EnginePool` is the one worker pool every runtime serves through:
+``N`` threads that each loop — pull a micro-batch from the shared
+:class:`~repro.serving.batching.MicroBatchQueue`, run it through the
+(shared, read-only) inference engine, resolve the per-request futures, and
+record latency/throughput metrics.  NumPy releases the GIL inside the
+matrix kernels that dominate inference, so workers genuinely overlap.  The
+worker count can change while serving (:meth:`EnginePool.resize`, which the
+autoscaler actuates), and a worker loop that raises does not die silently:
+:meth:`EnginePool.stop` re-raises the first crash.
 
 :class:`ServingRuntime` is the facade the HTTP front-end, the examples and
 the tests use: it wires queue + pool + metrics together from a
@@ -16,6 +18,7 @@ the tests use: it wires queue + pool + metrics together from a
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import Future
 from typing import Sequence
@@ -24,7 +27,6 @@ from dataclasses import replace
 
 from repro.config import ServingConfig
 from repro.core.network import SlideNetwork
-from repro.parallel.executor import WorkerPool
 from repro.serving.batching import InferenceRequest, MicroBatchQueue
 from repro.serving.engine import (
     DenseInferenceEngine,
@@ -56,7 +58,18 @@ def build_engine(network: SlideNetwork, config: ServingConfig) -> InferenceEngin
 
 
 class EnginePool:
-    """Worker threads draining one micro-batch queue into one engine."""
+    """Worker threads draining one micro-batch queue into one engine.
+
+    Workers get monotonically increasing indices (so per-worker metrics
+    never alias across a shrink/grow cycle) and an individual stop event:
+    :meth:`resize` retires the newest workers first, each finishing its
+    in-flight batch before exiting.  Retired threads are reaped lazily and
+    joined at :meth:`stop`.
+
+    A worker loop that raises records the first exception and exits; the
+    dead thread drops out of :meth:`alive_workers` (so readiness sees it at
+    once) and :meth:`stop` re-raises the exception.
+    """
 
     def __init__(
         self,
@@ -70,25 +83,77 @@ class EnginePool:
         self.queue = request_queue
         self.metrics = metrics
         self.poll_timeout = float(poll_timeout)
-        self._pool = WorkerPool(num_workers, name="serving-engine")
+        self._initial_workers = int(num_workers)
+        self._threads: dict[int, tuple[threading.Thread, threading.Event]] = {}
+        self._retired: list[threading.Thread] = []
+        self._next_index = 0
+        self._resize_lock = sanitize.lock("serving.pool.resize")
+        self._error: BaseException | None = None
+        self._error_lock = sanitize.lock("serving.pool.error")
+        self._started = False
         self._stopping = False
         self._drain_on_stop = True
 
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
     @property
     def num_workers(self) -> int:
-        return self._pool.num_workers
+        with self._resize_lock:
+            return len(self._threads)
 
+    def alive_workers(self) -> int:
+        with self._resize_lock:
+            return sum(
+                1 for thread, _ in self._threads.values() if thread.is_alive()
+            )
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
     def start(self) -> None:
-        self.metrics.throughput.start()
-        self._pool.start(self._worker_loop)
+        with self._resize_lock:
+            if self._started:
+                # repro: allow[exc] lifecycle misuse, never reaches a client
+                raise RuntimeError("pool already started")
+            self._started = True
+            self.metrics.throughput.start()
+            for _ in range(self._initial_workers):
+                self._spawn_locked()
+
+    def resize(self, target: int) -> int:
+        """Grow or shrink to ``target`` workers; returns the new count.
+
+        ``target=0`` is allowed — a deliberately drained pool is how tests
+        (and operators) force the not-ready state without killing the
+        process; requests queue until a later ``resize`` restores workers.
+        """
+        target = max(0, int(target))
+        with self._resize_lock:
+            if not self._started or self._stopping:
+                return len(self._threads)
+            while len(self._threads) < target:
+                self._spawn_locked()
+            while len(self._threads) > target:
+                # Retire newest-first: oldest workers keep their warmed-up
+                # metrics history.
+                index = max(self._threads)
+                thread, stop_event = self._threads.pop(index)
+                stop_event.set()
+                self._retired.append(thread)
+            self._retired = [t for t in self._retired if t.is_alive()]
+            return len(self._threads)
 
     def stop(self, drain: bool = True, timeout: float = 5.0) -> None:
-        """Stop the workers.
+        """Stop every worker, then re-raise the first worker crash.
 
         With ``drain=True`` (default) queued requests are served first;
-        with ``drain=False`` workers stop after their in-flight batch and
-        every request still queued has its future cancelled, so no caller
-        is left blocking on an answer that will never come.
+        with ``drain=False`` workers stop after their in-flight batch.
+        Anything still queued afterwards (``drain=False``, the drain timed
+        out, or a worker crashed) has its future cancelled, so no caller is
+        left blocking on an answer that will never come.  Only then is the
+        first exception a worker loop died with raised, once: a second
+        ``stop`` is silent.
         """
         self.queue.close()
         self._drain_on_stop = drain
@@ -98,43 +163,60 @@ class EnginePool:
                 sanitize.note_blocking("EnginePool.stop drain wait")
                 time.sleep(self.poll_timeout / 2)
         self._stopping = True
-        try:
-            # join() re-raises the first exception any worker loop died
-            # with (WorkerPool surfaces crashes instead of leaving dead
-            # threads); the cancellation sweep below must still run in that
-            # case, or every queued caller blocks forever on a future that
-            # no worker will ever resolve.
-            self._pool.join(timeout=timeout)
-        finally:
-            # Anything still queued (drain=False, the drain timed out, or a
-            # crashed worker) is cancelled rather than abandoned.
-            while True:
-                batch = self.queue.next_batch(timeout=0.0)
-                if not batch:
-                    break
-                for request in batch:
-                    request.future.cancel()
-
-    def alive_workers(self) -> int:
-        return self._pool.alive_count()
+        with self._resize_lock:
+            threads = [thread for thread, _ in self._threads.values()]
+            threads.extend(self._retired)
+            self._threads.clear()
+            self._retired.clear()
+        join_deadline = time.monotonic() + timeout
+        for thread in threads:
+            thread.join(timeout=max(join_deadline - time.monotonic(), 0.1))
+        while True:
+            batch = self.queue.next_batch(timeout=0.0)
+            if not batch:
+                break
+            for request in batch:
+                request.future.cancel()
+        with self._error_lock:
+            error, self._error = self._error, None
+        if error is not None:
+            raise error
 
     # ------------------------------------------------------------------
     # Worker internals
     # ------------------------------------------------------------------
-    def _worker_loop(self, worker_index: int) -> None:
-        while not self._stopping:
-            batch = self.queue.next_batch(timeout=self.poll_timeout)
-            if not batch:
-                continue
-            self._serve_batch(batch, worker_index)
-        # Final drain (draining stop only) so no accepted request is left
-        # unresolved; stop() has already waited for the queue to empty, so
-        # this serves at most the handful of stragglers.
-        while self._drain_on_stop:
-            batch = self.queue.next_batch(timeout=0.0)
-            if not batch:
-                break
-            self._serve_batch(batch, worker_index)
+    def _spawn_locked(self) -> None:
+        index = self._next_index
+        self._next_index += 1
+        stop_event = threading.Event()
+        thread = threading.Thread(
+            target=self._serve_loop,
+            args=(index, stop_event),
+            name=f"serving-engine-{index}",
+            daemon=True,
+        )
+        self._threads[index] = (thread, stop_event)
+        thread.start()
+
+    def _serve_loop(self, worker_index: int, stop_event: threading.Event) -> None:
+        try:
+            while not self._stopping and not stop_event.is_set():
+                batch = self.queue.next_batch(timeout=self.poll_timeout)
+                if batch:
+                    self._serve_batch(batch, worker_index)
+            # Final drain (draining stop only) so no accepted request is
+            # left unresolved; stop() has already waited for the queue to
+            # empty, so this serves at most a handful of stragglers.  A
+            # retired worker skips it: it must not race the survivors.
+            while self._drain_on_stop and not stop_event.is_set():
+                batch = self.queue.next_batch(timeout=0.0)
+                if not batch:
+                    break
+                self._serve_batch(batch, worker_index)
+        except BaseException as exc:  # noqa: BLE001 - re-raised from stop()
+            with self._error_lock:
+                if self._error is None:
+                    self._error = exc
 
     def _serve_batch(self, batch: list[InferenceRequest], worker_index: int) -> None:
         # Deadline-expired requests are failed *before* compute: engine time
@@ -208,19 +290,14 @@ class ServingRuntime:
             # Retry-after for shed requests = backlog / measured drain rate.
             drain_rate=self.metrics.throughput.requests_per_second,
         )
-        self.pool = self._build_pool()
-        self._started = False
-        self._stopped = False
-
-    def _build_pool(self) -> EnginePool:
-        """Pool factory — :class:`~repro.serving.runtime.OnlineRuntime`
-        overrides this to substitute an elastic pool."""
-        return EnginePool(
+        self.pool = EnginePool(
             self.engine,
             self.queue,
             self.metrics,
             num_workers=self.config.num_workers,
         )
+        self._started = False
+        self._stopped = False
 
     @classmethod
     def from_network(
@@ -242,11 +319,8 @@ class ServingRuntime:
             raise RuntimeError(
                 "runtime cannot be restarted after stop(); build a new one"
             )
-        if self._started:
-            # repro: allow[exc] lifecycle misuse, never reaches a client
-            raise RuntimeError("runtime already started")
+        self.pool.start()  # rejects a second start
         self._started = True
-        self.pool.start()
         return self
 
     def stop(self, drain: bool = True) -> None:

@@ -1,4 +1,4 @@
-"""The online train-to-serve loop: hot reload, autoscaling, elastic workers.
+"""The online train-to-serve loop: hot reload and autoscaling.
 
 This module closes the lifecycle gap left by the static PR 1 server: a
 trainer keeps publishing checkpoint versions into a
@@ -13,18 +13,16 @@ process, no connection draining, no cold LSH rebuild:
   incoming weights against the resident ones and patches the LSH tables
   through the incremental ``update(dirty)`` path.  In-flight batches finish
   on the old generation; requests admitted afterwards see the new one.
-* :class:`ElasticEnginePool` replaces the fixed
-  :class:`~repro.serving.pool.EnginePool` thread set with workers that can
-  be added and retired at runtime (``resize``), which is what the
-  autoscaler actuates.
 * :class:`AutoscaleController` samples recent p99 (from the metrics
-  latency window) and queue depth each control period and votes the pool up
-  or down with hysteresis: scale up after ``autoscale_up_patience``
+  latency window) and queue depth each control period and votes the
+  :class:`~repro.serving.pool.EnginePool` up or down through its
+  ``resize``, with hysteresis: scale up after ``autoscale_up_patience``
   consecutive overloaded samples, down only after
   ``autoscale_down_patience`` consecutive idle ones, with a cooldown
   between actions so the pool never flaps.
 * :class:`OnlineRuntime` wires all of the above behind the same
-  ``submit``/``predict`` surface as :class:`~repro.serving.pool.ServingRuntime`.
+  ``submit``/``predict`` surface as :class:`~repro.serving.pool.ServingRuntime`,
+  whose worker pool it shares.
 """
 
 from __future__ import annotations
@@ -44,10 +42,8 @@ from repro.serving.engine import InferenceEngine, SwapReport
 from repro.serving.metrics import ServingMetrics
 from repro.serving.pool import EnginePool, ServingRuntime, build_engine
 from repro.serving.batching import MicroBatchQueue
-from repro.utils import sanitize
 
 __all__ = [
-    "ElasticEnginePool",
     "AutoscaleController",
     "CheckpointWatcher",
     "OnlineRuntime",
@@ -56,149 +52,8 @@ __all__ = [
 _MAX_AUTOSCALE_HISTORY = 1024
 
 
-class ElasticEnginePool(EnginePool):
-    """An :class:`EnginePool` whose worker count can change at runtime.
-
-    Workers get monotonically increasing indices (so per-worker metrics
-    never alias across a shrink/grow cycle) and an individual stop event:
-    ``resize`` retires the newest workers first, each finishing its
-    in-flight batch before exiting.  Retired threads are reaped lazily and
-    joined at :meth:`stop`.
-    """
-
-    def __init__(
-        self,
-        engine: InferenceEngine,
-        request_queue: MicroBatchQueue,
-        metrics: ServingMetrics,
-        num_workers: int = 2,
-        poll_timeout: float = 0.05,
-    ) -> None:
-        super().__init__(
-            engine,
-            request_queue,
-            metrics,
-            num_workers=num_workers,
-            poll_timeout=poll_timeout,
-        )
-        # The WorkerPool the base class built is unused: elasticity needs
-        # per-thread lifecycles, which its all-or-nothing start/join cannot
-        # express.
-        self._initial_workers = int(num_workers)
-        self._threads: dict[int, tuple[threading.Thread, threading.Event]] = {}
-        self._retired: list[threading.Thread] = []
-        self._next_index = 0
-        self._resize_lock = sanitize.lock("serving.pool.resize")
-        self._elastic_started = False
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def num_workers(self) -> int:
-        with self._resize_lock:
-            return len(self._threads)
-
-    def alive_workers(self) -> int:
-        with self._resize_lock:
-            return sum(
-                1 for thread, _ in self._threads.values() if thread.is_alive()
-            )
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        self.metrics.throughput.start()
-        with self._resize_lock:
-            self._elastic_started = True
-            for _ in range(self._initial_workers):
-                self._spawn_locked()
-
-    def resize(self, target: int) -> int:
-        """Grow or shrink to ``target`` workers; returns the new count.
-
-        ``target=0`` is allowed — a deliberately drained pool is how tests
-        (and operators) force the not-ready state without killing the
-        process; requests queue until a later ``resize`` restores workers.
-        """
-        target = max(0, int(target))
-        with self._resize_lock:
-            if not self._elastic_started or self._stopping:
-                return len(self._threads)
-            while len(self._threads) < target:
-                self._spawn_locked()
-            while len(self._threads) > target:
-                # Retire newest-first: oldest workers keep their warmed-up
-                # metrics history.
-                index = max(self._threads)
-                thread, stop_event = self._threads.pop(index)
-                stop_event.set()
-                self._retired.append(thread)
-            self._retired = [t for t in self._retired if t.is_alive()]
-            return len(self._threads)
-
-    def stop(self, drain: bool = True, timeout: float = 5.0) -> None:
-        self.queue.close()
-        self._drain_on_stop = drain
-        if drain:
-            deadline = time.monotonic() + timeout
-            while self.queue.pending() and time.monotonic() < deadline:
-                sanitize.note_blocking("ElasticEnginePool.stop drain wait")
-                time.sleep(self.poll_timeout / 2)
-        self._stopping = True
-        with self._resize_lock:
-            threads = [thread for thread, _ in self._threads.values()]
-            threads.extend(self._retired)
-            self._threads.clear()
-            self._retired.clear()
-        try:
-            join_deadline = time.monotonic() + timeout
-            for thread in threads:
-                thread.join(timeout=max(join_deadline - time.monotonic(), 0.1))
-        finally:
-            # Anything still queued (drain=False or the drain timed out) is
-            # cancelled rather than abandoned.
-            while True:
-                batch = self.queue.next_batch(timeout=0.0)
-                if not batch:
-                    break
-                for request in batch:
-                    request.future.cancel()
-
-    # ------------------------------------------------------------------
-    # Worker internals
-    # ------------------------------------------------------------------
-    def _spawn_locked(self) -> None:
-        index = self._next_index
-        self._next_index += 1
-        stop_event = threading.Event()
-        thread = threading.Thread(
-            target=self._elastic_loop,
-            args=(index, stop_event),
-            name=f"serving-elastic-{index}",
-            daemon=True,
-        )
-        self._threads[index] = (thread, stop_event)
-        thread.start()
-
-    def _elastic_loop(self, worker_index: int, stop_event: threading.Event) -> None:
-        while not self._stopping and not stop_event.is_set():
-            batch = self.queue.next_batch(timeout=self.poll_timeout)
-            if not batch:
-                continue
-            self._serve_batch(batch, worker_index)
-        # Final drain mirrors EnginePool: only a *stopping* pool drains the
-        # queue (a retired worker must not race the survivors for work).
-        while self._stopping and self._drain_on_stop and not stop_event.is_set():
-            batch = self.queue.next_batch(timeout=0.0)
-            if not batch:
-                break
-            self._serve_batch(batch, worker_index)
-
-
 class AutoscaleController:
-    """Hysteresis controller sizing an :class:`ElasticEnginePool`.
+    """Hysteresis controller sizing an :class:`~repro.serving.pool.EnginePool`.
 
     Each control period it drains the metrics latency window (recent
     traffic only — the lifetime histogram would never forgive a past
@@ -218,7 +73,7 @@ class AutoscaleController:
 
     def __init__(
         self,
-        pool: ElasticEnginePool,
+        pool: EnginePool,
         request_queue: MicroBatchQueue,
         metrics: ServingMetrics,
         config: ServingConfig,
@@ -483,8 +338,8 @@ class OnlineRuntime(ServingRuntime):
 
     Boots from ``store.latest()``, then keeps itself current: the watcher
     hot-swaps each new version the trainer publishes, and (when
-    ``config.autoscale`` is set) the autoscaler resizes the elastic worker
-    pool from live p99/queue-depth signals.
+    ``config.autoscale`` is set) the autoscaler resizes the worker pool
+    from live p99/queue-depth signals.
     """
 
     def __init__(
@@ -510,18 +365,9 @@ class OnlineRuntime(ServingRuntime):
         )
         self.autoscaler: AutoscaleController | None = None
         if config.autoscale:
-            assert isinstance(self.pool, ElasticEnginePool)
             self.autoscaler = AutoscaleController(
                 self.pool, self.queue, self.metrics, config
             )
-
-    def _build_pool(self) -> EnginePool:
-        return ElasticEnginePool(
-            self.engine,
-            self.queue,
-            self.metrics,
-            num_workers=self.config.num_workers,
-        )
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -1,14 +1,8 @@
 """Small shared utilities: RNG helpers, sparse math, validation."""
 
 from repro.utils.rng import derive_rng, spawn_rngs
-from repro.utils.sparse import (
-    spans_all,
-    sparse_dense_matvec,
-    sparse_rows_dot,
-    normalize_rows,
-    random_sparse_matrix,
-)
-from repro.utils.topk import top_k_indices, threshold_indices
+from repro.utils.sparse import spans_all
+from repro.utils.topk import top_k_indices
 from repro.utils.validation import (
     check_positive,
     check_probability,
@@ -20,12 +14,7 @@ __all__ = [
     "derive_rng",
     "spawn_rngs",
     "spans_all",
-    "sparse_dense_matvec",
-    "sparse_rows_dot",
-    "normalize_rows",
-    "random_sparse_matrix",
     "top_k_indices",
-    "threshold_indices",
     "check_positive",
     "check_probability",
     "check_array_1d",

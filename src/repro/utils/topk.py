@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.types import FloatArray, IntArray
 
-__all__ = ["top_k_indices", "threshold_indices"]
+__all__ = ["top_k_indices"]
 
 
 def top_k_indices(scores: FloatArray, k: int) -> IntArray:
@@ -24,9 +24,3 @@ def top_k_indices(scores: FloatArray, k: int) -> IntArray:
     partition = np.argpartition(scores, -k)[-k:]
     order = np.argsort(scores[partition])[::-1]
     return partition[order].astype(np.int64)
-
-
-def threshold_indices(scores: FloatArray, threshold: float) -> IntArray:
-    """Indices whose score is greater than or equal to ``threshold``."""
-    scores = np.asarray(scores)
-    return np.flatnonzero(scores >= threshold).astype(np.int64)

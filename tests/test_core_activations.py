@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.activations import log_sparse_softmax, relu, relu_grad, sparse_softmax
+from repro.core.activations import relu, relu_grad, sparse_softmax
 
 
 class TestReLU:
@@ -28,7 +28,6 @@ class TestSparseSoftmax:
 
     def test_empty_input(self):
         assert sparse_softmax(np.array([])).size == 0
-        assert log_sparse_softmax(np.array([])).size == 0
 
     def test_single_element_is_one(self):
         np.testing.assert_allclose(sparse_softmax(np.array([3.0])), [1.0])
@@ -43,12 +42,6 @@ class TestSparseSoftmax:
         probs = sparse_softmax(np.array([1e4, 1e4 - 1.0]))
         assert np.all(np.isfinite(probs))
         assert probs.sum() == pytest.approx(1.0)
-
-    def test_log_softmax_consistency(self, rng):
-        logits = rng.normal(size=11)
-        np.testing.assert_allclose(
-            np.exp(log_sparse_softmax(logits)), sparse_softmax(logits), atol=1e-12
-        )
 
     def test_ordering_preserved(self):
         logits = np.array([1.0, 3.0, 2.0])

@@ -1,8 +1,6 @@
-"""Tests for update-conflict analysis and the serving worker pool."""
+"""Tests for update-conflict analysis."""
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 import pytest
@@ -11,7 +9,6 @@ from repro.parallel.conflicts import (
     analyze_update_conflicts,
     expected_conflict_fraction,
 )
-from repro.parallel.executor import WorkerPool
 
 
 class TestConflictAnalysis:
@@ -76,29 +73,3 @@ class TestConflictAnalysis:
         assert sparse_report.is_sparse_enough_for_hogwild
         assert not dense_report.is_sparse_enough_for_hogwild
 
-
-class TestWorkerPoolErrorSurfacing:
-    """Regression: join() must re-raise worker exceptions, not swallow them."""
-
-    def test_join_reraises_first_worker_exception(self):
-        release = threading.Event()
-
-        def loop(index: int) -> None:
-            if index == 1:
-                raise RuntimeError("worker 1 exploded")
-            release.wait(timeout=10.0)
-
-        pool = WorkerPool(3, name="crashy")
-        pool.start(loop)
-        release.set()
-        with pytest.raises(RuntimeError, match="worker 1 exploded"):
-            pool.join(timeout=5.0)
-        # The error is cleared once raised: a second join is clean.
-        pool.join(timeout=5.0)
-        assert pool.alive_count() == 0
-
-    def test_join_without_errors_is_silent(self):
-        pool = WorkerPool(2, name="quiet")
-        pool.start(lambda index: None)
-        pool.join(timeout=5.0)
-        assert pool.alive_count() == 0

@@ -3,7 +3,8 @@
 Covers the overload contract (typed 429 sheds with correct counters,
 deadline drops *before* compute), hot-reload parity (post-swap engine ≡
 cold-loaded checkpoint, bitwise top-k, incremental LSH patch — no full
-rebuild), the elastic pool + hysteresis autoscaler, checkpoint retention
+rebuild), pool resizing + the hysteresis autoscaler, worker-crash
+surfacing, checkpoint retention
 (prune / pin / auto-prune), the strict JSON config loader, and the full
 reload-under-live-traffic integration scenario.
 """
@@ -36,7 +37,7 @@ from repro.serving import (
     CheckpointWatcher,
     DeadlineExceededError,
     DenseInferenceEngine,
-    ElasticEnginePool,
+    EnginePool,
     MicroBatchQueue,
     OnlineRuntime,
     RejectedError,
@@ -428,13 +429,13 @@ def test_store_save_auto_prunes(tmp_path, tiny_dataset):
 
 
 # ----------------------------------------------------------------------
-# Elastic pool + autoscaler
+# Pool resizing + autoscaler
 # ----------------------------------------------------------------------
 def test_elastic_pool_resizes_while_serving(tiny_dataset):
     engine = DenseInferenceEngine(_make_network(tiny_dataset))
     metrics = ServingMetrics()
     queue = MicroBatchQueue(max_batch_size=8, max_wait_ms=1.0, capacity=256)
-    pool = ElasticEnginePool(engine, queue, metrics, num_workers=1)
+    pool = EnginePool(engine, queue, metrics, num_workers=1)
     pool.start()
     try:
         assert pool.num_workers == 1
@@ -455,6 +456,29 @@ def test_elastic_pool_resizes_while_serving(tiny_dataset):
         assert queue.submit(tiny_dataset.test[0], k=1).result(timeout=10.0)
     finally:
         pool.stop()
+
+
+def test_online_runtime_surfaces_worker_crash(tmp_path, tiny_dataset, monkeypatch):
+    """A worker loop that raises is visible at once (not ready: no alive
+    workers) and stop() re-raises its exception instead of returning
+    normally over a dead thread."""
+    store = CheckpointStore(tmp_path / "store")
+    store.save(_make_network(tiny_dataset))
+    runtime = OnlineRuntime(store, ServingConfig(num_workers=1, reload_poll_s=60.0))
+    runtime.start()
+
+    def crash(batch_size):
+        raise RuntimeError("metrics backend down")
+
+    monkeypatch.setattr(runtime.metrics, "record_batch", crash)
+    runtime.submit(tiny_dataset.test[0], k=1)
+    deadline = time.monotonic() + 5.0
+    while runtime.alive_workers() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    readiness = runtime.readiness()
+    with pytest.raises(RuntimeError, match="metrics backend down"):
+        runtime.stop()
+    assert readiness == (False, "no alive workers")
 
 
 def test_autoscaler_hysteresis_and_cooldown():
@@ -500,7 +524,7 @@ def test_autoscaler_step_resizes_elastic_pool(tiny_dataset):
     engine = DenseInferenceEngine(_make_network(tiny_dataset))
     metrics = ServingMetrics()
     queue = MicroBatchQueue(max_batch_size=8, capacity=256)
-    pool = ElasticEnginePool(engine, queue, metrics, num_workers=1)
+    pool = EnginePool(engine, queue, metrics, num_workers=1)
     config = ServingConfig(
         autoscale=True,
         num_workers=1,
@@ -538,8 +562,9 @@ def test_serving_config_from_dict_names_bad_fields():
         from_dict(ServingConfig, {"top_k": "five"})
     with pytest.raises(ValueError, match="'autoscale'"):
         from_dict(ServingConfig, {"autoscale": "yes"})
-    with pytest.raises(ValueError, match="num_workers"):
-        from_dict(ServingConfig, {"num_workers": -1})
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="num_workers"):
+            from_dict(ServingConfig, {"num_workers": workers})
     config = from_dict(
         ServingConfig,
         {"deadline_ms": 25, "admission_policy": "shed", "autoscale": True},
@@ -605,7 +630,7 @@ def test_online_runtime_reload_under_live_traffic(tmp_path, tiny_dataset):
         reload_poll_s=60.0,  # polled synchronously below — no thread races
     )
     runtime = OnlineRuntime(store, config)
-    assert isinstance(runtime.pool, ElasticEnginePool)
+    assert type(runtime.pool) is EnginePool
     runtime.start()
     try:
         examples = [tiny_dataset.test[i] for i in range(len(tiny_dataset.test))]

@@ -21,7 +21,10 @@ from repro.core.inference import evaluate_precision_at_1
 from repro.core.network import SlideNetwork
 from repro.core.trainer import SlideTrainer
 from repro.serving import (
+    DenseInferenceEngine,
+    EnginePool,
     MicroBatchQueue,
+    ServingMetrics,
     ServingRuntime,
     SparseInferenceEngine,
     load_checkpoint,
@@ -68,6 +71,92 @@ def test_queue_validates_parameters():
         MicroBatchQueue(max_wait_ms=-1.0)
     with pytest.raises(ValueError):
         MicroBatchQueue(capacity=0)
+
+
+# ----------------------------------------------------------------------
+# EnginePool lifecycle
+# ----------------------------------------------------------------------
+class BarrierEngine(DenseInferenceEngine):
+    """Dense engine holding every batch until ``parties`` are in flight."""
+
+    def __init__(self, network: SlideNetwork, parties: int) -> None:
+        super().__init__(network)
+        self.barrier = threading.Barrier(parties, timeout=10.0)
+
+    def predict_batch(self, examples, k=1):
+        self.barrier.wait()
+        return super().predict_batch(examples, k=k)
+
+
+def _pool(engine, num_workers: int, max_batch_size: int = 8) -> EnginePool:
+    queue = MicroBatchQueue(max_batch_size=max_batch_size, max_wait_ms=1.0)
+    return EnginePool(engine, queue, ServingMetrics(), num_workers=num_workers)
+
+
+def _wait_for_alive(pool: EnginePool, count: int) -> None:
+    deadline = time.monotonic() + 5.0
+    while pool.alive_workers() != count and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert pool.alive_workers() == count
+
+
+def test_engine_pool_runs_every_worker(tiny_dataset, tiny_network_config):
+    # Four one-request batches clear a four-party barrier only if four
+    # workers each hold one at the same time.
+    engine = BarrierEngine(SlideNetwork(tiny_network_config), parties=4)
+    pool = _pool(engine, num_workers=4, max_batch_size=1)
+    pool.start()
+    futures = [pool.queue.submit(tiny_dataset.test[i], k=1) for i in range(4)]
+    for future in futures:
+        assert future.result(timeout=30.0).class_ids.shape == (1,)
+    pool.stop()
+    assert pool.alive_workers() == 0
+
+
+def test_engine_pool_alive_count_and_double_start(tiny_network_config):
+    pool = _pool(DenseInferenceEngine(SlideNetwork(tiny_network_config)), 2)
+    assert pool.alive_workers() == 0
+    pool.start()
+    assert pool.alive_workers() == 2
+    with pytest.raises(RuntimeError, match="already started"):
+        pool.start()
+    assert pool.num_workers == 2
+    pool.stop()
+    assert pool.alive_workers() == 0
+
+
+def test_engine_pool_stop_reraises_first_worker_error_once(
+    tiny_dataset, tiny_network_config, monkeypatch
+):
+    pool = _pool(
+        DenseInferenceEngine(SlideNetwork(tiny_network_config)), 3, max_batch_size=1
+    )
+    crashes = iter(range(1, 10))
+
+    def crash(batch_size):
+        raise RuntimeError(f"worker crash {next(crashes)}")
+
+    monkeypatch.setattr(pool.metrics, "record_batch", crash)
+    pool.start()
+    # One request at a time: each kills the worker that takes it, so the
+    # crash order is fixed.
+    pool.queue.submit(tiny_dataset.test[0], k=1)
+    _wait_for_alive(pool, 2)
+    pool.queue.submit(tiny_dataset.test[1], k=1)
+    _wait_for_alive(pool, 1)
+    with pytest.raises(RuntimeError, match="worker crash 1"):
+        pool.stop()
+    # Raised once, then cleared: a second stop is silent.
+    pool.stop()
+    assert pool.alive_workers() == 0
+
+
+def test_engine_pool_clean_stop_is_silent(tiny_network_config):
+    pool = _pool(DenseInferenceEngine(SlideNetwork(tiny_network_config)), 2)
+    pool.start()
+    pool.stop()
+    pool.stop()
+    assert pool.alive_workers() == 0
 
 
 # ----------------------------------------------------------------------
@@ -215,6 +304,21 @@ def test_runtime_stop_drains_queue(served_checkpoint, tiny_dataset):
     assert runtime.metrics.requests == 64
 
 
+def test_runtime_pool_serves_across_resizes(served_checkpoint, tiny_dataset):
+    """A fixed-size ServingRuntime runs the same resizable pool as the
+    online runtime: it serves after growing and again after shrinking."""
+    network = load_checkpoint(served_checkpoint, load_optimizer=False).network
+    config = ServingConfig(num_workers=1, max_batch_size=4, max_wait_ms=1.0, top_k=1)
+    examples = list(tiny_dataset.test[:24])
+    with ServingRuntime.from_network(network, config) as runtime:
+        for target in (2, 1):
+            assert runtime.pool.resize(target) == target
+            _wait_for_alive(runtime.pool, target)
+            predictions = runtime.predict_many(examples, timeout=30.0)
+            assert [p.class_ids.shape for p in predictions] == [(1,)] * len(examples)
+        assert runtime.stats()["num_workers"] == 1.0
+
+
 def test_runtime_submit_before_start_fails_fast(served_checkpoint, tiny_dataset):
     network = load_checkpoint(served_checkpoint, load_optimizer=False).network
     runtime = ServingRuntime.from_network(network, ServingConfig(num_workers=1))
@@ -245,7 +349,7 @@ def test_runtime_cannot_restart_after_stop(served_checkpoint):
 def test_runtime_stop_transitions_even_when_pool_stop_raises(
     served_checkpoint, tiny_dataset, monkeypatch
 ):
-    """Regression: WorkerPool.join re-raises crashed-worker exceptions, so
+    """Regression: EnginePool.stop re-raises crashed-worker exceptions, so
     pool.stop() can raise — the runtime must still reach the stopped state
     instead of keeping submit() open with no workers behind it."""
     network = load_checkpoint(served_checkpoint, load_optimizer=False).network

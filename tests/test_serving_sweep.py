@@ -1,9 +1,6 @@
-"""The serving accuracy-vs-latency sweep and the WorkerPool substrate."""
+"""The serving accuracy-vs-latency sweep."""
 
 from __future__ import annotations
-
-import threading
-import time
 
 import pytest
 
@@ -11,7 +8,6 @@ from repro.core.network import SlideNetwork
 from repro.core.trainer import SlideTrainer
 from repro.harness.report import format_table
 from repro.harness.serving_sweep import serving_accuracy_latency_sweep
-from repro.parallel.executor import WorkerPool
 
 
 @pytest.fixture(scope="module")
@@ -80,40 +76,3 @@ def test_sweep_rows_render_as_table(trained, tiny_dataset):
 def test_sweep_requires_examples(trained):
     with pytest.raises(ValueError, match="non-empty"):
         serving_accuracy_latency_sweep(trained, [])
-
-
-# ----------------------------------------------------------------------
-# WorkerPool
-# ----------------------------------------------------------------------
-def test_worker_pool_runs_all_workers():
-    seen: set[int] = set()
-    lock = threading.Lock()
-
-    def loop(index: int) -> None:
-        with lock:
-            seen.add(index)
-
-    pool = WorkerPool(4, name="test")
-    pool.start(loop)
-    pool.join(timeout=5.0)
-    assert seen == {0, 1, 2, 3}
-    assert pool.alive_count() == 0
-
-
-def test_worker_pool_alive_count_and_double_start():
-    release = threading.Event()
-
-    pool = WorkerPool(2)
-    pool.start(lambda index: release.wait(timeout=10.0))
-    time.sleep(0.05)
-    assert pool.alive_count() == 2
-    with pytest.raises(RuntimeError, match="already started"):
-        pool.start(lambda index: None)
-    release.set()
-    pool.join(timeout=5.0)
-    assert pool.alive_count() == 0
-
-
-def test_worker_pool_validates():
-    with pytest.raises(ValueError):
-        WorkerPool(0)

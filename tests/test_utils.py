@@ -1,4 +1,4 @@
-"""Tests for :mod:`repro.utils` (rng, sparse helpers, top-k, validation)."""
+"""Tests for :mod:`repro.utils` (rng, top-k, validation)."""
 
 from __future__ import annotations
 
@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utils.rng import derive_rng, spawn_rngs
-from repro.utils.sparse import (
-    normalize_rows,
-    random_sparse_matrix,
-    sparse_dense_matvec,
-    sparse_rows_dot,
-)
-from repro.utils.topk import threshold_indices, top_k_indices
+from repro.utils.topk import top_k_indices
 from repro.utils.validation import (
     check_array_1d,
     check_in_range,
@@ -53,61 +47,6 @@ class TestRng:
             spawn_rngs(7, 0)
 
 
-class TestSparseHelpers:
-    def test_sparse_dense_matvec_matches_dense(self, rng):
-        weights = rng.normal(size=(10, 12))
-        rows = np.array([1, 4, 7])
-        cols = np.array([0, 3, 5, 9])
-        values = rng.normal(size=4)
-        result = sparse_dense_matvec(weights, rows, cols, values)
-        dense_input = np.zeros(12)
-        dense_input[cols] = values
-        expected = weights[rows] @ dense_input
-        np.testing.assert_allclose(result, expected)
-
-    def test_sparse_dense_matvec_empty_rows(self, rng):
-        weights = rng.normal(size=(5, 5))
-        result = sparse_dense_matvec(
-            weights, np.array([], dtype=np.int64), np.array([0]), np.array([1.0])
-        )
-        assert result.shape == (0,)
-
-    def test_sparse_dense_matvec_empty_cols(self, rng):
-        weights = rng.normal(size=(5, 5))
-        result = sparse_dense_matvec(
-            weights, np.array([0, 1]), np.array([], dtype=np.int64), np.array([])
-        )
-        np.testing.assert_array_equal(result, np.zeros(2))
-
-    def test_sparse_rows_dot(self, rng):
-        weights = rng.normal(size=(6, 4))
-        vector = rng.normal(size=4)
-        rows = np.array([0, 5])
-        np.testing.assert_allclose(
-            sparse_rows_dot(weights, rows, vector), weights[rows] @ vector
-        )
-
-    def test_normalize_rows_unit_norm(self, rng):
-        matrix = rng.normal(size=(5, 7))
-        normalized = normalize_rows(matrix)
-        np.testing.assert_allclose(np.linalg.norm(normalized, axis=1), 1.0)
-
-    def test_normalize_rows_handles_zero_row(self):
-        matrix = np.zeros((2, 3))
-        matrix[0] = [1.0, 0.0, 0.0]
-        normalized = normalize_rows(matrix)
-        assert np.all(np.isfinite(normalized))
-
-    def test_random_sparse_matrix_density(self, rng):
-        matrix = random_sparse_matrix(200, 50, density=0.1, rng=rng)
-        observed = np.count_nonzero(matrix) / matrix.size
-        assert 0.05 < observed < 0.15
-
-    def test_random_sparse_matrix_invalid_density(self, rng):
-        with pytest.raises(ValueError):
-            random_sparse_matrix(5, 5, density=0.0, rng=rng)
-
-
 class TestTopK:
     def test_top_k_returns_largest_descending(self):
         scores = np.array([1.0, 5.0, 3.0, 4.0, 2.0])
@@ -119,10 +58,6 @@ class TestTopK:
 
     def test_top_k_zero_returns_empty(self):
         assert top_k_indices(np.array([1.0, 2.0]), 0).size == 0
-
-    def test_threshold_indices(self):
-        scores = np.array([0.1, 0.5, 0.9, 0.5])
-        np.testing.assert_array_equal(threshold_indices(scores, 0.5), [1, 2, 3])
 
     @given(
         values=st.lists(
