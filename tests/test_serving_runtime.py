@@ -88,6 +88,31 @@ class BarrierEngine(DenseInferenceEngine):
         return super().predict_batch(examples, k=k)
 
 
+class GateEngine(DenseInferenceEngine):
+    """Dense engine noting which worker thread ran each batch; while
+    ``gate`` is clear it holds every batch (``entered`` says one arrived)."""
+
+    def __init__(self, network: SlideNetwork) -> None:
+        super().__init__(network)
+        self.gate = threading.Event()
+        self.gate.set()
+        self.entered = threading.Event()
+        self.served_by: list[str] = []
+
+    def predict_batch(self, examples, k=1):
+        self.served_by.append(threading.current_thread().name)
+        self.entered.set()
+        assert self.gate.wait(timeout=10.0)
+        return super().predict_batch(examples, k=k)
+
+
+class FailingEngine(DenseInferenceEngine):
+    """Dense engine whose every batch raises."""
+
+    def predict_batch(self, examples, k=1):
+        raise ValueError("engine rejected the batch")
+
+
 def _pool(engine, num_workers: int, max_batch_size: int = 8) -> EnginePool:
     queue = MicroBatchQueue(max_batch_size=max_batch_size, max_wait_ms=1.0)
     return EnginePool(engine, queue, ServingMetrics(), num_workers=num_workers)
@@ -157,6 +182,157 @@ def test_engine_pool_clean_stop_is_silent(tiny_network_config):
     pool.stop()
     pool.stop()
     assert pool.alive_workers() == 0
+
+
+def _spawned_by(action) -> list[threading.Thread]:
+    """The threads that come alive while ``action()`` runs."""
+    before = set(threading.enumerate())
+    action()
+    return [thread for thread in threading.enumerate() if thread not in before]
+
+
+def _join_all(threads: list[threading.Thread]) -> None:
+    for thread in threads:
+        thread.join(timeout=5.0)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def test_engine_pool_resize_before_start_is_a_no_op(tiny_network_config):
+    pool = _pool(DenseInferenceEngine(SlideNetwork(tiny_network_config)), 2)
+    assert _spawned_by(lambda: pool.resize(4)) == []
+    assert pool.num_workers == 0
+    # start() still spawns the constructor's worker count, not the resize's.
+    pool.start()
+    assert pool.num_workers == 2
+    pool.stop()
+
+
+def test_engine_pool_resize_clamps_negative_target_to_zero(tiny_network_config):
+    pool = _pool(DenseInferenceEngine(SlideNetwork(tiny_network_config)), 2)
+    pool.start()
+    assert pool.resize(-3) == 0
+    assert pool.num_workers == 0
+    pool.stop()
+
+
+def test_engine_pool_resize_to_zero_holds_requests_until_workers_return(
+    tiny_dataset, tiny_network_config
+):
+    pool = _pool(DenseInferenceEngine(SlideNetwork(tiny_network_config)), 1)
+    workers = _spawned_by(pool.start)
+    assert pool.resize(0) == 0
+    # A retired worker may still be inside its last poll; once it has
+    # exited nothing serves the queue.
+    _join_all(workers)
+    future = pool.queue.submit(tiny_dataset.test[0], k=2)
+    time.sleep(0.2)
+    assert not future.done()
+    assert pool.resize(1) == 1
+    assert future.result(timeout=30.0).class_ids.shape == (2,)
+    pool.stop()
+
+
+def test_engine_pool_retires_newest_workers_first(tiny_dataset, tiny_network_config):
+    engine = GateEngine(SlideNetwork(tiny_network_config))
+    pool = _pool(engine, 1)
+    pool.start()
+    grown = _spawned_by(lambda: pool.resize(3))
+    assert sorted(t.name for t in grown) == ["serving-engine-1", "serving-engine-2"]
+    assert pool.resize(1) == 1
+    # The two workers the grow added are the two the shrink retires.
+    _join_all(grown)
+    assert pool.alive_workers() == 1
+    engine.served_by.clear()
+    pool.queue.submit(tiny_dataset.test[0], k=1).result(timeout=30.0)
+    assert engine.served_by == ["serving-engine-0"]
+    pool.stop()
+
+
+def test_engine_pool_never_reuses_worker_indices(tiny_network_config):
+    pool = _pool(DenseInferenceEngine(SlideNetwork(tiny_network_config)), 2)
+    started = _spawned_by(pool.start)
+    assert sorted(t.name for t in started) == ["serving-engine-0", "serving-engine-1"]
+    pool.resize(1)
+    _join_all([t for t in started if t.name == "serving-engine-1"])
+    regrown = _spawned_by(lambda: pool.resize(2))
+    # Index 1 is not handed out again: per-worker metrics never alias.
+    assert [t.name for t in regrown] == ["serving-engine-2"]
+    pool.stop()
+
+
+def test_engine_pool_retired_worker_finishes_in_flight_batch(
+    tiny_dataset, tiny_network_config
+):
+    engine = GateEngine(SlideNetwork(tiny_network_config))
+    engine.gate.clear()
+    pool = _pool(engine, 1, max_batch_size=1)
+    workers = _spawned_by(pool.start)
+    future = pool.queue.submit(tiny_dataset.test[0], k=1)
+    assert engine.entered.wait(timeout=10.0)
+    assert pool.resize(0) == 0
+    engine.gate.set()
+    assert future.result(timeout=30.0).class_ids.shape == (1,)
+    _join_all(workers)
+    pool.stop()
+
+
+def test_engine_pool_stop_cancels_requests_no_worker_serves(
+    tiny_dataset, tiny_network_config
+):
+    pool = _pool(DenseInferenceEngine(SlideNetwork(tiny_network_config)), 1)
+    workers = _spawned_by(pool.start)
+    pool.resize(0)
+    _join_all(workers)
+    futures = [pool.queue.submit(tiny_dataset.test[i], k=1) for i in range(3)]
+    # The drain wait times out with nobody serving; stop() must still
+    # settle every queued future rather than leave callers blocked.
+    pool.stop(drain=True, timeout=0.2)
+    assert all(future.cancelled() for future in futures)
+
+
+def test_engine_pool_stop_cancels_queue_left_by_crashed_workers(
+    tiny_dataset, tiny_network_config, monkeypatch
+):
+    pool = _pool(
+        DenseInferenceEngine(SlideNetwork(tiny_network_config)), 1, max_batch_size=1
+    )
+
+    def crash(batch_size):
+        raise RuntimeError("only worker crashed")
+
+    monkeypatch.setattr(pool.metrics, "record_batch", crash)
+    pool.start()
+    pool.queue.submit(tiny_dataset.test[0], k=1)
+    _wait_for_alive(pool, 0)
+    stranded = pool.queue.submit(tiny_dataset.test[1], k=1)
+    with pytest.raises(RuntimeError, match="only worker crashed"):
+        pool.stop(timeout=0.2)
+    assert stranded.cancelled()
+
+
+def test_engine_pool_resize_after_stop_is_a_no_op(tiny_network_config):
+    pool = _pool(DenseInferenceEngine(SlideNetwork(tiny_network_config)), 2)
+    pool.start()
+    pool.stop()
+    assert _spawned_by(lambda: pool.resize(3)) == []
+    assert pool.num_workers == 0
+    assert pool.alive_workers() == 0
+
+
+def test_engine_pool_engine_error_fails_requests_not_workers(
+    tiny_dataset, tiny_network_config
+):
+    """An engine exception is the request's failure, not a worker crash:
+    the futures carry it, the worker keeps serving and stop() is silent."""
+    pool = _pool(FailingEngine(SlideNetwork(tiny_network_config)), 2)
+    pool.start()
+    futures = [pool.queue.submit(tiny_dataset.test[i], k=1) for i in range(4)]
+    for future in futures:
+        with pytest.raises(ValueError, match="engine rejected the batch"):
+            future.result(timeout=30.0)
+    assert pool.alive_workers() == 2
+    assert pool.metrics.snapshot()["errors"] == 4.0
+    pool.stop()
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for :mod:`repro.utils` (rng, top-k, validation)."""
+"""Tests for :mod:`repro.utils` (rng, sparse, top-k, validation)."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utils.rng import derive_rng, spawn_rngs
+from repro.utils.sparse import spans_all
 from repro.utils.topk import top_k_indices
 from repro.utils.validation import (
     check_array_1d,
@@ -45,6 +46,19 @@ class TestRng:
     def test_spawn_rngs_invalid_count(self):
         with pytest.raises(ValueError):
             spawn_rngs(7, 0)
+
+
+class TestSpansAll:
+    def test_none_and_every_column_in_order_span_all(self):
+        assert spans_all(None, 5)
+        assert spans_all(np.arange(5), 5)
+        assert spans_all(np.zeros(0, dtype=np.int64), 0)
+
+    def test_subset_permutation_or_other_width_do_not(self):
+        assert not spans_all(np.array([0, 1, 3]), 4)
+        assert not spans_all(np.array([1, 0, 2]), 3)
+        assert not spans_all(np.arange(5), 4)
+        assert not spans_all(np.arange(4), 5)
 
 
 class TestTopK:
