@@ -20,7 +20,14 @@ import numpy as np
 from repro.config import OptimizerConfig
 from repro.core.activations import relu, relu_grad, softmax_rows
 from repro.optim.factory import make_optimizer
-from repro.types import FloatArray, IntArray, SparseBatch, SparseExample, dense_features
+from repro.types import (
+    FLOAT,
+    FloatArray,
+    IntArray,
+    SparseBatch,
+    SparseExample,
+    dense_features,
+)
 from repro.utils.rng import derive_rng
 from repro.utils.topk import top_k_indices
 
@@ -51,13 +58,13 @@ class DenseNetwork:
         self.w1: FloatArray = rng.normal(
             scale=np.sqrt(2.0 / config.input_dim),
             size=(config.hidden_dim, config.input_dim),
-        )
-        self.b1: FloatArray = np.zeros(config.hidden_dim, dtype=np.float64)
+        ).astype(FLOAT)
+        self.b1: FloatArray = np.zeros(config.hidden_dim, dtype=FLOAT)
         self.w2: FloatArray = rng.normal(
             scale=np.sqrt(2.0 / config.hidden_dim),
             size=(config.output_dim, config.hidden_dim),
-        )
-        self.b2: FloatArray = np.zeros(config.output_dim, dtype=np.float64)
+        ).astype(FLOAT)
+        self.b2: FloatArray = np.zeros(config.output_dim, dtype=FLOAT)
 
         self.optimizer = make_optimizer(config.optimizer)
         self.optimizer.register("w1", self.w1.shape)
@@ -85,7 +92,7 @@ class DenseNetwork:
     def predict_dense_batch(self, examples: list[SparseExample]) -> FloatArray:
         """Class scores for many examples (API-compatible with SlideNetwork)."""
         if not examples:
-            return np.zeros((0, self.config.output_dim), dtype=np.float64)
+            return np.zeros((0, self.config.output_dim), dtype=FLOAT)
         features = dense_features(examples, self.config.input_dim)
         _, _, probabilities = self.forward(features)
         return probabilities
@@ -111,7 +118,8 @@ class DenseNetwork:
 
         eps = 1e-12
         loss = float(
-            -np.sum(targets * np.log(probabilities + eps)) / max(batch_size, 1)
+            -np.sum(targets * np.log(probabilities + eps), dtype=np.float64)
+            / max(batch_size, 1)
         )
 
         # Backward pass (softmax + cross entropy).

@@ -22,7 +22,7 @@ import numpy as np
 from repro.config import OptimizerConfig
 from repro.core.activations import relu, relu_grad
 from repro.optim.factory import make_optimizer
-from repro.types import FloatArray, IntArray, SparseBatch, SparseExample
+from repro.types import FLOAT, FloatArray, IntArray, SparseBatch, SparseExample
 from repro.utils.rng import derive_rng
 from repro.utils.topk import top_k_indices
 
@@ -65,13 +65,13 @@ class SampledSoftmaxNetwork:
         self.w1: FloatArray = rng.normal(
             scale=np.sqrt(2.0 / config.input_dim),
             size=(config.hidden_dim, config.input_dim),
-        )
-        self.b1: FloatArray = np.zeros(config.hidden_dim, dtype=np.float64)
+        ).astype(FLOAT)
+        self.b1: FloatArray = np.zeros(config.hidden_dim, dtype=FLOAT)
         self.w2: FloatArray = rng.normal(
             scale=np.sqrt(2.0 / config.hidden_dim),
             size=(config.output_dim, config.hidden_dim),
-        )
-        self.b2: FloatArray = np.zeros(config.output_dim, dtype=np.float64)
+        ).astype(FLOAT)
+        self.b2: FloatArray = np.zeros(config.output_dim, dtype=FLOAT)
 
         self.optimizer = make_optimizer(config.optimizer)
         self.optimizer.register("w1", self.w1.shape)
@@ -160,7 +160,10 @@ class SampledSoftmaxNetwork:
                 targets[row, positions] = 1.0 / example.labels.size
 
         eps = 1e-12
-        loss = float(-np.sum(targets * np.log(probabilities + eps)) / max(batch_size, 1))
+        loss = float(
+            -np.sum(targets * np.log(probabilities + eps), dtype=np.float64)
+            / max(batch_size, 1)
+        )
 
         delta_out = (probabilities - targets) / max(batch_size, 1)
         grad_w2_block = delta_out.T @ hidden

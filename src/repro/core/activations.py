@@ -26,8 +26,8 @@ def relu(z: FloatArray) -> FloatArray:
 
 
 def relu_grad(z: FloatArray) -> FloatArray:
-    """Derivative of ReLU with respect to its pre-activation ``z``."""
-    return (z > 0.0).astype(np.float64)
+    """Derivative of ReLU with respect to its pre-activation ``z`` (same dtype)."""
+    return (z > 0.0).astype(z.dtype)
 
 
 def hidden_activation_grad(name: str, pre_activation: FloatArray) -> FloatArray:
@@ -52,9 +52,9 @@ def sparse_softmax(logits: FloatArray) -> FloatArray:
     """Softmax normalised over the provided (active) logits only.
 
     Numerically stabilised by subtracting the max logit.  An empty input
-    returns an empty array.
+    returns an empty array.  The result keeps the input's float dtype.
     """
-    logits = np.asarray(logits, dtype=np.float64)
+    logits = np.asarray(logits)
     if logits.size == 0:
         return logits.copy()
     shifted = logits - logits.max()
@@ -68,7 +68,7 @@ def softmax_rows(logits: FloatArray) -> FloatArray:
     The batched counterpart of :func:`sparse_softmax`, shared by the dense
     baseline's forward pass and the batched dense prediction path.
     """
-    logits = np.asarray(logits, dtype=np.float64)
+    logits = np.asarray(logits)
     if logits.size == 0:
         return logits.copy()
     shifted = logits - logits.max(axis=1, keepdims=True)

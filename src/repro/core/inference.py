@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.types import FloatArray, IntArray, SparseExample
+from repro.types import FLOAT, FloatArray, IntArray, SparseExample
 from repro.utils.topk import top_k_indices
 
 __all__ = [
@@ -45,7 +45,7 @@ def predict_dense_batch(network, examples: list[SparseExample]) -> FloatArray:
     if batched is not None:
         return batched(examples)
     if not examples:
-        return np.zeros((0, 0), dtype=np.float64)
+        return np.zeros((0, 0), dtype=FLOAT)
     return np.stack([network.predict_dense(example) for example in examples])
 
 

@@ -22,7 +22,7 @@ from repro.lsh.index import LSHIndex
 from repro.lsh.scheduler import ExponentialDecaySchedule, RebuildSchedule
 from repro.optim.base import Optimizer
 from repro.sampling.strategies import SamplingStrategy, make_sampling_strategy
-from repro.types import FloatArray, IntArray
+from repro.types import FLOAT, FloatArray, IntArray
 from repro.utils.rng import derive_rng
 
 __all__ = ["SlideLayer"]
@@ -49,11 +49,13 @@ class SlideLayer:
 
         # He/Glorot-style initialisation scaled by fan-in keeps early logits
         # small enough for the softmax layer of extreme-classification nets.
+        # The draw is float64 and rounded once, so the generator's stream is
+        # the same whatever the parameter dtype.
         scale = np.sqrt(2.0 / self.fan_in)
         self.weights: FloatArray = self._rng.normal(
             scale=scale, size=(self.size, self.fan_in)
-        )
-        self.biases: FloatArray = np.zeros(self.size, dtype=np.float64)
+        ).astype(FLOAT)
+        self.biases: FloatArray = np.zeros(self.size, dtype=FLOAT)
 
         # LSH machinery (optional).
         self.lsh_index: LSHIndex | None = None
@@ -260,7 +262,7 @@ class SlideLayer:
         One matrix multiply replaces the per-example loop of
         :meth:`dense_forward`; activations are applied row-wise.
         """
-        dense_inputs = np.asarray(dense_inputs, dtype=np.float64)
+        dense_inputs = np.asarray(dense_inputs, dtype=FLOAT)
         if dense_inputs.ndim != 2 or dense_inputs.shape[1] != self.fan_in:
             raise ValueError(
                 f"expected inputs of shape (batch, {self.fan_in}), "
@@ -282,7 +284,7 @@ class SlideLayer:
         densifying keeps its last value.
         """
         counts = np.array([len(idx) for idx in indices], dtype=np.int64)
-        pre = np.zeros((counts.size, self.size), dtype=np.float64)
+        pre = np.zeros((counts.size, self.size), dtype=FLOAT)
         filled = np.flatnonzero(counts)
         if filled.size:
             # reduceat yields the element *at* the offset for an empty

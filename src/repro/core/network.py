@@ -22,7 +22,7 @@ from repro.kernels.fused import Workspace, fused_forward_batch, fused_train_step
 from repro.optim.base import Optimizer
 from repro.optim.factory import make_optimizer
 from repro.perf.phases import PhaseTimer
-from repro.types import FloatArray, SparseBatch, SparseExample, dense_features
+from repro.types import FLOAT, FloatArray, SparseBatch, SparseExample, dense_features
 from repro.utils.rng import derive_rng
 
 __all__ = ["SlideNetwork"]
@@ -100,7 +100,7 @@ class SlideNetwork:
         what the serving path's batched dense scorer relies on.
         """
         if not examples:
-            return np.zeros((0, self.output_dim), dtype=np.float64)
+            return np.zeros((0, self.output_dim), dtype=FLOAT)
         features = dense_features(examples, self.input_dim)
         for layer in self.layers:
             features = layer.dense_forward_batch(features)

@@ -10,7 +10,10 @@ A shard cache directory holds the output of one ingest run
 * ``<shard>.label_indices.npy``— ``int64 (lnnz,)`` label ids per row,
 
 plus one ``manifest.json`` recording dimensions, per-shard example counts and
-CRC-32 checksums of every array file.  :class:`ShardedDataset` opens the
+CRC-32 checksums of every array file.  Values stay ``float64`` on disk (the
+format predates the float32 training path); batch assembly
+(:meth:`~repro.types.SparseBatch.from_csr`) casts them to
+:data:`~repro.types.FLOAT` once per batch.  :class:`ShardedDataset` opens the
 arrays with ``numpy``'s ``mmap_mode="r"`` so resident memory is bounded by
 the pages actually touched, never by the dataset size; epoch iteration
 streams one shard at a time and can release each shard as soon as it has

@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from repro.types import FloatArray, IntArray, SparseVector
+from repro.types import FLOAT, FloatArray, IntArray, SparseVector
 
 __all__ = ["LSHFamily", "HashCodes", "VectorLike"]
 
@@ -66,7 +66,7 @@ class LSHFamily(abc.ABC):
         Subclasses override this when a vectorised implementation is
         available (SimHash does); the default simply loops over rows.
         """
-        matrix = np.asarray(matrix, dtype=np.float64)
+        matrix = np.asarray(matrix, dtype=FLOAT)
         if matrix.ndim != 2:
             raise ValueError("hash_matrix expects a 2-D array")
         codes = np.empty((matrix.shape[0], self.l, self.k), dtype=np.int64)
@@ -83,7 +83,7 @@ class LSHFamily(abc.ABC):
                     f"hash family input_dim {self.input_dim}"
                 )
             return vector.to_dense()
-        dense = np.asarray(vector, dtype=np.float64)
+        dense = np.asarray(vector, dtype=FLOAT)
         if dense.shape[0] != self.input_dim:
             raise ValueError(
                 f"vector dimension {dense.shape[0]} does not match "
@@ -100,7 +100,7 @@ class LSHFamily(abc.ABC):
                     f"hash family input_dim {self.input_dim}"
                 )
             return vector
-        dense = np.asarray(vector, dtype=np.float64)
+        dense = np.asarray(vector, dtype=FLOAT)
         if dense.shape[0] != self.input_dim:
             raise ValueError(
                 f"vector dimension {dense.shape[0]} does not match "

@@ -13,7 +13,7 @@ import numpy as np
 from repro.hashing.base import HashCodes, LSHFamily, VectorLike
 from repro.hashing.densify import densify_codes_batch
 from repro.hashing.dwta import _coprime_offsets
-from repro.types import FloatArray, SparseVector
+from repro.types import FLOAT, FloatArray, SparseVector
 from repro.utils.rng import derive_rng
 from repro.utils.topk import top_k_indices
 
@@ -113,7 +113,7 @@ class DOPH(LSHFamily):
         with the per-vector path holds wherever the top-k threshold is
         untied.  Rows are processed in fixed chunks to bound temporaries.
         """
-        matrix = np.asarray(matrix, dtype=np.float64)
+        matrix = np.asarray(matrix, dtype=FLOAT)
         if matrix.ndim != 2 or matrix.shape[1] != self.input_dim:
             raise ValueError("hash_matrix expects shape (rows, input_dim)")
         out = np.empty((matrix.shape[0], self.l, self.k), dtype=np.int64)

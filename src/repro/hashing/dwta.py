@@ -19,7 +19,7 @@ from math import gcd
 
 from repro.hashing.base import HashCodes, LSHFamily, VectorLike
 from repro.hashing.densify import densify_codes_batch
-from repro.types import FloatArray, SparseVector
+from repro.types import FLOAT, FloatArray, SparseVector
 from repro.utils.rng import derive_rng
 
 __all__ = ["DWTAHash"]
@@ -117,7 +117,7 @@ class DWTAHash(LSHFamily):
         chunks so the ``(rows, K*L, bin_size)`` gather never materialises
         for a full 100K+-neuron weight matrix at once.
         """
-        matrix = np.asarray(matrix, dtype=np.float64)
+        matrix = np.asarray(matrix, dtype=FLOAT)
         if matrix.ndim != 2 or matrix.shape[1] != self.input_dim:
             raise ValueError("hash_matrix expects shape (rows, input_dim)")
         out = np.empty((matrix.shape[0], self.l, self.k), dtype=np.int64)
@@ -146,7 +146,7 @@ class DWTAHash(LSHFamily):
     def _raw_codes(self, sparse: SparseVector) -> tuple[np.ndarray, np.ndarray]:
         """Winner positions per bin considering only non-zero coordinates."""
         total = self._total_codes
-        best_value = np.full(total, -np.inf, dtype=np.float64)
+        best_value = np.full(total, -np.inf, dtype=FLOAT)
         codes = np.zeros(total, dtype=np.int64)
         filled = np.zeros(total, dtype=bool)
         for coord, value in zip(sparse.indices, sparse.values):

@@ -9,6 +9,12 @@ This follows the paper's implementation notes (Section 3.2 and Appendix A):
 * hash codes of a vector can be updated *incrementally* when only ``d' << d``
   coordinates of the vector change, because the projections ``w.T x`` are
   memoised (Section 4.2, item 3).
+
+Rows are hashed in :data:`~repro.types.FLOAT` (float32) and the projection
+matrix is stored in it; its ``{+1, 0, -1}`` entries are exact.  Near a zero
+projection, where summation order could decide the sign, the margin is taken
+from float32's unit roundoff and the projection is re-summed in one fixed
+order, so a row's codes never depend on the rows hashed beside it.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hashing.base import HashCodes, LSHFamily, VectorLike
-from repro.types import FloatArray, IntArray
+from repro.types import FLOAT, FloatArray, IntArray
 from repro.utils.rng import derive_rng
 
 __all__ = ["SimHash"]
@@ -60,21 +66,17 @@ class SimHash(LSHFamily):
         self._proj_indices = np.empty((total, nnz), dtype=np.int64)
         for row in range(total):
             self._proj_indices[row] = rng.choice(input_dim, size=nnz, replace=False)
-        self._proj_signs = rng.choice(np.array([-1.0, 1.0]), size=(total, nnz))
+        signs = rng.choice(np.array([-1.0, 1.0]), size=(total, nnz))
+        self._proj_signs = signs.astype(FLOAT)
 
         # Dense ``(input_dim, total)`` projection matrix used for the
         # vectorised matrix path (hashing all neurons of a layer at once).
-        dense = np.zeros((input_dim, total), dtype=np.float64)
+        # Its +-1 / 0 entries are exact in any float dtype.
+        dense = np.zeros((input_dim, total), dtype=FLOAT)
         rows = self._proj_indices.reshape(-1)
         cols = np.repeat(np.arange(total), nnz)
         dense[rows, cols] = self._proj_signs.reshape(-1)
         self._dense_projection = dense
-        # Any summation order of ``input_dim`` exact products lands within
-        # ``gamma * sum|x_j|`` of the true projection (unit roundoff 2**-53);
-        # a projection within twice that of zero could take either sign.
-        unit = np.finfo(np.float64).eps / 2
-        gamma = input_dim * unit / (1.0 - input_dim * unit)
-        self._sign_margin = 2.0 * gamma * np.sqrt(input_dim)
 
     # ------------------------------------------------------------------
     # LSHFamily interface
@@ -87,7 +89,7 @@ class SimHash(LSHFamily):
         return self.codes_from_projections(self.project(vector))
 
     def hash_matrix(self, matrix: FloatArray) -> HashCodes:
-        matrix = np.asarray(matrix, dtype=np.float64)
+        matrix = np.asarray(matrix, dtype=FLOAT)
         if matrix.ndim != 2 or matrix.shape[1] != self.input_dim:
             raise ValueError("hash_matrix expects shape (rows, input_dim)")
         codes = (self._projections(matrix) > 0).astype(np.int64)
@@ -107,9 +109,16 @@ class SimHash(LSHFamily):
         beside it, and a row hashed alone gets the same codes.
         """
         projections = matrix @ self._dense_projection
+        # Any summation order of ``d = input_dim`` exact products lands
+        # within ``gamma_d * sum|x_j|`` of the true projection, with the unit
+        # roundoff of the dtype the product sums in; a projection within
+        # twice that of zero could take either sign.
+        d = self.input_dim
+        unit = np.finfo(projections.dtype).eps / 2
+        gamma = d * unit / (1.0 - d * unit)
         # sum_j |x_j| <= sqrt(d) * ||x||_2, which is cheaper to take.
         norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-        bound = (norms * self._sign_margin)[:, None]
+        bound = (norms * (2.0 * gamma * np.sqrt(d)))[:, None]
         uncertain = projections <= bound
         uncertain &= projections >= -bound
         if uncertain.any():
@@ -124,7 +133,7 @@ class SimHash(LSHFamily):
 
     def codes_from_projections(self, projections: FloatArray) -> HashCodes:
         """Convert memoised projections into ``(L, K)`` elementary codes."""
-        projections = np.asarray(projections, dtype=np.float64)
+        projections = np.asarray(projections)
         if projections.shape[0] != self.k * self.l:
             raise ValueError("projections must have length K*L")
         return (projections > 0).astype(np.int64).reshape(self.l, self.k)
@@ -143,9 +152,9 @@ class SimHash(LSHFamily):
         re-projection.  This implements the memoisation trick from
         Section 4.2.
         """
-        projections = np.array(projections, dtype=np.float64, copy=True)
+        projections = np.array(projections, dtype=FLOAT, copy=True)
         changed_indices = np.asarray(changed_indices, dtype=np.int64)
-        deltas = np.asarray(deltas, dtype=np.float64)
+        deltas = np.asarray(deltas, dtype=FLOAT)
         if changed_indices.shape != deltas.shape:
             raise ValueError("changed_indices and deltas must align")
         if changed_indices.size == 0:

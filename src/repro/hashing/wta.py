@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hashing.base import HashCodes, LSHFamily, VectorLike
-from repro.types import FloatArray
+from repro.types import FLOAT, FloatArray
 from repro.utils.rng import derive_rng
 
 __all__ = ["WTAHash"]
@@ -65,7 +65,7 @@ class WTAHash(LSHFamily):
 
     def hash_matrix(self, matrix: FloatArray) -> HashCodes:
         """Vectorised batch hashing: one gather + argmax for all rows."""
-        matrix = np.asarray(matrix, dtype=np.float64)
+        matrix = np.asarray(matrix, dtype=FLOAT)
         if matrix.ndim != 2 or matrix.shape[1] != self.input_dim:
             raise ValueError("hash_matrix expects shape (rows, input_dim)")
         gathered = matrix[:, self._bins]

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.types import FloatArray, IntArray
+from repro.types import FLOAT, FloatArray, IntArray
 
 if TYPE_CHECKING:
     from repro.core.layer import SlideLayer
@@ -46,7 +46,7 @@ def select_active_batch(
     optionally receives the split between the table probe (``hash``) and
     the per-sample strategy selection (``select``).
     """
-    dense_queries = np.asarray(dense_queries, dtype=np.float64)
+    dense_queries = np.asarray(dense_queries, dtype=FLOAT)
     if dense_queries.ndim != 2 or dense_queries.shape[1] != layer.fan_in:
         raise ValueError(
             f"queries must have shape (batch, {layer.fan_in}), "

@@ -38,7 +38,7 @@ import numpy as np
 from repro.core.activations import hidden_activation_grad, relu, softmax_rows
 from repro.kernels.active import select_active_batch
 from repro.optim.base import Optimizer
-from repro.types import FloatArray, IntArray, SparseBatch
+from repro.types import FLOAT, FloatArray, IntArray, SparseBatch
 from repro.utils.sparse import spans_all
 
 __all__ = [
@@ -70,7 +70,7 @@ class Workspace:
                 shape[0] if buffer is None else max(buffer.shape[0], shape[0]),
                 shape[1] if buffer is None else max(buffer.shape[1], shape[1]),
             )
-            buffer = np.empty(grown, dtype=np.float64)
+            buffer = np.empty(grown, dtype=FLOAT)
             self._buffers[name] = buffer
         return buffer[: shape[0], : shape[1]]
 
@@ -186,7 +186,7 @@ def _scatter_dense(
     """Expand a column-restricted block back to ``(batch, width)`` dense."""
     if spans_all(cols, width):
         return x_block
-    dense = np.zeros((x_block.shape[0], width), dtype=np.float64)
+    dense = np.zeros((x_block.shape[0], width), dtype=FLOAT)
     dense[:, cols] = x_block
     return dense
 
@@ -211,7 +211,7 @@ def fused_forward_batch(
         [example.features.indices for example in batch]
     )
     cols, pair_pos = np.unique(pair_id, return_inverse=True)
-    x_block = np.zeros((batch_size, cols.size), dtype=np.float64)
+    x_block = np.zeros((batch_size, cols.size), dtype=FLOAT)
     if cols.size:
         x_block[pair_sample, pair_pos] = np.concatenate(
             [example.features.values for example in batch]

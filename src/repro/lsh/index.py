@@ -46,7 +46,7 @@ from repro.hashing.base import LSHFamily
 from repro.hashing.factory import make_hash_family
 from repro.lsh.bucket import FlatBuckets
 from repro.lsh.policies import make_insertion_policy
-from repro.types import FloatArray, IntArray
+from repro.types import FLOAT, FloatArray, IntArray
 from repro.utils.rng import derive_rng
 
 __all__ = ["LSHIndex", "QueryResult", "BatchQueryResult"]
@@ -360,7 +360,7 @@ class LSHIndex:
 
     def build(self, weights: FloatArray, item_ids: IntArray | None = None) -> None:
         """(Re)build the index from scratch over the rows of ``weights``."""
-        weights = np.asarray(weights, dtype=np.float64)
+        weights = np.asarray(weights, dtype=FLOAT)
         if weights.ndim != 2 or weights.shape[1] != self.input_dim:
             raise ValueError("weights must have shape (n_items, input_dim)")
         if item_ids is None:
@@ -384,7 +384,7 @@ class LSHIndex:
         indexed.
         """
         item_ids = np.asarray(item_ids, dtype=np.int64)
-        weights = np.asarray(weights, dtype=np.float64)
+        weights = np.asarray(weights, dtype=FLOAT)
         if weights.ndim != 2 or weights.shape[0] != item_ids.shape[0]:
             raise ValueError("weights rows must align with item_ids")
         if item_ids.size and np.unique(item_ids).size != item_ids.size:
@@ -472,7 +472,7 @@ class LSHIndex:
         matrix: ``slots[r, sizes[r]:] == -1`` holds for every row, the empty
         row 0 included, so the gathered block is already ``-1`` padded.
         """
-        queries = np.asarray(queries, dtype=np.float64)
+        queries = np.asarray(queries, dtype=FLOAT)
         if queries.ndim != 2 or queries.shape[1] != self.input_dim:
             raise ValueError(
                 f"queries must have shape (batch, {self.input_dim}), "

@@ -6,6 +6,10 @@ parameter, touching only that block's first/second-moment state — this is
 what lets SLIDE keep per-update cost proportional to the number of *active*
 weights.
 
+The moments are :data:`~repro.types.FLOAT` (float32), like the parameters
+they follow, so a block update moves half the bytes float64 state would.
+Every step of the rule runs in the dtype of the gradient it is given.
+
 Bias correction uses the global step count.  Strictly speaking lazily-updated
 Adam is a slight approximation of dense Adam (untouched coordinates do not
 decay their moments), matching the behaviour of the reference SLIDE code and
@@ -26,7 +30,7 @@ import numpy as np
 
 from repro.config import OptimizerConfig
 from repro.optim.base import Optimizer
-from repro.types import FloatArray
+from repro.types import FLOAT, FloatArray
 
 __all__ = ["AdamOptimizer"]
 
@@ -56,8 +60,8 @@ class AdamOptimizer(Optimizer):
 
     def _init_state(self, shape: tuple[int, ...]) -> dict[str, FloatArray]:
         return {
-            "m": np.zeros(shape, dtype=np.float64),
-            "v": np.zeros(shape, dtype=np.float64),
+            "m": np.zeros(shape, dtype=FLOAT),
+            "v": np.zeros(shape, dtype=FLOAT),
         }
 
     def to_config(self) -> OptimizerConfig:

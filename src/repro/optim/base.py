@@ -20,7 +20,7 @@ __all__ = ["Optimizer"]
 
 # Elements per array that one chunk of a block update works on.  A chunk of
 # the parameter, its state arrays (two for Adam), the gradient and the update
-# rule's scratch is then ~0.4 MB of float64: resident in L2, and small enough
+# rule's scratch is then ~0.2 MB of float32: resident in L2, and small enough
 # that the allocator recycles the temporaries instead of mapping fresh pages.
 _CHUNK_ELEMENTS = 8192
 # Least rows in a chunk of ``sparse_step``'s all-rows walk, whose scatter

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.config import OptimizerConfig
 from repro.optim.base import Optimizer
-from repro.types import FloatArray
+from repro.types import FLOAT, FloatArray
 
 __all__ = ["SGDOptimizer"]
 
@@ -23,7 +23,7 @@ class SGDOptimizer(Optimizer):
     def _init_state(self, shape: tuple[int, ...]) -> dict[str, FloatArray]:
         if self.momentum == 0.0:
             return {}
-        return {"velocity": np.zeros(shape, dtype=np.float64)}
+        return {"velocity": np.zeros(shape, dtype=FLOAT)}
 
     def to_config(self) -> OptimizerConfig:
         return OptimizerConfig(

@@ -60,12 +60,16 @@ class MemoryFootprint:
     resident_bytes: float
     touched_per_iteration_bytes: float
     accesses_per_iteration: float
+    # The part of ``resident_bytes`` that is weight matrices plus their two
+    # Adam moments: what the parameter dtype decides.
+    parameter_bytes: float = 0.0
 
     def __post_init__(self) -> None:
         if min(
             self.resident_bytes,
             self.touched_per_iteration_bytes,
             self.accesses_per_iteration,
+            self.parameter_bytes,
         ) < 0:
             raise ValueError("footprint quantities cannot be negative")
 
@@ -108,6 +112,7 @@ def slide_memory_footprint(
         resident_bytes=resident,
         touched_per_iteration_bytes=touched,
         accesses_per_iteration=accesses,
+        parameter_bytes=float(weights + optimizer_state),
     )
 
 

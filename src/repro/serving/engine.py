@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.core.activations import sparse_softmax
 from repro.core.network import SlideNetwork
-from repro.types import FloatArray, IntArray, SparseExample, dense_features
+from repro.types import FLOAT, FloatArray, IntArray, SparseExample, dense_features
 from repro.utils import sanitize
 from repro.utils.rwlock import ReadWriteLock
 from repro.utils.topk import top_k_indices
@@ -406,7 +406,7 @@ class SparseInferenceEngine(InferenceEngine):
                 predictions.append(
                     Prediction(
                         class_ids=candidates[keep],
-                        scores=fractions.astype(np.float64),
+                        scores=fractions.astype(FLOAT),
                         mode="sparse_norerank",
                         candidates_scored=0,
                     )

@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
+    "FLOAT",
     "FloatArray",
     "IntArray",
     "SparseVector",
@@ -24,6 +25,13 @@ __all__ = [
     "SparseBatch",
     "dense_features",
 ]
+
+# The one float dtype of the training and serving paths: inputs, weights,
+# biases, optimiser moments, activations and hash projections.  32 bits, as
+# in the paper's C++ code, so every memory-bound pass moves half the bytes
+# float64 would.  Reductions into Python floats (loss means, metrics,
+# latency percentiles) still accumulate in float64.
+FLOAT = np.float32
 
 # Convenience aliases.  NumPy's typing story for dtypes is verbose; these keep
 # signatures readable without pulling in ``numpy.typing`` generics everywhere.
@@ -45,7 +53,7 @@ class SparseVector:
         (last value wins) and code that sums per index answer a repeated
         index differently.
     values:
-        ``float64`` values aligned with ``indices``.
+        :data:`FLOAT` (``float32``) values aligned with ``indices``.
     dimension:
         The ambient dimensionality of the vector.
     """
@@ -56,7 +64,7 @@ class SparseVector:
 
     def __post_init__(self) -> None:
         indices = np.asarray(self.indices, dtype=np.int64)
-        values = np.asarray(self.values, dtype=np.float64)
+        values = np.asarray(self.values, dtype=FLOAT)
         if indices.ndim != 1 or values.ndim != 1:
             raise ValueError("indices and values must be one-dimensional")
         if indices.shape[0] != values.shape[0]:
@@ -77,8 +85,8 @@ class SparseVector:
         return int(self.indices.shape[0])
 
     def to_dense(self) -> FloatArray:
-        """Materialise the vector as a dense ``float64`` array."""
-        dense = np.zeros(self.dimension, dtype=np.float64)
+        """Materialise the vector as a dense :data:`FLOAT` array."""
+        dense = np.zeros(self.dimension, dtype=FLOAT)
         dense[self.indices] = self.values
         return dense
 
@@ -95,8 +103,12 @@ class SparseVector:
 
     @classmethod
     def from_dense(cls, dense: FloatArray) -> "SparseVector":
-        """Build a :class:`SparseVector` from a dense array, dropping zeros."""
-        dense = np.asarray(dense, dtype=np.float64)
+        """Build a :class:`SparseVector` from a dense array, dropping zeros.
+
+        The cast to :data:`FLOAT` comes first, so a value that underflows to
+        zero in it is dropped rather than stored as an explicit zero.
+        """
+        dense = np.asarray(dense, dtype=FLOAT)
         indices = np.flatnonzero(dense)
         return cls(indices=indices, values=dense[indices], dimension=dense.shape[0])
 
@@ -166,7 +178,7 @@ class SparseBatch:
         """Dense ``(batch, feature_dim)`` feature matrix (for baselines)."""
         if self.features_csr is not None:
             indptr, indices, values = self.features_csr
-            dense = np.zeros((len(self.examples), self.feature_dim), dtype=np.float64)
+            dense = np.zeros((len(self.examples), self.feature_dim), dtype=FLOAT)
             rows = np.repeat(np.arange(len(self.examples)), np.diff(indptr))
             dense[rows, indices] = values
             return dense
@@ -174,7 +186,7 @@ class SparseBatch:
 
     def to_dense_labels(self) -> FloatArray:
         """Dense multi-hot ``(batch, label_dim)`` label matrix."""
-        dense = np.zeros((len(self.examples), self.label_dim), dtype=np.float64)
+        dense = np.zeros((len(self.examples), self.label_dim), dtype=FLOAT)
         for row, ex in enumerate(self.examples):
             if ex.labels.size:
                 dense[row, ex.labels] = 1.0
@@ -220,7 +232,8 @@ class SparseBatch:
         if feat_indptr.shape != label_indptr.shape:
             raise ValueError("feature and label indptr must describe the same rows")
         feat_indices = np.asarray(feat_indices, dtype=np.int64)
-        feat_values = np.asarray(feat_values, dtype=np.float64)
+        # Shards store float64 values; they become FLOAT here, once per batch.
+        feat_values = np.asarray(feat_values, dtype=FLOAT)
         label_indices = np.asarray(label_indices, dtype=np.int64)
         examples = []
         for row in range(feat_indptr.shape[0] - 1):
@@ -250,7 +263,7 @@ def dense_features(
     examples: Sequence[SparseExample], feature_dim: int
 ) -> FloatArray:
     """Dense ``(len(examples), feature_dim)`` matrix of the examples' features."""
-    dense = np.zeros((len(examples), feature_dim), dtype=np.float64)
+    dense = np.zeros((len(examples), feature_dim), dtype=FLOAT)
     for row, example in enumerate(examples):
         dense[row, example.features.indices] = example.features.values
     return dense

@@ -7,7 +7,8 @@ block, exact zeros pruned before the next layer, a softmax over the active
 set, ``p - y`` on the sample's own labels and an ``np.outer`` gradient per
 layer.  :func:`train_step` applies each sample's gradient as soon as it is
 computed (``interleaved=True``, HOGWILD's order) or, after all of them, each
-scaled by ``1/batch`` (the averaged synchronous loop).
+scaled by ``1/batch`` (the averaged synchronous loop).  It computes in the
+network's float dtype, as the kernel does.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from repro.core.activations import hidden_activation_grad, sparse_softmax
 from repro.kernels import fused
+from repro.types import FLOAT
 
 
 def sample_gradient(network, example):
@@ -33,7 +35,7 @@ def sample_gradient(network, example):
                 and example.labels.size
             ):
                 forced = [example.labels]
-            query = np.zeros((1, layer.fan_in))
+            query = np.zeros((1, layer.fan_in), dtype=FLOAT)
             query[0, cols] = values
             ((rows, _, _),) = fused.select_active_batch(layer, query, forced)
         pre = layer.weights[np.ix_(rows, cols)] @ values + layer.biases[rows]
@@ -63,7 +65,7 @@ def sample_gradient(network, example):
         grads[idx] = (rows, cols, np.outer(delta, values), delta.copy())
         if idx:
             below_rows, _, _, below_pre = states[idx - 1]
-            mapped = np.zeros(below_rows.size)
+            mapped = np.zeros(below_rows.size, dtype=FLOAT)
             mapped[np.searchsorted(below_rows, cols)] = (
                 network.layers[idx].weights[np.ix_(rows, cols)].T @ delta
             )

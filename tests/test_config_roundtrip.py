@@ -15,6 +15,7 @@ import re
 from pathlib import Path
 from typing import Any, Iterator
 
+import numpy as np
 import pytest
 
 import repro.config as config_module
@@ -34,7 +35,8 @@ from repro.config import (
     to_dict,
 )
 from repro.faults import FaultPlan
-from repro.serving.checkpoint import load_checkpoint
+from repro.core.network import SlideNetwork
+from repro.serving.checkpoint import load_checkpoint, restore_checkpoint_into
 
 # Written by the parent commit's (PR 12) hand-written codecs; see test (iv).
 DATA = Path(__file__).parent / "data"
@@ -396,3 +398,31 @@ def test_parent_written_checkpoint_loads():
     assert to_dict(loaded.optimizer.to_config()) == manifest["optimizer"]["config"]
     assert loaded.network.config.seed == 7
     assert loaded.network.config.layers[1].lsh.hash_family == "dwta"
+
+    # The fixture stores float64 arrays; they load by cast into the float32
+    # parameters and moments, through both load paths.
+    with np.load(path / "arrays.npz") as data:
+        stored = {key: np.array(data[key]) for key in data.files}
+    restored = SlideNetwork(loaded.network.config)
+    restored_optimizer = restored.build_optimizer(
+        TrainingConfig(optimizer=loaded.optimizer.to_config())
+    )
+    restore_checkpoint_into(path, restored, restored_optimizer)
+    checked = 0
+    for network, optimizer in (
+        (loaded.network, loaded.optimizer),
+        (restored, restored_optimizer),
+    ):
+        live = {}
+        for idx, layer in enumerate(network.layers):
+            live[f"layer{idx}.weights"] = layer.weights
+            live[f"layer{idx}.biases"] = layer.biases
+        for name, slot, array in optimizer.state_items():
+            live[f"optim.{name}.{slot}"] = array
+        for key, array in live.items():
+            assert stored[key].dtype == np.float64, key
+            assert array.dtype == np.float32, key
+            np.testing.assert_array_equal(array, stored[key].astype(np.float32))
+            checked += 1
+    # weights + biases of two layers, Adam m / v of each: 12 arrays per path.
+    assert checked == 24

@@ -11,7 +11,11 @@ from repro.config import LayerConfig, LSHConfig, RebuildScheduleConfig, Sampling
 from repro.core.layer import SlideLayer
 from repro.kernels.fused import FusedLayerState, fused_forward_batch
 from repro.optim.adam import AdamOptimizer
-from repro.types import SparseBatch, SparseExample, SparseVector
+from repro.types import FLOAT, SparseBatch, SparseExample, SparseVector
+
+# Three-term float32 sums of O(1) products in two orders; the worst measured
+# gap was 5.1e-8 (under half an eps), the bound here is 4 eps.
+FORWARD_ATOL = 4 * np.finfo(np.float32).eps
 
 
 def dense_layer_config(size=12, activation="relu") -> LayerConfig:
@@ -49,12 +53,14 @@ class TestDenseLayerForward:
 
     def test_sparse_forward_matches_dense_forward(self, rng):
         layer = SlideLayer(fan_in=20, config=dense_layer_config(activation="relu"), seed=1)
-        dense_input = np.zeros(20)
+        dense_input = np.zeros(20, dtype=FLOAT)
         indices = np.array([0, 4, 19])
-        values = rng.normal(size=3)
+        values = rng.normal(size=3).astype(FLOAT)
         dense_input[indices] = values
         state = forward(layer, indices, values)
-        np.testing.assert_allclose(state.act[0], layer.dense_forward(dense_input), atol=1e-12)
+        np.testing.assert_allclose(
+            state.act[0], layer.dense_forward(dense_input), rtol=0, atol=FORWARD_ATOL
+        )
 
     def test_empty_input_gives_bias_only(self):
         layer = SlideLayer(fan_in=10, config=dense_layer_config(), seed=2)
@@ -96,14 +102,14 @@ class TestLSHLayerForward:
 
     def test_activation_matches_dense_on_active_set(self, rng):
         layer = SlideLayer(fan_in=16, config=lsh_layer_config(), seed=7)
-        dense_input = np.zeros(16)
+        dense_input = np.zeros(16, dtype=FLOAT)
         indices = np.array([2, 3, 9])
-        values = rng.normal(size=3)
+        values = rng.normal(size=3).astype(FLOAT)
         dense_input[indices] = values
         state = forward(layer, indices, values)
         # Pre-activations of active neurons must equal the dense computation.
         expected = layer.weights[state.rows] @ dense_input + layer.biases[state.rows]
-        np.testing.assert_allclose(state.pre[0], expected, atol=1e-12)
+        np.testing.assert_allclose(state.pre[0], expected, rtol=0, atol=FORWARD_ATOL)
 
 
 class TestLayerUpdatesAndRebuild:

@@ -11,6 +11,8 @@ from repro.hashing.collision import simhash_collision_probability
 from repro.hashing.simhash import SimHash
 from repro.types import SparseVector
 
+EPS32 = float(np.finfo(np.float32).eps)
+
 
 @pytest.fixture
 def simhash() -> SimHash:
@@ -128,7 +130,10 @@ class TestSimHashIncrementalUpdate:
         updated_vector = vector.copy()
         updated_vector[changed] += deltas
         incremental = simhash.update_projections(projections, changed, deltas)
-        np.testing.assert_allclose(incremental, simhash.project(updated_vector), atol=1e-10)
+        # Two float32 summation orders of ~21 O(1) terms: 64 eps of slack.
+        np.testing.assert_allclose(
+            incremental, simhash.project(updated_vector), rtol=0, atol=64 * EPS32
+        )
         np.testing.assert_array_equal(
             simhash.codes_from_projections(incremental),
             simhash.hash_vector(updated_vector),
@@ -150,6 +155,85 @@ class TestSimHashIncrementalUpdate:
     def test_codes_from_projections_validates_length(self, simhash):
         with pytest.raises(ValueError):
             simhash.codes_from_projections(np.zeros(3))
+
+
+class TestSimHashFloat32:
+    """Rows are hashed in float32; the sign margin is float32's."""
+
+    DIM = 120
+
+    def family(self) -> SimHash:
+        return SimHash(input_dim=self.DIM, k=4, l=6, seed=9)
+
+    def near_zero_rows(self, family: SimHash, rng, count: int) -> np.ndarray:
+        """Rows with one projection inside the float32 sign margin of zero.
+
+        Each row fills a few coordinates of one projection's support with
+        values whose signed sum cancels to within rounding: the last value
+        is minus the float64 sum of the others, rounded to float32.
+        """
+        rows = np.zeros((count, self.DIM), dtype=np.float32)
+        for row in range(count):
+            hash_id = int(rng.integers(family.k * family.l))
+            picked = rng.choice(family.projection_nnz, size=6, replace=False)
+            coords = family._proj_indices[hash_id, picked]
+            signs = family._proj_signs[hash_id, picked].astype(np.float64)
+            terms = np.round(rng.normal(size=5), 1)
+            terms = np.append(terms, -terms.sum())
+            rows[row, coords] = (terms * signs).astype(np.float32)
+        return rows
+
+    def test_projection_and_rows_are_float32(self, rng):
+        family = self.family()
+        assert family._dense_projection.dtype == np.float32
+        assert family.project(rng.normal(size=self.DIM)).dtype == np.float32
+
+    def test_constructed_rows_fall_inside_the_margin(self, rng):
+        family = self.family()
+        rows = self.near_zero_rows(family, rng, 200)
+        exact = rows.astype(np.float64) @ family._dense_projection.astype(np.float64)
+        d = self.DIM
+        unit = EPS32 / 2
+        margin = 2 * d * unit / (1 - d * unit) * np.sqrt(d)
+        bound = margin * np.linalg.norm(rows.astype(np.float64), axis=1)
+        # Most rows put one projection within the margin (a few cancel to
+        # an exact zero, which is also inside it).
+        inside = (np.abs(exact) <= bound[:, None]).any(axis=1)
+        assert inside.mean() > 0.9
+
+    @pytest.mark.parametrize("kind", ["gaussian", "rounded", "near_zero"])
+    def test_per_vector_codes_equal_matrix_codes(self, rng, kind):
+        family = self.family()
+        if kind == "near_zero":
+            matrix = self.near_zero_rows(family, rng, 500)
+        else:
+            matrix = rng.normal(size=(500, self.DIM)) * (rng.random((500, self.DIM)) < 0.4)
+            if kind == "rounded":
+                matrix = np.round(matrix, 1)
+            matrix = matrix.astype(np.float32)
+        batched = family.hash_matrix(matrix)
+        for row in range(matrix.shape[0]):
+            np.testing.assert_array_equal(family.hash_vector(matrix[row]), batched[row])
+
+    def test_codes_do_not_depend_on_neighbouring_rows(self, rng):
+        family = self.family()
+        matrix = np.concatenate(
+            [
+                self.near_zero_rows(family, rng, 250),
+                np.round(rng.normal(size=(250, self.DIM)), 1).astype(np.float32),
+            ]
+        )
+        whole = family.hash_matrix(matrix)
+        order = rng.permutation(matrix.shape[0])
+        np.testing.assert_array_equal(family.hash_matrix(matrix[order]), whole[order])
+        for start in range(0, matrix.shape[0], 7):
+            np.testing.assert_array_equal(
+                family.hash_matrix(matrix[start : start + 7]), whole[start : start + 7]
+            )
+        for row in range(0, matrix.shape[0], 13):
+            np.testing.assert_array_equal(
+                family.hash_matrix(matrix[row : row + 1])[0], whole[row]
+            )
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))

@@ -11,8 +11,8 @@ strategies, both insertion policies with buckets small enough to overflow
 (so reservoir draws land in full buckets), scheduled rebuilds and one full
 ``rebuild_all_tables`` on a populated index.  A sha256 of every selected
 active set, the work counters and the index statistics come back exactly;
-the kernel's GEMMs sum in another order than the reference's GEMVs did, so
-losses are pinned to 1e-12 relative and strided parameters to 1e-9.
+the fixture is float64 and the run float32, so losses and strided
+parameters are pinned to small multiples of float32 eps.
 """
 
 from __future__ import annotations
@@ -45,6 +45,12 @@ STEPS, BATCH = 12, 16
 # Every ``WEIGHT_STRIDE``-th weight and ``BIAS_STRIDE``-th bias (flat order).
 WEIGHT_STRIDE = 17
 BIAS_STRIDE = 3
+EPS32 = np.finfo(np.float32).eps
+# The fixture is float64; the run is float32 end to end.  Worst measured:
+# losses 2.1e-8 relative (0.2 eps), strided parameters 1.1e-7 absolute
+# (0.9 eps).
+LOSS_RTOL = 4 * EPS32
+PARAM_ATOL = 8 * EPS32
 
 # name -> (hogwild, output (strategy, policy, family), hidden (strategy, policy, family))
 CASES = {
@@ -163,10 +169,10 @@ def test_parent_steps_reproduced(case, monkeypatch):
     assert got["lsh_stats"] == parent["lsh_stats"]
     steps, expected = np.array(got["steps"]), np.array(parent["steps"])
     np.testing.assert_array_equal(steps[:, 1:], expected[:, 1:])
-    np.testing.assert_allclose(steps[:, 0], expected[:, 0], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(steps[:, 0], expected[:, 0], rtol=LOSS_RTOL, atol=0.0)
     for key in ("weights", "biases"):
         for got_layer, expected_layer in zip(got[key], parent[key]):
-            np.testing.assert_allclose(got_layer, expected_layer, rtol=0.0, atol=1e-9)
+            np.testing.assert_allclose(got_layer, expected_layer, rtol=0.0, atol=PARAM_ATOL)
 
 
 def test_the_fixture_overflows_both_policies():

@@ -45,6 +45,13 @@ from repro.optim.base import Optimizer
 from repro.optim.sgd import SGDOptimizer
 from repro.types import SparseBatch, SparseExample, SparseVector
 
+EPS32 = np.finfo(np.float32).eps
+# The kernel's GEMMs and the per-sample reference's GEMVs sum float32 values
+# in different orders.  Worst measured: losses 3.3e-8 relative (0.3 eps);
+# parameters, updates and activations 8.9e-8 absolute (0.75 eps).
+LOSS_RTOL = 4 * EPS32
+PARAM_ATOL = 8 * EPS32
+
 
 def make_batch(rng, n=16, dim=64, classes=48, nnz=8) -> SparseBatch:
     examples = []
@@ -325,7 +332,7 @@ class TestFusedTrainingParity:
             batch = make_batch(rng)
             legacy = per_sample_reference.train_step(net_a, batch, opt_a, interleaved=False)
             fused = net_b.train_batch(batch, opt_b, hogwild=False)
-            assert fused["loss"] == pytest.approx(legacy["loss"], abs=1e-9)
+            assert fused["loss"] == pytest.approx(legacy["loss"], rel=LOSS_RTOL)
             assert fused["active_neurons"] == legacy["active_neurons"]
             assert fused["active_weights"] == legacy["active_weights"]
             assert fused["batch_size"] == legacy["batch_size"]
@@ -347,9 +354,11 @@ class TestFusedTrainingParity:
             net_b.train_batch(batch, opt_b, hogwild=False)
         for layer_a, layer_b in zip(net_a.layers, net_b.layers):
             np.testing.assert_allclose(
-                layer_a.weights, layer_b.weights, atol=1e-12
+                layer_a.weights, layer_b.weights, rtol=0, atol=PARAM_ATOL
             )
-            np.testing.assert_allclose(layer_a.biases, layer_b.biases, atol=1e-12)
+            np.testing.assert_allclose(
+                layer_a.biases, layer_b.biases, rtol=0, atol=PARAM_ATOL
+            )
 
     def test_fused_gradient_is_mean_of_sample_gradients(self, rng):
         """On a dense (no-LSH) network the fused weight update must equal the
@@ -380,7 +389,7 @@ class TestFusedTrainingParity:
         net.train_batch(batch, optimizer, hogwild=False)
         for layer_idx, layer in enumerate(net.layers):
             update = (before[layer_idx] - layer.weights) / learning_rate
-            np.testing.assert_allclose(update, expected[layer_idx], atol=1e-12)
+            np.testing.assert_allclose(update, expected[layer_idx], rtol=0, atol=PARAM_ATOL)
 
     def test_fused_forward_matches_one_row_blocks(self, rng):
         """Activations of a batch forward equal each sample's forward as a
@@ -396,7 +405,7 @@ class TestFusedTrainingParity:
             np.testing.assert_array_equal(out.active_sets[sample_idx], alone.rows)
             positions = np.searchsorted(out.rows, alone.rows)
             np.testing.assert_allclose(
-                out.act[sample_idx, positions], alone.act[0], atol=1e-9
+                out.act[sample_idx, positions], alone.act[0], rtol=0, atol=PARAM_ATOL
             )
             # Union neurons outside this sample's active set carry nothing.
             off = out.mask[sample_idx] == 0.0
@@ -454,13 +463,17 @@ class TestHogwild:
             batch = make_batch(rng)
             got = net_a.train_batch(batch, opt_a, hogwild=True)
             expected = per_sample_reference.train_step(net_b, batch, opt_b, interleaved=True)
-            assert got["loss"] == pytest.approx(expected["loss"], rel=1e-12)
+            assert got["loss"] == pytest.approx(expected["loss"], rel=LOSS_RTOL)
             assert got["active_neurons"] == expected["active_neurons"]
             assert got["active_weights"] == expected["active_weights"]
 
         for layer_a, layer_b in zip(net_a.layers, net_b.layers):
-            np.testing.assert_allclose(layer_a.weights, layer_b.weights, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(layer_a.biases, layer_b.biases, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                layer_a.weights, layer_b.weights, rtol=0, atol=PARAM_ATOL
+            )
+            np.testing.assert_allclose(
+                layer_a.biases, layer_b.biases, rtol=0, atol=PARAM_ATOL
+            )
 
     def test_hogwild_is_deterministic_across_runs(self, rng):
         batches = [make_batch(rng) for _ in range(3)]

@@ -14,6 +14,7 @@ from repro.optim.adam import AdamOptimizer
 from repro.optim.base import _CHUNK_ELEMENTS
 from repro.optim.factory import make_optimizer
 from repro.optim.sgd import SGDOptimizer
+from repro.types import FLOAT
 
 
 def reference_adam_step(param, grad, m, v, lr, b1, b2, eps, t):
@@ -262,14 +263,15 @@ class TestChunkedSparseStep:
 
         opt = make()
         opt.register("w", shape)
-        param = rng.normal(size=shape)
+        # The oracle runs in the parameter's dtype, so it stays bit-identical.
+        param = rng.normal(size=shape).astype(FLOAT)
         initial = param.copy()
         expected = param.copy()
         expected_state = {k: a.copy() for k, a in opt.state_of("w").items()}
         view = (rows,) if cols is None else np.ix_(rows, cols)
         grad_shape = param[view].shape
         for _ in range(3):
-            grad = rng.normal(size=grad_shape)
+            grad = rng.normal(size=grad_shape).astype(FLOAT)
             grad_before = grad.copy()
             opt.begin_step()
             opt.sparse_step("w", param, rows, cols, grad)
@@ -294,11 +296,11 @@ class TestChunkedSparseStep:
         shape = (3 * _CHUNK_ELEMENTS // 128 + 5, 128)
         opt = make()
         opt.register("w", shape)
-        param = rng.normal(size=shape)
+        param = rng.normal(size=shape).astype(FLOAT)
         expected = param.copy()
         expected_state = {k: a.copy() for k, a in opt.state_of("w").items()}
         for _ in range(3):
-            grad = rng.normal(size=shape)
+            grad = rng.normal(size=shape).astype(FLOAT)
             opt.begin_step()
             opt.step("w", param, grad)
             oracle_step(expected, expected_state, (slice(None),), grad, opt)

@@ -5,6 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.config import (
+    LayerConfig,
+    LSHConfig,
+    SlideNetworkConfig,
+    TrainingConfig,
+)
+from repro.core.network import SlideNetwork
 from repro.perf.cpu_counters import (
     inefficiency_breakdown,
     scattered_memory_bound,
@@ -114,6 +121,37 @@ class TestMemoryFootprint:
     def test_footprint_validation(self):
         with pytest.raises(ValueError):
             slide_memory_footprint(0, 128, 100, 8, 10, 10, 5)
+
+    def test_parameter_bytes_match_a_built_network(self):
+        """At 4 bytes a value the model's weights + Adam moments are what a
+        built network and its optimiser hold (biases excluded, as the model
+        excludes them).  With float64 parameters this was off by 2x."""
+        layers = (
+            LayerConfig(size=24, activation="relu"),
+            LayerConfig(
+                size=200,
+                activation="softmax",
+                lsh=LSHConfig(hash_family="simhash", k=3, l=4, bucket_size=16),
+            ),
+        )
+        network = SlideNetwork(SlideNetworkConfig(input_dim=300, layers=layers, seed=0))
+        optimizer = network.build_optimizer(TrainingConfig())
+        held = 0
+        for layer in network.layers:
+            held += layer.weights.nbytes
+            state = optimizer.state_of(f"{layer.name}.weights")
+            held += state["m"].nbytes + state["v"].nbytes
+        footprint = slide_memory_footprint(
+            input_dim=300,
+            hidden_dim=24,
+            output_dim=200,
+            batch_size=8,
+            avg_active_output=10,
+            avg_input_nnz=5,
+            l_tables=4,
+            bytes_per_value=4,
+        )
+        assert footprint.parameter_bytes == held
 
 
 class TestTLBModel:

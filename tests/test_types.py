@@ -29,6 +29,13 @@ class TestSparseVector:
         assert vec.nnz == 2
         np.testing.assert_array_equal(vec.indices, [1, 3])
 
+    def test_from_dense_drops_values_that_underflow_float32(self):
+        # 3e-248 is a float64 non-zero but 0 in float32: it is dropped, not
+        # stored as an explicit zero.
+        vec = SparseVector.from_dense(np.array([3e-248, 0.0, 1.5]))
+        np.testing.assert_array_equal(vec.indices, [2])
+        assert vec.values.dtype == np.float32
+
     def test_dot_matches_dense_dot(self):
         vec = SparseVector(indices=[1, 2], values=[3.0, 4.0], dimension=4)
         other = np.array([1.0, 2.0, 3.0, 4.0])
@@ -72,14 +79,16 @@ class TestSparseVector:
         dense = np.array(
             data.draw(
                 st.lists(
-                    st.floats(min_value=-10, max_value=10, allow_nan=False),
+                    # Values are stored as float32: draw only values it holds.
+                    st.floats(min_value=-10, max_value=10, allow_nan=False, width=32),
                     min_size=dimension,
                     max_size=dimension,
                 )
             )
         )
         vec = SparseVector.from_dense(dense)
-        np.testing.assert_allclose(vec.to_dense(), dense)
+        np.testing.assert_array_equal(vec.to_dense(), dense)
+        assert np.all(vec.values != 0)
 
 
 class TestSparseExample:
