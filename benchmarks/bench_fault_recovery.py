@@ -66,6 +66,12 @@ _INLINE_FT = FaultToleranceConfig(
     checkpoint_every_batches=CHECKPOINT_EVERY_BATCHES, checkpoint_keep_last=8
 )
 
+# Worker processes of the supervised worker-kill run; worker 1 is the victim.
+WORKERS = 2
+# ``(scale, epochs)`` of the smoke and full workloads.
+SMOKE_WORKLOAD = (1.0 / 2048.0, 2)
+FULL_WORKLOAD = (1.0 / 512.0, 3)
+
 SPEC = BenchSpec(
     bench_id="fault_recovery",
     title="Chaos training: worker SIGKILL recovery + mid-run checkpoint resume",
@@ -140,6 +146,34 @@ def _training_config(batch_size: int, epochs: int, seed: int) -> TrainingConfig:
 # ----------------------------------------------------------------------
 # Scenario 1: SIGKILL a worker mid-epoch, supervised run completes
 # ----------------------------------------------------------------------
+def _ingest_shards(dataset, batch_size: int, cache: str, seed: int) -> ShardedDataset:
+    """The worker-kill run's training set as about eight mmap CSR shards."""
+    ingest_examples(
+        dataset.train,
+        feature_dim=dataset.config.feature_dim,
+        label_dim=dataset.config.label_dim,
+        cache_dir=cache,
+        shard_size=max(batch_size, len(dataset.train) // 8 or 1),
+        source=dataset.config.name,
+    )
+    return ShardedDataset(cache, seed=seed)
+
+
+def _kill_at_batch(sharded: ShardedDataset, batch_size: int) -> int:
+    """The victim's kill point: halfway through its first work item.
+
+    Each work item is one epoch of one shard group, and the supervisor hands
+    every slot an item at launch but later items to whichever slot is idle,
+    so only the victim's first item is sure to be its own.  Killing inside
+    the smallest group's item makes the fault fire on every run.
+    """
+    item_batches = min(
+        -(-sum(sharded.manifest.shards[s].num_examples for s in group) // batch_size)
+        for group in sharded.assign_shards(WORKERS)
+    )
+    return max(1, item_batches // 2)
+
+
 def _worker_kill_scenario(
     scale: float, epochs: int, batch_size: int, seed: int
 ) -> dict[str, object]:
@@ -150,19 +184,9 @@ def _worker_kill_scenario(
     )
     cache = tempfile.mkdtemp(prefix="fault-bench-shards-")
     try:
-        ingest_examples(
-            dataset.train,
-            feature_dim=dataset.config.feature_dim,
-            label_dim=dataset.config.label_dim,
-            cache_dir=cache,
-            shard_size=max(batch_size, len(dataset.train) // 8 or 1),
-            source=dataset.config.name,
-        )
-        sharded = ShardedDataset(cache, seed=seed)
+        sharded = _ingest_shards(dataset, batch_size, cache, seed)
         total_batches = -(-len(dataset.train) // batch_size) * epochs
-        # Mid-epoch for the victim: roughly halfway through its share of
-        # the run (2 workers → ~total/2 batches each).
-        kill_at_batch = max(2, total_batches // 4)
+        kill_at_batch = _kill_at_batch(sharded, batch_size)
         supervision_config = FaultToleranceConfig(
             poll_interval_s=0.05,
             max_restarts=2,
@@ -175,7 +199,7 @@ def _worker_kill_scenario(
             trainer = ProcessHogwildTrainer(
                 network,
                 training,
-                num_processes=2,
+                num_processes=WORKERS,
                 fault_tolerance=supervision_config,
                 fault_plan=fault_plan,
             )
@@ -362,10 +386,7 @@ def _parent_kill_scenario(
 def run(params: dict | None = None) -> dict:
     """Both chaos scenarios, end to end."""
     p = dict(params or {})
-    if p.get("smoke", False):
-        scale, epochs = 1.0 / 2048.0, 2
-    else:
-        scale, epochs = 1.0 / 512.0, 3
+    scale, epochs = SMOKE_WORKLOAD if p.get("smoke", False) else FULL_WORKLOAD
     scale = float(p.get("scale", scale))
     epochs = int(p.get("epochs", epochs))
     batch_size = int(p.get("batch_size", 32))

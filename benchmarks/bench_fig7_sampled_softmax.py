@@ -6,17 +6,11 @@ than SLIDE's input-adaptive LSH sampling.
 """
 
 from repro.harness.experiment import (
-    AMAZON_PAPER_DIMS,
-    DELICIOUS_PAPER_DIMS,
     ExperimentConfig,
     HeadToHeadExperiment,
-    PaperScaleDims,
-    project_run_to_paper_scale,
     small_experiment_config,
 )
 from repro.harness.report import series_payload
-from repro.perf.devices import SLIDE_CPU_PROFILE, TF_GPU_PROFILE
-from repro.perf.simulator import WallClockSimulator
 from repro.reports.schema import CONFIG, FRACTION, NUM, series
 from repro.reports.spec import BenchSpec, MetricGate
 
@@ -32,7 +26,6 @@ _SIDE = {
         "final_accuracy": _PER_FRAMEWORK_FRACTION,
         "active_fraction": _PER_FRAMEWORK_FRACTION,
         "accuracy_advantage": NUM,
-        "time_series": series("time_s", "precision_at_1"),
         "iteration_series": series("iteration", "precision_at_1"),
     },
 }
@@ -54,36 +47,16 @@ SPEC = BenchSpec(
         MetricGate("delicious.accuracy_advantage", "higher", rel_tol=0.5, abs_tol=0.05),
     ),
     notes="Final accuracies and active fractions are measured (deterministic "
-    "seeded training); the time axis is device-model attributed.",
+    "seeded training); the x axis is training iterations.",
 )
 
 
-def figure7_sampled_softmax(
-    config: ExperimentConfig,
-    cores: int = 44,
-    paper_dims: PaperScaleDims | None = None,
-) -> dict[str, object]:
-    """SLIDE vs static sampled softmax, time- and iteration-wise."""
+def figure7_sampled_softmax(config: ExperimentConfig) -> dict[str, object]:
+    """SLIDE vs static sampled softmax, iteration-wise."""
     experiment = HeadToHeadExperiment(config)
     slide_run = experiment.run_slide()
     ssm_run = experiment.run_sampled_softmax()
-    # The active fraction is a property of the measured (scaled) run; record
-    # it before any projection to paper-scale workload dimensions.
-    slide_active_fraction = slide_run.avg_active_output / config.dataset.label_dim
-    if paper_dims is not None:
-        slide_run = project_run_to_paper_scale(slide_run, paper_dims)
-        ssm_run = project_run_to_paper_scale(ssm_run, paper_dims)
-
-    slide_sim = slide_run.simulate(
-        WallClockSimulator(SLIDE_CPU_PROFILE, cores=cores), "SLIDE CPU"
-    )
-    ssm_sim = ssm_run.simulate(WallClockSimulator(TF_GPU_PROFILE), "TF-GPU SSM")
-
     return {
-        "time_series": {
-            "SLIDE CPU": (slide_sim.cumulative_seconds, slide_sim.accuracies),
-            "TF-GPU SSM": (ssm_sim.cumulative_seconds, ssm_sim.accuracies),
-        },
         "iteration_series": {
             "SLIDE CPU": (slide_run.iterations, slide_run.accuracies),
             "TF-GPU SSM": (ssm_run.iterations, ssm_run.accuracies),
@@ -93,15 +66,15 @@ def figure7_sampled_softmax(
             "TF-GPU SSM": ssm_run.final_accuracy,
         },
         "active_fraction": {
-            "SLIDE CPU": slide_active_fraction,
+            "SLIDE CPU": slide_run.avg_active_output / config.dataset.label_dim,
             "TF-GPU SSM": config.sampled_softmax_fraction,
         },
     }
 
 
-def _side_run(name: str, scale: float, epochs: int, seed: int, cores: int, dims) -> dict:
+def _side_run(name: str, scale: float, epochs: int, seed: int) -> dict:
     config = small_experiment_config(dataset=name, scale=scale, epochs=epochs, seed=seed)
-    result = figure7_sampled_softmax(config, cores=cores, paper_dims=dims)
+    result = figure7_sampled_softmax(config)
     slide_acc = float(result["final_accuracy"]["SLIDE CPU"])
     ssm_acc = float(result["final_accuracy"]["TF-GPU SSM"])
     return {
@@ -111,7 +84,6 @@ def _side_run(name: str, scale: float, epochs: int, seed: int, cores: int, dims)
             "sampled_softmax": float(result["active_fraction"]["TF-GPU SSM"]),
         },
         "accuracy_advantage": slide_acc - ssm_acc,
-        "time_series": series_payload(result["time_series"], "time_s", "precision_at_1"),
         "iteration_series": series_payload(
             result["iteration_series"], "iteration", "precision_at_1"
         ),
@@ -119,28 +91,17 @@ def _side_run(name: str, scale: float, epochs: int, seed: int, cores: int, dims)
 
 
 def run(params: dict | None = None) -> dict:
-    """Pure payload generator for the report registry (MODELLED wall-clock)."""
+    """Pure payload generator for the report registry."""
     p = dict(params or {})
     epochs = int(p.get("epochs", 2))
-    cores = int(p.get("cores", 44))
     seed = int(p.get("seed", 0))
     return {
-        "config": {"epochs": epochs, "cores": cores, "seed": seed},
+        "config": {"epochs": epochs, "seed": seed},
         "delicious": _side_run(
-            "delicious",
-            float(p.get("scale_delicious", 1.0 / 1024.0)),
-            epochs,
-            seed,
-            cores,
-            DELICIOUS_PAPER_DIMS,
+            "delicious", float(p.get("scale_delicious", 1.0 / 1024.0)), epochs, seed
         ),
         "amazon": _side_run(
-            "amazon",
-            float(p.get("scale_amazon", 1.0 / 2048.0)),
-            epochs,
-            seed,
-            cores,
-            AMAZON_PAPER_DIMS,
+            "amazon", float(p.get("scale_amazon", 1.0 / 2048.0)), epochs, seed
         ),
     }
 

@@ -1,48 +1,30 @@
-"""Figures 9 and 13 — scalability with CPU cores, **measured** and projected.
+"""Figures 9 and 13 — scalability with CPU cores, **measured**.
 
 The paper's headline systems claim is that SLIDE's lock-free HOGWILD design
-scales near-linearly with CPU cores (Figure 9, Table 2).  This bench now
-backs that claim with real processes instead of a model:
-
-* **Measured section** — trains the synthetic XC workload through
-  :class:`repro.parallel.sharedmem.ProcessHogwildTrainer` at several worker
-  process counts (shared-memory parameters, disjoint
-  :class:`~repro.data.ShardedDataset` shards per worker, private per-worker
-  LSH indexes) and records real wall-clock speedup, parallel efficiency,
-  CPU utilisation and gradient-conflict counts.  The 1-process run *is*
-  today's fused synchronous path, so it doubles as the precision baseline.
-* **Projection section** — the calibrated device-model extrapolation to the
-  paper's 44-core Xeon (the previous content of this bench, unchanged in
-  spirit): SLIDE vs TF-CPU vs TF-GPU convergence-time curves and the
-  Figure 13 ratio view.
+scales near-linearly with CPU cores (Figure 9, Table 2).  This bench trains
+the synthetic XC workload through
+:class:`repro.parallel.sharedmem.ProcessHogwildTrainer` at several worker
+process counts (shared-memory parameters, disjoint
+:class:`~repro.data.ShardedDataset` shards per worker, private per-worker
+LSH indexes) and records real wall-clock speedup, parallel efficiency, CPU
+utilisation and gradient-conflict counts.  The 1-process run *is* the fused
+synchronous path, so it doubles as the precision baseline.
 
 ``python -m repro.reports --run fig9_scalability`` writes
-``BENCH_fig9_scalability.json``.  Measured speedup is
-hardware-bounded: the JSON records ``available_cores`` and the checks
-only demand speedup the machine can physically deliver (a 1-core container
-cannot run 4 processes faster than 1 — the projection section carries the
-paper-scale story there).
+``BENCH_fig9_scalability.json``.  Measured speedup is hardware-bounded: the
+JSON records ``available_cores`` and the checks only demand speedup the
+machine can physically deliver (a 1-core container cannot run 4 processes
+faster than 1).  The paper's 44-core Xeon curves are not reproducible here.
 """
 
 from __future__ import annotations
 
-from repro.harness.experiment import (
-    DELICIOUS_PAPER_DIMS,
-    ExperimentConfig,
-    HeadToHeadExperiment,
-    PaperScaleDims,
-    project_run_to_paper_scale,
-    small_experiment_config,
-)
 from repro.harness.report import format_table
 from repro.harness.scaling import available_cores, measure_process_scaling
-from repro.perf.devices import SLIDE_CPU_PROFILE, TF_CPU_PROFILE, TF_GPU_PROFILE
-from repro.perf.simulator import WallClockSimulator
 from repro.reports.schema import BOOL, FRACTION, POS, POSITIVE_INT, rows
 from repro.reports.spec import BenchSpec, MetricGate
 
 PROCESS_COUNTS = (1, 2, 4)
-CORE_COUNTS = (2, 4, 8, 16, 32, 44)
 # Acceptance bars for the measured section: the async multi-process runs
 # must stay within one precision point of the fused single-process baseline,
 # and — when the machine actually has >= 4 usable cores — deliver >= 1.5x
@@ -58,7 +40,7 @@ SPEEDUP_AT_4_BAR = 1.5
 
 SPEC = BenchSpec(
     bench_id="fig9_scalability",
-    title="Core scalability: measured process-HOGWILD speedup + 44-core projection",
+    title="Core scalability: measured process-HOGWILD speedup",
     paper_anchor="Fig 9 (and Fig 13)",
     schema={
         "type": "object",
@@ -92,20 +74,17 @@ SPEC = BenchSpec(
                 },
             },
             "precision_gap_vs_baseline": {"type": "object", "patternProperties": {".": POS}},
-            "projection": {"type": "object"},
         },
     },
     smoke_params={
         "process_counts": [1, 2],
         "scale": 1 / 2048,
         "epochs": 2,
-        "include_projection": False,
     },
     full_params={
         "process_counts": [1, 2, 4],
         "scale": 1 / 256,
         "epochs": 5,
-        "include_projection": True,
     },
     measured=True,
     gates=(
@@ -113,85 +92,8 @@ SPEC = BenchSpec(
         MetricGate("precision_gap_vs_baseline.2", "lower", rel_tol=1.0, abs_tol=0.04),
     ),
     timeout_s=180.0,
-    notes="Measured speedup is bounded by available cores (1 on this container); "
-    "the projection section is the calibrated device model.",
+    notes="Measured speedup is bounded by available cores.",
 )
-
-
-def figure9_scalability(
-    config: ExperimentConfig,
-    core_counts: tuple[int, ...] = (2, 4, 8, 16, 32, 44),
-    paper_dims: PaperScaleDims | None = None,
-) -> list[dict[str, float | int | str]]:
-    """Convergence time vs core count for SLIDE, TF-CPU and TF-GPU.
-
-    The per-iteration *work* is measured once (it does not depend on the core
-    count); the device profiles then attribute time at each core count.
-    """
-    experiment = HeadToHeadExperiment(config)
-    slide_run = experiment.run_slide()
-    dense_run = experiment.run_dense()
-    if paper_dims is not None:
-        slide_run = project_run_to_paper_scale(slide_run, paper_dims)
-        dense_run = project_run_to_paper_scale(dense_run, paper_dims)
-
-    rows: list[dict[str, float | int | str]] = []
-    gpu_sim = dense_run.simulate(WallClockSimulator(TF_GPU_PROFILE), "TF-GPU")
-    gpu_time = gpu_sim.convergence_time()
-    for cores in core_counts:
-        slide_sim = slide_run.simulate(
-            WallClockSimulator(SLIDE_CPU_PROFILE, cores=cores), "SLIDE"
-        )
-        cpu_sim = dense_run.simulate(
-            WallClockSimulator(TF_CPU_PROFILE, cores=cores), "TF-CPU"
-        )
-        rows.append(
-            {
-                "cores": cores,
-                "SLIDE_convergence_s": slide_sim.convergence_time(),
-                "TF-CPU_convergence_s": cpu_sim.convergence_time(),
-                "TF-GPU_convergence_s": gpu_time,
-            }
-        )
-    return rows
-
-
-def figure13_scalability_ratio(
-    scalability_rows: list[dict[str, float | int | str]]
-) -> list[dict[str, float | int | str]]:
-    """Ratio of convergence time to the best (max-core) time (Figure 13)."""
-    if not scalability_rows:
-        return []
-    slide_best = min(float(r["SLIDE_convergence_s"]) for r in scalability_rows)
-    cpu_best = min(float(r["TF-CPU_convergence_s"]) for r in scalability_rows)
-    return [
-        {
-            "cores": r["cores"],
-            "SLIDE_ratio": float(r["SLIDE_convergence_s"]) / slide_best,
-            "TF-CPU_ratio": float(r["TF-CPU_convergence_s"]) / cpu_best,
-        }
-        for r in scalability_rows
-    ]
-
-
-def _crossover(rows, column):
-    """Smallest core count at which SLIDE beats the given baseline column."""
-    for row in rows:
-        if row["SLIDE_convergence_s"] < row[column]:
-            return int(row["cores"])
-    return None
-
-
-def paper_projection(config: ExperimentConfig, dims: PaperScaleDims) -> dict[str, object]:
-    """The calibrated device-model section (SLIDE/TF-CPU/TF-GPU vs cores)."""
-    rows = figure9_scalability(config, core_counts=CORE_COUNTS, paper_dims=dims)
-    return {
-        "paper_dims": dims.name,
-        "rows": rows,
-        "figure13_ratios": figure13_scalability_ratio(rows),
-        "tf_cpu_crossover_cores": _crossover(rows, "TF-CPU_convergence_s"),
-        "tf_gpu_crossover_cores": _crossover(rows, "TF-GPU_convergence_s"),
-    }
 
 
 def _precision_gaps(measured: dict[str, object]) -> dict[int, float]:
@@ -205,7 +107,7 @@ def _precision_gaps(measured: dict[str, object]) -> dict[int, float]:
 
 
 def run(params: dict | None = None) -> dict:
-    """Measured process scaling plus (optionally) the paper-scale projection."""
+    """Measured process scaling at each worker count."""
     p = dict(params or {})
     seed = int(p.get("seed", 0))
     measured = measure_process_scaling(
@@ -215,19 +117,13 @@ def run(params: dict | None = None) -> dict:
         batch_size=int(p.get("batch_size", 32)),
         seed=seed,
     )
-    report: dict[str, object] = {
+    return {
         "measured": measured,
         "precision_gap_vs_baseline": {
             str(processes): round(gap, 4)
             for processes, gap in sorted(_precision_gaps(measured).items())
         },
     }
-    if bool(p.get("include_projection", True)):
-        delicious = small_experiment_config(
-            dataset="delicious", scale=1.0 / 1024.0, epochs=2, seed=seed
-        )
-        report["projection"] = paper_projection(delicious, DELICIOUS_PAPER_DIMS)
-    return report
 
 
 def check(payload: dict, smoke: bool) -> list[str]:
@@ -279,13 +175,6 @@ def print_report(payload: dict) -> None:
             ),
         )
     )
-    if "projection" in payload:
-        print(
-            format_table(
-                payload["projection"]["rows"],
-                title="Figure 9 (projected): convergence time vs cores",
-            )
-        )
     print(
         f"max measured speedup: {measured['max_measured_speedup']}x "
         f"(cores available: {available_cores()})"

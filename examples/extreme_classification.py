@@ -5,10 +5,12 @@ a Delicious-200K-like synthetic dataset, the same one-hidden-layer
 architecture for all three systems, the same Adam optimiser — then compares
 
 * final precision@1 (SLIDE should match full softmax and beat sampled softmax),
-* the work each system performed per iteration (SLIDE touches a small
-  fraction of the output layer), and
-* the simulated wall-clock each would need on the paper's hardware
-  (44-core Xeon for SLIDE/TF-CPU, V100 for TF-GPU).
+* the output-layer sparsity each system trained with (SLIDE touches a small
+  fraction of the output layer).
+
+The paper's wall-clock comparison (44-core Xeon vs V100) needs that
+hardware; ``python -m repro.reports --run train_throughput --out-dir DIR``
+measures sparse-vs-dense throughput on this machine instead.
 
 Run:  python examples/extreme_classification.py
 """
@@ -20,15 +22,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
-from repro.harness.experiment import (
-    DELICIOUS_PAPER_DIMS,
-    HeadToHeadExperiment,
-    project_run_to_paper_scale,
-    small_experiment_config,
-)
-from repro.harness.report import format_series, format_table
-from repro.perf.devices import SLIDE_CPU_PROFILE, TF_CPU_PROFILE, TF_GPU_PROFILE
-from repro.perf.simulator import WallClockSimulator
+from repro.harness.experiment import HeadToHeadExperiment, small_experiment_config
+from repro.harness.report import format_table
 
 
 def main() -> None:
@@ -67,37 +62,6 @@ def main() -> None:
         )
     )
 
-    # ------------------------------------------------------------------
-    # Wall-clock attribution at the paper's full-scale dimensions.
-    # ------------------------------------------------------------------
-    slide_paper = project_run_to_paper_scale(slide_run, DELICIOUS_PAPER_DIMS)
-    dense_paper = project_run_to_paper_scale(dense_run, DELICIOUS_PAPER_DIMS)
-
-    slide_sim = slide_paper.simulate(WallClockSimulator(SLIDE_CPU_PROFILE, cores=44), "SLIDE CPU (44 cores)")
-    gpu_sim = dense_paper.simulate(WallClockSimulator(TF_GPU_PROFILE), "TF-GPU (V100)")
-    cpu_sim = dense_paper.simulate(WallClockSimulator(TF_CPU_PROFILE, cores=44), "TF-CPU (44 cores)")
-
-    print(
-        format_series(
-            "seconds",
-            "precision@1",
-            {
-                sim.label: (sim.cumulative_seconds, sim.accuracies)
-                for sim in (slide_sim, gpu_sim, cpu_sim)
-            },
-            title="Simulated time-vs-accuracy at Delicious-200K dimensions",
-        )
-    )
-    target = 0.95 * min(slide_sim.final_accuracy(), gpu_sim.final_accuracy())
-    slide_t = slide_sim.time_to_accuracy(target)
-    gpu_t = gpu_sim.time_to_accuracy(target)
-    cpu_t = cpu_sim.time_to_accuracy(target)
-    if slide_t and gpu_t and cpu_t:
-        print(f"\ntime to reach precision@1 = {target:.3f}:")
-        print(f"  SLIDE (44-core CPU): {slide_t:8.1f} s")
-        print(f"  TF-GPU (V100):       {gpu_t:8.1f} s   ({gpu_t / slide_t:.1f}x slower than SLIDE)")
-        print(f"  TF-CPU (44 cores):   {cpu_t:8.1f} s   ({cpu_t / slide_t:.1f}x slower than SLIDE)")
-        print("\npaper (Delicious-200K): SLIDE is ~1.8x faster than TF-GPU and ~8x faster than TF-CPU")
 
 
 if __name__ == "__main__":

@@ -23,11 +23,11 @@ Public API overview
 * :mod:`repro.parallel` — update-conflict analysis and real multi-process
   HOGWILD training over shared-memory parameters (``SharedParamStore`` /
   ``ProcessHogwildTrainer``).
-* :mod:`repro.perf` — operation counting, calibrated device profiles and the
-  wall-clock / CPU-counter / memory models behind the paper's figures, plus
-  the real-measurement latency histogram used by the serving path.
-* :mod:`repro.harness` — one driver per table and figure of the evaluation,
-  plus the serving accuracy-vs-latency sweep.
+* :mod:`repro.perf` — real wall-clock primitives: the per-phase training
+  timer and the latency histogram / throughput meter of the serving path.
+* :mod:`repro.harness` — machinery the benches share: head-to-head training
+  runs, report rendering, measured process scaling and the serving
+  accuracy-vs-latency sweep.
 * :mod:`repro.serving` — beyond the paper: checkpointing, the
   LSH-accelerated inference engine, micro-batching, a multi-worker engine
   pool, and an HTTP/JSON model server (``repro-serve``).

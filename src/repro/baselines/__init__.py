@@ -2,8 +2,7 @@
 
 * :class:`~repro.baselines.dense.DenseNetwork` — full-softmax dense training,
   the mathematical equivalent of the TensorFlow CPU/GPU baselines (identical
-  per-iteration convergence; wall-clock is attributed by the device profiles
-  in :mod:`repro.perf.devices`).
+  per-iteration convergence).
 * :class:`~repro.baselines.sampled_softmax.SampledSoftmaxNetwork` — the
   static-sampling Sampled Softmax heuristic (Jean et al., 2015) that Figure 7
   shows converging to a worse accuracy than SLIDE's adaptive sampling.

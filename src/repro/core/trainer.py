@@ -1,10 +1,8 @@
 """Training driver for SLIDE networks.
 
 The trainer owns the epoch/batch loop, the optimiser, periodic evaluation and
-— crucially for the benchmark harness — per-iteration records of the *work*
-performed (active neurons, active weights, hash-table operations), which the
-performance model in :mod:`repro.perf` converts into simulated wall-clock
-times for the paper's time-vs-accuracy figures.
+per-iteration records of the *work* performed (active neurons, active
+weights) and of its measured wall-clock time.
 """
 
 from __future__ import annotations

@@ -2,11 +2,9 @@
 
 A :class:`HeadToHeadExperiment` trains SLIDE, the dense full-softmax baseline
 and (optionally) the sampled-softmax baseline on the *same* synthetic
-extreme-classification dataset with the same optimiser, records per-iteration
-accuracy and the **measured** per-iteration work, and attributes wall-clock
-time to each framework with the calibrated device profiles.  Every
-time-vs-accuracy / scalability / batch-size figure in the paper is a view
-over the :class:`MeasuredRun` objects this module produces.
+extreme-classification dataset with the same optimiser, and records each
+run's per-iteration accuracy and loss as a :class:`MeasuredRun`.  The
+accuracy comparisons (Fig 7, the ablations) are views over those runs.
 """
 
 from __future__ import annotations
@@ -30,15 +28,6 @@ from repro.core.inference import evaluate_precision_at_1
 from repro.core.network import SlideNetwork
 from repro.core.trainer import SlideTrainer
 from repro.datasets.synthetic import SyntheticXCConfig, SyntheticXCDataset, generate_synthetic_xc
-from repro.perf.cost_model import (
-    WorkloadCounts,
-    dense_iteration_work,
-    sampled_softmax_iteration_work,
-    slide_iteration_work,
-)
-from repro.perf.devices import SLIDE_CPU_PROFILE, TF_CPU_PROFILE, TF_GPU_PROFILE
-from repro.perf.memory import HUGEPAGES_SPEEDUP
-from repro.perf.simulator import SimulatedRun, WallClockSimulator
 from repro.types import SparseBatch
 from repro.utils.rng import derive_rng
 
@@ -46,60 +35,8 @@ __all__ = [
     "ExperimentConfig",
     "MeasuredRun",
     "HeadToHeadExperiment",
-    "PaperScaleDims",
-    "DELICIOUS_PAPER_DIMS",
-    "AMAZON_PAPER_DIMS",
-    "project_run_to_paper_scale",
     "small_experiment_config",
 ]
-
-
-@dataclass(frozen=True)
-class PaperScaleDims:
-    """The paper's full-scale workload dimensions for one dataset.
-
-    The synthetic stand-in datasets are necessarily much smaller than
-    Delicious-200K / Amazon-670K, so the *accuracy curves* come from runs on
-    the scaled data while the *work per iteration* (and hence the simulated
-    wall clock of Figures 5, 7-10) is re-expressed at the paper's dimensions.
-    ``avg_active_output`` is the active-neuron count the paper reports
-    (~1000 for Delicious, ~3000 for Amazon — under 0.5 % of the output
-    layer); the scaled runs confirm the same qualitative sparsity but cannot
-    reach the same absolute fraction with only a few hundred labels.
-    """
-
-    name: str
-    feature_nnz: float
-    hidden_dim: int
-    output_dim: int
-    batch_size: int
-    avg_active_output: float
-    k: int
-    l: int
-    sampled_softmax_fraction: float = 0.2
-
-
-DELICIOUS_PAPER_DIMS = PaperScaleDims(
-    name="Delicious-200K",
-    feature_nnz=75.0,
-    hidden_dim=128,
-    output_dim=205_443,
-    batch_size=128,
-    avg_active_output=1000.0,
-    k=9,
-    l=50,
-)
-
-AMAZON_PAPER_DIMS = PaperScaleDims(
-    name="Amazon-670K",
-    feature_nnz=75.0,
-    hidden_dim=128,
-    output_dim=670_091,
-    batch_size=256,
-    avg_active_output=3000.0,
-    k=8,
-    l=50,
-)
 
 
 @dataclass(frozen=True)
@@ -153,18 +90,8 @@ class MeasuredRun:
     iterations: np.ndarray
     accuracies: np.ndarray
     losses: np.ndarray
-    per_iteration_work: list[WorkloadCounts]
     avg_active_output: float
     final_accuracy: float
-
-    def simulate(self, simulator: WallClockSimulator, label: str | None = None) -> SimulatedRun:
-        """Attribute wall-clock time with ``simulator``'s device profile."""
-        return simulator.simulate(
-            label or self.framework,
-            self.per_iteration_work,
-            list(self.accuracies),
-            list(self.losses),
-        )
 
 
 class HeadToHeadExperiment:
@@ -174,9 +101,6 @@ class HeadToHeadExperiment:
         self.config = config
         self.dataset: SyntheticXCDataset = generate_synthetic_xc(config.dataset)
         self._rng = derive_rng(config.seed, stream=91)
-        self.avg_input_nnz = float(
-            np.mean([ex.features.nnz for ex in self.dataset.train])
-        )
 
     # ------------------------------------------------------------------
     # Model builders
@@ -237,15 +161,8 @@ class HeadToHeadExperiment:
         sampling_strategy: str = "vanilla",
         hash_family: str | None = None,
         insertion_policy: str = "fifo",
-        optimized: bool = False,
     ) -> MeasuredRun:
-        """Train SLIDE and record measured work per iteration.
-
-        ``optimized=True`` applies the Hugepages + SIMD speed-up factor the
-        paper measures in Section 5.4 (the work counts are identical; only
-        the attributed per-operation cost shrinks), producing the
-        "SLIDE-CPU Optimized" curve of Figure 10.
-        """
+        """Train SLIDE and record its accuracy curve and output-layer sparsity."""
         cfg = self.config
         network = self.build_slide_network(
             sampling_strategy=sampling_strategy,
@@ -260,34 +177,17 @@ class HeadToHeadExperiment:
         )
         history = trainer.train(self.dataset.train, self.dataset.test)
 
-        batch = batch_size or cfg.batch_size
-        works = []
-        active_per_sample = []
-        for record in history.records:
-            avg_active = record.active_neurons / max(record.batch_size, 1) - cfg.hidden_dim
-            avg_active = max(avg_active, 1.0)
-            active_per_sample.append(avg_active)
-            work = slide_iteration_work(
-                batch_size=record.batch_size,
-                avg_input_nnz=self.avg_input_nnz,
-                hidden_dim=cfg.hidden_dim,
-                avg_active_output=avg_active,
-                k=cfg.k,
-                l=cfg.l,
-                output_dim=cfg.dataset.label_dim,
-            )
-            if optimized:
-                work = work.scaled(1.0 / HUGEPAGES_SPEEDUP)
-            works.append(work)
-
-        accuracies = self._carry_forward_accuracies(history)
-        label = "SLIDE-CPU Optimized" if optimized else "SLIDE-CPU"
+        # Active output neurons per sample: the record counts every layer's
+        # active neurons, and the hidden layer is dense.
+        active_per_sample = [
+            max(record.active_neurons / max(record.batch_size, 1) - cfg.hidden_dim, 1.0)
+            for record in history.records
+        ]
         return MeasuredRun(
-            framework=label,
+            framework="SLIDE-CPU",
             iterations=np.arange(1, len(history.records) + 1),
-            accuracies=accuracies,
+            accuracies=self._carry_forward_accuracies(history),
             losses=history.losses(),
-            per_iteration_work=works,
             avg_active_output=float(np.mean(active_per_sample)) if active_per_sample else 0.0,
             final_accuracy=history.final_accuracy() or 0.0,
         )
@@ -324,26 +224,6 @@ class HeadToHeadExperiment:
         return self._run_baseline(network, "Sampled Softmax", batch_size)
 
     # ------------------------------------------------------------------
-    # Simulation views
-    # ------------------------------------------------------------------
-    def simulate_standard_devices(
-        self,
-        slide_run: MeasuredRun,
-        dense_run: MeasuredRun,
-        cores: int = 44,
-    ) -> dict[str, SimulatedRun]:
-        """The Figure 5 trio: SLIDE on CPU, dense on V100, dense on CPU."""
-        return {
-            "SLIDE CPU": slide_run.simulate(
-                WallClockSimulator(SLIDE_CPU_PROFILE, cores=cores), "SLIDE CPU"
-            ),
-            "TF-GPU": dense_run.simulate(WallClockSimulator(TF_GPU_PROFILE), "TF-GPU"),
-            "TF-CPU": dense_run.simulate(
-                WallClockSimulator(TF_CPU_PROFILE, cores=cores), "TF-CPU"
-            ),
-        }
-
-    # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _run_baseline(self, network, framework: str, batch_size: int | None) -> MeasuredRun:
@@ -356,7 +236,6 @@ class HeadToHeadExperiment:
         iterations = []
         accuracies: list[float] = []
         losses = []
-        works = []
         last_accuracy = 0.0
         iteration = 0
         for _epoch in range(training.epochs):
@@ -379,24 +258,6 @@ class HeadToHeadExperiment:
                 iterations.append(iteration)
                 accuracies.append(last_accuracy)
                 losses.append(metrics["loss"])
-                if framework == "Sampled Softmax":
-                    works.append(
-                        sampled_softmax_iteration_work(
-                            batch_size=len(batch),
-                            avg_input_nnz=self.avg_input_nnz,
-                            hidden_dim=cfg.hidden_dim,
-                            num_sampled=int(metrics.get("num_candidates", 1)),
-                        )
-                    )
-                else:
-                    works.append(
-                        dense_iteration_work(
-                            batch_size=len(batch),
-                            avg_input_nnz=self.avg_input_nnz,
-                            hidden_dim=cfg.hidden_dim,
-                            output_dim=cfg.dataset.label_dim,
-                        )
-                    )
         final_accuracy = evaluate_precision_at_1(network, eval_pool)
         if accuracies:
             accuracies[-1] = max(accuracies[-1], final_accuracy)
@@ -405,7 +266,6 @@ class HeadToHeadExperiment:
             iterations=np.asarray(iterations),
             accuracies=np.asarray(accuracies, dtype=np.float64),
             losses=np.asarray(losses, dtype=np.float64),
-            per_iteration_work=works,
             avg_active_output=float(cfg.dataset.label_dim),
             final_accuracy=final_accuracy,
         )
@@ -421,63 +281,6 @@ class HeadToHeadExperiment:
         if history.epoch_accuracy and accuracies:
             accuracies[-1] = max(accuracies[-1], history.epoch_accuracy[-1])
         return np.asarray(accuracies, dtype=np.float64)
-
-
-def project_run_to_paper_scale(
-    run: MeasuredRun,
-    dims: PaperScaleDims,
-    batch_size: int | None = None,
-) -> MeasuredRun:
-    """Re-express a measured run's per-iteration work at the paper's scale.
-
-    The accuracy/loss/iteration series are kept verbatim (they come from real
-    training on the scaled synthetic data); only the
-    :class:`~repro.perf.cost_model.WorkloadCounts` are recomputed for the
-    full-scale dimensions in ``dims``.  The framework is inferred from
-    ``run.framework``: SLIDE runs get the sparse active-output workload,
-    sampled-softmax runs get the 20 %-candidate workload, and everything else
-    is charged the dense full-softmax workload.
-    """
-    batch = batch_size or dims.batch_size
-    name = run.framework.lower()
-    works: list[WorkloadCounts] = []
-    for _ in run.per_iteration_work:
-        if "slide" in name:
-            work = slide_iteration_work(
-                batch_size=batch,
-                avg_input_nnz=dims.feature_nnz,
-                hidden_dim=dims.hidden_dim,
-                avg_active_output=dims.avg_active_output,
-                k=dims.k,
-                l=dims.l,
-                output_dim=dims.output_dim,
-            )
-            if "optimized" in name:
-                work = work.scaled(1.0 / HUGEPAGES_SPEEDUP)
-        elif "sampled" in name or "ssm" in name:
-            work = sampled_softmax_iteration_work(
-                batch_size=batch,
-                avg_input_nnz=dims.feature_nnz,
-                hidden_dim=dims.hidden_dim,
-                num_sampled=max(1, int(dims.sampled_softmax_fraction * dims.output_dim)),
-            )
-        else:
-            work = dense_iteration_work(
-                batch_size=batch,
-                avg_input_nnz=dims.feature_nnz,
-                hidden_dim=dims.hidden_dim,
-                output_dim=dims.output_dim,
-            )
-        works.append(work)
-    return MeasuredRun(
-        framework=run.framework,
-        iterations=run.iterations,
-        accuracies=run.accuracies,
-        losses=run.losses,
-        per_iteration_work=works,
-        avg_active_output=dims.avg_active_output if "slide" in name else run.avg_active_output,
-        final_accuracy=run.final_accuracy,
-    )
 
 
 def small_experiment_config(

@@ -1,12 +1,9 @@
 """Measured process-scaling driver (Figure 9 / Table 2, for real).
 
-Unlike ``figure9_scalability`` in ``benchmarks/bench_fig9_scalability.py`` —
-which *projects* convergence times onto the paper's 44-core machine with the
-calibrated device model — this module actually trains the same synthetic XC workload at
-several worker-process counts through
-:class:`repro.parallel.sharedmem.ProcessHogwildTrainer` and reports measured
-wall-clock speedups, CPU utilisation and gradient-conflict counts.  The Fig 9
-and Table 2 benchmark scripts are thin views over
+This module trains the same synthetic XC workload at several worker-process
+counts through :class:`repro.parallel.sharedmem.ProcessHogwildTrainer` and
+reports measured wall-clock speedups, CPU utilisation and gradient-conflict
+counts.  The Fig 9 and Table 2 benchmark scripts are thin views over
 :func:`measure_process_scaling`; ``examples/scalability_study.py`` drives it
 interactively.
 

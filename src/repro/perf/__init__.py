@@ -1,76 +1,21 @@
-"""Performance substrate: operation counting, device profiles, wall-clock
-simulation, and CPU-counter / memory-subsystem models.
+"""Real wall-clock measurement primitives.
 
-The paper's headline results are wall-clock comparisons on a 44-core Xeon and
-a V100 GPU.  Neither device is available here (and pure-Python execution
-cannot expose OpenMP-level scaling), so this package converts *measured
-per-iteration work* — active neurons, active weights, hash computations,
-table lookups, counted by the actual SLIDE/baseline implementations — into
-simulated wall-clock times using device profiles calibrated against the
-numbers the paper itself reports (Table 2 core utilisation, Figure 5 absolute
-times).  See DESIGN.md §2 for the substitution rationale.
+* :class:`~repro.perf.phases.PhaseTimer` — cumulative ``perf_counter``
+  seconds per named training phase (hash, probe/select, gather-GEMM,
+  optimiser, rebuild).
+* :class:`~repro.perf.latency.LatencyHistogram` and
+  :class:`~repro.perf.latency.ThroughputMeter` — per-request serving latency
+  and throughput for the model server in :mod:`repro.serving`.
 
-:mod:`repro.perf.latency` is the exception: it records *real* wall-clock
-observations (per-request serving latency, throughput) for the model server
-in :mod:`repro.serving`.
+Everything here times the running code on this host; nothing models a
+device the host does not have.
 """
 
-from repro.perf.cost_model import (
-    WorkloadCounts,
-    slide_iteration_work,
-    dense_iteration_work,
-    sampled_softmax_iteration_work,
-)
-from repro.perf.devices import (
-    DeviceProfile,
-    CPUProfile,
-    GPUProfile,
-    UtilizationCurve,
-    SLIDE_CPU_PROFILE,
-    TF_CPU_PROFILE,
-    TF_GPU_PROFILE,
-)
-from repro.perf.simulator import WallClockSimulator, SimulatedRun
-from repro.perf.cpu_counters import (
-    CPUInefficiencyBreakdown,
-    core_utilization,
-    inefficiency_breakdown,
-)
-from repro.perf.memory import (
-    PageConfig,
-    TLBModel,
-    MemoryFootprint,
-    slide_memory_footprint,
-    hugepages_counter_comparison,
-    HUGEPAGES_SPEEDUP,
-)
 from repro.perf.latency import LatencyHistogram, ThroughputMeter
 from repro.perf.phases import PhaseTimer
 
 __all__ = [
     "PhaseTimer",
-    "WorkloadCounts",
-    "slide_iteration_work",
-    "dense_iteration_work",
-    "sampled_softmax_iteration_work",
-    "DeviceProfile",
-    "CPUProfile",
-    "GPUProfile",
-    "UtilizationCurve",
-    "SLIDE_CPU_PROFILE",
-    "TF_CPU_PROFILE",
-    "TF_GPU_PROFILE",
-    "WallClockSimulator",
-    "SimulatedRun",
-    "CPUInefficiencyBreakdown",
-    "core_utilization",
-    "inefficiency_breakdown",
-    "PageConfig",
-    "TLBModel",
-    "MemoryFootprint",
-    "slide_memory_footprint",
-    "hugepages_counter_comparison",
-    "HUGEPAGES_SPEEDUP",
     "LatencyHistogram",
     "ThroughputMeter",
 ]

@@ -13,9 +13,9 @@ shape::
     }
 
 The envelope is machine-readable provenance: ``measured`` distinguishes real
-host measurements from calibrated-model output (so gating and docs can treat
-them differently), ``mode`` distinguishes CI smoke baselines from full-scale
-runs (the trend checker refuses to compare across modes).
+host measurements from modelled output such as a closed form (so gating and
+docs can treat them differently), ``mode`` distinguishes CI smoke baselines
+from full-scale runs (the trend checker refuses to compare across modes).
 """
 
 from __future__ import annotations

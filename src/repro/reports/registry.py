@@ -10,10 +10,9 @@ Conventions for a ``SPEC``
 --------------------------
 * ``smoke_params`` are CI-scale: the committed ``BENCH_*.json`` baselines
   are generated in smoke mode so trend comparisons are like-for-like.
-* ``measured=False`` marks benchmarks whose headline numbers restate the
-  paper's calibrated factors (e.g. the 1.3x hugepages/SIMD speedup) instead
-  of measuring this host; they are stamped as modelled in the envelope and
-  excluded from trend gating.
+* ``measured=False`` marks benchmarks whose numbers do not measure this host
+  (fig 11 plots the closed form of Eq. 3); they are stamped as modelled in
+  the envelope and excluded from trend gating.
 * Deterministic metrics (precision with a fixed seed) get tight tolerances;
   wall-clock metrics get loose ones — CI containers are noisy neighbours.
 """

@@ -4,7 +4,7 @@ A :class:`BenchSpec` is the single source of truth for one figure/table/
 ablation reproduction, and it lives in the file that produces the numbers:
 ``benchmarks/bench_<bench_id>.py`` exports ``SPEC`` (this dataclass: title,
 paper anchor, payload JSON schema, smoke and full parameters, whether the
-numbers are *measured* on this host or derived from a calibrated model, and
+numbers are *measured* on this host or modelled (e.g. a closed form), and
 which metrics :mod:`repro.reports.trend` gates against the committed
 baseline) next to ``run(params) -> dict`` (pure: no I/O, no envelope — the
 registry runner stamps and validates), ``check(payload, smoke) -> list[str]``
@@ -81,11 +81,11 @@ class BenchSpec:
 
     bench_id: str  # names benchmarks/bench_<bench_id>.py and BENCH_<bench_id>.json
     title: str
-    paper_anchor: str  # e.g. "Fig 10", "Table 4", "Ablation", "beyond-paper"
+    paper_anchor: str  # e.g. "Fig 7", "Table 2", "Ablation", "beyond-paper"
     schema: dict[str, Any]  # JSON schema for the *payload* (envelope is shared)
     smoke_params: dict[str, Any] = field(default_factory=dict)
     full_params: dict[str, Any] = field(default_factory=dict)
-    measured: bool = True  # False: derived from a calibrated model, never trend-gated
+    measured: bool = True  # False: modelled (e.g. a closed form), never trend-gated
     gates: tuple[MetricGate, ...] = ()
     timeout_s: float = 120.0  # per-generator smoke budget (tests enforce it)
     notes: str = ""

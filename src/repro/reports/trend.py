@@ -7,8 +7,9 @@ the verdict.  A gated metric that regresses beyond its declared tolerance
 fails the check with the offending metric named.
 
 Modelled benchmarks (``spec.measured is False``) are *never* gated — their
-payloads restate calibrated paper factors, so "regressions" there would only
-measure the model's constants.  They are reported as skipped.
+payloads are not host measurements (fig 11 is a closed form), so a
+"regression" there would only be a changed formula.  They are reported as
+skipped.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from repro.core.network import SlideNetwork
 from repro.core.trainer import SlideTrainer
 from repro.data.ingest import ingest_examples
 from repro.data.shards import ShardedDataset
+from repro.datasets.synthetic import delicious_like_config, generate_synthetic_xc
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -33,6 +34,7 @@ from repro.faults import (
     tear_checkpoint,
 )
 from repro.parallel.sharedmem import ProcessHogwildTrainer
+from repro.reports import get_spec
 from repro.serving import (
     CheckpointError,
     CheckpointStore,
@@ -523,3 +525,22 @@ class TestSupervisedChaos:
         )
         with pytest.raises(CheckpointError, match="batch_size"):
             mismatched.train(dataset, resume=store_root)
+
+
+# ----------------------------------------------------------------------
+# The fault_recovery bench's kill point
+# ----------------------------------------------------------------------
+def test_fault_recovery_smoke_kill_lands_inside_the_victims_first_item(tmp_path):
+    # Only a slot's first work item is sure to be its own (later items go to
+    # whichever slot is idle), so a kill batch at or past one item's batch
+    # count may never fire: the run then records no death and no recovery.
+    bench = get_spec("fault_recovery").load_module()
+    scale, _ = bench.SMOKE_WORKLOAD
+    batch_size = 32
+    dataset = generate_synthetic_xc(delicious_like_config(scale=scale, seed=0))
+    sharded = bench._ingest_shards(dataset, batch_size, str(tmp_path), seed=0)
+    item_batches = [
+        sum(1 for _ in ShardedDataset(tmp_path, shard_subset=group).iter_batches(batch_size))
+        for group in sharded.assign_shards(bench.WORKERS)
+    ]
+    assert 1 <= bench._kill_at_batch(sharded, batch_size) < min(item_batches)

@@ -2,23 +2,18 @@
 
 These complement the per-module property tests with invariants that span
 module boundaries: LSH index consistency under arbitrary insert/remove
-sequences, fingerprint injectivity, workload-count algebra, rebuild-schedule
-monotonicity, and simulator monotonicity.
+sequences, fingerprint injectivity and rebuild-schedule monotonicity.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import LSHConfig
 from repro.lsh.index import LSHIndex
 from repro.lsh.scheduler import ExponentialDecaySchedule
-from repro.perf.cost_model import WorkloadCounts, slide_iteration_work
-from repro.perf.devices import SLIDE_CPU_PROFILE, TF_GPU_PROFILE
-from repro.perf.simulator import WallClockSimulator
 
 
 @given(
@@ -98,54 +93,3 @@ def test_rebuild_schedule_iterations_strictly_increase(initial, decay, rebuilds)
     # +/-1 jitter introduced by rounding the cumulative sum to integers.
     gaps = np.diff([0] + planned)
     assert all(b >= a - 1 for a, b in zip(gaps, gaps[1:]))
-
-
-@given(
-    dense=st.floats(0, 1e9),
-    sparse=st.floats(0, 1e9),
-    hashes=st.floats(0, 1e7),
-    lookups=st.floats(0, 1e5),
-    factor=st.floats(0.1, 10.0),
-)
-@settings(max_examples=60, deadline=None)
-def test_workload_counts_algebra(dense, sparse, hashes, lookups, factor):
-    a = WorkloadCounts(dense, sparse, hashes, lookups, 0.0)
-    b = WorkloadCounts(1.0, 2.0, 3.0, 4.0, 5.0)
-    total = a + b
-    assert total.total_macs == pytest.approx(a.total_macs + b.total_macs)
-    scaled = a.scaled(factor)
-    assert scaled.dense_macs == pytest.approx(dense * factor)
-    # Scaling and adding commute: (a + b) * f == a*f + b*f
-    lhs = (a + b).scaled(factor)
-    rhs = a.scaled(factor) + b.scaled(factor)
-    assert lhs.total_macs == pytest.approx(rhs.total_macs)
-    assert lhs.table_lookups == pytest.approx(rhs.table_lookups)
-
-
-@given(
-    batch=st.integers(1, 512),
-    active=st.floats(1, 10_000),
-    cores=st.integers(1, 44),
-)
-@settings(max_examples=60, deadline=None)
-def test_device_times_positive_and_cpu_gpu_consistent(batch, active, cores):
-    work = slide_iteration_work(batch, 75, 128, active, 8, 50, output_dim=670_091)
-    cpu_time = SLIDE_CPU_PROFILE.iteration_seconds(work, cores=cores)
-    gpu_time = TF_GPU_PROFILE.iteration_seconds(work)
-    assert cpu_time > 0 and gpu_time > 0
-    # More cores never hurt.
-    assert SLIDE_CPU_PROFILE.iteration_seconds(work, cores=44) <= cpu_time + 1e-12
-
-
-@given(
-    accuracies=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
-)
-@settings(max_examples=60, deadline=None)
-def test_simulated_run_time_axis_is_monotone(accuracies):
-    work = [WorkloadCounts(dense_macs=1e6)] * len(accuracies)
-    run = WallClockSimulator(TF_GPU_PROFILE).simulate("x", work, accuracies)
-    assert np.all(np.diff(run.cumulative_seconds) > 0)
-    best = max(accuracies)
-    reached = run.time_to_accuracy(best)
-    assert reached is not None
-    assert reached <= run.cumulative_seconds[-1] + 1e-12

@@ -67,7 +67,6 @@ class TestSubpackageExports:
             "repro",
             "repro.perf",
             "repro.core",
-            "repro.perf.simulator",
             "repro.serving",
             "repro.harness",
             "repro.parallel",
@@ -85,9 +84,9 @@ class TestSubpackageExports:
         ],
     )
     def test_imports_first_in_a_fresh_interpreter(self, module):
-        # repro.core imports repro.perf (PhaseTimer) at module level; that is
-        # only cycle-free while repro.perf needs repro.core for annotations
-        # alone, whichever of the packages a process happens to import first.
+        # repro.core imports repro.perf (PhaseTimer) at module level, so
+        # repro.perf must stay free of repro.core imports, whichever of the
+        # packages a process happens to import first.
         # scipy is not a declared dependency (setup.py: numpy only), and where
         # it is installed it would be most of the import time of every bench
         # child, HOGWILD worker and serving replica.

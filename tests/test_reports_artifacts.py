@@ -87,9 +87,9 @@ def test_wrong_bench_id_fails_validation():
 
 
 def test_measured_flag_contradicting_registry_fails_validation():
-    # fig10 is a modelled artifact; claiming measured=true in the envelope
+    # fig11 is a modelled artifact; claiming measured=true in the envelope
     # must fail (docs and gating key off this flag).
-    spec, document = _golden("fig10_hugepages_simd")
+    spec, document = _golden("fig11_hard_threshold")
     assert spec.measured is False
     broken = copy.deepcopy(document)
     broken["envelope"]["measured"] = True

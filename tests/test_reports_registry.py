@@ -80,6 +80,9 @@ def test_bench_ids_are_unique_and_artifacts_distinct():
     assert len(ids) == len(set(ids))
     artifacts = [spec.artifact for spec in SPECS]
     assert len(artifacts) == len(set(artifacts))
+    # A deleted bench must not leave its baseline behind.
+    committed = {path.name for path in REPO_ROOT.glob("BENCH_*.json")}
+    assert committed == set(artifacts)
 
 
 def test_unknown_bench_id_raises_with_known_ids():
@@ -107,10 +110,10 @@ def test_spec_declares_sane_metadata(spec):
 
 
 def test_modelled_specs_never_declare_gates():
-    # Satellite of the trend design: modelled payloads restate calibrated
-    # paper factors, so "regressions" there would only measure constants.
+    # Satellite of the trend design: modelled payloads are not host
+    # measurements, so "regressions" there would only measure a formula.
     modelled = [spec.bench_id for spec in SPECS if not spec.measured]
-    assert "fig10_hugepages_simd" in modelled and "table4_hugepages_counters" in modelled
+    assert "fig11_hard_threshold" in modelled
     for spec in SPECS:
         if not spec.measured:
             assert spec.gates == (), f"{spec.bench_id} is modelled but declares gates"

@@ -124,18 +124,15 @@ def test_identical_artifact_passes_every_gate():
 
 
 # ----------------------------------------------------------------------
-# Modelled artifacts are excluded from gating (satellite: fig10/table4)
+# Modelled artifacts are excluded from gating
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("bench_id", ["fig10_hugepages_simd", "table4_hugepages_counters"])
-def test_modelled_metric_mutation_is_not_gated(bench_id):
-    spec, committed = _golden(bench_id)
+def test_modelled_metric_mutation_is_not_gated():
+    spec, committed = _golden("fig11_hard_threshold")
     fresh = copy.deepcopy(committed)
-    # Blow up every top-level numeric in the modelled payload; the trend
-    # checker must still skip (these numbers restate calibrated paper
-    # factors, not host measurements).
-    for key, value in list(fresh["payload"].items()):
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            fresh["payload"][key] = value * 10.0
+    # Blow up every curve in the modelled payload; the trend checker must
+    # still skip (a closed form is not a host measurement).
+    for curve in fresh["payload"]["series"].values():
+        curve["selection_p"] = [p * 10.0 for p in curve["selection_p"]]
     report = compare_documents(spec, committed, fresh)
     assert report.ok
     assert report.results == []
@@ -176,7 +173,7 @@ def test_check_trend_against_self_is_clean(tmp_path):
     # Copy the committed baseline into the "fresh" dir: like-for-like must
     # pass every gate and skip the ungated/modelled specs.
     gated = get_spec("train_throughput")
-    modelled = get_spec("fig10_hugepages_simd")
+    modelled = get_spec("fig11_hard_threshold")
     for spec in (gated, modelled):
         (tmp_path / spec.artifact).write_text(spec.artifact_path().read_text())
     report = check_trend([gated, modelled], fresh_dir=tmp_path)
