@@ -42,7 +42,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.11",
-    install_requires=["numpy"],
+    install_requires=["numpy>=2.1"],
     extras_require={
         "test": ["pytest", "hypothesis"],
         "lint": ["ruff"],

@@ -124,10 +124,11 @@ class SlideLayer:
         if sampled.size < min_active and min_active > 0:
             # Early in training the tables can be nearly empty for a query;
             # pad with uniformly random neurons so learning never stalls.
+            # The draw can repeat sampled ids, so count what the union added.
             needed = min(min_active - sampled.size, self.size)
             extra = self._rng.choice(self.size, size=needed, replace=False)
             sampled = np.union1d(sampled, extra.astype(np.int64))
-            fallback = int(needed)
+            fallback = int(sampled.size) - from_tables
 
         if forced_active is not None and forced_active.size:
             # Merge in only the forced ids the tables did not retrieve; a

@@ -37,7 +37,8 @@ key order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -72,31 +73,63 @@ def _radix_chunks(k: int, cardinality: int, bits: int) -> list[tuple[slice, np.n
     return chunks
 
 
-@dataclass
 class QueryResult:
     """The ``L`` candidate buckets one query row drew from the tables.
 
+    Held as the row's ``(L, S)`` candidate matrix and its ``(L,)`` bucket
+    sizes — table ``t``'s bucket is ``candidates[t, :sizes[t]]`` — so a row
+    of a :class:`BatchQueryResult` is three views and a bucket array is
+    built only when a consumer reads it.  ``QueryResult(buckets=[...])``
+    pads a hand-made bucket list into the same form.
+
     Attributes
     ----------
-    buckets:
-        One integer array of candidate neuron ids per table (length ``L``).
+    candidates:
+        ``(L, S)`` candidate neuron ids; entries past ``sizes[t]`` are unused.
+    sizes:
+        ``(L,)`` number of candidates each table returned.
     codes:
-        The ``(L, K)`` elementary hash codes of the query.
+        The ``(L, K)`` elementary hash codes of the query, when known.
     """
 
-    buckets: list[IntArray] = field(default_factory=list)
-    codes: IntArray | None = None
+    __slots__ = ("candidates", "sizes", "codes")
+
+    def __init__(
+        self,
+        buckets: Sequence[IntArray] = (),
+        codes: IntArray | None = None,
+        *,
+        candidates: IntArray | None = None,
+        sizes: IntArray | None = None,
+    ) -> None:
+        if candidates is None or sizes is None:
+            arrays = [np.asarray(bucket, dtype=np.int64) for bucket in buckets]
+            sizes = np.array([bucket.size for bucket in arrays], dtype=np.int64)
+            candidates = np.full(
+                (len(arrays), int(sizes.max(initial=0))), -1, dtype=np.int64
+            )
+            for table, bucket in enumerate(arrays):
+                candidates[table, : bucket.size] = bucket
+        self.candidates = candidates
+        self.sizes = sizes
+        self.codes = codes
+
+    @property
+    def buckets(self) -> list[IntArray]:
+        """One array of candidate ids per table (views, length ``L``)."""
+        return [
+            self.candidates[table, :size]
+            for table, size in enumerate(self.sizes.tolist())
+        ]
 
     def frequencies(self) -> tuple[IntArray, IntArray]:
         """Candidate ids with the number of tables in which each appeared."""
-        if not self.buckets:
+        filled = np.arange(self.candidates.shape[1]) < self.sizes[:, None]
+        values = self.candidates[filled]
+        if values.size == 0:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty
-        concatenated = np.concatenate(self.buckets)
-        if concatenated.size == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
-        ids, counts = np.unique(concatenated, return_counts=True)
+        ids, counts = np.unique(values, return_counts=True)
         return ids.astype(np.int64), counts.astype(np.int64)
 
 
@@ -106,9 +139,8 @@ class BatchQueryResult:
 
     ``candidates[b, t]`` holds the bucket contents table ``t`` returned for
     query row ``b``, padded with ``-1`` beyond ``sizes[b, t]`` — no per-query
-    Python objects are materialised.  :meth:`result` builds a per-row
-    :class:`QueryResult` view on demand for consumers that want the
-    per-table bucket list (e.g. the sampling strategies).
+    Python objects are materialised.  :meth:`result` hands one row to the
+    sampling strategies as a :class:`QueryResult` of views.
     """
 
     codes: IntArray  # (batch, L, K)
@@ -120,12 +152,12 @@ class BatchQueryResult:
         return int(self.candidates.shape[0])
 
     def result(self, row: int) -> QueryResult:
-        """Per-row :class:`QueryResult` (bucket arrays are views)."""
-        candidates = self.candidates[row]
-        buckets = [
-            candidates[t, :size] for t, size in enumerate(self.sizes[row].tolist())
-        ]
-        return QueryResult(buckets=buckets, codes=self.codes[row])
+        """Per-row :class:`QueryResult` (views of this batch's arrays)."""
+        return QueryResult(
+            codes=self.codes[row],
+            candidates=self.candidates[row],
+            sizes=self.sizes[row],
+        )
 
     def frequencies(self, row: int) -> tuple[IntArray, IntArray]:
         """One row's candidate ids with their cross-table collision counts."""

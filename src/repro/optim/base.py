@@ -18,16 +18,19 @@ from repro.utils.sparse import spans_all
 
 __all__ = ["Optimizer"]
 
-# Elements per array that one chunk of a block update works on.  A chunk of
-# the parameter, its state arrays (two for Adam), the gradient and the update
-# rule's scratch is then ~0.2 MB of float32: resident in L2, and small enough
-# that the allocator recycles the temporaries instead of mapping fresh pages.
-_CHUNK_ELEMENTS = 8192
-# Least rows in a chunk of ``sparse_step``'s all-rows walk, whose scatter
-# writes column by column, one element per row: fewer rows pay the per-chunk
-# calls more often; more, under a power-of-two fan-in, put more lines into
-# one L1 set than it has ways.  Measured on (128, 8192) with 2848 columns:
-# 2 rows 14.5 ms, 8 rows 7.7, 16 rows 10.4, 128 rows 19.0 (``np.ix_`` 13.1).
+# Elements per array that one chunk of a block update works on: 64 KiB of
+# float32, under glibc's 128 KiB mmap threshold, so the allocator recycles
+# the temporaries instead of mapping fresh pages.  A chunk of the parameter,
+# its state arrays (two for Adam), the gradient and the update rule's two
+# scratch arrays is then ~0.4 MB, resident in L2.  Measured on the (32768,
+# 128) output layer's 8,200-row block, float32, one core of a 2-core Xeon
+# with 2 MiB of L2 a core: 8,192 elements 12.0-12.4 ms, 16,384 10.0-10.1 ms,
+# 32,768 10.1-10.4 ms.
+_CHUNK_ELEMENTS = 16384
+# Least rows in a chunk of ``sparse_step``'s all-rows column walk, which
+# gathers and scatters one flat id per element.  Measured on (128, 8192)
+# float32 with 2,848 columns: 5 rows (the chunk-size floor) 8.5 ms, 8 rows
+# 8.4, 16 rows 8.6, 128 rows 10.6.
 _TAKE_CHUNK_ROWS = 8
 
 
@@ -122,9 +125,12 @@ class Optimizer(abc.ABC):
         ``0..fan_in-1`` is treated the same way, so a full-width block is
         moved as contiguous rows and not element by element.  The mirror
         image — ``rows`` exactly ``0..n-1`` under a column subset, a layer
-        without LSH over sparse inputs — walks row slices of the parameter
-        as views and moves each chunk with a column ``take``: the same
-        elements read and written as ``np.ix_`` would, hence the same bits.
+        without LSH over sparse inputs — gathers and scatters each chunk
+        of rows through one array of flat ids: the same elements read and
+        written as ``np.ix_`` would, hence the same bits.  That walk needs
+        ``param`` and its state to flatten without a copy and ``cols`` to
+        be non-negative, and raises otherwise.  An out-of-range id raises
+        ``IndexError`` on every walk, before its own chunk is written.
 
         The block is walked in chunks of about ``_CHUNK_ELEMENTS`` along
         ``rows`` only (a ``cols`` set is never split): each chunk of the
@@ -149,33 +155,69 @@ class Optimizer(abc.ABC):
         state = self._state[name]
         whole_rows = param.ndim == 1 or spans_all(cols, param.shape[1])
         if not whole_rows and spans_all(rows, param.shape[0]):
-            stride = max(_TAKE_CHUNK_ROWS, _rows_per_chunk(cols.size))
-            for start in range(0, rows.size, stride):
-                span = slice(start, start + stride)
-                param_chunk = param[span].take(cols, axis=1)
-                state_chunk = {
-                    key: array[span].take(cols, axis=1)
-                    for key, array in state.items()
-                }
-                self._update_chunk(param_chunk, state_chunk, grad_block[span])
-                for key, array in state.items():
-                    array[span][:, cols] = state_chunk[key]
-                param[span][:, cols] = param_chunk
+            self._column_walk(param, state, cols, grad_block)
             return
         stride = _rows_per_chunk(
             1 if param.ndim == 1 else (param.shape[1] if whole_rows else cols.size)
         )
         for start in range(0, rows.size, stride):
             chunk_rows = rows[start : start + stride]
-            index = chunk_rows if whole_rows else np.ix_(chunk_rows, cols)
-            param_chunk = param[index]
-            state_chunk = {key: array[index] for key, array in state.items()}
+            if whole_rows:
+                index = chunk_rows
+                param_chunk = param.take(chunk_rows, axis=0)
+                state_chunk = {
+                    key: array.take(chunk_rows, axis=0) for key, array in state.items()
+                }
+            else:
+                index = np.ix_(chunk_rows, cols)
+                param_chunk = param[index]
+                state_chunk = {key: array[index] for key, array in state.items()}
             self._update_chunk(
                 param_chunk, state_chunk, grad_block[start : start + stride]
             )
             for key, array in state.items():
                 array[index] = state_chunk[key]
             param[index] = param_chunk
+
+    def _column_walk(
+        self,
+        param: FloatArray,
+        state: dict[str, FloatArray],
+        cols: IntArray,
+        grad_block: FloatArray,
+    ) -> None:
+        """``sparse_step`` over every row of ``param`` under a column subset.
+
+        Each chunk of rows is gathered and scattered through one array of
+        flat ids ``row * width + col`` into 1-D views of the parameter and
+        its state.
+        """
+        width = param.shape[1]
+        if cols.size and (cols.min() < 0 or cols.max() >= width):
+            # A flat id would wrap an out-of-range column into another row.
+            raise IndexError(f"sparse_step column ids must lie in [0, {width})")
+        # 1-D views; ``copy=False`` raises ValueError where only a copy would
+        # flatten, instead of scattering into it.
+        flat_param = np.reshape(param, -1, copy=False)
+        flat_state = {
+            key: np.reshape(array, -1, copy=False) for key, array in state.items()
+        }
+        stride = max(_TAKE_CHUNK_ROWS, _rows_per_chunk(cols.size))
+        # Flat ids of the current chunk, advanced in place one chunk at a time.
+        flat_ids = np.arange(min(stride, param.shape[0]))[:, None] * width + cols
+        for start in range(0, param.shape[0], stride):
+            index = flat_ids[: param.shape[0] - start]
+            param_chunk = flat_param.take(index)
+            state_chunk = {
+                key: array.take(index) for key, array in flat_state.items()
+            }
+            self._update_chunk(
+                param_chunk, state_chunk, grad_block[start : start + stride]
+            )
+            for key, array in flat_state.items():
+                array[index] = state_chunk[key]
+            flat_param[index] = param_chunk
+            flat_ids += stride * width
 
     @abc.abstractmethod
     def _update_chunk(

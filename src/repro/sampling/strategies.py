@@ -61,26 +61,35 @@ class VanillaSampling(SamplingStrategy):
     def select_from_result(self, result: QueryResult, target_active: int | None) -> IntArray:
         # RNG consumption: one table permutation, plus one subset draw when
         # over target.
-        order = self._rng.permutation(len(result.buckets))
+        candidates = result.candidates
+        sizes = result.sizes.tolist()
+        order = self._rng.permutation(len(sizes))
         # Running sorted-unique union of the probed buckets: each probe merges
         # one bucket instead of re-deduplicating everything collected so far.
         # Sort + neighbour compare is np.union1d without its fixed cost, which
-        # dominates on bucket-sized arrays.
+        # dominates on bucket-sized arrays.  A bucket is read only when its
+        # table is probed.
         unique = np.zeros(0, dtype=np.int64)
-        for table_idx in order:
-            bucket = result.buckets[table_idx]
-            if bucket.size:
-                merged = np.sort(np.concatenate((unique, bucket)))
-                first = np.ones(merged.size, dtype=bool)
+        for table_idx in order.tolist():
+            size = sizes[table_idx]
+            if size:
+                merged = candidates[table_idx, :size]
+                if unique.size:
+                    merged = np.concatenate((unique, merged))
+                merged = np.sort(merged)
+                first = np.empty(merged.size, dtype=bool)
+                first[0] = True
                 np.not_equal(merged[1:], merged[:-1], out=first[1:])
                 unique = merged[first]
             if target_active is not None and unique.size >= target_active:
                 break
         if target_active is not None and unique.size > target_active:
-            # Keep a uniformly random subset so the expected size matches beta.
+            # Keep a uniformly random subset so the expected size matches beta;
+            # sorted positions into the sorted union keep the result sorted.
             keep = self._rng.choice(unique.size, size=target_active, replace=False)
-            unique = np.sort(unique[keep])
-        return unique.astype(np.int64)
+            keep.sort()
+            unique = unique[keep]
+        return unique.astype(np.int64, copy=False)
 
 
 class TopKSampling(SamplingStrategy):

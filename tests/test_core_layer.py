@@ -100,6 +100,24 @@ class TestLSHLayerForward:
         state = forward(layer, np.arange(3), rng.normal(size=3))
         assert state.active_sets[0].size >= 16
 
+    def test_fallback_counts_only_the_ids_padding_added(self):
+        """The random padding draws from every neuron, sampled ones included;
+        a drawn id the tables already returned is not counted twice."""
+        config = LayerConfig(
+            size=6,
+            activation="softmax",
+            lsh=LSHConfig(hash_family="simhash", k=2, l=2, bucket_size=4),
+            sampling=SamplingConfig(strategy="vanilla", target_active=3, min_active=5),
+        )
+        layer = SlideLayer(fan_in=4, config=config, seed=6)
+        overlapped = 0
+        for _ in range(200):
+            ids, from_tables, fallback = layer.finalize_active(np.array([0, 1, 2]))
+            assert from_tables == 3
+            assert ids.size == from_tables + fallback
+            overlapped += fallback < 2
+        assert overlapped > 0
+
     def test_activation_matches_dense_on_active_set(self, rng):
         layer = SlideLayer(fan_in=16, config=lsh_layer_config(), seed=7)
         dense_input = np.zeros(16, dtype=FLOAT)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.config import OptimizerConfig
 from repro.optim.adam import AdamOptimizer
-from repro.optim.base import _CHUNK_ELEMENTS
+from repro.optim.base import _CHUNK_ELEMENTS, _TAKE_CHUNK_ROWS
 from repro.optim.factory import make_optimizer
 from repro.optim.sgd import SGDOptimizer
 from repro.types import FLOAT
@@ -228,21 +228,54 @@ def _sorted_rows(rng, upper, count):
     return np.sort(rng.choice(upper, size=count, replace=False))
 
 
-# name -> (param shape, rows, cols, chunks the block is walked in)
+# Rows in one chunk of a block ``width`` elements wide.
+def _stride(width):
+    return max(1, _CHUNK_ELEMENTS // width)
+
+
+# Rows in one chunk of the all-rows column walk over ``width`` columns.
+def _column_walk_stride(width):
+    return max(_TAKE_CHUNK_ROWS, _stride(width))
+
+
+# name -> (param shape, rows, cols, chunks the block is walked in); every
+# shape is sized from the chunk constants, so the chunk counts hold for any
+# value of them.
 def block_cases(rng):
+    partial = 2 * _stride(70) + _stride(70) // 2
+    full_width = 3 * _stride(128) + 8
+    bias = 2 * _CHUNK_ELEMENTS + _CHUNK_ELEMENTS // 4
+    # Wide enough that the row floor, not the chunk size, sets the stride.
+    walk_width = 4 * _CHUNK_ELEMENTS // _TAKE_CHUNK_ROWS
+    walk_rows = 2 * _column_walk_stride(3 * walk_width // 4) + 3
     return {
         "three_chunks_partial_cols": (
-            (400, 96), _sorted_rows(rng, 400, 300), _sorted_rows(rng, 96, 70), 3
+            (partial + 100, 96),
+            _sorted_rows(rng, partial + 100, partial),
+            _sorted_rows(rng, 96, 70),
+            3,
         ),
         "exactly_one_chunk": (
-            (100, 128), _sorted_rows(rng, 100, _CHUNK_ELEMENTS // 128), None, 1
+            (2 * _stride(128), 128),
+            _sorted_rows(rng, 2 * _stride(128), _stride(128)),
+            None,
+            1,
         ),
         "small_partial_cols": ((6, 5), np.array([1, 4]), np.array([0, 2, 3]), 1),
         "full_width_cols": (
-            (300, 128), _sorted_rows(rng, 300, 200), np.arange(128), 4
+            (full_width + 100, 128),
+            _sorted_rows(rng, full_width + 100, full_width),
+            np.arange(128),
+            4,
         ),
-        "bias_vector": ((20000,), _sorted_rows(rng, 20000, 18000), None, 3),
+        "bias_vector": ((bias + 2000,), _sorted_rows(rng, bias + 2000, bias), None, 3),
         "empty_rows": ((5, 4), np.zeros(0, dtype=np.int64), np.array([1, 2]), 0),
+        "all_rows_partial_cols": (
+            (walk_rows, walk_width),
+            np.arange(walk_rows),
+            _sorted_rows(rng, walk_width, 3 * walk_width // 4),
+            3,
+        ),
     }
 
 
@@ -258,7 +291,12 @@ class TestChunkedSparseStep:
         make, oracle_step = OPTIMISERS[optimiser]
         shape, rows, cols, chunks = block_cases(rng)[case]
         width = 1 if len(shape) == 1 else (shape[1] if cols is None else cols.size)
-        stride = max(1, _CHUNK_ELEMENTS // width)
+        column_walk = (
+            cols is not None
+            and cols.size < shape[1]
+            and np.array_equal(rows, np.arange(shape[0]))
+        )
+        stride = _column_walk_stride(width) if column_walk else _stride(width)
         assert -(-rows.size // stride) == chunks
 
         opt = make()
@@ -309,16 +347,69 @@ class TestChunkedSparseStep:
                 np.testing.assert_array_equal(array, expected_state[key])
 
     @pytest.mark.parametrize(
+        "shape,rows,cols",
+        [
+            ((10,), np.array([3, 10]), None),
+            ((10, 4), np.array([3, 10]), None),
+            ((10, 4), np.array([3, 10]), np.arange(4)),
+            ((10, 4), np.array([3, 10]), np.array([1, 2])),
+            ((10, 4), np.arange(10), np.array([1, 4])),
+            ((10, 4), np.arange(10), np.array([-1, 2])),
+        ],
+        ids=[
+            "bias_row",
+            "whole_row",
+            "full_width_row",
+            "block_row",
+            "column_walk_col",
+            "column_walk_negative_col",
+        ],
+    )
+    def test_out_of_range_id_raises_before_its_chunk_is_written(
+        self, shape, rows, cols
+    ):
+        opt = AdamOptimizer()
+        opt.register("w", shape)
+        param = np.zeros(shape, dtype=FLOAT)
+        grad_shape = (rows.size,) if cols is None else (rows.size, cols.size)
+        opt.begin_step()
+        with pytest.raises(IndexError):
+            opt.sparse_step("w", param, rows, cols, np.ones(grad_shape, dtype=FLOAT))
+        assert not param.any()
+        for array in opt.state_of("w").values():
+            assert not array.any()
+
+    @pytest.mark.parametrize("strided", ["param", "m"])
+    def test_column_walk_refuses_an_array_it_cannot_flatten(self, strided):
+        """The all-rows walk scatters through 1-D views: an array that only a
+        copy could flatten must raise, never take the update silently."""
+        opt = AdamOptimizer()
+        opt.register("w", (8, 6))
+        backing = np.zeros((8, 12), dtype=FLOAT)
+        param = np.zeros((8, 6), dtype=FLOAT)
+        if strided == "param":
+            param = backing[:, :6]
+        else:
+            opt.set_state_array("w", "m", backing[:, :6])
+        opt.begin_step()
+        with pytest.raises(ValueError, match="copy"):
+            opt.sparse_step(
+                "w", param, np.arange(8), np.array([1, 3]), np.ones((8, 2), dtype=FLOAT)
+            )
+        assert not backing.any() and not param.any()
+
+    @pytest.mark.parametrize(
         "cols", [np.arange(128), np.arange(0, 128, 2)], ids=["full_width", "partial"]
     )
     def test_sparse_step_allocates_no_block_sized_temporary(self, rng, cols):
         """Peak traced memory is a few chunks (parameter, two moments, two
         scratch arrays, index arrays), far under the 2-4 MB block."""
-        rows = _sorted_rows(rng, 8192, 4096)
+        chunk_bytes = _CHUNK_ELEMENTS * np.dtype(FLOAT).itemsize
+        rows = _sorted_rows(rng, _CHUNK_ELEMENTS, _CHUNK_ELEMENTS // 2)
         opt = AdamOptimizer(update_clip=1.0)
-        opt.register("w", (8192, 128))
-        param = rng.normal(size=(8192, 128))
-        grad = rng.normal(size=(rows.size, cols.size))
+        opt.register("w", (_CHUNK_ELEMENTS, 128))
+        param = rng.normal(size=(_CHUNK_ELEMENTS, 128)).astype(FLOAT)
+        grad = rng.normal(size=(rows.size, cols.size)).astype(FLOAT)
         opt.begin_step()
         opt.sparse_step("w", param, rows, cols, grad)
         tracemalloc.start()
@@ -327,15 +418,16 @@ class TestChunkedSparseStep:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert grad.nbytes >= 32 * _CHUNK_ELEMENTS * 8
-        assert peak < 10 * _CHUNK_ELEMENTS * 8
+        assert grad.nbytes >= 32 * chunk_bytes
+        assert peak < 10 * chunk_bytes
 
     def test_dense_step_allocates_no_parameter_sized_temporary(self, rng):
+        chunk_bytes = _CHUNK_ELEMENTS * np.dtype(FLOAT).itemsize
         shape = (4096, 128)
         opt = AdamOptimizer()
         opt.register("w", shape)
-        param = rng.normal(size=shape)
-        grad = rng.normal(size=shape)
+        param = rng.normal(size=shape).astype(FLOAT)
+        grad = rng.normal(size=shape).astype(FLOAT)
         opt.begin_step()
         tracemalloc.start()
         try:
@@ -343,7 +435,8 @@ class TestChunkedSparseStep:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 10 * _CHUNK_ELEMENTS * 8
+        assert param.nbytes >= 32 * chunk_bytes
+        assert peak < 10 * chunk_bytes
 
 
 class TestFactory:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import LSHConfig, SamplingConfig
-from repro.lsh.index import LSHIndex, QueryResult
+from repro.lsh.index import BatchQueryResult, LSHIndex, QueryResult
 from repro.sampling.probability import hard_threshold_curve
 from repro.sampling.strategies import (
     HardThresholdSampling,
@@ -97,6 +97,83 @@ class TestVanillaSampling:
             assert selected.dtype == np.int64
             np.testing.assert_array_equal(selected, expected)
             assert strategy._rng.integers(1 << 30) == oracle_rng.integers(1 << 30)
+
+
+def merge_loop_reference(generator, result, target_active):
+    """Vanilla selection as a merge loop over ``QueryResult.buckets``: the
+    first probed bucket merged into an empty array like every later one."""
+    order = generator.permutation(len(result.buckets))
+    unique = np.zeros(0, dtype=np.int64)
+    for table_idx in order:
+        bucket = result.buckets[table_idx]
+        if bucket.size:
+            merged = np.sort(np.concatenate((unique, bucket)))
+            first = np.ones(merged.size, dtype=bool)
+            np.not_equal(merged[1:], merged[:-1], out=first[1:])
+            unique = merged[first]
+        if target_active is not None and unique.size >= target_active:
+            break
+    if target_active is not None and unique.size > target_active:
+        keep = generator.choice(unique.size, size=target_active, replace=False)
+        unique = np.sort(unique[keep])
+    return unique.astype(np.int64)
+
+
+def crafted_batch(rows, bucket_size=16):
+    """A ``BatchQueryResult`` whose row ``b`` probes the buckets ``rows[b]``."""
+    tables = len(rows[0])
+    candidates = np.full((len(rows), tables, bucket_size), -1, dtype=np.int64)
+    sizes = np.zeros((len(rows), tables), dtype=np.int64)
+    for b, buckets in enumerate(rows):
+        for t, bucket in enumerate(buckets):
+            candidates[b, t, : len(bucket)] = bucket
+            sizes[b, t] = len(bucket)
+    codes = np.zeros((len(rows), tables, 3), dtype=np.int64)
+    return BatchQueryResult(codes=codes, candidates=candidates, sizes=sizes)
+
+
+# name -> (per-row buckets, target): each case pins one branch of the loop.
+VANILLA_CASES = {
+    "some_empty_tables": ([[], [9, 2, 5], [], [7, 1, 2, 11], [4], []], 6),
+    "all_tables_empty": ([[], [], [], []], 5),
+    "first_bucket_reaches_target": ([[8, 3, 1, 6], [2, 5, 9, 0], [4, 7, 1, 10]], 4),
+    "first_bucket_over_target": ([[8, 3, 1, 6, 12], [2, 5, 9, 0, 13], [4, 7, 1, 10, 14]], 3),
+    "union_exactly_at_target": ([[4, 0, 1, 2, 3], [6, 3, 5, 7, 4], [8, 9, 7, 6]], 10),
+    "over_target_subset_draw": ([[1, 2, 3, 4], [3, 4, 5, 6], [6, 7, 8], [0, 15, 14]], 7),
+    "duplicates_within_a_bucket": ([[5, 5, 1], [1, 2, 2], [], [3]], 4),
+    "no_target": ([[3, 1], [], [2, 3], [0]], None),
+}
+
+
+class TestVanillaAgainstMergeLoop:
+    @pytest.mark.parametrize("case", sorted(VANILLA_CASES))
+    def test_same_ids_and_generator_state_as_reference(self, case):
+        buckets, target = VANILLA_CASES[case]
+        # Several rows of one batch, so each row starts from the state the
+        # previous row left, as in the training kernel.
+        batch = crafted_batch([buckets] * 6)
+        for seed in range(12):
+            strategy = VanillaSampling(rng=np.random.default_rng(seed))
+            reference_rng = np.random.default_rng(seed)
+            for row in range(batch.batch_size):
+                selected = strategy.select_from_result(batch.result(row), target)
+                expected = merge_loop_reference(reference_rng, batch.result(row), target)
+                assert selected.dtype == np.int64
+                np.testing.assert_array_equal(selected, expected)
+                assert strategy._rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_cases_reach_their_branches(self):
+        """The union sizes the case names promise, whatever the probe order."""
+        for case in ("first_bucket_reaches_target", "first_bucket_over_target"):
+            buckets, target = VANILLA_CASES[case]
+            assert min(len(set(bucket)) for bucket in buckets) >= target
+        buckets, target = VANILLA_CASES["union_exactly_at_target"]
+        assert len(set().union(*buckets)) == target
+        for skipped in range(len(buckets)):
+            rest = buckets[:skipped] + buckets[skipped + 1 :]
+            assert len(set().union(*rest)) < target
+        buckets, target = VANILLA_CASES["over_target_subset_draw"]
+        assert len(set().union(*buckets)) > target
 
 
 class TestTopKSampling:
