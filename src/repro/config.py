@@ -650,6 +650,8 @@ def _encode(value: Any) -> Any:
         return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, tuple):
         return [_encode(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _encode(item) for key, item in value.items()}
     return value
 
 
@@ -658,8 +660,9 @@ def from_dict(cls: type[T], data: Any) -> T:
 
     Driven by ``cls``'s field annotations: ``int`` rejects ``bool`` and
     floats, ``float`` accepts ``int``, ``Literal`` checks membership, and
-    ``X | None``, ``tuple[X, ...]`` (from a list) and nested dataclasses
-    recurse.  A missing key takes the field's default, unless the field
+    ``X | None``, ``tuple[X, ...]`` (from a list), ``dict[str, X]`` (from
+    a JSON object) and nested dataclasses recurse; ``Any`` takes the value
+    unchecked.  A missing key takes the field's default, unless the field
     has none or is marked ``metadata={"required_in_dict": True}``.  A
     non-mapping, an unknown key, a missing required key, a wrongly typed
     value or a range error out of ``__post_init__`` raises ``ValueError``
@@ -687,6 +690,8 @@ def _decode(tp: Any, value: Any, label: str, path: str) -> Any:
     """Check ``value`` against annotation ``tp`` and return the typed form."""
     if is_dataclass(tp):
         return _decode_dataclass(tp, value, label, path)
+    if tp is Any:
+        return value
     origin, args = get_origin(tp), get_args(tp)
     if origin in (Union, types.UnionType) and len(args) == 2 and args[1] is type(None):
         return None if value is None else _decode(args[0], value, label, path)
@@ -697,6 +702,13 @@ def _decode(tp: Any, value: Any, label: str, path: str) -> Any:
             _decode(args[0], item, label, f"{path}[{i}]")
             for i, item in enumerate(value)
         )
+    if origin is dict and args[0] is str:
+        if not isinstance(value, Mapping) or not all(isinstance(k, str) for k in value):
+            raise _invalid(label, path, value)
+        return {
+            key: _decode(args[1], item, label, f"{path}[{key}]")
+            for key, item in value.items()
+        }
     if origin is Literal:
         ok = any(type(value) is type(arg) and value == arg for arg in args)
     elif tp is int or tp is float:

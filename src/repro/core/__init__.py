@@ -7,7 +7,7 @@ from repro.core.activations import (
     softmax_rows,
 )
 from repro.core.layer import SlideLayer
-from repro.core.network import SlideNetwork
+from repro.core.network import SlideNetwork, bind_model_arrays, model_arrays
 from repro.core.trainer import SlideTrainer, TrainingHistory, IterationRecord
 from repro.core.inference import (
     predict_top_k,
@@ -24,6 +24,8 @@ __all__ = [
     "softmax_rows",
     "SlideLayer",
     "SlideNetwork",
+    "model_arrays",
+    "bind_model_arrays",
     "SlideTrainer",
     "TrainingHistory",
     "IterationRecord",

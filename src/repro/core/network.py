@@ -14,6 +14,8 @@ accumulated optimiser step per layer.
 
 from __future__ import annotations
 
+from typing import Mapping
+
 import numpy as np
 
 from repro.config import SlideNetworkConfig, TrainingConfig
@@ -25,7 +27,7 @@ from repro.perf.phases import PhaseTimer
 from repro.types import FLOAT, FloatArray, SparseBatch, SparseExample, dense_features
 from repro.utils.rng import derive_rng
 
-__all__ = ["SlideNetwork"]
+__all__ = ["SlideNetwork", "model_arrays", "bind_model_arrays"]
 
 
 class SlideNetwork:
@@ -161,3 +163,57 @@ class SlideNetwork:
         batch = SparseBatch(list(examples), self.input_dim, self.output_dim)
         output = fused_forward_batch(self, batch).output_state
         return output.active_count(len(batch)) / len(batch)
+
+
+# ----------------------------------------------------------------------
+# The model's arrays under one naming
+# ----------------------------------------------------------------------
+def model_arrays(
+    network: SlideNetwork, optimizer: Optimizer | None = None
+) -> dict[str, FloatArray]:
+    """Every live array of ``network`` (and ``optimizer``) under its one name.
+
+    ``layer{i}.weights`` and ``layer{i}.biases`` per layer, then
+    ``optim.{param}.{slot}`` per optimiser state array (Adam's ``m`` and
+    ``v``), in registration order.  The values are the live arrays, not
+    copies.  Checkpoints store these names in ``arrays.npz``, restores copy
+    into them in place, and the shared-memory store places them in shared
+    blocks that :func:`bind_model_arrays` points the model at.
+    """
+    arrays: dict[str, FloatArray] = {}
+    for layer in network.layers:
+        arrays[f"{layer.name}.weights"] = layer.weights
+        arrays[f"{layer.name}.biases"] = layer.biases
+    if optimizer is not None:
+        for param, slot, array in optimizer.state_items():
+            arrays[f"optim.{param}.{slot}"] = array
+    return arrays
+
+
+def bind_model_arrays(
+    network: SlideNetwork,
+    optimizer: Optimizer | None,
+    arrays: Mapping[str, FloatArray],
+) -> None:
+    """Rebind every live array to the same-named array of ``arrays``.
+
+    The names are those of :func:`model_arrays`; each replacement must have
+    the shape of the array it replaces (``ValueError`` otherwise, before
+    anything is rebound).  Later training reads and writes through the new
+    arrays: bind shared-memory views to train in place, and private copies
+    to detach from them again.
+    """
+    for name, current in model_arrays(network, optimizer).items():
+        if name not in arrays:
+            raise ValueError(f"no array named {name!r} to bind")
+        if arrays[name].shape != current.shape:
+            raise ValueError(
+                f"array {name!r} has shape {current.shape}; "
+                f"cannot rebind to shape {arrays[name].shape}"
+            )
+    for layer in network.layers:
+        layer.weights = arrays[f"{layer.name}.weights"]
+        layer.biases = arrays[f"{layer.name}.biases"]
+    if optimizer is not None:
+        for param, slot, _ in optimizer.state_items():
+            optimizer.set_state_array(param, slot, arrays[f"optim.{param}.{slot}"])

@@ -341,27 +341,15 @@ class SlideTrainer:
 
     def _restore(self, resume: str | Path) -> tuple[int, int]:
         """Restore network/optimiser/RNG state; return (epoch, skip)."""
-        from repro.serving.checkpoint import (
-            CheckpointError,
-            CheckpointStore,
-            restore_checkpoint_into,
-        )
+        from repro.serving.checkpoint import restore_train_state
 
-        path = Path(resume)
-        if not (path / "manifest.json").is_file():
-            path = CheckpointStore(path).latest_valid()
-        metadata = restore_checkpoint_into(path, self.network, self.optimizer)
-        state = metadata.get("train_state")
-        if not isinstance(state, dict) or state.get("mode") != "inline":
-            raise CheckpointError(
-                f"checkpoint {path} carries no inline training state; "
-                "it cannot seed an inline resume"
-            )
-        if int(state["seed"]) != int(self.training.seed):
-            raise CheckpointError(
-                f"checkpoint {path} was trained with seed {state['seed']}; "
-                f"this trainer uses seed {self.training.seed}"
-            )
+        state = restore_train_state(
+            resume,
+            self.network,
+            self.optimizer,
+            mode="inline",
+            seed=int(self.training.seed),
+        )
         self._rng.bit_generator.state = state["rng_state"]
         restore_network_runtime_state(self.network, state["runtime"])
         self._last_saved_iteration = self.network.iteration

@@ -30,6 +30,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from repro.config import from_dict, to_dict
 from repro.types import SparseBatch, SparseExample, SparseVector
 
 __all__ = [
@@ -83,25 +84,6 @@ class ShardInfo:
             raise KeyError(f"unknown shard array {array!r}")
         return f"{self.name}.{array}.npy"
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "num_examples": self.num_examples,
-            "feature_nnz": self.feature_nnz,
-            "label_nnz": self.label_nnz,
-            "checksums": dict(self.checksums),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "ShardInfo":
-        return cls(
-            name=str(data["name"]),
-            num_examples=int(data["num_examples"]),
-            feature_nnz=int(data["feature_nnz"]),
-            label_nnz=int(data["label_nnz"]),
-            checksums={str(k): int(v) for k, v in dict(data["checksums"]).items()},
-        )
-
 
 @dataclass(frozen=True)
 class ShardManifest:
@@ -135,38 +117,9 @@ class ShardManifest:
     def total_label_nnz(self) -> int:
         return sum(shard.label_nnz for shard in self.shards)
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "format_version": self.format_version,
-            "source": self.source,
-            "feature_dim": self.feature_dim,
-            "label_dim": self.label_dim,
-            "num_examples": self.num_examples,
-            "shard_size": self.shard_size,
-            "shards": [shard.to_dict() for shard in self.shards],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "ShardManifest":
-        version = int(data.get("format_version", -1))
-        if version != FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported shard-cache format version {version} "
-                f"(this build reads version {FORMAT_VERSION})"
-            )
-        return cls(
-            feature_dim=int(data["feature_dim"]),
-            label_dim=int(data["label_dim"]),
-            num_examples=int(data["num_examples"]),
-            shard_size=int(data["shard_size"]),
-            shards=tuple(ShardInfo.from_dict(s) for s in data["shards"]),
-            source=str(data.get("source", "")),
-            format_version=version,
-        )
-
     def save(self, cache_dir: str | Path) -> Path:
         path = Path(cache_dir) / MANIFEST_NAME
-        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+        path.write_text(json.dumps(to_dict(self), indent=2) + "\n")
         return path
 
     @classmethod
@@ -177,7 +130,19 @@ class ShardManifest:
                 f"no shard-cache manifest at {path}; run the ingest first "
                 "(python -m repro.data <xc_file> <cache_dir>)"
             )
-        return cls.from_dict(json.loads(path.read_text()))
+        data = json.loads(path.read_text())
+        # Checked before the strict decode, so a newer cache reports its
+        # version rather than the fields this build does not know.
+        if isinstance(data, dict) and data.get("format_version") != FORMAT_VERSION:
+            raise ValueError(
+                f"unsupported shard-cache format version "
+                f"{data.get('format_version')!r} (this build reads version "
+                f"{FORMAT_VERSION})"
+            )
+        try:
+            return from_dict(cls, data)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def gather_csr_rows(

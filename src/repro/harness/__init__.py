@@ -1,5 +1,6 @@
 """Experiment harness: the machinery more than one bench shares (head-to-head
-experiments, report rendering, process-scaling and serving measurements).
+experiments, report rendering, process-scaling measurements and the network
+the serving benches publish).
 Each figure and table itself is defined in its ``benchmarks/bench_<id>.py``."""
 
 from repro.harness.report import format_table, format_series, format_comparison
@@ -8,12 +9,7 @@ from repro.harness.experiment import (
     HeadToHeadExperiment,
     MeasuredRun,
 )
-from repro.harness.serving_sweep import (
-    ServingSweepResult,
-    measure_engine,
-    serving_accuracy_latency_sweep,
-    train_serving_network,
-)
+from repro.harness.serving_sweep import train_serving_network
 from repro.harness.scaling import (
     ScalingRun,
     available_cores,
@@ -30,8 +26,5 @@ __all__ = [
     "ExperimentConfig",
     "HeadToHeadExperiment",
     "MeasuredRun",
-    "ServingSweepResult",
-    "measure_engine",
-    "serving_accuracy_latency_sweep",
     "train_serving_network",
 ]

@@ -4,12 +4,16 @@ Threads execute under the GIL, so they cannot demonstrate the paper's
 central systems claim — near-linear scaling with CPU cores (Figure 9,
 Table 2).  This module provides the real thing:
 
-* :class:`SharedParamStore` places named parameter arrays (layer weights and
-  biases, optimiser moment buffers, diagnostic counters) in
-  ``multiprocessing.shared_memory`` blocks.  The store serialises its layout
-  into a JSON-safe *manifest*; worker processes — forked or spawned —
-  reattach the blocks zero-copy from the manifest and bind their own
-  ``SlideNetwork`` / optimiser instances onto the shared arrays.
+* :class:`SharedParamStore` places named arrays in
+  ``multiprocessing.shared_memory`` blocks: the model's weights, biases and
+  optimiser moments under the names of
+  :func:`~repro.core.network.model_arrays` (the same names a checkpoint's
+  ``arrays.npz`` uses), plus three ``_diag::`` arrays (writer mask, update
+  counters, heartbeats).  The store serialises its layout into a JSON-safe
+  *manifest*; worker processes — forked or spawned — reattach the blocks
+  zero-copy from the manifest and point their own ``SlideNetwork`` /
+  optimiser at the shared arrays with
+  :func:`~repro.core.network.bind_model_arrays`.
 * :class:`ProcessHogwildTrainer` shards each epoch's data across ``N``
   worker processes that perform lock-free asynchronous updates directly into
   the shared parameters (HOGWILD at micro-batch granularity, Recht et al.,
@@ -62,7 +66,7 @@ from repro.config import (
     from_dict,
     to_dict,
 )
-from repro.core.network import SlideNetwork
+from repro.core.network import SlideNetwork, bind_model_arrays, model_arrays
 from repro.data.shards import ShardedDataset
 from repro.faults import FaultInjector
 from repro.optim.base import Optimizer
@@ -73,9 +77,6 @@ from repro.utils.rng import derive_rng
 
 __all__ = [
     "SharedParamStore",
-    "network_state_arrays",
-    "bind_network",
-    "unbind_network",
     "WorkerStats",
     "ProcessConflictStats",
     "SupervisionEvent",
@@ -85,7 +86,7 @@ __all__ = [
 ]
 
 # Reserved name prefix for non-parameter arrays the trainer places in the
-# store (conflict counters, heartbeats); kept out of network binding helpers.
+# store (conflict counters, heartbeats); no model array name starts with it.
 _DIAG_PREFIX = "_diag::"
 _WRITER_MASK = _DIAG_PREFIX + "writer_mask"
 _WORKER_UPDATES = _DIAG_PREFIX + "worker_updates"
@@ -142,9 +143,10 @@ class SharedParamStore:
     (:meth:`create`) and owns the blocks' lifetime (:meth:`unlink`); any
     process holding the :meth:`manifest` can :meth:`attach` zero-copy views
     of the same memory.  Views returned by ``store[name]`` stay valid until
-    :meth:`close`; callers must drop every outstanding view (see
-    :func:`unbind_network`) before closing, or the export check in
-    ``mmap.close`` will refuse.
+    :meth:`close`; callers must drop every outstanding view (rebind the
+    model to ``{name: store.copy_out(name)}`` with
+    :func:`~repro.core.network.bind_model_arrays`) before closing, or the
+    export check in ``mmap.close`` will refuse.
     """
 
     def __init__(
@@ -300,61 +302,6 @@ class SharedParamStore:
         self.close()
         if self._owner:
             self.unlink()
-
-
-# ----------------------------------------------------------------------
-# Network <-> store binding
-# ----------------------------------------------------------------------
-def network_state_arrays(
-    network: SlideNetwork, optimizer: Optimizer
-) -> dict[str, np.ndarray]:
-    """Every trainable array of ``network`` + ``optimizer`` under stable names.
-
-    Layers contribute ``layer{i}.weights`` / ``layer{i}.biases`` (matching
-    the optimiser's registration names); optimiser state arrays contribute
-    ``opt::{param}::{key}`` (e.g. Adam's first/second moments).
-    """
-    arrays: dict[str, np.ndarray] = {}
-    for layer in network.layers:
-        arrays[f"{layer.name}.weights"] = layer.weights
-        arrays[f"{layer.name}.biases"] = layer.biases
-    for param_name, key, array in optimizer.state_items():
-        arrays[f"opt::{param_name}::{key}"] = array
-    return arrays
-
-
-def bind_network(
-    network: SlideNetwork, optimizer: Optimizer, store: SharedParamStore
-) -> None:
-    """Point ``network``/``optimizer`` arrays at the store's shared views.
-
-    After this call every gradient application writes directly into shared
-    memory; values are preserved (the store was created from — or attached
-    to — the same layout produced by :func:`network_state_arrays`).
-    """
-    for layer in network.layers:
-        layer.weights = store[f"{layer.name}.weights"]
-        layer.biases = store[f"{layer.name}.biases"]
-    for param_name, key, _ in optimizer.state_items():
-        optimizer.set_state_array(param_name, key, store[f"opt::{param_name}::{key}"])
-
-
-def unbind_network(
-    network: SlideNetwork, optimizer: Optimizer, store: SharedParamStore
-) -> None:
-    """Copy the shared values back into private arrays and rebind to those.
-
-    The inverse of :func:`bind_network`: afterwards the network holds no
-    references into the store, so the store can be closed (and unlinked)
-    without invalidating the model.
-    """
-    for layer in network.layers:
-        layer.weights = store.copy_out(f"{layer.name}.weights")
-        layer.biases = store.copy_out(f"{layer.name}.biases")
-    for param_name, key, _ in optimizer.state_items():
-        optimizer.set_state_array(
-            param_name, key, store.copy_out(f"opt::{param_name}::{key}")
-        )
 
 
 def _cpu_seconds(who: int) -> float:
@@ -588,7 +535,7 @@ def _run_worker(payload: dict, task_queue, result_queue) -> None:
         # workers write them); pace this worker's Adam bias correction to
         # match rather than to its local step count.
         optimizer.step_stride = int(payload.get("step_stride", 1))
-        bind_network(network, optimizer, store)
+        bind_model_arrays(network, optimizer, store)
         # The constructor hashed the worker's *random* init; re-hash the
         # shared weights so this worker's private LSH index reflects the
         # actual model before the first batch.
@@ -687,7 +634,10 @@ def _run_worker(payload: dict, task_queue, result_queue) -> None:
                 # Drop every view into the store before closing it: ndarray
                 # views keep the underlying mmap exported, and close() would
                 # refuse while exports exist.
-                unbind_network(network, optimizer, store)
+                names = model_arrays(network, optimizer)
+                bind_model_arrays(
+                    network, optimizer, {name: store.copy_out(name) for name in names}
+                )
         finally:
             store.close()
 
@@ -963,40 +913,33 @@ class ProcessHogwildTrainer:
     def _restore_process_state(self, resume, optimizer, kind: str):
         """Restore a mid-run checkpoint into the bound shared arrays.
 
-        Called *after* :func:`bind_network`, so the in-place restore writes
-        straight through into shared memory and every worker attaches to the
-        checkpointed parameters.  Returns ``(items, groups, base_step)``.
+        Called *after* :func:`bind_model_arrays` has pointed the model at the
+        store, so the in-place restore writes straight through into shared
+        memory and every worker attaches to the checkpointed parameters.
+        Returns ``(items, groups, base_step)``.
         """
-        from repro.serving.checkpoint import (
-            CheckpointError,
-            CheckpointStore,
-            restore_checkpoint_into,
-        )
+        from repro.serving.checkpoint import CheckpointError, restore_train_state
 
-        path = Path(resume)
-        if not (path / "manifest.json").is_file():
-            path = CheckpointStore(path).latest_valid()
-        metadata = restore_checkpoint_into(path, self.network, optimizer)
-        state = metadata.get("train_state")
-        if not isinstance(state, dict) or state.get("mode") != "process":
-            raise CheckpointError(
-                f"checkpoint {path} carries no process training state; "
-                "it cannot seed a multi-process resume"
-            )
+        state = restore_train_state(
+            resume,
+            self.network,
+            optimizer,
+            mode="process",
+            seed=int(self.training.seed),
+        )
         for key, current in (
-            ("seed", int(self.training.seed)),
             ("epochs", int(self.training.epochs)),
             ("batch_size", int(self.training.batch_size)),
             ("kind", kind),
         ):
             if state.get(key) != current:
                 raise CheckpointError(
-                    f"checkpoint {path} was written with {key}={state.get(key)!r}; "
+                    f"checkpoint {resume} was written with {key}={state.get(key)!r}; "
                     f"this run uses {key}={current!r}"
                 )
         if kind == "examples" and int(state.get("num_processes", -1)) != self.num_processes:
             raise CheckpointError(
-                f"checkpoint {path} sharded examples across "
+                f"checkpoint {resume} sharded examples across "
                 f"{state.get('num_processes')} workers; example slices are "
                 f"worker-bound, so resume needs the same num_processes "
                 f"(got {self.num_processes})"
@@ -1539,7 +1482,7 @@ class ProcessHogwildTrainer:
     ) -> ProcessTrainingReport:
         optimizer = self.network.build_optimizer(self.training)
         self.optimizer = optimizer
-        arrays = network_state_arrays(self.network, optimizer)
+        arrays = model_arrays(self.network, optimizer)
         arrays[_WRITER_MASK] = np.zeros(self.network.output_dim, dtype=np.uint64)
         arrays[_WORKER_UPDATES] = np.zeros(self.num_processes, dtype=np.int64)
         arrays[_HEARTBEAT] = np.zeros(
@@ -1549,7 +1492,7 @@ class ProcessHogwildTrainer:
         context = mp.get_context(self.start_method)
         processes: list = []
         try:
-            bind_network(self.network, optimizer, store)
+            bind_model_arrays(self.network, optimizer, store)
             kind, groups, data_per_worker = self._data_spec(train_examples)
             base_step = 0
             if resume is not None:
@@ -1631,7 +1574,13 @@ class ProcessHogwildTrainer:
                 if process.is_alive():
                     process.terminate()
                     process.join(5.0)
-            unbind_network(self.network, optimizer, store)
+            # Back onto private copies, so the store can be unlinked.
+            names = model_arrays(self.network, optimizer)
+            bind_model_arrays(
+                self.network,
+                optimizer,
+                {name: store.copy_out(name) for name in names},
+            )
             store.close()
             store.unlink()
 

@@ -2,33 +2,37 @@
 
 A checkpoint is a directory with two files:
 
-* ``manifest.json`` — format version, the full network config (JSON), the
-  optimiser's hyper-parameters, user metadata, and a SHA-256 checksum of the
-  array payload;
-* ``arrays.npz`` — every layer's weights and biases, the LSH index contents
-  of every hash-enabled layer (item ids plus their ``(L, K)`` hash codes, in
-  insertion order), and the optimiser's per-parameter state tensors.
+* ``arrays.npz`` — the model's arrays under the names of
+  :func:`~repro.core.network.model_arrays` (``layer{i}.weights``,
+  ``layer{i}.biases``, ``optim.{param}.{slot}``), the network's
+  ``iteration``, and the LSH index contents of every hash-enabled layer
+  (``layer{i}.lsh_items`` / ``layer{i}.lsh_codes``: item ids plus their
+  ``(L, K)`` hash codes, in insertion order);
+* ``manifest.json`` — a :class:`CheckpointManifest`: format version, the
+  network config, the optimiser's config, step count and state slots, user
+  metadata, and a SHA-256 checksum of the array payload.
 
-Loading reconstructs the network from its config, overwrites the freshly
-initialised parameters in place, and *replays* the stored hash codes into
-the rebuilt index — the hash functions themselves are deterministic given
-``(config, seed)``, so only the table contents need to travel.  The snapshot
-surface is the index's contiguous ``(n,)`` item / ``(n, L, K)`` code
-matrices (``snapshot_codes``/``restore_codes``), so the replay is one
-batched key pack plus one batched insertion per table rather than a
-per-item loop.  Replaying codes in row order reproduces bucket membership exactly
-for any bucket that never overflowed; the exact eviction order of
-overflowed FIFO buckets is not preserved (a full ``rebuild_all_tables()``
-restores the canonical state if required).
+:func:`load_checkpoint` builds the network (and optimiser) from the stored
+configs and then runs the one restore that :func:`restore_checkpoint_into`
+runs on a live model: every ``model_arrays`` name must be in the payload
+with the live shape, and is copied in place.  The stored hash codes are
+*replayed* into the index — the hash functions are deterministic given
+``(config, seed)``, so only the table contents travel.  Replay reproduces
+bucket membership exactly for any bucket that never overflowed; the
+eviction order of overflowed FIFO buckets is not preserved (a full
+``rebuild_all_tables()`` restores the canonical state if required).
 
 Integrity is enforced end-to-end: a truncated, bit-flipped, or partially
-written ``arrays.npz`` fails the checksum and raises
+written ``arrays.npz`` fails the checksum, and a manifest that does not
+decode strictly into a :class:`CheckpointManifest` (not a JSON object, a
+wrongly typed or missing field, non-object metadata) raises
 :class:`CheckpointError` instead of yielding a silently corrupt model.
 
 :class:`CheckpointStore` layers monotonically numbered versions
 (``v0001``, ``v0002``, …) on top, which is what the training loop and the
 model server share: the trainer appends versions, the server loads
-``latest()``.
+``latest()``, and a resumed run restores ``latest_valid()`` through
+:func:`restore_train_state`.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import os
 import re
 import shutil
 import time
+import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,7 +54,7 @@ import numpy as np
 
 from repro import __version__
 from repro.config import OptimizerConfig, SlideNetworkConfig, from_dict, to_dict
-from repro.core.network import SlideNetwork
+from repro.core.network import SlideNetwork, model_arrays
 from repro.optim.base import Optimizer
 from repro.optim.factory import make_optimizer
 
@@ -57,11 +62,14 @@ __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
     "CheckpointError",
     "CheckpointExistsError",
+    "CheckpointManifest",
+    "OptimizerEntry",
     "LoadedCheckpoint",
     "save_checkpoint",
     "load_checkpoint",
     "verify_checkpoint",
     "restore_checkpoint_into",
+    "restore_train_state",
     "CheckpointStore",
 ]
 
@@ -79,6 +87,35 @@ class CheckpointExistsError(CheckpointError):
     """A checkpoint already occupies the target path (``overwrite=False``)."""
 
 
+@dataclass(frozen=True)
+class OptimizerEntry:
+    """The manifest's optimiser section: config, step count, state slots."""
+
+    config: OptimizerConfig
+    step_count: int
+    # Parameter name -> sorted state slot names (``("m", "v")`` for Adam);
+    # the arrays themselves are ``optim.{param}.{slot}`` in the payload.
+    parameters: dict[str, tuple[str, ...]]
+
+
+@dataclass(frozen=True, kw_only=True)
+class CheckpointManifest:
+    """``manifest.json``, decoded strictly by :func:`repro.config.from_dict`.
+
+    Field order is the written key order.
+    """
+
+    format_version: int
+    repro_version: str = ""
+    saved_unix_time: float = 0.0
+    network_config: SlideNetworkConfig
+    lsh_layers: tuple[int, ...] = ()
+    optimizer: OptimizerEntry | None = None
+    metadata: dict[str, Any] = field(default_factory=dict)
+    arrays_file: str = _ARRAYS_NAME
+    arrays_sha256: str
+
+
 @dataclass
 class LoadedCheckpoint:
     """Everything reconstructed from one checkpoint directory."""
@@ -86,7 +123,7 @@ class LoadedCheckpoint:
     network: SlideNetwork
     optimizer: Optimizer | None
     metadata: dict[str, Any] = field(default_factory=dict)
-    manifest: dict[str, Any] = field(default_factory=dict)
+    manifest: CheckpointManifest | None = None
 
     @property
     def config(self) -> SlideNetworkConfig:
@@ -138,46 +175,38 @@ def save_checkpoint(
             layer.rebuild()
 
     arrays: dict[str, np.ndarray] = {"iteration": np.int64(network.iteration)}
+    arrays.update(model_arrays(network, optimizer))
     lsh_layers: list[int] = []
     for idx, layer in enumerate(network.layers):
-        arrays[f"layer{idx}.weights"] = layer.weights
-        arrays[f"layer{idx}.biases"] = layer.biases
         if layer.lsh_index is not None:
             items, codes = layer.lsh_index.snapshot_codes()
             arrays[f"layer{idx}.lsh_items"] = items
             arrays[f"layer{idx}.lsh_codes"] = codes
             lsh_layers.append(idx)
 
-    optimizer_entry: dict[str, Any] | None = None
-    if optimizer is not None:
-        optimizer_entry = {
-            "config": to_dict(optimizer.to_config()),
-            "step_count": int(optimizer.step_count),
-            "parameters": {},
-        }
-        for name in optimizer.parameter_names():
-            state = optimizer.state_of(name)
-            optimizer_entry["parameters"][name] = sorted(state.keys())
-            for slot, array in state.items():
-                arrays[f"optim.{name}.{slot}"] = array
-
     buffer = io.BytesIO()
     np.savez(buffer, **arrays)
     payload = buffer.getvalue()
     (path / _ARRAYS_NAME).write_bytes(payload)
 
-    manifest = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "repro_version": __version__,
-        "saved_unix_time": time.time(),  # repro: allow[clock] metadata, not replayed
-        "network_config": to_dict(network.config),
-        "lsh_layers": lsh_layers,
-        "optimizer": optimizer_entry,
-        "metadata": dict(metadata or {}),
-        "arrays_file": _ARRAYS_NAME,
-        "arrays_sha256": hashlib.sha256(payload).hexdigest(),
-    }
-    (path / _MANIFEST_NAME).write_text(json.dumps(manifest, indent=2))
+    manifest = CheckpointManifest(
+        format_version=CHECKPOINT_FORMAT_VERSION,
+        repro_version=__version__,
+        saved_unix_time=time.time(),  # repro: allow[clock] metadata, not replayed
+        network_config=network.config,
+        lsh_layers=tuple(lsh_layers),
+        optimizer=None if optimizer is None else OptimizerEntry(
+            config=optimizer.to_config(),
+            step_count=int(optimizer.step_count),
+            parameters={
+                name: tuple(sorted(optimizer.state_of(name)))
+                for name in optimizer.parameter_names()
+            },
+        ),
+        metadata=dict(metadata or {}),
+        arrays_sha256=hashlib.sha256(payload).hexdigest(),
+    )
+    (path / _MANIFEST_NAME).write_text(json.dumps(to_dict(manifest), indent=2))
 
     if overwrite and final_path.exists():
         shutil.rmtree(final_path)
@@ -197,51 +226,123 @@ def save_checkpoint(
 # ----------------------------------------------------------------------
 # Loading
 # ----------------------------------------------------------------------
-def _read_manifest(path: Path) -> dict[str, Any]:
+def _read_manifest(path: Path) -> CheckpointManifest:
+    """The one manifest reader: every malformed manifest is a CheckpointError."""
     manifest_path = path / _MANIFEST_NAME
     if not manifest_path.is_file():
         raise CheckpointError(f"no {_MANIFEST_NAME} in {path}")
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+        data = json.loads(manifest_path.read_text())
+    except ValueError as exc:  # invalid JSON or not UTF-8
         raise CheckpointError(f"corrupt manifest in {path}: {exc}") from exc
-    version = manifest.get("format_version")
-    if version != CHECKPOINT_FORMAT_VERSION:
+    if not isinstance(data, dict):
         raise CheckpointError(
-            f"unsupported checkpoint format version {version!r} "
+            f"malformed manifest in {path}: expected a JSON object, "
+            f"got {type(data).__name__}"
+        )
+    # Checked before the strict decode, so a newer checkpoint reports its
+    # version rather than the fields this build does not know.
+    if data.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+        raise CheckpointError(
+            f"unsupported checkpoint format version {data.get('format_version')!r} "
             f"(this build reads version {CHECKPOINT_FORMAT_VERSION})"
         )
-    return manifest
+    try:
+        # The stored configs are decoded on their own first, so that an
+        # error names the field as its config knows it ('layers[1].lsh.k').
+        from_dict(SlideNetworkConfig, data.get("network_config"))
+        if isinstance(data.get("optimizer"), dict):
+            from_dict(OptimizerConfig, data["optimizer"].get("config"))
+        return from_dict(CheckpointManifest, data)
+    except ValueError as exc:
+        raise CheckpointError(f"malformed manifest in {path}: {exc}") from exc
 
 
-def _read_arrays(path: Path, manifest: Mapping[str, Any]) -> dict[str, np.ndarray]:
-    arrays_path = path / str(manifest.get("arrays_file", _ARRAYS_NAME))
+def _read_payload(path: Path, manifest: CheckpointManifest) -> bytes:
+    """The array payload's bytes, after checking them against the manifest."""
+    arrays_path = path / manifest.arrays_file
     if not arrays_path.is_file():
         raise CheckpointError(f"missing array payload {arrays_path.name} in {path}")
     payload = arrays_path.read_bytes()
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != manifest.get("arrays_sha256"):
+    if hashlib.sha256(payload).hexdigest() != manifest.arrays_sha256:
         raise CheckpointError(
             f"checksum mismatch for {arrays_path.name} in {path}: "
             "the checkpoint is corrupt or partially written"
         )
-    with np.load(io.BytesIO(payload)) as data:
-        return {key: np.array(data[key]) for key in data.files}
+    return payload
 
 
-def _stored_config(cls: type, entry: Mapping[str, Any], key: str, path: Path) -> Any:
-    """Decode the config a manifest stores under ``key``, strictly.
-
-    A hand-edited or damaged manifest must fail the load as a
-    :class:`CheckpointError` (what the checkpoint watcher records and
-    survives), never as a bare ``KeyError``/``TypeError``.
-    """
+def _read_arrays(path: Path, manifest: CheckpointManifest) -> dict[str, np.ndarray]:
+    payload = _read_payload(path, manifest)
     try:
-        return from_dict(cls, entry.get(key))
-    except ValueError as exc:
-        raise CheckpointError(
-            f"malformed {key!r} in the manifest of {path}: {exc}"
-        ) from exc
+        with np.load(io.BytesIO(payload)) as data:
+            return {key: np.array(data[key]) for key in data.files}
+    except (ValueError, OSError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"unreadable array payload in {path}: {exc}") from exc
+
+
+def _restore(
+    path: Path,
+    manifest: CheckpointManifest,
+    network: SlideNetwork,
+    optimizer: Optimizer | None,
+) -> None:
+    """Copy the checkpoint at ``path`` into ``network`` (and ``optimizer``).
+
+    The one restore behind :func:`load_checkpoint` and
+    :func:`restore_checkpoint_into`.  Every array of
+    ``model_arrays(network, optimizer)`` must be in the payload with the
+    live array's shape, and the manifest must list exactly the optimiser's
+    parameters and slots; all of it is checked before anything is written.
+    Arrays are copied in place, so every reference to them (registered
+    optimiser slots, shared-memory bindings) stays valid, and float64
+    payloads load by cast.  A manifest without an optimiser entry leaves a
+    passed ``optimizer`` untouched.
+    """
+    arrays = _read_arrays(path, manifest)
+    entry = manifest.optimizer
+    if entry is None:
+        optimizer = None
+    elif optimizer is not None:
+        slots = {
+            name: tuple(sorted(optimizer.state_of(name)))
+            for name in optimizer.parameter_names()
+        }
+        if entry.parameters != slots:
+            raise CheckpointError(
+                f"optimiser state in {path} does not match the optimiser: "
+                f"stored {entry.parameters}, live {slots}"
+            )
+    live = model_arrays(network, optimizer)
+    for name, array in live.items():
+        if name not in arrays:
+            raise CheckpointError(f"missing array {name} in {path}")
+        if arrays[name].shape != array.shape:
+            raise CheckpointError(
+                f"array {name} in {path} has shape {arrays[name].shape}; "
+                f"the model's is {array.shape}"
+            )
+    lsh_layers = [
+        idx for idx, layer in enumerate(network.layers) if layer.lsh_index is not None
+    ]
+    for idx in lsh_layers:
+        if f"layer{idx}.lsh_items" not in arrays or f"layer{idx}.lsh_codes" not in arrays:
+            raise CheckpointError(f"missing LSH index contents for layer {idx} in {path}")
+
+    for name, array in live.items():
+        array[...] = arrays[name]
+    for idx in lsh_layers:
+        try:
+            network.layers[idx].lsh_index.restore_codes(
+                arrays[f"layer{idx}.lsh_items"], arrays[f"layer{idx}.lsh_codes"]
+            )
+        except ValueError as exc:
+            raise CheckpointError(
+                f"bad LSH index contents for layer {idx} in {path}: {exc}"
+            ) from exc
+    network.iteration = int(arrays.get("iteration", 0))
+    if optimizer is not None:
+        optimizer.step_count = entry.step_count
 
 
 def load_checkpoint(
@@ -250,61 +351,17 @@ def load_checkpoint(
     """Reconstruct a network (and optionally optimiser) from ``path``."""
     path = Path(path)
     manifest = _read_manifest(path)
-    arrays = _read_arrays(path, manifest)
-
-    config = _stored_config(SlideNetworkConfig, manifest, "network_config", path)
-    network = SlideNetwork(config)
-    network.iteration = int(arrays.get("iteration", 0))
-
-    for idx, layer in enumerate(network.layers):
-        try:
-            weights = arrays[f"layer{idx}.weights"]
-            biases = arrays[f"layer{idx}.biases"]
-        except KeyError as exc:
-            raise CheckpointError(f"missing arrays for layer {idx} in {path}") from exc
-        if weights.shape != layer.weights.shape or biases.shape != layer.biases.shape:
-            raise CheckpointError(
-                f"layer {idx} shape mismatch: checkpoint {weights.shape} "
-                f"vs config {layer.weights.shape}"
-            )
-        # Overwrite in place so the arrays the optimiser and LSH index refer
-        # to stay the same objects.
-        layer.weights[...] = weights
-        layer.biases[...] = biases
-        if layer.lsh_index is not None:
-            items = arrays.get(f"layer{idx}.lsh_items")
-            codes = arrays.get(f"layer{idx}.lsh_codes")
-            if items is None or codes is None:
-                raise CheckpointError(
-                    f"missing LSH index contents for layer {idx} in {path}"
-                )
-            layer.lsh_index.restore_codes(items, codes)
-
+    network = SlideNetwork(manifest.network_config)
     optimizer: Optimizer | None = None
-    optimizer_entry = manifest.get("optimizer")
-    if load_optimizer and optimizer_entry is not None:
-        optimizer = make_optimizer(
-            _stored_config(OptimizerConfig, optimizer_entry, "config", path)
-        )
+    if load_optimizer and manifest.optimizer is not None:
+        optimizer = make_optimizer(manifest.optimizer.config)
         for layer in network.layers:
             layer.register_parameters(optimizer)
-        optimizer.step_count = int(optimizer_entry["step_count"])
-        for name, slots in optimizer_entry["parameters"].items():
-            if not optimizer.has_parameter(name):
-                raise CheckpointError(
-                    f"optimiser state for unknown parameter {name!r} in {path}"
-                )
-            state = optimizer.state_of(name)
-            for slot in slots:
-                key = f"optim.{name}.{slot}"
-                if key not in arrays:
-                    raise CheckpointError(f"missing optimiser array {key} in {path}")
-                state[slot][...] = arrays[key]
-
+    _restore(path, manifest, network, optimizer)
     return LoadedCheckpoint(
         network=network,
         optimizer=optimizer,
-        metadata=dict(manifest.get("metadata", {})),
+        metadata=dict(manifest.metadata),
         manifest=manifest,
     )
 
@@ -312,22 +369,15 @@ def load_checkpoint(
 def verify_checkpoint(path: str | Path) -> dict[str, Any]:
     """Cheap integrity check: manifest well-formed, payload checksum intact.
 
-    Returns the manifest on success; raises :class:`CheckpointError` on a
-    missing, truncated, or corrupt checkpoint.  Does *not* build a network,
-    so resume paths can scan several candidate versions quickly.
+    Returns the manifest's dict form on success; raises
+    :class:`CheckpointError` on a missing, truncated, or corrupt checkpoint.
+    Does *not* build a network, so resume paths can scan several candidate
+    versions quickly.
     """
     path = Path(path)
     manifest = _read_manifest(path)
-    arrays_path = path / str(manifest.get("arrays_file", _ARRAYS_NAME))
-    if not arrays_path.is_file():
-        raise CheckpointError(f"missing array payload {arrays_path.name} in {path}")
-    digest = hashlib.sha256(arrays_path.read_bytes()).hexdigest()
-    if digest != manifest.get("arrays_sha256"):
-        raise CheckpointError(
-            f"checksum mismatch for {arrays_path.name} in {path}: "
-            "the checkpoint is corrupt or partially written"
-        )
-    return manifest
+    _read_payload(path, manifest)
+    return to_dict(manifest)
 
 
 def restore_checkpoint_into(
@@ -350,56 +400,48 @@ def restore_checkpoint_into(
     """
     path = Path(path)
     manifest = _read_manifest(path)
-    arrays = _read_arrays(path, manifest)
-
-    stored_config = _stored_config(SlideNetworkConfig, manifest, "network_config", path)
-    if stored_config != network.config:
+    if manifest.network_config != network.config:
         raise CheckpointError(
             f"checkpoint {path} was saved with a different network config; "
             "resume requires an identical architecture and seed"
         )
-    network.iteration = int(arrays.get("iteration", 0))
-    for idx, layer in enumerate(network.layers):
-        try:
-            weights = arrays[f"layer{idx}.weights"]
-            biases = arrays[f"layer{idx}.biases"]
-        except KeyError as exc:
-            raise CheckpointError(f"missing arrays for layer {idx} in {path}") from exc
-        if weights.shape != layer.weights.shape or biases.shape != layer.biases.shape:
-            raise CheckpointError(
-                f"layer {idx} shape mismatch: checkpoint {weights.shape} "
-                f"vs live network {layer.weights.shape}"
-            )
-        layer.weights[...] = weights
-        layer.biases[...] = biases
-        if layer.lsh_index is not None:
-            items = arrays.get(f"layer{idx}.lsh_items")
-            codes = arrays.get(f"layer{idx}.lsh_codes")
-            if items is None or codes is None:
-                raise CheckpointError(
-                    f"missing LSH index contents for layer {idx} in {path}"
-                )
-            layer.lsh_index.restore_codes(items, codes)
+    _restore(path, manifest, network, optimizer)
+    return dict(manifest.metadata)
 
-    optimizer_entry = manifest.get("optimizer")
-    if optimizer is not None and optimizer_entry is not None:
-        optimizer.step_count = int(optimizer_entry["step_count"])
-        for name, slots in optimizer_entry["parameters"].items():
-            if not optimizer.has_parameter(name):
-                raise CheckpointError(
-                    f"optimiser state for unknown parameter {name!r} in {path}"
-                )
-            state = optimizer.state_of(name)
-            for slot in slots:
-                key = f"optim.{name}.{slot}"
-                if key not in arrays:
-                    raise CheckpointError(f"missing optimiser array {key} in {path}")
-                if state[slot].shape != arrays[key].shape:
-                    raise CheckpointError(
-                        f"optimiser array {key} shape mismatch in {path}"
-                    )
-                state[slot][...] = arrays[key]
-    return dict(manifest.get("metadata", {}))
+
+def restore_train_state(
+    resume: str | Path,
+    network: SlideNetwork,
+    optimizer: Optimizer | None,
+    mode: str,
+    seed: int,
+) -> dict[str, Any]:
+    """The one resume entry: restore a mid-run checkpoint, return its train state.
+
+    ``resume`` is a checkpoint directory or a :class:`CheckpointStore` root,
+    which resolves to its newest intact version (:meth:`~CheckpointStore.
+    latest_valid`).  The checkpoint is restored in place
+    (:func:`restore_checkpoint_into`); its ``metadata["train_state"]`` must
+    come from a ``mode`` run (``"inline"`` or ``"process"``) with the same
+    ``seed``, else :class:`CheckpointError`.  The caller checks what only
+    its own mode records.
+    """
+    path = Path(resume)
+    if not (path / _MANIFEST_NAME).is_file():
+        path = CheckpointStore(path).latest_valid()
+    metadata = restore_checkpoint_into(path, network, optimizer)
+    state = metadata.get("train_state")
+    if not isinstance(state, dict) or state.get("mode") != mode:
+        raise CheckpointError(
+            f"checkpoint {path} carries no {mode} training state; "
+            f"it cannot seed a resume in {mode} mode"
+        )
+    if state.get("seed") != seed:
+        raise CheckpointError(
+            f"checkpoint {path} was trained with seed {state.get('seed')!r}; "
+            f"this run uses seed {seed}"
+        )
+    return state
 
 
 # ----------------------------------------------------------------------

@@ -35,8 +35,14 @@ from repro.config import (
     to_dict,
 )
 from repro.faults import FaultPlan
-from repro.core.network import SlideNetwork
-from repro.serving.checkpoint import load_checkpoint, restore_checkpoint_into
+from repro.core.network import SlideNetwork, model_arrays
+from repro.data.shards import ShardInfo, ShardManifest
+from repro.serving.checkpoint import (
+    CheckpointManifest,
+    OptimizerEntry,
+    load_checkpoint,
+    restore_checkpoint_into,
+)
 
 # Written by the parent commit's (PR 12) hand-written codecs; see test (iv).
 DATA = Path(__file__).parent / "data"
@@ -178,6 +184,36 @@ def config_examples() -> dict[type, Any]:
 
 EXAMPLES = config_examples()
 
+# The on-disk manifests decoded by the same codec; they join the mutation
+# sweep below.
+MANIFEST_EXAMPLES: dict[type, Any] = {
+    ShardManifest: ShardManifest(
+        feature_dim=64,
+        label_dim=16,
+        num_examples=5,
+        shard_size=4,
+        shards=(
+            ShardInfo("shard-00000", 4, 30, 6, {"feat_indptr": 7, "feat_values": 9}),
+            ShardInfo("shard-00001", 1, 8, 2, {"feat_indptr": 11}),
+        ),
+        source="memory",
+    ),
+    CheckpointManifest: CheckpointManifest(
+        format_version=1,
+        repro_version="1.0.0",
+        saved_unix_time=12.5,
+        network_config=EXAMPLES[SlideNetworkConfig],
+        lsh_layers=(1,),
+        optimizer=OptimizerEntry(
+            config=EXAMPLES[OptimizerConfig],
+            step_count=4,
+            parameters={"layer0.weights": ("m", "v"), "layer0.biases": ("m", "v")},
+        ),
+        metadata={"tag": "best", "train_state": {"mode": "inline"}},
+        arrays_sha256="ab" * 32,
+    ),
+}
+
 
 def names_field(path: str) -> str:
     """Regex: an error message quoting ``path`` (or an element / key under it)."""
@@ -289,10 +325,40 @@ def test_errors_name_nested_fields_by_path():
 def test_unsupported_annotation_raises_at_first_use():
     @dataclasses.dataclass
     class Odd:
-        table: dict[str, int] = dataclasses.field(default_factory=dict)
+        # JSON object keys are strings: only ``dict[str, X]`` is supported.
+        table: dict[int, int] = dataclasses.field(default_factory=dict)
 
     with pytest.raises(TypeError, match="does not support"):
         from_dict(Odd, {"table": {"a": 1}})
+
+
+def test_dict_fields_decode_every_value_and_name_the_key():
+    @dataclasses.dataclass
+    class Table:
+        counts: dict[str, int] = dataclasses.field(default_factory=dict)
+        spans: dict[str, tuple[float, ...]] = dataclasses.field(default_factory=dict)
+        extra: dict[str, Any] = dataclasses.field(default_factory=dict)
+
+    data = {
+        "counts": {"a": 1, "b": 2},
+        "spans": {"x": [1, 2.5]},
+        "extra": {"k": [1, {"n": None}]},
+    }
+    table = from_dict(Table, data)
+    assert table == Table({"a": 1, "b": 2}, {"x": (1.0, 2.5)}, {"k": [1, {"n": None}]})
+    assert to_dict(table) == {**data, "spans": {"x": [1.0, 2.5]}}
+    # ``Any`` takes the value as it is: the same object, not a copy.
+    assert table.extra["k"] is data["extra"]["k"]
+    for bad, field in (
+        ({"counts": {"a": "1"}}, r"counts\[a\]"),
+        ({"counts": {"a": True}}, r"counts\[a\]"),
+        ({"spans": {"x": [1, "2"]}}, r"spans\[x\]\[1\]"),
+        ({"counts": [1]}, "counts"),
+        ({"counts": {1: 1}}, "counts"),
+        ({"extra": [1]}, "extra"),
+    ):
+        with pytest.raises(ValueError, match="'" + field + "'"):
+            from_dict(Table, bad)
 
 
 # ----------------------------------------------------------------------
@@ -341,9 +407,11 @@ def _mutated(example: Any, tokens: tuple) -> tuple[dict[str, Any], dict[str, Any
     return data, node
 
 
-@per_class
+@pytest.mark.parametrize(
+    "cls", CONFIG_CLASSES + list(MANIFEST_EXAMPLES), ids=lambda cls: cls.__name__
+)
 def test_mutation_sweep(cls):
-    example = EXAMPLES[cls]
+    example = {**EXAMPLES, **MANIFEST_EXAMPLES}[cls]
     rng = random.Random(cls.__name__)
     for tokens, instance in _nodes(example):
         data, node = _mutated(example, tokens)
@@ -426,3 +494,14 @@ def test_parent_written_checkpoint_loads():
             checked += 1
     # weights + biases of two layers, Adam m / v of each: 12 arrays per path.
     assert checked == 24
+
+
+def test_model_arrays_name_exactly_the_parent_checkpoint_model_arrays():
+    path = DATA / "parent_checkpoint"
+    loaded = load_checkpoint(path)
+    with np.load(path / "arrays.npz") as data:
+        stored = set(data.files)
+    index_arrays = {key for key in stored if re.fullmatch(r"layer\d+\.lsh_\w+", key)}
+    assert index_arrays == {"layer1.lsh_items", "layer1.lsh_codes"}
+    expected = stored - {"iteration"} - index_arrays
+    assert set(model_arrays(loaded.network, loaded.optimizer)) == expected

@@ -8,6 +8,9 @@ parity between the eager and streamed paths.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -280,6 +283,87 @@ class TestShardedDataset:
         ) if int(indptr[-1]) else np.zeros(0)
         np.testing.assert_array_equal(np.diff(out_indptr), counts[order])
         np.testing.assert_array_equal(gathered, expected)
+
+
+class TestShardManifestCodec:
+    """``manifest.json`` goes through the strict config codec."""
+
+    PARENT = Path(__file__).parent / "data" / "parent_shard_manifest.json"
+
+    @staticmethod
+    def _write(cache, data):
+        cache.mkdir(exist_ok=True)
+        (cache / "manifest.json").write_text(json.dumps(data))
+        return cache
+
+    def test_parent_written_manifest_loads_unchanged(self, tmp_path):
+        """The fixture was written by the hand-written codec the config codec
+        replaced, from these exact examples."""
+        dataset = generate_synthetic_xc(
+            SyntheticXCConfig(
+                feature_dim=64,
+                label_dim=16,
+                num_train=10,
+                num_test=2,
+                avg_features_per_example=6,
+                prototype_nnz=8,
+                seed=5,
+            )
+        )
+        written = ingest_examples(dataset.train, 64, 16, tmp_path / "c", shard_size=4)
+        cache = self._write(tmp_path / "parent", json.loads(self.PARENT.read_text()))
+        loaded = ShardManifest.load(cache)
+        assert loaded == written
+        assert (loaded.feature_dim, loaded.label_dim, loaded.num_examples) == (64, 16, 10)
+        assert [s.name for s in loaded.shards] == [
+            "shard-00000",
+            "shard-00001",
+            "shard-00002",
+        ]
+        assert [s.num_examples for s in loaded.shards] == [4, 4, 2]
+        assert loaded.shards[0].checksums["feat_indptr"] == 2302079610
+        # Saving writes the same JSON object back.
+        (tmp_path / "again").mkdir()
+        loaded.save(tmp_path / "again")
+        assert json.loads((tmp_path / "again" / "manifest.json").read_text()) == (
+            json.loads(self.PARENT.read_text())
+        )
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.update(feature_dim=5.9), "'feature_dim'"),
+            (lambda d: d.update(label_dim=True), "'label_dim'"),
+            (lambda d: d.update(zz_unknown=1), "'zz_unknown'"),
+            (lambda d: d.pop("shards"), "'shards'"),
+            (lambda d: d["shards"][0].update(num_examples="4"), r"'shards\[0\]\.num_examples'"),
+            (lambda d: d["shards"][1]["checksums"].update(feat_values=1.5), "feat_values"),
+            (lambda d: d.update(shard_size=0), "shard_size must be positive"),
+        ],
+        ids=[
+            "float_dim",
+            "bool_dim",
+            "unknown_key",
+            "missing_shards",
+            "string_count",
+            "float_checksum",
+            "post_init",
+        ],
+    )
+    def test_malformed_manifest_is_a_value_error_naming_the_field(
+        self, tmp_path, edit, message
+    ):
+        data = json.loads(self.PARENT.read_text())
+        edit(data)
+        cache = self._write(tmp_path / "cache", data)
+        with pytest.raises(ValueError, match=message) as excinfo:
+            ShardManifest.load(cache)
+        assert str(cache) in str(excinfo.value)
+
+    def test_non_object_manifest_is_a_value_error(self, tmp_path):
+        cache = self._write(tmp_path / "cache", [json.loads(self.PARENT.read_text())])
+        with pytest.raises(ValueError, match="JSON object"):
+            ShardManifest.load(cache)
 
 
 class TestBatchPrefetcher:

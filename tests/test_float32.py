@@ -19,14 +19,9 @@ from repro.config import (
     SlideNetworkConfig,
     TrainingConfig,
 )
-from repro.core.network import SlideNetwork
+from repro.core.network import SlideNetwork, bind_model_arrays, model_arrays
 from repro.kernels import fused
-from repro.parallel.sharedmem import (
-    SharedParamStore,
-    bind_network,
-    network_state_arrays,
-    unbind_network,
-)
+from repro.parallel.sharedmem import SharedParamStore
 from repro.serving.engine import SparseInferenceEngine
 from repro.types import FLOAT, SparseBatch
 
@@ -150,7 +145,7 @@ def test_shared_arrays_follow_the_parameter_dtype(tiny_network_config):
     memory; a worker attaches them from the manifest."""
     network = SlideNetwork(tiny_network_config)
     optimizer = network.build_optimizer(TrainingConfig())
-    arrays = network_state_arrays(network, optimizer)
+    arrays = model_arrays(network, optimizer)
     # Only dtypes leave the ``try``: no view into a segment outlives it.
     store = SharedParamStore.create(arrays)
     try:
@@ -160,9 +155,11 @@ def test_shared_arrays_follow_the_parameter_dtype(tiny_network_config):
         finally:
             twin.close()
         shared = {f"shared {name}": store[name].dtype for name in arrays}
-        bind_network(network, optimizer, store)
+        bind_model_arrays(network, optimizer, store)
         bound = parameter_dtypes(network, optimizer)
-        unbind_network(network, optimizer, store)
+        bind_model_arrays(
+            network, optimizer, {name: store.copy_out(name) for name in arrays}
+        )
     finally:
         store.close()
         store.unlink()

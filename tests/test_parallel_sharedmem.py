@@ -14,17 +14,11 @@ import numpy as np
 import pytest
 
 from repro.config import TrainingConfig
-from repro.core.network import SlideNetwork
+from repro.core.network import SlideNetwork, bind_model_arrays, model_arrays
 from repro.core.trainer import SlideTrainer
 from repro.data.ingest import ingest_examples
 from repro.data.shards import ShardedDataset
-from repro.parallel.sharedmem import (
-    ProcessHogwildTrainer,
-    SharedParamStore,
-    bind_network,
-    network_state_arrays,
-    unbind_network,
-)
+from repro.parallel.sharedmem import ProcessHogwildTrainer, SharedParamStore
 
 START_METHODS = [
     method for method in ("fork", "spawn") if method in mp.get_all_start_methods()
@@ -126,17 +120,21 @@ class TestSharedParamStore:
         network = SlideNetwork(tiny_network_config)
         optimizer = network.build_optimizer(TrainingConfig())
         before = [layer.weights.copy() for layer in network.layers]
-        store = SharedParamStore.create(network_state_arrays(network, optimizer))
+        store = SharedParamStore.create(model_arrays(network, optimizer))
         try:
-            bind_network(network, optimizer, store)
+            bind_model_arrays(network, optimizer, store)
             # Bound arrays are the store's views: writes land in shared memory.
             network.layers[0].weights[0, 0] = 123.0
             assert store["layer0.weights"][0, 0] == 123.0
             # Optimiser state is bound too.
             m = optimizer.state_of("layer0.weights")["m"]
-            assert m is store["opt::layer0.weights::m"]
+            assert m is store["optim.layer0.weights.m"]
 
-            unbind_network(network, optimizer, store)
+            bind_model_arrays(
+                network,
+                optimizer,
+                {name: store.copy_out(name) for name in store.names()},
+            )
         finally:
             store.close()
             store.unlink()
@@ -146,6 +144,45 @@ class TestSharedParamStore:
         network.layers[0].weights[0, 1] = -1.0
         np.testing.assert_array_equal(network.layers[1].weights, before[1])
 
+
+    def test_store_holds_exactly_the_model_arrays(self, tiny_network_config):
+        network = SlideNetwork(tiny_network_config)
+        optimizer = network.build_optimizer(TrainingConfig())
+        arrays = model_arrays(network, optimizer)
+        # One name per live array: weights, biases and Adam m / v per layer.
+        assert list(arrays) == [
+            "layer0.weights",
+            "layer0.biases",
+            "layer1.weights",
+            "layer1.biases",
+            "optim.layer0.weights.m",
+            "optim.layer0.weights.v",
+            "optim.layer0.biases.m",
+            "optim.layer0.biases.v",
+            "optim.layer1.weights.m",
+            "optim.layer1.weights.v",
+            "optim.layer1.biases.m",
+            "optim.layer1.biases.v",
+        ]
+        assert arrays["layer1.weights"] is network.layers[1].weights
+        assert arrays["optim.layer1.biases.v"] is optimizer.state_of("layer1.biases")["v"]
+
+    def test_bind_rejects_a_mis_shaped_or_missing_array_before_rebinding(
+        self, tiny_network_config
+    ):
+        network = SlideNetwork(tiny_network_config)
+        optimizer = network.build_optimizer(TrainingConfig())
+        live = model_arrays(network, optimizer)
+        copies = {name: array.copy() for name, array in live.items()}
+        copies["layer1.biases"] = copies["layer1.biases"][:-1]
+        with pytest.raises(ValueError, match=r"'layer1\.biases'.*shape"):
+            bind_model_arrays(network, optimizer, copies)
+        del copies["layer1.biases"]
+        with pytest.raises(ValueError, match=r"no array named 'layer1\.biases'"):
+            bind_model_arrays(network, optimizer, copies)
+        # Nothing was rebound by either failed call.
+        for name, array in model_arrays(network, optimizer).items():
+            assert array is live[name], name
 
 class TestProcessHogwildTrainer:
     def test_single_process_matches_fused_path_bitwise(

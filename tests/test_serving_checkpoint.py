@@ -178,6 +178,34 @@ def _string_learning_rate(manifest):
     manifest["optimizer"]["config"]["learning_rate"] = "0.1"
 
 
+def _list_manifest(manifest):
+    return [manifest]  # the one edit that replaces the manifest
+
+
+def _list_metadata(manifest):
+    manifest["metadata"] = [1]
+
+
+def _no_step_count(manifest):
+    del manifest["optimizer"]["step_count"]
+
+
+def _string_step_count(manifest):
+    manifest["optimizer"]["step_count"] = "3"
+
+
+def _list_parameters(manifest):
+    manifest["optimizer"]["parameters"] = ["layer0.weights"]
+
+
+def _missing_checksum(manifest):
+    del manifest["arrays_sha256"]
+
+
+def _unknown_top_level_key(manifest):
+    manifest["zz_unknown"] = 1
+
+
 @pytest.mark.parametrize(
     "edit, field",
     [
@@ -185,24 +213,36 @@ def _string_learning_rate(manifest):
         (_string_k, r"'layers\[1\]\.lsh\.k'"),
         (_unknown_nested_key, r"'layers\[0\]\.sampling\.workerz'"),
         (_string_learning_rate, "'learning_rate'"),
+        (_list_manifest, "JSON object"),
+        (_list_metadata, "'metadata'"),
+        (_no_step_count, r"'optimizer\.step_count'"),
+        (_string_step_count, r"'optimizer\.step_count'"),
+        (_list_parameters, r"'optimizer\.parameters'"),
+        (_missing_checksum, "'arrays_sha256'"),
+        (_unknown_top_level_key, "'zz_unknown'"),
     ],
 )
 def test_hand_edited_manifest_config_is_a_checkpoint_error(
     tmp_path, trained, edit, field
 ):
-    """A malformed stored config names the path and the field — and is a
-    CheckpointError, not the KeyError/TypeError the loaders used to leak."""
+    """A malformed manifest names the path and the field — and is a
+    CheckpointError on every read path, not the AttributeError / KeyError /
+    TypeError the loaders used to leak."""
+    from repro.serving.checkpoint import verify_checkpoint
+
     network, optimizer = trained
     path = save_checkpoint(tmp_path / "ckpt", network, optimizer=optimizer)
     manifest = json.loads((path / "manifest.json").read_text())
-    edit(manifest)
+    manifest = edit(manifest) or manifest
     (path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(CheckpointError, match=field) as excinfo:
-        load_checkpoint(path)
-    assert str(path) in str(excinfo.value)
-    if edit is not _string_learning_rate:  # restore reads only the network config
-        with pytest.raises(CheckpointError, match=field):
-            restore_checkpoint_into(path, network, optimizer)
+    for read in (
+        lambda: verify_checkpoint(path),
+        lambda: load_checkpoint(path),
+        lambda: restore_checkpoint_into(path, network, optimizer),
+    ):
+        with pytest.raises(CheckpointError, match=field) as excinfo:
+            read()
+        assert str(path) in str(excinfo.value)
 
 
 def test_lsh_snapshot_restore_round_trip(trained):
@@ -305,3 +345,180 @@ def test_concurrent_store_saves_all_get_distinct_versions(tmp_path, trained):
     # Every claimed version loads cleanly.
     for path in paths:
         load_checkpoint(path, load_optimizer=False)
+
+
+# ----------------------------------------------------------------------
+# The checkpoint boundary: one manifest reader, one validated restore
+# ----------------------------------------------------------------------
+@pytest.fixture
+def fresh(tiny_network_config):
+    """An untrained network and optimiser; every moment is set to 0.5."""
+    from repro.config import TrainingConfig
+
+    network = SlideNetwork(tiny_network_config)
+    optimizer = network.build_optimizer(TrainingConfig())
+    for _, _, array in optimizer.state_items():
+        array[...] = 0.5
+    return network, optimizer
+
+
+def _fresh_pair(network):
+    from repro.config import TrainingConfig
+
+    twin = SlideNetwork(network.config)
+    return twin, twin.build_optimizer(TrainingConfig())
+
+
+def _rewrite(path, arrays=None, edit=None):
+    """Replace the payload (checksum recomputed) and/or edit the manifest."""
+    import hashlib
+    import io
+
+    manifest = json.loads((path / "manifest.json").read_text())
+    if arrays is not None:
+        buffer = io.BytesIO()
+        np.savez(buffer, **arrays)
+        payload = buffer.getvalue()
+        (path / "arrays.npz").write_bytes(payload)
+        manifest["arrays_sha256"] = hashlib.sha256(payload).hexdigest()
+    if edit is not None:
+        manifest = edit(manifest) or manifest
+    (path / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _stored_arrays(path):
+    with np.load(path / "arrays.npz") as data:
+        return {key: np.array(data[key]) for key in data.files}
+
+
+def test_a_broadcastable_mis_shaped_moment_is_rejected_by_both_paths(tmp_path, fresh):
+    network, optimizer = fresh
+    path = save_checkpoint(tmp_path / "ckpt", network, optimizer)
+    arrays = _stored_arrays(path)
+    cols = optimizer.state_of("layer1.weights")["m"].shape[1]
+    # (cols,) broadcasts over the (rows, cols) moment: a silent fill of
+    # every element is what an unchecked in-place copy would do.
+    arrays["optim.layer1.weights.m"] = np.full(cols, 7.0, dtype=np.float32)
+    _rewrite(path, arrays)
+    with pytest.raises(CheckpointError, match=r"optim\.layer1\.weights\.m.*shape"):
+        load_checkpoint(path)
+    with pytest.raises(CheckpointError, match=r"optim\.layer1\.weights\.m.*shape"):
+        restore_checkpoint_into(path, *_fresh_pair(network))
+
+
+def test_a_mis_shaped_layer_array_is_rejected_before_anything_is_written(
+    tmp_path, fresh
+):
+    network, optimizer = fresh
+    path = save_checkpoint(tmp_path / "ckpt", network, optimizer)
+    arrays = _stored_arrays(path)
+    arrays["layer0.weights"] = arrays["layer0.weights"] + 1.0
+    arrays["layer1.biases"] = arrays["layer1.biases"][:-1]
+    _rewrite(path, arrays)
+    target, target_optimizer = _fresh_pair(network)
+    before = target.layers[0].weights.copy()
+    with pytest.raises(CheckpointError, match=r"layer1\.biases.*shape"):
+        restore_checkpoint_into(path, target, target_optimizer)
+    np.testing.assert_array_equal(target.layers[0].weights, before)
+
+
+def test_a_missing_model_array_is_rejected(tmp_path, fresh):
+    network, optimizer = fresh
+    path = save_checkpoint(tmp_path / "ckpt", network, optimizer)
+    arrays = _stored_arrays(path)
+    del arrays["optim.layer0.biases.v"]
+    _rewrite(path, arrays)
+    with pytest.raises(CheckpointError, match=r"missing array optim\.layer0\.biases\.v"):
+        load_checkpoint(path)
+    # Without the optimiser the moments are not needed.
+    loaded = load_checkpoint(path, load_optimizer=False)
+    np.testing.assert_array_equal(loaded.network.layers[0].weights, network.layers[0].weights)
+
+
+def test_a_missing_optimizer_entry_is_rejected_by_both_paths(tmp_path, fresh):
+    network, optimizer = fresh
+    path = save_checkpoint(tmp_path / "ckpt", network, optimizer)
+
+    def drop(manifest):
+        del manifest["optimizer"]["parameters"]["layer1.weights"]
+
+    _rewrite(path, edit=drop)
+    with pytest.raises(CheckpointError, match="optimiser state"):
+        load_checkpoint(path)
+    target, target_optimizer = _fresh_pair(network)
+    with pytest.raises(CheckpointError, match="optimiser state"):
+        restore_checkpoint_into(path, target, target_optimizer)
+    # Nothing was half restored: every moment is still at its initial zero.
+    assert all(not array.any() for _, _, array in target_optimizer.state_items())
+
+
+def test_without_a_stored_optimizer_a_passed_one_is_left_untouched(tmp_path, fresh):
+    network, optimizer = fresh
+    path = save_checkpoint(tmp_path / "ckpt", network)
+    optimizer.step_count = 5
+    restore_checkpoint_into(path, network, optimizer)
+    assert optimizer.step_count == 5
+    assert all((array == 0.5).all() for _, _, array in optimizer.state_items())
+    assert load_checkpoint(path).optimizer is None
+
+
+def test_verify_returns_the_manifest_dict_with_metadata_unchanged(tmp_path, fresh):
+    from repro.serving.checkpoint import verify_checkpoint
+
+    network, optimizer = fresh
+    metadata = {"train_state": {"mode": "inline", "items": [[1, 2.5], None]}}
+    path = save_checkpoint(tmp_path / "ckpt", network, optimizer, metadata=metadata)
+    manifest = verify_checkpoint(path)
+    assert manifest == json.loads((path / "manifest.json").read_text())
+    assert manifest["metadata"] == metadata
+    assert load_checkpoint(path).metadata == metadata
+
+
+def test_an_unreadable_payload_with_a_matching_checksum_is_a_checkpoint_error(
+    tmp_path, fresh
+):
+    import hashlib
+
+    network, _ = fresh
+    path = save_checkpoint(tmp_path / "ckpt", network)
+    (path / "arrays.npz").write_bytes(b"not a zip archive")
+    manifest = json.loads((path / "manifest.json").read_text())
+    manifest["arrays_sha256"] = hashlib.sha256(b"not a zip archive").hexdigest()
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointError, match="unreadable array payload"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "edit", [_list_manifest, _list_metadata, _no_step_count], ids=lambda e: e.__name__
+)
+def test_latest_valid_skips_a_malformed_manifest(tmp_path, fresh, edit):
+    network, optimizer = fresh
+    store = CheckpointStore(tmp_path / "store")
+    good = store.save(network, optimizer)
+    bad = store.save(network, optimizer)
+    _rewrite(bad, edit=edit)
+    assert store.latest() == bad
+    assert store.latest_valid() == good
+
+
+def test_restore_train_state_checks_mode_and_seed(tmp_path, fresh):
+    from repro.serving.checkpoint import restore_train_state
+
+    network, optimizer = fresh
+    store = CheckpointStore(tmp_path / "store")
+    store.save(network, optimizer, metadata={"train_state": {"mode": "inline", "seed": 4}})
+    target, target_optimizer = _fresh_pair(network)
+    # A store root resolves to its newest intact version.
+    state = restore_train_state(
+        store.root, target, target_optimizer, mode="inline", seed=4
+    )
+    assert state == {"mode": "inline", "seed": 4}
+    np.testing.assert_array_equal(target.layers[1].weights, network.layers[1].weights)
+    with pytest.raises(CheckpointError, match="no process training state"):
+        restore_train_state(store.root, target, target_optimizer, mode="process", seed=4)
+    with pytest.raises(CheckpointError, match="seed"):
+        restore_train_state(store.root, target, target_optimizer, mode="inline", seed=5)
+    bare = save_checkpoint(tmp_path / "bare", network, optimizer)
+    with pytest.raises(CheckpointError, match="no inline training state"):
+        restore_train_state(bare, target, target_optimizer, mode="inline", seed=4)

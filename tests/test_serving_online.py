@@ -332,6 +332,44 @@ def test_watcher_survives_a_hand_edited_manifest(trained_store):
     assert watcher.current_version == v1.name
 
 
+def test_started_watcher_survives_a_non_object_manifest(trained_store):
+    """A published version whose manifest.json is a JSON array is a recorded
+    "corrupt" reload failure; the poll thread lives on and swaps in the next
+    good version."""
+    v1, v2 = trained_store.versions()
+    engine = SparseInferenceEngine(
+        load_checkpoint(v1, load_optimizer=False).network, active_budget=32
+    )
+    metrics = ServingMetrics()
+    manifest = json.loads((v2 / "manifest.json").read_text())
+    (v2 / "manifest.json").write_text(json.dumps([manifest]))
+    watcher = CheckpointWatcher(
+        trained_store,
+        engine,
+        metrics=metrics,
+        poll_s=0.01,
+        current_version=v1.name,
+        max_load_attempts=1,
+        retry_backoff_s=0.0,
+    )
+    watcher.start()
+    try:
+        deadline = time.monotonic() + 10.0
+        while not metrics.reload_failures and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert metrics.reload_failures_by_cause == {"corrupt": 1}
+        assert watcher._thread.is_alive()
+        assert watcher.current_version == v1.name
+
+        v3 = trained_store.save(load_checkpoint(v1, load_optimizer=False).network)
+        while watcher.current_version != v3.name and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert watcher.current_version == v3.name
+        assert watcher._thread.is_alive()
+    finally:
+        watcher.stop()
+
+
 def test_watcher_backoff_spaces_out_retries(trained_store):
     from repro.faults import tear_checkpoint
 
