@@ -5,8 +5,8 @@ bench runs two chaos scenarios end-to-end against the synthetic XC workload
 and records what recovery actually cost:
 
 * **Worker kill** — a 2-process supervised HOGWILD run in which worker 1 is
-  ``SIGKILL``-ed mid-epoch by a deterministic
-  :class:`~repro.faults.FaultPlan`.  The supervisor must detect the death,
+  ``SIGKILL``-ed mid-epoch, and worker 0 stalls at the same batch, by a
+  deterministic :class:`~repro.faults.FaultPlan`.  The supervisor must detect the death,
   restart the slot, and finish the run; the report records the measured
   recovery latency (death detection → replacement launch), the batches whose
   telemetry died with the victim, and the final precision@1 against an
@@ -42,7 +42,7 @@ from repro.core.trainer import SlideTrainer
 from repro.data.ingest import ingest_examples
 from repro.data.shards import ShardedDataset
 from repro.datasets.synthetic import delicious_like_config, generate_synthetic_xc
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, FaultSpec
 from repro.harness.report import format_table
 from repro.harness.scaling import build_scaling_network_config
 from repro.parallel.sharedmem import ProcessHogwildTrainer
@@ -206,7 +206,21 @@ def _worker_kill_scenario(
             return trainer.train(sharded, dataset.test)
 
         baseline = train(None)
-        chaos = train(FaultPlan.kill_worker(1, at_batch=kill_at_batch))
+        # The survivor stalls at the kill point for one maximal backoff, so
+        # the victim's requeued item is still pending when the slot is
+        # relaunched; otherwise the survivor can finish it first, the run
+        # ends before the restart fires, and no recovery is measured.
+        chaos = train(
+            FaultPlan.of(
+                FaultSpec(kind="kill", worker_id=1, at_batch=kill_at_batch),
+                FaultSpec(
+                    kind="slow",
+                    worker_id=0,
+                    at_batch=kill_at_batch,
+                    duration_s=supervision_config.backoff_max_s,
+                ),
+            )
+        )
     finally:
         shutil.rmtree(cache, ignore_errors=True)
 

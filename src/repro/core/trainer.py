@@ -1,8 +1,9 @@
-"""Training driver for SLIDE networks.
+"""In-process training driver for SLIDE networks.
 
 The trainer owns the epoch/batch loop, the optimiser, periodic evaluation and
 per-iteration records of the *work* performed (active neurons, active
-weights) and of its measured wall-clock time.
+weights) and of its measured wall-clock time.  Training in several worker
+processes is :class:`repro.parallel.sharedmem.ProcessHogwildTrainer`'s job.
 """
 
 from __future__ import annotations
@@ -138,16 +139,8 @@ class SlideTrainer:
     thread.  Neither choice changes the training trajectory: the same
     ``TrainingConfig.seed`` produces the same batches and losses bit-for-bit.
 
-    ``num_processes > 1`` hands the whole run to
-    :class:`repro.parallel.sharedmem.ProcessHogwildTrainer`: weights,
-    biases and optimiser moments move into shared memory and ``N`` worker
-    processes train lock-free on disjoint data slices (process-level
-    HOGWILD — the paper's scalability claim, for real).  In that mode the
-    ``hogwild``/``prefetch_depth`` knobs and periodic
-    ``eval_every`` evaluation do not apply (workers run the kernel on their
-    own whole batches), the run is not bit-reproducible (HOGWILD
-    races), and the detailed report lands in :attr:`last_process_report`.
-    ``num_processes=1`` never changes behaviour.
+    Everything runs in the calling process; multi-process HOGWILD over
+    shared memory is :class:`repro.parallel.sharedmem.ProcessHogwildTrainer`.
     """
 
     def __init__(
@@ -156,25 +149,18 @@ class SlideTrainer:
         training: TrainingConfig,
         hogwild: bool = True,
         prefetch_depth: int = 0,
-        num_processes: int = 1,
         checkpoint_dir: str | Path | None = None,
         fault_tolerance: FaultToleranceConfig | None = None,
     ) -> None:
         if prefetch_depth < 0:
             raise ValueError("prefetch_depth must be non-negative")
-        if num_processes < 1:
-            raise ValueError("num_processes must be positive")
         self.network = network
         self.training = training
         self.hogwild = hogwild
         self.prefetch_depth = int(prefetch_depth)
-        self.num_processes = int(num_processes)
         self.optimizer = network.build_optimizer(training)
         self._rng = derive_rng(training.seed, stream=31)
         self.history = TrainingHistory()
-        # Filled by multi-process runs: the ProcessTrainingReport with
-        # per-worker stats and measured gradient-conflict counters.
-        self.last_process_report = None
         # Mid-run checkpointing: when checkpoint_dir is set, resumable
         # versions land in a CheckpointStore there — every
         # fault_tolerance.checkpoint_every_batches batches plus at every
@@ -250,8 +236,6 @@ class SlideTrainer:
         """
         if len(train_examples) == 0:
             raise ValueError("train_examples must not be empty")
-        if self.num_processes > 1:
-            return self._train_multiprocess(train_examples, eval_examples, resume)
         start_epoch, skip_batches = 0, 0
         if resume is not None:
             start_epoch, skip_batches = self._restore(resume)
@@ -354,36 +338,6 @@ class SlideTrainer:
         restore_network_runtime_state(self.network, state["runtime"])
         self._last_saved_iteration = self.network.iteration
         return int(state["epoch"]), int(state["batches_done"])
-
-    def _train_multiprocess(
-        self,
-        train_examples: ExampleSource,
-        eval_examples: ExampleSource | None,
-        resume: str | Path | None = None,
-    ) -> TrainingHistory:
-        """Delegate the run to the shared-memory process trainer.
-
-        Imported lazily: :mod:`repro.parallel.sharedmem` imports this module
-        for its single-process fallback, so a module-level import would be
-        circular.
-        """
-        from repro.parallel.sharedmem import ProcessHogwildTrainer
-
-        process_trainer = ProcessHogwildTrainer(
-            self.network,
-            self.training,
-            num_processes=self.num_processes,
-            fault_tolerance=self.fault_tolerance,
-            checkpoint_dir=self.checkpoint_dir,
-        )
-        report = process_trainer.train(train_examples, eval_examples, resume=resume)
-        self.last_process_report = report
-        # The workers trained through shared optimiser state built by the
-        # process trainer; adopt it so checkpointing sees the real moments.
-        if process_trainer.optimizer is not None:
-            self.optimizer = process_trainer.optimizer
-        self.history = report.history
-        return self.history
 
     def train_batches(
         self,

@@ -355,11 +355,11 @@ class ShardedDataset(Sequence[SparseExample]):
       bounded by ``shard_size`` regardless of the dataset size.
 
     ``shard_subset`` restricts the view to a subset of the cache's shards
-    (given as manifest positions).  Combined with :meth:`assign_shards` /
-    :meth:`worker_view` this is what lets the process-parallel HOGWILD
-    trainer (:mod:`repro.parallel.sharedmem`) hand each worker process a
-    disjoint slice of the dataset that it can stream independently — the
-    workers share nothing but the cache directory on disk.
+    (given as manifest positions).  The process-parallel HOGWILD trainer
+    (:mod:`repro.parallel.sharedmem`) splits the shards with
+    :meth:`assign_shards` and streams each group through such a view in
+    whichever worker process runs it — the workers share nothing but the
+    cache directory on disk.
     """
 
     def __init__(
@@ -409,11 +409,6 @@ class ShardedDataset(Sequence[SparseExample]):
     def num_shards(self) -> int:
         return len(self._shards)
 
-    @property
-    def shard_indices(self) -> list[int]:
-        """Manifest positions of the shards this view covers (in view order)."""
-        return list(self._shard_indices)
-
     def open_shard_count(self) -> int:
         """How many shards currently hold open mmaps (memory diagnostics)."""
         return sum(1 for shard in self._shards if shard.is_open)
@@ -453,25 +448,6 @@ class ShardedDataset(Sequence[SparseExample]):
             groups[lightest].append(manifest_index)
             loads[lightest] += shard.num_examples
         return [sorted(group) for group in groups]
-
-    def worker_view(
-        self, worker_id: int, num_workers: int, seed: int | None = None
-    ) -> "ShardedDataset":
-        """A new dataset restricted to worker ``worker_id``'s shard group.
-
-        The view opens its own shard handles (and therefore its own mmaps),
-        so it is safe to use from another process: worker processes of the
-        process-parallel trainer each call this with their own id and stream
-        disjoint data without coordinating.
-        """
-        if not 0 <= worker_id < num_workers:
-            raise ValueError("worker_id must lie in [0, num_workers)")
-        assignment = self.assign_shards(num_workers)[worker_id]
-        return ShardedDataset(
-            self.cache_dir,
-            seed=self.seed if seed is None else seed,
-            shard_subset=assignment,
-        )
 
     # ------------------------------------------------------------------
     # Random access (the eager-parity path)

@@ -58,13 +58,6 @@ class ExperimentConfig:
     target_active_fraction: float = 0.05
     rebuild_initial_period: int = 20
     sampled_softmax_fraction: float = 0.2
-    # Depth of the background batch-assembly queue for SLIDE training runs
-    # (0 = assemble batches inline; see repro.data.BatchPrefetcher).
-    prefetch_depth: int = 0
-    # Worker processes for SLIDE training runs (1 = single-process; > 1
-    # trains through the shared-memory process-HOGWILD path, see
-    # repro.parallel.sharedmem).
-    num_processes: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -72,10 +65,6 @@ class ExperimentConfig:
             raise ValueError("hidden_dim, batch_size and epochs must be positive")
         if not 0 < self.target_active_fraction <= 1:
             raise ValueError("target_active_fraction must lie in (0, 1]")
-        if self.prefetch_depth < 0:
-            raise ValueError("prefetch_depth must be non-negative")
-        if self.num_processes < 1:
-            raise ValueError("num_processes must be positive")
 
     @property
     def target_active(self) -> int:
@@ -169,12 +158,7 @@ class HeadToHeadExperiment:
             hash_family=hash_family,
             insertion_policy=insertion_policy,
         )
-        trainer = SlideTrainer(
-            network,
-            self.training_config(batch_size),
-            prefetch_depth=cfg.prefetch_depth,
-            num_processes=cfg.num_processes,
-        )
+        trainer = SlideTrainer(network, self.training_config(batch_size))
         history = trainer.train(self.dataset.train, self.dataset.test)
 
         # Active output neurons per sample: the record counts every layer's

@@ -117,7 +117,6 @@ def measure_process_scaling(
     epochs: int = 3,
     batch_size: int = 32,
     seed: int = 0,
-    start_method: str | None = None,
     cache_dir: str | None = None,
 ) -> dict[str, object]:
     """Train the synthetic XC workload at each process count and measure.
@@ -167,9 +166,7 @@ def measure_process_scaling(
             network = SlideNetwork(
                 build_scaling_network_config(feature_dim, label_dim, seed)
             )
-            trainer = ProcessHogwildTrainer(
-                network, training, num_processes=processes, start_method=start_method
-            )
+            trainer = ProcessHogwildTrainer(network, training, num_processes=processes)
             report = trainer.train(sharded_train, dataset.test)
             # cpu_time_s covers exactly the wall_time_s window (training
             # only, evaluation excluded on every path), so the utilisation
@@ -220,7 +217,9 @@ def measure_process_scaling(
             "seed": seed,
         },
         "available_cores": cores,
-        "start_method": start_method or "default",
+        # How the largest (last) run started its workers: "fork", "spawn",
+        # or "inline" when every run was single-process.
+        "start_method": report.start_method,
         "rows": [run.as_row() for run in runs],
         "baseline_precision_at_1": round(by_count[1].precision_at_1, 4),
         "max_measured_speedup": round(

@@ -14,12 +14,15 @@ Table 2).  This module provides the real thing:
   zero-copy from the manifest and point their own ``SlideNetwork`` /
   optimiser at the shared arrays with
   :func:`~repro.core.network.bind_model_arrays`.
-* :class:`ProcessHogwildTrainer` shards each epoch's data across ``N``
-  worker processes that perform lock-free asynchronous updates directly into
-  the shared parameters (HOGWILD at micro-batch granularity, Recht et al.,
-  2011).  Per the paper's design each worker owns a *private* LSH index over
-  the shared weights, rebuilt on the worker's own schedule; nothing but the
-  parameter arrays (and two small diagnostic counters) is shared, and no
+* :class:`ProcessHogwildTrainer` trains a
+  :class:`~repro.data.shards.ShardedDataset` in ``N`` worker processes that
+  perform lock-free asynchronous updates directly into the shared parameters
+  (HOGWILD at micro-batch granularity, Recht et al., 2011).  The shards are
+  split into ``N`` balanced groups, and one work item is one epoch of one
+  group; any worker may run any item, so a dead worker's items move to the
+  survivors.  Per the paper's design each worker owns a *private* LSH index
+  over the shared weights, rebuilt on the worker's own schedule; nothing but
+  the parameter arrays (and small diagnostic counters) is shared, and no
   locks are taken anywhere on the training path.
 
 Gradient conflicts are *measured*, not assumed away: every worker stamps its
@@ -30,10 +33,11 @@ worker footprints).  The bitmask update is itself lock-free and therefore
 slightly approximate under contention — exactly the trade-off HOGWILD makes
 for the gradients themselves.
 
-With ``num_processes=1`` the trainer degenerates to a deterministic inline
-run of today's fused synchronous path (:mod:`repro.kernels`) — bit-for-bit
-identical weights to ``SlideTrainer(hogwild=False).train`` on the same data
-and seed, which is what the parity tests pin.
+With ``num_processes=1`` the trainer runs inline through
+``SlideTrainer(hogwild=False)`` on the same dataset — bit-for-bit identical
+weights to the fused synchronous path on the same data and seed, which is
+what the parity tests pin and what the scaling benches measure speedups
+against.
 
 Multi-process runs are *not* bit-reproducible: update interleaving across
 workers is scheduler-dependent, which is inherent to HOGWILD.  Periodic
@@ -66,14 +70,14 @@ from repro.config import (
     from_dict,
     to_dict,
 )
+from repro.core.inference import evaluate_precision_at_1
 from repro.core.network import SlideNetwork, bind_model_arrays, model_arrays
+from repro.core.trainer import IterationRecord, SlideTrainer, TrainingHistory
 from repro.data.shards import ShardedDataset
 from repro.faults import FaultInjector
 from repro.optim.base import Optimizer
 from repro.optim.factory import make_optimizer
 from repro.parallel.conflicts import ConflictReport, analyze_update_conflicts
-from repro.types import SparseBatch, SparseExample
-from repro.utils.rng import derive_rng
 
 __all__ = [
     "SharedParamStore",
@@ -101,6 +105,9 @@ _HB_STAMP = 1  # time.monotonic() of the last progress update
 _HB_ITEM = 2  # id of the work item being processed (-1 when idle)
 _HB_INCARNATION = 3  # restart count of the worker slot
 _HB_COLUMNS = 4
+
+# Shared-memory block and worker-process names start with this.
+_NAME_PREFIX = "slide-hogwild"
 
 # A uint64 writer bitmask caps the worker count.
 MAX_PROCESSES = 64
@@ -414,7 +421,7 @@ class ProcessTrainingReport:
     conflict: ProcessConflictStats | None
     # Merged per-batch records (round-robin across workers in multi-process
     # runs); ``epoch_accuracy`` carries the parent's end-of-run evaluation.
-    history: "TrainingHistory"
+    history: TrainingHistory
     # CPU seconds consumed by the measured training phase only (the parent
     # for inline runs, the reaped workers for multi-process runs) — the
     # same window ``wall_time_s`` covers, so utilisation ratios are honest.
@@ -448,63 +455,38 @@ def _group_seed(base_seed: int, group: int) -> int:
     return (int(base_seed) * 1_000_003 + 7919 * (int(group) + 1)) & 0x7FFFFFFF
 
 
-def _item_batches(payload: dict, item: Mapping[str, Any], network: SlideNetwork):
+def _item_batches(payload: dict, item: Mapping[str, Any]):
     """Yield the batches of one work item, skipping ``item['skip']`` of them.
 
-    ``shards`` items stream one :class:`ShardedDataset` shard group for one
-    epoch (a ``try``/``finally`` guarantees the resident shard's mmap is
-    released even when the item is abandoned mid-stream by a fault);
-    ``examples`` items shuffle this worker's materialised slice with an
-    epoch-keyed generator, so a restarted worker reproduces the identical
-    order without replaying earlier epochs.
+    An item streams one :class:`ShardedDataset` shard group for one epoch (a
+    ``try``/``finally`` guarantees the resident shard's mmap is released
+    even when the item is abandoned mid-stream by a fault).
     """
     data = payload["data"]
     training = payload["training"]
-    batch_size = int(training["batch_size"])
-    shuffle = bool(training["shuffle"])
-    epoch = int(item["epoch"])
+    group = int(item["group"])
     skip = int(item.get("skip", 0))
-    if data["kind"] == "shards":
-        groups: list[list[int]] = data["groups"]
-        group = int(item["group"])
-        dataset = ShardedDataset(
-            data["cache_dir"],
-            seed=_group_seed(int(data["seed"]), group),
-            shard_subset=groups[group],
-        )
-        try:
-            for index, batch in enumerate(
-                dataset.iter_batches(
-                    batch_size, epoch=epoch, shuffle=shuffle, release=True
-                )
-            ):
-                # Already-trained batches are decompressed and discarded:
-                # skip cost is proportional to progress lost, never to the
-                # whole run.
-                if index < skip:
-                    continue
-                yield batch
-        finally:
-            dataset.close()
-        return
-    examples: list[SparseExample] = data["examples"]
-    rng = derive_rng(int(data["seed"]), stream=31 + epoch)
-    order = np.arange(len(examples))
-    if shuffle:
-        rng.shuffle(order)
-    emitted = 0
-    for start in range(0, len(examples), batch_size):
-        chunk = [examples[int(i)] for i in order[start : start + batch_size]]
-        if not chunk:
-            continue
-        emitted += 1
-        if emitted <= skip:
-            continue
-        yield SparseBatch.from_examples(
-            chunk,
-            feature_dim=network.input_dim,
-            label_dim=network.output_dim,
-        )
+    dataset = ShardedDataset(
+        data["cache_dir"],
+        seed=_group_seed(int(data["seed"]), group),
+        shard_subset=data["groups"][group],
+    )
+    try:
+        for index, batch in enumerate(
+            dataset.iter_batches(
+                int(training["batch_size"]),
+                epoch=int(item["epoch"]),
+                shuffle=bool(training["shuffle"]),
+                release=True,
+            )
+        ):
+            # Already-trained batches are decompressed and discarded: skip
+            # cost is proportional to progress lost, never to the whole run.
+            if index < skip:
+                continue
+            yield batch
+    finally:
+        dataset.close()
 
 
 def _run_worker(payload: dict, task_queue, result_queue) -> None:
@@ -567,7 +549,7 @@ def _run_worker(payload: dict, task_queue, result_queue) -> None:
             footprint_chunks: list[np.ndarray] = []
             samples = 0
             start = time.perf_counter()
-            batches = _item_batches(payload, item, network)
+            batches = _item_batches(payload, item)
             try:
                 for batch in batches:
                     injector.on_batch()
@@ -696,14 +678,16 @@ class ProcessHogwildTrainer:
     Each of ``num_processes`` workers builds its own :class:`SlideNetwork`
     (private LSH tables, private rebuild schedule, private RNG streams),
     binds the network's weights/biases and the optimiser's moment buffers to
-    the parent's shared-memory blocks, and trains on a disjoint slice of the
-    data — whole :class:`~repro.data.shards.ShardedDataset` shards when the
-    input is a shard cache with enough shards, otherwise a deterministic
-    round-robin split of a materialised example list.  Updates land lock-free
-    (HOGWILD); the run reports measured cross-worker gradient conflicts.
+    the parent's shared-memory blocks, and trains shard-group work items of
+    a :class:`~repro.data.shards.ShardedDataset`: the shards are split into
+    ``num_processes`` LPT-balanced groups and each item is one epoch of one
+    group.  Updates land lock-free (HOGWILD); the run reports measured
+    cross-worker gradient conflicts.
 
     ``num_processes=1`` runs inline through ``SlideTrainer(hogwild=False)``
-    and therefore stays bit-for-bit identical to the fused synchronous path.
+    on the same dataset and therefore stays bit-for-bit identical to the
+    fused synchronous path.  Multi-process workers are forked where the
+    platform can fork, otherwise spawned.
     """
 
     def __init__(
@@ -711,29 +695,16 @@ class ProcessHogwildTrainer:
         network: SlideNetwork,
         training: TrainingConfig,
         num_processes: int = 1,
-        start_method: str | None = None,
-        join_timeout: float | None = 60.0,
-        prefix: str = "slide-hogwild",
         fault_tolerance: FaultToleranceConfig | None = None,
         checkpoint_dir: str | Path | None = None,
         fault_plan=None,
     ) -> None:
         if not 1 <= num_processes <= MAX_PROCESSES:
             raise ValueError(f"num_processes must lie in [1, {MAX_PROCESSES}]")
-        if start_method is not None and start_method not in mp.get_all_start_methods():
-            raise ValueError(
-                f"start method {start_method!r} not available on this platform"
-            )
         self.network = network
         self.training = training
         self.num_processes = int(num_processes)
-        if start_method is None:
-            start_method = (
-                "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-            )
-        self.start_method = start_method
-        self.join_timeout = join_timeout
-        self.prefix = prefix
+        self.start_method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         self.fault_tolerance = fault_tolerance or FaultToleranceConfig()
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
         # Deterministic chaos plan (tests/benchmarks only): shipped to the
@@ -747,20 +718,32 @@ class ProcessHogwildTrainer:
     # ------------------------------------------------------------------
     def train(
         self,
-        train_examples,
+        train_examples: ShardedDataset,
         eval_examples=None,
         resume: str | Path | None = None,
     ) -> ProcessTrainingReport:
         """Train for ``training.epochs`` epochs; returns the run report.
 
-        ``resume`` names a checkpoint version directory (or a
-        :class:`~repro.serving.checkpoint.CheckpointStore` root, in which
+        ``train_examples`` is a :class:`ShardedDataset` with at least one
+        shard per process (``repro.data.ingest_examples`` writes one from an
+        example list).  ``resume`` names a checkpoint version directory (or
+        a :class:`~repro.serving.checkpoint.CheckpointStore` root, in which
         case the newest *intact* version is used) written by a previous run
         with the same configuration; training continues from the work items
         that run had not yet finished.
         """
-        if len(train_examples) == 0:
-            raise ValueError("train_examples must not be empty")
+        if not isinstance(train_examples, ShardedDataset):
+            raise TypeError(
+                "ProcessHogwildTrainer trains a ShardedDataset, not "
+                f"{type(train_examples).__name__}; write one with "
+                "repro.data.ingest_examples"
+            )
+        if train_examples.num_shards < self.num_processes:
+            raise ValueError(
+                f"the dataset has {train_examples.num_shards} shard(s) for "
+                f"{self.num_processes} processes; each process needs at least "
+                "one shard (ingest with a smaller shard_size)"
+            )
         if self.num_processes == 1:
             report = self._train_inline(train_examples, eval_examples, resume)
         else:
@@ -769,13 +752,11 @@ class ProcessHogwildTrainer:
         return report
 
     # ------------------------------------------------------------------
-    # Single-process deterministic fallback
+    # Single-process deterministic baseline
     # ------------------------------------------------------------------
     def _train_inline(
         self, train_examples, eval_examples, resume=None
     ) -> ProcessTrainingReport:
-        from repro.core.trainer import SlideTrainer
-
         trainer = SlideTrainer(
             self.network,
             self.training,
@@ -794,8 +775,6 @@ class ProcessHogwildTrainer:
         wall = time.perf_counter() - start
         cpu_time = _cpu_seconds(resource.RUSAGE_SELF) - cpu_before
         if eval_examples is not None and len(eval_examples):
-            from repro.core.inference import evaluate_precision_at_1
-
             history.epoch_accuracy.append(
                 evaluate_precision_at_1(self.network, eval_examples)
             )
@@ -827,9 +806,6 @@ class ProcessHogwildTrainer:
     # ------------------------------------------------------------------
     # Multi-process path
     # ------------------------------------------------------------------
-    def _worker_seed(self, worker_id: int) -> int:
-        return (int(self.training.seed) * 1_000_003 + 7919 * (worker_id + 1)) & 0x7FFFFFFF
-
     def _worker_network_config(self, worker_id: int):
         """Per-worker network config: distinct seed, rescaled rebuild cadence.
 
@@ -855,68 +831,23 @@ class ProcessHogwildTrainer:
             seed=int(config.seed) + 7919 * (worker_id + 1),
         )
 
-    def _data_spec(self, train_examples):
-        """``(kind, groups, per-worker data dicts)`` for a fresh run.
+    def _build_items(self, groups: list[list[int]]) -> list[dict]:
+        """The run's full work-item list: one item per (epoch, shard group)."""
+        return [
+            {"id": epoch * len(groups) + group, "epoch": epoch, "group": group, "skip": 0}
+            for epoch in range(int(self.training.epochs))
+            for group in range(len(groups))
+        ]
 
-        A :class:`ShardedDataset` with at least one shard per worker is
-        split into LPT-balanced shard groups; every worker carries the same
-        group list (shard-group work items are runnable by *any* worker,
-        which is what makes them reassignable after a death).  Anything else
-        is split round-robin into per-worker materialised example slices.
-        """
-        if (
-            isinstance(train_examples, ShardedDataset)
-            and train_examples.num_shards >= self.num_processes
-        ):
-            groups = [
-                [int(s) for s in group]
-                for group in train_examples.assign_shards(self.num_processes)
-            ]
-            data = {
-                "kind": "shards",
-                "cache_dir": str(train_examples.cache_dir),
-                "groups": groups,
-                "seed": int(self.training.seed),
-            }
-            return "shards", groups, [data] * self.num_processes
-        order = derive_rng(self.training.seed, stream=31).permutation(
-            len(train_examples)
-        )
-        per_worker = []
-        for worker_id in range(self.num_processes):
-            indices = order[worker_id :: self.num_processes]
-            per_worker.append(
-                {
-                    "kind": "examples",
-                    "examples": [train_examples[int(i)] for i in indices],
-                    "seed": self._worker_seed(worker_id),
-                }
-            )
-        return "examples", None, per_worker
-
-    def _build_items(self, kind: str, groups) -> list[dict]:
-        """The run's full work-item list: one item per (epoch, data slice)."""
-        items: list[dict] = []
-        for epoch in range(int(self.training.epochs)):
-            if kind == "shards":
-                for group in range(len(groups)):
-                    items.append(
-                        {"id": len(items), "epoch": epoch, "group": group, "skip": 0}
-                    )
-            else:
-                for slot in range(self.num_processes):
-                    items.append(
-                        {"id": len(items), "epoch": epoch, "slot": slot, "skip": 0}
-                    )
-        return items
-
-    def _restore_process_state(self, resume, optimizer, kind: str):
+    def _restore_process_state(self, resume, optimizer):
         """Restore a mid-run checkpoint into the bound shared arrays.
 
         Called *after* :func:`bind_model_arrays` has pointed the model at the
         store, so the in-place restore writes straight through into shared
         memory and every worker attaches to the checkpointed parameters.
-        Returns ``(items, groups, base_step)``.
+        Returns ``(items, groups, base_step)``; the checkpoint's items index
+        into *its* group list, so the groups come from the checkpoint too
+        (which lets any worker count pick the run back up).
         """
         from repro.serving.checkpoint import CheckpointError, restore_train_state
 
@@ -930,24 +861,20 @@ class ProcessHogwildTrainer:
         for key, current in (
             ("epochs", int(self.training.epochs)),
             ("batch_size", int(self.training.batch_size)),
-            ("kind", kind),
+            ("kind", "shards"),
         ):
             if state.get(key) != current:
                 raise CheckpointError(
                     f"checkpoint {resume} was written with {key}={state.get(key)!r}; "
                     f"this run uses {key}={current!r}"
                 )
-        if kind == "examples" and int(state.get("num_processes", -1)) != self.num_processes:
+        if state.get("groups") is None:
             raise CheckpointError(
-                f"checkpoint {resume} sharded examples across "
-                f"{state.get('num_processes')} workers; example slices are "
-                f"worker-bound, so resume needs the same num_processes "
-                f"(got {self.num_processes})"
+                f"checkpoint {resume} records no shard groups; it cannot "
+                "seed a shard-group resume"
             )
         items = [dict(item) for item in state["items"]]
-        groups = state.get("groups")
-        if groups is not None:
-            groups = [[int(s) for s in group] for group in groups]
+        groups = [[int(s) for s in group] for group in state["groups"]]
         return items, groups, int(optimizer.step_count)
 
     def _remaining_items(self, pending, slots, heartbeat) -> list[dict]:
@@ -968,7 +895,7 @@ class ProcessHogwildTrainer:
         return out
 
     def _save_process_checkpoint(
-        self, ckpt_store, optimizer, base_step, kind, groups, items, worker_updates
+        self, ckpt_store, optimizer, base_step, groups, items, worker_updates
     ) -> None:
         """Write one atomic mid-run checkpoint from the parent.
 
@@ -981,17 +908,16 @@ class ProcessHogwildTrainer:
         # Workers rebuild their own private tables; the parent's index is
         # stale until rehashed, and the checkpoint stores table contents.
         self.network.rebuild_all_tables()
-        train_state: dict[str, Any] = {
+        train_state = {
             "mode": "process",
-            "kind": kind,
+            "kind": "shards",
             "seed": int(self.training.seed),
             "epochs": int(self.training.epochs),
             "batch_size": int(self.training.batch_size),
             "num_processes": self.num_processes,
             "items": items,
+            "groups": groups,
         }
-        if groups is not None:
-            train_state["groups"] = groups
         ckpt_store.save(
             self.network,
             optimizer,
@@ -1004,8 +930,7 @@ class ProcessHogwildTrainer:
         context,
         payload_base: list[dict],
         items: list[dict],
-        kind: str,
-        groups,
+        groups: list[list[int]],
         store: SharedParamStore,
         optimizer: Optimizer,
         base_step: int,
@@ -1028,11 +953,10 @@ class ProcessHogwildTrainer:
         process sentinels (not by polling a timeout window); hangs are
         detected from stale heartbeat rows in shared memory.  A failed slot
         is restarted with exponential backoff up to
-        ``fault_tolerance.max_restarts`` times; when a slot's budget is
-        exhausted its outstanding shard-group items drain to the surviving
-        workers.  Only when an item can never run again (examples-mode slot
-        gone, or every slot dead) does the run fail, with every underlying
-        worker failure in the message.
+        ``fault_tolerance.max_restarts`` times; any slot may run any item, so
+        when a slot's budget is exhausted its outstanding items drain to the
+        surviving workers.  Only when every slot is dead with work left does
+        the run fail, with every underlying worker failure in the message.
         """
         ft = self.fault_tolerance
         run_start = time.monotonic()
@@ -1053,12 +977,6 @@ class ProcessHogwildTrainer:
 
         def now_s() -> float:
             return time.monotonic() - run_start
-
-        def eligible(slot: _WorkerSlot, item: Mapping[str, Any]) -> bool:
-            # Shard-group batches are worker-independent (group-keyed seed),
-            # so any worker may run them; example slices live only in their
-            # own worker's payload.
-            return kind == "shards" or int(item["slot"]) == slot.worker_id
 
         def launch(slot: _WorkerSlot) -> None:
             # Salvage anything the previous incarnation managed to deliver
@@ -1084,7 +1002,7 @@ class ProcessHogwildTrainer:
             process = context.Process(
                 target=_worker_entry,
                 args=(payload, slot.task_queue, slot.result_queue),
-                name=f"{self.prefix}-{slot.worker_id}-i{slot.incarnation}",
+                name=f"{_NAME_PREFIX}-{slot.worker_id}-i{slot.incarnation}",
                 daemon=True,
             )
             process.start()
@@ -1243,18 +1161,6 @@ class ProcessHogwildTrainer:
         def work_remaining() -> bool:
             return bool(pending) or any(s.in_flight is not None for s in slots)
 
-        def unrunnable_failure() -> list[str] | None:
-            failures = None
-            for item in pending:
-                if kind == "shards":
-                    stuck = not any(s.alive for s in slots)
-                else:
-                    stuck = not slots[int(item["slot"])].alive
-                if stuck:
-                    failures = [f for s in slots for f in s.failures]
-                    break
-            return failures
-
         def do_restarts() -> None:
             now = time.monotonic()
             for slot in slots:
@@ -1278,14 +1184,9 @@ class ProcessHogwildTrainer:
             for slot in slots:
                 if not slot.running or slot.stop_sent or slot.in_flight is not None:
                     continue
-                chosen = None
-                for item in pending:
-                    if eligible(slot, item):
-                        chosen = item
-                        break
-                if chosen is None:
-                    continue
-                pending.remove(chosen)
+                if not pending:
+                    return
+                chosen = pending.popleft()
                 others = attempts[int(chosen["id"])] - {slot.worker_id}
                 if others:
                     report.reassigned_items += 1
@@ -1316,7 +1217,6 @@ class ProcessHogwildTrainer:
                 ckpt_store,
                 optimizer,
                 base_step,
-                kind,
                 groups,
                 self._remaining_items(pending, slots, heartbeat),
                 worker_updates,
@@ -1348,8 +1248,8 @@ class ProcessHogwildTrainer:
                 if not any(slot.running for slot in slots):
                     break
             else:
-                failures = unrunnable_failure()
-                if failures is not None:
+                if not any(slot.alive for slot in slots):
+                    failures = [f for slot in slots for f in slot.failures]
                     raise RuntimeError(
                         "process HOGWILD worker failure(s):\n" + "\n".join(failures)
                     )
@@ -1429,15 +1329,13 @@ class ProcessHogwildTrainer:
             )
         return stats
 
-    def _merge_history(self, worker_stats: list[WorkerStats]) -> "TrainingHistory":
+    def _merge_history(self, worker_stats: list[WorkerStats]) -> TrainingHistory:
         """Round-robin the workers' per-batch records into one history.
 
         Iteration numbers reflect the merged order (an *approximation* of the
         true global interleaving, which is scheduler-dependent); per-record
         wall time is the worker's average seconds per batch.
         """
-        from repro.core.trainer import IterationRecord, TrainingHistory
-
         history = TrainingHistory()
         per_batch_time = {
             stats.worker_id: stats.wall_time_s / max(stats.batches, 1)
@@ -1488,31 +1386,25 @@ class ProcessHogwildTrainer:
         arrays[_HEARTBEAT] = np.zeros(
             (self.num_processes, _HB_COLUMNS), dtype=np.float64
         )
-        store = SharedParamStore.create(arrays, prefix=self.prefix)
+        store = SharedParamStore.create(arrays, prefix=_NAME_PREFIX)
         context = mp.get_context(self.start_method)
         processes: list = []
         try:
             bind_model_arrays(self.network, optimizer, store)
-            kind, groups, data_per_worker = self._data_spec(train_examples)
-            base_step = 0
             if resume is not None:
-                items, resumed_groups, base_step = self._restore_process_state(
-                    resume, optimizer, kind
+                items, groups, base_step = self._restore_process_state(
+                    resume, optimizer
                 )
-                if kind == "shards" and resumed_groups is not None:
-                    # The checkpoint's items index into *its* group list;
-                    # carry it over so item identity survives the resume
-                    # (works for any surviving worker count).
-                    groups = resumed_groups
-                    data = {
-                        "kind": "shards",
-                        "cache_dir": str(train_examples.cache_dir),
-                        "groups": groups,
-                        "seed": int(self.training.seed),
-                    }
-                    data_per_worker = [data] * self.num_processes
             else:
-                items = self._build_items(kind, groups)
+                groups = train_examples.assign_shards(self.num_processes)
+                items, base_step = self._build_items(groups), 0
+            # Every worker carries the whole group list: any worker may run
+            # any item, which is what makes items reassignable after a death.
+            data = {
+                "cache_dir": str(train_examples.cache_dir),
+                "groups": groups,
+                "seed": int(self.training.seed),
+            }
             manifest = store.manifest()
             worker_optimizer = optimizer.to_config()
             if worker_optimizer.name == "adam" and worker_optimizer.update_clip is None:
@@ -1537,7 +1429,7 @@ class ProcessHogwildTrainer:
                     "network_config": to_dict(self._worker_network_config(worker_id)),
                     "optimizer_config": optimizer_config,
                     "training": training_spec,
-                    "data": data_per_worker[worker_id],
+                    "data": data,
                     "step_stride": self.num_processes,
                     "fault_plan": fault_plan,
                 }
@@ -1552,7 +1444,6 @@ class ProcessHogwildTrainer:
                 context,
                 payload_base,
                 items,
-                kind,
                 groups,
                 store,
                 optimizer,
@@ -1589,8 +1480,6 @@ class ProcessHogwildTrainer:
         self.network.rebuild_all_tables()
         history = self._merge_history(worker_stats)
         if eval_examples is not None and len(eval_examples):
-            from repro.core.inference import evaluate_precision_at_1
-
             history.epoch_accuracy.append(
                 evaluate_precision_at_1(self.network, eval_examples)
             )

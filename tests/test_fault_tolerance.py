@@ -335,7 +335,7 @@ _CHAOS_FT = FaultToleranceConfig(
 
 class TestSupervisedChaos:
     def test_sigkilled_worker_is_restarted_and_run_completes(
-        self, tiny_dataset, tiny_network_config, tiny_training_config
+        self, tiny_dataset, tiny_network_config, tiny_training_config, tmp_path
     ):
         network = SlideNetwork(tiny_network_config)
         trainer = ProcessHogwildTrainer(
@@ -343,9 +343,19 @@ class TestSupervisedChaos:
             tiny_training_config,
             num_processes=2,
             fault_tolerance=_CHAOS_FT,
-            fault_plan=FaultPlan.kill_worker(1, at_batch=2),
+            # The survivor stalls for one maximal backoff at the kill point,
+            # so the victim's item is still pending when its slot restarts.
+            fault_plan=FaultPlan.of(
+                FaultSpec(kind="kill", worker_id=1, at_batch=2),
+                FaultSpec(
+                    kind="slow",
+                    worker_id=0,
+                    at_batch=2,
+                    duration_s=_CHAOS_FT.backoff_max_s,
+                ),
+            ),
         )
-        report = trainer.train(tiny_dataset.train, tiny_dataset.test)
+        report = trainer.train(_sharded(tiny_dataset, tmp_path), tiny_dataset.test)
 
         supervision = report.supervision
         assert supervision is not None
@@ -368,7 +378,7 @@ class TestSupervisedChaos:
         assert report.final_accuracy() > 0.1
 
     def test_hung_worker_is_detected_via_stale_heartbeat(
-        self, tiny_dataset, tiny_network_config, tiny_training_config
+        self, tiny_dataset, tiny_network_config, tiny_training_config, tmp_path
     ):
         network = SlideNetwork(tiny_network_config)
         trainer = ProcessHogwildTrainer(
@@ -378,11 +388,17 @@ class TestSupervisedChaos:
             fault_tolerance=dataclasses.replace(_CHAOS_FT, heartbeat_timeout_s=0.5),
             # Hang far longer than the timeout, without heartbeating: only
             # staleness detection can catch this (the process stays alive).
+            # The survivor stalls in steps shorter than the timeout, so it is
+            # still busy when the hung slot restarts.
             fault_plan=FaultPlan.of(
-                FaultSpec(kind="hang", worker_id=1, at_batch=1, duration_s=60.0)
+                FaultSpec(kind="hang", worker_id=1, at_batch=1, duration_s=60.0),
+                *(
+                    FaultSpec(kind="slow", worker_id=0, at_batch=b, duration_s=0.25)
+                    for b in range(1, 5)
+                ),
             ),
         )
-        report = trainer.train(tiny_dataset.train)
+        report = trainer.train(_sharded(tiny_dataset, tmp_path))
 
         supervision = report.supervision
         assert supervision is not None
@@ -428,7 +444,7 @@ class TestSupervisedChaos:
         assert report.samples == len(dataset) * tiny_training_config.epochs
 
     def test_silent_death_of_all_workers_names_exit_code(
-        self, tiny_dataset, tiny_network_config, tiny_training_config
+        self, tiny_dataset, tiny_network_config, tiny_training_config, tmp_path
     ):
         network = SlideNetwork(tiny_network_config)
         trainer = ProcessHogwildTrainer(
@@ -442,7 +458,7 @@ class TestSupervisedChaos:
             ),
         )
         with pytest.raises(RuntimeError) as excinfo:
-            trainer.train(tiny_dataset.train)
+            trainer.train(_sharded(tiny_dataset, tmp_path))
         message = str(excinfo.value)
         # Satellite: a worker that dies without posting a result surfaces
         # immediately, naming the worker and the exit code.
@@ -525,6 +541,33 @@ class TestSupervisedChaos:
         )
         with pytest.raises(CheckpointError, match="batch_size"):
             mismatched.train(dataset, resume=store_root)
+
+    def test_process_resume_rejects_a_checkpoint_without_shard_groups(
+        self, tiny_dataset, tiny_network_config, tiny_training_config, tmp_path
+    ):
+        dataset = _sharded(tiny_dataset, tmp_path)
+        store_root = tmp_path / "ckpt"
+        trainer = ProcessHogwildTrainer(
+            SlideNetwork(tiny_network_config),
+            tiny_training_config,
+            num_processes=2,
+            fault_tolerance=dataclasses.replace(_CHAOS_FT, checkpoint_every_s=1e-6),
+            checkpoint_dir=store_root,
+        )
+        assert trainer.train(dataset).supervision.checkpoints_saved >= 1
+
+        # Work items index into the checkpoint's shard groups; without them
+        # the items cannot be resolved, so the resume must refuse.
+        version = CheckpointStore(store_root).latest_valid()
+        manifest_path = version / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["metadata"]["train_state"]["groups"]
+        manifest_path.write_text(json.dumps(manifest))
+        resumed = ProcessHogwildTrainer(
+            SlideNetwork(tiny_network_config), tiny_training_config, num_processes=2
+        )
+        with pytest.raises(CheckpointError, match="shard groups"):
+            resumed.train(dataset, resume=version)
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ core count.
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
 
 import pytest
@@ -133,6 +134,10 @@ class TestMicroSweep:
         measured = fig9_payload["measured"]
         num_train = measured["workload"]["num_train"]
         assert {row["samples"] for row in measured["rows"]} == {num_train}
+
+    def test_start_method_is_the_one_the_workers_used(self, fig9_payload):
+        expected = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        assert fig9_payload["measured"]["start_method"] == expected
 
     def test_each_worker_gets_its_own_shards(self, fig9_payload):
         assert fig9_payload["measured"]["workload"]["num_shards"] >= 2

@@ -25,6 +25,18 @@ START_METHODS = [
 ]
 
 
+def _sharded(tiny_dataset, tmp_path, shard_size=24, seed=0) -> ShardedDataset:
+    cache = tmp_path / "shards"
+    ingest_examples(
+        tiny_dataset.train,
+        feature_dim=tiny_dataset.config.feature_dim,
+        label_dim=tiny_dataset.config.label_dim,
+        cache_dir=cache,
+        shard_size=shard_size,
+    )
+    return ShardedDataset(cache, seed=seed)
+
+
 def _child_write_marker(manifest, value):
     """Child-process target: attach, write a marker, detach."""
     store = SharedParamStore.attach(manifest)
@@ -186,7 +198,7 @@ class TestSharedParamStore:
 
 class TestProcessHogwildTrainer:
     def test_single_process_matches_fused_path_bitwise(
-        self, tiny_dataset, tiny_network_config, tiny_training_config
+        self, tiny_dataset, tiny_network_config, tiny_training_config, tmp_path
     ):
         fused = SlideNetwork(tiny_network_config)
         SlideTrainer(fused, tiny_training_config, hogwild=False).train(
@@ -195,7 +207,7 @@ class TestProcessHogwildTrainer:
         inline = SlideNetwork(tiny_network_config)
         report = ProcessHogwildTrainer(
             inline, tiny_training_config, num_processes=1
-        ).train(tiny_dataset.train)
+        ).train(_sharded(tiny_dataset, tmp_path))
         assert report.num_processes == 1
         assert report.start_method == "inline"
         for fused_layer, inline_layer in zip(fused.layers, inline.layers):
@@ -203,13 +215,13 @@ class TestProcessHogwildTrainer:
             np.testing.assert_array_equal(fused_layer.biases, inline_layer.biases)
 
     def test_two_process_run_trains_and_restores_private_arrays(
-        self, tiny_dataset, tiny_network_config, tiny_training_config
+        self, tiny_dataset, tiny_network_config, tiny_training_config, tmp_path
     ):
         network = SlideNetwork(tiny_network_config)
         trainer = ProcessHogwildTrainer(
             network, tiny_training_config, num_processes=2
         )
-        report = trainer.train(tiny_dataset.train, tiny_dataset.test)
+        report = trainer.train(_sharded(tiny_dataset, tmp_path), tiny_dataset.test)
 
         assert report.num_processes == 2
         assert len(report.worker_stats) == 2
@@ -242,15 +254,7 @@ class TestProcessHogwildTrainer:
     def test_sharded_dataset_workers_stream_disjoint_shards(
         self, tiny_dataset, tiny_network_config, tiny_training_config, tmp_path
     ):
-        cache = tmp_path / "shards"
-        ingest_examples(
-            tiny_dataset.train,
-            feature_dim=tiny_dataset.config.feature_dim,
-            label_dim=tiny_dataset.config.label_dim,
-            cache_dir=cache,
-            shard_size=24,
-        )
-        dataset = ShardedDataset(cache, seed=5)
+        dataset = _sharded(tiny_dataset, tmp_path, seed=5)
         assert dataset.num_shards >= 2
 
         network = SlideNetwork(tiny_network_config)
@@ -265,15 +269,7 @@ class TestProcessHogwildTrainer:
     ):
         import shutil
 
-        cache = tmp_path / "shards"
-        ingest_examples(
-            tiny_dataset.train,
-            feature_dim=tiny_dataset.config.feature_dim,
-            label_dim=tiny_dataset.config.label_dim,
-            cache_dir=cache,
-            shard_size=24,
-        )
-        dataset = ShardedDataset(cache, seed=0)
+        dataset = _sharded(tiny_dataset, tmp_path)
         network = SlideNetwork(tiny_network_config)
         trainer = ProcessHogwildTrainer(
             network, tiny_training_config, num_processes=2
@@ -281,7 +277,7 @@ class TestProcessHogwildTrainer:
         # Pull the cache out from under the workers: every worker fails to
         # open its shards, and the parent must relay the error, not hang or
         # leave shared segments behind.
-        shutil.rmtree(cache)
+        shutil.rmtree(dataset.cache_dir)
         with pytest.raises(RuntimeError, match="worker"):
             trainer.train(dataset)
         # The network was restored to private arrays on the failure path.
@@ -294,27 +290,44 @@ class TestProcessHogwildTrainer:
         with pytest.raises(ValueError):
             ProcessHogwildTrainer(network, tiny_training_config, num_processes=65)
 
+    def test_rejects_an_example_list(
+        self, tiny_dataset, tiny_network_config, tiny_training_config
+    ):
+        trainer = ProcessHogwildTrainer(
+            SlideNetwork(tiny_network_config), tiny_training_config, num_processes=1
+        )
+        with pytest.raises(TypeError, match="repro.data.ingest_examples"):
+            trainer.train(tiny_dataset.train)
+
+    def test_rejects_fewer_shards_than_processes(
+        self, tiny_dataset, tiny_network_config, tiny_training_config, tmp_path
+    ):
+        dataset = _sharded(tiny_dataset, tmp_path, shard_size=96)
+        assert dataset.num_shards == 2
+        trainer = ProcessHogwildTrainer(
+            SlideNetwork(tiny_network_config), tiny_training_config, num_processes=3
+        )
+        with pytest.raises(ValueError, match="2 shard.*3 processes"):
+            trainer.train(dataset)
+
+    def test_slide_trainer_is_single_process(
+        self, tiny_network_config, tiny_training_config
+    ):
+        with pytest.raises(TypeError, match="num_processes"):
+            SlideTrainer(
+                SlideNetwork(tiny_network_config), tiny_training_config, num_processes=2
+            )
+
 
 class TestShardAssignment:
-    def _cache(self, tiny_dataset, tmp_path, shard_size=20):
-        cache = tmp_path / "shards"
-        ingest_examples(
-            tiny_dataset.train,
-            feature_dim=tiny_dataset.config.feature_dim,
-            label_dim=tiny_dataset.config.label_dim,
-            cache_dir=cache,
-            shard_size=shard_size,
-        )
-        return ShardedDataset(cache, seed=0)
-
     def test_assignment_is_disjoint_and_total(self, tiny_dataset, tmp_path):
-        dataset = self._cache(tiny_dataset, tmp_path)
+        dataset = _sharded(tiny_dataset, tmp_path, shard_size=20)
         groups = dataset.assign_shards(3)
         flat = [index for group in groups for index in group]
         assert sorted(flat) == list(range(dataset.num_shards))
 
     def test_assignment_is_balanced(self, tiny_dataset, tmp_path):
-        dataset = self._cache(tiny_dataset, tmp_path)
+        dataset = _sharded(tiny_dataset, tmp_path, shard_size=20)
         sizes = {
             index: dataset.manifest.shards[index].num_examples
             for index in range(dataset.num_shards)
@@ -323,21 +336,9 @@ class TestShardAssignment:
         loads = [sum(sizes[i] for i in group) for group in groups]
         assert abs(loads[0] - loads[1]) <= max(sizes.values())
 
-    def test_worker_view_covers_dataset(self, tiny_dataset, tmp_path):
-        dataset = self._cache(tiny_dataset, tmp_path)
-        views = [dataset.worker_view(w, 2) for w in range(2)]
-        assert sum(len(view) for view in views) == len(dataset)
-        seen: set[int] = set()
-        for view in views:
-            for index in view.shard_indices:
-                assert index not in seen
-                seen.add(index)
-
     def test_subset_validation(self, tiny_dataset, tmp_path):
-        dataset = self._cache(tiny_dataset, tmp_path)
+        dataset = _sharded(tiny_dataset, tmp_path, shard_size=20)
         with pytest.raises(ValueError, match="out of range"):
             ShardedDataset(dataset.cache_dir, shard_subset=[dataset.num_shards])
         with pytest.raises(ValueError, match="repeats"):
             ShardedDataset(dataset.cache_dir, shard_subset=[0, 0])
-        with pytest.raises(ValueError):
-            dataset.worker_view(2, 2)

@@ -4,10 +4,9 @@ Two failure classes the shared-memory trainer is exposed to:
 
 1. **Unpicklable worker targets.**  Under the ``spawn`` start method a
    ``Process(target=...)`` must pickle its target; a lambda or a function
-   defined inside another function fails at launch time on macOS/Windows
-   (and under the repo's own ``start_method="spawn"`` runs) even though
-   ``fork`` on the Linux CI box lets it slide.  Targets must be
-   module-level callables.
+   defined inside another function fails at launch time wherever the
+   trainer cannot fork and spawns instead, even though ``fork`` on the
+   Linux CI box lets it slide.  Targets must be module-level callables.
 
 2. **Leaked shared memory.**  Every ``SharedMemory(create=True)`` segment
    must eventually be both ``close()``-d and ``unlink()``-ed — a module
