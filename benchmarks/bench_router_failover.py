@@ -117,7 +117,6 @@ def _serving_config(budget: int) -> ServingConfig:
         max_wait_ms=1.0,
         num_workers=2,
         queue_capacity=256,
-        admission_policy="shed",
         deadline_ms=250.0,
         reload_poll_s=3600.0,  # no publishes during the bench
     )

@@ -169,7 +169,6 @@ def run(params: dict | None = None) -> dict:
             max_wait_ms=1.0,
             num_workers=2,
             queue_capacity=256,
-            admission_policy="shed",
             deadline_ms=DEADLINE_MS,
             reload_poll_s=3600.0,  # swaps are driven synchronously below
         )

@@ -1,4 +1,4 @@
-"""Example: the online train-to-serve loop — hot reload, shedding, autoscale.
+"""Example: the online train-to-serve loop — hot reload and load shedding.
 
 Where ``serve_model.py`` shows the one-shot hand-off (train, checkpoint,
 serve), this example runs the *continuous* loop from
@@ -6,7 +6,7 @@ serve), this example runs the *continuous* loop from
 
 1. train a small SLIDE network and publish v1 into a
    :class:`~repro.serving.checkpoint.CheckpointStore`;
-2. start an :class:`~repro.serving.runtime.OnlineRuntime` — a resizable
+2. start an :class:`~repro.serving.runtime.OnlineRuntime` — a fixed-size
    worker pool with shed admission, per-request deadlines, and a
    :class:`~repro.serving.runtime.CheckpointWatcher` on the store;
 3. drive sustained open-loop traffic while the trainer keeps training and
@@ -90,8 +90,7 @@ def main() -> None:
             max_batch_size=16,
             max_wait_ms=1.0,
             num_workers=2,
-            queue_capacity=256,
-            admission_policy="shed",   # overload -> typed 429, not latency collapse
+            queue_capacity=256,        # overload -> typed 429, not latency collapse
             deadline_ms=250.0,         # stale queue entries dropped before compute
             reload_poll_s=0.2,         # watcher polls the store in the background
         )

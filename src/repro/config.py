@@ -356,16 +356,12 @@ class ServingConfig:
         it picked up the batch's first request (time that request spent
         queued before the pick-up does not count).
     num_workers:
-        Size of the engine worker pool (the *initial* size when autoscaling
-        is enabled).
+        Size of the engine worker pool, fixed for the runtime's lifetime.
     queue_capacity:
-        Bound on the number of queued (not yet dispatched) requests.
-    admission_policy:
-        What happens to a submission that finds the queue full: ``shed``
-        (default) raises a typed
+        Bound on the number of queued (not yet dispatched) requests.  A
+        submission that finds the queue full is shed with a typed
         :class:`~repro.serving.errors.RejectedError` (HTTP 429 with a
-        retry-after derived from queue depth); ``block`` waits for space —
-        the pre-runtime behaviour, kept for batch/offline callers.
+        retry-after derived from queue depth).
     deadline_ms:
         Per-request time budget measured from submission.  Requests still
         queued past it are dropped *before* compute with a typed
@@ -374,25 +370,6 @@ class ServingConfig:
     reload_poll_s:
         How often the :class:`~repro.serving.runtime.CheckpointWatcher`
         polls the checkpoint store for a new version.
-    autoscale:
-        Enable the queue-depth + p99-driven worker autoscaler
-        (:class:`~repro.serving.runtime.AutoscaleController`).
-    min_workers / max_workers:
-        Autoscaler bounds on the worker pool size.
-    autoscale_interval_s:
-        Sampling period of the autoscaler control loop.
-    target_p99_ms:
-        p99 latency objective; sustained breaches scale the pool up, and a
-        p99 under half the target is a precondition for scaling down.
-    autoscale_queue_per_worker:
-        Queue-depth watermark, per worker: depth above it votes to scale
-        up, an empty queue votes to scale down.
-    autoscale_up_patience / autoscale_down_patience:
-        Consecutive breach/idle samples required before acting — the
-        hysteresis that stops the controller flapping on noise (scaling
-        down is deliberately slower than scaling up).
-    autoscale_cooldown_s:
-        Minimum time between scaling actions.
     host / port:
         Bind address of the HTTP front-end (:mod:`repro.serving.server`);
         port 0 binds an OS-assigned free port.
@@ -410,18 +387,8 @@ class ServingConfig:
     max_wait_ms: float = 2.0
     num_workers: int = 2
     queue_capacity: int = 1024
-    admission_policy: Literal["shed", "block"] = "shed"
     deadline_ms: float | None = None
     reload_poll_s: float = 1.0
-    autoscale: bool = False
-    min_workers: int = 1
-    max_workers: int = 8
-    autoscale_interval_s: float = 0.25
-    target_p99_ms: float = 50.0
-    autoscale_queue_per_worker: float = 4.0
-    autoscale_up_patience: int = 2
-    autoscale_down_patience: int = 4
-    autoscale_cooldown_s: float = 1.0
     host: str = "127.0.0.1"
     port: int = 8080
     max_body_bytes: int = 1_048_576
@@ -441,35 +408,10 @@ class ServingConfig:
             raise ValueError("num_workers must be positive")
         if self.queue_capacity <= 0:
             raise ValueError("queue_capacity must be positive")
-        if self.admission_policy not in ("shed", "block"):
-            raise ValueError("admission_policy must be 'shed' or 'block'")
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise ValueError("deadline_ms must be positive when provided")
         if self.reload_poll_s <= 0:
             raise ValueError("reload_poll_s must be positive")
-        if self.min_workers <= 0:
-            raise ValueError("min_workers must be positive")
-        if self.max_workers < self.min_workers:
-            raise ValueError("max_workers must be >= min_workers")
-        if self.autoscale and not (
-            self.min_workers <= self.num_workers <= self.max_workers
-        ):
-            raise ValueError(
-                "num_workers must lie in [min_workers, max_workers] "
-                "when autoscale is enabled"
-            )
-        if self.autoscale_interval_s <= 0:
-            raise ValueError("autoscale_interval_s must be positive")
-        if self.target_p99_ms <= 0:
-            raise ValueError("target_p99_ms must be positive")
-        if self.autoscale_queue_per_worker <= 0:
-            raise ValueError("autoscale_queue_per_worker must be positive")
-        if self.autoscale_up_patience <= 0:
-            raise ValueError("autoscale_up_patience must be positive")
-        if self.autoscale_down_patience <= 0:
-            raise ValueError("autoscale_down_patience must be positive")
-        if self.autoscale_cooldown_s < 0:
-            raise ValueError("autoscale_cooldown_s must be non-negative")
         if not 0 <= self.port < 65536:
             raise ValueError("port must lie in [0, 65536)")
         if self.max_body_bytes <= 0:

@@ -38,10 +38,8 @@ class LatencyHistogram:
         uniform reservoir (Vitter's Algorithm R) alongside the buckets.
         :meth:`exact_percentile` then computes percentiles from the raw
         samples — exact while the observation count fits the reservoir,
-        an unbiased sample estimate beyond it.  This is what fixes
-        cross-worker tail aggregation: per-worker histograms merged with
-        :meth:`merge` pool their reservoirs, so an aggregated p99/p999 is
-        not limited to bucket resolution.
+        an unbiased sample estimate beyond it, so a p99/p999 is not limited
+        to bucket resolution.
     """
 
     def __init__(
@@ -50,7 +48,6 @@ class LatencyHistogram:
         max_latency: float = 60.0,
         growth: float = 1.15,
         reservoir_size: int = 0,
-        seed: int = 0,
     ) -> None:
         if min_latency <= 0 or max_latency <= min_latency:
             raise ValueError("require 0 < min_latency < max_latency")
@@ -74,7 +71,7 @@ class LatencyHistogram:
         self._min = math.inf
         self._max = 0.0
         self._reservoir: list[float] = []
-        self._res_rng = np.random.default_rng(seed)
+        self._res_rng = np.random.default_rng(0)
 
     # ------------------------------------------------------------------
     # Recording
@@ -103,55 +100,6 @@ class LatencyHistogram:
                     slot = int(self._res_rng.integers(self._count))
                     if slot < self.reservoir_size:
                         self._reservoir[slot] = value
-
-    def merge(self, other: "LatencyHistogram") -> None:
-        """Fold ``other``'s observations into this histogram (same layout)."""
-        if (
-            self._counts.shape != other._counts.shape
-            or self.growth != other.growth
-            or self.min_latency != other.min_latency
-            or self.max_latency != other.max_latency
-        ):
-            raise ValueError("histograms must share bucket layout to merge")
-        if other is self:
-            return
-        # Acquire both locks in a canonical order so concurrent a.merge(b)
-        # and b.merge(a) cannot deadlock.
-        first, second = sorted((self, other), key=id)
-        with first._lock, second._lock:
-            if self.reservoir_size and (self._reservoir or other._reservoir):
-                combined = self._reservoir + other._reservoir
-                if len(combined) <= self.reservoir_size:
-                    self._reservoir = combined
-                else:
-                    # Each retained sample stands for count/len(reservoir)
-                    # underlying observations; weighting the downsample by
-                    # that keeps the merged reservoir approximately uniform
-                    # over both histories.
-                    weights = np.concatenate(
-                        [
-                            np.full(
-                                len(self._reservoir),
-                                self._count / max(len(self._reservoir), 1),
-                            ),
-                            np.full(
-                                len(other._reservoir),
-                                other._count / max(len(other._reservoir), 1),
-                            ),
-                        ]
-                    )
-                    keep = self._res_rng.choice(
-                        len(combined),
-                        size=self.reservoir_size,
-                        replace=False,
-                        p=weights / weights.sum(),
-                    )
-                    self._reservoir = [combined[i] for i in keep]
-            self._counts += other._counts
-            self._count += other._count
-            self._sum += other._sum
-            self._min = min(self._min, other._min)
-            self._max = max(self._max, other._max)
 
     # ------------------------------------------------------------------
     # Queries

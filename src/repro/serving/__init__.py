@@ -13,17 +13,16 @@ this package carries that idea from the training loop to the serving path:
   :class:`DenseInferenceEngine`, both hot-swappable in place
   (:meth:`InferenceEngine.hot_swap`, incremental LSH patch);
 * :mod:`~repro.serving.batching` — a dynamic micro-batching queue
-  (``max_batch_size`` / ``max_wait_ms``) with block or shed admission;
+  (``max_batch_size`` / ``max_wait_ms``) that sheds when full;
 * :mod:`~repro.serving.errors` — the typed overload errors
   (:class:`RejectedError` → 429, :class:`DeadlineExceededError` → 504);
-* :mod:`~repro.serving.pool` — :class:`EnginePool`, the one resizable
+* :mod:`~repro.serving.pool` — :class:`EnginePool`, the one fixed-size
   worker pool (a crashed worker is re-raised at ``stop``), and the
   :class:`ServingRuntime` facade, recording p50/p95/p99 latency and
   throughput via :mod:`repro.perf.latency`;
 * :mod:`~repro.serving.runtime` — the online train-to-serve loop:
-  :class:`CheckpointWatcher` (zero-downtime hot reload) and
-  :class:`AutoscaleController` (resizes the pool with hysteresis), wired
-  together by :class:`OnlineRuntime`;
+  :class:`CheckpointWatcher` (zero-downtime hot reload), wired into a
+  runtime by :class:`OnlineRuntime`;
 * :mod:`~repro.serving.router` — resilient multi-replica serving:
   :class:`ReplicaRouter` fronts N :class:`OnlineRuntime` replicas with
   active health checks, power-of-two-choices routing, cross-replica
@@ -81,11 +80,7 @@ from repro.serving.router import (
     ReplicaHealth,
     ReplicaRouter,
 )
-from repro.serving.runtime import (
-    AutoscaleController,
-    CheckpointWatcher,
-    OnlineRuntime,
-)
+from repro.serving.runtime import CheckpointWatcher, OnlineRuntime
 from repro.serving.server import ModelServer, build_server
 
 __all__ = [
@@ -121,7 +116,6 @@ __all__ = [
     "Replica",
     "ReplicaHealth",
     "ReplicaRouter",
-    "AutoscaleController",
     "CheckpointWatcher",
     "OnlineRuntime",
     "LoadReport",

@@ -13,8 +13,9 @@ two-knob policy used by production model servers:
 
 Workers call :meth:`MicroBatchQueue.next_batch` directly — each worker
 assembles its own micro-batch, so there is no central dispatcher thread to
-become a bottleneck, and blocked workers provide natural back-pressure via
-the bounded queue.
+become a bottleneck.  The queue is bounded and admission has one policy: a
+submission that finds it full is shed at once with a typed
+:class:`~repro.serving.errors.RejectedError`, never left waiting for space.
 """
 
 from __future__ import annotations
@@ -62,11 +63,9 @@ class InferenceRequest:
 class MicroBatchQueue:
     """Bounded request queue with size- and deadline-triggered batching.
 
-    ``policy`` selects the admission behaviour when the queue is full:
-    ``"block"`` (the original back-pressure semantics — submit waits for
-    space) or ``"shed"`` (submit fails fast with a typed
+    A submission that finds the queue full fails fast with a typed
     :class:`~repro.serving.errors.RejectedError` carrying a retry-after
-    derived from queue depth and the measured drain rate).
+    derived from queue depth and the measured drain rate.
     """
 
     def __init__(
@@ -74,7 +73,6 @@ class MicroBatchQueue:
         max_batch_size: int = 32,
         max_wait_ms: float = 2.0,
         capacity: int = 1024,
-        policy: str = "block",
         drain_rate: Callable[[], float] | None = None,
     ) -> None:
         if max_batch_size <= 0:
@@ -83,11 +81,8 @@ class MicroBatchQueue:
             raise ValueError("max_wait_ms must be non-negative")
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        if policy not in ("block", "shed"):
-            raise ValueError("policy must be 'block' or 'shed'")
         self.max_batch_size = int(max_batch_size)
         self.max_wait_s = float(max_wait_ms) / 1000.0
-        self.policy = policy
         self._drain_rate = drain_rate
         self._queue: queue.Queue[InferenceRequest] = queue.Queue(maxsize=capacity)
         self._closed = False
@@ -105,32 +100,22 @@ class MicroBatchQueue:
         k: int = 1,
         deadline_s: float | None = None,
     ) -> Future:
-        """Enqueue a request; full-queue behaviour depends on ``policy``.
+        """Enqueue a request, or shed it if the queue is full.
 
         The returned :class:`~concurrent.futures.Future` resolves to a
         :class:`~repro.serving.engine.Prediction` once a worker has served
-        the batch containing this request.  Under the ``shed`` policy a full
-        queue raises :class:`~repro.serving.errors.RejectedError` instead of
-        blocking.
+        the batch containing this request.  A full queue raises
+        :class:`~repro.serving.errors.RejectedError` instead of blocking.
         """
         request = InferenceRequest(example=example, k=int(k), deadline_s=deadline_s)
-        while True:
-            # Never block on a full queue while holding the lock: that would
-            # serialize all producers behind one stuck submitter and make
-            # close() (and thus shutdown) wait on queue capacity.  Instead
-            # try a non-blocking put under the lock and back off outside it —
-            # producers blocked on capacity also notice close() this way.
-            with self._submit_lock:
-                if self._closed:
-                    raise NotServingError("queue is closed")
-                try:
-                    self._queue.put_nowait(request)
-                    return request.future
-                except queue.Full:
-                    if self.policy == "shed":
-                        raise self._rejection()
-            sanitize.note_blocking("MicroBatchQueue.submit capacity backoff")
-            time.sleep(0.001)
+        with self._submit_lock:
+            if self._closed:
+                raise NotServingError("queue is closed")
+            try:
+                self._queue.put_nowait(request)
+            except queue.Full:
+                raise self._rejection() from None
+        return request.future
 
     def _rejection(self) -> RejectedError:
         """Build the typed 429 for a full queue.

@@ -1,24 +1,23 @@
 """Serving-side metrics: request latency quantiles, batch sizes, throughput.
 
 Thin aggregation over the :mod:`repro.perf.latency` primitives.  One
-:class:`ServingMetrics` instance is shared by every worker an
-:class:`~repro.serving.pool.EnginePool` ever runs (worker indices are
-never reused across a resize); all recording paths are thread-safe.
+:class:`ServingMetrics` instance is shared by every worker of an
+:class:`~repro.serving.pool.EnginePool`; all recording paths are
+thread-safe.
 
 Latency is measured queue-to-completion: the clock starts when a request
 enters the micro-batch queue and stops when its future is resolved, so the
 reported p50/p95/p99 include queueing and batching delay — what a client
-actually experiences — not just engine compute.
+actually experiences — not just engine compute.  Each served request is
+recorded once, into one reservoir-backed
+:class:`~repro.perf.latency.LatencyHistogram`, so tail percentiles are exact
+across workers rather than limited to bucket resolution.
 
-Beyond the PR 1 counters, the online runtime adds three families:
+Beyond request, batch and error counts, two more families:
 
 * **Shed counters** (``record_shed``): one counter per rejection cause
   (``queue_full``, ``deadline``), so overload behaviour is observable and
   the bench can report shed rate by cause.
-* **Per-worker histograms** (``worker_histogram``): each pool worker gets
-  its own reservoir-backed :class:`~repro.perf.latency.LatencyHistogram`;
-  :meth:`aggregate_latency` merges them (reservoirs pool), giving exact
-  cross-worker tail percentiles instead of bucket-resolution estimates.
 * **Reload records** (``record_reload``): every hot swap logs its version,
   duration, and how many LSH entries actually moved — the evidence that the
   swap went through the incremental ``update(dirty)`` path rather than a
@@ -38,8 +37,6 @@ __all__ = ["ServingMetrics", "RouterMetrics"]
 # Raw samples retained per histogram.  4096 keeps p999 exact for the bench's
 # per-step request counts while bounding memory to a few tens of KiB.
 _GLOBAL_RESERVOIR = 4096
-_WORKER_RESERVOIR = 1024
-_WINDOW_RESERVOIR = 512
 _MAX_RELOAD_RECORDS = 64
 _MAX_TRANSITIONS = 512
 
@@ -56,11 +53,6 @@ class ServingMetrics:
         self._errors = 0
         self._mode_counts: dict[str, int] = {}
         self._shed_counts: dict[str, int] = {}
-        self._worker_latency: dict[int, LatencyHistogram] = {}
-        # Rolling window the autoscaler drains each control period: p99 over
-        # *recent* traffic, not the lifetime histogram (which would never
-        # recover from a past overload and keep the pool pinned high).
-        self._window = LatencyHistogram(reservoir_size=_WINDOW_RESERVOIR)
         self._reloads = 0
         self._reload_failures = 0
         self._reload_failures_by_cause: dict[str, int] = {}
@@ -76,20 +68,11 @@ class ServingMetrics:
             self._batches += 1
             self._batched_requests += int(batch_size)
 
-    def record_request(
-        self,
-        latency_seconds: float,
-        mode: str,
-        worker_index: int | None = None,
-    ) -> None:
+    def record_request(self, latency_seconds: float, mode: str) -> None:
         self.request_latency.record(latency_seconds)
         self.throughput.mark()
         with self._lock:
             self._mode_counts[mode] = self._mode_counts.get(mode, 0) + 1
-            window = self._window
-        window.record(latency_seconds)
-        if worker_index is not None:
-            self.worker_histogram(worker_index).record(latency_seconds)
 
     def record_error(self) -> None:
         with self._lock:
@@ -129,38 +112,6 @@ class ServingMetrics:
             self._reload_failures_by_cause[cause] = (
                 self._reload_failures_by_cause.get(cause, 0) + 1
             )
-
-    # ------------------------------------------------------------------
-    # Per-worker latency
-    # ------------------------------------------------------------------
-    def worker_histogram(self, worker_index: int) -> LatencyHistogram:
-        """The (lazily created) latency histogram for one pool worker."""
-        with self._lock:
-            histogram = self._worker_latency.get(worker_index)
-            if histogram is None:
-                # Distinct seeds keep worker reservoirs independent.
-                histogram = LatencyHistogram(
-                    reservoir_size=_WORKER_RESERVOIR, seed=worker_index + 1
-                )
-                self._worker_latency[worker_index] = histogram
-            return histogram
-
-    def aggregate_latency(self) -> LatencyHistogram:
-        """Merge all per-worker histograms into one (reservoirs pool)."""
-        merged = LatencyHistogram(reservoir_size=_GLOBAL_RESERVOIR)
-        with self._lock:
-            workers = list(self._worker_latency.values())
-        for histogram in workers:
-            merged.merge(histogram)
-        return merged
-
-    def take_latency_window(self) -> LatencyHistogram:
-        """Swap out and return the rolling window (autoscaler control input)."""
-        fresh = LatencyHistogram(reservoir_size=_WINDOW_RESERVOIR)
-        with self._lock:
-            window = self._window
-            self._window = fresh
-        return window
 
     # ------------------------------------------------------------------
     # Reporting

@@ -6,9 +6,9 @@
 (shared, read-only) inference engine, resolve the per-request futures, and
 record latency/throughput metrics.  NumPy releases the GIL inside the
 matrix kernels that dominate inference, so workers genuinely overlap.  The
-worker count can change while serving (:meth:`EnginePool.resize`, which the
-autoscaler actuates), and a worker loop that raises does not die silently:
-:meth:`EnginePool.stop` re-raises the first crash.
+pool has a fixed size: :meth:`EnginePool.start` spawns ``num_workers``
+threads and :meth:`EnginePool.stop` joins them.  A worker loop that raises
+does not die silently: :meth:`EnginePool.stop` re-raises the first crash.
 
 :class:`ServingRuntime` is the facade the HTTP front-end, the examples and
 the tests use: it wires queue + pool + metrics together from a
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
 from typing import Sequence
 
@@ -45,6 +46,10 @@ from repro.utils import sanitize
 
 __all__ = ["EnginePool", "ServingRuntime", "build_engine"]
 
+# How long an idle worker waits for a first request before it re-checks
+# whether the pool is stopping.
+_POLL_TIMEOUT_S = 0.05
+
 
 def build_engine(network: SlideNetwork, config: ServingConfig) -> InferenceEngine:
     """Instantiate the engine described by ``config`` for ``network``.
@@ -58,13 +63,7 @@ def build_engine(network: SlideNetwork, config: ServingConfig) -> InferenceEngin
 
 
 class EnginePool:
-    """Worker threads draining one micro-batch queue into one engine.
-
-    Workers get monotonically increasing indices (so per-worker metrics
-    never alias across a shrink/grow cycle) and an individual stop event:
-    :meth:`resize` retires the newest workers first, each finishing its
-    in-flight batch before exiting.  Retired threads are reaped lazily and
-    joined at :meth:`stop`.
+    """A fixed number of worker threads draining one queue into one engine.
 
     A worker loop that raises records the first exception and exits; the
     dead thread drops out of :meth:`alive_workers` (so readiness sees it at
@@ -77,72 +76,36 @@ class EnginePool:
         request_queue: MicroBatchQueue,
         metrics: ServingMetrics,
         num_workers: int = 2,
-        poll_timeout: float = 0.05,
     ) -> None:
         self.engine = engine
         self.queue = request_queue
         self.metrics = metrics
-        self.poll_timeout = float(poll_timeout)
-        self._initial_workers = int(num_workers)
-        self._threads: dict[int, tuple[threading.Thread, threading.Event]] = {}
-        self._retired: list[threading.Thread] = []
-        self._next_index = 0
-        self._resize_lock = sanitize.lock("serving.pool.resize")
+        self.num_workers = int(num_workers)
+        self._threads: list[threading.Thread] = []
         self._error: BaseException | None = None
         self._error_lock = sanitize.lock("serving.pool.error")
         self._started = False
         self._stopping = False
         self._drain_on_stop = True
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def num_workers(self) -> int:
-        with self._resize_lock:
-            return len(self._threads)
-
     def alive_workers(self) -> int:
-        with self._resize_lock:
-            return sum(
-                1 for thread, _ in self._threads.values() if thread.is_alive()
-            )
+        return sum(1 for thread in self._threads if thread.is_alive())
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        with self._resize_lock:
-            if self._started:
-                # repro: allow[exc] lifecycle misuse, never reaches a client
-                raise RuntimeError("pool already started")
-            self._started = True
-            self.metrics.throughput.start()
-            for _ in range(self._initial_workers):
-                self._spawn_locked()
-
-    def resize(self, target: int) -> int:
-        """Grow or shrink to ``target`` workers; returns the new count.
-
-        ``target=0`` is allowed — a deliberately drained pool is how tests
-        (and operators) force the not-ready state without killing the
-        process; requests queue until a later ``resize`` restores workers.
-        """
-        target = max(0, int(target))
-        with self._resize_lock:
-            if not self._started or self._stopping:
-                return len(self._threads)
-            while len(self._threads) < target:
-                self._spawn_locked()
-            while len(self._threads) > target:
-                # Retire newest-first: oldest workers keep their warmed-up
-                # metrics history.
-                index = max(self._threads)
-                thread, stop_event = self._threads.pop(index)
-                stop_event.set()
-                self._retired.append(thread)
-            self._retired = [t for t in self._retired if t.is_alive()]
-            return len(self._threads)
+        if self._started:
+            # repro: allow[exc] lifecycle misuse, never reaches a client
+            raise RuntimeError("pool already started")
+        self._started = True
+        self.metrics.throughput.start()
+        for index in range(self.num_workers):
+            thread = threading.Thread(
+                target=self._serve_loop, name=f"serving-engine-{index}", daemon=True
+            )
+            self._threads.append(thread)
+            thread.start()
 
     def stop(self, drain: bool = True, timeout: float = 5.0) -> None:
         """Stop every worker, then re-raise the first worker crash.
@@ -161,13 +124,9 @@ class EnginePool:
             deadline = time.monotonic() + timeout
             while self.queue.pending() and time.monotonic() < deadline:
                 sanitize.note_blocking("EnginePool.stop drain wait")
-                time.sleep(self.poll_timeout / 2)
+                time.sleep(_POLL_TIMEOUT_S / 2)
         self._stopping = True
-        with self._resize_lock:
-            threads = [thread for thread, _ in self._threads.values()]
-            threads.extend(self._retired)
-            self._threads.clear()
-            self._retired.clear()
+        threads, self._threads = self._threads, []
         join_deadline = time.monotonic() + timeout
         for thread in threads:
             thread.join(timeout=max(join_deadline - time.monotonic(), 0.1))
@@ -185,40 +144,26 @@ class EnginePool:
     # ------------------------------------------------------------------
     # Worker internals
     # ------------------------------------------------------------------
-    def _spawn_locked(self) -> None:
-        index = self._next_index
-        self._next_index += 1
-        stop_event = threading.Event()
-        thread = threading.Thread(
-            target=self._serve_loop,
-            args=(index, stop_event),
-            name=f"serving-engine-{index}",
-            daemon=True,
-        )
-        self._threads[index] = (thread, stop_event)
-        thread.start()
-
-    def _serve_loop(self, worker_index: int, stop_event: threading.Event) -> None:
+    def _serve_loop(self) -> None:
         try:
-            while not self._stopping and not stop_event.is_set():
-                batch = self.queue.next_batch(timeout=self.poll_timeout)
+            while not self._stopping:
+                batch = self.queue.next_batch(timeout=_POLL_TIMEOUT_S)
                 if batch:
-                    self._serve_batch(batch, worker_index)
+                    self._serve_batch(batch)
             # Final drain (draining stop only) so no accepted request is
             # left unresolved; stop() has already waited for the queue to
-            # empty, so this serves at most a handful of stragglers.  A
-            # retired worker skips it: it must not race the survivors.
-            while self._drain_on_stop and not stop_event.is_set():
+            # empty, so this serves at most a handful of stragglers.
+            while self._drain_on_stop:
                 batch = self.queue.next_batch(timeout=0.0)
                 if not batch:
                     break
-                self._serve_batch(batch, worker_index)
+                self._serve_batch(batch)
         except BaseException as exc:  # noqa: BLE001 - re-raised from stop()
             with self._error_lock:
                 if self._error is None:
                     self._error = exc
 
-    def _serve_batch(self, batch: list[InferenceRequest], worker_index: int) -> None:
+    def _serve_batch(self, batch: list[InferenceRequest]) -> None:
         # Deadline-expired requests are failed *before* compute: engine time
         # spent on an answer the client has abandoned only deepens the
         # overload.  They don't count as errors — the shed counter is theirs.
@@ -266,9 +211,7 @@ class EnginePool:
             if not request.future.set_running_or_notify_cancel():
                 continue
             request.future.set_result(prediction)
-            self.metrics.record_request(
-                request.latency(), prediction.mode, worker_index=worker_index
-            )
+            self.metrics.record_request(request.latency(), prediction.mode)
 
 
 class ServingRuntime:
@@ -286,7 +229,6 @@ class ServingRuntime:
             max_batch_size=self.config.max_batch_size,
             max_wait_ms=self.config.max_wait_ms,
             capacity=self.config.queue_capacity,
-            policy=self.config.admission_policy,
             # Retry-after for shed requests = backlog / measured drain rate.
             drain_rate=self.metrics.throughput.requests_per_second,
         )
@@ -389,9 +331,20 @@ class ServingRuntime:
         k: int | None = None,
         timeout: float = 60.0,
     ) -> list[Prediction]:
-        """Submit many requests and wait for all answers (in input order)."""
-        futures = [self.submit(example, k=k) for example in examples]
-        return [future.result(timeout=timeout) for future in futures]
+        """Submit many requests and wait for all answers (in input order).
+
+        At most ``queue_capacity`` of this call's requests are outstanding
+        at once: before submitting another it waits on the oldest, so a
+        batch larger than the queue is not shed by its own backlog.
+        """
+        outstanding: deque[Future] = deque()
+        answers: list[Prediction] = []
+        for example in examples:
+            if len(outstanding) == self.config.queue_capacity:
+                answers.append(outstanding.popleft().result(timeout=timeout))
+            outstanding.append(self.submit(example, k=k))
+        answers.extend(future.result(timeout=timeout) for future in outstanding)
+        return answers
 
     # ------------------------------------------------------------------
     # Introspection

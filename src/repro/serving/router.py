@@ -264,13 +264,13 @@ class DegradationController:
 
     Escalation needs ``degradation_up_patience`` consecutive overloaded
     samples (max replica queue depth above ``degradation_queue_high``);
-    recovery needs ``degradation_down_patience`` calm ones — the same
-    asymmetric hysteresis as the autoscaler, because degrading too late
-    costs availability while recovering too eagerly causes flapping.
+    recovery needs ``degradation_down_patience`` calm ones — asymmetric
+    hysteresis, because degrading too late costs availability while
+    recovering too eagerly causes flapping.
 
-    Mirrors the autoscaler's split between a pure decision step (what the
-    unit tests drive via :meth:`step`) and a background control thread
-    owned by the router.
+    The decision is a pure step (what the unit tests drive via
+    :meth:`step`); the background control thread that calls it is owned
+    by the router.
     """
 
     def __init__(

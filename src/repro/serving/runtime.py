@@ -1,7 +1,6 @@
-"""The online train-to-serve loop: hot reload and autoscaling.
+"""The online train-to-serve loop: hot reload.
 
-This module closes the lifecycle gap left by the static PR 1 server: a
-trainer keeps publishing checkpoint versions into a
+A trainer keeps publishing checkpoint versions into a
 :class:`~repro.serving.checkpoint.CheckpointStore`, and a running
 :class:`OnlineRuntime` picks each one up *without restarting* — no second
 process, no connection draining, no cold LSH rebuild:
@@ -13,16 +12,9 @@ process, no connection draining, no cold LSH rebuild:
   incoming weights against the resident ones and patches the LSH tables
   through the incremental ``update(dirty)`` path.  In-flight batches finish
   on the old generation; requests admitted afterwards see the new one.
-* :class:`AutoscaleController` samples recent p99 (from the metrics
-  latency window) and queue depth each control period and votes the
-  :class:`~repro.serving.pool.EnginePool` up or down through its
-  ``resize``, with hysteresis: scale up after ``autoscale_up_patience``
-  consecutive overloaded samples, down only after
-  ``autoscale_down_patience`` consecutive idle ones, with a cooldown
-  between actions so the pool never flaps.
-* :class:`OnlineRuntime` wires all of the above behind the same
+* :class:`OnlineRuntime` wires the watcher behind the same
   ``submit``/``predict`` surface as :class:`~repro.serving.pool.ServingRuntime`,
-  whose worker pool it shares.
+  whose fixed-size worker pool it shares.
 """
 
 from __future__ import annotations
@@ -40,145 +32,9 @@ from repro.serving.checkpoint import (
 )
 from repro.serving.engine import InferenceEngine, SwapReport
 from repro.serving.metrics import ServingMetrics
-from repro.serving.pool import EnginePool, ServingRuntime, build_engine
-from repro.serving.batching import MicroBatchQueue
+from repro.serving.pool import ServingRuntime, build_engine
 
-__all__ = [
-    "AutoscaleController",
-    "CheckpointWatcher",
-    "OnlineRuntime",
-]
-
-_MAX_AUTOSCALE_HISTORY = 1024
-
-
-class AutoscaleController:
-    """Hysteresis controller sizing an :class:`~repro.serving.pool.EnginePool`.
-
-    Each control period it drains the metrics latency window (recent
-    traffic only — the lifetime histogram would never forgive a past
-    overload) and reads the queue depth, then votes:
-
-    * **overloaded** — window p99 above ``target_p99_ms`` *or* queue depth
-      above ``autoscale_queue_per_worker × workers``;
-    * **idle** — empty queue *and* p99 under half the target;
-    * anything else resets both vote counters.
-
-    Only ``autoscale_up_patience`` consecutive overloaded samples trigger a
-    +1 resize (``autoscale_down_patience`` idle samples for −1), and a
-    cooldown separates consecutive actions.  Down-patience is deliberately
-    larger than up-patience: under-provisioning costs tail latency
-    immediately, over-provisioning only costs idle threads.
-    """
-
-    def __init__(
-        self,
-        pool: EnginePool,
-        request_queue: MicroBatchQueue,
-        metrics: ServingMetrics,
-        config: ServingConfig,
-    ) -> None:
-        self.pool = pool
-        self.queue = request_queue
-        self.metrics = metrics
-        self.config = config
-        self.history: list[dict[str, float]] = []
-        self._up_votes = 0
-        self._down_votes = 0
-        self._last_action: float | None = None
-        self._stop_event = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    # ------------------------------------------------------------------
-    # Decision logic (pure given signals — what the unit tests drive)
-    # ------------------------------------------------------------------
-    def evaluate(
-        self,
-        p99_ms: float,
-        queue_depth: int,
-        workers: int,
-        now: float | None = None,
-    ) -> int:
-        """Return the target worker count for the given signals."""
-        cfg = self.config
-        overloaded = (
-            p99_ms > cfg.target_p99_ms
-            or queue_depth > cfg.autoscale_queue_per_worker * workers
-        )
-        idle = queue_depth == 0 and p99_ms < cfg.target_p99_ms / 2
-        if overloaded:
-            self._up_votes += 1
-            self._down_votes = 0
-        elif idle:
-            self._down_votes += 1
-            self._up_votes = 0
-        else:
-            self._up_votes = 0
-            self._down_votes = 0
-        now = time.monotonic() if now is None else now
-        cooled = (
-            self._last_action is None
-            or now - self._last_action >= cfg.autoscale_cooldown_s
-        )
-        if (
-            self._up_votes >= cfg.autoscale_up_patience
-            and workers < cfg.max_workers
-            and cooled
-        ):
-            self._up_votes = 0
-            self._last_action = now
-            return workers + 1
-        if (
-            self._down_votes >= cfg.autoscale_down_patience
-            and workers > cfg.min_workers
-            and cooled
-        ):
-            self._down_votes = 0
-            self._last_action = now
-            return workers - 1
-        return workers
-
-    def step(self, now: float | None = None) -> dict[str, float]:
-        """One control period: sample signals, decide, actuate, record."""
-        window = self.metrics.take_latency_window()
-        p99_ms = window.exact_percentile(99.0) * 1e3 if window.count else 0.0
-        depth = self.queue.pending()
-        workers = self.pool.num_workers
-        target = self.evaluate(p99_ms, depth, workers, now=now)
-        if target != workers:
-            target = self.pool.resize(target)
-        record = {
-            "p99_ms": float(p99_ms),
-            "queue_depth": float(depth),
-            "workers_before": float(workers),
-            "workers_after": float(target),
-        }
-        self.history.append(record)
-        if len(self.history) > _MAX_AUTOSCALE_HISTORY:
-            del self.history[: -_MAX_AUTOSCALE_HISTORY]
-        return record
-
-    # ------------------------------------------------------------------
-    # Control thread
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        if self._thread is not None:
-            # repro: allow[exc] lifecycle misuse, never reaches a client
-            raise RuntimeError("autoscaler already started")
-        self._thread = threading.Thread(
-            target=self._run, name="serving-autoscaler", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self, timeout: float = 5.0) -> None:
-        self._stop_event.set()
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
-            self._thread = None
-
-    def _run(self) -> None:
-        while not self._stop_event.wait(self.config.autoscale_interval_s):
-            self.step()
+__all__ = ["CheckpointWatcher", "OnlineRuntime"]
 
 
 class CheckpointWatcher:
@@ -337,9 +193,7 @@ class OnlineRuntime(ServingRuntime):
     """A :class:`ServingRuntime` wired into the train-to-serve loop.
 
     Boots from ``store.latest()``, then keeps itself current: the watcher
-    hot-swaps each new version the trainer publishes, and (when
-    ``config.autoscale`` is set) the autoscaler resizes the worker pool
-    from live p99/queue-depth signals.
+    hot-swaps each new version the trainer publishes.
     """
 
     def __init__(
@@ -363,11 +217,6 @@ class OnlineRuntime(ServingRuntime):
             poll_s=config.reload_poll_s,
             current_version=latest.name,
         )
-        self.autoscaler: AutoscaleController | None = None
-        if config.autoscale:
-            self.autoscaler = AutoscaleController(
-                self.pool, self.queue, self.metrics, config
-            )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -375,15 +224,11 @@ class OnlineRuntime(ServingRuntime):
     def start(self) -> "OnlineRuntime":
         super().start()
         self.watcher.start()
-        if self.autoscaler is not None:
-            self.autoscaler.start()
         return self
 
     def stop(self, drain: bool = True) -> None:
-        # Control loops first: a watcher mid-swap finishes (stop() joins
-        # it), then the pool drains on the settled weights.
-        if self.autoscaler is not None:
-            self.autoscaler.stop()
+        # Watcher first: a watcher mid-swap finishes (stop() joins it), then
+        # the pool drains on the settled weights.
         self.watcher.stop()
         super().stop(drain=drain)
 
@@ -446,5 +291,4 @@ class OnlineRuntime(ServingRuntime):
         snapshot = super().stats()
         snapshot["checkpoint_version"] = self.watcher.current_version
         snapshot["checkpoint_lag"] = float(self.checkpoint_lag())
-        snapshot["autoscale"] = self.autoscaler is not None
         return snapshot

@@ -22,7 +22,11 @@ future.  Endpoints:
 
 Request bodies are bounded by ``ServingConfig.max_body_bytes``: a declared
 ``Content-Length`` over the limit is refused with HTTP 413 before reading a
-single body byte, and a missing/non-integer/negative length is a 400.
+single body byte, and a missing/non-integer/negative length is a 400.  A
+predict body is checked element by element — ``indices`` integers in
+``[0, input_dim)``, ``values`` finite float32 numbers, ``k`` an integer
+(JSON ``true`` is none of these) — and anything else is a 400 naming the
+field.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import CancelledError
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Callable
 
 import numpy as np
 
@@ -42,6 +47,28 @@ from repro.serving.pool import ServingRuntime
 from repro.types import SparseExample, SparseVector
 
 __all__ = ["ModelServer", "build_server"]
+
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
+def _is_int(item: object) -> bool:
+    # bool is an int subclass, but true is not an index or a k.
+    return isinstance(item, int) and not isinstance(item, bool)
+
+
+def _json_array(
+    payload: dict, name: str, valid: Callable[[object], bool], expected: str
+) -> list:
+    """``payload[name]`` as a list whose every element passes ``valid``."""
+    if name not in payload:
+        raise ValueError(f"missing field {name!r}")
+    items = payload[name]
+    if not isinstance(items, list):
+        raise ValueError(f"{name!r} must be a JSON array, got {items!r}")
+    for position, item in enumerate(items):
+        if not valid(item):
+            raise ValueError(f"{name}[{position}] must be {expected}, got {item!r}")
+    return items
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -80,7 +107,10 @@ class _Handler(BaseHTTPRequestHandler):
         limit = self.runtime.config.max_body_bytes
         if length > limit:
             raise PayloadTooLargeError(declared_bytes=length, limit_bytes=limit)
-        payload = json.loads(self.rfile.read(length))
+        try:
+            payload = json.loads(self.rfile.read(length))
+        except RecursionError:
+            raise ValueError("request body is nested too deeply") from None
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
         return payload
@@ -116,11 +146,11 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             payload = self._read_json()
             example = self._parse_example(payload)
-            k = int(payload.get("k", self.runtime.config.top_k))
+            k = payload.get("k", self.runtime.config.top_k)
+            if not _is_int(k):
+                raise ValueError(f"'k' must be an integer, got {k!r}")
             prediction = self.runtime.predict(example, k=k)
-        except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
-            # TypeError covers client-side type mistakes like "k": null or
-            # nested lists where scalars are expected — still a 400.
+        except ValueError as exc:
             self._send_json(400, {"error": str(exc)})
             return
         except RejectedError as exc:
@@ -166,8 +196,33 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _parse_example(self, payload: dict) -> SparseExample:
-        indices = np.asarray(payload["indices"], dtype=np.int64)
-        values = np.asarray(payload["values"], dtype=np.float64)
+        # Every element is checked before numpy sees it: np.asarray would
+        # truncate 1.9 to 1, read true as 1, parse "0.5", and overflow on
+        # an index past int64; NaN / Infinity would reach the scores and
+        # make the response invalid JSON.
+        indices = np.asarray(
+            _json_array(
+                payload,
+                "indices",
+                lambda item: _is_int(item) and 0 <= item < self.input_dim,
+                f"an integer in [0, {self.input_dim})",
+            ),
+            dtype=np.int64,
+        )
+        values = np.asarray(
+            _json_array(
+                payload,
+                "values",
+                # abs() <= max is False for NaN and the infinities too.
+                lambda item: (
+                    isinstance(item, (int, float))
+                    and not isinstance(item, bool)
+                    and abs(item) <= _FLOAT32_MAX
+                ),
+                "a finite float32 number",
+            ),
+            dtype=np.float64,
+        )
         features = SparseVector(
             indices=indices, values=values, dimension=self.input_dim
         )

@@ -130,18 +130,8 @@ def config_examples() -> dict[type, Any]:
             max_wait_ms=1.0,
             num_workers=3,
             queue_capacity=256,
-            admission_policy="block",
             deadline_ms=100.0,
             reload_poll_s=0.5,
-            autoscale=True,
-            min_workers=1,
-            max_workers=4,
-            autoscale_interval_s=0.5,
-            target_p99_ms=25.0,
-            autoscale_queue_per_worker=2.0,
-            autoscale_up_patience=3,
-            autoscale_down_patience=5,
-            autoscale_cooldown_s=2.0,
             host="0.0.0.0",
             port=9090,
             max_body_bytes=65536,
@@ -441,21 +431,64 @@ def test_mutation_sweep(cls):
 # ----------------------------------------------------------------------
 PARENT_DICTS = json.loads((DATA / "parent_config_dicts.json").read_text())
 
+# ServingConfig fields the parent wrote that have since been deleted (the
+# autoscaler and the admission policy).  A dict still carrying one is
+# refused by name; without them the rest loads unchanged.
+DELETED_SERVING_KEYS = (
+    "admission_policy",
+    "autoscale",
+    "min_workers",
+    "max_workers",
+    "autoscale_interval_s",
+    "target_p99_ms",
+    "autoscale_queue_per_worker",
+    "autoscale_up_patience",
+    "autoscale_down_patience",
+    "autoscale_cooldown_s",
+)
+
+
+def _assert_refused_naming_deleted_keys(load) -> None:
+    with pytest.raises(ValueError, match="unknown serving config fields") as excinfo:
+        load()
+    named = str(excinfo.value).split(";")[0]
+    assert all(repr(key) in named for key in DELETED_SERVING_KEYS)
+
+
+def _without_deleted_keys(written: dict) -> dict:
+    assert set(DELETED_SERVING_KEYS) <= set(written)
+    return {k: v for k, v in written.items() if k not in DELETED_SERVING_KEYS}
+
 
 @pytest.mark.parametrize(
     "cls", CONFIG_CLASSES + [FaultPlan], ids=lambda cls: cls.__name__
 )
 def test_parent_written_dict_round_trips_bit_for_bit(cls):
     written = PARENT_DICTS[cls.__name__]
+    if cls is ServingConfig:
+        _assert_refused_naming_deleted_keys(lambda: from_dict(cls, written))
+        written = _without_deleted_keys(written)
     config = from_dict(cls, written)
     assert to_dict(config) == written
     if cls in EXAMPLES:  # the examples moved here verbatim
         assert config == EXAMPLES[cls]
 
 
-def test_parent_written_serving_json_loads():
-    config = load_config(ServingConfig, DATA / "parent_serving.json")
+def test_parent_written_serving_json_loads(tmp_path):
+    path = DATA / "parent_serving.json"
+    _assert_refused_naming_deleted_keys(lambda: load_config(ServingConfig, path))
+    written = _without_deleted_keys(json.loads(path.read_text()))
+    trimmed = tmp_path / "serving.json"
+    trimmed.write_text(json.dumps(written))
+    config = load_config(ServingConfig, trimmed)
     assert config == EXAMPLES[ServingConfig]
+    assert to_dict(config) == written
+
+
+@pytest.mark.parametrize("key", DELETED_SERVING_KEYS)
+def test_serving_config_refuses_each_deleted_key_by_name(key):
+    with pytest.raises(ValueError, match=f"unknown serving config field '{key}'"):
+        from_dict(ServingConfig, {"num_workers": 2, key: 1})
 
 
 def test_parent_written_checkpoint_loads():

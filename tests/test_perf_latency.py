@@ -49,56 +49,6 @@ def test_out_of_range_observations_are_clamped():
     assert histogram.percentile(100) <= 100.0
 
 
-def test_merge_combines_observations():
-    a, b = LatencyHistogram(), LatencyHistogram()
-    for value in (0.01, 0.02):
-        a.record(value)
-    for value in (0.03, 0.04):
-        b.record(value)
-    a.merge(b)
-    assert a.count == 4
-    assert a.summary()["max_s"] == pytest.approx(0.04)
-
-
-def test_merge_rejects_mismatched_layout():
-    a = LatencyHistogram(growth=1.1)
-    b = LatencyHistogram(growth=1.5)
-    with pytest.raises(ValueError, match="bucket layout"):
-        a.merge(b)
-    # Same bucket count but a different range is also a layout mismatch.
-    c = LatencyHistogram(min_latency=1e-6, max_latency=60.0)
-    d = LatencyHistogram(min_latency=2e-6, max_latency=120.0)
-    if c._counts.shape == d._counts.shape:
-        with pytest.raises(ValueError, match="bucket layout"):
-            c.merge(d)
-
-
-def test_merge_self_and_cross_merges_complete():
-    a, b = LatencyHistogram(), LatencyHistogram()
-    a.record(0.01)
-    b.record(0.02)
-    a.merge(a)  # no-op, must not deadlock on its own lock
-    assert a.count == 1
-
-    # Opposite-direction merges from two threads must not deadlock (locks
-    # are taken in canonical id() order).
-    done = threading.Event()
-
-    def cross():
-        for _ in range(200):
-            a.merge(b)
-            b.merge(a)
-        done.set()
-
-    thread = threading.Thread(target=cross)
-    thread.start()
-    for _ in range(200):
-        b.merge(a)
-        a.merge(b)
-    assert done.wait(timeout=10.0)
-    thread.join(timeout=5.0)
-
-
 def test_concurrent_recording_loses_nothing():
     histogram = LatencyHistogram()
     per_thread = 2_000
@@ -136,7 +86,7 @@ def test_throughput_meter():
 
 
 # ----------------------------------------------------------------------
-# Raw-sample reservoir (exact percentiles, cross-worker aggregation)
+# Raw-sample reservoir (exact percentiles)
 # ----------------------------------------------------------------------
 def test_exact_percentile_is_exact_while_samples_fit_reservoir():
     histogram = LatencyHistogram(reservoir_size=1000)
@@ -154,7 +104,7 @@ def test_exact_percentile_is_exact_while_samples_fit_reservoir():
 
 
 def test_reservoir_subsamples_uniformly_beyond_capacity():
-    histogram = LatencyHistogram(reservoir_size=200, seed=1)
+    histogram = LatencyHistogram(reservoir_size=200)
     for value in np.linspace(0.001, 1.0, 5000):
         histogram.record(float(value))
     assert histogram.retained_samples == 200
@@ -170,43 +120,6 @@ def test_exact_percentile_falls_back_to_buckets_without_reservoir():
     assert histogram.retained_samples == 0
     assert histogram.exact_percentile(50.0) == histogram.percentile(50.0)
 
-
-def test_merge_pools_reservoirs_across_workers():
-    workers = [LatencyHistogram(reservoir_size=4096, seed=i) for i in range(3)]
-    all_values = []
-    rng = np.random.default_rng(9)
-    for worker in workers:
-        values = rng.uniform(0.001, 0.2, size=300)
-        all_values.append(values)
-        for value in values:
-            worker.record(float(value))
-    merged = LatencyHistogram(reservoir_size=4096)
-    for worker in workers:
-        merged.merge(worker)
-    pooled = np.concatenate(all_values)
-    assert merged.count == pooled.size
-    assert merged.retained_samples == pooled.size
-    # Everything fit the reservoir, so the cross-worker p99 is *exact* —
-    # the property the autoscaler and the serving bench rely on.
-    assert merged.exact_percentile(99.0) == pytest.approx(
-        float(np.percentile(pooled, 99.0)), rel=1e-12
-    )
-
-
-def test_merge_downsamples_weighted_when_reservoir_overflows():
-    a = LatencyHistogram(reservoir_size=100, seed=2)
-    b = LatencyHistogram(reservoir_size=100, seed=3)
-    for value in np.full(900, 0.01):
-        a.record(float(value))
-    for value in np.full(100, 0.1):
-        b.record(float(value))
-    a.merge(b)
-    assert a.count == 1000
-    assert a.retained_samples == 100
-    # a's history is 9x larger, so its value should dominate the merged
-    # sample roughly in proportion.
-    slow = sum(1 for v in [a.exact_percentile(p) for p in range(0, 100, 5)] if v > 0.05)
-    assert slow <= 8  # ~10% of the mass sits at 0.1
 
 def test_reservoir_validation():
     with pytest.raises(ValueError):

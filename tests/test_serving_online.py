@@ -1,10 +1,9 @@
-"""The online train-to-serve runtime: hot reload, admission control, autoscaling.
+"""The online train-to-serve runtime: hot reload and admission control.
 
 Covers the overload contract (typed 429 sheds with correct counters,
 deadline drops *before* compute), hot-reload parity (post-swap engine ≡
 cold-loaded checkpoint, bitwise top-k, incremental LSH patch — no full
-rebuild), pool resizing + the hysteresis autoscaler, worker-crash
-surfacing, checkpoint retention
+rebuild), worker-crash surfacing, checkpoint retention
 (prune / pin / auto-prune), the strict JSON config loader, and the full
 reload-under-live-traffic integration scenario.
 """
@@ -32,13 +31,11 @@ from repro.config import (
 from repro.core.network import SlideNetwork
 from repro.core.trainer import SlideTrainer
 from repro.serving import (
-    AutoscaleController,
     CheckpointStore,
     CheckpointWatcher,
     DeadlineExceededError,
     DenseInferenceEngine,
     EnginePool,
-    MicroBatchQueue,
     OnlineRuntime,
     RejectedError,
     ServingMetrics,
@@ -112,7 +109,6 @@ def test_full_queue_sheds_with_typed_429_and_counters(tiny_dataset):
         max_wait_ms=0.0,
         num_workers=1,
         queue_capacity=1,
-        admission_policy="shed",
     )
     rejections = []
     with ServingRuntime(engine, config) as runtime:
@@ -163,25 +159,6 @@ def test_deadline_expired_requests_drop_before_compute(tiny_dataset):
     # Dropped before compute: only the one live batch hit the engine.
     assert engine.batches_computed == 1
     assert runtime.metrics.sheds["deadline"] == 3
-
-
-def test_block_policy_still_blocks(tiny_dataset):
-    queue = MicroBatchQueue(max_batch_size=4, capacity=1, policy="block")
-    queue.submit(tiny_dataset.test[0])
-    blocked = threading.Event()
-
-    def second_submit():
-        blocked.set()
-        queue.submit(tiny_dataset.test[1])
-
-    thread = threading.Thread(target=second_submit, daemon=True)
-    thread.start()
-    blocked.wait(timeout=1.0)
-    time.sleep(0.05)
-    assert thread.is_alive(), "block policy must wait, not shed"
-    queue.next_batch(timeout=0.1)  # free capacity
-    thread.join(timeout=2.0)
-    assert not thread.is_alive()
 
 
 # ----------------------------------------------------------------------
@@ -467,35 +444,8 @@ def test_store_save_auto_prunes(tmp_path, tiny_dataset):
 
 
 # ----------------------------------------------------------------------
-# Pool resizing + autoscaler
+# Worker crashes
 # ----------------------------------------------------------------------
-def test_elastic_pool_resizes_while_serving(tiny_dataset):
-    engine = DenseInferenceEngine(_make_network(tiny_dataset))
-    metrics = ServingMetrics()
-    queue = MicroBatchQueue(max_batch_size=8, max_wait_ms=1.0, capacity=256)
-    pool = EnginePool(engine, queue, metrics, num_workers=1)
-    pool.start()
-    try:
-        assert pool.num_workers == 1
-        assert pool.resize(3) == 3
-        deadline = time.monotonic() + 2.0
-        while pool.alive_workers() < 3 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert pool.alive_workers() == 3
-        futures = [queue.submit(tiny_dataset.test[i % 8], k=1) for i in range(40)]
-        for future in futures:
-            assert future.result(timeout=30.0).class_ids.shape == (1,)
-        assert pool.resize(1) == 1
-        deadline = time.monotonic() + 2.0
-        while pool.alive_workers() > 1 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert pool.num_workers == 1
-        # The survivor still serves.
-        assert queue.submit(tiny_dataset.test[0], k=1).result(timeout=10.0)
-    finally:
-        pool.stop()
-
-
 def test_online_runtime_surfaces_worker_crash(tmp_path, tiny_dataset, monkeypatch):
     """A worker loop that raises is visible at once (not ready: no alive
     workers) and stop() re-raises its exception instead of returning
@@ -519,77 +469,6 @@ def test_online_runtime_surfaces_worker_crash(tmp_path, tiny_dataset, monkeypatc
     assert readiness == (False, "no alive workers")
 
 
-def test_autoscaler_hysteresis_and_cooldown():
-    config = ServingConfig(
-        autoscale=True,
-        num_workers=1,
-        min_workers=1,
-        max_workers=4,
-        autoscale_up_patience=2,
-        autoscale_down_patience=3,
-        autoscale_cooldown_s=10.0,
-        target_p99_ms=50.0,
-        autoscale_queue_per_worker=4.0,
-    )
-    controller = AutoscaleController(None, None, None, config)  # type: ignore[arg-type]
-    # One overloaded sample is not enough (patience=2).
-    assert controller.evaluate(100.0, 0, workers=1, now=0.0) == 1
-    assert controller.evaluate(100.0, 0, workers=1, now=1.0) == 2
-    # Cooldown: still overloaded, but the last action was at t=1.
-    assert controller.evaluate(100.0, 0, workers=2, now=2.0) == 2
-    assert controller.evaluate(100.0, 0, workers=2, now=3.0) == 2
-    # Cooldown expired → the accumulated votes act.
-    assert controller.evaluate(100.0, 0, workers=2, now=12.0) == 3
-    # Queue depth alone also counts as overload (> 4 × workers).
-    controller2 = AutoscaleController(None, None, None, config)  # type: ignore[arg-type]
-    assert controller2.evaluate(1.0, 50, workers=3, now=0.0) == 3
-    assert controller2.evaluate(1.0, 50, workers=3, now=1.0) == 4
-    # Scale down needs 3 consecutive idle samples and never goes below min.
-    controller3 = AutoscaleController(None, None, None, config)  # type: ignore[arg-type]
-    assert controller3.evaluate(1.0, 0, workers=2, now=0.0) == 2
-    assert controller3.evaluate(1.0, 0, workers=2, now=1.0) == 2
-    # A busy blip resets the idle streak.
-    assert controller3.evaluate(100.0, 0, workers=2, now=2.0) == 2
-    assert controller3.evaluate(1.0, 0, workers=2, now=3.0) == 2
-    assert controller3.evaluate(1.0, 0, workers=2, now=4.0) == 2
-    assert controller3.evaluate(1.0, 0, workers=2, now=5.0) == 1
-    assert controller3.evaluate(1.0, 0, workers=1, now=100.0) == 1
-    assert controller3.evaluate(1.0, 0, workers=1, now=101.0) == 1
-    assert controller3.evaluate(1.0, 0, workers=1, now=102.0) == 1  # min floor
-
-
-def test_autoscaler_step_resizes_elastic_pool(tiny_dataset):
-    engine = DenseInferenceEngine(_make_network(tiny_dataset))
-    metrics = ServingMetrics()
-    queue = MicroBatchQueue(max_batch_size=8, capacity=256)
-    pool = EnginePool(engine, queue, metrics, num_workers=1)
-    config = ServingConfig(
-        autoscale=True,
-        num_workers=1,
-        min_workers=1,
-        max_workers=4,
-        autoscale_up_patience=1,
-        autoscale_down_patience=1,
-        autoscale_cooldown_s=0.0,
-        target_p99_ms=10.0,
-    )
-    controller = AutoscaleController(pool, queue, metrics, config)
-    pool.start()
-    try:
-        # Saturate the latency window well past target p99.
-        for _ in range(50):
-            metrics.record_request(0.5, mode="dense")
-        record = controller.step()
-        assert record["workers_after"] == 2.0
-        assert pool.num_workers == 2
-        # Window was drained by step(); an idle window scales back down.
-        record = controller.step()
-        assert record["workers_after"] == 1.0
-        assert controller.history[-1] == record
-    finally:
-        pool.stop()
-
-
 # ----------------------------------------------------------------------
 # Strict config loading
 # ----------------------------------------------------------------------
@@ -598,17 +477,11 @@ def test_serving_config_from_dict_names_bad_fields():
         from_dict(ServingConfig, {"workerz": 3})
     with pytest.raises(ValueError, match="'top_k'"):
         from_dict(ServingConfig, {"top_k": "five"})
-    with pytest.raises(ValueError, match="'autoscale'"):
-        from_dict(ServingConfig, {"autoscale": "yes"})
     for workers in (0, -1):
         with pytest.raises(ValueError, match="num_workers"):
             from_dict(ServingConfig, {"num_workers": workers})
-    config = from_dict(
-        ServingConfig,
-        {"deadline_ms": 25, "admission_policy": "shed", "autoscale": True},
-    )
+    config = from_dict(ServingConfig, {"deadline_ms": 25})
     assert config.deadline_ms == 25.0
-    assert config.autoscale is True
 
 
 def test_load_serving_config_file(tmp_path):
@@ -664,7 +537,6 @@ def test_online_runtime_reload_under_live_traffic(tmp_path, tiny_dataset):
         top_k=1,
         num_workers=2,
         queue_capacity=512,
-        admission_policy="shed",
         reload_poll_s=60.0,  # polled synchronously below — no thread races
     )
     runtime = OnlineRuntime(store, config)

@@ -446,20 +446,34 @@ def test_readiness_fails_when_only_checkpoints_quarantined(
         runtime.stop()
 
 
-def test_elastic_pool_resize_to_zero_and_back(store, tiny_dataset):
-    runtime = OnlineRuntime(store, ServingConfig(num_workers=2)).start()
-    try:
-        assert runtime.pool.resize(0) == 0
+def test_crashed_pool_is_unready_and_router_drains_it(
+    store, tiny_dataset, monkeypatch
+):
+    """A replica whose every worker crashed still answers liveness checks
+    from the process but reports "no alive workers"; the router stops
+    sending it traffic and serves on the survivor."""
+
+    def crashed_next_batch(timeout=None):
+        raise RuntimeError("worker crashed")
+
+    with _router(store) as router:
+        r0 = router.replica("r0")
+        monkeypatch.setattr(r0.runtime.queue, "next_batch", crashed_next_batch)
         deadline = time.monotonic() + 5.0
-        while runtime.alive_workers() and time.monotonic() < deadline:
+        while r0.runtime.alive_workers() and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert runtime.alive_workers() == 0
-        assert runtime.readiness() == (False, "no alive workers")
-        assert runtime.pool.resize(2) == 2
-        assert runtime.readiness() == (True, "ok")
-        runtime.predict(_example(tiny_dataset), k=3)
-    finally:
-        runtime.stop()
+        assert r0.runtime.alive_workers() == 0
+        assert r0.runtime.readiness() == (False, "no alive workers")
+        while r0.health.ready and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not r0.health.ready
+        for _ in range(10):
+            assert router.predict(_example(tiny_dataset), k=3).replica == "r1"
+        assert router.readiness() == (True, "ok")
+        # Stopping the crashed replica surfaces the worker's exception.
+        monkeypatch.undo()
+        with pytest.raises(RuntimeError, match="worker crashed"):
+            r0.runtime.stop()
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ from repro.serving import (
     DenseInferenceEngine,
     EnginePool,
     MicroBatchQueue,
+    RejectedError,
     ServingMetrics,
     ServingRuntime,
     SparseInferenceEngine,
@@ -73,6 +74,17 @@ def test_queue_validates_parameters():
         MicroBatchQueue(capacity=0)
 
 
+def test_full_queue_sheds_at_once_with_typed_error(tiny_dataset):
+    # Shedding is the only admission policy: a full queue never blocks the
+    # submitter, even with no worker to drain it.
+    queue = MicroBatchQueue(max_batch_size=4, capacity=1)
+    queue.submit(tiny_dataset.test[0])
+    with pytest.raises(RejectedError) as excinfo:
+        queue.submit(tiny_dataset.test[1])
+    assert excinfo.value.pending == 1
+    assert queue.pending() == 1
+
+
 # ----------------------------------------------------------------------
 # EnginePool lifecycle
 # ----------------------------------------------------------------------
@@ -85,24 +97,6 @@ class BarrierEngine(DenseInferenceEngine):
 
     def predict_batch(self, examples, k=1):
         self.barrier.wait()
-        return super().predict_batch(examples, k=k)
-
-
-class GateEngine(DenseInferenceEngine):
-    """Dense engine noting which worker thread ran each batch; while
-    ``gate`` is clear it holds every batch (``entered`` says one arrived)."""
-
-    def __init__(self, network: SlideNetwork) -> None:
-        super().__init__(network)
-        self.gate = threading.Event()
-        self.gate.set()
-        self.entered = threading.Event()
-        self.served_by: list[str] = []
-
-    def predict_batch(self, examples, k=1):
-        self.served_by.append(threading.current_thread().name)
-        self.entered.set()
-        assert self.gate.wait(timeout=10.0)
         return super().predict_batch(examples, k=k)
 
 
@@ -184,105 +178,11 @@ def test_engine_pool_clean_stop_is_silent(tiny_network_config):
     assert pool.alive_workers() == 0
 
 
-def _spawned_by(action) -> list[threading.Thread]:
-    """The threads that come alive while ``action()`` runs."""
-    before = set(threading.enumerate())
-    action()
-    return [thread for thread in threading.enumerate() if thread not in before]
-
-
-def _join_all(threads: list[threading.Thread]) -> None:
-    for thread in threads:
-        thread.join(timeout=5.0)
-    assert not any(thread.is_alive() for thread in threads)
-
-
-def test_engine_pool_resize_before_start_is_a_no_op(tiny_network_config):
-    pool = _pool(DenseInferenceEngine(SlideNetwork(tiny_network_config)), 2)
-    assert _spawned_by(lambda: pool.resize(4)) == []
-    assert pool.num_workers == 0
-    # start() still spawns the constructor's worker count, not the resize's.
-    pool.start()
-    assert pool.num_workers == 2
-    pool.stop()
-
-
-def test_engine_pool_resize_clamps_negative_target_to_zero(tiny_network_config):
-    pool = _pool(DenseInferenceEngine(SlideNetwork(tiny_network_config)), 2)
-    pool.start()
-    assert pool.resize(-3) == 0
-    assert pool.num_workers == 0
-    pool.stop()
-
-
-def test_engine_pool_resize_to_zero_holds_requests_until_workers_return(
-    tiny_dataset, tiny_network_config
-):
-    pool = _pool(DenseInferenceEngine(SlideNetwork(tiny_network_config)), 1)
-    workers = _spawned_by(pool.start)
-    assert pool.resize(0) == 0
-    # A retired worker may still be inside its last poll; once it has
-    # exited nothing serves the queue.
-    _join_all(workers)
-    future = pool.queue.submit(tiny_dataset.test[0], k=2)
-    time.sleep(0.2)
-    assert not future.done()
-    assert pool.resize(1) == 1
-    assert future.result(timeout=30.0).class_ids.shape == (2,)
-    pool.stop()
-
-
-def test_engine_pool_retires_newest_workers_first(tiny_dataset, tiny_network_config):
-    engine = GateEngine(SlideNetwork(tiny_network_config))
-    pool = _pool(engine, 1)
-    pool.start()
-    grown = _spawned_by(lambda: pool.resize(3))
-    assert sorted(t.name for t in grown) == ["serving-engine-1", "serving-engine-2"]
-    assert pool.resize(1) == 1
-    # The two workers the grow added are the two the shrink retires.
-    _join_all(grown)
-    assert pool.alive_workers() == 1
-    engine.served_by.clear()
-    pool.queue.submit(tiny_dataset.test[0], k=1).result(timeout=30.0)
-    assert engine.served_by == ["serving-engine-0"]
-    pool.stop()
-
-
-def test_engine_pool_never_reuses_worker_indices(tiny_network_config):
-    pool = _pool(DenseInferenceEngine(SlideNetwork(tiny_network_config)), 2)
-    started = _spawned_by(pool.start)
-    assert sorted(t.name for t in started) == ["serving-engine-0", "serving-engine-1"]
-    pool.resize(1)
-    _join_all([t for t in started if t.name == "serving-engine-1"])
-    regrown = _spawned_by(lambda: pool.resize(2))
-    # Index 1 is not handed out again: per-worker metrics never alias.
-    assert [t.name for t in regrown] == ["serving-engine-2"]
-    pool.stop()
-
-
-def test_engine_pool_retired_worker_finishes_in_flight_batch(
-    tiny_dataset, tiny_network_config
-):
-    engine = GateEngine(SlideNetwork(tiny_network_config))
-    engine.gate.clear()
-    pool = _pool(engine, 1, max_batch_size=1)
-    workers = _spawned_by(pool.start)
-    future = pool.queue.submit(tiny_dataset.test[0], k=1)
-    assert engine.entered.wait(timeout=10.0)
-    assert pool.resize(0) == 0
-    engine.gate.set()
-    assert future.result(timeout=30.0).class_ids.shape == (1,)
-    _join_all(workers)
-    pool.stop()
-
-
 def test_engine_pool_stop_cancels_requests_no_worker_serves(
     tiny_dataset, tiny_network_config
 ):
+    # Never started: requests reach the queue but no worker ever serves.
     pool = _pool(DenseInferenceEngine(SlideNetwork(tiny_network_config)), 1)
-    workers = _spawned_by(pool.start)
-    pool.resize(0)
-    _join_all(workers)
     futures = [pool.queue.submit(tiny_dataset.test[i], k=1) for i in range(3)]
     # The drain wait times out with nobody serving; stop() must still
     # settle every queued future rather than leave callers blocked.
@@ -308,15 +208,6 @@ def test_engine_pool_stop_cancels_queue_left_by_crashed_workers(
     with pytest.raises(RuntimeError, match="only worker crashed"):
         pool.stop(timeout=0.2)
     assert stranded.cancelled()
-
-
-def test_engine_pool_resize_after_stop_is_a_no_op(tiny_network_config):
-    pool = _pool(DenseInferenceEngine(SlideNetwork(tiny_network_config)), 2)
-    pool.start()
-    pool.stop()
-    assert _spawned_by(lambda: pool.resize(3)) == []
-    assert pool.num_workers == 0
-    assert pool.alive_workers() == 0
 
 
 def test_engine_pool_engine_error_fails_requests_not_workers(
@@ -480,19 +371,25 @@ def test_runtime_stop_drains_queue(served_checkpoint, tiny_dataset):
     assert runtime.metrics.requests == 64
 
 
-def test_runtime_pool_serves_across_resizes(served_checkpoint, tiny_dataset):
-    """A fixed-size ServingRuntime runs the same resizable pool as the
-    online runtime: it serves after growing and again after shrinking."""
+def test_predict_many_keeps_its_own_batch_within_queue_capacity(
+    served_checkpoint, tiny_dataset
+):
+    """A batch 25x the queue capacity is answered in full, in input order,
+    without shedding a single one of its own requests."""
     network = load_checkpoint(served_checkpoint, load_optimizer=False).network
-    config = ServingConfig(num_workers=1, max_batch_size=4, max_wait_ms=1.0, top_k=1)
-    examples = list(tiny_dataset.test[:24])
+    config = ServingConfig(
+        engine="dense", num_workers=2, queue_capacity=8, max_batch_size=4, top_k=3
+    )
+    examples = [
+        tiny_dataset.test[i % len(tiny_dataset.test)] for i in range(200)
+    ]
     with ServingRuntime.from_network(network, config) as runtime:
-        for target in (2, 1):
-            assert runtime.pool.resize(target) == target
-            _wait_for_alive(runtime.pool, target)
-            predictions = runtime.predict_many(examples, timeout=30.0)
-            assert [p.class_ids.shape for p in predictions] == [(1,)] * len(examples)
-        assert runtime.stats()["num_workers"] == 1.0
+        predictions = runtime.predict_many(examples, timeout=60.0)
+        expected = runtime.engine.predict_batch(examples, k=3)
+        assert runtime.metrics.shed_total == 0
+    assert len(predictions) == 200
+    for got, want in zip(predictions, expected):
+        assert np.array_equal(got.class_ids, want.class_ids)
 
 
 def test_runtime_submit_before_start_fails_fast(served_checkpoint, tiny_dataset):

@@ -8,6 +8,7 @@ import time
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.config import ServingConfig
@@ -179,6 +180,122 @@ def test_predict_answers_a_valid_unsorted_body(http_server):
     assert reversed_order["scores"] == pytest.approx(in_order["scores"])
 
 
+@pytest.mark.parametrize(
+    "body, field",
+    [
+        ({"indices": [1.9, 2], "values": [1.0, 1.0]}, "indices[0]"),
+        ({"indices": [True, 2], "values": [1.0, 1.0]}, "indices[0]"),
+        ({"indices": [2**70], "values": [1.0]}, "indices[0]"),
+        ({"indices": [1, 2], "values": [1.0, 1.0], "k": 1.7}, "'k'"),
+        ({"indices": [1, 2], "values": [1.0, 1.0], "k": True}, "'k'"),
+        ({"indices": [1, 2], "values": ["1", "0.5"]}, "values[0]"),
+        ({"indices": [1, 2], "values": [1.0, float("nan")]}, "values[1]"),
+        ({"indices": [1, 2], "values": [float("inf"), 1.0]}, "values[0]"),
+        ({"indices": [1, 2], "values": [1.0, -float("inf")]}, "values[1]"),
+        ({"indices": [1, 2], "values": [1.0, 1e39]}, "values[1]"),
+    ],
+    ids=[
+        "fractional-index",
+        "bool-index",
+        "index-past-int64",
+        "fractional-k",
+        "bool-k",
+        "string-values",
+        "nan-value",
+        "infinite-value",
+        "negative-infinite-value",
+        "value-past-float32",
+    ],
+)
+def test_predict_refuses_a_wrongly_typed_field_naming_it(http_server, body, field):
+    """np.asarray would truncate, coerce or overflow each of these; the
+    boundary answers 400 naming the field instead of serving a guess."""
+    base, _ = http_server
+    data = json.dumps(body).encode("utf-8")  # NaN / Infinity as Python emits them
+    status, payload = _raw_post(base, str(len(data)), data)
+    assert status == 400
+    assert field in payload["error"]
+
+
+_JUNK = [None, True, False, -1, 0, 1.5, 2**70, -(2**70), 10**400, "1", "", [], {},
+         [1], float("nan"), float("inf"), 1e300]
+
+
+def _mutations(body: dict, rng):
+    """Yield ``(label, mutated body)`` pairs derived from a valid ``body``."""
+    keys = list(body)
+    while True:
+        mutated = json.loads(json.dumps(body))
+        kind = rng.integers(5)
+        if kind == 0:  # one element of an array replaced by junk
+            key = rng.choice(["indices", "values"])
+            position = int(rng.integers(len(mutated[key])))
+            junk = _JUNK[rng.integers(len(_JUNK))]
+            mutated[key][position] = junk
+            yield f"{key}[{position}]={junk!r}", mutated
+        elif kind == 1:  # a whole field replaced by junk
+            key = keys[rng.integers(len(keys))]
+            junk = _JUNK[rng.integers(len(_JUNK))]
+            mutated[key] = junk
+            yield f"{key}={junk!r}", mutated
+        elif kind == 2:  # a field dropped
+            key = keys[rng.integers(len(keys))]
+            del mutated[key]
+            yield f"drop {key}", mutated
+        elif kind == 3:  # an array shortened or emptied
+            key = rng.choice(["indices", "values"])
+            keep = int(rng.integers(len(mutated[key])))
+            mutated[key] = mutated[key][:keep]
+            yield f"{key}[:{keep}]", mutated
+        else:  # an index pushed out of range or repeated
+            position = int(rng.integers(len(mutated["indices"])))
+            mutated["indices"][position] = int(
+                rng.choice([-1, 10**6, mutated["indices"][0]])
+            )
+            yield f"indices[{position}]={mutated['indices'][position]}", mutated
+
+
+def _strict_json(raw: bytes):
+    def refuse(constant):
+        raise ValueError(f"response carries {constant}, which is not JSON")
+
+    return json.loads(raw, parse_constant=refuse)
+
+
+def test_predict_body_mutation_sweep_never_500s(http_server):
+    """Seeded mutations of a valid body are each answered 200 or 400, and
+    every answer is strict JSON (no NaN / Infinity scores)."""
+    import http.client
+
+    base, dataset = http_server
+    example = dataset.test[0]
+    body = {
+        "indices": [int(i) for i in example.features.indices],
+        "values": [float(v) for v in example.features.values],
+        "k": 3,
+    }
+    host, port = base.removeprefix("http://").split(":")
+    rng = np.random.default_rng(2024)
+    mutations = _mutations(body, rng)
+    statuses = {}
+    for _ in range(150):
+        label, mutated = next(mutations)
+        data = json.dumps(mutated).encode("utf-8")
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            conn.request("POST", "/v1/predict", body=data)
+            response = conn.getresponse()
+            status, payload = response.status, _strict_json(response.read())
+        finally:
+            conn.close()
+        assert status in (200, 400), f"{label}: {status} {payload}"
+        if status == 200:
+            assert all(np.isfinite(payload["scores"])), label
+        statuses[status] = statuses.get(status, 0) + 1
+    # The sweep exercises both outcomes, not just one of them.
+    assert statuses.get(200, 0) > 0 and statuses.get(400, 0) > 0
+
+
 def test_unknown_path_404(http_server):
     base, _ = http_server
     with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -318,7 +435,7 @@ def test_predict_succeeds_during_hot_swap(tiny_dataset):
         thread.join(timeout=5.0)
 
 
-def test_readiness_endpoint_tracks_worker_pool(tiny_dataset, tmp_path):
+def test_readiness_endpoint_tracks_worker_pool(tiny_dataset, tmp_path, monkeypatch):
     from repro.serving import CheckpointStore, OnlineRuntime
 
     store = CheckpointStore(tmp_path / "store")
@@ -327,6 +444,10 @@ def test_readiness_endpoint_tracks_worker_pool(tiny_dataset, tmp_path):
     server = build_server(runtime, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
+
+    def crashed_next_batch(timeout=None):
+        raise RuntimeError("worker crashed")
+
     try:
         host, port = server.address
         base = f"http://{host}:{port}"
@@ -334,7 +455,8 @@ def test_readiness_endpoint_tracks_worker_pool(tiny_dataset, tmp_path):
         assert status == 200
         assert payload["status"] == "ready"
 
-        runtime.pool.resize(0)
+        # Every worker crashes on its next poll of the queue.
+        monkeypatch.setattr(runtime.queue, "next_batch", crashed_next_batch)
         deadline = _wait_deadline()
         while runtime.alive_workers() and time.monotonic() < deadline:
             time.sleep(0.01)
@@ -342,17 +464,17 @@ def test_readiness_endpoint_tracks_worker_pool(tiny_dataset, tmp_path):
         # flips to 503 so a router or LB can drain this replica.
         status, payload = _get(base + "/healthz")
         assert status == 200
+        assert payload["workers"] == 0
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(base + "/healthz/ready")
         assert excinfo.value.code == 503
         detail = json.loads(excinfo.value.read())
         assert detail["detail"] == "no alive workers"
-
-        runtime.pool.resize(2)
-        status, payload = _get(base + "/healthz/ready")
-        assert status == 200
     finally:
-        server.shutdown()
+        monkeypatch.undo()
+        # Shutdown stops the runtime, which re-raises the workers' crash.
+        with pytest.raises(RuntimeError, match="worker crashed"):
+            server.shutdown()
         thread.join(timeout=5.0)
 
 
