@@ -48,7 +48,7 @@ from repro.harness.scaling import build_scaling_network_config
 from repro.parallel.sharedmem import ProcessHogwildTrainer
 from repro.reports.schema import BOOL, FRACTION, NAT, POS
 from repro.reports.spec import BenchSpec, MetricGate
-from repro.serving import CheckpointStore
+from repro.state import CheckpointStore
 
 # The killed run loses at most a couple of batches of telemetry and retrains
 # them after the restart; its converged precision must stay within a point of

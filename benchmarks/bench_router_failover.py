@@ -39,7 +39,8 @@ from repro.harness.report import format_table
 from repro.harness.serving_sweep import train_serving_network
 from repro.reports.schema import CONFIG, FRACTION, NAT, POS, STR, rows
 from repro.reports.spec import BenchSpec, MetricGate
-from repro.serving import CheckpointStore, ReplicaRouter, run_open_loop
+from repro.serving import ReplicaRouter, run_open_loop
+from repro.state import CheckpointStore
 
 # Availability floor under a replica kill: non-shed requests that completed
 # over the whole failover window, the kill and its cancelled in-flight

@@ -34,17 +34,13 @@ from tempfile import TemporaryDirectory
 import numpy as np
 
 from repro.config import ServingConfig
+from repro.core.network import SlideNetwork
 from repro.harness.report import format_table
 from repro.harness.serving_sweep import train_serving_network
 from repro.reports.schema import BOOL, CONFIG, FRACTION, NAT, POS, STR, rows
 from repro.reports.spec import BenchSpec, MetricGate
-from repro.serving import (
-    CheckpointStore,
-    OnlineRuntime,
-    SparseInferenceEngine,
-    load_checkpoint,
-    run_open_loop,
-)
+from repro.serving import OnlineRuntime, SparseInferenceEngine, run_open_loop
+from repro.state import CheckpointStore
 
 # Per-request deadline for the sweep: the bound "graceful degradation" is
 # measured against — admitted requests must finish within it plus compute.
@@ -251,7 +247,7 @@ def run(params: dict | None = None) -> dict:
             # ------------------------------------------------------ phase 4
             latest = store.latest()
             cold = SparseInferenceEngine(
-                load_checkpoint(latest, load_optimizer=False).network,
+                SlideNetwork.from_checkpoint(latest),
                 active_budget=budget,
             )
             resident = runtime.engine

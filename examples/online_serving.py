@@ -5,7 +5,7 @@ serve), this example runs the *continuous* loop from
 :mod:`repro.serving.runtime`:
 
 1. train a small SLIDE network and publish v1 into a
-   :class:`~repro.serving.checkpoint.CheckpointStore`;
+   :class:`~repro.state.CheckpointStore`;
 2. start an :class:`~repro.serving.runtime.OnlineRuntime` — a fixed-size
    worker pool with shed admission, per-request deadlines, and a
    :class:`~repro.serving.runtime.CheckpointWatcher` on the store;
@@ -40,7 +40,8 @@ from repro.core.inference import evaluate_precision_at_1
 from repro.core.network import SlideNetwork
 from repro.core.trainer import SlideTrainer
 from repro.datasets.synthetic import delicious_like_config, generate_synthetic_xc
-from repro.serving import CheckpointStore, OnlineRuntime, run_open_loop
+from repro.serving import OnlineRuntime, run_open_loop
+from repro.state import CheckpointStore
 
 
 def build_trainer():

@@ -22,9 +22,9 @@ import numpy as np
 
 from repro.baselines.sampled_softmax import SampledSoftmaxConfig, SampledSoftmaxNetwork
 from repro.config import OptimizerConfig
+from repro.core.inference import evaluate_precision_at_1
 from repro.harness.experiment import HeadToHeadExperiment, small_experiment_config
 from repro.harness.report import format_table
-from repro.metrics.accuracy import precision_at_1
 from repro.types import SparseBatch
 
 
@@ -53,9 +53,7 @@ def train_sampled_softmax(experiment: HeadToHeadExperiment, fraction: float) -> 
                     label_dim=cfg.dataset.label_dim,
                 )
             )
-    test = experiment.dataset.test
-    scores = np.stack([network.predict_dense(ex) for ex in test])
-    return precision_at_1(scores, [ex.labels for ex in test])
+    return evaluate_precision_at_1(network, experiment.dataset.test)
 
 
 def main() -> None:

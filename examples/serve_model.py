@@ -36,7 +36,8 @@ from repro.core.inference import evaluate_precision_at_1
 from repro.core.network import SlideNetwork
 from repro.core.trainer import SlideTrainer
 from repro.datasets.synthetic import delicious_like_config, generate_synthetic_xc
-from repro.serving import CheckpointStore, ServingRuntime, build_engine, build_server
+from repro.serving import ServingRuntime, build_engine, build_server
+from repro.state import CheckpointStore
 
 
 def train_and_checkpoint(root: Path):
@@ -74,16 +75,16 @@ def train_and_checkpoint(root: Path):
 
 
 def serve_burst(store: CheckpointStore, dataset) -> None:
-    loaded = store.load_latest(load_optimizer=False)
+    network = SlideNetwork.from_checkpoint(store.latest())
     config = ServingConfig(
         engine="sparse",
-        active_budget=max(32, loaded.network.output_dim // 8),
+        active_budget=max(32, network.output_dim // 8),
         top_k=5,
         max_batch_size=32,
         max_wait_ms=2.0,
         num_workers=4,
     )
-    with ServingRuntime.from_network(loaded.network, config) as runtime:
+    with ServingRuntime.from_network(network, config) as runtime:
         print(f"\nserving with engine={runtime.engine.name}, "
               f"workers={config.num_workers}, budget={config.active_budget}")
         predictions = runtime.predict_many(dataset.test * 2, k=5)
@@ -100,9 +101,9 @@ def serve_burst(store: CheckpointStore, dataset) -> None:
 def serve_http(store: CheckpointStore, dataset) -> None:
     import threading
 
-    loaded = store.load_latest(load_optimizer=False)
+    network = SlideNetwork.from_checkpoint(store.latest())
     config = ServingConfig(num_workers=2, top_k=5)
-    runtime = ServingRuntime(build_engine(loaded.network, config), config).start()
+    runtime = ServingRuntime(build_engine(network, config), config).start()
     server = build_server(runtime, port=0)
     host, port = server.address
     thread = threading.Thread(target=server.serve_forever, daemon=True)

@@ -9,6 +9,9 @@ Public API overview
 -------------------
 * :mod:`repro.core` — ``SlideNetwork`` / ``SlideTrainer``, the paper's
   contribution.
+* :mod:`repro.state` — model state: the one naming of a model's arrays and
+  versioned, checksum-verified checkpoints (``CheckpointStore``), shared by
+  training, resume, shared memory and serving.
 * :mod:`repro.hashing`, :mod:`repro.lsh`, :mod:`repro.sampling` — the LSH
   substrate (hash families, bounded-bucket tables, sampling strategies).
 * :mod:`repro.kernels` — batched sparse kernels: whole-micro-batch LSH
@@ -28,10 +31,14 @@ Public API overview
 * :mod:`repro.harness` — machinery the benches share: head-to-head training
   runs, report rendering, measured process scaling and the serving
   accuracy-vs-latency sweep.
-* :mod:`repro.serving` — beyond the paper: checkpointing, the
-  LSH-accelerated inference engine, micro-batching, a multi-worker engine
-  pool, and an HTTP/JSON model server (``repro-serve``).
+* :mod:`repro.serving` — beyond the paper: the LSH-accelerated inference
+  engine, micro-batching, a multi-worker engine pool, and an HTTP/JSON
+  model server (``repro-serve``).
 """
+
+# Set before the subpackage imports below: they import repro.state, which
+# reads it while this package is still initialising.
+__version__ = "1.0.0"
 
 from repro.config import (
     LayerConfig,
@@ -44,8 +51,6 @@ from repro.config import (
 )
 from repro.core import SlideNetwork, SlideTrainer
 from repro.types import SparseBatch, SparseExample, SparseVector
-
-__version__ = "1.0.0"
 
 __all__ = [
     "__version__",

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.config import OptimizerConfig
-from repro.core.activations import relu, relu_grad, softmax_rows
+from repro.kernels.activations import relu, relu_grad, softmax_rows
 from repro.optim.factory import make_optimizer
 from repro.types import (
     FLOAT,

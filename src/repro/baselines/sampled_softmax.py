@@ -20,7 +20,7 @@ from typing import Literal
 import numpy as np
 
 from repro.config import OptimizerConfig
-from repro.core.activations import relu, relu_grad
+from repro.kernels.activations import relu, relu_grad
 from repro.optim.factory import make_optimizer
 from repro.types import FLOAT, FloatArray, IntArray, SparseBatch, SparseExample
 from repro.utils.rng import derive_rng

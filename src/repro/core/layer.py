@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import LayerConfig
-from repro.core.activations import relu, softmax_rows, sparse_softmax
+from repro.kernels.activations import relu, softmax_rows, sparse_softmax
 from repro.lsh.index import LSHIndex
 from repro.lsh.scheduler import ExponentialDecaySchedule, RebuildSchedule
 from repro.optim.base import Optimizer

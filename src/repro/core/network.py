@@ -14,7 +14,7 @@ accumulated optimiser step per layer.
 
 from __future__ import annotations
 
-from typing import Mapping
+from pathlib import Path
 
 import numpy as np
 
@@ -24,10 +24,11 @@ from repro.kernels.fused import Workspace, fused_forward_batch, fused_train_step
 from repro.optim.base import Optimizer
 from repro.optim.factory import make_optimizer
 from repro.perf.phases import PhaseTimer
+from repro.state import read_manifest, restore_checkpoint_into
 from repro.types import FLOAT, FloatArray, SparseBatch, SparseExample, dense_features
 from repro.utils.rng import derive_rng
 
-__all__ = ["SlideNetwork", "model_arrays", "bind_model_arrays"]
+__all__ = ["SlideNetwork"]
 
 
 class SlideNetwork:
@@ -54,6 +55,18 @@ class SlideNetwork:
         # optimiser in the training kernel, table rebuilds after each step);
         # read by the throughput benchmarks to track where training time goes.
         self.phase_timer = PhaseTimer()
+
+    @classmethod
+    def from_checkpoint(cls, path: str | Path) -> SlideNetwork:
+        """A network built from the config stored at checkpoint ``path``.
+
+        Its weights, iteration and LSH tables are restored from the
+        checkpoint (:func:`repro.state.restore_checkpoint_into`); any
+        optimiser state the checkpoint holds is left on disk.
+        """
+        network = cls(read_manifest(path).network_config)
+        restore_checkpoint_into(path, network)
+        return network
 
     # ------------------------------------------------------------------
     # Properties
@@ -164,56 +177,3 @@ class SlideNetwork:
         output = fused_forward_batch(self, batch).output_state
         return output.active_count(len(batch)) / len(batch)
 
-
-# ----------------------------------------------------------------------
-# The model's arrays under one naming
-# ----------------------------------------------------------------------
-def model_arrays(
-    network: SlideNetwork, optimizer: Optimizer | None = None
-) -> dict[str, FloatArray]:
-    """Every live array of ``network`` (and ``optimizer``) under its one name.
-
-    ``layer{i}.weights`` and ``layer{i}.biases`` per layer, then
-    ``optim.{param}.{slot}`` per optimiser state array (Adam's ``m`` and
-    ``v``), in registration order.  The values are the live arrays, not
-    copies.  Checkpoints store these names in ``arrays.npz``, restores copy
-    into them in place, and the shared-memory store places them in shared
-    blocks that :func:`bind_model_arrays` points the model at.
-    """
-    arrays: dict[str, FloatArray] = {}
-    for layer in network.layers:
-        arrays[f"{layer.name}.weights"] = layer.weights
-        arrays[f"{layer.name}.biases"] = layer.biases
-    if optimizer is not None:
-        for param, slot, array in optimizer.state_items():
-            arrays[f"optim.{param}.{slot}"] = array
-    return arrays
-
-
-def bind_model_arrays(
-    network: SlideNetwork,
-    optimizer: Optimizer | None,
-    arrays: Mapping[str, FloatArray],
-) -> None:
-    """Rebind every live array to the same-named array of ``arrays``.
-
-    The names are those of :func:`model_arrays`; each replacement must have
-    the shape of the array it replaces (``ValueError`` otherwise, before
-    anything is rebound).  Later training reads and writes through the new
-    arrays: bind shared-memory views to train in place, and private copies
-    to detach from them again.
-    """
-    for name, current in model_arrays(network, optimizer).items():
-        if name not in arrays:
-            raise ValueError(f"no array named {name!r} to bind")
-        if arrays[name].shape != current.shape:
-            raise ValueError(
-                f"array {name!r} has shape {current.shape}; "
-                f"cannot rebind to shape {arrays[name].shape}"
-            )
-    for layer in network.layers:
-        layer.weights = arrays[f"{layer.name}.weights"]
-        layer.biases = arrays[f"{layer.name}.biases"]
-    if optimizer is not None:
-        for param, slot, _ in optimizer.state_items():
-            optimizer.set_state_array(param, slot, arrays[f"optim.{param}.{slot}"])

@@ -18,6 +18,7 @@ import numpy as np
 from repro.config import FaultToleranceConfig, TrainingConfig
 from repro.core.inference import evaluate_precision_at_1
 from repro.core.network import SlideNetwork
+from repro.state import CheckpointStore, restore_train_state
 from repro.types import SparseBatch, SparseExample
 from repro.utils.rng import derive_rng
 
@@ -270,8 +271,6 @@ class SlideTrainer:
     # ------------------------------------------------------------------
     def _store(self):
         if self._checkpoint_store is None and self.checkpoint_dir is not None:
-            from repro.serving.checkpoint import CheckpointStore
-
             self._checkpoint_store = CheckpointStore(self.checkpoint_dir)
         return self._checkpoint_store
 
@@ -325,8 +324,6 @@ class SlideTrainer:
 
     def _restore(self, resume: str | Path) -> tuple[int, int]:
         """Restore network/optimiser/RNG state; return (epoch, skip)."""
-        from repro.serving.checkpoint import restore_train_state
-
         state = restore_train_state(
             resume,
             self.network,

@@ -10,6 +10,9 @@
   sparse softmax/ReLU semantics are per sample, and the block's weight
   gradient accumulated into one reusable buffer and applied with one
   optimiser step per layer.
+* :mod:`repro.kernels.activations` — the activation functions the kernel
+  and the layers apply: ReLU and the sparse softmax, normalised over the
+  active neurons only.
 
 ``SlideNetwork.train_batch`` calls
 :func:`~repro.kernels.fused.fused_train_step` with the micro-batch as one

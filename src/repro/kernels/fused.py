@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.activations import hidden_activation_grad, relu, softmax_rows
+from repro.kernels.activations import hidden_activation_grad, relu, softmax_rows
 from repro.kernels.active import select_active_batch
 from repro.optim.base import Optimizer
 from repro.types import FLOAT, FloatArray, IntArray, SparseBatch
@@ -144,8 +144,9 @@ def _segment_softmax(values: FloatArray, counts: IntArray) -> FloatArray:
     """Softmax within each consecutive segment of ``values``.
 
     Segment ``i`` is the next ``counts[i]`` entries: one sample's logits on
-    its own active set, so this is :func:`~repro.core.activations.sparse_softmax`
-    run per sample in one pass.  Empty segments are allowed.
+    its own active set, so this is
+    :func:`~repro.kernels.activations.sparse_softmax` run per sample in one
+    pass.  Empty segments are allowed.
     """
     # reduceat yields the element *at* the offset for an empty segment, so
     # only the non-empty segments' offsets go in.

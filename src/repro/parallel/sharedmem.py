@@ -7,13 +7,13 @@ Table 2).  This module provides the real thing:
 * :class:`SharedParamStore` places named arrays in
   ``multiprocessing.shared_memory`` blocks: the model's weights, biases and
   optimiser moments under the names of
-  :func:`~repro.core.network.model_arrays` (the same names a checkpoint's
+  :func:`~repro.state.model_arrays` (the same names a checkpoint's
   ``arrays.npz`` uses), plus three ``_diag::`` arrays (writer mask, update
   counters, heartbeats).  The store serialises its layout into a JSON-safe
   *manifest*; worker processes — forked or spawned — reattach the blocks
   zero-copy from the manifest and point their own ``SlideNetwork`` /
   optimiser at the shared arrays with
-  :func:`~repro.core.network.bind_model_arrays`.
+  :func:`~repro.state.bind_model_arrays`.
 * :class:`ProcessHogwildTrainer` trains a
   :class:`~repro.data.shards.ShardedDataset` in ``N`` worker processes that
   perform lock-free asynchronous updates directly into the shared parameters
@@ -71,13 +71,20 @@ from repro.config import (
     to_dict,
 )
 from repro.core.inference import evaluate_precision_at_1
-from repro.core.network import SlideNetwork, bind_model_arrays, model_arrays
+from repro.core.network import SlideNetwork
 from repro.core.trainer import IterationRecord, SlideTrainer, TrainingHistory
 from repro.data.shards import ShardedDataset
 from repro.faults import FaultInjector
 from repro.optim.base import Optimizer
 from repro.optim.factory import make_optimizer
 from repro.parallel.conflicts import ConflictReport, analyze_update_conflicts
+from repro.state import (
+    CheckpointError,
+    CheckpointStore,
+    bind_model_arrays,
+    model_arrays,
+    restore_train_state,
+)
 
 __all__ = [
     "SharedParamStore",
@@ -152,7 +159,7 @@ class SharedParamStore:
     of the same memory.  Views returned by ``store[name]`` stay valid until
     :meth:`close`; callers must drop every outstanding view (rebind the
     model to ``{name: store.copy_out(name)}`` with
-    :func:`~repro.core.network.bind_model_arrays`) before closing, or the
+    :func:`~repro.state.bind_model_arrays`) before closing, or the
     export check in ``mmap.close`` will refuse.
     """
 
@@ -727,7 +734,7 @@ class ProcessHogwildTrainer:
         ``train_examples`` is a :class:`ShardedDataset` with at least one
         shard per process (``repro.data.ingest_examples`` writes one from an
         example list).  ``resume`` names a checkpoint version directory (or
-        a :class:`~repro.serving.checkpoint.CheckpointStore` root, in which
+        a :class:`~repro.state.CheckpointStore` root, in which
         case the newest *intact* version is used) written by a previous run
         with the same configuration; training continues from the work items
         that run had not yet finished.
@@ -849,8 +856,6 @@ class ProcessHogwildTrainer:
         into *its* group list, so the groups come from the checkpoint too
         (which lets any worker count pick the run back up).
         """
-        from repro.serving.checkpoint import CheckpointError, restore_train_state
-
         state = restore_train_state(
             resume,
             self.network,
@@ -970,8 +975,6 @@ class ProcessHogwildTrainer:
 
         ckpt_store = None
         if self.checkpoint_dir is not None and ft.checkpoint_every_s > 0:
-            from repro.serving.checkpoint import CheckpointStore
-
             ckpt_store = CheckpointStore(self.checkpoint_dir)
         last_checkpoint = run_start
 

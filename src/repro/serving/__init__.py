@@ -1,12 +1,11 @@
 """repro.serving — turn a trained SLIDE network into a model server.
 
 SLIDE's thesis is that LSH-driven sparsity beats brute-force computation;
-this package carries that idea from the training loop to the serving path:
+this package carries that idea from the training loop to the serving path.
+Models arrive as checkpoints from :mod:`repro.state` (a
+:class:`~repro.state.CheckpointStore` numbers versions for the
+trainer→server hand-off):
 
-* :mod:`~repro.serving.checkpoint` — versioned save/load of network weights,
-  optimiser state, and LSH table contents, with checksum-verified integrity
-  (:class:`CheckpointStore` numbers versions for trainer→server hand-off,
-  with pin-aware ``prune`` retention);
 * :mod:`~repro.serving.engine` — the LSH-budgeted
   :class:`SparseInferenceEngine` (hash-table candidate selection + exact
   top-k rerank, dense fallback) and the exact batched
@@ -35,26 +34,17 @@ this package carries that idea from the training loop to the serving path:
 
 Quickstart::
 
-    from repro.serving import save_checkpoint, load_checkpoint, ServingRuntime
+    from repro.core import SlideNetwork
+    from repro.serving import ServingRuntime
+    from repro.state import save_checkpoint
 
     save_checkpoint("ckpt", network, optimizer)
-    loaded = load_checkpoint("ckpt")
-    with ServingRuntime.from_network(loaded.network) as runtime:
+    served = SlideNetwork.from_checkpoint("ckpt")
+    with ServingRuntime.from_network(served) as runtime:
         prediction = runtime.predict(example, k=5)
 """
 
 from repro.serving.batching import InferenceRequest, MicroBatchQueue
-from repro.serving.checkpoint import (
-    CHECKPOINT_FORMAT_VERSION,
-    CheckpointError,
-    CheckpointExistsError,
-    CheckpointStore,
-    LoadedCheckpoint,
-    load_checkpoint,
-    restore_checkpoint_into,
-    save_checkpoint,
-    verify_checkpoint,
-)
 from repro.serving.engine import (
     DenseInferenceEngine,
     InferenceEngine,
@@ -84,15 +74,6 @@ from repro.serving.runtime import CheckpointWatcher, OnlineRuntime
 from repro.serving.server import ModelServer, build_server
 
 __all__ = [
-    "CHECKPOINT_FORMAT_VERSION",
-    "CheckpointError",
-    "CheckpointExistsError",
-    "CheckpointStore",
-    "LoadedCheckpoint",
-    "load_checkpoint",
-    "restore_checkpoint_into",
-    "save_checkpoint",
-    "verify_checkpoint",
     "InferenceRequest",
     "MicroBatchQueue",
     "DenseInferenceEngine",

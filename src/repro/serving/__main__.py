@@ -7,8 +7,8 @@ line, and serves HTTP until interrupted::
         --budget 256 --workers 4 --max-batch-size 32 --max-wait-ms 2
 
 Point it at a checkpoint directory written by
-:func:`repro.serving.checkpoint.save_checkpoint`, or at a
-:class:`~repro.serving.checkpoint.CheckpointStore` root (the newest version
+:func:`repro.state.save_checkpoint`, or at a
+:class:`~repro.state.CheckpointStore` root (the newest version
 is served).
 
 Configuration can come from a JSON file instead of flags::
@@ -33,10 +33,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from repro.config import ServingConfig, load_config
-from repro.serving.checkpoint import CheckpointError, CheckpointStore, load_checkpoint
+from repro.core.network import SlideNetwork
 from repro.serving.pool import ServingRuntime, build_engine
 from repro.serving.runtime import OnlineRuntime
 from repro.serving.server import build_server
+from repro.state import CheckpointError, CheckpointStore
 
 __all__ = ["main"]
 
@@ -140,12 +141,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         checkpoint_path = _resolve_checkpoint(args.checkpoint)
-        loaded = load_checkpoint(checkpoint_path, load_optimizer=False)
+        network = SlideNetwork.from_checkpoint(checkpoint_path)
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    network = loaded.network
     try:
         config = _build_config(args, network.output_dim)
     except ValueError as exc:

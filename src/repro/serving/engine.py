@@ -43,8 +43,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.activations import sparse_softmax
 from repro.core.network import SlideNetwork
+from repro.kernels.activations import sparse_softmax
 from repro.types import FLOAT, FloatArray, IntArray, SparseExample, dense_features
 from repro.utils import sanitize
 from repro.utils.rwlock import ReadWriteLock

@@ -4,7 +4,7 @@ A single :class:`~repro.serving.runtime.OnlineRuntime` is one fault domain:
 a hung worker pool, a poisoned hot swap, or a dead process takes every
 in-flight and future request with it.  :class:`ReplicaRouter` removes that
 single point of failure with ``N`` in-process replicas sharing one
-:class:`~repro.serving.checkpoint.CheckpointStore` (each replica's watcher
+:class:`~repro.state.CheckpointStore` (each replica's watcher
 pulls the same published versions, so they converge on the same weights)
 behind a stateless routing layer:
 
@@ -60,7 +60,6 @@ import numpy as np
 
 from repro.config import RouterConfig, ServingConfig
 from repro.faults import ServingFaultPlan
-from repro.serving.checkpoint import CheckpointStore
 from repro.serving.engine import Prediction, SparseInferenceEngine
 from repro.serving.errors import (
     DeadlineExceededError,
@@ -71,6 +70,7 @@ from repro.serving.errors import (
 )
 from repro.serving.metrics import RouterMetrics
 from repro.serving.runtime import OnlineRuntime
+from repro.state import CheckpointStore
 from repro.types import SparseExample, SparseVector
 from repro.utils import sanitize
 

@@ -1,7 +1,7 @@
 """The online train-to-serve loop: hot reload.
 
 A trainer keeps publishing checkpoint versions into a
-:class:`~repro.serving.checkpoint.CheckpointStore`, and a running
+:class:`~repro.state.CheckpointStore`, and a running
 :class:`OnlineRuntime` picks each one up *without restarting* — no second
 process, no connection draining, no cold LSH rebuild:
 
@@ -25,14 +25,11 @@ from pathlib import Path
 
 from repro.config import ServingConfig
 from repro.faults import InjectedFault
-from repro.serving.checkpoint import (
-    CheckpointError,
-    CheckpointStore,
-    load_checkpoint,
-)
+from repro.core.network import SlideNetwork
 from repro.serving.engine import InferenceEngine, SwapReport
 from repro.serving.metrics import ServingMetrics
 from repro.serving.pool import ServingRuntime, build_engine
+from repro.state import CheckpointError, CheckpointStore
 
 __all__ = ["CheckpointWatcher", "OnlineRuntime"]
 
@@ -147,8 +144,8 @@ class CheckpointWatcher:
             if injector is not None:
                 injector.on_checkpoint_load(latest.name)
             with self.store.pin(latest):
-                loaded = load_checkpoint(latest, load_optimizer=False)
-                report = self.engine.hot_swap(loaded.network, version=latest.name)
+                network = SlideNetwork.from_checkpoint(latest)
+                report = self.engine.hot_swap(network, version=latest.name)
         except (InjectedFault, CheckpointError, ValueError, OSError) as exc:
             self._record_failure(latest.name, exc)
             return None
@@ -207,8 +204,8 @@ class OnlineRuntime(ServingRuntime):
         config = config or ServingConfig()
         latest = store.latest()
         with store.pin(latest):
-            loaded = load_checkpoint(latest, load_optimizer=False)
-        engine = build_engine(loaded.network, config)
+            network = SlideNetwork.from_checkpoint(latest)
+        engine = build_engine(network, config)
         super().__init__(engine, config)
         self.watcher = CheckpointWatcher(
             store,

@@ -1,26 +1,30 @@
-"""Versioned on-disk checkpoints for trained SLIDE networks.
+"""Model state: the one naming of a model's arrays, and versioned checkpoints.
+
+:func:`model_arrays` names every live array of a network and its optimiser
+(``layer{i}.weights``, ``layer{i}.biases``, ``optim.{param}.{slot}``).
+Checkpoints store those names, restores copy into them in place, and the
+shared-memory parameter store places them in shared blocks that
+:func:`bind_model_arrays` points the model at.
 
 A checkpoint is a directory with two files:
 
-* ``arrays.npz`` — the model's arrays under the names of
-  :func:`~repro.core.network.model_arrays` (``layer{i}.weights``,
-  ``layer{i}.biases``, ``optim.{param}.{slot}``), the network's
-  ``iteration``, and the LSH index contents of every hash-enabled layer
+* ``arrays.npz`` — the :func:`model_arrays`, the network's ``iteration``,
+  and the LSH index contents of every hash-enabled layer
   (``layer{i}.lsh_items`` / ``layer{i}.lsh_codes``: item ids plus their
   ``(L, K)`` hash codes, in insertion order);
 * ``manifest.json`` — a :class:`CheckpointManifest`: format version, the
   network config, the optimiser's config, step count and state slots, user
   metadata, and a SHA-256 checksum of the array payload.
 
-:func:`load_checkpoint` builds the network (and optimiser) from the stored
-configs and then runs the one restore that :func:`restore_checkpoint_into`
-runs on a live model: every ``model_arrays`` name must be in the payload
-with the live shape, and is copied in place.  The stored hash codes are
-*replayed* into the index — the hash functions are deterministic given
-``(config, seed)``, so only the table contents travel.  Replay reproduces
-bucket membership exactly for any bucket that never overflowed; the
-eviction order of overflowed FIFO buckets is not preserved (a full
-``rebuild_all_tables()`` restores the canonical state if required).
+:func:`restore_checkpoint_into` is the one restore: every ``model_arrays``
+name must be in the payload with the live shape, and is copied in place
+(``SlideNetwork.from_checkpoint`` builds a network from the stored config
+and runs it).  The stored hash codes are *replayed* into the index — the
+hash functions are deterministic given ``(config, seed)``, so only the table
+contents travel.  Replay reproduces bucket membership exactly for any bucket
+that never overflowed; the eviction order of overflowed FIFO buckets is not
+preserved (a full ``rebuild_all_tables()`` restores the canonical state if
+required).
 
 Integrity is enforced end-to-end: a truncated, bit-flipped, or partially
 written ``arrays.npz`` fails the checksum, and a manifest that does not
@@ -33,6 +37,9 @@ wrongly typed or missing field, non-object metadata) raises
 model server share: the trainer appends versions, the server loads
 ``latest()``, and a resumed run restores ``latest_valid()`` through
 :func:`restore_train_state`.
+
+This module sits below :mod:`repro.core`: it reads a network only through
+its ``layers``, ``config`` and ``iteration``.
 """
 
 from __future__ import annotations
@@ -48,25 +55,28 @@ import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 import numpy as np
 
 from repro import __version__
 from repro.config import OptimizerConfig, SlideNetworkConfig, from_dict, to_dict
-from repro.core.network import SlideNetwork, model_arrays
 from repro.optim.base import Optimizer
-from repro.optim.factory import make_optimizer
+from repro.types import FloatArray
+
+if TYPE_CHECKING:
+    from repro.core.network import SlideNetwork
 
 __all__ = [
+    "model_arrays",
+    "bind_model_arrays",
     "CHECKPOINT_FORMAT_VERSION",
     "CheckpointError",
     "CheckpointExistsError",
     "CheckpointManifest",
     "OptimizerEntry",
-    "LoadedCheckpoint",
     "save_checkpoint",
-    "load_checkpoint",
+    "read_manifest",
     "verify_checkpoint",
     "restore_checkpoint_into",
     "restore_train_state",
@@ -77,8 +87,68 @@ CHECKPOINT_FORMAT_VERSION = 1
 
 _MANIFEST_NAME = "manifest.json"
 _ARRAYS_NAME = "arrays.npz"
+# How many version numbers CheckpointStore.save tries before giving up to
+# concurrent savers.
+_SAVE_ATTEMPTS = 16
 
 
+# ----------------------------------------------------------------------
+# The model's arrays under one naming
+# ----------------------------------------------------------------------
+def model_arrays(
+    network: SlideNetwork, optimizer: Optimizer | None = None
+) -> dict[str, FloatArray]:
+    """Every live array of ``network`` (and ``optimizer``) under its one name.
+
+    ``layer{i}.weights`` and ``layer{i}.biases`` per layer, then
+    ``optim.{param}.{slot}`` per optimiser state array (Adam's ``m`` and
+    ``v``), in registration order.  The values are the live arrays, not
+    copies.  Checkpoints store these names in ``arrays.npz``, restores copy
+    into them in place, and the shared-memory store places them in shared
+    blocks that :func:`bind_model_arrays` points the model at.
+    """
+    arrays: dict[str, FloatArray] = {}
+    for layer in network.layers:
+        arrays[f"{layer.name}.weights"] = layer.weights
+        arrays[f"{layer.name}.biases"] = layer.biases
+    if optimizer is not None:
+        for param, slot, array in optimizer.state_items():
+            arrays[f"optim.{param}.{slot}"] = array
+    return arrays
+
+
+def bind_model_arrays(
+    network: SlideNetwork,
+    optimizer: Optimizer | None,
+    arrays: Mapping[str, FloatArray],
+) -> None:
+    """Rebind every live array to the same-named array of ``arrays``.
+
+    The names are those of :func:`model_arrays`; each replacement must have
+    the shape of the array it replaces (``ValueError`` otherwise, before
+    anything is rebound).  Later training reads and writes through the new
+    arrays: bind shared-memory views to train in place, and private copies
+    to detach from them again.
+    """
+    for name, current in model_arrays(network, optimizer).items():
+        if name not in arrays:
+            raise ValueError(f"no array named {name!r} to bind")
+        if arrays[name].shape != current.shape:
+            raise ValueError(
+                f"array {name!r} has shape {current.shape}; "
+                f"cannot rebind to shape {arrays[name].shape}"
+            )
+    for layer in network.layers:
+        layer.weights = arrays[f"{layer.name}.weights"]
+        layer.biases = arrays[f"{layer.name}.biases"]
+    if optimizer is not None:
+        for param, slot, _ in optimizer.state_items():
+            optimizer.set_state_array(param, slot, arrays[f"optim.{param}.{slot}"])
+
+
+# ----------------------------------------------------------------------
+# Checkpoints
+# ----------------------------------------------------------------------
 class CheckpointError(RuntimeError):
     """A checkpoint is missing, structurally invalid, or fails its checksum."""
 
@@ -114,20 +184,6 @@ class CheckpointManifest:
     metadata: dict[str, Any] = field(default_factory=dict)
     arrays_file: str = _ARRAYS_NAME
     arrays_sha256: str
-
-
-@dataclass
-class LoadedCheckpoint:
-    """Everything reconstructed from one checkpoint directory."""
-
-    network: SlideNetwork
-    optimizer: Optimizer | None
-    metadata: dict[str, Any] = field(default_factory=dict)
-    manifest: CheckpointManifest | None = None
-
-    @property
-    def config(self) -> SlideNetworkConfig:
-        return self.network.config
 
 
 # ----------------------------------------------------------------------
@@ -226,8 +282,9 @@ def save_checkpoint(
 # ----------------------------------------------------------------------
 # Loading
 # ----------------------------------------------------------------------
-def _read_manifest(path: Path) -> CheckpointManifest:
+def read_manifest(path: str | Path) -> CheckpointManifest:
     """The one manifest reader: every malformed manifest is a CheckpointError."""
+    path = Path(path)
     manifest_path = path / _MANIFEST_NAME
     if not manifest_path.is_file():
         raise CheckpointError(f"no {_MANIFEST_NAME} in {path}")
@@ -289,8 +346,7 @@ def _restore(
 ) -> None:
     """Copy the checkpoint at ``path`` into ``network`` (and ``optimizer``).
 
-    The one restore behind :func:`load_checkpoint` and
-    :func:`restore_checkpoint_into`.  Every array of
+    The one restore behind :func:`restore_checkpoint_into`.  Every array of
     ``model_arrays(network, optimizer)`` must be in the payload with the
     live array's shape, and the manifest must list exactly the optimiser's
     parameters and slots; all of it is checked before anything is written.
@@ -345,27 +401,6 @@ def _restore(
         optimizer.step_count = entry.step_count
 
 
-def load_checkpoint(
-    path: str | Path, load_optimizer: bool = True
-) -> LoadedCheckpoint:
-    """Reconstruct a network (and optionally optimiser) from ``path``."""
-    path = Path(path)
-    manifest = _read_manifest(path)
-    network = SlideNetwork(manifest.network_config)
-    optimizer: Optimizer | None = None
-    if load_optimizer and manifest.optimizer is not None:
-        optimizer = make_optimizer(manifest.optimizer.config)
-        for layer in network.layers:
-            layer.register_parameters(optimizer)
-    _restore(path, manifest, network, optimizer)
-    return LoadedCheckpoint(
-        network=network,
-        optimizer=optimizer,
-        metadata=dict(manifest.metadata),
-        manifest=manifest,
-    )
-
-
 def verify_checkpoint(path: str | Path) -> dict[str, Any]:
     """Cheap integrity check: manifest well-formed, payload checksum intact.
 
@@ -375,7 +410,7 @@ def verify_checkpoint(path: str | Path) -> dict[str, Any]:
     versions quickly.
     """
     path = Path(path)
-    manifest = _read_manifest(path)
+    manifest = read_manifest(path)
     _read_payload(path, manifest)
     return to_dict(manifest)
 
@@ -387,10 +422,8 @@ def restore_checkpoint_into(
 ) -> dict[str, Any]:
     """Restore a checkpoint *in place* into a live network (and optimiser).
 
-    The mid-run resume path: unlike :func:`load_checkpoint`, which builds a
-    fresh network from the stored config, this overwrites the arrays of an
-    existing ``network``/``optimizer`` pair — preserving every external
-    reference to them (shared-memory bindings, registered optimiser slots,
+    This overwrites the arrays of an existing ``network``/``optimizer`` pair
+    — preserving every external reference to them (shared-memory bindings, registered optimiser slots,
     LSH index views).  The stored hash codes are replayed into the layers'
     own indexes, so the restored tables match the saving network's exactly
     (the checkpoint was saved canonical: dirty neurons re-hashed first).
@@ -399,7 +432,7 @@ def restore_checkpoint_into(
     raises :class:`CheckpointError`.  Returns the checkpoint metadata.
     """
     path = Path(path)
-    manifest = _read_manifest(path)
+    manifest = read_manifest(path)
     if manifest.network_config != network.config:
         raise CheckpointError(
             f"checkpoint {path} was saved with a different network config; "
@@ -455,31 +488,28 @@ class CheckpointStore:
     training loop that appends versions and a model server that loads the
     newest one.  The bare number is the whole directory name on purpose:
     the atomic rename that claims it is what detects concurrent savers, so
-    two writers can never produce the same version.  Tags are recorded in
-    the checkpoint metadata (``metadata["tag"]``) rather than the name
-    (legacy ``v0002-tag`` directories are still read).
+    two writers can never produce the same version.  Labels belong in the
+    checkpoint metadata.
+
+    Opening a store touches nothing on disk: the root is created by the
+    first :meth:`save`, and a missing root simply has no versions.
     """
 
-    _VERSION_RE = re.compile(r"^v(\d{4,})(?:-(.+))?$")
+    _VERSION_RE = re.compile(r"^v(\d{4,})$")
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
 
     def versions(self) -> list[Path]:
         """Existing version directories, oldest first."""
-        found = []
-        for entry in self.root.iterdir():
-            if entry.is_dir():
-                match = self._VERSION_RE.match(entry.name)
-                if match:
-                    found.append((int(match.group(1)), entry))
-        # Name is the tiebreak for legacy tagged duplicates of one number,
-        # so latest() is deterministic regardless of directory-scan order.
-        return [
-            entry
-            for _, entry in sorted(found, key=lambda pair: (pair[0], pair[1].name))
+        if not self.root.is_dir():
+            return []
+        found = [
+            (int(entry.name[1:]), entry)
+            for entry in self.root.iterdir()
+            if entry.is_dir() and self._VERSION_RE.match(entry.name)
         ]
+        return [entry for _, entry in sorted(found)]
 
     def latest(self) -> Path:
         """Path of the newest version (:class:`CheckpointError` if none)."""
@@ -493,34 +523,24 @@ class CheckpointStore:
         network: SlideNetwork,
         optimizer: Optimizer | None = None,
         metadata: Mapping[str, Any] | None = None,
-        tag: str | None = None,
-        max_attempts: int = 16,
         keep_last: int | None = None,
     ) -> Path:
         """Write a new version directory and return its path.
 
         Versions are never overwritten: if a concurrent saver claims the
         same number first (detected atomically by the final rename), the
-        store rescans and retries with the next number.  ``tag`` lands in
-        the checkpoint metadata, keeping the claimed name — and therefore
-        collision detection — independent of it.
+        store rescans and retries with the next number.
 
         ``keep_last=N`` auto-prunes after a successful save (see
         :meth:`prune`), so a long-running publish loop does not grow disk
         unboundedly.
         """
-        if tag is not None:
-            metadata = {**(metadata or {}), "tag": tag}
         if keep_last is not None and keep_last < 1:
             raise ValueError("keep_last must be at least 1")
         last_error: CheckpointExistsError | None = None
-        for _ in range(max_attempts):
+        for _ in range(_SAVE_ATTEMPTS):
             versions = self.versions()
-            next_number = 1
-            if versions:
-                match = self._VERSION_RE.match(versions[-1].name)
-                assert match is not None
-                next_number = int(match.group(1)) + 1
+            next_number = int(versions[-1].name[1:]) + 1 if versions else 1
             try:
                 saved = save_checkpoint(
                     self.root / f"v{next_number:04d}",
@@ -537,12 +557,8 @@ class CheckpointStore:
             return saved
         raise CheckpointError(
             f"could not claim a version under {self.root} "
-            f"after {max_attempts} attempts"
+            f"after {_SAVE_ATTEMPTS} attempts"
         ) from last_error
-
-    def load_latest(self, load_optimizer: bool = True) -> LoadedCheckpoint:
-        """Load the newest version."""
-        return load_checkpoint(self.latest(), load_optimizer=load_optimizer)
 
     def latest_valid(self) -> Path:
         """Newest version that passes :func:`verify_checkpoint`.

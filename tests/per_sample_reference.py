@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.activations import hidden_activation_grad, sparse_softmax
 from repro.kernels import fused
+from repro.kernels.activations import hidden_activation_grad, sparse_softmax
 from repro.types import FLOAT
 
 

@@ -8,7 +8,7 @@ import pytest
 from repro.baselines.dense import DenseNetwork, DenseNetworkConfig
 from repro.baselines.sampled_softmax import SampledSoftmaxConfig, SampledSoftmaxNetwork
 from repro.config import OptimizerConfig
-from repro.metrics.accuracy import precision_at_1
+from repro.core.inference import evaluate_precision_at_1
 from repro.types import SparseBatch
 
 
@@ -57,9 +57,7 @@ class TestDenseNetwork:
                     label_dim=tiny_dataset.config.label_dim,
                 )
                 network.train_batch(batch)
-        test = tiny_dataset.test[:48]
-        scores = np.stack([network.predict_dense(ex) for ex in test])
-        accuracy = precision_at_1(scores, [ex.labels for ex in test])
+        accuracy = evaluate_precision_at_1(network, tiny_dataset.test[:48])
         assert accuracy > 0.2  # far above the ~2 % random baseline
 
     def test_predict_top_k(self, tiny_dataset):

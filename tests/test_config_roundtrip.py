@@ -34,13 +34,14 @@ from repro.config import (
     load_config,
     to_dict,
 )
-from repro.faults import FaultPlan
-from repro.core.network import SlideNetwork, model_arrays
+from repro.core.network import SlideNetwork
 from repro.data.shards import ShardInfo, ShardManifest
-from repro.serving.checkpoint import (
+from repro.faults import FaultPlan
+from repro.state import (
     CheckpointManifest,
     OptimizerEntry,
-    load_checkpoint,
+    model_arrays,
+    read_manifest,
     restore_checkpoint_into,
 )
 
@@ -494,47 +495,50 @@ def test_serving_config_refuses_each_deleted_key_by_name(key):
 def test_parent_written_checkpoint_loads():
     path = DATA / "parent_checkpoint"
     manifest = json.loads((path / "manifest.json").read_text())
-    loaded = load_checkpoint(path)
-    assert to_dict(loaded.network.config) == manifest["network_config"]
-    assert to_dict(loaded.optimizer.to_config()) == manifest["optimizer"]["config"]
-    assert loaded.network.config.seed == 7
-    assert loaded.network.config.layers[1].lsh.hash_family == "dwta"
+    loaded = SlideNetwork.from_checkpoint(path)
+    optimizer_config = read_manifest(path).optimizer.config
+    assert to_dict(loaded.config) == manifest["network_config"]
+    assert to_dict(optimizer_config) == manifest["optimizer"]["config"]
+    assert loaded.config.seed == 7
+    assert loaded.config.layers[1].lsh.hash_family == "dwta"
 
     # The fixture stores float64 arrays; they load by cast into the float32
     # parameters and moments, through both load paths.
     with np.load(path / "arrays.npz") as data:
         stored = {key: np.array(data[key]) for key in data.files}
-    restored = SlideNetwork(loaded.network.config)
+    restored = SlideNetwork(loaded.config)
     restored_optimizer = restored.build_optimizer(
-        TrainingConfig(optimizer=loaded.optimizer.to_config())
+        TrainingConfig(optimizer=optimizer_config)
     )
     restore_checkpoint_into(path, restored, restored_optimizer)
     checked = 0
-    for network, optimizer in (
-        (loaded.network, loaded.optimizer),
-        (restored, restored_optimizer),
-    ):
+    for network, optimizer in ((loaded, None), (restored, restored_optimizer)):
         live = {}
         for idx, layer in enumerate(network.layers):
             live[f"layer{idx}.weights"] = layer.weights
             live[f"layer{idx}.biases"] = layer.biases
-        for name, slot, array in optimizer.state_items():
-            live[f"optim.{name}.{slot}"] = array
+        if optimizer is not None:
+            for name, slot, array in optimizer.state_items():
+                live[f"optim.{name}.{slot}"] = array
         for key, array in live.items():
             assert stored[key].dtype == np.float64, key
             assert array.dtype == np.float32, key
             np.testing.assert_array_equal(array, stored[key].astype(np.float32))
             checked += 1
-    # weights + biases of two layers, Adam m / v of each: 12 arrays per path.
-    assert checked == 24
+    # Weights + biases of two layers on both paths (4 arrays each), and
+    # Adam m / v of each on the restore path (8 more).
+    assert checked == 16
 
 
 def test_model_arrays_name_exactly_the_parent_checkpoint_model_arrays():
     path = DATA / "parent_checkpoint"
-    loaded = load_checkpoint(path)
+    network = SlideNetwork.from_checkpoint(path)
+    optimizer = network.build_optimizer(
+        TrainingConfig(optimizer=read_manifest(path).optimizer.config)
+    )
     with np.load(path / "arrays.npz") as data:
         stored = set(data.files)
     index_arrays = {key for key in stored if re.fullmatch(r"layer\d+\.lsh_\w+", key)}
     assert index_arrays == {"layer1.lsh_items", "layer1.lsh_codes"}
     expected = stored - {"iteration"} - index_arrays
-    assert set(model_arrays(loaded.network, loaded.optimizer)) == expected
+    assert set(model_arrays(network, optimizer)) == expected

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.activations import relu, relu_grad, sparse_softmax
+from repro.kernels.activations import relu, relu_grad, sparse_softmax
 
 
 class TestReLU:

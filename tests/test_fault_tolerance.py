@@ -35,7 +35,7 @@ from repro.faults import (
 )
 from repro.parallel.sharedmem import ProcessHogwildTrainer
 from repro.reports import get_spec
-from repro.serving import (
+from repro.state import (
     CheckpointError,
     CheckpointStore,
     save_checkpoint,

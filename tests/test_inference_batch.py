@@ -109,3 +109,59 @@ def test_strict_flag_reports_unlabeled_examples(network, tiny_dataset):
 
 def test_precision_all_unlabeled_returns_zero(network):
     assert evaluate_precision_at_k(network, [_unlabeled(network.input_dim)], k=1) == 0.0
+
+
+class _FeatureScores:
+    """A model whose class scores are its input features, so each test
+    example states its own ranking."""
+
+    def predict_dense_batch(self, examples: list[SparseExample]) -> np.ndarray:
+        return np.stack([example.features.to_dense() for example in examples])
+
+
+def _scored(scores: list[float], labels: list[int]) -> SparseExample:
+    return SparseExample(
+        features=SparseVector(
+            indices=np.arange(len(scores)),
+            values=np.array(scores),
+            dimension=len(scores),
+        ),
+        labels=np.array(labels, dtype=np.int64),
+    )
+
+
+def test_precision_of_perfect_predictions_is_one():
+    examples = [_scored([0.1, 0.9], [1]), _scored([0.8, 0.2], [0])]
+    assert evaluate_precision_at_1(_FeatureScores(), examples) == 1.0
+
+
+def test_precision_of_wrong_predictions_is_zero():
+    examples = [_scored([0.9, 0.1], [1]), _scored([0.9, 0.1], [1])]
+    assert evaluate_precision_at_1(_FeatureScores(), examples) == 0.0
+
+
+def test_precision_at_k_gives_partial_credit():
+    # top-2 = {0, 1}; only 0 is a label -> 1/2.
+    examples = [_scored([0.5, 0.4, 0.3, 0.0], [0, 3])]
+    assert evaluate_precision_at_k(_FeatureScores(), examples, k=2) == 0.5
+
+
+def test_strict_flag_accepts_fully_labelled_examples():
+    examples = [_scored([0.9, 0.1], [0]), _scored([0.1, 0.9], [0])]
+    assert evaluate_precision_at_1(_FeatureScores(), examples, strict=True) == 0.5
+    assert evaluate_precision_at_1(_FeatureScores(), examples) == 0.5
+
+
+@pytest.mark.parametrize("eval_batch_size", [1, 5, 7])
+def test_chunked_evaluation_matches_one_chunk(network, tiny_dataset, eval_batch_size):
+    examples = tiny_dataset.test[:23]
+    whole = evaluate_precision_at_k(network, examples, k=2)
+    chunked = evaluate_precision_at_k(
+        network, examples, k=2, eval_batch_size=eval_batch_size
+    )
+    assert chunked == pytest.approx(whole)
+
+
+def test_eval_batch_size_must_be_positive(network, tiny_dataset):
+    with pytest.raises(ValueError, match="eval_batch_size"):
+        evaluate_precision_at_k(network, tiny_dataset.test[:4], eval_batch_size=0)

@@ -32,7 +32,6 @@ from repro.core.network import SlideNetwork
 from repro.core.trainer import SlideTrainer
 from repro.datasets.synthetic import SyntheticXCConfig, generate_synthetic_xc
 from repro.kernels.fused import fused_forward_batch
-from repro.metrics.accuracy import precision_at_1
 from repro.parallel.conflicts import analyze_update_conflicts
 from repro.types import SparseBatch
 
@@ -152,8 +151,7 @@ class TestSlideVsBaselines:
                         label_dim=xc_dataset.config.label_dim,
                     )
                 )
-        scores = np.stack([dense.predict_dense(ex) for ex in xc_dataset.test])
-        dense_accuracy = precision_at_1(scores, [ex.labels for ex in xc_dataset.test])
+        dense_accuracy = evaluate_precision_at_1(dense, xc_dataset.test)
         # SLIDE must be at least competitive with the dense baseline.
         assert slide_accuracy >= dense_accuracy - 0.05
 
@@ -186,8 +184,7 @@ class TestSlideVsBaselines:
                         label_dim=xc_dataset.config.label_dim,
                     )
                 )
-        scores = np.stack([ssm.predict_dense(ex) for ex in xc_dataset.test])
-        ssm_accuracy = precision_at_1(scores, [ex.labels for ex in xc_dataset.test])
+        ssm_accuracy = evaluate_precision_at_1(ssm, xc_dataset.test)
         assert slide_accuracy > ssm_accuracy
 
 

@@ -29,7 +29,6 @@ from repro.config import (
     SlideNetworkConfig,
     TrainingConfig,
 )
-from repro.core.activations import sparse_softmax
 from repro.core.layer import SlideLayer
 from repro.core.network import SlideNetwork
 from repro.hashing.base import LSHFamily
@@ -38,6 +37,7 @@ from repro.hashing.dwta import DWTAHash
 from repro.hashing.simhash import SimHash
 from repro.hashing.wta import WTAHash
 from repro.kernels import Workspace, fused_forward_batch, select_active_batch
+from repro.kernels.activations import sparse_softmax
 from repro.kernels.fused import _segment_softmax
 from repro.lsh.index import LSHIndex
 from repro.optim.adam import AdamOptimizer

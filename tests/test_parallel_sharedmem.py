@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 from repro.config import TrainingConfig
-from repro.core.network import SlideNetwork, bind_model_arrays, model_arrays
+from repro.core.network import SlideNetwork
 from repro.core.trainer import SlideTrainer
 from repro.data.ingest import ingest_examples
 from repro.data.shards import ShardedDataset
 from repro.parallel.sharedmem import ProcessHogwildTrainer, SharedParamStore
+from repro.state import bind_model_arrays, model_arrays
 
 START_METHODS = [
     method for method in ("fork", "spawn") if method in mp.get_all_start_methods()

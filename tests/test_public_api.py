@@ -79,14 +79,15 @@ class TestSubpackageExports:
             "repro.optim",
             "repro.data",
             "repro.datasets",
-            "repro.metrics",
+            "repro.state",
             "repro.utils",
         ],
     )
     def test_imports_first_in_a_fresh_interpreter(self, module):
         # repro.core imports repro.perf (PhaseTimer) at module level, so
         # repro.perf must stay free of repro.core imports, whichever of the
-        # packages a process happens to import first.
+        # packages a process happens to import first.  repro.state reads
+        # repro.__version__ while the root package is still initialising.
         # scipy is not a declared dependency (setup.py: numpy only), and where
         # it is installed it would be most of the import time of every bench
         # child, HOGWILD worker and serving replica.

@@ -13,9 +13,10 @@ import pytest
 
 from repro.config import ServingConfig
 from repro.core.network import SlideNetwork
-from repro.serving import CheckpointStore, ReplicaRouter, ServingRuntime
+from repro.serving import ReplicaRouter, ServingRuntime
 from repro.serving.batching import MicroBatchQueue
 from repro.serving.errors import NotServingError, ServingError
+from repro.state import CheckpointStore
 
 
 class TestNotServingErrorContract:

@@ -31,7 +31,6 @@ from repro.config import (
 from repro.core.network import SlideNetwork
 from repro.core.trainer import SlideTrainer
 from repro.serving import (
-    CheckpointStore,
     CheckpointWatcher,
     DeadlineExceededError,
     DenseInferenceEngine,
@@ -41,10 +40,10 @@ from repro.serving import (
     ServingMetrics,
     ServingRuntime,
     SparseInferenceEngine,
-    load_checkpoint,
     run_open_loop,
 )
 from repro.serving.__main__ import main as serve_main
+from repro.state import CheckpointStore
 
 
 # ----------------------------------------------------------------------
@@ -181,9 +180,9 @@ def test_hot_swap_is_incremental_and_bitwise_equal_to_cold_load(
     trained_store, tiny_dataset
 ):
     v1, v2 = trained_store.versions()
-    resident = load_checkpoint(v1, load_optimizer=False).network
+    resident = SlideNetwork.from_checkpoint(v1)
     engine = SparseInferenceEngine(resident, active_budget=32)
-    incoming = load_checkpoint(v2, load_optimizer=False).network
+    incoming = SlideNetwork.from_checkpoint(v2)
 
     report = engine.hot_swap(incoming, version=v2.name)
     assert not report.full_rebuild
@@ -193,7 +192,7 @@ def test_hot_swap_is_incremental_and_bitwise_equal_to_cold_load(
     assert engine.generation == 2  # settled (even) after one swap
 
     cold = SparseInferenceEngine(
-        load_checkpoint(v2, load_optimizer=False).network, active_budget=32
+        SlideNetwork.from_checkpoint(v2), active_budget=32
     )
     examples = [tiny_dataset.test[i] for i in range(len(tiny_dataset.test))]
     swapped_preds = engine.predict_batch(examples, k=5)
@@ -207,8 +206,8 @@ def test_hot_swap_is_incremental_and_bitwise_equal_to_cold_load(
 
 
 def test_hot_swap_rejects_shape_mismatch(trained_store, tiny_dataset):
-    resident = load_checkpoint(trained_store.versions()[0], load_optimizer=False)
-    engine = SparseInferenceEngine(resident.network, active_budget=32)
+    resident = SlideNetwork.from_checkpoint(trained_store.versions()[0])
+    engine = SparseInferenceEngine(resident, active_budget=32)
     other = SlideNetwork(
         SlideNetworkConfig(
             input_dim=tiny_dataset.config.feature_dim,
@@ -230,7 +229,7 @@ def test_hot_swap_rejects_shape_mismatch(trained_store, tiny_dataset):
 def test_watcher_poll_once_swaps_and_records(trained_store):
     v1, v2 = trained_store.versions()
     engine = SparseInferenceEngine(
-        load_checkpoint(v1, load_optimizer=False).network, active_budget=32
+        SlideNetwork.from_checkpoint(v1), active_budget=32
     )
     metrics = ServingMetrics()
     watcher = CheckpointWatcher(
@@ -252,7 +251,7 @@ def test_watcher_quarantines_persistently_bad_version(trained_store, tiny_datase
     from repro.faults import tear_checkpoint
 
     v1, v2 = trained_store.versions()
-    network = load_checkpoint(v1, load_optimizer=False).network
+    network = SlideNetwork.from_checkpoint(v1)
     engine = SparseInferenceEngine(network, active_budget=32)
     metrics = ServingMetrics()
     tear_checkpoint(v2)
@@ -277,7 +276,7 @@ def test_watcher_quarantines_persistently_bad_version(trained_store, tiny_datase
 
     # A bad publish never wedges the watcher: the next good version still
     # swaps in even though the previous one is quarantined.
-    v3 = trained_store.save(load_checkpoint(v1, load_optimizer=False).network)
+    v3 = trained_store.save(SlideNetwork.from_checkpoint(v1))
     report = watcher.poll_once()
     assert report is not None and report.version == v3.name
     assert watcher.current_version == v3.name
@@ -289,7 +288,7 @@ def test_watcher_survives_a_hand_edited_manifest(trained_store):
     an exception that escapes poll_once and kills the poll thread."""
     v1, v2 = trained_store.versions()
     engine = SparseInferenceEngine(
-        load_checkpoint(v1, load_optimizer=False).network, active_budget=32
+        SlideNetwork.from_checkpoint(v1), active_budget=32
     )
     metrics = ServingMetrics()
     manifest = json.loads((v2 / "manifest.json").read_text())
@@ -315,7 +314,7 @@ def test_started_watcher_survives_a_non_object_manifest(trained_store):
     good version."""
     v1, v2 = trained_store.versions()
     engine = SparseInferenceEngine(
-        load_checkpoint(v1, load_optimizer=False).network, active_budget=32
+        SlideNetwork.from_checkpoint(v1), active_budget=32
     )
     metrics = ServingMetrics()
     manifest = json.loads((v2 / "manifest.json").read_text())
@@ -338,7 +337,7 @@ def test_started_watcher_survives_a_non_object_manifest(trained_store):
         assert watcher._thread.is_alive()
         assert watcher.current_version == v1.name
 
-        v3 = trained_store.save(load_checkpoint(v1, load_optimizer=False).network)
+        v3 = trained_store.save(SlideNetwork.from_checkpoint(v1))
         while watcher.current_version != v3.name and time.monotonic() < deadline:
             time.sleep(0.01)
         assert watcher.current_version == v3.name
@@ -352,7 +351,7 @@ def test_watcher_backoff_spaces_out_retries(trained_store):
 
     v1, v2 = trained_store.versions()
     engine = SparseInferenceEngine(
-        load_checkpoint(v1, load_optimizer=False).network, active_budget=32
+        SlideNetwork.from_checkpoint(v1), active_budget=32
     )
     metrics = ServingMetrics()
     tear_checkpoint(v2)
@@ -375,7 +374,7 @@ def test_watcher_backoff_spaces_out_retries(trained_store):
 def test_watcher_counts_shape_mismatch_by_cause(trained_store, tiny_dataset):
     v1, _ = trained_store.versions()
     engine = SparseInferenceEngine(
-        load_checkpoint(v1, load_optimizer=False).network, active_budget=32
+        SlideNetwork.from_checkpoint(v1), active_budget=32
     )
     metrics = ServingMetrics()
     other = SlideNetwork(
@@ -509,7 +508,7 @@ def test_cli_rejects_bad_config_naming_field(tmp_path, tiny_dataset, capsys):
 
 
 def test_cli_watch_requires_store_root(tmp_path, tiny_dataset, capsys):
-    from repro.serving import save_checkpoint
+    from repro.state import save_checkpoint
 
     network = _make_network(tiny_dataset)
     ckpt = tmp_path / "ckpt"

@@ -22,7 +22,6 @@ from repro.faults import (
     ServingFaultSpec,
 )
 from repro.serving import (
-    CheckpointStore,
     OnlineRuntime,
     RejectedError,
     ReplicaRouter,
@@ -36,6 +35,7 @@ from repro.serving.router import (
     BREAKER_OPEN,
     CircuitBreaker,
 )
+from repro.state import CheckpointStore
 from repro.types import SparseExample, SparseVector
 
 

@@ -28,9 +28,8 @@ from repro.serving import (
     ServingMetrics,
     ServingRuntime,
     SparseInferenceEngine,
-    load_checkpoint,
-    save_checkpoint,
 )
+from repro.state import save_checkpoint
 
 
 # ----------------------------------------------------------------------
@@ -264,8 +263,7 @@ def served_checkpoint(tmp_path_factory, tiny_dataset):
 
 def test_end_to_end_checkpoint_microbatch_multiworker(served_checkpoint, tiny_dataset):
     """The acceptance scenario: ≥500 requests, ≥2 workers, sparse ≈ dense."""
-    loaded = load_checkpoint(served_checkpoint, load_optimizer=False)
-    network = loaded.network
+    network = SlideNetwork.from_checkpoint(served_checkpoint)
     dense_precision = evaluate_precision_at_1(network, tiny_dataset.test)
 
     config = ServingConfig(
@@ -314,7 +312,7 @@ def test_end_to_end_checkpoint_microbatch_multiworker(served_checkpoint, tiny_da
 
 def test_runtime_serves_concurrent_submitters(served_checkpoint, tiny_dataset):
     """Many client threads sharing one runtime all get answers."""
-    network = load_checkpoint(served_checkpoint, load_optimizer=False).network
+    network = SlideNetwork.from_checkpoint(served_checkpoint)
     config = ServingConfig(num_workers=3, max_batch_size=8, max_wait_ms=1.0, top_k=2)
     results: list[int] = []
     lock = threading.Lock()
@@ -339,7 +337,7 @@ def test_runtime_serves_concurrent_submitters(served_checkpoint, tiny_dataset):
 
 
 def test_runtime_mixed_k_requests(served_checkpoint, tiny_dataset):
-    network = load_checkpoint(served_checkpoint, load_optimizer=False).network
+    network = SlideNetwork.from_checkpoint(served_checkpoint)
     config = ServingConfig(num_workers=2, max_batch_size=8, max_wait_ms=5.0)
     with ServingRuntime.from_network(network, config) as runtime:
         futures = [
@@ -352,7 +350,7 @@ def test_runtime_mixed_k_requests(served_checkpoint, tiny_dataset):
 
 
 def test_runtime_rejects_non_positive_k(served_checkpoint, tiny_dataset):
-    network = load_checkpoint(served_checkpoint, load_optimizer=False).network
+    network = SlideNetwork.from_checkpoint(served_checkpoint)
     with ServingRuntime.from_network(network, ServingConfig(num_workers=1)) as runtime:
         # An explicit k=0 must fail fast, not silently become top_k.
         with pytest.raises(ValueError, match="k must be positive"):
@@ -362,7 +360,7 @@ def test_runtime_rejects_non_positive_k(served_checkpoint, tiny_dataset):
 
 
 def test_runtime_stop_drains_queue(served_checkpoint, tiny_dataset):
-    network = load_checkpoint(served_checkpoint, load_optimizer=False).network
+    network = SlideNetwork.from_checkpoint(served_checkpoint)
     config = ServingConfig(num_workers=2, max_batch_size=4, max_wait_ms=1.0, top_k=1)
     runtime = ServingRuntime.from_network(network, config).start()
     futures = [runtime.submit(tiny_dataset.test[i % 16]) for i in range(64)]
@@ -376,7 +374,7 @@ def test_predict_many_keeps_its_own_batch_within_queue_capacity(
 ):
     """A batch 25x the queue capacity is answered in full, in input order,
     without shedding a single one of its own requests."""
-    network = load_checkpoint(served_checkpoint, load_optimizer=False).network
+    network = SlideNetwork.from_checkpoint(served_checkpoint)
     config = ServingConfig(
         engine="dense", num_workers=2, queue_capacity=8, max_batch_size=4, top_k=3
     )
@@ -393,14 +391,14 @@ def test_predict_many_keeps_its_own_batch_within_queue_capacity(
 
 
 def test_runtime_submit_before_start_fails_fast(served_checkpoint, tiny_dataset):
-    network = load_checkpoint(served_checkpoint, load_optimizer=False).network
+    network = SlideNetwork.from_checkpoint(served_checkpoint)
     runtime = ServingRuntime.from_network(network, ServingConfig(num_workers=1))
     with pytest.raises(RuntimeError, match="not started"):
         runtime.submit(tiny_dataset.test[0])
 
 
 def test_runtime_stop_without_drain_cancels_pending(served_checkpoint, tiny_dataset):
-    network = load_checkpoint(served_checkpoint, load_optimizer=False).network
+    network = SlideNetwork.from_checkpoint(served_checkpoint)
     # One worker with a long batching window: requests pile up in the queue.
     config = ServingConfig(num_workers=1, max_batch_size=64, max_wait_ms=500.0)
     runtime = ServingRuntime.from_network(network, config).start()
@@ -411,7 +409,7 @@ def test_runtime_stop_without_drain_cancels_pending(served_checkpoint, tiny_data
 
 
 def test_runtime_cannot_restart_after_stop(served_checkpoint):
-    network = load_checkpoint(served_checkpoint, load_optimizer=False).network
+    network = SlideNetwork.from_checkpoint(served_checkpoint)
     runtime = ServingRuntime.from_network(network, ServingConfig(num_workers=1))
     runtime.start()
     runtime.stop()
@@ -425,7 +423,7 @@ def test_runtime_stop_transitions_even_when_pool_stop_raises(
     """Regression: EnginePool.stop re-raises crashed-worker exceptions, so
     pool.stop() can raise — the runtime must still reach the stopped state
     instead of keeping submit() open with no workers behind it."""
-    network = load_checkpoint(served_checkpoint, load_optimizer=False).network
+    network = SlideNetwork.from_checkpoint(served_checkpoint)
     runtime = ServingRuntime.from_network(network, ServingConfig(num_workers=1))
     runtime.start()
 
@@ -450,7 +448,7 @@ def test_runtime_rejects_wrong_dimension_example(served_checkpoint):
 
     from repro.types import SparseExample, SparseVector
 
-    network = load_checkpoint(served_checkpoint, load_optimizer=False).network
+    network = SlideNetwork.from_checkpoint(served_checkpoint)
     wrong = SparseExample(
         features=SparseVector(
             indices=np.array([0]), values=np.array([1.0]), dimension=3

@@ -436,7 +436,8 @@ def test_predict_succeeds_during_hot_swap(tiny_dataset):
 
 
 def test_readiness_endpoint_tracks_worker_pool(tiny_dataset, tmp_path, monkeypatch):
-    from repro.serving import CheckpointStore, OnlineRuntime
+    from repro.serving import OnlineRuntime
+    from repro.state import CheckpointStore
 
     store = CheckpointStore(tmp_path / "store")
     store.save(_tiny_server_network(tiny_dataset))

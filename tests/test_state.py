@@ -1,4 +1,5 @@
-"""Checkpoint round-trips: weights, optimiser state, LSH index contents."""
+"""Model state: checkpoint round-trips of weights, optimiser state and LSH
+index contents, the one validated restore, and the versioned store."""
 
 from __future__ import annotations
 
@@ -9,15 +10,18 @@ import pytest
 
 from repro.core.network import SlideNetwork
 from repro.core.trainer import SlideTrainer
-from repro.serving.checkpoint import (
+from repro.serving.engine import SparseInferenceEngine
+from repro.state import (
     CHECKPOINT_FORMAT_VERSION,
     CheckpointError,
     CheckpointStore,
-    load_checkpoint,
+    bind_model_arrays,
+    model_arrays,
+    read_manifest,
     restore_checkpoint_into,
+    restore_train_state,
     save_checkpoint,
 )
-from repro.serving.engine import SparseInferenceEngine
 from repro.types import SparseBatch
 
 
@@ -33,14 +37,14 @@ def trained(tiny_dataset, tiny_network_config, tiny_training_config):
 def test_round_trip_identical_dense_predictions(tmp_path, trained, tiny_dataset):
     network, optimizer = trained
     save_checkpoint(tmp_path / "ckpt", network, optimizer)
-    loaded = load_checkpoint(tmp_path / "ckpt")
+    loaded = SlideNetwork.from_checkpoint(tmp_path / "ckpt")
 
     examples = tiny_dataset.test[:32]
     np.testing.assert_allclose(
         network.predict_dense_batch(examples),
-        loaded.network.predict_dense_batch(examples),
+        loaded.predict_dense_batch(examples),
     )
-    assert loaded.network.iteration == network.iteration
+    assert loaded.iteration == network.iteration
     assert loaded.config == network.config
 
 
@@ -49,10 +53,10 @@ def test_round_trip_identical_sparse_engine_predictions(
 ):
     network, _ = trained
     save_checkpoint(tmp_path / "ckpt", network)
-    loaded = load_checkpoint(tmp_path / "ckpt", load_optimizer=False)
+    loaded = SlideNetwork.from_checkpoint(tmp_path / "ckpt")
 
     live = SparseInferenceEngine(network, active_budget=16)
-    reloaded = SparseInferenceEngine(loaded.network, active_budget=16)
+    reloaded = SparseInferenceEngine(loaded, active_budget=16)
     examples = tiny_dataset.test[:32]
     for a, b in zip(
         live.predict_batch(examples, k=3), reloaded.predict_batch(examples, k=3)
@@ -75,28 +79,29 @@ def per_table_counts(index) -> tuple[list, list]:
 def test_round_trip_lsh_index_contents(tmp_path, trained):
     network, _ = trained
     save_checkpoint(tmp_path / "ckpt", network)
-    loaded = load_checkpoint(tmp_path / "ckpt", load_optimizer=False)
+    loaded = SlideNetwork.from_checkpoint(tmp_path / "ckpt")
 
     live_index = network.output_layer.lsh_index
-    loaded_index = loaded.network.output_layer.lsh_index
+    loaded_index = loaded.output_layer.lsh_index
     assert loaded_index.num_items == live_index.num_items
     assert per_table_counts(loaded_index) == per_table_counts(live_index)
 
 
 def test_round_trip_optimizer_state_and_training_continues(
-    tmp_path, trained, tiny_dataset
+    tmp_path, trained, tiny_dataset, tiny_training_config
 ):
     network, optimizer = trained
     save_checkpoint(tmp_path / "ckpt", network, optimizer)
-    loaded = load_checkpoint(tmp_path / "ckpt")
+    loaded = SlideNetwork.from_checkpoint(tmp_path / "ckpt")
+    loaded_optimizer = loaded.build_optimizer(tiny_training_config)
+    restore_checkpoint_into(tmp_path / "ckpt", loaded, loaded_optimizer)
 
-    assert loaded.optimizer is not None
-    assert loaded.optimizer.step_count == optimizer.step_count
+    assert loaded_optimizer.step_count == optimizer.step_count
     for layer in network.layers:
         for suffix in ("weights", "biases"):
             name = f"{layer.name}.{suffix}"
             live_state = optimizer.state_of(name)
-            loaded_state = loaded.optimizer.state_of(name)
+            loaded_state = loaded_optimizer.state_of(name)
             assert set(loaded_state) == set(live_state)
             for slot in live_state:
                 np.testing.assert_allclose(loaded_state[slot], live_state[slot])
@@ -107,15 +112,14 @@ def test_round_trip_optimizer_state_and_training_continues(
         feature_dim=tiny_dataset.feature_dim,
         label_dim=tiny_dataset.label_dim,
     )
-    metrics = loaded.network.train_batch(batch, loaded.optimizer)
+    metrics = loaded.train_batch(batch, loaded_optimizer)
     assert np.isfinite(metrics["loss"])
 
 
 def test_metadata_round_trip(tmp_path, trained):
     network, _ = trained
     save_checkpoint(tmp_path / "ckpt", network, metadata={"epoch": 3, "tag": "best"})
-    loaded = load_checkpoint(tmp_path / "ckpt", load_optimizer=False)
-    assert loaded.metadata == {"epoch": 3, "tag": "best"}
+    assert read_manifest(tmp_path / "ckpt").metadata == {"epoch": 3, "tag": "best"}
 
 
 def test_corrupted_arrays_rejected(tmp_path, trained):
@@ -126,7 +130,7 @@ def test_corrupted_arrays_rejected(tmp_path, trained):
     payload[len(payload) // 2] ^= 0xFF
     arrays.write_bytes(bytes(payload))
     with pytest.raises(CheckpointError, match="checksum"):
-        load_checkpoint(path)
+        SlideNetwork.from_checkpoint(path)
 
 
 def test_truncated_arrays_rejected(tmp_path, trained):
@@ -135,7 +139,7 @@ def test_truncated_arrays_rejected(tmp_path, trained):
     arrays = path / "arrays.npz"
     arrays.write_bytes(arrays.read_bytes()[: 100])
     with pytest.raises(CheckpointError, match="checksum"):
-        load_checkpoint(path)
+        SlideNetwork.from_checkpoint(path)
 
 
 def test_missing_payload_rejected(tmp_path, trained):
@@ -143,12 +147,12 @@ def test_missing_payload_rejected(tmp_path, trained):
     path = save_checkpoint(tmp_path / "ckpt", network)
     (path / "arrays.npz").unlink()
     with pytest.raises(CheckpointError, match="missing array payload"):
-        load_checkpoint(path)
+        SlideNetwork.from_checkpoint(path)
 
 
 def test_missing_manifest_rejected(tmp_path):
     with pytest.raises(CheckpointError, match="manifest"):
-        load_checkpoint(tmp_path)
+        SlideNetwork.from_checkpoint(tmp_path)
 
 
 def test_unknown_format_version_rejected(tmp_path, trained):
@@ -159,7 +163,7 @@ def test_unknown_format_version_rejected(tmp_path, trained):
     manifest["format_version"] = CHECKPOINT_FORMAT_VERSION + 1
     (path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(CheckpointError, match="format version"):
-        load_checkpoint(path)
+        SlideNetwork.from_checkpoint(path)
 
 
 def _drop_input_dim(manifest):
@@ -228,7 +232,7 @@ def test_hand_edited_manifest_config_is_a_checkpoint_error(
     """A malformed manifest names the path and the field — and is a
     CheckpointError on every read path, not the AttributeError / KeyError /
     TypeError the loaders used to leak."""
-    from repro.serving.checkpoint import verify_checkpoint
+    from repro.state import verify_checkpoint
 
     network, optimizer = trained
     path = save_checkpoint(tmp_path / "ckpt", network, optimizer=optimizer)
@@ -237,7 +241,7 @@ def test_hand_edited_manifest_config_is_a_checkpoint_error(
     (path / "manifest.json").write_text(json.dumps(manifest))
     for read in (
         lambda: verify_checkpoint(path),
-        lambda: load_checkpoint(path),
+        lambda: SlideNetwork.from_checkpoint(path),
         lambda: restore_checkpoint_into(path, network, optimizer),
     ):
         with pytest.raises(CheckpointError, match=field) as excinfo:
@@ -286,16 +290,11 @@ def test_store_versions_monotonically(tmp_path, trained):
     network, _ = trained
     store = CheckpointStore(tmp_path / "store")
     first = store.save(network, metadata={"step": 1})
-    second = store.save(network, metadata={"step": 2}, tag="best")
+    second = store.save(network, metadata={"step": 2, "tag": "best"})
     assert first.name == "v0001"
-    # The tag lives in metadata, not the directory name, so the atomic
-    # number claim stays tag-independent.
     assert second.name == "v0002"
     assert store.latest() == second
-    assert store.load_latest(load_optimizer=False).metadata == {
-        "step": 2,
-        "tag": "best",
-    }
+    assert read_manifest(store.latest()).metadata == {"step": 2, "tag": "best"}
 
 
 def test_store_empty_raises(tmp_path):
@@ -305,14 +304,14 @@ def test_store_empty_raises(tmp_path):
 
 
 def test_save_no_overwrite_preserves_existing(tmp_path, trained):
-    from repro.serving.checkpoint import CheckpointExistsError
+    from repro.state import CheckpointExistsError
 
     network, _ = trained
     path = save_checkpoint(tmp_path / "ckpt", network, metadata={"first": True})
     with pytest.raises(CheckpointExistsError, match="already exists"):
         save_checkpoint(path, network, metadata={"second": True}, overwrite=False)
     # The original checkpoint survives untouched.
-    assert load_checkpoint(path, load_optimizer=False).metadata == {"first": True}
+    assert read_manifest(path).metadata == {"first": True}
 
 
 def test_save_leaves_no_temp_dirs(tmp_path, trained):
@@ -344,7 +343,38 @@ def test_concurrent_store_saves_all_get_distinct_versions(tmp_path, trained):
     assert len({p.name for p in paths}) == 4
     # Every claimed version loads cleanly.
     for path in paths:
-        load_checkpoint(path, load_optimizer=False)
+        SlideNetwork.from_checkpoint(path)
+
+
+def test_only_plain_vnnnn_directories_are_versions(tmp_path, trained):
+    network, _ = trained
+    store = CheckpointStore(tmp_path / "store")
+    first = store.save(network)
+    for name in ("v0007-best", "v12", "latest"):
+        save_checkpoint(store.root / name, network)
+    assert store.versions() == [first]
+    assert store.save(network).name == "v0002"
+
+
+def test_store_save_gives_up_after_a_bounded_number_of_claims(
+    tmp_path, trained, monkeypatch
+):
+    import repro.state
+    from repro.state import CheckpointExistsError
+
+    network, _ = trained
+    claims = []
+
+    def always_taken(path, *args, **kwargs):
+        claims.append(path)
+        raise CheckpointExistsError(f"{path} already exists")
+
+    monkeypatch.setattr(repro.state, "save_checkpoint", always_taken)
+    store = CheckpointStore(tmp_path / "store")
+    with pytest.raises(CheckpointError, match="could not claim a version") as excinfo:
+        store.save(network)
+    assert len(claims) == repro.state._SAVE_ATTEMPTS
+    assert isinstance(excinfo.value.__cause__, CheckpointExistsError)
 
 
 # ----------------------------------------------------------------------
@@ -391,7 +421,7 @@ def _stored_arrays(path):
         return {key: np.array(data[key]) for key in data.files}
 
 
-def test_a_broadcastable_mis_shaped_moment_is_rejected_by_both_paths(tmp_path, fresh):
+def test_a_broadcastable_mis_shaped_moment_is_rejected(tmp_path, fresh):
     network, optimizer = fresh
     path = save_checkpoint(tmp_path / "ckpt", network, optimizer)
     arrays = _stored_arrays(path)
@@ -400,8 +430,6 @@ def test_a_broadcastable_mis_shaped_moment_is_rejected_by_both_paths(tmp_path, f
     # every element is what an unchecked in-place copy would do.
     arrays["optim.layer1.weights.m"] = np.full(cols, 7.0, dtype=np.float32)
     _rewrite(path, arrays)
-    with pytest.raises(CheckpointError, match=r"optim\.layer1\.weights\.m.*shape"):
-        load_checkpoint(path)
     with pytest.raises(CheckpointError, match=r"optim\.layer1\.weights\.m.*shape"):
         restore_checkpoint_into(path, *_fresh_pair(network))
 
@@ -429,13 +457,13 @@ def test_a_missing_model_array_is_rejected(tmp_path, fresh):
     del arrays["optim.layer0.biases.v"]
     _rewrite(path, arrays)
     with pytest.raises(CheckpointError, match=r"missing array optim\.layer0\.biases\.v"):
-        load_checkpoint(path)
+        restore_checkpoint_into(path, *_fresh_pair(network))
     # Without the optimiser the moments are not needed.
-    loaded = load_checkpoint(path, load_optimizer=False)
-    np.testing.assert_array_equal(loaded.network.layers[0].weights, network.layers[0].weights)
+    loaded = SlideNetwork.from_checkpoint(path)
+    np.testing.assert_array_equal(loaded.layers[0].weights, network.layers[0].weights)
 
 
-def test_a_missing_optimizer_entry_is_rejected_by_both_paths(tmp_path, fresh):
+def test_a_missing_optimizer_entry_is_rejected(tmp_path, fresh):
     network, optimizer = fresh
     path = save_checkpoint(tmp_path / "ckpt", network, optimizer)
 
@@ -443,8 +471,6 @@ def test_a_missing_optimizer_entry_is_rejected_by_both_paths(tmp_path, fresh):
         del manifest["optimizer"]["parameters"]["layer1.weights"]
 
     _rewrite(path, edit=drop)
-    with pytest.raises(CheckpointError, match="optimiser state"):
-        load_checkpoint(path)
     target, target_optimizer = _fresh_pair(network)
     with pytest.raises(CheckpointError, match="optimiser state"):
         restore_checkpoint_into(path, target, target_optimizer)
@@ -459,11 +485,11 @@ def test_without_a_stored_optimizer_a_passed_one_is_left_untouched(tmp_path, fre
     restore_checkpoint_into(path, network, optimizer)
     assert optimizer.step_count == 5
     assert all((array == 0.5).all() for _, _, array in optimizer.state_items())
-    assert load_checkpoint(path).optimizer is None
+    assert read_manifest(path).optimizer is None
 
 
 def test_verify_returns_the_manifest_dict_with_metadata_unchanged(tmp_path, fresh):
-    from repro.serving.checkpoint import verify_checkpoint
+    from repro.state import verify_checkpoint
 
     network, optimizer = fresh
     metadata = {"train_state": {"mode": "inline", "items": [[1, 2.5], None]}}
@@ -471,7 +497,7 @@ def test_verify_returns_the_manifest_dict_with_metadata_unchanged(tmp_path, fres
     manifest = verify_checkpoint(path)
     assert manifest == json.loads((path / "manifest.json").read_text())
     assert manifest["metadata"] == metadata
-    assert load_checkpoint(path).metadata == metadata
+    assert read_manifest(path).metadata == metadata
 
 
 def test_an_unreadable_payload_with_a_matching_checksum_is_a_checkpoint_error(
@@ -486,7 +512,7 @@ def test_an_unreadable_payload_with_a_matching_checksum_is_a_checkpoint_error(
     manifest["arrays_sha256"] = hashlib.sha256(b"not a zip archive").hexdigest()
     (path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(CheckpointError, match="unreadable array payload"):
-        load_checkpoint(path)
+        SlideNetwork.from_checkpoint(path)
 
 
 @pytest.mark.parametrize(
@@ -503,8 +529,6 @@ def test_latest_valid_skips_a_malformed_manifest(tmp_path, fresh, edit):
 
 
 def test_restore_train_state_checks_mode_and_seed(tmp_path, fresh):
-    from repro.serving.checkpoint import restore_train_state
-
     network, optimizer = fresh
     store = CheckpointStore(tmp_path / "store")
     store.save(network, optimizer, metadata={"train_state": {"mode": "inline", "seed": 4}})
@@ -522,3 +546,57 @@ def test_restore_train_state_checks_mode_and_seed(tmp_path, fresh):
     bare = save_checkpoint(tmp_path / "bare", network, optimizer)
     with pytest.raises(CheckpointError, match="no inline training state"):
         restore_train_state(bare, target, target_optimizer, mode="inline", seed=4)
+
+
+def test_reading_a_missing_store_creates_nothing(tmp_path, fresh):
+    network, optimizer = fresh
+    root = tmp_path / "typo" / "deep"
+    store = CheckpointStore(root)
+    assert store.versions() == []
+    with pytest.raises(CheckpointError, match="no checkpoint versions"):
+        store.latest()
+    with pytest.raises(CheckpointError, match="no checkpoint versions"):
+        restore_train_state(root, network, optimizer, mode="inline", seed=0)
+    assert not (tmp_path / "typo").exists()
+    # The first save creates the root.
+    assert store.save(network) == root / "v0001"
+
+
+# ----------------------------------------------------------------------
+# model_arrays / bind_model_arrays: one name per live array
+# ----------------------------------------------------------------------
+def test_model_arrays_are_the_live_arrays(fresh):
+    network, optimizer = fresh
+    arrays = model_arrays(network)
+    assert list(arrays) == [
+        f"{layer.name}.{part}" for layer in network.layers for part in ("weights", "biases")
+    ]
+    for layer in network.layers:
+        assert arrays[f"{layer.name}.weights"] is layer.weights
+        assert arrays[f"{layer.name}.biases"] is layer.biases
+    with_optimizer = model_arrays(network, optimizer)
+    assert with_optimizer["optim.layer0.weights.m"] is optimizer.state_of(
+        "layer0.weights"
+    )["m"]
+
+
+def test_binding_without_a_named_array_rebinds_nothing(fresh):
+    network, optimizer = fresh
+    arrays = {name: array.copy() for name, array in model_arrays(network, optimizer).items()}
+    del arrays["optim.layer1.biases.v"]
+    before = model_arrays(network, optimizer)
+    with pytest.raises(ValueError, match="'optim.layer1.biases.v'"):
+        bind_model_arrays(network, optimizer, arrays)
+    for name, array in model_arrays(network, optimizer).items():
+        assert array is before[name]
+
+
+def test_binding_a_mis_shaped_array_rebinds_nothing(fresh):
+    network, optimizer = fresh
+    arrays = {name: array.copy() for name, array in model_arrays(network, optimizer).items()}
+    arrays["layer1.weights"] = arrays["layer1.weights"][:, :-1].copy()
+    before = model_arrays(network, optimizer)
+    with pytest.raises(ValueError, match="'layer1.weights' has shape"):
+        bind_model_arrays(network, optimizer, arrays)
+    for name, array in model_arrays(network, optimizer).items():
+        assert array is before[name]

@@ -7,19 +7,15 @@ multiprocessing hygiene (MPX001), exception discipline and the serving
 error taxonomy (EXC001), thread hygiene (THR001), and the docs contracts
 (DOC001, folded in from ``tools/check_docs.py``).
 
-Run with ``python -m tools.lint`` — see :mod:`tools.lint.cli` for flags,
-:mod:`tools.lint.baseline` for the only-new-violations CI workflow and
-``docs/static_analysis.md`` for the rule catalogue and pragma syntax.
+Run with ``python -m tools.lint`` — see :mod:`tools.lint.cli` for flags
+and ``docs/static_analysis.md`` for the rule catalogue and pragma syntax.
 """
 
-from tools.lint.baseline import Baseline, BaselineEntry, split_by_baseline
 from tools.lint.core import ModuleSource, Rule, Violation, collect_sources, run_rules
 from tools.lint.rules import ALL_RULES, default_rules, select_rules
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
-    "BaselineEntry",
     "ModuleSource",
     "Rule",
     "Violation",
@@ -27,5 +23,4 @@ __all__ = [
     "default_rules",
     "run_rules",
     "select_rules",
-    "split_by_baseline",
 ]

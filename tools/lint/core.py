@@ -26,7 +26,6 @@ closing bracket is free-form justification and is encouraged.
 from __future__ import annotations
 
 import ast
-import hashlib
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,17 +65,6 @@ class Violation:
     message: str
     snippet: str = ""
 
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity for baseline matching.
-
-        Keyed on (rule, file, source line content) rather than the line
-        *number*, so unrelated edits moving code up or down a file do not
-        invalidate baseline entries.
-        """
-        payload = f"{self.rule}::{self.path}::{self.snippet}"
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
@@ -88,7 +76,6 @@ class Violation:
             "col": self.col,
             "message": self.message,
             "snippet": self.snippet,
-            "fingerprint": self.fingerprint,
         }
 
     @property

@@ -1,7 +1,7 @@
 """Rule registry for ``tools.lint``.
 
-``ALL_RULES`` is the single source of truth: the CLI, the baseline
-workflow and the docs rule-catalogue are all generated from it.  Adding a
+``ALL_RULES`` is the single source of truth: the CLI and the docs
+rule-catalogue are both generated from it.  Adding a
 rule means adding a module here and one entry to the list.
 """
 

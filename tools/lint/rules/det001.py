@@ -44,7 +44,7 @@ _SCOPE_PREFIXES = (
     "src/repro/hashing/",
     "src/repro/optim/",
     "src/repro/datasets/",
-    "src/repro/serving/checkpoint.py",
+    "src/repro/state.py",
     "src/repro/utils/",
 )
 
