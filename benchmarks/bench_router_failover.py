@@ -40,6 +40,7 @@ from repro.harness.serving_sweep import train_serving_network
 from repro.reports.schema import CONFIG, FRACTION, NAT, POS, STR, rows
 from repro.reports.spec import BenchSpec, MetricGate
 from repro.serving import ReplicaRouter, run_open_loop
+from repro.serving.router import DEGRADATION_BUDGET_STEPS
 from repro.state import CheckpointStore
 
 # Availability floor under a replica kill: non-shed requests that completed
@@ -278,7 +279,7 @@ def run(params: dict | None = None) -> dict:
             "health_interval_s": router_config.health_interval_s,
             "probe_timeout_s": router_config.probe_timeout_s,
             "retry_max_attempts": router_config.retry_max_attempts,
-            "degradation_budget_steps": list(router_config.degradation_budget_steps),
+            "degradation_budget_steps": list(DEGRADATION_BUDGET_STEPS),
             "detection_bound_s": _detection_bound_s(router_config),
             "availability_floor": AVAILABILITY_FLOOR,
             "input_dim": network.input_dim,

@@ -422,6 +422,10 @@ class ServingConfig:
 class RouterConfig:
     """Parameters of the :class:`repro.serving.router.ReplicaRouter`.
 
+    The retry backoff, half-open probe quota, readiness staleness bound,
+    degradation ladder and routing seed are constants in
+    :mod:`repro.serving.router`.
+
     Attributes
     ----------
     num_replicas:
@@ -434,16 +438,9 @@ class RouterConfig:
     probe_timeout_s:
         Budget for the active liveness probe (a real 1-example predict):
         a replica that does not answer within it is marked not live.
-    readiness_max_staleness:
-        How many checkpoint versions a replica may lag behind the store's
-        latest before readiness fails (its watcher is stuck or
-        quarantining everything new).
     retry_max_attempts:
         Total tries per predict request (first attempt included), each on
         a different replica when one is available.
-    retry_backoff_base_s / retry_backoff_max_s:
-        Capped exponential backoff between attempts:
-        ``min(base * 2**(attempt-1), max)``.
     request_deadline_s:
         Total time budget per routed request across all attempts and
         backoff waits; once spent, the last failure is surfaced.
@@ -453,59 +450,20 @@ class RouterConfig:
         detected mid-request) and the request retries elsewhere.
     breaker_failure_threshold:
         Consecutive failures that trip a replica's circuit breaker open.
-    breaker_p99_ms:
-        Optional latency trip: with at least ``breaker_window`` recent
-        samples, a windowed p99 above this opens the breaker even without
-        hard failures.  ``None`` disables the latency trip.
-    breaker_window:
-        Per-replica rolling latency samples retained for the p99 trip.
     breaker_recovery_s:
         How long an open breaker waits before letting probe requests
-        through (half-open state).
-    breaker_half_open_probes:
-        Successful half-open probes required to close the breaker; any
-        probe failure re-opens it.
-    degradation_budget_steps:
-        Multiplicative LSH ``active_budget`` steps for degradation levels
-        ``1..len(steps)`` (level 0 is full quality).  The level after the
-        last step additionally disables exact rerank; the final level
-        sheds at the router when queues exceed ``degradation_shed_depth``.
-    degradation_interval_s:
-        Period of the degradation controller loop.
-    degradation_queue_high:
-        Per-replica queue depth above which a tick votes to degrade.
-    degradation_up_patience / degradation_down_patience:
-        Consecutive overloaded/idle ticks before stepping the ladder up or
-        down (recovery is deliberately slower than degradation).
-    degradation_shed_depth:
-        At the deepest degradation level, requests arriving while the
-        chosen replica's queue is at least this deep are shed at the
-        router with a typed 429.
-    seed:
-        Seed of the router's power-of-two-choices sampler.
+        through (half-open state), and how long a half-open breaker whose
+        probes all went out waits for a verdict before issuing new ones.
     """
 
     num_replicas: int = 2
     health_interval_s: float = 0.25
     probe_timeout_s: float = 1.0
-    readiness_max_staleness: int = 2
     retry_max_attempts: int = 3
-    retry_backoff_base_s: float = 0.01
-    retry_backoff_max_s: float = 0.25
     request_deadline_s: float = 2.0
     attempt_timeout_s: float = 1.0
     breaker_failure_threshold: int = 5
-    breaker_p99_ms: float | None = None
-    breaker_window: int = 64
     breaker_recovery_s: float = 1.0
-    breaker_half_open_probes: int = 2
-    degradation_budget_steps: tuple[float, ...] = (0.5, 0.25)
-    degradation_interval_s: float = 0.5
-    degradation_queue_high: float = 8.0
-    degradation_up_patience: int = 2
-    degradation_down_patience: int = 4
-    degradation_shed_depth: int = 32
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.num_replicas <= 0:
@@ -514,60 +472,16 @@ class RouterConfig:
             raise ValueError("health_interval_s must be positive")
         if self.probe_timeout_s <= 0:
             raise ValueError("probe_timeout_s must be positive")
-        if self.readiness_max_staleness < 0:
-            raise ValueError("readiness_max_staleness must be non-negative")
         if self.retry_max_attempts <= 0:
             raise ValueError("retry_max_attempts must be positive")
-        if self.retry_backoff_base_s < 0:
-            raise ValueError("retry_backoff_base_s must be non-negative")
-        if self.retry_backoff_max_s < self.retry_backoff_base_s:
-            raise ValueError("retry_backoff_max_s must be >= retry_backoff_base_s")
         if self.request_deadline_s <= 0:
             raise ValueError("request_deadline_s must be positive")
         if self.attempt_timeout_s <= 0:
             raise ValueError("attempt_timeout_s must be positive")
         if self.breaker_failure_threshold <= 0:
             raise ValueError("breaker_failure_threshold must be positive")
-        if self.breaker_p99_ms is not None and self.breaker_p99_ms <= 0:
-            raise ValueError("breaker_p99_ms must be positive when provided")
-        if self.breaker_window <= 0:
-            raise ValueError("breaker_window must be positive")
         if self.breaker_recovery_s < 0:
             raise ValueError("breaker_recovery_s must be non-negative")
-        if self.breaker_half_open_probes <= 0:
-            raise ValueError("breaker_half_open_probes must be positive")
-        # A non-tuple (a JSON list, say) would break dataclass equality and
-        # hashing downstream; coerce rather than reject.
-        object.__setattr__(
-            self,
-            "degradation_budget_steps",
-            tuple(float(step) for step in self.degradation_budget_steps),
-        )
-        for step in self.degradation_budget_steps:
-            if not 0.0 < step < 1.0:
-                raise ValueError("degradation_budget_steps must lie in (0, 1)")
-        if any(
-            later >= earlier
-            for earlier, later in zip(
-                self.degradation_budget_steps, self.degradation_budget_steps[1:]
-            )
-        ):
-            raise ValueError("degradation_budget_steps must be strictly decreasing")
-        if self.degradation_interval_s <= 0:
-            raise ValueError("degradation_interval_s must be positive")
-        if self.degradation_queue_high <= 0:
-            raise ValueError("degradation_queue_high must be positive")
-        if self.degradation_up_patience <= 0:
-            raise ValueError("degradation_up_patience must be positive")
-        if self.degradation_down_patience <= 0:
-            raise ValueError("degradation_down_patience must be positive")
-        if self.degradation_shed_depth <= 0:
-            raise ValueError("degradation_shed_depth must be positive")
-
-    @property
-    def max_degradation_level(self) -> int:
-        """Deepest ladder level: budget steps, then no-rerank, then shed."""
-        return len(self.degradation_budget_steps) + 2
 
 
 # ----------------------------------------------------------------------

@@ -137,11 +137,6 @@ class FaultPlan:
     def of(cls, *specs: FaultSpec) -> "FaultPlan":
         return cls(specs=tuple(specs))
 
-    @classmethod
-    def kill_worker(cls, worker_id: int, at_batch: int) -> "FaultPlan":
-        """The most common chaos scenario: SIGKILL one worker mid-run."""
-        return cls.of(FaultSpec(kind="kill", worker_id=worker_id, at_batch=at_batch))
-
     def __bool__(self) -> bool:
         return bool(self.specs)
 

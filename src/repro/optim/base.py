@@ -65,9 +65,6 @@ class Optimizer(abc.ABC):
             raise ValueError(f"parameter {name!r} already registered")
         self._state[name] = self._init_state(shape)
 
-    def has_parameter(self, name: str) -> bool:
-        return name in self._state
-
     def parameter_names(self) -> list[str]:
         """Names of every registered parameter (registration order)."""
         return list(self._state)

@@ -13,7 +13,7 @@ behind a stateless routing layer:
   must resolve within ``probe_timeout_s`` (a hung replica still has alive
   threads — only a timed probe notices it stopped answering).  *Readiness*
   additionally requires alive pool workers and a resident checkpoint no
-  more than ``readiness_max_staleness`` versions behind the store.  Every
+  more than ``READINESS_MAX_STALENESS`` versions behind the store.  Every
   flip is recorded with a monotonic timestamp, which is how the failover
   bench measures detection latency.
 * **Routing** — power-of-two-choices on queue depth among ready replicas
@@ -27,13 +27,13 @@ behind a stateless routing layer:
   costs one timeout, not the whole budget.
 * **Circuit breaking** — per-replica :class:`CircuitBreaker`
   (closed → open → half-open): ``breaker_failure_threshold`` consecutive
-  failures (or a windowed p99 above ``breaker_p99_ms``) opens the circuit;
-  after ``breaker_recovery_s`` a limited number of probe requests decide
-  between closing it and re-opening.
+  failures open the circuit; after ``breaker_recovery_s``
+  ``BREAKER_HALF_OPEN_PROBES`` probe requests decide between closing it
+  and re-opening.
 * **Graceful degradation** — under sustained queue pressure the
   :class:`DegradationController` walks a quality-for-availability ladder
   instead of failing requests: shrink every replica's LSH
-  ``active_budget`` through ``degradation_budget_steps``, then disable
+  ``active_budget`` through ``DEGRADATION_BUDGET_STEPS``, then disable
   exact rerank (rank by raw collision counts), and only then shed at the
   router.  Every answer is stamped with the ladder level that produced it
   (``Prediction.degradation``) and the replica that served it.
@@ -49,7 +49,6 @@ from __future__ import annotations
 import random
 import threading
 import time
-from collections import deque
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, replace
@@ -89,6 +88,33 @@ BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half_open"
 
+# A replica whose resident checkpoint lags the store's latest by more than
+# this many versions fails readiness (its watcher is stuck or quarantining
+# everything new).
+READINESS_MAX_STALENESS = 2
+# Capped exponential backoff between retries after an engine error:
+# ``min(base * 2**(attempt-1), max)``.
+RETRY_BACKOFF_BASE_S = 0.01
+RETRY_BACKOFF_MAX_S = 0.25
+# Half-open probes that must all succeed to close a breaker.
+BREAKER_HALF_OPEN_PROBES = 2
+# Multiplicative ``active_budget`` steps for degradation levels
+# ``1..len(steps)``, strictly decreasing inside (0, 1).
+DEGRADATION_BUDGET_STEPS = (0.5, 0.25)
+# Period of the degradation control tick, and the per-replica queue depth
+# above which a tick votes to degrade.
+DEGRADATION_INTERVAL_S = 0.5
+DEGRADATION_QUEUE_HIGH = 8.0
+# Consecutive overloaded / calm ticks before the ladder steps up / down
+# (recovery is deliberately slower than degradation).
+DEGRADATION_UP_PATIENCE = 2
+DEGRADATION_DOWN_PATIENCE = 4
+# At the deepest level, a request whose chosen replica's queue is at least
+# this deep is shed at the router.
+DEGRADATION_SHED_DEPTH = 32
+# Seed of the power-of-two-choices sampler.
+ROUTING_SEED = 0
+
 # Router-side request threads: callers of submit() get a future backed by
 # this pool, so a synchronous retry loop per request never blocks the
 # client.  Normal attempts take milliseconds; the cap only binds when many
@@ -101,13 +127,15 @@ class CircuitBreaker:
     """Per-replica closed → open → half-open failure gate.
 
     Closed passes everything and counts *consecutive* failures (any
-    success resets the streak).  ``breaker_failure_threshold`` failures —
-    or, when ``breaker_p99_ms`` is set, a full ``breaker_window`` of
-    latencies whose p99 exceeds it — trip the breaker open.  Open rejects
-    without touching the replica for ``breaker_recovery_s``, then promotes
-    to half-open, which admits at most ``breaker_half_open_probes``
-    requests: all succeeding closes the breaker, any failing re-opens it
-    (restarting the recovery clock).
+    success resets the streak).  ``breaker_failure_threshold`` failures
+    trip the breaker open.  Open rejects without touching the replica for
+    ``breaker_recovery_s``, then promotes to half-open, which admits at
+    most ``BREAKER_HALF_OPEN_PROBES`` requests: all succeeding closes the
+    breaker, any failing re-opens it (restarting the recovery clock).  A
+    probe can also end with no verdict (shed, or dropped in the replica's
+    queue); once every probe slot is out and ``breaker_recovery_s`` passes
+    with no verdict, half-open issues a fresh set of slots, so the
+    breaker cannot wedge half-open.
 
     ``now`` is injectable so tests drive the clock instead of sleeping.
     All methods are thread-safe.
@@ -125,10 +153,11 @@ class CircuitBreaker:
         self._lock = sanitize.lock("router.breaker")
         self._state = BREAKER_CLOSED
         self._consecutive_failures = 0
-        self._opened_at = 0.0
+        # Start of the current wait: the trip while open, the last probe
+        # slot issued while half-open.
+        self._waiting_since = 0.0
         self._probes_issued = 0
         self._probe_successes = 0
-        self._latencies_ms: deque[float] = deque(maxlen=config.breaker_window)
 
     # ------------------------------------------------------------------
     # State machine internals (all called with the lock held)
@@ -142,17 +171,20 @@ class CircuitBreaker:
             self._on_transition(old, new_state, self._now())
 
     def _trip_locked(self) -> None:
-        self._opened_at = self._now()
+        self._waiting_since = self._now()
         self._consecutive_failures = 0
         self._probes_issued = 0
         self._probe_successes = 0
-        self._latencies_ms.clear()
         self._transition_locked(BREAKER_OPEN)
 
     def _maybe_promote_locked(self) -> None:
-        if (
-            self._state == BREAKER_OPEN
-            and self._now() - self._opened_at >= self.config.breaker_recovery_s
+        # Half-open with every slot out waits like open (see the docstring).
+        waiting = self._state == BREAKER_OPEN or (
+            self._state == BREAKER_HALF_OPEN
+            and self._probes_issued >= BREAKER_HALF_OPEN_PROBES
+        )
+        if waiting and (
+            self._now() - self._waiting_since >= self.config.breaker_recovery_s
         ):
             self._probes_issued = 0
             self._probe_successes = 0
@@ -175,29 +207,21 @@ class CircuitBreaker:
                 return True
             if self._state == BREAKER_OPEN:
                 return False
-            if self._probes_issued < self.config.breaker_half_open_probes:
+            if self._probes_issued < BREAKER_HALF_OPEN_PROBES:
                 self._probes_issued += 1
+                self._waiting_since = self._now()
                 return True
             return False
 
-    def record_success(self, latency_s: float | None = None) -> None:
+    def record_success(self) -> None:
         with self._lock:
             if self._state == BREAKER_HALF_OPEN:
                 self._probe_successes += 1
-                if self._probe_successes >= self.config.breaker_half_open_probes:
+                if self._probe_successes >= BREAKER_HALF_OPEN_PROBES:
                     self._consecutive_failures = 0
                     self._transition_locked(BREAKER_CLOSED)
                 return
             self._consecutive_failures = 0
-            if latency_s is None or self.config.breaker_p99_ms is None:
-                return
-            self._latencies_ms.append(latency_s * 1e3)
-            if len(self._latencies_ms) < self.config.breaker_window:
-                return
-            ordered = sorted(self._latencies_ms)
-            p99 = ordered[min(len(ordered) - 1, int(0.99 * len(ordered)))]
-            if p99 > self.config.breaker_p99_ms:
-                self._trip_locked()
 
     def record_failure(self) -> None:
         with self._lock:
@@ -252,19 +276,19 @@ class Replica:
 class DegradationController:
     """Walks the shared quality ladder from sustained queue pressure.
 
-    Levels for ``S = len(degradation_budget_steps)`` budget steps:
+    Levels for ``S = len(DEGRADATION_BUDGET_STEPS)`` budget steps:
 
     * ``0`` — full quality (configured budget, exact rerank);
     * ``1..S`` — every replica's ``active_budget`` scaled by
-      ``degradation_budget_steps[level-1]`` (monotonically shrinking);
+      ``DEGRADATION_BUDGET_STEPS[level-1]`` (monotonically shrinking);
     * ``S+1`` — exact rerank disabled on top of the smallest budget
       (answers ranked by raw collision counts);
     * ``S+2`` — router-side shedding: new requests are rejected while the
-      chosen replica's queue is at least ``degradation_shed_depth`` deep.
+      chosen replica's queue is at least ``DEGRADATION_SHED_DEPTH`` deep.
 
-    Escalation needs ``degradation_up_patience`` consecutive overloaded
-    samples (max replica queue depth above ``degradation_queue_high``);
-    recovery needs ``degradation_down_patience`` calm ones — asymmetric
+    Escalation needs ``DEGRADATION_UP_PATIENCE`` consecutive overloaded
+    samples (max replica queue depth above ``DEGRADATION_QUEUE_HIGH``);
+    recovery needs ``DEGRADATION_DOWN_PATIENCE`` calm ones — asymmetric
     hysteresis, because degrading too late costs availability while
     recovering too eagerly causes flapping.
 
@@ -276,12 +300,10 @@ class DegradationController:
     def __init__(
         self,
         replicas: list[Replica],
-        config: RouterConfig,
         metrics: RouterMetrics | None = None,
         now: Callable[[], float] = time.monotonic,
     ) -> None:
         self.replicas = replicas
-        self.config = config
         self.metrics = metrics
         self._now = now
         self._lock = sanitize.lock("router.degradation")
@@ -305,7 +327,8 @@ class DegradationController:
 
     @property
     def max_level(self) -> int:
-        return self.config.max_degradation_level
+        """Deepest ladder level: budget steps, then no-rerank, then shed."""
+        return len(DEGRADATION_BUDGET_STEPS) + 2
 
     def shed_active(self) -> bool:
         return self.level >= self.max_level
@@ -321,7 +344,7 @@ class DegradationController:
         ]
         if not depths:
             return False
-        return max(depths) > self.config.degradation_queue_high
+        return max(depths) > DEGRADATION_QUEUE_HIGH
 
     def step(self, now: float | None = None) -> int:
         """One control period: sample pressure, vote, maybe move one level."""
@@ -333,10 +356,10 @@ class DegradationController:
                 self._down_votes += 1
                 self._up_votes = 0
             target = self.level
-            if self._up_votes >= self.config.degradation_up_patience:
+            if self._up_votes >= DEGRADATION_UP_PATIENCE:
                 self._up_votes = 0
                 target = min(self.level + 1, self.max_level)
-            elif self._down_votes >= self.config.degradation_down_patience:
+            elif self._down_votes >= DEGRADATION_DOWN_PATIENCE:
                 self._down_votes = 0
                 target = max(self.level - 1, 0)
             if target != self.level:
@@ -364,7 +387,7 @@ class DegradationController:
             self.metrics.record_transition("degradation", "router", old, level, at)
 
     def _apply(self, level: int) -> None:
-        steps = self.config.degradation_budget_steps
+        steps = DEGRADATION_BUDGET_STEPS
         rerank = level <= len(steps)
         for replica in self.replicas:
             engine = replica.runtime.engine
@@ -403,7 +426,7 @@ class ReplicaRouter:
         self.serving_config = serving_config or ServingConfig()
         self.router_config = router_config or RouterConfig()
         self.metrics = RouterMetrics()
-        self._rng = random.Random(self.router_config.seed)
+        self._rng = random.Random(ROUTING_SEED)
         self._rng_lock = sanitize.lock("router.rng")
         self.replicas: list[Replica] = []
         plan = fault_plan or ServingFaultPlan()
@@ -418,9 +441,7 @@ class ReplicaRouter:
             if injector.specs:
                 runtime.engine.fault_injector = injector
             self.replicas.append(Replica(name, runtime, breaker))
-        self.degradation = DegradationController(
-            self.replicas, self.router_config, metrics=self.metrics
-        )
+        self.degradation = DegradationController(self.replicas, metrics=self.metrics)
         # Minimal valid probe: one feature, answered with k=1.  Liveness
         # only needs "a predict comes back", not a meaningful answer.
         self._probe_example = SparseExample(
@@ -553,20 +574,17 @@ class ReplicaRouter:
         self.stop()
 
     def _control_loop(self) -> None:
-        config = self.router_config
-        tick = max(
-            min(config.health_interval_s, config.degradation_interval_s) / 4,
-            0.01,
-        )
+        health_interval_s = self.router_config.health_interval_s
+        tick = max(min(health_interval_s, DEGRADATION_INTERVAL_S) / 4, 0.01)
         next_health = 0.0
         next_degradation = 0.0
         while not self._stop_event.wait(tick):
             now = time.monotonic()
             if now >= next_health:
-                next_health = now + config.health_interval_s
+                next_health = now + health_interval_s
                 self.check_health_once()
             if now >= next_degradation:
-                next_degradation = now + config.degradation_interval_s
+                next_degradation = now + DEGRADATION_INTERVAL_S
                 self.degradation.step()
 
     # ------------------------------------------------------------------
@@ -583,9 +601,7 @@ class ReplicaRouter:
 
     def _probe_replica(self, replica: Replica) -> tuple[bool, bool, str]:
         runtime = replica.runtime
-        ready, detail = runtime.readiness(
-            max_staleness=self.router_config.readiness_max_staleness
-        )
+        ready, detail = runtime.readiness(max_staleness=READINESS_MAX_STALENESS)
         if detail in ("stopped", "not started"):
             return False, False, detail
         # Liveness is behavioural: submit a probe and require an answer
@@ -705,7 +721,7 @@ class ReplicaRouter:
         last_error: BaseException | None = None
         non_shed_failure = False
         tried: set[str] = set()
-        backoff = config.retry_backoff_base_s
+        backoff = RETRY_BACKOFF_BASE_S
         last_replica: Replica | None = None
         while attempts < config.retry_max_attempts:
             now = time.monotonic()
@@ -721,10 +737,10 @@ class ReplicaRouter:
                 break
             if self.degradation.shed_active():
                 depth = replica.queue_depth()
-                if depth >= config.degradation_shed_depth:
+                if depth >= DEGRADATION_SHED_DEPTH:
                     self.metrics.record_outcome("shed")
                     raise RejectedError(
-                        retry_after_s=config.degradation_interval_s,
+                        retry_after_s=DEGRADATION_INTERVAL_S,
                         pending=depth,
                     )
             attempts += 1
@@ -733,7 +749,6 @@ class ReplicaRouter:
             last_replica = replica
             self.metrics.record_attempt(replica.name)
             attempt_timeout = min(config.attempt_timeout_s, deadline - now)
-            attempt_start = time.monotonic()
             try:
                 future = replica.runtime.submit(example, k=k)
                 prediction = future.result(timeout=attempt_timeout)
@@ -788,11 +803,9 @@ class ReplicaRouter:
                 if remaining <= 0:
                     break
                 time.sleep(min(backoff, remaining))
-                backoff = min(backoff * 2, config.retry_backoff_max_s)
+                backoff = min(backoff * 2, RETRY_BACKOFF_MAX_S)
                 continue
-            replica.breaker.record_success(
-                latency_s=time.monotonic() - attempt_start
-            )
+            replica.breaker.record_success()
             self.metrics.record_outcome("ok", latency_s=time.monotonic() - start)
             return replace(
                 prediction,

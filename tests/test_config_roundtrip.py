@@ -141,24 +141,11 @@ def config_examples() -> dict[type, Any]:
             num_replicas=3,
             health_interval_s=0.5,
             probe_timeout_s=0.5,
-            readiness_max_staleness=1,
             retry_max_attempts=2,
-            retry_backoff_base_s=0.02,
-            retry_backoff_max_s=0.5,
             request_deadline_s=1.0,
             attempt_timeout_s=0.5,
             breaker_failure_threshold=3,
-            breaker_p99_ms=25.0,
-            breaker_window=32,
             breaker_recovery_s=0.5,
-            breaker_half_open_probes=1,
-            degradation_budget_steps=(0.6, 0.3),
-            degradation_interval_s=0.25,
-            degradation_queue_high=4.0,
-            degradation_up_patience=1,
-            degradation_down_patience=2,
-            degradation_shed_depth=16,
-            seed=11,
         ),
         FaultToleranceConfig: FaultToleranceConfig(
             heartbeat_timeout_s=15.0,
@@ -448,17 +435,38 @@ DELETED_SERVING_KEYS = (
     "autoscale_cooldown_s",
 )
 
+# RouterConfig fields the parent wrote that have since been deleted (the
+# p99 breaker trip) or turned into constants of ``repro.serving.router``.
+DELETED_ROUTER_KEYS = (
+    "readiness_max_staleness",
+    "retry_backoff_base_s",
+    "retry_backoff_max_s",
+    "breaker_p99_ms",
+    "breaker_window",
+    "breaker_half_open_probes",
+    "degradation_budget_steps",
+    "degradation_interval_s",
+    "degradation_queue_high",
+    "degradation_up_patience",
+    "degradation_down_patience",
+    "degradation_shed_depth",
+    "seed",
+)
 
-def _assert_refused_naming_deleted_keys(load) -> None:
-    with pytest.raises(ValueError, match="unknown serving config fields") as excinfo:
+DELETED_KEYS = {ServingConfig: DELETED_SERVING_KEYS, RouterConfig: DELETED_ROUTER_KEYS}
+
+
+def _assert_refused_naming_deleted_keys(cls, load) -> None:
+    with pytest.raises(ValueError, match="unknown .* config fields") as excinfo:
         load()
     named = str(excinfo.value).split(";")[0]
-    assert all(repr(key) in named for key in DELETED_SERVING_KEYS)
+    assert all(repr(key) in named for key in DELETED_KEYS[cls])
 
 
-def _without_deleted_keys(written: dict) -> dict:
-    assert set(DELETED_SERVING_KEYS) <= set(written)
-    return {k: v for k, v in written.items() if k not in DELETED_SERVING_KEYS}
+def _without_deleted_keys(cls, written: dict) -> dict:
+    deleted = DELETED_KEYS[cls]
+    assert set(deleted) <= set(written)
+    return {k: v for k, v in written.items() if k not in deleted}
 
 
 @pytest.mark.parametrize(
@@ -466,9 +474,9 @@ def _without_deleted_keys(written: dict) -> dict:
 )
 def test_parent_written_dict_round_trips_bit_for_bit(cls):
     written = PARENT_DICTS[cls.__name__]
-    if cls is ServingConfig:
-        _assert_refused_naming_deleted_keys(lambda: from_dict(cls, written))
-        written = _without_deleted_keys(written)
+    if cls in DELETED_KEYS:
+        _assert_refused_naming_deleted_keys(cls, lambda: from_dict(cls, written))
+        written = _without_deleted_keys(cls, written)
     config = from_dict(cls, written)
     assert to_dict(config) == written
     if cls in EXAMPLES:  # the examples moved here verbatim
@@ -477,8 +485,10 @@ def test_parent_written_dict_round_trips_bit_for_bit(cls):
 
 def test_parent_written_serving_json_loads(tmp_path):
     path = DATA / "parent_serving.json"
-    _assert_refused_naming_deleted_keys(lambda: load_config(ServingConfig, path))
-    written = _without_deleted_keys(json.loads(path.read_text()))
+    _assert_refused_naming_deleted_keys(
+        ServingConfig, lambda: load_config(ServingConfig, path)
+    )
+    written = _without_deleted_keys(ServingConfig, json.loads(path.read_text()))
     trimmed = tmp_path / "serving.json"
     trimmed.write_text(json.dumps(written))
     config = load_config(ServingConfig, trimmed)
@@ -490,6 +500,14 @@ def test_parent_written_serving_json_loads(tmp_path):
 def test_serving_config_refuses_each_deleted_key_by_name(key):
     with pytest.raises(ValueError, match=f"unknown serving config field '{key}'"):
         from_dict(ServingConfig, {"num_workers": 2, key: 1})
+
+
+@pytest.mark.parametrize("key", DELETED_ROUTER_KEYS)
+def test_router_config_refuses_each_deleted_key_by_name(key):
+    # The parent-written value, which the parent's codec accepted.
+    data = {"num_replicas": 2, key: PARENT_DICTS["RouterConfig"][key]}
+    with pytest.raises(ValueError, match=f"unknown router config field '{key}'"):
+        from_dict(RouterConfig, data)
 
 
 def test_parent_written_checkpoint_loads():

@@ -32,8 +32,12 @@ from repro.serving import (
 from repro.serving.router import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
+    BREAKER_HALF_OPEN_PROBES,
     BREAKER_OPEN,
+    DEGRADATION_DOWN_PATIENCE,
+    DEGRADATION_UP_PATIENCE,
     CircuitBreaker,
+    DegradationController,
 )
 from repro.state import CheckpointStore
 from repro.types import SparseExample, SparseVector
@@ -76,8 +80,6 @@ def _fast_router_config(**overrides) -> RouterConfig:
         num_replicas=2,
         health_interval_s=0.05,
         probe_timeout_s=0.5,
-        retry_backoff_base_s=0.001,
-        retry_backoff_max_s=0.01,
         attempt_timeout_s=0.5,
         request_deadline_s=2.0,
     )
@@ -104,13 +106,8 @@ class _Clock:
         return self.t
 
 
-def _breaker(clock, **overrides) -> CircuitBreaker:
-    config = RouterConfig(
-        breaker_failure_threshold=3,
-        breaker_recovery_s=1.0,
-        breaker_half_open_probes=2,
-        **overrides,
-    )
+def _breaker(clock) -> CircuitBreaker:
+    config = RouterConfig(breaker_failure_threshold=3, breaker_recovery_s=1.0)
     return CircuitBreaker(config, now=clock)
 
 
@@ -139,10 +136,11 @@ def test_breaker_half_open_probes_close_or_reopen():
     # Recovery elapses: half-open admits exactly the probe quota.
     clock.t = 1.5
     assert breaker.state == BREAKER_HALF_OPEN
-    assert breaker.allow()
-    assert breaker.allow()
+    for _ in range(BREAKER_HALF_OPEN_PROBES):
+        assert breaker.allow()
     assert not breaker.allow()
-    breaker.record_success()
+    for _ in range(BREAKER_HALF_OPEN_PROBES - 1):
+        breaker.record_success()
     assert breaker.state == BREAKER_HALF_OPEN
     breaker.record_success()
     assert breaker.state == BREAKER_CLOSED
@@ -161,15 +159,25 @@ def test_breaker_half_open_probes_close_or_reopen():
     assert breaker.allow()
 
 
-def test_breaker_p99_trip():
+def test_half_open_probes_without_verdict_get_fresh_slots():
+    # A probe that is shed or dropped in a queue never reports back.  Once
+    # every slot is out and the recovery time passes with no verdict, the
+    # breaker issues new slots instead of staying half-open for good.
     clock = _Clock()
-    breaker = _breaker(clock, breaker_p99_ms=10.0, breaker_window=8)
-    for _ in range(7):
-        breaker.record_success(latency_s=0.001)
+    breaker = _breaker(clock)
+    for _ in range(3):
+        breaker.record_failure()
+    clock.t = 1.0
+    for _ in range(BREAKER_HALF_OPEN_PROBES):
+        assert breaker.allow()
+    clock.t = 1.9
+    assert not breaker.allow()
+    clock.t = 2.0
+    assert breaker.state == BREAKER_HALF_OPEN
+    for _ in range(BREAKER_HALF_OPEN_PROBES):
+        assert breaker.allow()
+        breaker.record_success()
     assert breaker.state == BREAKER_CLOSED
-    # Window fills with one giant sample: p99 of 8 samples is the max.
-    breaker.record_success(latency_s=0.5)
-    assert breaker.state == BREAKER_OPEN
 
 
 def test_breaker_records_transitions():
@@ -343,6 +351,32 @@ def test_checkpoint_load_fault_counts_injected_and_keeps_serving(
         assert runtime.watcher.current_version != booted
 
 
+def test_shed_half_open_probes_do_not_wedge_the_router(
+    store, tiny_dataset, monkeypatch
+):
+    with _router(
+        store, num_replicas=1, breaker_failure_threshold=1, breaker_recovery_s=0.2
+    ) as router:
+        example = _example(tiny_dataset)
+        replica = router.replica("r0")
+        replica.breaker.record_failure()
+        time.sleep(0.25)
+
+        def shed(*args, **kwargs):
+            raise RejectedError(retry_after_s=0.1, pending=99)
+
+        # Every probe slot goes to an attempt the replica sheds.
+        monkeypatch.setattr(replica.runtime, "submit", shed)
+        with pytest.raises(RejectedError):
+            router.predict(example, k=5)
+        monkeypatch.undo()
+        assert replica.breaker.state == BREAKER_HALF_OPEN
+        time.sleep(0.25)
+        for _ in range(BREAKER_HALF_OPEN_PROBES):
+            assert router.predict(example, k=5).replica == "r0"
+        assert replica.breaker.state == BREAKER_CLOSED
+
+
 # ----------------------------------------------------------------------
 # Degradation ladder
 # ----------------------------------------------------------------------
@@ -387,24 +421,21 @@ def test_degradation_shed_level_rejects_when_queues_deep(store, tiny_dataset):
         assert router.metrics.outcomes.get("shed", 0) == 1
 
 
-def test_degradation_step_hysteresis(store):
-    with _router(
-        store, degradation_up_patience=2, degradation_down_patience=3
-    ) as router:
-        ladder = router.degradation
-        overloaded = True
-        ladder.overloaded = lambda: overloaded  # type: ignore[method-assign]
-        assert ladder.step() == 0  # one vote is not enough
-        assert ladder.step() == 1  # up-patience reached, votes reset
-        assert ladder.step() == 1
+def test_degradation_step_hysteresis():
+    ladder = DegradationController([])
+    overloaded = True
+    ladder.overloaded = lambda: overloaded  # type: ignore[method-assign]
+    for level in (1, 2):
+        for _ in range(DEGRADATION_UP_PATIENCE - 1):
+            assert ladder.step() == level - 1  # not enough votes yet
+        assert ladder.step() == level  # up-patience reached, votes reset
+    overloaded = False
+    for _ in range(DEGRADATION_DOWN_PATIENCE - 1):
         assert ladder.step() == 2
-        overloaded = False
-        assert ladder.step() == 2  # down-patience (3) not reached yet
-        assert ladder.step() == 2
-        assert ladder.step() == 1
-        for _ in range(3):
-            ladder.step()
-        assert ladder.level == 0
+    assert ladder.step() == 1
+    for _ in range(DEGRADATION_DOWN_PATIENCE):
+        ladder.step()
+    assert ladder.level == 0
 
 
 # ----------------------------------------------------------------------
