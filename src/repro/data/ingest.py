@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.data.shards import ShardInfo, ShardManifest, file_crc32
-from repro.datasets.loaders import iter_xc_rows, read_xc_header
+from repro.datasets.loaders import check_xc_count, iter_xc_rows, read_xc_header
 from repro.types import SparseExample
 
 __all__ = ["ShardCacheWriter", "ingest_xc_file", "ingest_examples"]
@@ -191,11 +191,8 @@ def ingest_xc_file(
         path, feature_dim, label_dim, max_examples
     ):
         writer.add(labels, indices, values)
-    if max_examples is None and writer.num_examples != num_examples:
-        raise ValueError(
-            f"header promised {num_examples} examples but file contains "
-            f"{writer.num_examples}"
-        )
+    if max_examples is None:
+        check_xc_count(num_examples, writer.num_examples)
     return writer.finalize()
 
 

@@ -30,7 +30,11 @@ __all__ = [
     "load_xc_file",
     "write_xc_file",
     "read_xc_header",
+    "check_xc_count",
 ]
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def parse_xc_tokens(
@@ -41,6 +45,9 @@ def parse_xc_tokens(
     Duplicate ``feat:val`` tokens are coalesced by summing their values (the
     CSR convention), and the returned feature indices are sorted and unique —
     the contract every downstream ``searchsorted``/CSR consumer assumes.
+    A negative label, and a (summed) value that is NaN, infinite or past
+    the float32 range, raise ``ValueError``: the model would index the last
+    label with ``-1`` and train on the non-finite value without complaint.
     """
     line = line.strip()
     if not line:
@@ -56,6 +63,9 @@ def parse_xc_tokens(
         feature_parts = parts
     elif label_part:
         labels = [int(token) for token in label_part.split(",") if token != ""]
+        for label in labels:
+            if not 0 <= label <= _INT64_MAX:
+                raise ValueError(f"label {label} is not a non-negative int64")
 
     indices: list[int] = []
     values: list[float] = []
@@ -80,6 +90,13 @@ def parse_xc_tokens(
             # Coalesce duplicate features by summing their values.
             value_array = np.add.reduceat(value_array, first)
             index_array = unique
+        # abs() <= max is False for NaN and the infinities too.
+        bad = np.flatnonzero(~(np.abs(value_array) <= _FLOAT32_MAX))
+        if bad.size:
+            raise ValueError(
+                f"feature {index_array[bad[0]]} has value {value_array[bad[0]]}, "
+                "not a finite float32 number"
+            )
     return np.asarray(labels, dtype=np.int64), index_array, value_array
 
 
@@ -95,13 +112,25 @@ def read_xc_header(line: str) -> tuple[int, int, int]:
     header = line.strip().split()
     if len(header) != 3:
         raise ValueError(
-            "expected header 'num_examples num_features num_labels', "
+            "line 1: expected header 'num_examples num_features num_labels', "
             f"got {header!r}"
         )
-    num_examples, feature_dim, label_dim = (int(token) for token in header)
+    try:
+        num_examples, feature_dim, label_dim = (int(token) for token in header)
+    except ValueError as exc:
+        raise ValueError(f"line 1: malformed header: {exc}") from exc
     if feature_dim <= 0 or label_dim <= 0:
-        raise ValueError("header dimensions must be positive")
+        raise ValueError("line 1: header dimensions must be positive")
     return num_examples, feature_dim, label_dim
+
+
+def check_xc_count(num_examples: int, count: int) -> None:
+    """Raise unless the header's example count matches the rows read."""
+    if count != num_examples:
+        raise ValueError(
+            f"line 1: header promised {num_examples} examples but file "
+            f"contains {count}"
+        )
 
 
 def iter_xc_rows(
@@ -113,8 +142,8 @@ def iter_xc_rows(
     """Stream an XC file's body as parsed ``(labels, indices, values)`` rows.
 
     The single source of truth for the format's line discipline — blank
-    lines are skipped, parse errors are wrapped with their 1-based line
-    number, labels are range-checked — shared by the eager
+    lines are skipped, every parse error names its 1-based line, labels are
+    range-checked — shared by the eager
     :func:`load_xc_file` and the streaming ingest (:mod:`repro.data.ingest`)
     so the two paths can never drift apart on what they accept.
     """
@@ -165,10 +194,8 @@ def load_xc_file(path: str | Path, max_examples: int | None = None) -> tuple[lis
             path, feature_dim, label_dim, max_examples
         )
     ]
-    if max_examples is None and len(examples) != num_examples:
-        raise ValueError(
-            f"header promised {num_examples} examples but file contains {len(examples)}"
-        )
+    if max_examples is None:
+        check_xc_count(num_examples, len(examples))
     return examples, feature_dim, label_dim
 
 

@@ -106,39 +106,94 @@ def _zipf_probabilities(label_dim: int, exponent: float) -> np.ndarray:
     return weights / weights.sum()
 
 
+class _LabelSampler:
+    """``rng.choice(probs.size, size, replace=False, p=probs)``, same bits.
+
+    :meth:`draw` returns the ids ``Generator.choice`` returns and leaves
+    ``rng`` in the same state, by running numpy's own algorithm: a round
+    draws ``rng.random(missing)``, maps the draws through the normalised
+    cumulative distribution with ``searchsorted(side="right")`` and keeps
+    the first occurrence of each id in draw order; while ids are missing,
+    a further round runs over the distribution with the ids found so far
+    zeroed.  ``choice`` rebuilds the first round's distribution on every
+    call; here it is built once, and the rare later rounds reuse two
+    scratch arrays instead of allocating fresh ones.
+    """
+
+    def __init__(self, probs: np.ndarray) -> None:
+        self.probs = probs
+        self.cdf = np.cumsum(probs)
+        self.cdf /= self.cdf[-1]
+        self._remaining = probs.copy()
+        self._retry_cdf = np.empty_like(probs)
+
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        found = self.cdf.searchsorted(rng.random(size), side="right")
+        _, first = np.unique(found, return_index=True)
+        if first.size == size:
+            return found
+        first.sort()
+        found = found.take(first)
+        remaining, cdf = self._remaining, self._retry_cdf
+        while found.size < size:
+            draws = rng.random(size - found.size)
+            remaining[found] = 0
+            np.cumsum(remaining, out=cdf)
+            cdf /= cdf[-1]
+            new = cdf.searchsorted(draws, side="right")
+            _, first = np.unique(new, return_index=True)
+            first.sort()
+            found = np.concatenate([found, new.take(first)])
+        remaining[found] = self.probs[found]
+        return found
+
+
 def _generate_example(
     rng: np.random.Generator,
     config: SyntheticXCConfig,
-    label_probs: np.ndarray,
+    label_sampler: _LabelSampler,
     prototype_indices: np.ndarray,
     prototype_values: np.ndarray,
 ) -> SparseExample:
+    """One example, from exactly these ``rng`` draws in this order:
+
+    1. ``poisson(avg_labels_per_example - 1)``: the label count is one more;
+    2. the labels, as ``choice(label_dim, count, replace=False, p=...)``
+       draws them from the Zipf probabilities (see :class:`_LabelSampler`);
+    3. ``poisson(avg_features_per_example)``: the target non-zero count;
+    4. ``integers(0, feature_dim, missing)`` background ids, only when the
+       labels' prototypes cover fewer ids than the target;
+    5. ``normal(scale=noise_scale)``, one per feature, in index order.
+
+    Each feature's signal is the sum of the labels' prototype values at its
+    index, added in label draw order starting from ``0.0``; background ids
+    carry no signal.  These are the bits the former per-example dict loop
+    produced, now built with array operations.
+    """
     # Number of labels: at least one, Poisson-distributed around the mean.
     num_labels = 1 + rng.poisson(max(config.avg_labels_per_example - 1.0, 0.0))
     num_labels = int(min(num_labels, config.label_dim))
-    labels = rng.choice(config.label_dim, size=num_labels, replace=False, p=label_probs)
+    labels = label_sampler.draw(rng, num_labels)
 
     # Features: union of the label prototypes' supports plus random background
-    # coordinates, with additive noise on the values.
-    feature_values: dict[int, float] = {}
-    for label in labels:
-        for idx, value in zip(prototype_indices[label], prototype_values[label]):
-            feature_values[int(idx)] = feature_values.get(int(idx), 0.0) + float(value)
+    # coordinates, with additive noise on the values.  ``bincount`` adds the
+    # weights in input order, i.e. label by label as drawn.
+    support, slot = np.unique(prototype_indices[labels].ravel(), return_inverse=True)
+    signal = np.bincount(slot, weights=prototype_values[labels].ravel())
 
-    target_nnz = max(
-        1, int(rng.poisson(config.avg_features_per_example))
-    )
-    background_needed = max(0, target_nnz - len(feature_values))
+    target_nnz = max(1, int(rng.poisson(config.avg_features_per_example)))
+    background_needed = max(0, target_nnz - support.size)
     if background_needed:
         background = rng.integers(0, config.feature_dim, size=background_needed)
-        for idx in background:
-            feature_values.setdefault(int(idx), 0.0)
-
-    indices = np.array(sorted(feature_values), dtype=np.int64)
-    values = np.array([feature_values[i] for i in indices], dtype=np.float64)
+        indices = np.union1d(support, background)
+        values = np.zeros(indices.size, dtype=np.float64)
+        values[indices.searchsorted(support)] = signal
+    else:
+        indices, values = support, signal
     values += rng.normal(scale=config.noise_scale, size=values.shape)
-    # Keep the vector non-degenerate: ensure at least one non-zero value.
-    if np.allclose(values, 0.0):
+    # Keep the vector non-degenerate: ensure at least one non-zero value
+    # (1e-8 is ``np.allclose``'s tolerance against zero).
+    if np.all(np.abs(values) <= 1e-8):
         values[0] = 1.0
 
     features = SparseVector(indices=indices, values=values, dimension=config.feature_dim)
@@ -146,9 +201,21 @@ def _generate_example(
 
 
 def generate_synthetic_xc(config: SyntheticXCConfig) -> SyntheticXCDataset:
-    """Generate a synthetic extreme-classification dataset."""
+    """Generate a synthetic extreme-classification dataset.
+
+    All randomness comes from one generator, ``derive_rng(config.seed,
+    stream=61)``, drawn in a fixed order: for each label in turn its
+    prototype ids (``choice(feature_dim, prototype_nnz, replace=False)``)
+    and then its values (``abs(normal(1.0, 0.25))``); then the training
+    examples and then the test examples, each as :func:`_generate_example`
+    describes.  The output is a pure function of ``config``, and the same
+    bits, example for example, as when the labels came from one
+    ``Generator.choice`` call each and the features from a per-example dict
+    (``tests/data/synthetic_parent_digest.json`` pins four configurations).
+    """
     rng = derive_rng(config.seed, stream=61)
     label_probs = _zipf_probabilities(config.label_dim, config.zipf_exponent)
+    label_sampler = _LabelSampler(label_probs)
 
     prototype_nnz = min(config.prototype_nnz, config.feature_dim)
     prototype_indices = np.empty((config.label_dim, prototype_nnz), dtype=np.int64)
@@ -159,14 +226,13 @@ def generate_synthetic_xc(config: SyntheticXCConfig) -> SyntheticXCDataset:
         )
         prototype_values[label] = np.abs(rng.normal(loc=1.0, scale=0.25, size=prototype_nnz))
 
-    train = [
-        _generate_example(rng, config, label_probs, prototype_indices, prototype_values)
-        for _ in range(config.num_train)
-    ]
-    test = [
-        _generate_example(rng, config, label_probs, prototype_indices, prototype_values)
-        for _ in range(config.num_test)
-    ]
+    def example() -> SparseExample:
+        return _generate_example(
+            rng, config, label_sampler, prototype_indices, prototype_values
+        )
+
+    train = [example() for _ in range(config.num_train)]
+    test = [example() for _ in range(config.num_test)]
     return SyntheticXCDataset(
         config=config,
         train=train,

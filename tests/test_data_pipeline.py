@@ -9,6 +9,8 @@ parity between the eager and streamed paths.
 from __future__ import annotations
 
 import json
+import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +142,139 @@ class TestIngest:
         np.testing.assert_allclose(dataset[1].features.values, [1.0, 2.5])
         assert dataset[2].features.nnz == 0
         np.testing.assert_array_equal(dataset[2].labels, [4])
+
+
+# Replacement tokens for the boundary sweep: signs, non-finite and
+# past-float32 spellings, ints past int64, empty and non-numeric tokens and
+# spellings Python's ``int`` / ``float`` accept beyond plain digits.
+SWEEP_TOKENS = (
+    "-1", "-0", "+2", "nan", "NaN", "inf", "-inf", "Infinity", "1e400",
+    "-1e400", "3.5e38", "1e38", "99999999999999999999", "-99999999999999999999",
+    "", "x", "1.5", "0x10", "1_0", "7",
+)
+SWEEP_SEPARATORS = (" ", "  ", "\t", ",", ":", ";", "", "\n")
+SWEEP_KINDS = (
+    "token", "separator", "sign", "value", "label", "truncate", "header", "line"
+)
+
+
+def _sweep_mutation(text: str, seed: int) -> tuple[str, str]:
+    """One seeded mutation of an XC file; returns ``(text, replacement)``."""
+    rng = random.Random(seed)
+    kind = SWEEP_KINDS[seed % len(SWEEP_KINDS)]
+    header, body = text.split("\n", 1)
+    if kind == "truncate":
+        return text[: rng.randrange(len(text))], ""
+    if kind == "line":
+        lines = body.splitlines(keepends=True)
+        at = rng.randrange(len(lines))
+        if rng.random() < 0.5:
+            del lines[at]
+        else:
+            lines.insert(at, lines[at])
+        return header + "\n" + "".join(lines), ""
+    if kind == "header":
+        tokens = header.split(" ")
+        at = rng.randrange(len(tokens) + 1)
+        replacement = rng.choice(SWEEP_TOKENS)
+        if at == len(tokens):
+            tokens.append(replacement)
+        else:
+            tokens[at] = replacement
+        return " ".join(tokens) + "\n" + body, replacement
+    if kind == "separator":
+        spots = [m.start() for m in re.finditer(r"[ ,:\n]", body)]
+        at = rng.choice(spots)
+        return header + "\n" + body[:at] + rng.choice(SWEEP_SEPARATORS) + body[at + 1 :], ""
+    pattern = {
+        "token": r"[^\s,:]+",
+        "sign": r"[^\s,:]+",
+        "value": r"(?<=:)[^\s]+",
+        "label": r"(?m)(?:^|(?<=,))\d+(?=[ ,\n])",
+    }[kind]
+    spans = [m.span() for m in re.finditer(pattern, body)]
+    lo, hi = rng.choice(spans)
+    if kind == "sign":
+        replacement = "-" + body[lo:hi]
+    elif kind == "value":
+        replacement = rng.choice(("nan", "inf", "-inf", "1e400", "3.5e38", "-0", "1e38"))
+    elif kind == "label":
+        replacement = rng.choice(("-1", "-5", "99999999999999999999", "+3", "0"))
+    else:
+        replacement = rng.choice(SWEEP_TOKENS)
+    return header + "\n" + body[:lo] + replacement + body[hi:], replacement
+
+
+def _read_both(path: Path, cache: Path) -> tuple[tuple, tuple]:
+    """What ``load_xc_file`` and ``ingest_xc_file`` make of ``path``: each
+    either ``("rows", examples)`` or ``("error", message)``."""
+
+    def eager():
+        return load_xc_file(path)[0]
+
+    def sharded():
+        ingest_xc_file(path, cache, shard_size=4)
+        return list(ShardedDataset(cache))
+
+    outcomes = []
+    for read in (eager, sharded):
+        try:
+            outcomes.append(("rows", read()))
+        except ValueError as exc:
+            outcomes.append(("error", str(exc)))
+    return outcomes[0], outcomes[1]
+
+
+class TestXCBoundarySweep:
+    """200 seeded mutations of a valid XC file — tokens, separators, signs,
+    NaN / inf / past-float32 values, ints past int64, truncation and the
+    header.  Each file either loads, holding only labels in range and finite
+    float32 values, or raises ``ValueError`` naming a line; and the eager
+    loader and the shard ingest give the same answer, row for row or
+    message for message."""
+
+    MUTATIONS = 200
+
+    def test_every_mutation_loads_clean_or_names_a_line(self, tmp_path):
+        dataset = generate_synthetic_xc(
+            SyntheticXCConfig(
+                feature_dim=32,
+                label_dim=12,
+                num_train=6,
+                num_test=1,
+                avg_features_per_example=4,
+                prototype_nnz=3,
+                seed=5,
+            )
+        )
+        source = write_xc_file(tmp_path / "valid.txt", dataset.train, 32, 12)
+        valid = source.read_text()
+        errors = 0
+        replacements = []
+        for seed in range(self.MUTATIONS):
+            text, replacement = _sweep_mutation(valid, seed)
+            replacements.append(replacement)
+            path = tmp_path / f"mutation-{seed}.txt"
+            path.write_text(text)
+            eager, sharded = _read_both(path, tmp_path / f"cache-{seed}")
+            context = f"mutation {seed}: {text!r}"
+            assert eager[0] == sharded[0], f"{context}: {eager} vs {sharded}"
+            if eager[0] == "error":
+                errors += 1
+                assert re.search(r"\bline \d+\b", eager[1]), f"{context}: {eager[1]}"
+                assert eager[1] == sharded[1], context
+                continue
+            label_dim = int(text.split("\n", 1)[0].split()[2])
+            assert len(eager[1]) == len(sharded[1]), context
+            for a, b in zip(eager[1], sharded[1]):
+                _assert_examples_equal(a, b)
+                assert a.labels.size == 0 or 0 <= a.labels.min() <= a.labels.max() < label_dim, context
+                assert np.isfinite(a.features.values).all(), context
+        # The sweep reached the cases it exists for, and most mutations break
+        # the file.
+        for needle in ("-1", "nan", "inf", "1e400", "99999999999999999999"):
+            assert needle in replacements, needle
+        assert errors > self.MUTATIONS // 2
 
 
 class TestShardedDataset:

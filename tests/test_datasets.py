@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,10 +18,61 @@ from repro.datasets.loaders import (
 from repro.datasets.stats import PAPER_DATASET_STATS, compute_statistics
 from repro.datasets.synthetic import (
     SyntheticXCConfig,
+    _LabelSampler,
+    _zipf_probabilities,
     amazon_like_config,
     delicious_like_config,
     generate_synthetic_xc,
 )
+
+PARENT_DIGEST = Path(__file__).parent / "data" / "synthetic_parent_digest.json"
+# The configurations pinned in ``PARENT_DIGEST``: the defaults, the
+# perfbench ``TINY`` shape, the perfbench ``FULL`` label width (with fewer
+# examples) and the smallest Amazon-670K-like preset.
+DIGEST_CONFIGS = {
+    "default": SyntheticXCConfig(),
+    "tiny": SyntheticXCConfig(
+        feature_dim=512,
+        label_dim=256,
+        num_train=128,
+        num_test=64,
+        avg_features_per_example=16,
+        avg_labels_per_example=3.0,
+        prototype_nnz=8,
+        seed=1,
+    ),
+    "labels-32768": SyntheticXCConfig(
+        feature_dim=8192,
+        label_dim=32768,
+        num_train=512,
+        num_test=512,
+        avg_features_per_example=64,
+        avg_labels_per_example=3.0,
+        prototype_nnz=24,
+        seed=0,
+    ),
+    "amazon-1/512": amazon_like_config(1 / 512),
+}
+
+
+def dataset_digest(dataset) -> str:
+    """SHA-256 over every array a generated dataset holds, in order."""
+    digest = hashlib.sha256()
+    for array in (
+        dataset.prototype_indices.astype(np.int64),
+        dataset.prototype_values.astype(np.float64),
+        dataset.label_probabilities.astype(np.float64),
+    ):
+        digest.update(array.tobytes())
+    for example in (*dataset.train, *dataset.test):
+        for array in (
+            example.labels.astype(np.int64),
+            example.features.indices.astype(np.int64),
+            example.features.values.astype(np.float32),
+        ):
+            digest.update(np.int64(array.size).tobytes())
+            digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
 class TestSyntheticGenerator:
@@ -117,6 +172,55 @@ class TestSyntheticGenerator:
             SyntheticXCConfig(zipf_exponent=0.0)
         with pytest.raises(ValueError):
             SyntheticXCConfig(noise_scale=-1.0)
+
+
+class TestGeneratorDigest:
+    """``generate_synthetic_xc`` returns the bits it returned before its
+    label draw and feature assembly were rewritten as array code: the
+    fixture holds :func:`dataset_digest` of each of ``DIGEST_CONFIGS`` as
+    the per-example ``Generator.choice`` and dict version produced them."""
+
+    @pytest.mark.parametrize("name", sorted(DIGEST_CONFIGS))
+    def test_matches_parent_digest(self, name):
+        expected = json.loads(PARENT_DIGEST.read_text())
+        assert set(expected) == set(DIGEST_CONFIGS)
+        dataset = generate_synthetic_xc(DIGEST_CONFIGS[name])
+        assert dataset_digest(dataset) == expected[name]
+
+
+class TestLabelSampler:
+    LABELS = 1000
+    SEEDS = range(12)
+    SIZES = range(1, 9)
+
+    @pytest.mark.parametrize("exponent", [1.05, 1.15, 3.0])
+    def test_matches_generator_choice(self, exponent):
+        """Same ids as ``Generator.choice(replace=False, p=)`` and the same
+        generator state afterwards, for every seed and size through one
+        sampler (so a retry round that fails to restore its scratch
+        distribution shows up in the next draw)."""
+        probs = _zipf_probabilities(self.LABELS, exponent)
+        sampler = _LabelSampler(probs)
+        retried = 0
+        for seed in self.SEEDS:
+            for size in self.SIZES:
+                ours = np.random.default_rng([seed, size])
+                numpy_rng = np.random.default_rng([seed, size])
+                first_round = np.random.default_rng([seed, size]).random(size)
+                found = sampler.cdf.searchsorted(first_round, side="right")
+                retried += np.unique(found).size < size
+
+                drawn = sampler.draw(ours, size)
+                expected = numpy_rng.choice(
+                    self.LABELS, size=size, replace=False, p=probs
+                )
+                np.testing.assert_array_equal(drawn, expected)
+                assert ours.random() == numpy_rng.random()
+        if exponent == 3.0:
+            # p[0] is 0.83 at exponent 3: most multi-label draws repeat an id
+            # in their first round, so numpy's retry loop must have run.
+            assert retried > len(self.SEEDS) * 4
+        np.testing.assert_array_equal(sampler._remaining, probs)
 
 
 class TestPresetConfigs:
@@ -242,6 +346,48 @@ class TestXCLoader:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_xc_file(tmp_path / "nope.txt")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("-1 0:1.0", "label -1"),
+            ("2,-3 0:1.0", "label -3"),
+            ("99999999999999999999 0:1.0", "not a non-negative int64"),
+            ("1 1:nan", "feature 1 has value nan"),
+            ("1 3:inf", "feature 3 has value inf"),
+            ("1 4:-inf", "feature 4 has value -inf"),
+            ("1 4:1e400", "feature 4 has value inf"),
+            ("1 2:3.5e38", "not a finite float32"),
+            ("1 2:3e38 2:3e38", "not a finite float32"),
+        ],
+    )
+    def test_load_file_rejects_negative_labels_and_non_finite_values(
+        self, tmp_path, line, message
+    ):
+        """``-1`` would index the last label and NaN / inf / past-float32
+        values would train the model on garbage: the line is refused by
+        name (the ingest shares the parser; see the boundary sweep in
+        ``test_data_pipeline.py``)."""
+        path = tmp_path / "bad.txt"
+        path.write_text(f"2 8 5\n0 0:1.0\n{line}\n")
+        with pytest.raises(ValueError, match="line 3") as excinfo:
+            load_xc_file(path)
+        assert message in str(excinfo.value)
+
+    def test_largest_float32_value_loads(self, tmp_path):
+        path = tmp_path / "edge.txt"
+        path.write_text(f"1 8 5\n0 2:{float(np.finfo(np.float32).max)!r}\n")
+        (example,), _, _ = load_xc_file(path)
+        assert np.isfinite(example.features.values).all()
+
+    @pytest.mark.parametrize(
+        "header", ["1 2", "1 x 3", "1 4 0", "1 4 99999999999999999999999 9"]
+    )
+    def test_header_errors_name_line_one(self, tmp_path, header):
+        path = tmp_path / "header.txt"
+        path.write_text(f"{header}\n0 0:1\n")
+        with pytest.raises(ValueError, match="^line 1: "):
+            load_xc_file(path)
 
     def test_bad_header_raises(self, tmp_path):
         path = tmp_path / "header.txt"
