@@ -45,7 +45,7 @@ from repro.datasets.synthetic import delicious_like_config, generate_synthetic_x
 from repro.faults import FaultPlan, FaultSpec
 from repro.harness.report import format_table
 from repro.harness.scaling import build_scaling_network_config
-from repro.parallel.sharedmem import ProcessHogwildTrainer
+from repro.parallel.trainer import ProcessHogwildTrainer
 from repro.reports.schema import BOOL, FRACTION, NAT, POS
 from repro.reports.spec import BenchSpec, MetricGate
 from repro.state import CheckpointStore

@@ -3,7 +3,7 @@
 The paper's headline systems claim is that SLIDE's lock-free HOGWILD design
 scales near-linearly with CPU cores (Figure 9, Table 2).  This bench trains
 the synthetic XC workload through
-:class:`repro.parallel.sharedmem.ProcessHogwildTrainer` at several worker
+:class:`repro.parallel.trainer.ProcessHogwildTrainer` at several worker
 process counts (shared-memory parameters, disjoint
 :class:`~repro.data.ShardedDataset` shards per worker, private per-worker
 LSH indexes) and records real wall-clock speedup, parallel efficiency, CPU

@@ -1,6 +1,6 @@
 """Table 2 — CPU core utilisation of SLIDE, measured.
 
-Runs the process-HOGWILD trainer (:mod:`repro.parallel.sharedmem`) at
+Runs the process-HOGWILD trainer (:mod:`repro.parallel.trainer`) at
 several worker counts and computes the real utilisation of the cores it
 occupied: total worker CPU seconds divided by ``wall x processes`` (via
 ``getrusage``).  SLIDE's claim is that lock-free asynchronous workers keep

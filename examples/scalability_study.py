@@ -2,7 +2,7 @@
 
 A measured view on Figures 9 and 13 of the paper: train the same synthetic
 XC workload with the shared-memory process-HOGWILD trainer
-(:class:`repro.parallel.sharedmem.ProcessHogwildTrainer`) at 1/2/4 worker
+(:class:`repro.parallel.trainer.ProcessHogwildTrainer`) at 1/2/4 worker
 processes and print the real wall-clock speedup curve, parallel efficiency,
 CPU utilisation and gradient-conflict counts.  The measured speedup is
 bounded by this machine's usable cores (printed alongside).

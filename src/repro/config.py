@@ -191,7 +191,7 @@ class OptimizerConfig:
     ``update_clip`` bounds every Adam parameter change to
     ``update_clip * learning_rate`` per element per step.  ``None``
     (default) is exact, unclipped Adam.  The clip exists for lock-free
-    multi-process training (:mod:`repro.parallel.sharedmem`): concurrent
+    multi-process training (:mod:`repro.parallel.trainer`): concurrent
     block updates can tear the shared first/second-moment buffers out of
     sync (large ``m`` paired with a raced-away ``v``), and an unbounded
     ``m_hat / sqrt(v_hat)`` then produces arbitrarily large steps.  The
@@ -271,7 +271,7 @@ class TrainingConfig:
 class FaultToleranceConfig:
     """Supervision and checkpoint/resume knobs for the training runtime.
 
-    Consumed by :class:`repro.parallel.sharedmem.ProcessHogwildTrainer`
+    Consumed by :class:`repro.parallel.trainer.ProcessHogwildTrainer`
     (worker supervision + periodic mid-run checkpoints) and by
     :class:`repro.core.trainer.SlideTrainer` (inline checkpoint cadence).
 

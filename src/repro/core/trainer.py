@@ -3,7 +3,7 @@
 The trainer owns the epoch/batch loop, the optimiser, periodic evaluation and
 per-iteration records of the *work* performed (active neurons, active
 weights) and of its measured wall-clock time.  Training in several worker
-processes is :class:`repro.parallel.sharedmem.ProcessHogwildTrainer`'s job.
+processes is :class:`repro.parallel.trainer.ProcessHogwildTrainer`'s job.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ class SlideTrainer:
     ``TrainingConfig.seed`` produces the same batches and losses bit-for-bit.
 
     Everything runs in the calling process; multi-process HOGWILD over
-    shared memory is :class:`repro.parallel.sharedmem.ProcessHogwildTrainer`.
+    shared memory is :class:`repro.parallel.trainer.ProcessHogwildTrainer`.
     """
 
     def __init__(

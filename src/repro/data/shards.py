@@ -356,7 +356,7 @@ class ShardedDataset(Sequence[SparseExample]):
 
     ``shard_subset`` restricts the view to a subset of the cache's shards
     (given as manifest positions).  The process-parallel HOGWILD trainer
-    (:mod:`repro.parallel.sharedmem`) splits the shards with
+    (:mod:`repro.parallel.trainer`) splits the shards with
     :meth:`assign_shards` and streams each group through such a view in
     whichever worker process runs it — the workers share nothing but the
     cache directory on disk.

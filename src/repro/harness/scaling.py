@@ -1,7 +1,7 @@
 """Measured process-scaling driver (Figure 9 / Table 2, for real).
 
 This module trains the same synthetic XC workload at several worker-process
-counts through :class:`repro.parallel.sharedmem.ProcessHogwildTrainer` and
+counts through :class:`repro.parallel.trainer.ProcessHogwildTrainer` and
 reports measured wall-clock speedups, CPU utilisation and gradient-conflict
 counts.  The Fig 9 and Table 2 benchmark scripts are thin views over
 :func:`measure_process_scaling`; ``examples/scalability_study.py`` drives it
@@ -37,7 +37,7 @@ from repro.core.network import SlideNetwork
 from repro.data.ingest import ingest_examples
 from repro.data.shards import ShardedDataset
 from repro.datasets.synthetic import delicious_like_config, generate_synthetic_xc
-from repro.parallel.sharedmem import ProcessHogwildTrainer
+from repro.parallel.trainer import ProcessHogwildTrainer
 
 __all__ = [
     "available_cores",

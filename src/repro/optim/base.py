@@ -240,8 +240,8 @@ class Optimizer(abc.ABC):
 
         Registration order for parameters, insertion order for keys — a
         stable flat enumeration used by the shared-memory parameter store
-        (:mod:`repro.parallel.sharedmem`) to place the optimiser's moment
-        buffers alongside the weights they belong to.
+        (:class:`repro.parallel.store.SharedParamStore`) to place the
+        optimiser's moment buffers alongside the weights they belong to.
         """
         return [
             (name, key, array)

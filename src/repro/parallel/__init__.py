@@ -1,11 +1,12 @@
 """Parallelism substrate.
 
-**Real process parallelism** — :mod:`repro.parallel.sharedmem` places the
-model's parameters (and optimiser moments) in ``multiprocessing``
-shared-memory blocks and trains with ``N`` worker *processes* performing
-lock-free asynchronous updates, each owning a private LSH index.  This is
-the execution model behind the paper's Figure 9 / Table 2 scalability
-claims; ``benchmarks/bench_fig9_scalability.py`` measures it for real.
+**Real process parallelism** — :mod:`repro.parallel.trainer` trains with
+``N`` worker *processes* (:mod:`repro.parallel.worker`) updating parameters
+in a shared-memory :mod:`~repro.parallel.store` lock-free, each with a
+private LSH index, scheduled by a process-free
+:mod:`~repro.parallel.supervisor`.  This is the execution model behind the
+paper's Figure 9 / Table 2 claims, measured by
+``benchmarks/bench_fig9_scalability.py``.
 
 :mod:`repro.parallel.conflicts` quantifies update overlap between concurrent
 sparse updates.  (The serving path's worker threads live in
@@ -13,11 +14,11 @@ sparse updates.  (The serving path's worker threads live in
 """
 
 from repro.parallel.conflicts import ConflictReport, analyze_update_conflicts
-from repro.parallel.sharedmem import (
+from repro.parallel.store import SharedParamStore
+from repro.parallel.trainer import (
     ProcessConflictStats,
     ProcessHogwildTrainer,
     ProcessTrainingReport,
-    SharedParamStore,
     WorkerStats,
 )
 

@@ -21,7 +21,7 @@ from repro.config import (
 )
 from repro.core.network import SlideNetwork
 from repro.kernels import fused
-from repro.parallel.sharedmem import SharedParamStore
+from repro.parallel.store import SharedParamStore
 from repro.serving.engine import SparseInferenceEngine
 from repro.state import bind_model_arrays, model_arrays
 from repro.types import FLOAT, SparseBatch
