@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import LayerConfig
-from repro.kernels.activations import relu, softmax_rows, sparse_softmax
+from repro.kernels.activations import relu, softmax_rows_inplace, sparse_softmax
 from repro.lsh.index import LSHIndex
 from repro.lsh.scheduler import ExponentialDecaySchedule, RebuildSchedule
 from repro.optim.base import Optimizer
@@ -261,7 +261,8 @@ class SlideLayer:
         """Full forward pass for a ``(batch, fan_in)`` matrix of inputs.
 
         One matrix multiply replaces the per-example loop of
-        :meth:`dense_forward`; activations are applied row-wise.
+        :meth:`dense_forward`; the bias and the activation are applied in
+        place on its output, so the call holds one output-sized array.
         """
         dense_inputs = np.asarray(dense_inputs, dtype=FLOAT)
         if dense_inputs.ndim != 2 or dense_inputs.shape[1] != self.fan_in:
@@ -269,7 +270,9 @@ class SlideLayer:
                 f"expected inputs of shape (batch, {self.fan_in}), "
                 f"got {dense_inputs.shape}"
             )
-        return self._activate_rows(dense_inputs @ self.weights.T + self.biases)
+        pre = dense_inputs @ self.weights.T
+        pre += self.biases
+        return self._activate_rows(pre)
 
     def sparse_forward_batch(
         self, indices: list[IntArray], values: list[FloatArray]
@@ -298,9 +301,10 @@ class SlideLayer:
         return self._activate_rows(pre)
 
     def _activate_rows(self, pre: FloatArray) -> FloatArray:
+        """Apply the activation in place on ``pre``, which the caller owns."""
         if self.activation_name == "relu":
-            return relu(pre)
+            return np.maximum(pre, 0.0, out=pre)
         if self.activation_name == "softmax":
-            return softmax_rows(pre)
+            return softmax_rows_inplace(pre)
         return pre
 

@@ -5,6 +5,12 @@ hash codes.  The LSH index (:mod:`repro.lsh`) groups each consecutive run of
 ``K`` codes into one *meta* hash — the bucket fingerprint of one table — so a
 family only needs to map a vector to a ``(L, K)`` integer array.
 
+Codes are small integers in ``[0, code_cardinality)``, so
+:meth:`LSHFamily.hash_matrix` returns them in the family's
+:attr:`~LSHFamily.code_dtype` — the smallest unsigned dtype that holds
+``code_cardinality - 1`` (one byte for every family the factory builds) —
+and the index packs them into int64 keys without widening the code tensor.
+
 Inputs may be dense (``numpy.ndarray``) or sparse
 (:class:`repro.types.SparseVector`); every family must accept both because
 SLIDE hashes *layer inputs* (sparse data or sparse activations) as well as
@@ -57,19 +63,29 @@ class LSHFamily(abc.ABC):
         bucket fingerprint without collisions between distinct code tuples.
         """
 
+    @property
+    def code_dtype(self) -> np.dtype:
+        """The smallest unsigned dtype that holds ``code_cardinality - 1``.
+
+        :meth:`hash_matrix` returns codes in it and the LSH index stores
+        them in it.
+        """
+        return np.min_scalar_type(self.code_cardinality - 1)
+
     # ------------------------------------------------------------------
     # Conveniences shared by all families
     # ------------------------------------------------------------------
     def hash_matrix(self, matrix: FloatArray) -> HashCodes:
-        """Hash each row of a dense matrix; returns ``(rows, L, K)``.
+        """Hash each row of a dense matrix; returns ``(rows, L, K)`` codes.
 
+        The codes are in :attr:`code_dtype`, whatever the implementation.
         Subclasses override this when a vectorised implementation is
         available (SimHash does); the default simply loops over rows.
         """
         matrix = np.asarray(matrix, dtype=FLOAT)
         if matrix.ndim != 2:
             raise ValueError("hash_matrix expects a 2-D array")
-        codes = np.empty((matrix.shape[0], self.l, self.k), dtype=np.int64)
+        codes = np.empty((matrix.shape[0], self.l, self.k), dtype=self.code_dtype)
         for row in range(matrix.shape[0]):
             codes[row] = self.hash_vector(matrix[row])
         return codes

@@ -120,7 +120,7 @@ class DWTAHash(LSHFamily):
         matrix = np.asarray(matrix, dtype=FLOAT)
         if matrix.ndim != 2 or matrix.shape[1] != self.input_dim:
             raise ValueError("hash_matrix expects shape (rows, input_dim)")
-        out = np.empty((matrix.shape[0], self.l, self.k), dtype=np.int64)
+        out = np.empty((matrix.shape[0], self.l, self.k), dtype=self.code_dtype)
         for start in range(0, matrix.shape[0], self._CHUNK_ROWS):
             chunk = matrix[start : start + self._CHUNK_ROWS]
             out[start : start + self._CHUNK_ROWS] = self._hash_chunk(chunk)

@@ -88,11 +88,25 @@ class SimHash(LSHFamily):
     def hash_vector(self, vector: VectorLike) -> HashCodes:
         return self.codes_from_projections(self.project(vector))
 
+    # Rows projected per block: bounds the float32 projection temporaries
+    # to ~1 MB whatever the number of rows hashed.
+    _BLOCK_ROWS = 1024
+
     def hash_matrix(self, matrix: FloatArray) -> HashCodes:
+        """Signs of the projections as one-byte codes, ``(rows, L, K)``.
+
+        Rows are projected in fixed blocks and each block's signs are
+        written straight into the code array.  :meth:`_projections` makes a
+        row's codes independent of the rows hashed beside it, so blocking
+        changes no code.
+        """
         matrix = np.asarray(matrix, dtype=FLOAT)
         if matrix.ndim != 2 or matrix.shape[1] != self.input_dim:
             raise ValueError("hash_matrix expects shape (rows, input_dim)")
-        codes = (self._projections(matrix) > 0).astype(np.int64)
+        codes = np.empty((matrix.shape[0], self.k * self.l), dtype=self.code_dtype)
+        for start in range(0, matrix.shape[0], self._BLOCK_ROWS):
+            block = slice(start, start + self._BLOCK_ROWS)
+            codes[block] = self._projections(matrix[block]) > 0
         return codes.reshape(matrix.shape[0], self.l, self.k)
 
     # ------------------------------------------------------------------

@@ -69,7 +69,7 @@ class WTAHash(LSHFamily):
         if matrix.ndim != 2 or matrix.shape[1] != self.input_dim:
             raise ValueError("hash_matrix expects shape (rows, input_dim)")
         gathered = matrix[:, self._bins]
-        codes = np.argmax(gathered, axis=2).astype(np.int64)
+        codes = np.argmax(gathered, axis=2).astype(self.code_dtype)
         return codes.reshape(matrix.shape[0], self.l, self.k)
 
     @property

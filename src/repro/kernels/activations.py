@@ -17,6 +17,7 @@ __all__ = [
     "hidden_activation_grad",
     "sparse_softmax",
     "softmax_rows",
+    "softmax_rows_inplace",
 ]
 
 
@@ -63,14 +64,24 @@ def sparse_softmax(logits: FloatArray) -> FloatArray:
 
 
 def softmax_rows(logits: FloatArray) -> FloatArray:
-    """Row-wise stabilised softmax over a ``(batch, classes)`` matrix.
+    """Row-wise stabilised softmax over a float ``(batch, classes)`` matrix.
 
-    The batched counterpart of :func:`sparse_softmax`, shared by the dense
-    baseline's forward pass and the batched dense prediction path.
+    The batched counterpart of :func:`sparse_softmax`.  Returns a new
+    array: :func:`softmax_rows_inplace` applied to a copy, so both forms
+    share one formula.
     """
-    logits = np.asarray(logits)
-    if logits.size == 0:
-        return logits.copy()
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    return softmax_rows_inplace(np.array(logits))
+
+
+def softmax_rows_inplace(logits: FloatArray) -> FloatArray:
+    """:func:`softmax_rows` computed in place over ``logits``, which it returns.
+
+    The batched dense prediction path applies it to the GEMM output it
+    owns, so scoring holds one output-sized array.  Each step writes the
+    same bits as its out-of-place form.
+    """
+    if logits.size:
+        logits -= logits.max(axis=1, keepdims=True)
+        np.exp(logits, out=logits)
+        logits /= logits.sum(axis=1, keepdims=True)
+    return logits

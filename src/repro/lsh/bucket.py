@@ -9,7 +9,8 @@ Two implementations live here:
 * :class:`FlatBuckets` — the production layout.  All buckets of all ``L``
   tables of an index share a single fixed-width ``int64`` slot matrix (one
   row per bucket, the paper's fixed bucket size as the row width) plus
-  parallel ``sizes`` / ``seen`` / ``rejections`` counter arrays, so
+  parallel ``sizes`` / ``seen`` / ``rejections`` / ``evictions`` counter
+  arrays, so
   whole-batch insertions and removals are plain array ops instead of
   per-item object mutations and a probe of every table is one gather.
 * :class:`Bucket` — the original object-per-bucket container, kept as the
@@ -35,8 +36,11 @@ class FlatBuckets:
     ``alloc``-ed until it ``release``-s them.  Row ``r`` holds one bucket:
     ``slots[r, :sizes[r]]`` are the stored ids and ``slots[r, sizes[r]:]``
     is all ``-1`` (the empty slot), ``seen[r]`` counts every insertion attempt
-    ever made against the bucket and ``rejections[r]`` the attempts a policy
-    declined to store (reservoir only).  FIFO buckets keep their slots in
+    ever made against the bucket, ``rejections[r]`` the attempts a policy
+    declined to store (reservoir only) and ``evictions[r]`` the stored ids
+    dropped to make room for a later arrival — for FIFO, every arrival at a
+    full bucket, including batch arrivals that a later arrival of the same
+    batch pushed out again.  FIFO buckets keep their slots in
     arrival order (oldest first), which is what makes batched FIFO eviction
     a single keep-the-newest-``capacity`` gather.
 
@@ -44,7 +48,16 @@ class FlatBuckets:
     sentinel so batched query gathers can mask missing buckets for free.
     """
 
-    __slots__ = ("capacity", "slots", "sizes", "seen", "rejections", "num_rows", "_free")
+    __slots__ = (
+        "capacity",
+        "slots",
+        "sizes",
+        "seen",
+        "rejections",
+        "evictions",
+        "num_rows",
+        "_free",
+    )
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
@@ -54,6 +67,7 @@ class FlatBuckets:
         self.sizes = np.zeros(0, dtype=np.int64)
         self.seen = np.zeros(0, dtype=np.int64)
         self.rejections = np.zeros(0, dtype=np.int64)
+        self.evictions = np.zeros(0, dtype=np.int64)
         self.num_rows = 0
         # Rows released by emptied buckets, reused before the matrix grows —
         # keeps table memory tracking the *live* bucket count.
@@ -73,7 +87,7 @@ class FlatBuckets:
             new_slots = np.full((grown, self.capacity), _EMPTY_SLOT, dtype=np.int64)
             new_slots[: self.num_rows] = self.slots[: self.num_rows]
             self.slots = new_slots
-            for name in ("sizes", "seen", "rejections"):
+            for name in ("sizes", "seen", "rejections", "evictions"):
                 old = getattr(self, name)
                 new = np.zeros(grown, dtype=np.int64)
                 new[: self.num_rows] = old[: self.num_rows]
@@ -86,6 +100,7 @@ class FlatBuckets:
         self.sizes[rows] = 0
         self.seen[rows] = 0
         self.rejections[rows] = 0
+        self.evictions[rows] = 0
         return rows
 
     def release(self, rows: IntArray) -> None:
@@ -97,10 +112,19 @@ class Bucket:
     """Fixed-size container of integer ids with slot-replacement support.
 
     The bucket keeps insertion-order bookkeeping (``oldest_slot``) for the
-    FIFO policy and a ``seen`` counter for reservoir sampling.
+    FIFO policy, a ``seen`` counter for reservoir sampling and an
+    ``evictions`` counter of the stored ids that :meth:`replace` dropped.
     """
 
-    __slots__ = ("capacity", "_items", "_arrival", "_next_arrival", "seen", "rejections")
+    __slots__ = (
+        "capacity",
+        "_items",
+        "_arrival",
+        "_next_arrival",
+        "seen",
+        "rejections",
+        "evictions",
+    )
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
@@ -113,6 +137,8 @@ class Bucket:
         self.seen = 0
         # Number of attempts rejected by the policy (reservoir only).
         self.rejections = 0
+        # Number of stored ids dropped by replace().
+        self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._items)
@@ -139,13 +165,14 @@ class Bucket:
         self.seen += 1
 
     def replace(self, slot: int, item: int) -> None:
-        """Overwrite ``slot`` with ``item`` (counts as an arrival)."""
+        """Overwrite ``slot`` with ``item`` (an arrival and an eviction)."""
         if not 0 <= slot < len(self._items):
             raise IndexError(f"slot {slot} out of range")
         self._items[slot] = int(item)
         self._arrival[slot] = self._next_arrival
         self._next_arrival += 1
         self.seen += 1
+        self.evictions += 1
 
     def count_rejection(self) -> None:
         """Record an arrival that the policy decided not to store."""
@@ -175,3 +202,4 @@ class Bucket:
         self._next_arrival = 0
         self.seen = 0
         self.rejections = 0
+        self.evictions = 0

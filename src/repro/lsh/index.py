@@ -15,7 +15,10 @@ handed out and stays the empty bucket, and one *directory* — a pair of
 parallel sorted arrays — maps a (table, fingerprint) key to a bucket row.  A
 key carries the table id in its high ``ceil(log2 L)`` bits and the table's
 packed ``K`` codes below them, so each table owns one contiguous run of the
-directory.  When ``cardinality ** K * 2 ** ceil(log2 L)`` fits in ``2 ** 63``
+directory.  A table's ``K`` codes are packed by Horner's rule
+(``key = key * cardinality + code``, one code column at a time) into one
+int64 ``(n, L)`` array, so no int64 copy of the ``(n, L, K)`` codes is ever
+made.  When ``cardinality ** K * 2 ** ceil(log2 L)`` fits in ``2 ** 63``
 the packing is exact (injective over code tuples, and ordered like them);
 wider combinations pack chunk by chunk and mix the chunks into one 64-bit
 word whose high bits fill the space below the table id, which may collide —
@@ -26,10 +29,11 @@ Every probe, one query or a whole batch, in training or in serving, is hash
 → pack → **one** ``searchsorted`` → one gather (:meth:`LSHIndex.query_batch_flat`).
 
 Per-item state is flat too: one ``(n,)`` item array, one ``(n, L, K)`` code
-matrix and one ``(n, L)`` key matrix.  ``build``/``restore_codes`` are array
-ops, and ``update`` is a *code diff*: an item is moved between buckets of
-table ``t`` only when its key in table ``t`` actually changed, so an
-incremental rebuild costs O(changed entries), not O(dirty items × L).
+matrix in the hash family's narrow code dtype and one ``(n, L)`` key matrix.
+``build``/``restore_codes`` are array ops, and ``update`` is a *code diff*:
+an item is moved between buckets of table ``t`` only when its key in table
+``t`` actually changed, so an incremental rebuild costs O(changed entries),
+not O(dirty items × L).
 Mutations walk the tables in order and call the insertion policy's batched
 kernel once per table, new keys taking rows from the free list in ascending
 key order.
@@ -56,21 +60,31 @@ __all__ = ["LSHIndex", "QueryResult", "BatchQueryResult"]
 _MIX_CONSTANT = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _radix_chunks(k: int, cardinality: int, bits: int) -> list[tuple[slice, np.ndarray]]:
+def _radix_chunks(k: int, cardinality: int, bits: int) -> list[range]:
     """Split ``K`` code positions into chunks whose packing fits ``bits`` bits.
 
-    Each chunk is ``(column_slice, radix_weights)``; a single chunk means the
-    whole tuple packs exactly (the common case).  Wider (cardinality, K)
-    combinations pack chunk by chunk and mix the chunk values into one 64-bit
-    fingerprint.
+    A single chunk means the whole tuple packs exactly (the common case).
+    Wider (cardinality, K) combinations pack chunk by chunk and mix the
+    chunk values into one 64-bit fingerprint.
     """
     digits_per_chunk = max(1, int(np.floor(bits / np.log2(cardinality))))
-    chunks: list[tuple[slice, np.ndarray]] = []
-    for start in range(0, k, digits_per_chunk):
-        width = min(digits_per_chunk, k - start)
-        radix = cardinality ** np.arange(width - 1, -1, -1, dtype=np.int64)
-        chunks.append((slice(start, start + width), radix))
-    return chunks
+    return [
+        range(start, min(start + digits_per_chunk, k))
+        for start in range(0, k, digits_per_chunk)
+    ]
+
+
+def _horner(codes: IntArray, columns: range, cardinality: int) -> IntArray:
+    """Pack code ``columns`` of ``(..., L, K)`` codes into int64 ``(..., L)``.
+
+    ``key = key * cardinality + code`` one column at a time: the exact radix
+    value of the chunk, accumulated in place in one int64 array.
+    """
+    keys = codes[..., columns[0]].astype(np.int64)
+    for column in columns[1:]:
+        keys *= cardinality
+        keys += codes[..., column]
+    return keys
 
 
 class QueryResult:
@@ -195,9 +209,9 @@ class LSHIndex:
         # The directory: sorted (table, fingerprint) keys and their rows.
         self._dir_keys = np.zeros(0, dtype=np.int64)
         self._dir_rows = np.zeros(0, dtype=np.int64)
-        # Stored codes are only ever read back through item_codes and
-        # snapshot_codes, so they are kept in the narrowest dtype that fits.
-        self._code_dtype = np.min_scalar_type(self.hash_family.code_cardinality - 1)
+        # Codes stay in the family's narrow dtype on every path; only
+        # item_codes and snapshot_codes hand out int64 copies.
+        self._code_dtype = self.hash_family.code_dtype
         # Contiguous per-item state: row r of every matrix describes the item
         # stored in self._items[r].  The key matrix is what makes update() a
         # code diff — only entries whose key changed move.
@@ -212,6 +226,9 @@ class LSHIndex:
         # (item, table) bucket moves actually applied.
         self.num_update_items = 0
         self.num_moved_entries = 0
+        # Stored ids a full bucket dropped to make room (FIFO: the oldest;
+        # reservoir: the overwritten slot), over the index's lifetime.
+        self.num_evictions = 0
 
     # ------------------------------------------------------------------
     # Construction / maintenance
@@ -238,20 +255,24 @@ class LSHIndex:
 
     def _pack(self, codes: IntArray) -> IntArray:
         """Directory keys ``(..., L)`` for ``(..., L, K)`` codes."""
-        cols, radix = self._chunks[0]
-        fingerprints = codes[..., cols] @ radix
-        if len(self._chunks) > 1:
-            mixed = fingerprints.astype(np.uint64)
-            for cols, radix in self._chunks[1:]:
-                packed = (codes[..., cols] @ radix).astype(np.uint64)
+        cardinality = self.hash_family.code_cardinality
+        first, *rest = self._chunks
+        keys = _horner(codes, first, cardinality)
+        if rest:
+            # Chunk values are non-negative int64, so viewing them as uint64
+            # keeps every bit.
+            mixed = keys.view(np.uint64)
+            for columns in rest:
+                packed = _horner(codes, columns, cardinality).view(np.uint64)
                 mixed ^= (
                     packed
                     + _MIX_CONSTANT
                     + (mixed << np.uint64(6))
                     + (mixed >> np.uint64(2))
                 )
-            fingerprints = (mixed >> np.uint64(64 - self._fp_bits)).astype(np.int64)
-        return fingerprints + self._table_base
+            keys = (mixed >> np.uint64(64 - self._fp_bits)).view(np.int64)
+        keys += self._table_base
+        return keys
 
     def _rows_of(self, keys: IntArray) -> IntArray:
         """Bucket rows of directory keys; the empty row 0 where unmapped."""
@@ -292,7 +313,7 @@ class LSHIndex:
             self._dir_keys = np.insert(self._dir_keys, at, new_keys)
             self._dir_rows = np.insert(self._dir_rows, at, new_rows)
             rows[missing] = new_rows[inverse]
-        self._policy.insert_many_flat(self._store, rows, items)
+        self.num_evictions += self._policy.insert_many_flat(self._store, rows, items)
 
     def _remove(self, keys: IntArray, items: IntArray) -> None:
         """Remove every ``(key, item)`` pair in one sweep.
@@ -361,7 +382,14 @@ class LSHIndex:
             count=item_ids.size,
         )
         known = rows >= 0
-        if np.any(known):
+        num_known = int(np.count_nonzero(known))
+        # Views, not copies, when every item is known (a full rebuild) or
+        # none is (a build).
+        if num_known in (0, item_ids.size):
+            known = fresh = slice(None)
+        else:
+            fresh = ~known
+        if num_known:
             known_rows = rows[known]
             known_ids = item_ids[known]
             old_keys = self._keys[known_rows]
@@ -375,14 +403,12 @@ class LSHIndex:
             self._codes[known_rows] = codes[known]
             self._keys[known_rows] = new_keys
             self.num_moved_entries += int(changed.sum())
-        if not np.all(known):
-            fresh_ids = item_ids[~known]
-            fresh_keys = keys[~known]
+        if num_known < item_ids.size:
+            fresh_ids = item_ids[fresh]
+            fresh_keys = keys[fresh]
             base = self._items.size
             self._items = np.concatenate([self._items, fresh_ids])
-            self._codes = np.concatenate(
-                [self._codes, codes[~known].astype(self._code_dtype)], axis=0
-            )
+            self._codes = np.concatenate([self._codes, codes[fresh]], axis=0)
             self._keys = np.concatenate([self._keys, fresh_keys], axis=0)
             for offset, item in enumerate(fresh_ids):
                 self._row_of[int(item)] = base + offset
@@ -446,11 +472,13 @@ class LSHIndex:
         buckets is not preserved.
         """
         items = np.asarray(items, dtype=np.int64)
-        codes = np.asarray(codes, dtype=np.int64)
+        codes = np.asarray(codes)
         if codes.shape != (items.shape[0], self.l, self.k):
             raise ValueError(
                 f"codes must have shape ({items.shape[0]}, {self.l}, {self.k})"
             )
+        # The range is checked on the dtype given, so the narrowing cast
+        # below cannot wrap a value.
         if codes.size and (
             codes.min() < 0 or codes.max() >= self.hash_family.code_cardinality
         ):
@@ -458,7 +486,7 @@ class LSHIndex:
         if np.unique(items).size != items.size:
             raise ValueError("snapshot items must be unique")
         self.clear()
-        self._apply_codes(items, codes)
+        self._apply_codes(items, codes.astype(self._code_dtype, copy=False))
 
     def remove(self, item: int) -> bool:
         """Remove ``item`` from every table (if it was indexed)."""
@@ -531,6 +559,8 @@ class LSHIndex:
         load = np.zeros(self.l)
         filled = buckets > 0
         load[filled] = items[filled] / buckets[filled] / self.config.bucket_size
+        sizes = self._store.sizes[self._dir_rows]
+        full = np.count_nonzero(sizes == self._store.capacity)
         return {
             "tables": float(self.l),
             "indexed_items": float(self.num_items),
@@ -541,4 +571,6 @@ class LSHIndex:
             "queries": float(self.num_queries),
             "update_items": float(self.num_update_items),
             "moved_entries": float(self.num_moved_entries),
+            "evictions": float(self.num_evictions),
+            "full_bucket_frac": float(full / max(sizes.size, 1)),
         }

@@ -16,9 +16,10 @@ Each policy exposes two entry points:
 * ``insert_many_flat(store, rows, items)`` — the batched kernel: the whole
   item batch is applied with array ops (one stable sort to group items by
   bucket, then vectorised slot arithmetic), producing the same final bucket
-  contents as inserting the items one by one in order (for reservoir, up to
-  the draws — the batched path consumes the generator in one vectorised
-  request instead of one scalar draw per overflowing arrival).
+  contents and ``evictions`` counts as inserting the items one by one in
+  order (for reservoir, up to the draws — the batched path consumes the
+  generator in one vectorised request instead of one scalar draw per
+  overflowing arrival).  It returns the number of stored ids it evicted.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class InsertionPolicy(abc.ABC):
     def insert_many_flat(
         self, store: FlatBuckets, rows: IntArray, items: IntArray
     ) -> int:
-        """Batched insert; returns the number of items actually stored."""
+        """Batched insert; returns the number of stored ids it evicted."""
 
 
 class FIFOPolicy(InsertionPolicy):
@@ -97,6 +98,9 @@ class FIFOPolicy(InsertionPolicy):
         new_keep = np.minimum(counts, capacity)
         exist_keep = np.minimum(sizes, np.maximum(capacity - counts, 0))
         drop = sizes - exist_keep
+        # One eviction per arrival at a full bucket: the existing items
+        # dropped plus the arrivals a later arrival of the batch pushed out.
+        evicted = drop + (counts - new_keep)
 
         # Shift surviving existing items to the front (drop the oldest).
         block = store.slots[unique_rows]
@@ -115,7 +119,8 @@ class FIFOPolicy(InsertionPolicy):
 
         store.sizes[unique_rows] = exist_keep + new_keep
         store.seen[unique_rows] += counts
-        return int(rows.size)
+        store.evictions[unique_rows] += evicted
+        return int(evicted.sum())
 
 
 class ReservoirPolicy(InsertionPolicy):
@@ -164,7 +169,7 @@ class ReservoirPolicy(InsertionPolicy):
         # [0, n) (n = attempts seen so far, including this batch) and is kept
         # only if the slot lands inside the bucket.
         overflow = ~append
-        stored = int(np.count_nonzero(append))
+        evictions = 0
         rejected_rows = np.zeros(0, dtype=np.int64)
         if np.any(overflow):
             draws = self._rng.integers(0, seen_before[overflow] + 1)
@@ -179,7 +184,10 @@ class ReservoirPolicy(InsertionPolicy):
                 pair = target_rows * capacity + target_slots
                 last = pair.size - 1 - np.unique(pair[::-1], return_index=True)[1]
                 store.slots[target_rows[last], target_slots[last]] = target_items[last]
-            stored += int(np.count_nonzero(accept))
+                # Every kept overflow arrival overwrites a stored id.
+                evict_rows, evict_counts = np.unique(target_rows, return_counts=True)
+                store.evictions[evict_rows] += evict_counts
+                evictions = int(target_rows.size)
             rejected_rows = sorted_rows[overflow][~accept]
 
         if rejected_rows.size:
@@ -189,7 +197,7 @@ class ReservoirPolicy(InsertionPolicy):
             counts, np.maximum(capacity - store.sizes[unique_rows], 0)
         )
         store.seen[unique_rows] += counts
-        return stored
+        return evictions
 
 
 def make_insertion_policy(

@@ -97,6 +97,9 @@ class SwapReport:
     for the swap — ``full_rebuild=False`` together with a bounded
     ``moved_entries`` is the evidence the swap took the code-diff
     ``update(dirty)`` path rather than rebuilding the tables.
+    ``evictions`` counts the stored ids that full buckets dropped during the
+    swap: bitwise parity with a cold load of the same checkpoint holds only
+    when it is 0.
     """
 
     version: str | None
@@ -106,6 +109,7 @@ class SwapReport:
     full_rebuild: bool
     duration_s: float
     generation: int
+    evictions: int
 
 
 class InferenceEngine:
@@ -197,6 +201,7 @@ class InferenceEngine:
         changed_rows = 0
         update_items = 0
         moved_entries = 0
+        evictions = 0
         self._swap_lock.acquire_write()
         try:
             self.generation += 1  # odd: swap in progress
@@ -212,6 +217,7 @@ class InferenceEngine:
                 index = old.lsh_index
                 if index is None:
                     continue
+                evictions_before = index.num_evictions
                 if full_rebuild:
                     index.build(old.weights)
                 elif changed.size:
@@ -220,6 +226,7 @@ class InferenceEngine:
                     index.update(changed, old.weights[changed])
                     update_items += index.num_update_items - items_before
                     moved_entries += index.num_moved_entries - moved_before
+                evictions += index.num_evictions - evictions_before
         finally:
             self.generation += 1  # even: swap settled
             self._swap_lock.release_write()
@@ -231,6 +238,7 @@ class InferenceEngine:
             full_rebuild=full_rebuild,
             duration_s=time.monotonic() - start,
             generation=self.generation,
+            evictions=evictions,
         )
 
     def _check_k(self, k: int) -> None:

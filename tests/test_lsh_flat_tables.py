@@ -158,6 +158,59 @@ def test_fifo_overflow_batched_matches_sequential_exactly(rng):
             assert index._store.seen[index._rows_of(np.array([key]))[0]] == bucket.seen
 
 
+def test_fifo_eviction_counts_match_the_sequential_oracle(rng):
+    """Every arrival at a full FIFO bucket evicts one stored id: the batched
+    kernel counts, per bucket row, the existing ids it drops plus the batch
+    arrivals a later arrival of the same batch pushes out, which is what the
+    sequential ``Bucket`` reference counts one ``replace`` at a time.  The
+    index total and the full-bucket fraction in ``stats()`` follow."""
+    index = one_table("fifo", bucket_size=4)
+    policy = FIFOPolicy()
+    reference: dict[int, Bucket] = {}
+    for batch in range(6):
+        keys = rng.integers(0, 7, size=int(rng.integers(1, 30))).astype(np.int64)
+        items = rng.integers(0, 1000, size=keys.size).astype(np.int64)
+        index._insert(keys, items)
+        for key, item in zip(keys.tolist(), items.tolist()):
+            policy.insert(reference.setdefault(key, Bucket(4)), item)
+    store = index._store
+    for key, bucket in reference.items():
+        row = int(index._rows_of(np.array([key]))[0])
+        np.testing.assert_array_equal(bucket_of(index, key), arrival_order(bucket))
+        assert store.evictions[row] == bucket.evictions
+    total = sum(bucket.evictions for bucket in reference.values())
+    assert total > 0
+    stats = index.stats()
+    assert index.num_evictions == stats["evictions"] == total
+    full = sum(len(bucket) == 4 for bucket in reference.values())
+    assert stats["full_bucket_frac"] == full / len(reference)
+
+
+def test_reservoir_evictions_and_rejections_cover_every_overflow(rng):
+    """A reservoir arrival at a full bucket is either rejected or evicts the
+    slot it drew, so the two counters add up to the overflowing arrivals."""
+    keys = rng.integers(0, 4, size=120).astype(np.int64)
+    items = np.arange(120, dtype=np.int64)
+    index = one_table("reservoir", bucket_size=8)
+    index._insert(keys[:50], items[:50])
+    index._insert(keys[50:], items[50:])
+    store = index._store
+    for key in np.unique(keys).tolist():
+        row = int(index._rows_of(np.array([key]))[0])
+        overflow = max(0, int((keys == key).sum()) - 8)
+        assert store.evictions[row] + store.rejections[row] == overflow
+    assert index.num_evictions == int(store.evictions.sum()) > 0
+
+
+def test_eviction_counts_reset_with_the_bucket_row():
+    store = FlatBuckets(capacity=2)
+    row = store.alloc(1)
+    FIFOPolicy().insert_many_flat(store, np.repeat(row, 5), np.arange(5))
+    assert store.evictions[row[0]] == 3
+    store.release(row)
+    assert store.evictions[store.alloc(1)[0]] == 0
+
+
 def test_fifo_batched_mixed_with_scalar_inserts():
     """One-item and many-item insertions interleave on the same bucket."""
     index = one_table("fifo", bucket_size=3)
@@ -348,6 +401,49 @@ def test_keys_chunked_over_wide_radix(rng):
     # 2^80 tuples into 63 bits cannot be injective, but random tuples must
     # essentially never collide if the mix is any good.
     assert np.unique(keys).size == 400
+
+
+@pytest.mark.parametrize("family", ["simhash", "wta", "dwta", "doph", "minhash"])
+def test_hash_matrix_codes_are_narrow_and_pack_like_int64(rng, family):
+    """Every family returns one-byte codes (its ``code_dtype``), the index
+    stores them so, and a key packed from them equals the key packed from
+    the same codes widened to int64 — in the exact and the mixed regime."""
+    index = make_index(family, "fifo", k=4, l=6)
+    weights = rng.normal(size=(40, 24))
+    weights[rng.random(size=weights.shape) < 0.3] = 0.0
+    codes = index.hash_family.hash_matrix(weights)
+    assert codes.dtype == index.hash_family.code_dtype == np.uint8
+    np.testing.assert_array_equal(index._pack(codes), index._pack(codes.astype(np.int64)))
+    index.build(weights)
+    assert index._codes.dtype == np.uint8
+    mixed = make_index(family, "fifo", k=64, l=4)
+    assert len(mixed._chunks) > 1
+    wide = rng.integers(0, mixed.hash_family.code_cardinality, size=(30, 4, 64))
+    np.testing.assert_array_equal(mixed._pack(wide.astype(np.uint8)), mixed._pack(wide))
+
+
+def test_simhash_row_blocks_do_not_change_codes(rng):
+    """Rows hashed in blocks, together or one at a time, get the same codes."""
+    index = make_index("simhash", "fifo", k=4, l=6)
+    family = index.hash_family
+    weights = rng.normal(size=(2 * family._BLOCK_ROWS + 37, 24)).astype(np.float32)
+    codes = family.hash_matrix(weights)
+    for row in range(0, weights.shape[0], 97):
+        np.testing.assert_array_equal(codes[row], family.hash_matrix(weights[row : row + 1])[0])
+        np.testing.assert_array_equal(codes[row], family.hash_vector(weights[row]))
+
+
+def test_restore_codes_checks_the_range_on_the_dtype_given():
+    """A one-byte code past the cardinality is refused before any narrowing
+    cast, and so is an int64 code that a uint8 cast would wrap into range."""
+    index = make_index("simhash", "fifo", k=2, l=2)
+    items = np.arange(2, dtype=np.int64)
+    good = np.zeros((2, 2, 2), dtype=np.uint8)
+    index.restore_codes(items, good)
+    assert index.num_items == 2 and index._codes.dtype == np.uint8
+    for bad in (good + 2, np.full((2, 2, 2), 256, dtype=np.int64)):
+        with pytest.raises(ValueError, match="out of range"):
+            index.restore_codes(items, bad)
 
 
 KEY_REGIMES = {

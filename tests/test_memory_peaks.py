@@ -1,0 +1,102 @@
+"""Peak-memory pins for the LSH build paths and the dense scorer.
+
+``tracemalloc`` sees numpy's buffers, so the peak it reports inside a call,
+less what the call leaves allocated, is the call's *transient*: the
+temporaries it held at its worst moment.  Every input is allocated before
+the measured window opens.
+
+* ``LSHIndex.build`` and a full ``update`` over 8,192 x 128 SimHash rows
+  (K=9, L=32) must hold less than one int64 ``(n, L, K)`` code tensor
+  (18.0 MiB) of temporaries: codes stay in their one-byte dtype and keys
+  are accumulated in place.
+* ``SlideNetwork.predict_dense_batch`` must hold no more than one output
+  array plus the densified input, with a little slack: the bias and the
+  activation are applied in place on the GEMM output.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.config import LayerConfig, LSHConfig, SlideNetworkConfig
+from repro.core.network import SlideNetwork
+from repro.lsh.index import LSHIndex
+from repro.types import SparseExample, SparseVector
+
+ROWS, DIM, K, L = 8192, 128, 9, 32
+INT64_CODE_TENSOR = ROWS * L * K * 8  # bytes: 18.0 MiB
+
+
+def transient_bytes(call) -> int:
+    """Peak traced bytes inside ``call()`` minus the bytes it left allocated."""
+    tracemalloc.start()
+    try:
+        call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - current
+
+
+@pytest.fixture(scope="module")
+def weights() -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(0)
+    first = rng.normal(size=(ROWS, DIM)).astype(np.float32)
+    second = first + rng.normal(scale=0.5, size=(ROWS, DIM)).astype(np.float32)
+    return first, second
+
+
+def _index() -> LSHIndex:
+    return LSHIndex(input_dim=DIM, config=LSHConfig(k=K, l=L, bucket_size=128), seed=1)
+
+
+def test_build_holds_less_than_one_int64_code_tensor(weights):
+    first, _ = weights
+    index = _index()
+    transient = transient_bytes(lambda: index.build(first))
+    assert index.num_items == ROWS
+    assert transient < INT64_CODE_TENSOR, f"build transient {transient / 2**20:.1f} MiB"
+
+
+def test_full_update_holds_less_than_one_int64_code_tensor(weights):
+    first, second = weights
+    index = _index()
+    index.build(first)
+    ids = np.arange(ROWS, dtype=np.int64)
+    moved_before = index.num_moved_entries
+    transient = transient_bytes(lambda: index.update(ids, second))
+    assert index.num_moved_entries > moved_before
+    assert transient < INT64_CODE_TENSOR, f"update transient {transient / 2**20:.1f} MiB"
+
+
+def test_predict_dense_batch_holds_one_output_array():
+    input_dim, labels, batch = 2048, 16384, 256
+    layers = (
+        LayerConfig(size=64, activation="relu"),
+        LayerConfig(size=labels, activation="softmax"),
+    )
+    network = SlideNetwork(SlideNetworkConfig(input_dim=input_dim, layers=layers, seed=0))
+    rng = np.random.default_rng(1)
+    examples = [
+        SparseExample(
+            features=SparseVector(
+                np.sort(rng.choice(input_dim, size=32, replace=False)),
+                rng.random(32).astype(np.float32),
+                input_dim,
+            ),
+            labels=np.array([0], dtype=np.int64),
+        )
+        for _ in range(batch)
+    ]
+    scores = []
+    transient = transient_bytes(lambda: scores.append(network.predict_dense_batch(examples)))
+    output = batch * labels * 4
+    densified = batch * input_dim * 4
+    slack = 1 << 20
+    assert scores[0].shape == (batch, labels)
+    assert transient <= output + densified + slack, (
+        f"predict_dense_batch transient {transient / 2**20:.1f} MiB"
+    )

@@ -188,6 +188,7 @@ def test_hot_swap_is_incremental_and_bitwise_equal_to_cold_load(
     assert not report.full_rebuild
     assert report.changed_rows > 0
     assert report.update_items > 0
+    assert report.evictions == 0  # the parity precondition, observed
     assert report.version == v2.name
     assert engine.generation == 2  # settled (even) after one swap
 
@@ -203,6 +204,30 @@ def test_hot_swap_is_incremental_and_bitwise_equal_to_cold_load(
         # identical float scores, not merely close ones.
         assert np.array_equal(swapped.scores, fresh.scores)
         assert swapped.mode == fresh.mode
+
+
+def test_hot_swap_reports_the_evictions_of_overflowing_buckets(tiny_dataset):
+    """Buckets too small for the labels overflow on the swap's re-hash, and
+    the report carries the index's eviction delta."""
+    lsh = LSHConfig(hash_family="simhash", k=2, l=4, bucket_size=4)
+    config = SlideNetworkConfig(
+        input_dim=tiny_dataset.config.feature_dim,
+        layers=(
+            LayerConfig(size=32, activation="relu", lsh=None),
+            LayerConfig(size=tiny_dataset.config.label_dim, activation="softmax", lsh=lsh),
+        ),
+        seed=3,
+    )
+    resident, incoming = SlideNetwork(config), SlideNetwork(config)
+    output = incoming.output_layer
+    output.weights[:] = np.random.default_rng(0).normal(size=output.weights.shape)
+    engine = SparseInferenceEngine(resident)
+    index = resident.output_layer.lsh_index
+    before = index.num_evictions
+    assert before > 0  # the build already overflowed
+    report = engine.hot_swap(incoming)
+    assert not report.full_rebuild
+    assert report.evictions == index.num_evictions - before > 0
 
 
 def test_hot_swap_rejects_shape_mismatch(trained_store, tiny_dataset):
