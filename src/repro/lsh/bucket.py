@@ -10,9 +10,9 @@ Two implementations live here:
   tables of an index share a single fixed-width ``int64`` slot matrix (one
   row per bucket, the paper's fixed bucket size as the row width) plus
   parallel ``sizes`` / ``seen`` / ``rejections`` / ``evictions`` counter
-  arrays, so
-  whole-batch insertions and removals are plain array ops instead of
-  per-item object mutations and a probe of every table is one gather.
+  arrays, so whole-batch insertions and removals are plain array ops
+  instead of per-item object mutations and a probe of every table is one
+  gather.
 * :class:`Bucket` — the original object-per-bucket container, kept as the
   one sequential reference for the insertion-policy semantics (the policy
   and index tests pin the batched kernels against it).
