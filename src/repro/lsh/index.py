@@ -15,10 +15,11 @@ handed out and stays the empty bucket, and one *directory* — a pair of
 parallel sorted arrays — maps a (table, fingerprint) key to a bucket row.  A
 key carries the table id in its high ``ceil(log2 L)`` bits and the table's
 packed ``K`` codes below them, so each table owns one contiguous run of the
-directory.  A table's ``K`` codes are packed by Horner's rule
-(``key = key * cardinality + code``, one code column at a time) into one
-int64 ``(n, L)`` array, so no int64 copy of the ``(n, L, K)`` codes is ever
-made.  When ``cardinality ** K * 2 ** ceil(log2 L)`` fits in ``2 ** 63``
+directory.  A table's ``K`` codes are packed by one radix product
+(``codes @ [cardinality ** (K-1), ..., cardinality, 1]``) into one int64
+``(n, L)`` array, taken over blocks of at most 1,024 rows, so no int64 copy
+of all ``(n, L, K)`` codes is ever made and a one-row probe packs in one
+call.  When ``cardinality ** K * 2 ** ceil(log2 L)`` fits in ``2 ** 63``
 the packing is exact (injective over code tuples, and ordered like them);
 wider combinations pack chunk by chunk and mix the chunks into one 64-bit
 word whose high bits fill the space below the table id, which may collide —
@@ -60,30 +61,41 @@ __all__ = ["LSHIndex", "QueryResult", "BatchQueryResult"]
 _MIX_CONSTANT = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _radix_chunks(k: int, cardinality: int, bits: int) -> list[range]:
+# Rows packed per radix product: bounds the int64 copy of the narrow codes
+# that the product makes to PACK_ROWS * L * K * 8 bytes.
+_PACK_ROWS = 1024
+
+
+def _radix_chunks(
+    k: int, cardinality: int, bits: int
+) -> list[tuple[slice, IntArray]]:
     """Split ``K`` code positions into chunks whose packing fits ``bits`` bits.
 
-    A single chunk means the whole tuple packs exactly (the common case).
-    Wider (cardinality, K) combinations pack chunk by chunk and mix the
-    chunk values into one 64-bit fingerprint.
+    Each chunk is its code columns and their int64 radix vector
+    ``[cardinality ** (width - 1), ..., cardinality, 1]``.  A single chunk
+    means the whole tuple packs exactly (the common case).  Wider
+    (cardinality, K) combinations pack chunk by chunk and mix the chunk
+    values into one 64-bit fingerprint.
     """
     digits_per_chunk = max(1, int(np.floor(bits / np.log2(cardinality))))
-    return [
-        range(start, min(start + digits_per_chunk, k))
-        for start in range(0, k, digits_per_chunk)
-    ]
+    chunks = []
+    for start in range(0, k, digits_per_chunk):
+        stop = min(start + digits_per_chunk, k)
+        powers = np.arange(stop - start - 1, -1, -1, dtype=np.int64)
+        chunks.append((slice(start, stop), np.int64(cardinality) ** powers))
+    return chunks
 
 
-def _horner(codes: IntArray, columns: range, cardinality: int) -> IntArray:
-    """Pack code ``columns`` of ``(..., L, K)`` codes into int64 ``(..., L)``.
+def _radix_pack(codes: IntArray, columns: slice, radix: IntArray) -> IntArray:
+    """Pack code ``columns`` of ``(n, L, K)`` codes into int64 ``(n, L)``.
 
-    ``key = key * cardinality + code`` one column at a time: the exact radix
-    value of the chunk, accumulated in place in one int64 array.
+    The exact radix value of the chunk, one ``codes @ radix`` product per
+    block of at most ``_PACK_ROWS`` rows (one call for a one-row probe).
     """
-    keys = codes[..., columns[0]].astype(np.int64)
-    for column in columns[1:]:
-        keys *= cardinality
-        keys += codes[..., column]
+    keys = np.empty(codes.shape[:2], dtype=np.int64)
+    for start in range(0, codes.shape[0], _PACK_ROWS):
+        rows = slice(start, start + _PACK_ROWS)
+        np.matmul(codes[rows, :, columns], radix, out=keys[rows])
     return keys
 
 
@@ -254,16 +266,15 @@ class LSHIndex:
         return self._codes[row].astype(np.int64)
 
     def _pack(self, codes: IntArray) -> IntArray:
-        """Directory keys ``(..., L)`` for ``(..., L, K)`` codes."""
-        cardinality = self.hash_family.code_cardinality
+        """Directory keys ``(n, L)`` for ``(n, L, K)`` codes."""
         first, *rest = self._chunks
-        keys = _horner(codes, first, cardinality)
+        keys = _radix_pack(codes, *first)
         if rest:
             # Chunk values are non-negative int64, so viewing them as uint64
             # keeps every bit.
             mixed = keys.view(np.uint64)
-            for columns in rest:
-                packed = _horner(codes, columns, cardinality).view(np.uint64)
+            for columns, radix in rest:
+                packed = _radix_pack(codes, columns, radix).view(np.uint64)
                 mixed ^= (
                     packed
                     + _MIX_CONSTANT
