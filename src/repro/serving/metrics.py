@@ -21,7 +21,10 @@ Beyond request, batch and error counts, two more families:
 * **Reload records** (``record_reload``): every hot swap logs its version,
   duration, and how many LSH entries actually moved — the evidence that the
   swap went through the incremental ``update(dirty)`` path rather than a
-  full rebuild.
+  full rebuild — and how many stored ids full buckets evicted, the one
+  field that says whether bitwise parity with a cold load still holds (it
+  does only at 0).  The snapshot carries the evictions summed over every
+  swap.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ class ServingMetrics:
         self._reloads = 0
         self._reload_failures = 0
         self._reload_failures_by_cause: dict[str, int] = {}
+        self._reload_evictions = 0
         self._reload_records: deque[dict[str, Any]] = deque(
             maxlen=_MAX_RELOAD_RECORDS
         )
@@ -90,10 +94,12 @@ class ServingMetrics:
         moved_entries: int,
         changed_rows: int,
         full_rebuild: bool,
+        evictions: int,
     ) -> None:
         """Log one completed hot swap (see :meth:`reload_records`)."""
         with self._lock:
             self._reloads += 1
+            self._reload_evictions += int(evictions)
             self._reload_records.append(
                 {
                     "version": version,
@@ -101,6 +107,7 @@ class ServingMetrics:
                     "moved_entries": int(moved_entries),
                     "changed_rows": int(changed_rows),
                     "full_rebuild": bool(full_rebuild),
+                    "evictions": int(evictions),
                 }
             )
 
@@ -173,6 +180,7 @@ class ServingMetrics:
             errors = self._errors
             reloads = self._reloads
             reload_failures = self._reload_failures
+            reload_evictions = self._reload_evictions
             failures_by_cause = dict(self._reload_failures_by_cause)
         return {
             "requests": float(self.requests),
@@ -193,6 +201,7 @@ class ServingMetrics:
             "shed_total": float(sum(sheds.values())),
             "reloads": float(reloads),
             "reload_failures": float(reload_failures),
+            "reload_evictions": float(reload_evictions),
             "reload_failures_by_cause": {
                 name: float(count) for name, count in failures_by_cause.items()
             },

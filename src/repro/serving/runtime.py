@@ -160,6 +160,7 @@ class CheckpointWatcher:
                 moved_entries=report.moved_entries,
                 changed_rows=report.changed_rows,
                 full_rebuild=report.full_rebuild,
+                evictions=report.evictions,
             )
         return report
 

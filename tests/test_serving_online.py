@@ -206,9 +206,9 @@ def test_hot_swap_is_incremental_and_bitwise_equal_to_cold_load(
         assert swapped.mode == fresh.mode
 
 
-def test_hot_swap_reports_the_evictions_of_overflowing_buckets(tiny_dataset):
-    """Buckets too small for the labels overflow on the swap's re-hash, and
-    the report carries the index's eviction delta."""
+def _overflowing_pair(tiny_dataset) -> tuple[SlideNetwork, SlideNetwork]:
+    """A resident network and a re-weighted incoming one whose output
+    buckets are too small for the labels, so a swap between them evicts."""
     lsh = LSHConfig(hash_family="simhash", k=2, l=4, bucket_size=4)
     config = SlideNetworkConfig(
         input_dim=tiny_dataset.config.feature_dim,
@@ -221,6 +221,13 @@ def test_hot_swap_reports_the_evictions_of_overflowing_buckets(tiny_dataset):
     resident, incoming = SlideNetwork(config), SlideNetwork(config)
     output = incoming.output_layer
     output.weights[:] = np.random.default_rng(0).normal(size=output.weights.shape)
+    return resident, incoming
+
+
+def test_hot_swap_reports_the_evictions_of_overflowing_buckets(tiny_dataset):
+    """Buckets too small for the labels overflow on the swap's re-hash, and
+    the report carries the index's eviction delta."""
+    resident, incoming = _overflowing_pair(tiny_dataset)
     engine = SparseInferenceEngine(resident)
     index = resident.output_layer.lsh_index
     before = index.num_evictions
@@ -270,6 +277,24 @@ def test_watcher_poll_once_swaps_and_records(trained_store):
     records = metrics.reload_records()
     assert records[-1]["version"] == v2.name
     assert records[-1]["full_rebuild"] is False
+    assert records[-1]["evictions"] == report.evictions == 0
+    assert metrics.snapshot()["reload_evictions"] == 0.0
+
+
+def test_watcher_records_the_evictions_of_a_swap(tmp_path, tiny_dataset):
+    """A swap over overflowing buckets: its eviction delta reaches the
+    reload record and the stats snapshot, not only the SwapReport."""
+    resident, incoming = _overflowing_pair(tiny_dataset)
+    store = CheckpointStore(tmp_path / "store")
+    v1 = store.save(resident)
+    store.save(incoming)
+    engine = SparseInferenceEngine(SlideNetwork.from_checkpoint(v1))
+    metrics = ServingMetrics()
+    watcher = CheckpointWatcher(store, engine, metrics=metrics, current_version=v1.name)
+    report = watcher.poll_once()
+    assert report is not None and report.evictions > 0
+    assert metrics.reload_records()[-1]["evictions"] == report.evictions
+    assert metrics.snapshot()["reload_evictions"] == float(report.evictions)
 
 
 def test_watcher_quarantines_persistently_bad_version(trained_store, tiny_dataset):
