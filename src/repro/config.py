@@ -354,7 +354,9 @@ class ServingConfig:
         Micro-batching knobs: a worker dispatches as soon as it has
         ``max_batch_size`` requests, or ``max_wait_ms`` milliseconds after
         it picked up the batch's first request (time that request spent
-        queued before the pick-up does not count).
+        queued before the pick-up does not count).  ``max_wait_ms`` is the
+        longest a batch is held open, and it is held only when requests
+        are queued behind its first: a lone request is dispatched at once.
     num_workers:
         Size of the engine worker pool, fixed for the runtime's lifetime.
     queue_capacity:

@@ -12,7 +12,8 @@ trainer→server hand-off):
   :class:`DenseInferenceEngine`, both hot-swappable in place
   (:meth:`InferenceEngine.hot_swap`, incremental LSH patch);
 * :mod:`~repro.serving.batching` — a dynamic micro-batching queue
-  (``max_batch_size`` / ``max_wait_ms``) that sheds when full;
+  (``max_batch_size`` / ``max_wait_ms``) that holds a batch open only while
+  requests are queued behind its first, and sheds when full;
 * :mod:`~repro.serving.errors` — the typed overload errors
   (:class:`RejectedError` → 429, :class:`DeadlineExceededError` → 504);
 * :mod:`~repro.serving.pool` — :class:`EnginePool`, the one fixed-size

@@ -8,8 +8,13 @@ two-knob policy used by production model servers:
 * dispatch as soon as a worker has gathered ``max_batch_size`` requests, or
 * dispatch whatever it has gathered ``max_wait_ms`` milliseconds after it
   picked up the batch's first request — counted from the pick-up, not from
-  when that request was queued, so an idle server adds the full
-  ``max_wait_ms`` to a lone request's latency.
+  when that request was queued.
+
+The hold happens only when requests are already queued behind the first:
+a worker that finds the queue empty after the pick-up dispatches the lone
+request at once instead of waiting for company that is not there.  Under
+load the queue is never empty at a pick-up, so batches form as above; an
+idle server adds no batching delay to a request.
 
 Workers call :meth:`MicroBatchQueue.next_batch` directly — each worker
 assembles its own micro-batch, so there is no central dispatcher thread to
@@ -150,15 +155,19 @@ class MicroBatchQueue:
         """Block for the next micro-batch.
 
         Waits up to ``timeout`` seconds for a first request (returning an
-        empty list on timeout so callers can check for shutdown), then keeps
-        gathering until the batch is full or ``max_wait_ms`` has elapsed
-        since the *first* request of the batch was picked up.
+        empty list on timeout so callers can check for shutdown).  A first
+        request with nothing queued behind it is dispatched alone at once;
+        otherwise the worker keeps gathering until the batch is full or
+        ``max_wait_ms`` has elapsed since the *first* request of the batch
+        was picked up.
         """
         try:
             first = self._queue.get(timeout=timeout)
         except queue.Empty:
             return []
         batch = [first]
+        if self._queue.empty():
+            return batch
         deadline = time.monotonic() + self.max_wait_s
         while len(batch) < self.max_batch_size:
             remaining = deadline - time.monotonic()

@@ -2,13 +2,15 @@
 
 :class:`EnginePool` is the one worker pool every runtime serves through:
 ``N`` threads that each loop — pull a micro-batch from the shared
-:class:`~repro.serving.batching.MicroBatchQueue`, run it through the
-(shared, read-only) inference engine, resolve the per-request futures, and
-record latency/throughput metrics.  NumPy releases the GIL inside the
-matrix kernels that dominate inference, so workers genuinely overlap.  The
-pool has a fixed size: :meth:`EnginePool.start` spawns ``num_workers``
-threads and :meth:`EnginePool.stop` joins them.  A worker loop that raises
-does not die silently: :meth:`EnginePool.stop` re-raises the first crash.
+:class:`~repro.serving.batching.MicroBatchQueue` (a lone request at once,
+a batch held open up to ``max_wait_ms`` when others are queued behind
+it), run it through the (shared, read-only) inference engine, resolve the
+per-request futures, and record latency/throughput metrics.  NumPy
+releases the GIL inside the matrix kernels that dominate inference, so
+workers genuinely overlap.  The pool has a fixed size:
+:meth:`EnginePool.start` spawns ``num_workers`` threads and
+:meth:`EnginePool.stop` joins them.  A worker loop that raises does not die
+silently: :meth:`EnginePool.stop` re-raises the first crash.
 
 :class:`ServingRuntime` is the facade the HTTP front-end, the examples and
 the tests use: it wires queue + pool + metrics together from a

@@ -48,13 +48,40 @@ def test_queue_batches_up_to_max_size(tiny_dataset):
 def test_queue_dispatches_partial_batch_after_deadline(tiny_dataset):
     queue = MicroBatchQueue(max_batch_size=64, max_wait_ms=10.0)
     queue.submit(tiny_dataset.test[0])
+    queue.submit(tiny_dataset.test[1])
     started = time.monotonic()
     batch = queue.next_batch(timeout=1.0)
     waited = time.monotonic() - started
+    assert len(batch) == 2
+    # A request queued behind the first opens the max_wait window, but the
+    # worker does not block unboundedly for a full batch.
+    assert queue.max_wait_s <= waited < 1.0
+
+
+def test_queue_dispatches_a_lone_request_at_once(tiny_dataset):
+    """Nothing queued behind the first request: no hold, whatever the window."""
+    queue = MicroBatchQueue(max_batch_size=64, max_wait_ms=500.0)
+    queue.submit(tiny_dataset.test[0])
+    started = time.monotonic()
+    batch = queue.next_batch(timeout=1.0)
     assert len(batch) == 1
-    # Must have given later arrivals the max_wait window, but not blocked
-    # unboundedly for a full batch.
-    assert waited < 1.0
+    assert time.monotonic() - started < 0.1
+
+
+def test_queue_holds_the_batch_open_when_requests_are_queued(tiny_dataset):
+    """Requests queued behind the first: the window stays open, and a third
+    request arriving inside it joins the batch."""
+    queue = MicroBatchQueue(max_batch_size=3, max_wait_ms=500.0)
+    queue.submit(tiny_dataset.test[0])
+    queue.submit(tiny_dataset.test[1])
+    late = threading.Timer(0.02, queue.submit, args=(tiny_dataset.test[2],))
+    late.start()
+    try:
+        batch = queue.next_batch(timeout=1.0)
+    finally:
+        late.join(timeout=5.0)
+    assert not late.is_alive()
+    assert len(batch) == 3
 
 
 def test_queue_rejects_submissions_after_close(tiny_dataset):
@@ -395,6 +422,18 @@ def test_runtime_submit_before_start_fails_fast(served_checkpoint, tiny_dataset)
     runtime = ServingRuntime.from_network(network, ServingConfig(num_workers=1))
     with pytest.raises(RuntimeError, match="not started"):
         runtime.submit(tiny_dataset.test[0])
+
+
+def test_runtime_answers_a_lone_request_without_the_batching_hold(
+    served_checkpoint, tiny_dataset
+):
+    network = SlideNetwork.from_checkpoint(served_checkpoint)
+    config = ServingConfig(num_workers=1, max_batch_size=64, max_wait_ms=500.0)
+    with ServingRuntime.from_network(network, config) as runtime:
+        runtime.predict(tiny_dataset.test[0])  # warm-up: lazy set-up off the clock
+        started = time.monotonic()
+        runtime.predict(tiny_dataset.test[1])
+        assert time.monotonic() - started < 0.1
 
 
 def test_runtime_stop_without_drain_cancels_pending(served_checkpoint, tiny_dataset):
