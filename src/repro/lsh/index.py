@@ -62,7 +62,7 @@ _MIX_CONSTANT = np.uint64(0x9E3779B97F4A7C15)
 
 
 # Rows packed per radix product: bounds the int64 copy of the narrow codes
-# that the product makes to PACK_ROWS * L * K * 8 bytes.
+# that the product makes to _PACK_ROWS * L * K * 8 bytes.
 _PACK_ROWS = 1024
 
 

@@ -12,9 +12,9 @@ two-knob policy used by production model servers:
 
 The hold happens only when requests are already queued behind the first:
 a worker that finds the queue empty after the pick-up dispatches the lone
-request at once instead of waiting for company that is not there.  Under
-load the queue is never empty at a pick-up, so batches form as above; an
-idle server adds no batching delay to a request.
+request at once instead of waiting for company that is not there.  With a
+backlog the queue is not empty at a pick-up, so batches under load form as
+above; an idle server adds no batching delay to a request.
 
 Workers call :meth:`MicroBatchQueue.next_batch` directly — each worker
 assembles its own micro-batch, so there is no central dispatcher thread to
