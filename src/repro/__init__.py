@@ -23,11 +23,12 @@ Public API overview
 * :mod:`repro.data` — the streaming pipeline for real XC datasets: one-time
   ingest into memory-mapped CSR shards (``python -m repro.data``), the
   bounded-memory ``ShardedDataset`` and the background ``BatchPrefetcher``.
-* :mod:`repro.parallel` — update-conflict analysis and real multi-process
-  HOGWILD training over shared-memory parameters (``SharedParamStore`` /
-  ``ProcessHogwildTrainer``).
+* :mod:`repro.parallel` — real multi-process HOGWILD training over
+  shared-memory parameters (``SharedParamStore`` /
+  ``ProcessHogwildTrainer``), conflicts measured from a shared writer mask.
 * :mod:`repro.perf` — real wall-clock primitives: the per-phase training
-  timer and the latency histogram / throughput meter of the serving path.
+  timer and the serving path's latency record (exact moments, percentiles
+  from a raw-sample reservoir).
 * :mod:`repro.harness` — machinery the benches share: head-to-head training
   runs, report rendering, measured process scaling and the serving
   accuracy-vs-latency sweep.

@@ -6,14 +6,12 @@ in a shared-memory :mod:`~repro.parallel.store` lock-free, each with a
 private LSH index, scheduled by a process-free
 :mod:`~repro.parallel.supervisor`.  This is the execution model behind the
 paper's Figure 9 / Table 2 claims, measured by
-``benchmarks/bench_fig9_scalability.py``.
-
-:mod:`repro.parallel.conflicts` quantifies update overlap between concurrent
-sparse updates.  (The serving path's worker threads live in
-:class:`repro.serving.pool.EnginePool`.)
+``benchmarks/bench_fig9_scalability.py``.  Update conflicts between
+workers are measured, not modelled: a shared per-neuron writer bitmask
+feeds :class:`ProcessConflictStats`.  (The serving path's worker threads
+live in :class:`repro.serving.pool.EnginePool`.)
 """
 
-from repro.parallel.conflicts import ConflictReport, analyze_update_conflicts
 from repro.parallel.store import SharedParamStore
 from repro.parallel.trainer import (
     ProcessConflictStats,
@@ -23,8 +21,6 @@ from repro.parallel.trainer import (
 )
 
 __all__ = [
-    "ConflictReport",
-    "analyze_update_conflicts",
     "SharedParamStore",
     "ProcessHogwildTrainer",
     "ProcessTrainingReport",

@@ -18,8 +18,10 @@ trainer→server hand-off):
   (:class:`RejectedError` → 429, :class:`DeadlineExceededError` → 504);
 * :mod:`~repro.serving.pool` — :class:`EnginePool`, the one fixed-size
   worker pool (a crashed worker is re-raised at ``stop``), and the
-  :class:`ServingRuntime` facade, recording p50/p95/p99 latency and
-  throughput via :mod:`repro.perf.latency`;
+  :class:`ServingRuntime` facade; :mod:`~repro.serving.metrics` records
+  each answer once, its latency into a :mod:`repro.perf.latency` reservoir
+  (p50/p95/p99) and its completion into the window throughput is
+  measured over;
 * :mod:`~repro.serving.runtime` — the online train-to-serve loop:
   :class:`CheckpointWatcher` (zero-downtime hot reload), wired into a
   runtime by :class:`OnlineRuntime`;

@@ -58,6 +58,11 @@ __all__ = [
     "SparseInferenceEngine",
 ]
 
+# A sparse request falls back to the dense scorer when the tables return
+# fewer than this many candidates per requested answer, so sparsity never
+# starves the top-k.
+_MIN_CANDIDATE_FACTOR = 2
+
 
 @dataclass(frozen=True)
 class Prediction:
@@ -286,27 +291,22 @@ class SparseInferenceEngine(InferenceEngine):
         (``None`` scores every neuron the hash tables return).  Smaller
         budgets are faster and less accurate — this is the serving-side
         analogue of the paper's ``beta``.  The effective budget is floored
-        at the dense-fallback threshold (``min_candidate_factor * k``): a
+        at the dense-fallback threshold (``_MIN_CANDIDATE_FACTOR * k``): a
         degraded budget below it would route every request to the *full*
         dense scorer, making the cheap quality level the most expensive.
-    min_candidate_factor:
-        A request falls back to the dense scorer when the tables return
-        fewer than ``min_candidate_factor * k`` candidates, so sparsity
-        never starves the top-k answer.
-    refresh_index:
-        Training leaves neurons whose weights changed after the last
-        scheduled re-hash "dirty" — their table entries are stale, which
-        directly costs serving accuracy.  By default the engine re-hashes
-        any pending dirty neurons once at construction so it serves from
-        fresh tables; pass ``False`` to snapshot the index as-is.
-    rerank:
-        With the default ``True``, surviving candidates are scored exactly
-        against the weight matrix (step 3 of the module docstring).  With
-        ``False`` the exact rerank is skipped entirely and the top-k is
-        taken over raw collision counts — cheaper and less accurate, the
-        deepest pre-shed step of the router's degradation ladder.  Both
-        ``active_budget`` and ``rerank`` are plain attributes so the
-        degradation controller can retune a live engine between batches.
+
+    Training leaves neurons whose weights changed after the last scheduled
+    re-hash "dirty": their table entries are stale, which directly costs
+    serving accuracy, so the engine re-hashes any pending dirty neurons once
+    at construction and serves from fresh tables.
+
+    ``rerank`` starts ``True``: surviving candidates are scored exactly
+    against the weight matrix (step 3 of the module docstring).  With
+    ``False`` the exact rerank is skipped entirely and the top-k is taken
+    over raw collision counts — cheaper and less accurate, the deepest
+    pre-shed step of the router's degradation ladder.  Both
+    ``active_budget`` and ``rerank`` are plain attributes so the degradation
+    controller can retune a live engine between batches.
     """
 
     name = "sparse"
@@ -315,9 +315,6 @@ class SparseInferenceEngine(InferenceEngine):
         self,
         network: SlideNetwork,
         active_budget: int | None = None,
-        min_candidate_factor: int = 2,
-        refresh_index: bool = True,
-        rerank: bool = True,
     ) -> None:
         super().__init__(network)
         if network.output_layer.lsh_index is None:
@@ -327,13 +324,10 @@ class SparseInferenceEngine(InferenceEngine):
             )
         if active_budget is not None and active_budget <= 0:
             raise ValueError("active_budget must be positive when provided")
-        if min_candidate_factor <= 0:
-            raise ValueError("min_candidate_factor must be positive")
-        if refresh_index and network.output_layer.dirty_neuron_count:
+        if network.output_layer.dirty_neuron_count:
             network.output_layer.rebuild()
         self.active_budget = active_budget
-        self.min_candidate_factor = int(min_candidate_factor)
-        self.rerank = bool(rerank)
+        self.rerank = True
         # Fallback / work counters (diagnostics surfaced by the stats API);
         # locked because pool workers call predict_batch concurrently.
         self._counter_lock = sanitize.lock("engine.counters")
@@ -390,7 +384,7 @@ class SparseInferenceEngine(InferenceEngine):
         # hash sweep and one bucket gather for the whole batch; no
         # per-request query objects are materialised.
         flat = output_layer.lsh_index.query_batch_flat(features)
-        min_candidates = max(k, self.min_candidate_factor * k)
+        min_candidates = _MIN_CANDIDATE_FACTOR * k
         predictions: list[Prediction] = []
         dense_rows: list[int] = []
         rerank = self.rerank

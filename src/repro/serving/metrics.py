@@ -1,17 +1,20 @@
 """Serving-side metrics: request latency quantiles, batch sizes, throughput.
 
-Thin aggregation over the :mod:`repro.perf.latency` primitives.  One
-:class:`ServingMetrics` instance is shared by every worker of an
+One :class:`ServingMetrics` instance is shared by every worker of an
 :class:`~repro.serving.pool.EnginePool`; all recording paths are
 thread-safe.
 
 Latency is measured queue-to-completion: the clock starts when a request
 enters the micro-batch queue and stops when its future is resolved, so the
 reported p50/p95/p99 include queueing and batching delay — what a client
-actually experiences — not just engine compute.  Each served request is
-recorded once, into one reservoir-backed
-:class:`~repro.perf.latency.LatencyHistogram`, so tail percentiles are exact
-across workers rather than limited to bucket resolution.
+actually experiences — not just engine compute.  Each served answer is
+recorded once, into one :class:`~repro.perf.latency.LatencyHistogram`
+(exact count and moments, percentiles from a bounded raw-sample
+reservoir), and its completion time is stamped into a window of the last
+``_RATE_WINDOW`` answers.  That window is the one throughput figure: the
+stats endpoint's ``throughput_rps`` and the drain rate behind a shed
+request's Retry-After both read it, so an idle spell before a burst does
+not dilute the rate the burst is served at.
 
 Beyond request, batch and error counts, two more families:
 
@@ -30,16 +33,20 @@ Beyond request, batch and error counts, two more families:
 from __future__ import annotations
 
 import threading
+import time
 from collections import deque
 from typing import Any
 
-from repro.perf.latency import LatencyHistogram, ThroughputMeter
+from repro.perf.latency import LatencyHistogram
 
 __all__ = ["ServingMetrics", "RouterMetrics"]
 
 # Raw samples retained per histogram.  4096 keeps p999 exact for the bench's
 # per-step request counts while bounding memory to a few tens of KiB.
 _GLOBAL_RESERVOIR = 4096
+# Completions the throughput rate is measured over: enough to average out
+# batch-sized bursts, few enough that the rate follows the current load.
+_RATE_WINDOW = 256
 _MAX_RELOAD_RECORDS = 64
 _MAX_TRANSITIONS = 512
 
@@ -49,8 +56,10 @@ class ServingMetrics:
 
     def __init__(self) -> None:
         self.request_latency = LatencyHistogram(reservoir_size=_GLOBAL_RESERVOIR)
-        self.throughput = ThroughputMeter()
         self._lock = threading.Lock()
+        # Monotonic completion stamps of the last _RATE_WINDOW answers,
+        # preceded by the start stamp until that is pushed out.
+        self._stamps: deque[float] = deque(maxlen=_RATE_WINDOW + 1)
         self._batches = 0
         self._batched_requests = 0
         self._errors = 0
@@ -67,6 +76,12 @@ class ServingMetrics:
     # ------------------------------------------------------------------
     # Recording (worker threads)
     # ------------------------------------------------------------------
+    def start(self) -> None:
+        """Stamp the start of serving (the pool calls this as it starts)."""
+        with self._lock:
+            self._stamps.clear()
+            self._stamps.append(time.monotonic())
+
     def record_batch(self, batch_size: int) -> None:
         with self._lock:
             self._batches += 1
@@ -74,8 +89,8 @@ class ServingMetrics:
 
     def record_request(self, latency_seconds: float, mode: str) -> None:
         self.request_latency.record(latency_seconds)
-        self.throughput.mark()
         with self._lock:
+            self._stamps.append(time.monotonic())
             self._mode_counts[mode] = self._mode_counts.get(mode, 0) + 1
 
     def record_error(self) -> None:
@@ -164,6 +179,19 @@ class ServingMetrics:
                 1 for record in self._reload_records if not record["full_rebuild"]
             )
 
+    def requests_per_second(self) -> float:
+        """Answers per second over the last ``_RATE_WINDOW`` answers, or
+        since :meth:`start` while fewer have been served.
+
+        Lock-free: the queue calls it under its own submit lock to size a
+        shed request's Retry-After, so it reads the stamps once as a copy.
+        """
+        stamps = tuple(self._stamps)
+        if len(stamps) < 2:
+            return 0.0
+        elapsed = time.monotonic() - stamps[0]
+        return (len(stamps) - 1) / elapsed if elapsed > 0.0 else 0.0
+
     def mean_batch_size(self) -> float:
         with self._lock:
             if self._batches == 0:
@@ -187,7 +215,7 @@ class ServingMetrics:
             "errors": float(errors),
             "batches": float(batches),
             "mean_batch_size": self.mean_batch_size(),
-            "throughput_rps": self.throughput.requests_per_second(),
+            "throughput_rps": self.requests_per_second(),
             "latency": latency,
             "latency_ms": {
                 "p50": latency["p50_s"] * 1e3,

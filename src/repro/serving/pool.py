@@ -101,7 +101,7 @@ class EnginePool:
             # repro: allow[exc] lifecycle misuse, never reaches a client
             raise RuntimeError("pool already started")
         self._started = True
-        self.metrics.throughput.start()
+        self.metrics.start()
         for index in range(self.num_workers):
             thread = threading.Thread(
                 target=self._serve_loop, name=f"serving-engine-{index}", daemon=True
@@ -232,7 +232,7 @@ class ServingRuntime:
             max_wait_ms=self.config.max_wait_ms,
             capacity=self.config.queue_capacity,
             # Retry-after for shed requests = backlog / measured drain rate.
-            drain_rate=self.metrics.throughput.requests_per_second,
+            drain_rate=self.metrics.requests_per_second,
         )
         self.pool = EnginePool(
             self.engine,

@@ -131,7 +131,8 @@ def test_a_training_step_stays_float32(
 @pytest.mark.parametrize("rerank", [True, False])
 def test_predictions_are_float32(tiny_dataset, tiny_network_config, rerank):
     network = SlideNetwork(tiny_network_config)
-    engine = SparseInferenceEngine(network, active_budget=16, rerank=rerank)
+    engine = SparseInferenceEngine(network, active_budget=16)
+    engine.rerank = rerank
     predictions = engine.predict_batch(tiny_dataset.test[:6], k=3)
     # An empty index starves every request into the dense fallback.
     network.output_layer.lsh_index.clear()

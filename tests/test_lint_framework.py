@@ -61,7 +61,7 @@ class TestPragmas:
                     pass
             """
         )
-        assert not run_rules([ExceptionDisciplineRule()], [source], root=REPO_ROOT)
+        assert not run_rules([ExceptionDisciplineRule()], [source])
 
     def test_pragma_two_lines_away_does_not_suppress(self):
         source = module(
@@ -74,7 +74,7 @@ class TestPragmas:
                     pass
             """
         )
-        assert run_rules([ExceptionDisciplineRule()], [source], root=REPO_ROOT)
+        assert run_rules([ExceptionDisciplineRule()], [source])
 
     def test_wrong_tag_does_not_suppress(self):
         source = module(
@@ -86,7 +86,7 @@ class TestPragmas:
                     pass
             """
         )
-        assert run_rules([ExceptionDisciplineRule()], [source], root=REPO_ROOT)
+        assert run_rules([ExceptionDisciplineRule()], [source])
 
     def test_rule_code_works_as_tag(self):
         source = module(
@@ -98,7 +98,7 @@ class TestPragmas:
                     pass
             """
         )
-        assert not run_rules([ExceptionDisciplineRule()], [source], root=REPO_ROOT)
+        assert not run_rules([ExceptionDisciplineRule()], [source])
 
     def test_multi_tag_pragma(self):
         source = module(
@@ -110,7 +110,7 @@ class TestPragmas:
                     pass
             """
         )
-        assert not run_rules([ExceptionDisciplineRule()], [source], root=REPO_ROOT)
+        assert not run_rules([ExceptionDisciplineRule()], [source])
 
 
 # ----------------------------------------------------------------------
@@ -161,7 +161,7 @@ class TestCli:
         out = capsys.readouterr().out
         for code in ("LCK001", "DET001", "MPX001", "EXC001", "THR001"):
             assert code in out
-        assert "DOC001" in out and "--all" in out
+        assert "DOC001" not in out
 
     def test_syntax_error_is_reported_not_raised(self, repo_fixture_file, capsys):
         path = repo_fixture_file("def broken(:\n")

@@ -147,5 +147,5 @@ def test_engine_rejects_bad_k(trained, tiny_dataset):
 def test_refresh_index_rehashes_dirty_neurons(trained):
     layer = trained.output_layer
     layer.mark_dirty(np.arange(4))
-    SparseInferenceEngine(trained, refresh_index=True)
+    SparseInferenceEngine(trained)
     assert layer.dirty_neuron_count == 0

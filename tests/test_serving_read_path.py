@@ -206,7 +206,7 @@ NETWORKS = {
 SETTINGS = [
     (None, True, "built"),
     (16, True, "built"),
-    (3, True, "built"),  # below the min_candidate_factor * k floor
+    (3, True, "built"),  # below the _MIN_CANDIDATE_FACTOR * k floor
     (16, False, "built"),
     (16, True, "cleared"),  # empty index: every row starves into dense_fallback
     (16, True, "rebuilt"),  # clear() + build: released rows reused
@@ -222,6 +222,8 @@ def test_no_batch_makes_predict_batch_raise(name):
     modes = set()
     for setting, (budget, rerank, state) in enumerate(SETTINGS):
         network = small_network(setting, hidden, tables)
+        engine = SparseInferenceEngine(network, active_budget=budget)
+        engine.rerank = rerank
         index = network.output_layer.lsh_index
         if state != "built":
             index.clear()
@@ -229,9 +231,6 @@ def test_no_batch_makes_predict_batch_raise(name):
             index.build(network.output_layer.weights)
         if state == "sparse":
             index.build(network.output_layer.weights[:4])
-        engine = SparseInferenceEngine(
-            network, active_budget=budget, rerank=rerank, refresh_index=False
-        )
         for _ in range(8):
             examples = random_examples(rng, 48, int(rng.integers(1, 12)))
             k = int(rng.integers(1, 6))

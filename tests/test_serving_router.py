@@ -526,6 +526,39 @@ def test_open_loop_attributes_replicas_and_causes(store, tiny_dataset):
         assert "failure_causes" in data and "replicas" in data
 
 
+def test_open_loop_report_keys_are_pinned(store, tiny_dataset):
+    """The fields a serving bench artifact stores from one open-loop run."""
+    from repro.serving import run_open_loop
+
+    with _router(store) as router:
+        report = run_open_loop(
+            router, list(tiny_dataset.test[:8]), qps=40.0, duration_s=0.25, k=1
+        )
+    data = report.to_dict()
+    assert set(data) == {
+        "offered_qps", "achieved_qps", "duration_s", "sent", "completed",
+        "errors", "sheds", "shed_rate", "failure_causes", "generations",
+        "replicas", "degradations", "latency_ms", "max_schedule_lag_s",
+    }
+    assert set(data["latency_ms"]) == {"p50", "p99", "p999", "mean", "max"}
+    assert report.latency["count"] == float(report.completed) > 0
+    assert 0.0 < data["latency_ms"]["p50"] <= data["latency_ms"]["max"]
+
+
+def test_router_metrics_snapshot_keys_are_pinned():
+    from repro.serving.metrics import RouterMetrics
+
+    metrics = RouterMetrics()
+    metrics.record_attempt("r0")
+    metrics.record_outcome("ok", latency_s=0.004)
+    snapshot = metrics.snapshot()
+    assert set(snapshot) == {
+        "requests", "outcomes", "retries", "failovers", "attempts",
+        "attempt_failures", "latency_ms",
+    }
+    assert snapshot["latency_ms"] == {"p50": 4.0, "p99": 4.0, "mean": 4.0}
+
+
 def test_classify_failure_taxonomy():
     from concurrent.futures import CancelledError as FutureCancelled
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from repro.serving import (
     ServingRuntime,
     SparseInferenceEngine,
 )
+from repro.serving import metrics as serving_metrics
 from repro.state import save_checkpoint
 
 
@@ -109,6 +111,82 @@ def test_full_queue_sheds_at_once_with_typed_error(tiny_dataset):
         queue.submit(tiny_dataset.test[1])
     assert excinfo.value.pending == 1
     assert queue.pending() == 1
+
+
+@pytest.fixture
+def clock(monkeypatch) -> list[float]:
+    """A hand-driven monotonic clock for :mod:`repro.serving.metrics`."""
+    now = [1_000.0]
+    monkeypatch.setattr(
+        serving_metrics, "time", types.SimpleNamespace(monotonic=lambda: now[0])
+    )
+    return now
+
+
+def _answer(metrics: ServingMetrics, clock: list[float], count: int, gap: float):
+    for _ in range(count):
+        clock[0] += gap
+        metrics.record_request(gap, "sparse")
+
+
+def test_throughput_is_zero_until_the_first_answer(clock):
+    metrics = ServingMetrics()
+    assert metrics.requests_per_second() == 0.0
+    metrics.start()
+    clock[0] += 5.0
+    assert metrics.requests_per_second() == 0.0
+    assert metrics.snapshot()["throughput_rps"] == 0.0
+
+
+def test_throughput_counts_from_start_while_the_window_fills(clock):
+    metrics = ServingMetrics()
+    metrics.start()
+    _answer(metrics, clock, 10, 0.1)
+    assert metrics.requests_per_second() == pytest.approx(10.0)
+    clock[0] += 1.0
+    assert metrics.requests_per_second() == pytest.approx(5.0)
+
+
+def test_throughput_window_forgets_answers_before_the_latest(clock):
+    metrics = ServingMetrics()
+    metrics.start()
+    window = serving_metrics._RATE_WINDOW
+    _answer(metrics, clock, 300, 1.0)  # five slow minutes, then a burst
+    _answer(metrics, clock, window, 0.001)
+    assert metrics.requests_per_second() == pytest.approx(1_000.0)
+    assert metrics.requests == 300 + window
+
+
+def test_throughput_decays_while_the_server_idles(clock):
+    metrics = ServingMetrics()
+    metrics.start()
+    window = serving_metrics._RATE_WINDOW
+    _answer(metrics, clock, window, 0.001)
+    clock[0] += 10.0
+    expected = window / (10.0 + window * 0.001)
+    assert metrics.requests_per_second() == pytest.approx(expected)
+
+
+def test_retry_after_follows_the_recent_drain_rate(tiny_dataset, clock):
+    """An idle hour before a burst does not stretch the Retry-After a shed
+    client is handed: the drain rate is taken over the latest answers, not
+    averaged over the time since the pool started."""
+    metrics = ServingMetrics()
+    metrics.start()
+    clock[0] += 3_600.0
+    _answer(metrics, clock, 2_000, 0.0005)
+    assert metrics.requests_per_second() == pytest.approx(2_000.0, rel=0.10)
+    assert metrics.snapshot()["throughput_rps"] == metrics.requests_per_second()
+
+    queue = MicroBatchQueue(capacity=64, drain_rate=metrics.requests_per_second)
+    for i in range(64):
+        queue.submit(tiny_dataset.test[i % len(tiny_dataset.test)])
+    with pytest.raises(RejectedError) as excinfo:
+        queue.submit(tiny_dataset.test[0])
+    assert excinfo.value.pending == 64
+    # 64 queued at 2,000 answers/s drain in 0.032 s; the lifetime average
+    # (0.56/s) would have said 5 s, the cap.
+    assert excinfo.value.retry_after_s < 0.1
 
 
 # ----------------------------------------------------------------------
@@ -335,6 +413,27 @@ def test_end_to_end_checkpoint_microbatch_multiworker(served_checkpoint, tiny_da
     assert stats["batches"] >= num_requests / config.max_batch_size
     assert stats["mean_batch_size"] > 1.0  # micro-batching actually batched
     assert stats["modes"].get("sparse", 0) > 0
+
+
+def test_runtime_stats_key_set_is_pinned(served_checkpoint, tiny_dataset):
+    """Every /v1/stats field a client may read, nested ones included."""
+    network = SlideNetwork.from_checkpoint(served_checkpoint)
+    config = ServingConfig(engine="sparse", num_workers=1)
+    with ServingRuntime.from_network(network, config) as runtime:
+        runtime.predict_many(tiny_dataset.test[:8], timeout=60.0)
+        stats = runtime.stats()
+    assert set(stats) == {
+        "active_budget", "alive_workers", "batches", "engine", "errors",
+        "fallback_rate", "generation", "latency", "latency_ms",
+        "mean_batch_size", "modes", "num_workers", "queue_pending",
+        "reload_evictions", "reload_failures", "reload_failures_by_cause",
+        "reloads", "requests", "shed_total", "sheds", "throughput_rps",
+    }
+    assert set(stats["latency"]) == {
+        "count", "max_s", "mean_s", "min_s", "p50_s", "p95_s", "p99_s", "p999_s"
+    }
+    assert set(stats["latency_ms"]) == {"mean", "p50", "p95", "p99", "p999"}
+    assert stats["latency"]["count"] == stats["requests"] == 8.0
 
 
 def test_runtime_serves_concurrent_submitters(served_checkpoint, tiny_dataset):

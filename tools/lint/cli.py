@@ -9,7 +9,6 @@ Usage::
 
     python -m tools.lint                      # code rules over src/repro
     python -m tools.lint src tools            # explicit paths
-    python -m tools.lint --all                # + docs contracts (DOC001)
     python -m tools.lint --select LCK001,DET001
     python -m tools.lint --json
     python -m tools.lint --list-rules
@@ -25,10 +24,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 
 from tools.lint.core import REPO_ROOT, collect_sources, run_rules
-from tools.lint.rules import ALL_RULES, default_rules, select_rules
+from tools.lint.rules import ALL_RULES, select_rules
 
 DEFAULT_PATHS = ("src/repro",)
 
@@ -45,14 +43,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument(
-        "--all",
-        action="store_true",
-        help="also run non-default checkers (DOC001 docs contracts)",
-    )
-    parser.add_argument(
         "--select",
         metavar="CODES",
-        help="comma-separated rule codes to run (overrides the default set)",
+        help="comma-separated rule codes to run (default: every rule)",
     )
     parser.add_argument("--list-rules", action="store_true", help="print the catalogue")
     return parser
@@ -62,15 +55,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 
-    # Project rules (DOC001 doctests) import the package.
-    src = REPO_ROOT / "src"
-    if str(src) not in sys.path:
-        sys.path.insert(0, str(src))
-
     if args.list_rules:
         for rule in ALL_RULES:
-            marker = " " if rule.default_enabled else " (--all)"
-            print(f"{rule.code}{marker}  {rule.name}: {rule.description}")
+            print(f"{rule.code}  {rule.name}: {rule.description}")
         return 0
 
     if args.select:
@@ -78,13 +65,11 @@ def main(argv: list[str] | None = None) -> int:
             rules = select_rules(args.select.split(","))
         except ValueError as exc:
             parser.error(str(exc))  # exits 2
-    elif args.all:
-        rules = list(ALL_RULES)
     else:
-        rules = default_rules()
+        rules = list(ALL_RULES)
 
     sources, parse_errors = collect_sources(args.paths, root=REPO_ROOT)
-    violations = parse_errors + run_rules(rules, sources, root=REPO_ROOT)
+    violations = parse_errors + run_rules(rules, sources)
 
     if args.json:
         report = {

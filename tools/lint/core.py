@@ -2,9 +2,8 @@
 
 The framework is deliberately small: a :class:`ModuleSource` wraps one
 parsed Python file (source text, AST, and ``# repro: allow[...]`` pragma
-map); a :class:`Rule` inspects either one module at a time
-(:meth:`Rule.check_module`) or the repository as a whole
-(:meth:`Rule.check_project`) and yields :class:`Violation` records; the
+map); a :class:`Rule` inspects one module at a time
+(:meth:`Rule.check_module`) and yields :class:`Violation` records; the
 :func:`run_rules` driver applies pragma suppression and returns the sorted
 survivors.
 
@@ -145,25 +144,18 @@ class Rule:
 
     Subclasses set ``code`` (``LCK001``), ``name``, ``description`` and
     optionally ``tags`` — extra pragma spellings accepted besides the code
-    itself.  Per-file rules override :meth:`check_module`; whole-repo rules
-    (the docs checker) override :meth:`check_project`.
-    ``default_enabled = False`` keeps a rule out of the default run (it
-    still runs under ``--all`` or an explicit ``--select``).
+    itself, and override :meth:`check_module`.
     """
 
     code: str = "XXX000"
     name: str = ""
     description: str = ""
     tags: tuple[str, ...] = ()
-    default_enabled: bool = True
 
     def suppression_tags(self) -> tuple[str, ...]:
         return (self.code.lower(), *self.tags)
 
     def check_module(self, module: ModuleSource) -> Iterator[Violation]:
-        return iter(())
-
-    def check_project(self, root: Path) -> Iterator[Violation]:
         return iter(())
 
     # Convenience constructor used by every concrete rule.
@@ -238,24 +230,14 @@ def collect_sources(
 
 
 def run_rules(
-    rules: Sequence[Rule],
-    sources: Sequence[ModuleSource],
-    root: Path = REPO_ROOT,
+    rules: Sequence[Rule], sources: Sequence[ModuleSource]
 ) -> list[Violation]:
     """Run every rule over every source, apply pragmas, sort the result."""
     survivors: list[Violation] = []
-    by_rel = {module.rel: module for module in sources}
     for rule in rules:
         tags = rule.suppression_tags()
         for module in sources:
             for violation in rule.check_module(module):
                 if not module.allowed(violation.line, tags):
                     survivors.append(violation)
-        for violation in rule.check_project(root):
-            # Project-level findings still honour pragmas when they point
-            # into a file the run parsed.
-            module = by_rel.get(violation.path)
-            if module is not None and module.allowed(violation.line, tags):
-                continue
-            survivors.append(violation)
     return sorted(survivors, key=lambda v: v.sort_key)

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 from tools.lint.core import Rule
 from tools.lint.rules.det001 import DeterminismRule
-from tools.lint.rules.doc001 import DocsContractRule
 from tools.lint.rules.exc001 import ExceptionDisciplineRule
 from tools.lint.rules.lck001 import LockDisciplineRule
 from tools.lint.rules.mpx001 import MultiprocessingHygieneRule
 from tools.lint.rules.thr001 import ThreadHygieneRule
 
-__all__ = ["ALL_RULES", "default_rules", "select_rules"]
+__all__ = ["ALL_RULES", "select_rules"]
 
 ALL_RULES: tuple[Rule, ...] = (
     LockDisciplineRule(),
@@ -23,13 +22,7 @@ ALL_RULES: tuple[Rule, ...] = (
     MultiprocessingHygieneRule(),
     ExceptionDisciplineRule(),
     ThreadHygieneRule(),
-    DocsContractRule(),
 )
-
-
-def default_rules() -> list[Rule]:
-    """The rules a plain ``python -m tools.lint`` run executes."""
-    return [rule for rule in ALL_RULES if rule.default_enabled]
 
 
 def select_rules(codes: list[str]) -> list[Rule]:
