@@ -134,10 +134,10 @@ def run(params: dict | None = None) -> dict:
         }
 
         # Code-diff incremental updates at increasing dirty fractions.  The
-        # proper index (item/code/fingerprint matrices) is built once via the
-        # batched path, then each fraction re-draws that many neuron weights.
+        # proper index (its code matrix) is built once via the batched path,
+        # then each fraction re-draws that many neuron weights.
         update_index = LSHIndex(dim, config, seed=seed)
-        update_index.build(weights, item_ids)
+        update_index.build(weights)
         for fraction in UPDATE_FRACTIONS:
             dirty = np.sort(
                 rng.choice(

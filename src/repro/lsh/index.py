@@ -29,12 +29,14 @@ tables never share a bucket row.
 Every probe, one query or a whole batch, in training or in serving, is hash
 → pack → **one** ``searchsorted`` → one gather (:meth:`LSHIndex.query_batch_flat`).
 
-Per-item state is flat too: one ``(n,)`` item array, one ``(n, L, K)`` code
-matrix in the hash family's narrow code dtype and one ``(n, L)`` key matrix.
-``build``/``restore_codes`` are array ops, and ``update`` is a *code diff*:
-an item is moved between buckets of table ``t`` only when its key in table
-``t`` actually changed, so an incremental rebuild costs O(changed entries),
-not O(dirty items × L).
+The index is positional: its items are the rows ``0..n-1`` of the weight
+matrix it was built over, and the one per-row state is the ``(n, L, K)``
+code matrix in the hash family's narrow code dtype (``L·K`` bytes a row for
+one-byte codes).  ``build``/``restore_codes`` are array ops, and ``update``
+is a *code diff*: it re-packs the stored codes of the given rows, and a row
+is moved between buckets of table ``t`` only when its key in table ``t``
+actually changed, so an incremental rebuild costs O(changed entries), not
+O(dirty rows × L).
 Mutations walk the tables in order and call the insertion policy's batched
 kernel once per table, new keys taking rows from the free list in ascending
 key order.
@@ -222,15 +224,9 @@ class LSHIndex:
         self._dir_keys = np.zeros(0, dtype=np.int64)
         self._dir_rows = np.zeros(0, dtype=np.int64)
         # Codes stay in the family's narrow dtype on every path; only
-        # item_codes and snapshot_codes hand out int64 copies.
+        # snapshot_codes hands out an int64 copy.  Row r holds item r's codes.
         self._code_dtype = self.hash_family.code_dtype
-        # Contiguous per-item state: row r of every matrix describes the item
-        # stored in self._items[r].  The key matrix is what makes update() a
-        # code diff — only entries whose key changed move.
-        self._items = np.zeros(0, dtype=np.int64)
         self._codes = np.zeros((0, config.l, config.k), dtype=self._code_dtype)
-        self._keys = np.zeros((0, config.l), dtype=np.int64)
-        self._row_of: dict[int, int] = {}
         # Counters used by the cost model and diagnostics.
         self.num_insertions = 0
         self.num_queries = 0
@@ -255,15 +251,8 @@ class LSHIndex:
 
     @property
     def num_items(self) -> int:
-        """Number of distinct items currently indexed."""
-        return int(self._items.size)
-
-    def item_codes(self, item: int) -> IntArray:
-        """Last-known ``(L, K)`` codes of one indexed item (copy)."""
-        row = self._row_of.get(int(item))
-        if row is None:
-            raise KeyError(f"item {item} is not indexed")
-        return self._codes[row].astype(np.int64)
+        """Number of items indexed: rows ``0..num_items-1``."""
+        return int(self._codes.shape[0])
 
     def _pack(self, codes: IntArray) -> IntArray:
         """Directory keys ``(n, L)`` for ``(n, L, K)`` codes."""
@@ -347,15 +336,12 @@ class LSHIndex:
 
         # Encode (bucket, item) pairs as single int64 keys so membership of
         # every slot in the removal set is one np.isin sweep.
+        # Ids are rows below n and at most n·L + 1 buckets exist, so the
+        # keys stay far below 2**63.
         base = int(max(int(items.max()), int(block.max()), 0)) + 2
-        if affected.size * base < 2**62:
-            removal_keys = row_index * base + items
-            slot_keys = np.arange(affected.size, dtype=np.int64)[:, None] * base + block
-            hit = np.isin(slot_keys, removal_keys) & (block >= 0)
-        else:  # pragma: no cover - astronomically large ids
-            hit = np.zeros_like(block, dtype=bool)
-            for index in range(affected.size):
-                hit[index] = np.isin(block[index], items[row_index == index])
+        removal_keys = row_index * base + items
+        slot_keys = np.arange(affected.size, dtype=np.int64)[:, None] * base + block
+        hit = np.isin(slot_keys, removal_keys) & (block >= 0)
         if not np.any(hit):
             return
 
@@ -376,86 +362,38 @@ class LSHIndex:
             self._dir_keys = np.delete(self._dir_keys, drop)
             self._dir_rows = np.delete(self._dir_rows, drop)
 
-    def _apply_codes(self, item_ids: IntArray, codes: IntArray) -> None:
-        """Index ``item_ids`` under fresh ``(d, L, K)`` codes.
-
-        Already-indexed items are *moved*: for each table, only the entries
-        whose key differs from the stored one are removed from their old
-        bucket and inserted into the new one (the code diff).  Unknown items
-        are appended.
-        """
-        if item_ids.size and item_ids.min() < 0:
-            raise ValueError("items must be non-negative (−1 is the slot sentinel)")
+    def _fill(self, codes: IntArray) -> None:
+        """Index rows ``0..n-1`` under ``(n, L, K)`` codes, table by table."""
+        self.clear()
+        self._codes = codes
         keys = self._pack(codes)
-        rows = np.fromiter(
-            (self._row_of.get(int(item), -1) for item in item_ids),
-            dtype=np.int64,
-            count=item_ids.size,
-        )
-        known = rows >= 0
-        num_known = int(np.count_nonzero(known))
-        # Views, not copies, when every item is known (a full rebuild) or
-        # none is (a build).
-        if num_known in (0, item_ids.size):
-            known = fresh = slice(None)
-        else:
-            fresh = ~known
-        if num_known:
-            known_rows = rows[known]
-            known_ids = item_ids[known]
-            old_keys = self._keys[known_rows]
-            new_keys = keys[known]
-            changed = old_keys != new_keys
-            for table in range(self.l):
-                moved = changed[:, table]
-                if np.any(moved):
-                    self._remove(old_keys[moved, table], known_ids[moved])
-                    self._insert(new_keys[moved, table], known_ids[moved])
-            self._codes[known_rows] = codes[known]
-            self._keys[known_rows] = new_keys
-            self.num_moved_entries += int(changed.sum())
-        if num_known < item_ids.size:
-            fresh_ids = item_ids[fresh]
-            fresh_keys = keys[fresh]
-            base = self._items.size
-            self._items = np.concatenate([self._items, fresh_ids])
-            self._codes = np.concatenate([self._codes, codes[fresh]], axis=0)
-            self._keys = np.concatenate([self._keys, fresh_keys], axis=0)
-            for offset, item in enumerate(fresh_ids):
-                self._row_of[int(item)] = base + offset
-            for table in range(self.l):
-                self._insert(fresh_keys[:, table], fresh_ids)
-        self.num_insertions += int(item_ids.size)
+        items = np.arange(codes.shape[0], dtype=np.int64)
+        for table in range(self.l):
+            self._insert(keys[:, table], items)
+        self.num_insertions += int(items.size)
 
-    def build(self, weights: FloatArray, item_ids: IntArray | None = None) -> None:
+    def build(self, weights: FloatArray) -> None:
         """(Re)build the index from scratch over the rows of ``weights``."""
         weights = np.asarray(weights, dtype=FLOAT)
         if weights.ndim != 2 or weights.shape[1] != self.input_dim:
             raise ValueError("weights must have shape (n_items, input_dim)")
-        if item_ids is None:
-            item_ids = np.arange(weights.shape[0], dtype=np.int64)
-        else:
-            item_ids = np.asarray(item_ids, dtype=np.int64)
-            if item_ids.shape[0] != weights.shape[0]:
-                raise ValueError("item_ids must align with weights rows")
-            if np.unique(item_ids).size != item_ids.size:
-                raise ValueError("item_ids must be unique")
-        self.clear()
-        self._apply_codes(item_ids, self.hash_family.hash_matrix(weights))
+        self._fill(self.hash_family.hash_matrix(weights))
 
     def update(self, item_ids: IntArray, weights: FloatArray) -> None:
-        """Re-hash only the given items (incremental rebuild after updates).
+        """Re-hash only the given rows (incremental rebuild after updates).
 
-        The new codes are compared against the stored key matrix and only
-        entries whose bucket actually changed are moved, so the cost scales
-        with the number of *changed* keys rather than the size of the dirty
-        set.  Duplicate ids keep their last occurrence; unknown ids are
-        indexed.
+        The stored codes of ``item_ids`` are re-packed and compared against
+        the keys of the new codes, and only entries whose bucket actually
+        changed are moved, so the cost scales with the number of *changed*
+        keys rather than the size of the dirty set.  Duplicate ids keep
+        their last occurrence; an id outside ``[0, num_items)`` raises.
         """
         item_ids = np.asarray(item_ids, dtype=np.int64)
         weights = np.asarray(weights, dtype=FLOAT)
         if weights.ndim != 2 or weights.shape[0] != item_ids.shape[0]:
             raise ValueError("weights rows must align with item_ids")
+        if item_ids.size and (item_ids.min() < 0 or item_ids.max() >= self.num_items):
+            raise ValueError(f"item ids must be rows in [0, {self.num_items})")
         if item_ids.size and np.unique(item_ids).size != item_ids.size:
             reversed_ids = item_ids[::-1]
             _, first_in_reversed = np.unique(reversed_ids, return_index=True)
@@ -463,24 +401,35 @@ class LSHIndex:
             item_ids = item_ids[keep]
             weights = weights[keep]
         codes = self.hash_family.hash_matrix(weights)
-        self._apply_codes(item_ids, codes)
+        old_keys = self._pack(self._codes[item_ids])
+        new_keys = self._pack(codes)
+        changed = old_keys != new_keys
+        for table in range(self.l):
+            moved = changed[:, table]
+            if np.any(moved):
+                self._remove(old_keys[moved, table], item_ids[moved])
+                self._insert(new_keys[moved, table], item_ids[moved])
+        self._codes[item_ids] = codes
+        self.num_moved_entries += int(changed.sum())
+        self.num_insertions += int(item_ids.size)
         self.num_update_items += int(item_ids.size)
 
     def snapshot_codes(self) -> tuple[IntArray, IntArray]:
-        """The indexed items and their codes, in insertion order.
+        """The indexed items and their codes.
 
         Returns ``(items, codes)`` with shapes ``(n,)`` and ``(n, L, K)`` —
-        everything :meth:`restore_codes` needs to rebuild the tables without
-        re-hashing (the serialisation surface used by checkpoints).
+        ``items`` is always ``arange(n)`` — everything :meth:`restore_codes`
+        needs to rebuild the tables without re-hashing (the serialisation
+        surface used by checkpoints).
         """
-        return self._items.copy(), self._codes.astype(np.int64)
+        return np.arange(self.num_items, dtype=np.int64), self._codes.astype(np.int64)
 
     def restore_codes(self, items: IntArray, codes: IntArray) -> None:
         """Rebuild the tables from a :meth:`snapshot_codes` snapshot.
 
-        Replaying stored codes reproduces bucket membership exactly for any
-        bucket that never overflowed; the eviction order of overflowed
-        buckets is not preserved.
+        ``items`` must be ``arange(n)``.  Replaying stored codes reproduces
+        bucket membership exactly for any bucket that never overflowed; the
+        eviction order of overflowed buckets is not preserved.
         """
         items = np.asarray(items, dtype=np.int64)
         codes = np.asarray(codes)
@@ -494,28 +443,9 @@ class LSHIndex:
             codes.min() < 0 or codes.max() >= self.hash_family.code_cardinality
         ):
             raise ValueError("code value out of range for code_cardinality")
-        if np.unique(items).size != items.size:
-            raise ValueError("snapshot items must be unique")
-        self.clear()
-        self._apply_codes(items, codes.astype(self._code_dtype, copy=False))
-
-    def remove(self, item: int) -> bool:
-        """Remove ``item`` from every table (if it was indexed)."""
-        row = self._row_of.pop(int(item), None)
-        if row is None:
-            return False
-        self._remove(self._keys[row], np.full(self.l, int(item), dtype=np.int64))
-        last = self._items.size - 1
-        if row != last:
-            moved_item = int(self._items[last])
-            self._items[row] = self._items[last]
-            self._codes[row] = self._codes[last]
-            self._keys[row] = self._keys[last]
-            self._row_of[moved_item] = row
-        self._items = self._items[:last]
-        self._codes = self._codes[:last]
-        self._keys = self._keys[:last]
-        return True
+        if not np.array_equal(items, np.arange(items.shape[0])):
+            raise ValueError("snapshot items must be the rows 0..n-1 in order")
+        self._fill(codes.astype(self._code_dtype))
 
     def clear(self) -> None:
         """Drop every bucket in every table.
@@ -526,10 +456,7 @@ class LSHIndex:
         self._store.release(self._dir_rows)
         self._dir_keys = np.zeros(0, dtype=np.int64)
         self._dir_rows = np.zeros(0, dtype=np.int64)
-        self._items = np.zeros(0, dtype=np.int64)
         self._codes = np.zeros((0, self.l, self.k), dtype=self._code_dtype)
-        self._keys = np.zeros((0, self.l), dtype=np.int64)
-        self._row_of = {}
 
     # ------------------------------------------------------------------
     # Queries

@@ -10,8 +10,8 @@ A checkpoint is a directory with two files:
 
 * ``arrays.npz`` — the :func:`model_arrays`, the network's ``iteration``,
   and the LSH index contents of every hash-enabled layer
-  (``layer{i}.lsh_items`` / ``layer{i}.lsh_codes``: item ids plus their
-  ``(L, K)`` hash codes, in insertion order);
+  (``layer{i}.lsh_items`` / ``layer{i}.lsh_codes``: the layer's rows
+  ``0..n-1`` and each row's ``(L, K)`` hash codes);
 * ``manifest.json`` — a :class:`CheckpointManifest`: format version, the
   network config, the optimiser's config, step count and state slots, user
   metadata, and a SHA-256 checksum of the array payload.
@@ -384,6 +384,14 @@ def _restore(
     for idx in lsh_layers:
         if f"layer{idx}.lsh_items" not in arrays or f"layer{idx}.lsh_codes" not in arrays:
             raise CheckpointError(f"missing LSH index contents for layer {idx} in {path}")
+        # The index holds every row of the layer, by position.
+        rows = network.layers[idx].size
+        items, codes = arrays[f"layer{idx}.lsh_items"], arrays[f"layer{idx}.lsh_codes"]
+        if not np.array_equal(items, np.arange(rows)) or codes.shape[:1] != (rows,):
+            raise CheckpointError(
+                f"LSH index contents for layer {idx} in {path} are not the "
+                f"layer's {rows} rows in order"
+            )
 
     for name, array in live.items():
         array[...] = arrays[name]

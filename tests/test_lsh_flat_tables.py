@@ -19,7 +19,7 @@ Pins five contracts of the flat storage:
    another.
 5. **One store, one probe** — per-table counts equal the parent commit's,
    and every probe equals a brute-force oracle through build, update,
-   remove, clear and rebuild.
+   clear and rebuild.
 """
 
 from __future__ import annotations
@@ -317,7 +317,7 @@ def test_update_move_count_scales_with_changed_items(rng):
     assert 0 < moved <= index.l
     # The moved item is retrievable under its new codes in every table.
     flat = index.query_batch_flat(weights[7:8])
-    np.testing.assert_array_equal(flat.codes[0], index.item_codes(7))
+    np.testing.assert_array_equal(flat.codes[0], index.snapshot_codes()[1][7])
     assert np.all((flat.candidates[0] == 7).any(axis=1))
 
 
@@ -325,14 +325,18 @@ def test_update_handles_duplicate_and_unknown_ids(rng):
     index = make_index("simhash", "fifo")
     weights = rng.normal(size=(10, 24))
     index.build(weights)
-    # Duplicate ids keep the last occurrence; unknown ids are appended.
-    vectors = rng.normal(size=(3, 24))
-    index.update(np.array([3, 3, 12]), vectors)
-    assert index.num_items == 11
-    np.testing.assert_array_equal(
-        index.item_codes(3), index.hash_family.hash_matrix(vectors[1:2])[0]
-    )
-    assert index._row_of[12] == 10
+    # Duplicate ids keep the last occurrence.
+    vectors = rng.normal(size=(2, 24))
+    index.update(np.array([3, 3]), vectors)
+    assert index.num_items == 10
+    _, codes = index.snapshot_codes()
+    np.testing.assert_array_equal(codes[3], index.hash_family.hash_matrix(vectors[1:2])[0])
+    # Ids are rows: one past the last row raises, and nothing is touched.
+    for unknown in (10, 12):
+        with pytest.raises(ValueError, match=r"rows in \[0, 10\)"):
+            index.update(np.array([2, unknown]), rng.normal(size=(2, 24)))
+    assert index.num_items == 10
+    np.testing.assert_array_equal(index.snapshot_codes()[1], codes)
 
 
 # ----------------------------------------------------------------------
@@ -343,27 +347,28 @@ def test_snapshot_restore_round_trip(rng, policy):
     index = make_index("dwta", policy)
     weights = rng.normal(size=(40, 24))
     index.build(weights)
-    index.remove(11)  # holes in the id space must survive the round trip
 
     items, codes = index.snapshot_codes()
-    assert items.shape == (39,)
-    assert codes.shape == (39, index.l, index.k)
+    np.testing.assert_array_equal(items, np.arange(40))
+    assert codes.shape == (40, index.l, index.k)
 
     clone = make_index("dwta", policy)
     clone.restore_codes(items, codes)
-    assert clone.num_items == 39
+    assert clone.num_items == 40
     assert_same_tables(index, clone)
     # The restored index keeps working for incremental updates.
     new_vector = rng.normal(size=(1, 24))
     clone.update(np.array([5]), new_vector)
     np.testing.assert_array_equal(
-        clone.item_codes(5), clone.hash_family.hash_matrix(new_vector)[0]
+        clone.snapshot_codes()[1][5], clone.hash_family.hash_matrix(new_vector)[0]
     )
 
     with pytest.raises(ValueError, match="shape"):
         clone.restore_codes(items[:1], codes)
-    with pytest.raises(ValueError, match="unique"):
-        clone.restore_codes(np.zeros(39, dtype=np.int64), codes)
+    # Items are the rows 0..n-1 in order: repeats, holes and reorderings raise.
+    for bad in (np.zeros(40), np.arange(1, 41), items[::-1]):
+        with pytest.raises(ValueError, match="rows 0..n-1"):
+            clone.restore_codes(bad, codes)
 
 
 # ----------------------------------------------------------------------
@@ -476,11 +481,10 @@ def test_a_key_is_never_found_in_another_table(regime):
 class TestFlatStorage:
     def test_negative_item_ids_are_rejected(self, rng):
         index = make_index("simhash", "fifo")
-        with pytest.raises(ValueError, match="non-negative"):
-            index.update(np.array([-3]), rng.normal(size=(1, 24)))
-        with pytest.raises(ValueError, match="non-negative"):
-            index.build(rng.normal(size=(2, 24)), item_ids=np.array([0, -1]))
-        assert index.num_items == 0
+        index.build(rng.normal(size=(2, 24)))
+        with pytest.raises(ValueError, match=r"rows in \[0, 2\)"):
+            index.update(np.array([-1]), rng.normal(size=(1, 24)))
+        assert index.num_items == 2
 
     def test_remove_compacts_and_empties(self):
         index = one_table("fifo", bucket_size=8)
@@ -611,37 +615,35 @@ def test_shared_store_probe_through_build_update_remove_clear(case):
     index, weights = seeded_build(case)
     rng = np.random.default_rng(7)
 
-    def check(current: np.ndarray, items: np.ndarray) -> None:
+    def check(current: np.ndarray) -> None:
         fresh = make_index(**SHARED_STORE_CASES[case])
-        fresh.build(current, items)
+        fresh.build(current)
         assert_same_tables(index, fresh)  # bucket_size 256: nothing overflows
         for contents in tables_of(index):
-            stored = np.concatenate([*contents.values(), items[:0]])
-            np.testing.assert_array_equal(np.sort(stored), np.sort(items))
+            stored = np.concatenate(list(contents.values()))
+            np.testing.assert_array_equal(np.sort(stored), np.arange(current.shape[0]))
+        # Every bucket a move empties goes back to the one free list, and
+        # whichever table inserts next takes its row: besides the empty
+        # row 0, the store holds exactly the directory's rows.
+        store = index._store
+        assert store.num_rows - len(store._free) == index._dir_rows.size + 1
         # Stored vectors find themselves; random ones mostly miss.
         assert_probe_matches_oracle(
             index, np.concatenate([current[:12], rng.normal(size=(6, 24))])
         )
 
-    items = np.arange(120, dtype=np.int64)
-    check(weights, items)
-
-    dirty = rng.choice(120, size=60, replace=False)
-    weights[dirty] = rng.normal(size=(60, 24))
-    index.update(dirty, weights[dirty])
-    check(weights, items)
-
-    # Every emptied bucket goes back to the one free list ...
-    for item in range(0, 120, 2):
-        assert index.remove(item)
-    items = items[1::2]
-    check(weights[1::2], items)
-    # ... and whichever table inserts next takes those rows.
-    index.update(np.arange(200, 230), rng.normal(size=(30, 24)))
-    assert_probe_matches_oracle(index, rng.normal(size=(8, 24)))
+    check(weights)
+    for _ in range(3):
+        # Duplicates included: the last occurrence wins.
+        dirty = rng.choice(120, size=60, replace=True)
+        fresh_rows = rng.normal(size=(60, 24))
+        weights[dirty] = fresh_rows
+        index.update(dirty, fresh_rows)
+        check(weights)
 
     index.clear()
+    assert index.num_items == 0
     assert index.query_batch_flat(rng.normal(size=(3, 24))).sizes.sum() == 0
     smaller = rng.normal(size=(40, 24))
     index.build(smaller)
-    check(smaller, np.arange(40, dtype=np.int64))
+    check(smaller)

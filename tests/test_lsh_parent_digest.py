@@ -15,6 +15,10 @@ Every hash family is covered, each with buckets small enough to overflow,
 plus one configuration whose keys take ``_pack``'s chunked-mix path.  The
 dense digests cover ``predict_dense_batch`` of seeded networks with
 non-zero biases.
+
+``PARENT_CHECKPOINT_TABLES`` is the same state digest of layer 1's index as
+restored from ``tests/data/parent_checkpoint``, taken before the index held
+its rows by position.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from repro.lsh.index import LSHIndex
 from repro.types import SparseExample, SparseVector
 
 PARENT_DIGEST = Path(__file__).parent / "data" / "lsh_parent_digest.json"
+PARENT_CHECKPOINT = Path(__file__).parent / "data" / "parent_checkpoint"
+PARENT_CHECKPOINT_TABLES = "de497806f9f77dc44b4c7d8195adfcbda28f35336e79790dbb91ac2cb61078a7"
 
 INPUT_DIM = 48
 ITEMS = 400
@@ -173,3 +179,10 @@ def test_lsh_build_update_restore_match_parent_bits(parent, name):
 @pytest.mark.parametrize("name", sorted(DENSE_NETWORKS))
 def test_predict_dense_batch_matches_parent_bits(parent, name):
     assert dense_digest(name) == parent[f"dense/{name}"]
+
+
+def test_parent_written_checkpoint_restores_the_parents_tables():
+    network = SlideNetwork.from_checkpoint(PARENT_CHECKPOINT)
+    digest = hashlib.sha256()
+    _index_state(digest, network.layers[1].lsh_index)
+    assert digest.hexdigest() == PARENT_CHECKPOINT_TABLES

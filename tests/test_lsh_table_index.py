@@ -111,27 +111,25 @@ class TestLSHIndex:
         # The item should now be retrievable by its new vector.
         assert 0 in probe_union(index, new_weights[0])
 
-    def test_remove(self, index, rng):
+    def test_update_same_item_twice_keeps_single_entry_per_table(self, index, rng):
         weights = rng.normal(size=(10, 32))
         index.build(weights)
-        assert index.remove(3)
-        assert not index.remove(3)
-        assert index.num_items == 9
-        assert 3 not in index.query_batch_flat(weights).candidates
-
-    def test_update_same_item_twice_keeps_single_entry_per_table(self, index, rng):
         vector = rng.normal(size=32)
         index.update(np.array([7]), vector[None, :])
         index.update(np.array([7]), vector[None, :] + 0.001)
-        assert index.num_items == 1
+        assert index.num_items == 10
         # Each table holds item 7 exactly once, under its latest codes.
-        assert_each_item_once_per_table(index, {7: vector + 0.001})
+        weights[7] = vector + 0.001
+        assert_each_item_once_per_table(index, dict(enumerate(weights)))
 
     def test_build_validates_shapes(self, index, rng):
         with pytest.raises(ValueError):
             index.build(rng.normal(size=(5, 16)))
         with pytest.raises(ValueError):
-            index.build(rng.normal(size=(5, 32)), item_ids=np.arange(4))
+            index.build(rng.normal(size=32))
+        index.build(rng.normal(size=(5, 32)))
+        with pytest.raises(ValueError, match="align"):
+            index.update(np.arange(4), rng.normal(size=(5, 32)))
 
     def test_clear(self, index, rng):
         weights = rng.normal(size=(10, 32))

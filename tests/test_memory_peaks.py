@@ -9,6 +9,9 @@ the measured window opens.
   (K=9, L=32) must hold less than one int64 ``(n, L, K)`` code tensor
   (18.0 MiB) of temporaries: codes stay in their one-byte dtype and keys
   are accumulated in place.
+* What the built index keeps, less its bucket store and directory, must be
+  its one-byte ``(n, L, K)`` code matrix with at most 32 B a row of slack:
+  the codes are the index's only per-row state.
 * ``SlideNetwork.predict_dense_batch`` must hold no more than one output
   array plus the densified input, with a little slack: the bias and the
   activation are applied in place on the GEMM output.
@@ -59,6 +62,25 @@ def test_build_holds_less_than_one_int64_code_tensor(weights):
     transient = transient_bytes(lambda: index.build(first))
     assert index.num_items == ROWS
     assert transient < INT64_CODE_TENSOR, f"build transient {transient / 2**20:.1f} MiB"
+
+
+def test_build_keeps_only_the_codes_per_row(weights):
+    first, _ = weights
+    index = _index()
+    tracemalloc.start()
+    try:
+        index.build(first)
+        resident, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    store = index._store
+    tables = sum(
+        getattr(store, name).nbytes
+        for name in ("slots", "sizes", "seen", "rejections", "evictions")
+    )
+    tables += index._dir_keys.nbytes + index._dir_rows.nbytes
+    per_row = (resident - tables) / ROWS
+    assert per_row <= L * K + 32, f"index keeps {per_row:.0f} B a row"
 
 
 def test_full_update_holds_less_than_one_int64_code_tensor(weights):

@@ -1,13 +1,14 @@
 """Cross-cutting property-based tests (hypothesis) for core invariants.
 
 These complement the per-module property tests with invariants that span
-module boundaries: LSH index consistency under arbitrary insert/remove
+module boundaries: LSH index consistency under arbitrary build/update/clear
 sequences, fingerprint injectivity and rebuild-schedule monotonicity.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,39 +20,49 @@ from repro.lsh.scheduler import ExponentialDecaySchedule
 @given(
     seed=st.integers(0, 100),
     operations=st.lists(
-        st.tuples(st.sampled_from(["insert", "remove", "update"]), st.integers(0, 15)),
+        st.one_of(
+            st.integers(1, 16),  # build over that many rows
+            st.just("clear"),
+            st.lists(st.integers(0, 15), min_size=1, max_size=8),  # update rows
+        ),
         min_size=1,
-        max_size=40,
+        max_size=30,
     ),
 )
 @settings(max_examples=40, deadline=None)
 def test_lsh_index_consistent_under_arbitrary_operation_sequences(seed, operations):
-    """After any sequence of insert/remove/update operations the index's item
-    count matches the set of live ids, and every table holds exactly the live
-    ids, each in its own bucket (buckets large enough to never evict)."""
+    """After any sequence of build / update / clear operations the index holds
+    rows ``0..n-1`` of the last build (none after a clear), every table holds
+    exactly those rows, each in the bucket of its latest vector (buckets large
+    enough to never evict), and an update of a row past ``n`` raises."""
     rng = np.random.default_rng(seed)
     config = LSHConfig(hash_family="simhash", k=2, l=3, bucket_size=64)
     index = LSHIndex(8, config, seed=seed)
-    live: set[int] = set()
-    vectors = rng.normal(size=(16, 8))
-    for op, item in operations:
-        if op == "insert":
-            index.update(np.array([item]), vectors[item][None, :])
-            live.add(item)
-        elif op == "update":
-            vectors[item] = rng.normal(size=8)
-            index.update(np.array([item]), vectors[item][None, :])
-            live.add(item)
+    vectors = np.zeros((0, 8))
+    for op in operations:
+        if op == "clear":
+            index.clear()
+            vectors = vectors[:0]
+        elif isinstance(op, int):
+            vectors = rng.normal(size=(op, 8))
+            index.build(vectors)
         else:
-            index.remove(item)
-            live.discard(item)
-    assert index.num_items == len(live)
-    assert index.stats()["mean_items_per_table"] == len(live)
-    if live:
-        items = sorted(live)
-        flat = index.query_batch_flat(vectors[items])
-        for row, item in enumerate(items):
-            np.testing.assert_array_equal((flat.candidates[row] == item).sum(axis=1), 1)
+            ids = np.array(op)
+            fresh = rng.normal(size=(ids.size, 8))
+            if ids.max() >= vectors.shape[0]:
+                with pytest.raises(ValueError, match="rows in"):
+                    index.update(ids, fresh)
+                continue
+            index.update(ids, fresh)
+            for item, vector in zip(op, fresh):  # the last occurrence wins
+                vectors[item] = vector
+    rows = vectors.shape[0]
+    assert index.num_items == rows
+    assert index.stats()["mean_items_per_table"] == rows
+    if rows:
+        flat = index.query_batch_flat(vectors)
+        for item in range(rows):
+            np.testing.assert_array_equal((flat.candidates[item] == item).sum(axis=1), 1)
 
 
 @given(

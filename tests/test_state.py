@@ -253,10 +253,11 @@ def test_lsh_snapshot_restore_round_trip(trained):
     network, _ = trained
     index = network.output_layer.lsh_index
     items, codes = index.snapshot_codes()
-    assert items.shape[0] == index.num_items
+    np.testing.assert_array_equal(items, np.arange(network.output_layer.size))
+    assert index.num_items == items.shape[0]
     assert codes.shape == (items.shape[0], index.l, index.k)
     # Stored narrow (uint8 for SimHash), handed out as the checkpoint dtype.
-    assert codes.dtype == np.int64 and index.item_codes(int(items[0])).dtype == np.int64
+    assert codes.dtype == np.int64 and index._codes.dtype == np.uint8
 
     from repro.lsh.index import LSHIndex
 
@@ -269,6 +270,8 @@ def test_lsh_snapshot_restore_round_trip(trained):
 
     with pytest.raises(ValueError, match="shape"):
         clone.restore_codes(items[:1], codes)
+    with pytest.raises(ValueError, match="rows 0..n-1"):
+        clone.restore_codes(items[::-1], codes)
 
 
 def test_optimizer_to_config_round_trip():
@@ -448,6 +451,36 @@ def test_a_mis_shaped_layer_array_is_rejected_before_anything_is_written(
     with pytest.raises(CheckpointError, match=r"layer1\.biases.*shape"):
         restore_checkpoint_into(path, target, target_optimizer)
     np.testing.assert_array_equal(target.layers[0].weights, before)
+
+
+def _foreign_id(arrays):
+    arrays["layer1.lsh_items"][-1] = 10_000
+
+
+def _cut_rows(arrays):
+    for name in ("layer1.lsh_items", "layer1.lsh_codes"):
+        arrays[name] = arrays[name][:-5]
+
+
+@pytest.mark.parametrize("tamper", [_foreign_id, _cut_rows])
+def test_lsh_contents_that_are_not_the_layer_rows_are_rejected(tmp_path, fresh, tamper):
+    """An id past the layer's rows would be a candidate that indexes past
+    ``W``; a short snapshot would leave rows in no table."""
+    network, optimizer = fresh
+    path = save_checkpoint(tmp_path / "ckpt", network, optimizer)
+    arrays = _stored_arrays(path)
+    arrays["layer0.weights"] = arrays["layer0.weights"] + 1.0
+    tamper(arrays)
+    _rewrite(path, arrays)
+    target, target_optimizer = _fresh_pair(network)
+    before = target.layers[0].weights.copy()
+    rows = network.layers[1].size
+    message = rf"LSH index contents for layer 1 in .* not the layer's {rows} rows"
+    with pytest.raises(CheckpointError, match=message):
+        restore_checkpoint_into(path, target, target_optimizer)
+    np.testing.assert_array_equal(target.layers[0].weights, before)
+    with pytest.raises(CheckpointError, match=message):
+        SlideNetwork.from_checkpoint(path)
 
 
 def test_a_missing_model_array_is_rejected(tmp_path, fresh):
