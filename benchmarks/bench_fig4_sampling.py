@@ -80,7 +80,7 @@ def run(params: dict | None = None) -> dict:
             for name, strategy in strategies.items():
                 start = time.perf_counter()
                 probe = index.query_batch_flat(query_vectors[q : q + 1])
-                active = strategy.select_from_result(probe.result(0), target)
+                active = strategy.select_from_result(probe, 0, target)
                 if q < queries:
                     elapsed[name] += time.perf_counter() - start
                     retrieved[name] += active.size

@@ -25,20 +25,13 @@ from __future__ import annotations
 import time
 
 from repro.baselines.dense import DenseNetwork, DenseNetworkConfig
-from repro.config import (
-    LayerConfig,
-    LSHConfig,
-    OptimizerConfig,
-    RebuildScheduleConfig,
-    SamplingConfig,
-    SlideNetworkConfig,
-    TrainingConfig,
-)
+from repro.config import OptimizerConfig, TrainingConfig
 from repro.core.inference import evaluate_precision_at_1
 from repro.core.network import SlideNetwork
 from repro.core.trainer import SlideTrainer
 from repro.datasets.synthetic import delicious_like_config, generate_synthetic_xc
 from repro.harness.report import format_table
+from repro.harness.scaling import build_scaling_network_config
 from repro.reports.schema import CONFIG, FRACTION, POS, rows
 from repro.reports.spec import BenchSpec, MetricGate
 from repro.types import SparseBatch
@@ -84,29 +77,12 @@ SPEC = BenchSpec(
 )
 
 
-def _slide_config(dataset, seed: int) -> SlideNetworkConfig:
-    label_dim = dataset.config.label_dim
-    layers = (
-        LayerConfig(size=64, activation="relu", lsh=None),
-        LayerConfig(
-            size=label_dim,
-            activation="softmax",
-            lsh=LSHConfig(hash_family="simhash", k=4, l=24, bucket_size=96),
-            sampling=SamplingConfig(
-                strategy="vanilla",
-                target_active=max(16, label_dim // 12),
-                min_active=16,
-            ),
-            rebuild=RebuildScheduleConfig(initial_period=20, decay=0.3),
-        ),
-    )
-    return SlideNetworkConfig(
-        input_dim=dataset.config.feature_dim, layers=layers, seed=seed
-    )
-
-
 def _train_slide(dataset, training: TrainingConfig, hogwild: bool, seed: int):
-    network = SlideNetwork(_slide_config(dataset, seed))
+    network = SlideNetwork(
+        build_scaling_network_config(
+            dataset.config.feature_dim, dataset.config.label_dim, seed
+        )
+    )
     trainer = SlideTrainer(network, training, hogwild=hogwild)
     start = time.perf_counter()
     trainer.train(dataset.train)

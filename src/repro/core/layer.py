@@ -19,7 +19,7 @@ import numpy as np
 from repro.config import LayerConfig
 from repro.kernels.activations import relu, softmax_rows_inplace, sparse_softmax
 from repro.lsh.index import LSHIndex
-from repro.lsh.scheduler import ExponentialDecaySchedule, RebuildSchedule
+from repro.lsh.scheduler import ExponentialDecaySchedule
 from repro.optim.base import Optimizer
 from repro.sampling.strategies import SamplingStrategy, make_sampling_strategy
 from repro.types import FLOAT, FloatArray, IntArray
@@ -60,7 +60,7 @@ class SlideLayer:
         # LSH machinery (optional).
         self.lsh_index: LSHIndex | None = None
         self.sampler: SamplingStrategy | None = None
-        self.rebuild_schedule: RebuildSchedule | None = None
+        self.rebuild_schedule: ExponentialDecaySchedule | None = None
         if config.uses_lsh:
             assert config.lsh is not None
             self.lsh_index = LSHIndex(input_dim=self.fan_in, config=config.lsh, seed=seed)
@@ -72,17 +72,12 @@ class SlideLayer:
             )
             self.lsh_index.build(self.weights)
 
-        # Neurons whose weights changed since the last rebuild; only these are
-        # re-hashed when the rebuild schedule fires.  Tracked as int64 id
-        # chunks that are deduplicated lazily with one ``np.unique`` at
-        # consolidation time: appending a chunk is O(active) per update (no
-        # Python-level per-id set inserts, no per-call re-sort of the whole
-        # accumulator), which matters on the per-sample HOGWILD hot path.
-        self._dirty_chunks: list[IntArray] = []
-        self._dirty_buffered = 0
-        # Counters surfaced to the cost model / diagnostics.
+        # Neurons whose weights changed since the last rebuild, as one row
+        # mask: only these are re-hashed when the rebuild schedule fires.
+        # Marking is a scatter of ``True``, so threads marking at once lose
+        # no id, and a rebuild clears only the ids it read.
+        self._dirty = np.zeros(self.size, dtype=bool)
         self.num_rebuilds = 0
-        self.num_forward_calls = 0
         # Code-diff accounting for the most recent incremental rebuild: how
         # many neurons were dirty vs how many (neuron, table) bucket entries
         # actually moved — the measured O(changed) claim.
@@ -174,37 +169,9 @@ class SlideLayer:
         self.mark_dirty(rows)
 
     def mark_dirty(self, neuron_ids: IntArray) -> None:
-        """Accumulate neurons awaiting a re-hash (no-op without LSH)."""
-        if self.lsh_index is None:
-            return
-        neuron_ids = np.asarray(neuron_ids, dtype=np.int64)
-        if neuron_ids.size == 0:
-            return
-        self._dirty_chunks.append(neuron_ids)
-        self._dirty_buffered += int(neuron_ids.size)
-        # Cap buffered duplicates: once the raw chunks hold several layers'
-        # worth of ids, fold them into one sorted unique array (amortised —
-        # consolidation cost is spread over the appends that triggered it).
-        if self._dirty_buffered > max(4 * self.size, 8192):
-            self._consolidate_dirty()
-
-    def _consolidate_dirty(self) -> IntArray:
-        """Fold the buffered id chunks into one sorted unique array."""
-        if not self._dirty_chunks:
-            return np.zeros(0, dtype=np.int64)
-        if len(self._dirty_chunks) == 1:
-            chunk = self._dirty_chunks[0]
-            if chunk.size > 1 and np.any(np.diff(chunk) <= 0):
-                chunk = np.unique(chunk)
-        else:
-            chunk = np.unique(np.concatenate(self._dirty_chunks))
-        self._dirty_chunks = [chunk]
-        self._dirty_buffered = int(chunk.size)
-        return chunk
-
-    def _clear_dirty(self) -> None:
-        self._dirty_chunks = []
-        self._dirty_buffered = 0
+        """Mark neurons awaiting a re-hash (no-op without LSH)."""
+        if self.lsh_index is not None:
+            self._dirty[np.asarray(neuron_ids, dtype=np.int64)] = True
 
     # ------------------------------------------------------------------
     # Hash-table maintenance
@@ -227,9 +194,11 @@ class SlideLayer:
         """
         if self.lsh_index is None:
             return
-        dirty = self._consolidate_dirty()
+        dirty = np.flatnonzero(self._dirty)
         if dirty.size:
-            self._clear_dirty()
+            # Clear only the ids read here, before the weights are gathered:
+            # a row marked from now on stays dirty for the next rebuild.
+            self._dirty[dirty] = False
             moved_before = self.lsh_index.num_moved_entries
             self.lsh_index.update(dirty, self.weights[dirty])
             self.last_rebuild_dirty = int(dirty.size)
@@ -243,7 +212,7 @@ class SlideLayer:
     @property
     def dirty_neuron_count(self) -> int:
         """Number of distinct neurons awaiting a re-hash."""
-        return int(self._consolidate_dirty().size)
+        return int(np.count_nonzero(self._dirty))
 
     # ------------------------------------------------------------------
     # Dense helpers (used by inference and the parity tests)

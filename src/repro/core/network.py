@@ -162,7 +162,7 @@ class SlideNetwork:
         for layer in self.layers:
             if layer.lsh_index is not None:
                 layer.lsh_index.build(layer.weights)
-                layer._clear_dirty()
+                layer._dirty[:] = False
                 layer.num_rebuilds += 1
 
     def average_output_active(self, examples: list[SparseExample]) -> float:

@@ -5,10 +5,10 @@ This follows the paper's implementation notes (Section 3.2 and Appendix A):
 * projection vectors have components in ``{+1, 0, -1}`` so hashing needs
   additions only, not multiplications;
 * the projections are *sparse* (by default only one third of the coordinates
-  are non-zero), which cuts the per-hash work from ``d`` to ``d/3``;
-* hash codes of a vector can be updated *incrementally* when only ``d' << d``
-  coordinates of the vector change, because the projections ``w.T x`` are
-  memoised (Section 4.2, item 3).
+  are non-zero), which cuts the per-hash work from ``d`` to ``d/3``.
+
+The paper's projection memoisation (Section 4.2, item 3) is not used: a
+rebuild re-hashes its dirty rows with :meth:`SimHash.hash_matrix`.
 
 Rows are hashed in :data:`~repro.types.FLOAT` (float32) and the projection
 matrix is stored in it; its ``{+1, 0, -1}`` entries are exact.  Near a zero
@@ -110,7 +110,7 @@ class SimHash(LSHFamily):
         return codes.reshape(matrix.shape[0], self.l, self.k)
 
     # ------------------------------------------------------------------
-    # Projections and incremental updates
+    # Projections
     # ------------------------------------------------------------------
     def _projections(self, matrix: FloatArray) -> FloatArray:
         """``(rows, K*L)`` projections of a dense ``(rows, input_dim)`` block.
@@ -146,38 +146,11 @@ class SimHash(LSHFamily):
         return self._projections(self._as_dense(vector)[None, :])[0]
 
     def codes_from_projections(self, projections: FloatArray) -> HashCodes:
-        """Convert memoised projections into ``(L, K)`` elementary codes."""
+        """Convert projections into ``(L, K)`` elementary codes."""
         projections = np.asarray(projections)
         if projections.shape[0] != self.k * self.l:
             raise ValueError("projections must have length K*L")
         return (projections > 0).astype(np.int64).reshape(self.l, self.k)
-
-    def update_projections(
-        self,
-        projections: FloatArray,
-        changed_indices: IntArray,
-        deltas: FloatArray,
-    ) -> FloatArray:
-        """Incrementally update memoised projections after a sparse change.
-
-        Given the previous projections of a vector ``x`` and a sparse update
-        ``x[changed_indices] += deltas``, return the projections of the new
-        vector in ``O(d' * K * L * sparsity)`` additions instead of a full
-        re-projection.  This implements the memoisation trick from
-        Section 4.2.
-        """
-        projections = np.array(projections, dtype=FLOAT, copy=True)
-        changed_indices = np.asarray(changed_indices, dtype=np.int64)
-        deltas = np.asarray(deltas, dtype=FLOAT)
-        if changed_indices.shape != deltas.shape:
-            raise ValueError("changed_indices and deltas must align")
-        if changed_indices.size == 0:
-            return projections
-        # Scatter the delta into a sparse correction and apply it through the
-        # dense projection matrix restricted to the changed rows.
-        correction = self._dense_projection[changed_indices].T @ deltas
-        projections += correction
-        return projections
 
     @property
     def projection_nnz(self) -> int:

@@ -61,14 +61,13 @@ def select_active_batch(
         return [(all_active, 0, 0) for _ in range(batch_size)]
 
     target = layer.config.sampling.target_active
-    # One flat batched probe; per-row QueryResult views are materialised
-    # only for the sampler hand-off.
+    # One flat batched probe; the sampler reads each row of it in place.
     probe_start = time.perf_counter()
     flat = layer.lsh_index.query_batch_flat(dense_queries)
     select_start = time.perf_counter()
     selections: list[tuple[IntArray, int, int]] = []
     for row in range(batch_size):
-        sampled = layer.sampler.select_from_result(flat.result(row), target)
+        sampled = layer.sampler.select_from_result(flat, row, target)
         forced = forced_active[row] if forced_active is not None else None
         selections.append(layer.finalize_active(sampled, forced))
     if timer is not None:

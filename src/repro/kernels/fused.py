@@ -280,7 +280,6 @@ def fused_forward_batch(
                 lambda values: _segment_softmax(values, active_counts),
             )
 
-        layer.num_forward_calls += batch_size
         states.append(
             FusedLayerState(
                 rows=rows,

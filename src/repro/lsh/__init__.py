@@ -8,8 +8,8 @@ serving — is one ``searchsorted`` and one gather
 
 from repro.lsh.bucket import Bucket, FlatBuckets
 from repro.lsh.policies import FIFOPolicy, ReservoirPolicy, make_insertion_policy
-from repro.lsh.index import BatchQueryResult, LSHIndex, QueryResult
-from repro.lsh.scheduler import ExponentialDecaySchedule, FixedPeriodSchedule
+from repro.lsh.index import BatchQueryResult, LSHIndex
+from repro.lsh.scheduler import ExponentialDecaySchedule
 
 __all__ = [
     "Bucket",
@@ -19,7 +19,5 @@ __all__ = [
     "ReservoirPolicy",
     "make_insertion_policy",
     "LSHIndex",
-    "QueryResult",
     "ExponentialDecaySchedule",
-    "FixedPeriodSchedule",
 ]

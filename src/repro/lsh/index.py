@@ -45,7 +45,6 @@ key order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -57,7 +56,7 @@ from repro.lsh.policies import make_insertion_policy
 from repro.types import FLOAT, FloatArray, IntArray
 from repro.utils.rng import derive_rng
 
-__all__ = ["LSHIndex", "QueryResult", "BatchQueryResult"]
+__all__ = ["LSHIndex", "BatchQueryResult"]
 
 # splitmix64-flavoured combine constant for chunked fingerprint mixing.
 _MIX_CONSTANT = np.uint64(0x9E3779B97F4A7C15)
@@ -101,74 +100,14 @@ def _radix_pack(codes: IntArray, columns: slice, radix: IntArray) -> IntArray:
     return keys
 
 
-class QueryResult:
-    """The ``L`` candidate buckets one query row drew from the tables.
-
-    Held as the row's ``(L, S)`` candidate matrix and its ``(L,)`` bucket
-    sizes — table ``t``'s bucket is ``candidates[t, :sizes[t]]`` — so a row
-    of a :class:`BatchQueryResult` is three views and a bucket array is
-    built only when a consumer reads it.  ``QueryResult(buckets=[...])``
-    pads a hand-made bucket list into the same form.
-
-    Attributes
-    ----------
-    candidates:
-        ``(L, S)`` candidate neuron ids; entries past ``sizes[t]`` are unused.
-    sizes:
-        ``(L,)`` number of candidates each table returned.
-    codes:
-        The ``(L, K)`` elementary hash codes of the query, when known.
-    """
-
-    __slots__ = ("candidates", "sizes", "codes")
-
-    def __init__(
-        self,
-        buckets: Sequence[IntArray] = (),
-        codes: IntArray | None = None,
-        *,
-        candidates: IntArray | None = None,
-        sizes: IntArray | None = None,
-    ) -> None:
-        if candidates is None or sizes is None:
-            arrays = [np.asarray(bucket, dtype=np.int64) for bucket in buckets]
-            sizes = np.array([bucket.size for bucket in arrays], dtype=np.int64)
-            candidates = np.full(
-                (len(arrays), int(sizes.max(initial=0))), -1, dtype=np.int64
-            )
-            for table, bucket in enumerate(arrays):
-                candidates[table, : bucket.size] = bucket
-        self.candidates = candidates
-        self.sizes = sizes
-        self.codes = codes
-
-    @property
-    def buckets(self) -> list[IntArray]:
-        """One array of candidate ids per table (views, length ``L``)."""
-        return [
-            self.candidates[table, :size]
-            for table, size in enumerate(self.sizes.tolist())
-        ]
-
-    def frequencies(self) -> tuple[IntArray, IntArray]:
-        """Candidate ids with the number of tables in which each appeared."""
-        filled = np.arange(self.candidates.shape[1]) < self.sizes[:, None]
-        values = self.candidates[filled]
-        if values.size == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
-        ids, counts = np.unique(values, return_counts=True)
-        return ids.astype(np.int64), counts.astype(np.int64)
-
-
 @dataclass
 class BatchQueryResult:
     """Candidate sets for a whole query batch, as flat arrays.
 
     ``candidates[b, t]`` holds the bucket contents table ``t`` returned for
     query row ``b``, padded with ``-1`` beyond ``sizes[b, t]`` — no per-query
-    Python objects are materialised.  :meth:`result` hands one row to the
-    sampling strategies as a :class:`QueryResult` of views.
+    Python objects are materialised.  The sampling strategies read one row
+    in place: table ``t``'s bucket is ``candidates[row, t, :sizes[row, t]]``.
     """
 
     codes: IntArray  # (batch, L, K)
@@ -178,14 +117,6 @@ class BatchQueryResult:
     @property
     def batch_size(self) -> int:
         return int(self.candidates.shape[0])
-
-    def result(self, row: int) -> QueryResult:
-        """Per-row :class:`QueryResult` (views of this batch's arrays)."""
-        return QueryResult(
-            codes=self.codes[row],
-            candidates=self.candidates[row],
-            sizes=self.sizes[row],
-        )
 
     def frequencies(self, row: int) -> tuple[IntArray, IntArray]:
         """One row's candidate ids with their cross-table collision counts."""

@@ -1,4 +1,4 @@
-"""Hash-table rebuild schedules (paper Section 4.2, heuristic 1).
+"""The hash-table rebuild schedule (paper Section 4.2, heuristic 1).
 
 Recomputing every neuron's hash codes after every gradient step would erase
 SLIDE's advantage, so the paper rebuilds the tables on a schedule whose period
@@ -10,66 +10,12 @@ convergence they become rare.
 
 from __future__ import annotations
 
-import abc
 import math
 
-__all__ = ["RebuildSchedule", "ExponentialDecaySchedule", "FixedPeriodSchedule"]
+__all__ = ["ExponentialDecaySchedule"]
 
 
-class RebuildSchedule(abc.ABC):
-    """Decides at which iterations the hash tables should be rebuilt."""
-
-    @abc.abstractmethod
-    def should_rebuild(self, iteration: int) -> bool:
-        """Return True if a rebuild is due at ``iteration`` (0-based)."""
-
-    @abc.abstractmethod
-    def record_rebuild(self, iteration: int) -> None:
-        """Notify the schedule that a rebuild happened at ``iteration``."""
-
-    @abc.abstractmethod
-    def next_rebuild_iteration(self) -> int:
-        """Iteration at which the next rebuild is due."""
-
-    def state_dict(self) -> dict[str, int]:
-        """JSON-safe mutable state, for checkpoint/resume.
-
-        A resumed run must rebuild at the same iterations the original
-        would have, or the active sets — and therefore the whole loss
-        trajectory — diverge from the point of the first mistimed rebuild.
-        """
-        return {
-            "next": int(self.next_rebuild_iteration()),
-            "rebuild_count": int(getattr(self, "_rebuild_count", 0)),
-        }
-
-    def load_state_dict(self, state: dict[str, int]) -> None:
-        """Restore state captured by :meth:`state_dict`."""
-        self._next = int(state["next"])
-        if hasattr(self, "_rebuild_count"):
-            self._rebuild_count = int(state.get("rebuild_count", 0))
-
-
-class FixedPeriodSchedule(RebuildSchedule):
-    """Rebuild every ``period`` iterations (ablation baseline)."""
-
-    def __init__(self, period: int) -> None:
-        if period <= 0:
-            raise ValueError("period must be positive")
-        self.period = int(period)
-        self._next = self.period
-
-    def should_rebuild(self, iteration: int) -> bool:
-        return iteration >= self._next
-
-    def record_rebuild(self, iteration: int) -> None:
-        self._next = iteration + self.period
-
-    def next_rebuild_iteration(self) -> int:
-        return self._next
-
-
-class ExponentialDecaySchedule(RebuildSchedule):
+class ExponentialDecaySchedule:
     """The paper's exponentially decaying rebuild frequency.
 
     Parameters
@@ -114,14 +60,31 @@ class ExponentialDecaySchedule(RebuildSchedule):
         return int(round(self._capped_period(self._rebuild_count)))
 
     def should_rebuild(self, iteration: int) -> bool:
+        """Return True if a rebuild is due at ``iteration`` (0-based)."""
         return iteration >= self._next
 
     def record_rebuild(self, iteration: int) -> None:
+        """Notify the schedule that a rebuild happened at ``iteration``."""
         self._rebuild_count += 1
         self._next = iteration + self.current_period()
 
     def next_rebuild_iteration(self) -> int:
+        """Iteration at which the next rebuild is due."""
         return self._next
+
+    def state_dict(self) -> dict[str, int]:
+        """JSON-safe mutable state, for checkpoint/resume.
+
+        A resumed run must rebuild at the same iterations the original
+        would have, or the active sets — and therefore the whole loss
+        trajectory — diverge from the point of the first mistimed rebuild.
+        """
+        return {"next": int(self._next), "rebuild_count": int(self._rebuild_count)}
+
+    def load_state_dict(self, state: dict[str, int]) -> None:
+        """Restore state captured by :meth:`state_dict`."""
+        self._next = int(state["next"])
+        self._rebuild_count = int(state.get("rebuild_count", 0))
 
     @property
     def rebuild_count(self) -> int:

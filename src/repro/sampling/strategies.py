@@ -1,7 +1,7 @@
 """The three active-neuron sampling strategies (paper Section 4.1).
 
-Given the per-table candidate buckets one query row drew from the tables
-(:meth:`repro.lsh.index.BatchQueryResult.result`), each strategy decides
+Given the per-table candidate buckets one row of a batched probe drew from
+the tables (:class:`repro.lsh.index.BatchQueryResult`), each strategy decides
 which neuron ids become *active* for the current input:
 
 * **Vanilla** — probe tables one at a time in random order, stop as soon as
@@ -20,7 +20,7 @@ import abc
 import numpy as np
 
 from repro.config import SamplingConfig
-from repro.lsh.index import QueryResult
+from repro.lsh.index import BatchQueryResult
 from repro.types import IntArray
 from repro.utils.topk import top_k_indices
 
@@ -38,14 +38,15 @@ class SamplingStrategy(abc.ABC):
 
     name: str = "base"
 
-    def __init__(self, rng: np.random.Generator | None = None) -> None:
-        self._rng = rng if rng is not None else np.random.default_rng()
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
 
     @abc.abstractmethod
     def select_from_result(
-        self, result: QueryResult, target_active: int | None
+        self, flat: BatchQueryResult, row: int, target_active: int | None
     ) -> IntArray:
-        """Return a sorted unique array of active neuron ids for one query."""
+        """Return a sorted unique array of active neuron ids for one query
+        row of ``flat``."""
 
 
 class VanillaSampling(SamplingStrategy):
@@ -58,11 +59,13 @@ class VanillaSampling(SamplingStrategy):
 
     name = "vanilla"
 
-    def select_from_result(self, result: QueryResult, target_active: int | None) -> IntArray:
+    def select_from_result(
+        self, flat: BatchQueryResult, row: int, target_active: int | None
+    ) -> IntArray:
         # RNG consumption: one table permutation, plus one subset draw when
         # over target.
-        candidates = result.candidates
-        sizes = result.sizes.tolist()
+        candidates = flat.candidates[row]
+        sizes = flat.sizes[row].tolist()
         order = self._rng.permutation(len(sizes))
         # Running sorted-unique union of the probed buckets: each probe merges
         # one bucket instead of re-deduplicating everything collected so far.
@@ -97,8 +100,10 @@ class TopKSampling(SamplingStrategy):
 
     name = "topk"
 
-    def select_from_result(self, result: QueryResult, target_active: int | None) -> IntArray:
-        ids, counts = result.frequencies()
+    def select_from_result(
+        self, flat: BatchQueryResult, row: int, target_active: int | None
+    ) -> IntArray:
+        ids, counts = flat.frequencies(row)
         if ids.size == 0:
             return ids
         if target_active is None or ids.size <= target_active:
@@ -112,14 +117,16 @@ class HardThresholdSampling(SamplingStrategy):
 
     name = "hard_threshold"
 
-    def __init__(self, threshold: int = 2, rng: np.random.Generator | None = None) -> None:
-        super().__init__(rng=rng)
+    def __init__(self, rng: np.random.Generator, threshold: int = 2) -> None:
+        super().__init__(rng)
         if threshold <= 0:
             raise ValueError("threshold must be positive")
         self.threshold = int(threshold)
 
-    def select_from_result(self, result: QueryResult, target_active: int | None) -> IntArray:
-        ids, counts = result.frequencies()
+    def select_from_result(
+        self, flat: BatchQueryResult, row: int, target_active: int | None
+    ) -> IntArray:
+        ids, counts = flat.frequencies(row)
         if ids.size == 0:
             return ids
         selected = ids[counts >= self.threshold]
@@ -135,14 +142,14 @@ class HardThresholdSampling(SamplingStrategy):
 
 
 def make_sampling_strategy(
-    config: SamplingConfig, rng: np.random.Generator | None = None
+    config: SamplingConfig, rng: np.random.Generator
 ) -> SamplingStrategy:
     """Instantiate the strategy described by a :class:`SamplingConfig`."""
     name = config.strategy.lower()
     if name == "vanilla":
-        return VanillaSampling(rng=rng)
+        return VanillaSampling(rng)
     if name == "topk":
-        return TopKSampling(rng=rng)
+        return TopKSampling(rng)
     if name == "hard_threshold":
-        return HardThresholdSampling(threshold=config.hard_threshold, rng=rng)
+        return HardThresholdSampling(rng, threshold=config.hard_threshold)
     raise ValueError(f"unknown sampling strategy {config.strategy!r}")

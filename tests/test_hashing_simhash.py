@@ -121,37 +121,7 @@ class TestSimHashLSHProperty:
         assert observed == pytest.approx(expected, abs=0.06)
 
 
-class TestSimHashIncrementalUpdate:
-    def test_incremental_projection_update_matches_full(self, simhash, rng):
-        vector = rng.normal(size=64)
-        projections = simhash.project(vector)
-        changed = rng.choice(64, size=5, replace=False)
-        deltas = rng.normal(size=5)
-        updated_vector = vector.copy()
-        updated_vector[changed] += deltas
-        incremental = simhash.update_projections(projections, changed, deltas)
-        # Two float32 summation orders of ~21 O(1) terms: 64 eps of slack.
-        np.testing.assert_allclose(
-            incremental, simhash.project(updated_vector), rtol=0, atol=64 * EPS32
-        )
-        np.testing.assert_array_equal(
-            simhash.codes_from_projections(incremental),
-            simhash.hash_vector(updated_vector),
-        )
-
-    def test_empty_update_is_identity(self, simhash, rng):
-        vector = rng.normal(size=64)
-        projections = simhash.project(vector)
-        result = simhash.update_projections(
-            projections, np.array([], dtype=np.int64), np.array([])
-        )
-        np.testing.assert_allclose(result, projections)
-
-    def test_misaligned_update_raises(self, simhash, rng):
-        projections = simhash.project(rng.normal(size=64))
-        with pytest.raises(ValueError, match="align"):
-            simhash.update_projections(projections, np.array([1, 2]), np.array([1.0]))
-
+class TestSimHashProjections:
     def test_codes_from_projections_validates_length(self, simhash):
         with pytest.raises(ValueError):
             simhash.codes_from_projections(np.zeros(3))

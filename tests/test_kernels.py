@@ -15,6 +15,9 @@ Three contracts are pinned down:
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import per_sample_reference
 import pytest
@@ -151,8 +154,8 @@ class TestBatchedHashing:
         for row in range(queries.shape[0]):
             single = index.query_batch_flat(queries[row : row + 1])
             np.testing.assert_array_equal(single.codes[0], flat.codes[row])
-            for got, expected in zip(flat.result(row).buckets, single.result(0).buckets):
-                np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(single.sizes[0], flat.sizes[row])
+            np.testing.assert_array_equal(single.candidates[0], flat.candidates[row])
 
 
 class TestBatchedSelection:
@@ -271,41 +274,118 @@ class TestWorkspace:
 
 
 class TestDirtyNeuronTracking:
-    def test_mark_dirty_accumulates_sorted_unique(self):
-        layer = SlideLayer(
+    @staticmethod
+    def _layer(size: int = 30) -> SlideLayer:
+        return SlideLayer(
             fan_in=16,
             config=LayerConfig(
-                size=30,
+                size=size,
                 activation="softmax",
                 lsh=LSHConfig(hash_family="simhash", k=3, l=4, bucket_size=8),
             ),
             seed=0,
         )
+
+    @staticmethod
+    def _record_updates(layer: SlideLayer, during=None) -> list[np.ndarray]:
+        """Wrap ``layer.lsh_index.update`` to record the ids it is given and
+        run ``during`` (if any) while it runs."""
+        seen: list[np.ndarray] = []
+        update = layer.lsh_index.update
+
+        def recording(ids, weights):
+            seen.append(np.array(ids))
+            if during is not None:
+                during()
+            return update(ids, weights)
+
+        layer.lsh_index.update = recording
+        return seen
+
+    def test_mark_dirty_accumulates_sorted_unique(self):
+        layer = self._layer()
+        seen = self._record_updates(layer)
         layer.mark_dirty(np.array([5, 2, 9]))
         layer.mark_dirty(np.array([2, 11]))
-        np.testing.assert_array_equal(layer._consolidate_dirty(), [2, 5, 9, 11])
         assert layer.dirty_neuron_count == 4
         layer.rebuild()
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], [2, 5, 9, 11])
+        assert seen[0].dtype == np.int64
         assert layer.dirty_neuron_count == 0
+        assert layer.last_rebuild_dirty == 4
 
     def test_mark_dirty_stays_cheap_per_call(self):
-        """Appending dirty ids must not re-sort the whole accumulator per
-        call; consolidation only triggers past the buffering threshold."""
-        layer = SlideLayer(
-            fan_in=16,
-            config=LayerConfig(
-                size=100,
-                activation="softmax",
-                lsh=LSHConfig(hash_family="simhash", k=3, l=4, bucket_size=8),
-            ),
-            seed=0,
-        )
-        for _ in range(50):
+        """Re-marking the same rows many times holds no more state than
+        marking them once, and a rebuild re-hashes each of them once."""
+        layer = self._layer(size=100)
+        seen = self._record_updates(layer)
+        state_bytes = layer._dirty.nbytes
+        for _ in range(500):
             layer.mark_dirty(np.arange(0, 100, 2))
-        # 50 chunks of 50 ids buffered, still under the threshold: no merge.
-        assert len(layer._dirty_chunks) == 50
-        assert layer.dirty_neuron_count == 50  # consolidates on demand
-        assert len(layer._dirty_chunks) == 1
+        assert layer._dirty.nbytes == state_bytes
+        assert layer.dirty_neuron_count == 50
+        layer.rebuild()
+        np.testing.assert_array_equal(seen[0], np.arange(0, 100, 2))
+
+    def test_rows_marked_during_update_stay_dirty(self):
+        """A row marked while the rebuild's ``update`` runs, whether or not
+        the rebuild is re-hashing it, waits for the next rebuild."""
+        layer = self._layer()
+        seen = self._record_updates(
+            layer, during=lambda: layer.mark_dirty(np.array([3, 20]))
+        )
+        layer.mark_dirty(np.array([3, 7]))
+        layer.rebuild()
+        np.testing.assert_array_equal(seen[0], [3, 7])
+        assert layer.dirty_neuron_count == 2
+        layer.rebuild()
+        np.testing.assert_array_equal(seen[1], [3, 20])
+
+    def test_threads_marking_disjoint_rows_lose_none(self):
+        """Four threads mark disjoint rows, each chunk followed by a long run
+        of one repeated row; every row is still dirty afterwards."""
+        layer = self._layer(size=4000)
+        workers = 4
+        barrier = threading.Barrier(workers, timeout=30)
+
+        def mark(ids):
+            barrier.wait()
+            for chunk in np.array_split(ids, 200):
+                layer.mark_dirty(chunk)
+                layer.mark_dirty(np.repeat(ids[:1], 200))
+
+        ids = np.arange(4000)
+        threads = [
+            threading.Thread(target=mark, args=(ids[part::workers],))
+            for part in range(workers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert layer.dirty_neuron_count == 4000
+        seen = self._record_updates(layer)
+        layer.rebuild()
+        np.testing.assert_array_equal(seen[0], ids)
+
+    def test_rebuild_all_tables_clears_the_dirty_rows(self):
+        network = SlideNetwork(
+            SlideNetworkConfig(
+                input_dim=16, layers=(self._layer().config,), seed=0
+            )
+        )
+        layer = network.output_layer
+        layer.mark_dirty(np.array([1, 4]))
+        network.rebuild_all_tables()
+        assert layer.dirty_neuron_count == 0
+        assert layer.num_rebuilds == 1
 
     def test_mark_dirty_noop_without_lsh(self):
         layer = SlideLayer(fan_in=8, config=LayerConfig(size=6), seed=0)

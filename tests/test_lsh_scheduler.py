@@ -1,4 +1,4 @@
-"""Tests for the hash-table rebuild schedules."""
+"""Tests for the hash-table rebuild schedule."""
 
 from __future__ import annotations
 
@@ -6,22 +6,7 @@ import math
 
 import pytest
 
-from repro.lsh.scheduler import ExponentialDecaySchedule, FixedPeriodSchedule
-
-
-class TestFixedPeriodSchedule:
-    def test_rebuilds_every_period(self):
-        schedule = FixedPeriodSchedule(period=10)
-        assert not schedule.should_rebuild(9)
-        assert schedule.should_rebuild(10)
-        schedule.record_rebuild(10)
-        assert schedule.next_rebuild_iteration() == 20
-        assert not schedule.should_rebuild(19)
-        assert schedule.should_rebuild(20)
-
-    def test_invalid_period_raises(self):
-        with pytest.raises(ValueError):
-            FixedPeriodSchedule(period=0)
+from repro.lsh.scheduler import ExponentialDecaySchedule
 
 
 class TestExponentialDecaySchedule:
@@ -99,6 +84,31 @@ class TestExponentialDecaySchedule:
         schedule.record_rebuild(5)
         schedule.record_rebuild(12)
         assert schedule.rebuild_count == 2
+
+    def test_state_dict_round_trip_resumes_the_same_iterations(self):
+        schedule = ExponentialDecaySchedule(initial_period=7, decay=0.4, max_period=90)
+        for _ in range(3):
+            schedule.record_rebuild(schedule.next_rebuild_iteration())
+        state = schedule.state_dict()
+        assert state == {"next": schedule.next_rebuild_iteration(), "rebuild_count": 3}
+        resumed = ExponentialDecaySchedule(initial_period=7, decay=0.4, max_period=90)
+        resumed.load_state_dict(state)
+        for _ in range(6):
+            due = schedule.next_rebuild_iteration()
+            assert resumed.next_rebuild_iteration() == due
+            assert not resumed.should_rebuild(due - 1) and resumed.should_rebuild(due)
+            schedule.record_rebuild(due)
+            resumed.record_rebuild(due)
+        assert resumed.state_dict() == schedule.state_dict()
+
+    def test_load_state_dict_without_rebuild_count(self):
+        """A state saved without ``rebuild_count`` resumes at count 0."""
+        schedule = ExponentialDecaySchedule(initial_period=5, decay=0.3)
+        schedule.record_rebuild(5)
+        schedule.load_state_dict({"next": 40})
+        assert schedule.rebuild_count == 0
+        assert schedule.next_rebuild_iteration() == 40
+        assert schedule.current_period() == 5
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

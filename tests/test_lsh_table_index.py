@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import LSHConfig
-from repro.lsh.index import LSHIndex, QueryResult
+from repro.lsh.index import BatchQueryResult, LSHIndex
 
 
 def probe_union(index: LSHIndex, query: np.ndarray) -> np.ndarray:
@@ -49,15 +49,25 @@ class TestDirectoryKeys:
             index.restore_codes(np.array([0]), np.zeros((1, 3, 3), dtype=np.int64))
 
 
-class TestQueryResult:
+class TestBatchQueryResultFrequencies:
+    @staticmethod
+    def _flat(candidates, sizes) -> BatchQueryResult:
+        candidates = np.array(candidates, dtype=np.int64)
+        codes = np.zeros(candidates.shape[:2] + (2,), dtype=np.int64)
+        return BatchQueryResult(codes, candidates, np.array(sizes, dtype=np.int64))
+
     def test_frequencies(self):
-        result = QueryResult(buckets=[np.array([1, 2]), np.array([2, 3]), np.array([], dtype=np.int64)])
-        ids, counts = result.frequencies()
+        flat = self._flat(
+            [[[9, -1], [9, -1], [-1, -1]], [[1, 2], [2, 3], [-1, -1]]],
+            [[1, 1, 0], [2, 2, 0]],
+        )
+        ids, counts = flat.frequencies(1)
         np.testing.assert_array_equal(ids, [1, 2, 3])
         np.testing.assert_array_equal(counts, [1, 2, 1])
+        assert ids.dtype == counts.dtype == np.int64
 
     def test_empty_result(self):
-        ids, counts = QueryResult().frequencies()
+        ids, counts = self._flat([[[-1], [-1]]], [[0, 0]]).frequencies(0)
         assert ids.size == 0 and counts.size == 0
 
 

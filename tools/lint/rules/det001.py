@@ -9,7 +9,7 @@ train path silently couples results to global interpreter state; one
 ``time.time()`` baked into replayed data makes two identical runs diverge.
 
 Flagged inside the seeded-path scope (core, kernels, parallel, data, lsh,
-hashing, optim, datasets, and the checkpoint format):
+hashing, sampling, optim, datasets, and the checkpoint format):
 
 * ``np.random.<fn>(...)`` for any module-level convenience function
   (``rand``, ``seed``, ``shuffle``, ...) — construction helpers
@@ -42,6 +42,7 @@ _SCOPE_PREFIXES = (
     "src/repro/data/",
     "src/repro/lsh/",
     "src/repro/hashing/",
+    "src/repro/sampling/",
     "src/repro/optim/",
     "src/repro/datasets/",
     "src/repro/state.py",
