@@ -40,7 +40,7 @@ SPEC = BenchSpec(
             },
         },
     },
-    smoke_params={"neuron_counts": [2000, 5000], "queries": 5},
+    smoke_params={"neuron_counts": [2000, 5000], "queries": 20},
     full_params={"neuron_counts": [2000, 3000, 4000, 5000, 6000, 7000], "queries": 20},
     measured=True,
     notes="Wall-clock micro-timing; ordering (TopK most expensive) is the claim.",

@@ -24,6 +24,7 @@ from repro.optim.base import Optimizer
 from repro.sampling.strategies import SamplingStrategy, make_sampling_strategy
 from repro.types import FLOAT, FloatArray, IntArray
 from repro.utils.rng import derive_rng
+from repro.utils.sparse import take_rows
 
 __all__ = ["SlideLayer"]
 
@@ -50,11 +51,14 @@ class SlideLayer:
         # He/Glorot-style initialisation scaled by fan-in keeps early logits
         # small enough for the softmax layer of extreme-classification nets.
         # The draw is float64 and rounded once, so the generator's stream is
-        # the same whatever the parameter dtype.
+        # the same whatever the parameter dtype.  A layer without LSH has
+        # every row active and is updated under a subset of its input
+        # columns, so it is stored column-major: each input's weights (and,
+        # through ``register_parameters``, its Adam moments) are contiguous.
         scale = np.sqrt(2.0 / self.fan_in)
         self.weights: FloatArray = self._rng.normal(
             scale=scale, size=(self.size, self.fan_in)
-        ).astype(FLOAT)
+        ).astype(FLOAT, order="C" if config.uses_lsh else "F")
         self.biases: FloatArray = np.zeros(self.size, dtype=FLOAT)
 
         # LSH machinery (optional).
@@ -93,7 +97,8 @@ class SlideLayer:
     # ------------------------------------------------------------------
     def register_parameters(self, optimizer: Optimizer) -> None:
         """Register this layer's weight and bias tensors with ``optimizer``."""
-        optimizer.register(f"{self.name}.weights", self.weights.shape)
+        order = "F" if np.isfortran(self.weights) else "C"
+        optimizer.register(f"{self.name}.weights", self.weights.shape, order=order)
         optimizer.register(f"{self.name}.biases", self.biases.shape)
 
     # ------------------------------------------------------------------
@@ -239,7 +244,9 @@ class SlideLayer:
                 f"expected inputs of shape (batch, {self.fan_in}), "
                 f"got {dense_inputs.shape}"
             )
-        pre = dense_inputs @ self.weights.T
+        # The product of a row-major copy: OpenBLAS rounds the product of a
+        # column-major layer's transpose differently at a few rows.
+        pre = dense_inputs @ np.ascontiguousarray(self.weights).T
         pre += self.biases
         return self._activate_rows(pre)
 
@@ -263,9 +270,11 @@ class SlideLayer:
             # reduceat yields the element *at* the offset for an empty
             # segment, so only the non-empty examples' offsets go in.
             starts = (np.cumsum(counts) - counts)[filled]
-            columns = np.take(self.weights, np.concatenate(indices), axis=1)
-            columns *= np.concatenate(values)
-            pre[filled] = np.add.reduceat(columns, starts, axis=1).T
+            # One row of ``weights.T`` per referenced input: contiguous runs
+            # of a column-major layer.
+            inputs = take_rows(self.weights.T, np.concatenate(indices))
+            inputs *= np.concatenate(values)[:, None]
+            pre[filled] = np.add.reduceat(inputs, starts, axis=0)
         pre += self.biases
         return self._activate_rows(pre)
 

@@ -39,7 +39,7 @@ from repro.kernels.activations import hidden_activation_grad, relu, softmax_rows
 from repro.kernels.active import select_active_batch
 from repro.optim.base import Optimizer
 from repro.types import FLOAT, FloatArray, IntArray, SparseBatch
-from repro.utils.sparse import spans_all
+from repro.utils.sparse import spans_all, take_rows
 
 __all__ = [
     "Workspace",
@@ -253,13 +253,13 @@ def fused_forward_batch(
             rows = np.arange(layer.size, dtype=np.int64)
 
         gemm_start = time.perf_counter()
-        # A full-width ``cols`` (a hidden layer without LSH below) gathers
-        # whole contiguous rows, and an all-row layer whole columns, instead
-        # of single elements.
-        if spans_all(cols, layer.fan_in):
+        # An all-row layer is column-major, so it gathers whole rows of
+        # ``weights.T``; a full-width ``cols`` (a hidden layer without LSH
+        # below) gathers whole contiguous rows; neither moves single elements.
+        if active_sets is None:
+            block = take_rows(layer.weights.T, cols).T
+        elif spans_all(cols, layer.fan_in):
             block = layer.weights[rows]
-        elif active_sets is None:
-            block = layer.weights.take(cols, axis=1)
         else:
             block = layer.weights[np.ix_(rows, cols)]
         pre = x_block @ block.T
@@ -376,7 +376,12 @@ def fused_backward_batch(
         state = states[layer_idx]
 
         gemm_start = time.perf_counter()
-        weight_grad = workspace.matmul(delta.T, state.x_block, f"wgrad{layer_idx}")
+        if state.active_sets is None:
+            # The C-contiguous transpose, walked row by row by the optimiser
+            # step of the column-major weights.
+            weight_grad = workspace.matmul(state.x_block.T, delta, f"wgrad{layer_idx}").T
+        else:
+            weight_grad = workspace.matmul(delta.T, state.x_block, f"wgrad{layer_idx}")
         weight_grad *= scale
         bias_grad = delta.sum(axis=0)
         bias_grad *= scale

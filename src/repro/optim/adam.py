@@ -58,10 +58,10 @@ class AdamOptimizer(Optimizer):
         self.epsilon = float(epsilon)
         self.update_clip = None if update_clip is None else float(update_clip)
 
-    def _init_state(self, shape: tuple[int, ...]) -> dict[str, FloatArray]:
+    def _init_state(self, shape: tuple[int, ...], order: str) -> dict[str, FloatArray]:
         return {
-            "m": np.zeros(shape, dtype=FLOAT),
-            "v": np.zeros(shape, dtype=FLOAT),
+            "m": np.zeros(shape, dtype=FLOAT, order=order),
+            "v": np.zeros(shape, dtype=FLOAT, order=order),
         }
 
     def to_config(self) -> OptimizerConfig:

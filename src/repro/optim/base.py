@@ -14,7 +14,7 @@ import abc
 import numpy as np
 
 from repro.types import FloatArray, IntArray
-from repro.utils.sparse import spans_all
+from repro.utils.sparse import spans_all, take_rows
 
 __all__ = ["Optimizer"]
 
@@ -27,16 +27,20 @@ __all__ = ["Optimizer"]
 # with 2 MiB of L2 a core: 8,192 elements 12.0-12.4 ms, 16,384 10.0-10.1 ms,
 # 32,768 10.1-10.4 ms.
 _CHUNK_ELEMENTS = 16384
-# Least rows in a chunk of ``sparse_step``'s all-rows column walk, which
-# gathers and scatters one flat id per element.  Measured on (128, 8192)
-# float32 with 2,848 columns: 5 rows (the chunk-size floor) 8.5 ms, 8 rows
-# 8.4, 16 rows 8.6, 128 rows 10.6.
-_TAKE_CHUNK_ROWS = 8
 
 
 def _rows_per_chunk(width: int) -> int:
     """Rows of ``width`` elements that make up one chunk (at least one)."""
     return max(1, _CHUNK_ELEMENTS // max(width, 1))
+
+
+def _check_ids(ids: IntArray, bound: int) -> None:
+    """Raise ``IndexError`` unless every id lies in ``[0, bound)``.
+
+    A negative id would otherwise wrap to the far end of the axis.
+    """
+    if ids.size and (ids.min() < 0 or ids.max() >= bound):
+        raise IndexError(f"sparse_step ids must lie in [0, {bound})")
 
 
 class Optimizer(abc.ABC):
@@ -59,11 +63,13 @@ class Optimizer(abc.ABC):
     # ------------------------------------------------------------------
     # Parameter registration
     # ------------------------------------------------------------------
-    def register(self, name: str, shape: tuple[int, ...]) -> None:
-        """Allocate state for a parameter named ``name`` with ``shape``."""
+    def register(self, name: str, shape: tuple[int, ...], order: str = "C") -> None:
+        """Allocate state for a parameter named ``name`` with ``shape``, in the
+        parameter's memory ``order`` (``"C"`` or ``"F"``), so that
+        :meth:`sparse_step` walks both along the same contiguous axis."""
         if name in self._state:
             raise ValueError(f"parameter {name!r} already registered")
-        self._state[name] = self._init_state(shape)
+        self._state[name] = self._init_state(shape, order)
 
     def parameter_names(self) -> list[str]:
         """Names of every registered parameter (registration order)."""
@@ -79,8 +85,8 @@ class Optimizer(abc.ABC):
         """
 
     @abc.abstractmethod
-    def _init_state(self, shape: tuple[int, ...]) -> dict[str, FloatArray]:
-        """Create optimiser state arrays for a parameter of ``shape``."""
+    def _init_state(self, shape: tuple[int, ...], order: str) -> dict[str, FloatArray]:
+        """Create optimiser state arrays of ``shape`` in memory ``order``."""
 
     # ------------------------------------------------------------------
     # Updates
@@ -120,14 +126,13 @@ class Optimizer(abc.ABC):
         When ``cols`` is ``None`` the update applies to whole rows (used for
         biases, which are one-dimensional); a ``cols`` that is exactly
         ``0..fan_in-1`` is treated the same way, so a full-width block is
-        moved as contiguous rows and not element by element.  The mirror
-        image — ``rows`` exactly ``0..n-1`` under a column subset, a layer
-        without LSH over sparse inputs — gathers and scatters each chunk
-        of rows through one array of flat ids: the same elements read and
-        written as ``np.ix_`` would, hence the same bits.  That walk needs
-        ``param`` and its state to flatten without a copy and ``cols`` to
-        be non-negative, and raises otherwise.  An out-of-range id raises
-        ``IndexError`` on every walk, before its own chunk is written.
+        moved as contiguous rows and not element by element.  A
+        column-major (Fortran-ordered) ``param`` under a column subset is
+        walked as its row-major transpose ``param.T``, with ``cols`` as the
+        rows: a layer without LSH has every row active and is stored that
+        way, so its block is whole input columns, each a contiguous run.
+        An out-of-range or negative id raises ``IndexError`` before
+        anything is written.
 
         The block is walked in chunks of about ``_CHUNK_ELEMENTS`` along
         ``rows`` only (a ``cols`` set is never split): each chunk of the
@@ -150,10 +155,13 @@ class Optimizer(abc.ABC):
         assume any particular number of ``sparse_step`` calls per step.
         """
         state = self._state[name]
+        if cols is not None and np.isfortran(param):
+            param, grad_block, rows, cols = param.T, grad_block.T, cols, rows
+            state = {key: array.T for key, array in state.items()}
+        _check_ids(rows, param.shape[0])
+        if cols is not None:
+            _check_ids(cols, param.shape[1])
         whole_rows = param.ndim == 1 or spans_all(cols, param.shape[1])
-        if not whole_rows and spans_all(rows, param.shape[0]):
-            self._column_walk(param, state, cols, grad_block)
-            return
         stride = _rows_per_chunk(
             1 if param.ndim == 1 else (param.shape[1] if whole_rows else cols.size)
         )
@@ -161,9 +169,9 @@ class Optimizer(abc.ABC):
             chunk_rows = rows[start : start + stride]
             if whole_rows:
                 index = chunk_rows
-                param_chunk = param.take(chunk_rows, axis=0)
+                param_chunk = take_rows(param, chunk_rows)
                 state_chunk = {
-                    key: array.take(chunk_rows, axis=0) for key, array in state.items()
+                    key: take_rows(array, chunk_rows) for key, array in state.items()
                 }
             else:
                 index = np.ix_(chunk_rows, cols)
@@ -175,46 +183,6 @@ class Optimizer(abc.ABC):
             for key, array in state.items():
                 array[index] = state_chunk[key]
             param[index] = param_chunk
-
-    def _column_walk(
-        self,
-        param: FloatArray,
-        state: dict[str, FloatArray],
-        cols: IntArray,
-        grad_block: FloatArray,
-    ) -> None:
-        """``sparse_step`` over every row of ``param`` under a column subset.
-
-        Each chunk of rows is gathered and scattered through one array of
-        flat ids ``row * width + col`` into 1-D views of the parameter and
-        its state.
-        """
-        width = param.shape[1]
-        if cols.size and (cols.min() < 0 or cols.max() >= width):
-            # A flat id would wrap an out-of-range column into another row.
-            raise IndexError(f"sparse_step column ids must lie in [0, {width})")
-        # 1-D views; ``copy=False`` raises ValueError where only a copy would
-        # flatten, instead of scattering into it.
-        flat_param = np.reshape(param, -1, copy=False)
-        flat_state = {
-            key: np.reshape(array, -1, copy=False) for key, array in state.items()
-        }
-        stride = max(_TAKE_CHUNK_ROWS, _rows_per_chunk(cols.size))
-        # Flat ids of the current chunk, advanced in place one chunk at a time.
-        flat_ids = np.arange(min(stride, param.shape[0]))[:, None] * width + cols
-        for start in range(0, param.shape[0], stride):
-            index = flat_ids[: param.shape[0] - start]
-            param_chunk = flat_param.take(index)
-            state_chunk = {
-                key: array.take(index) for key, array in flat_state.items()
-            }
-            self._update_chunk(
-                param_chunk, state_chunk, grad_block[start : start + stride]
-            )
-            for key, array in flat_state.items():
-                array[index] = state_chunk[key]
-            flat_param[index] = param_chunk
-            flat_ids += stride * width
 
     @abc.abstractmethod
     def _update_chunk(

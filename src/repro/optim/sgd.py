@@ -20,10 +20,10 @@ class SGDOptimizer(Optimizer):
             raise ValueError("momentum must lie in [0, 1)")
         self.momentum = float(momentum)
 
-    def _init_state(self, shape: tuple[int, ...]) -> dict[str, FloatArray]:
+    def _init_state(self, shape: tuple[int, ...], order: str) -> dict[str, FloatArray]:
         if self.momentum == 0.0:
             return {}
-        return {"velocity": np.zeros(shape, dtype=FLOAT)}
+        return {"velocity": np.zeros(shape, dtype=FLOAT, order=order)}
 
     def to_config(self) -> OptimizerConfig:
         return OptimizerConfig(

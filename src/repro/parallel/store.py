@@ -3,10 +3,12 @@
 :class:`SharedParamStore` is how the process-HOGWILD trainer shares the
 model: the parent creates one block per array and hands its workers a
 JSON-safe *manifest*; each worker — forked or spawned — reattaches the
-blocks zero-copy from that manifest.  :meth:`SharedParamStore.attach`
-trusts nothing in the manifest it is given: a format, name, block name,
-shape or dtype it cannot use is a ``ValueError`` naming the array and the
-field, raised before any block is mapped.
+blocks zero-copy from that manifest.  Each array keeps its memory order
+(row- or column-major), so a worker walks the same layout as the parent.
+:meth:`SharedParamStore.attach` trusts nothing in the manifest it is given:
+a format, name, block name, shape, dtype or order it cannot use is a
+``ValueError`` naming the array and the field, raised before any block is
+mapped.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 __all__ = ["SharedParamStore"]
 
 MANIFEST_FORMAT = 1
-_SPEC_FIELDS = frozenset({"shm", "shape", "dtype"})
+_SPEC_FIELDS = frozenset({"shm", "shape", "dtype", "order"})
 # Bool, signed / unsigned int, float and complex: fixed-size values that
 # are safe to read from any bytes.  Object, string, void and datetime
 # dtypes are refused (reading an object array through foreign bytes
@@ -49,8 +51,10 @@ def _attach_segment(name: str):
         return shared_memory.SharedMemory(name=name, create=False)
 
 
-def _parse_spec(name: object, spec: object) -> tuple[str, tuple[int, ...], np.dtype]:
-    """``(block name, shape, dtype)`` of one manifest entry, or ``ValueError``."""
+def _parse_spec(
+    name: object, spec: object
+) -> tuple[str, tuple[int, ...], np.dtype, str]:
+    """``(block name, shape, dtype, order)`` of one manifest entry, or ``ValueError``."""
     if not isinstance(name, str) or not name:
         raise ValueError(f"manifest array name {name!r} is not a non-empty string")
     if not isinstance(spec, Mapping):
@@ -83,7 +87,10 @@ def _parse_spec(name: object, spec: object) -> tuple[str, tuple[int, ...], np.dt
             f"array {name!r}: field 'dtype' {dtype_name!r} is not a fixed-size "
             "numeric or bool dtype"
         )
-    return shm, tuple(shape), dtype
+    order = spec["order"]
+    if order not in ("C", "F"):  # row-major, or column-major (a layer without LSH)
+        raise ValueError(f"array {name!r}: field 'order' must be 'C' or 'F', got {order!r}")
+    return shm, tuple(shape), dtype, order
 
 
 class SharedParamStore:
@@ -129,12 +136,13 @@ class SharedParamStore:
             for index, (name, array) in enumerate(arrays.items()):
                 if not name:
                     raise ValueError("array names must be non-empty")
-                source = np.ascontiguousarray(array)
+                source = np.asarray(array)
+                order = "F" if np.isfortran(source) else "C"
                 shm_name = f"{prefix}-{os.getpid():x}-{token}-{index}"
                 segment = shared_memory.SharedMemory(
                     name=shm_name, create=True, size=max(source.nbytes, 1)
                 )
-                view = np.ndarray(source.shape, dtype=source.dtype, buffer=segment.buf)
+                view = np.ndarray(source.shape, source.dtype, segment.buf, order=order)
                 view[...] = source
                 segments[name] = segment
                 views[name] = view
@@ -142,6 +150,7 @@ class SharedParamStore:
                     "shm": shm_name,
                     "shape": [int(dim) for dim in source.shape],
                     "dtype": source.dtype.str,
+                    "order": order,
                 }
         except BaseException:
             for name, segment in segments.items():
@@ -178,7 +187,7 @@ class SharedParamStore:
         views: dict[str, np.ndarray] = {}
         specs: dict[str, dict[str, object]] = {}
         try:
-            for name, (shm, shape, dtype) in parsed.items():
+            for name, (shm, shape, dtype, order) in parsed.items():
                 segment = _attach_segment(shm)
                 segments[name] = segment
                 expected = math.prod(shape) * dtype.itemsize
@@ -188,10 +197,12 @@ class SharedParamStore:
                         f"bytes; field 'shape' {list(shape)} of {dtype.str} needs {expected}"
                     )
                 try:
-                    views[name] = np.ndarray(shape, dtype=dtype, buffer=segment.buf)
+                    views[name] = np.ndarray(shape, dtype, segment.buf, order=order)
                 except ValueError as exc:  # e.g. more dimensions than numpy allows
                     raise ValueError(f"array {name!r}: field 'shape': {exc}") from None
-                specs[name] = {"shm": shm, "shape": list(shape), "dtype": dtype.str}
+                specs[name] = dict(
+                    shm=shm, shape=list(shape), dtype=dtype.str, order=order
+                )
         except BaseException:
             views.clear()
             for segment in segments.values():

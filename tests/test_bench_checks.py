@@ -190,6 +190,25 @@ class TestFig7Check:
 
 
 # ----------------------------------------------------------------------
+# ablation_rebuild_schedule: both schedules rebuild, the decayed one less
+# ----------------------------------------------------------------------
+class TestRebuildScheduleCheck:
+    def test_committed_baseline_passes(self):
+        ablation = bench("ablation_rebuild_schedule")
+        assert ablation.check(golden_payload("ablation_rebuild_schedule"), smoke=True) == []
+
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_a_row_without_a_rebuild_is_flagged(self, row):
+        ablation = bench("ablation_rebuild_schedule")
+        payload = golden_payload("ablation_rebuild_schedule")
+        payload["rows"][row]["rebuilds"] = 0
+        schedule = payload["rows"][row]["schedule"]
+        assert f"{schedule} performed no rebuild in 8 iterations" in ablation.check(
+            payload, smoke=True
+        )
+
+
+# ----------------------------------------------------------------------
 # fig11_hard_threshold: the closed form of Eq. 3
 # ----------------------------------------------------------------------
 class TestFig11:

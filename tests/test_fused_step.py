@@ -13,8 +13,9 @@ Four contracts:
    linear LSH layer) give the averaged per-sample loop's losses
    (``per_sample_reference.py``) and, with SGD, its weights.
 3. **All-rows optimiser walk** — ``sparse_step`` on ``rows = 0..n-1`` with a
-   column subset is bitwise equal to the ``np.ix_`` walk it stands in for,
-   which is kept here as the reference.
+   column subset of a column-major parameter (a layer without LSH) is
+   bitwise equal to the ``np.ix_`` walk it stands in for, which is kept
+   here as the reference.
 4. **Finite differences** — the SGD update of ``fused_backward_batch`` is
    the central-difference gradient of the batch loss, written out here
    sample by sample with the forward's active sets held fixed.
@@ -370,11 +371,13 @@ class TestAllRowsWalk:
         (1, 40, 7), (5, 64, 64 - 1), (33, 700, 300), (300, 96, 1), (128, 2048, 1500),
     ])
     def test_bitwise_equal_to_the_ix_walk(self, rng, make, num_rows, width, num_cols):
+        """A column-major parameter, walked as its transpose, against the
+        ``np.ix_`` walk of a row-major copy."""
         walked, reference = make(), make()
-        param = rng.normal(size=(num_rows, width))
-        expected = param.copy()
-        for optimizer in (walked, reference):
-            optimizer.register("w", param.shape)
+        param = np.asfortranarray(rng.normal(size=(num_rows, width)))
+        expected = np.ascontiguousarray(param)
+        walked.register("w", param.shape, order="F")
+        reference.register("w", param.shape)
         rows = np.arange(num_rows)
         for _ in range(3):  # moments carry over from step to step
             cols = np.sort(rng.choice(width, size=num_cols, replace=False))
@@ -388,10 +391,12 @@ class TestAllRowsWalk:
                 np.testing.assert_array_equal(walked.state_of("w")[key], array)
 
     def test_taken_for_all_rows_in_order_only(self, rng, ix_calls):
-        param = rng.normal(size=(12, 30))
+        """A column-major parameter walks whole columns only when every row,
+        in order, is updated."""
+        param = np.asfortranarray(rng.normal(size=(12, 30)))
         cols = np.array([2, 3, 11])
         optimizer = AdamOptimizer()
-        optimizer.register("w", param.shape)
+        optimizer.register("w", param.shape, order="F")
 
         def ix_calls_for(rows) -> int:
             del ix_calls[:]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.config import OptimizerConfig
 from repro.optim.adam import AdamOptimizer
-from repro.optim.base import _CHUNK_ELEMENTS, _TAKE_CHUNK_ROWS
+from repro.optim.base import _CHUNK_ELEMENTS
 from repro.optim.factory import make_optimizer
 from repro.optim.sgd import SGDOptimizer
 from repro.types import FLOAT
@@ -233,9 +233,13 @@ def _stride(width):
     return max(1, _CHUNK_ELEMENTS // width)
 
 
-# Rows in one chunk of the all-rows column walk over ``width`` columns.
-def _column_walk_stride(width):
-    return max(_TAKE_CHUNK_ROWS, _stride(width))
+# Memory orders a parameter (and its state) can come in: name -> a copy of
+# an array in that order.  "strided" is neither C- nor F-contiguous.
+LAYOUTS = {
+    "row_major": np.ascontiguousarray,
+    "column_major": np.asfortranarray,
+    "strided": lambda array: np.repeat(array, 2, axis=1)[:, ::2],
+}
 
 
 # name -> (param shape, rows, cols, chunks the block is walked in); every
@@ -245,9 +249,7 @@ def block_cases(rng):
     partial = 2 * _stride(70) + _stride(70) // 2
     full_width = 3 * _stride(128) + 8
     bias = 2 * _CHUNK_ELEMENTS + _CHUNK_ELEMENTS // 4
-    # Wide enough that the row floor, not the chunk size, sets the stride.
-    walk_width = 4 * _CHUNK_ELEMENTS // _TAKE_CHUNK_ROWS
-    walk_rows = 2 * _column_walk_stride(3 * walk_width // 4) + 3
+    walk_rows = 2 * _stride(48) + 3
     return {
         "three_chunks_partial_cols": (
             (partial + 100, 96),
@@ -271,9 +273,9 @@ def block_cases(rng):
         "bias_vector": ((bias + 2000,), _sorted_rows(rng, bias + 2000, bias), None, 3),
         "empty_rows": ((5, 4), np.zeros(0, dtype=np.int64), np.array([1, 2]), 0),
         "all_rows_partial_cols": (
-            (walk_rows, walk_width),
+            (walk_rows, 64),
             np.arange(walk_rows),
-            _sorted_rows(rng, walk_width, 3 * walk_width // 4),
+            _sorted_rows(rng, 64, 48),
             3,
         ),
     }
@@ -291,13 +293,7 @@ class TestChunkedSparseStep:
         make, oracle_step = OPTIMISERS[optimiser]
         shape, rows, cols, chunks = block_cases(rng)[case]
         width = 1 if len(shape) == 1 else (shape[1] if cols is None else cols.size)
-        column_walk = (
-            cols is not None
-            and cols.size < shape[1]
-            and np.array_equal(rows, np.arange(shape[0]))
-        )
-        stride = _column_walk_stride(width) if column_walk else _stride(width)
-        assert -(-rows.size // stride) == chunks
+        assert -(-rows.size // _stride(width)) == chunks
 
         opt = make()
         opt.register("w", shape)
@@ -379,24 +375,54 @@ class TestChunkedSparseStep:
         for array in opt.state_of("w").values():
             assert not array.any()
 
-    @pytest.mark.parametrize("strided", ["param", "m"])
-    def test_column_walk_refuses_an_array_it_cannot_flatten(self, strided):
-        """The all-rows walk scatters through 1-D views: an array that only a
-        copy could flatten must raise, never take the update silently."""
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("optimiser", sorted(OPTIMISERS))
+    def test_all_rows_column_subset_bit_identical_on_every_layout(
+        self, rng, optimiser, layout
+    ):
+        """Every row under a column subset (a layer without LSH) takes the
+        ``np.ix_`` update bit for bit, whatever the memory order of the
+        parameter and its state: a column-major one is walked as its
+        transpose, any other through the same chunked walk."""
+        make, oracle_step = OPTIMISERS[optimiser]
+        shape = (24, 3 * _CHUNK_ELEMENTS // 24 + 40)
+        opt = make()
+        param = LAYOUTS[layout](rng.normal(size=shape).astype(FLOAT))
+        opt.register("w", shape, order="F" if np.isfortran(param) else "C")
+        for key, array in opt.state_of("w").items():
+            opt.set_state_array("w", key, LAYOUTS[layout](array))
+        expected = np.array(param)
+        expected_state = {k: np.array(a) for k, a in opt.state_of("w").items()}
+        rows = np.arange(shape[0])
+        for _ in range(3):
+            cols = _sorted_rows(rng, shape[1], 3 * shape[1] // 4)
+            view = np.ix_(rows, cols)
+            grad = LAYOUTS[layout](rng.normal(size=(rows.size, cols.size)).astype(FLOAT))
+            opt.begin_step()
+            opt.sparse_step("w", param, rows, cols, grad)
+            oracle_step(expected, expected_state, view, grad, opt)
+            np.testing.assert_array_equal(param, expected)
+            for key, array in opt.state_of("w").items():
+                np.testing.assert_array_equal(array, expected_state[key])
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("bad", [-1, 6], ids=["negative", "past_the_end"])
+    def test_all_rows_bad_column_raises_before_anything_is_written(self, layout, bad):
+        # The bad id is last: a walk of the column-major parameter's columns
+        # as rows, one a chunk, would have written the three before it.
+        shape = (_CHUNK_ELEMENTS, 6)
         opt = AdamOptimizer()
-        opt.register("w", (8, 6))
-        backing = np.zeros((8, 12), dtype=FLOAT)
-        param = np.zeros((8, 6), dtype=FLOAT)
-        if strided == "param":
-            param = backing[:, :6]
-        else:
-            opt.set_state_array("w", "m", backing[:, :6])
+        param = LAYOUTS[layout](np.zeros(shape, dtype=FLOAT))
+        opt.register("w", shape, order="F" if np.isfortran(param) else "C")
+        cols = np.array([0, 2, 3, bad])
         opt.begin_step()
-        with pytest.raises(ValueError, match="copy"):
+        with pytest.raises(IndexError):
             opt.sparse_step(
-                "w", param, np.arange(8), np.array([1, 3]), np.ones((8, 2), dtype=FLOAT)
+                "w", param, np.arange(shape[0]), cols, np.ones((shape[0], 4), dtype=FLOAT)
             )
-        assert not backing.any() and not param.any()
+        assert not param.any()
+        for array in opt.state_of("w").values():
+            assert not array.any()
 
     @pytest.mark.parametrize(
         "cols", [np.arange(128), np.arange(0, 128, 2)], ids=["full_width", "partial"]

@@ -194,6 +194,11 @@ class TestAttachRefusals:
         with pytest.raises(ValueError, match=r"array 'w'.*'shape'"):
             SharedParamStore.attach(self._with(store, "w", "shape", shape))
 
+    @pytest.mark.parametrize("order", ["K", "A", "c", "f", "", None, 1, ["F"]])
+    def test_an_unknown_order_is_refused_naming_array_and_field(self, store, order):
+        with pytest.raises(ValueError, match=r"array 'w'.*'order'"):
+            SharedParamStore.attach(self._with(store, "w", "order", order))
+
     def test_a_shape_past_the_block_is_refused(self, store):
         with pytest.raises(ValueError, match=r"array 'b'.*holds 32 bytes"):
             SharedParamStore.attach(self._with(store, "b", "shape", [10**20]))
