@@ -122,6 +122,9 @@ class SparseExample:
 
     def __post_init__(self) -> None:
         labels = np.unique(np.asarray(self.labels, dtype=np.int64))
+        # A negative id would wrap to the far end of the output layer.
+        if labels.size and labels[0] < 0:
+            raise ValueError(f"label {int(labels[0])} is negative")
         object.__setattr__(self, "labels", labels)
 
     @property

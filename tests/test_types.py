@@ -98,6 +98,13 @@ class TestSparseExample:
         np.testing.assert_array_equal(example.labels, [1, 2, 3])
         assert example.num_labels == 3
 
+    def test_negative_label_raises(self):
+        # A label of -1 would force the output layer's last row into the
+        # active set and only fail at the optimiser step.
+        features = SparseVector(indices=[0], values=[1.0], dimension=4)
+        with pytest.raises(ValueError, match="label -1 is negative"):
+            SparseExample(features=features, labels=[2, -1])
+
     def test_empty_labels_allowed(self):
         features = SparseVector(indices=[0], values=[1.0], dimension=4)
         example = SparseExample(features=features, labels=[])
@@ -130,6 +137,10 @@ class TestSparseBatch:
     def test_label_out_of_range_raises(self):
         with pytest.raises(ValueError, match="label index out of range"):
             SparseBatch(examples=[self._example(labels=(9,))], label_dim=4)
+
+    def test_negative_label_never_reaches_a_batch(self):
+        with pytest.raises(ValueError, match="negative"):
+            SparseBatch(examples=[self._example(labels=(-1,))], label_dim=4)
 
     def test_average_feature_nnz(self):
         batch = SparseBatch(examples=[self._example(), self._example()], label_dim=4)
