@@ -24,6 +24,7 @@ from repro.optim.base import Optimizer
 from repro.sampling.strategies import SamplingStrategy, make_sampling_strategy
 from repro.types import FLOAT, FloatArray, IntArray
 from repro.utils.rng import derive_rng
+from repro.utils.shared import is_shared, shared_copy, shared_zeros
 from repro.utils.sparse import take_rows
 
 __all__ = ["SlideLayer"]
@@ -38,6 +39,7 @@ class SlideLayer:
         config: LayerConfig,
         seed: int = 0,
         name: str = "layer",
+        shared: bool = False,
     ) -> None:
         if fan_in <= 0:
             raise ValueError("fan_in must be positive")
@@ -55,11 +57,17 @@ class SlideLayer:
         # every row active and is updated under a subset of its input
         # columns, so it is stored column-major: each input's weights (and,
         # through ``register_parameters``, its Adam moments) are contiguous.
+        # A ``shared`` layer keeps its parameters (and, through
+        # ``register_parameters``, its optimiser state) in anonymous shared
+        # mappings, so that a forked helper can step them in place.
         scale = np.sqrt(2.0 / self.fan_in)
         self.weights: FloatArray = self._rng.normal(
             scale=scale, size=(self.size, self.fan_in)
         ).astype(FLOAT, order="C" if config.uses_lsh else "F")
         self.biases: FloatArray = np.zeros(self.size, dtype=FLOAT)
+        if shared:
+            self.weights = shared_copy(self.weights)
+            self.biases = shared_zeros(self.size)
 
         # LSH machinery (optional).
         self.lsh_index: LSHIndex | None = None
@@ -91,6 +99,9 @@ class SlideLayer:
         # reads it to stamp each worker's update footprint into the shared
         # gradient-conflict counters.
         self.last_update_rows: IntArray | None = None
+        # The helper process (``repro.core.offload.StepHelper``) still
+        # applying this layer's last step, if any; ``settle`` waits for it.
+        self._in_flight = None
 
     # ------------------------------------------------------------------
     # Optimiser wiring
@@ -98,8 +109,11 @@ class SlideLayer:
     def register_parameters(self, optimizer: Optimizer) -> None:
         """Register this layer's weight and bias tensors with ``optimizer``."""
         order = "F" if np.isfortran(self.weights) else "C"
-        optimizer.register(f"{self.name}.weights", self.weights.shape, order=order)
-        optimizer.register(f"{self.name}.biases", self.biases.shape)
+        shared = is_shared(self.weights)
+        optimizer.register(
+            f"{self.name}.weights", self.weights.shape, order=order, shared=shared
+        )
+        optimizer.register(f"{self.name}.biases", self.biases.shape, shared=shared)
 
     # ------------------------------------------------------------------
     # Active-set selection
@@ -158,20 +172,43 @@ class SlideLayer:
         cols: IntArray | None,
         weight_grad: FloatArray,
         bias_grad: FloatArray,
+        helper=None,
     ) -> None:
         """Apply one accumulated ``(rows, cols)`` gradient block and mark
         its rows dirty.
 
         The training kernel accumulates a block's gradient into one
         ``(rows, cols)`` array per layer and applies it with one optimiser
-        step.
+        step.  With a ``helper`` the step runs in the helper's process and
+        this returns at once; :meth:`settle` waits for it.
         """
+        if helper is None:
+            self.step_block(optimizer, rows, cols, weight_grad, bias_grad)
+        else:
+            helper.submit(optimizer.step_count, rows, cols, weight_grad, bias_grad)
+            self._in_flight = helper
+        self.last_update_rows = rows
+        self.mark_dirty(rows)
+
+    def step_block(
+        self,
+        optimizer: Optimizer,
+        rows: IntArray,
+        cols: IntArray | None,
+        weight_grad: FloatArray,
+        bias_grad: FloatArray,
+    ) -> None:
+        """The optimiser step of one gradient block, and nothing else."""
         optimizer.sparse_step(
             f"{self.name}.weights", self.weights, rows, cols, weight_grad
         )
         optimizer.sparse_step(f"{self.name}.biases", self.biases, rows, None, bias_grad)
-        self.last_update_rows = rows
-        self.mark_dirty(rows)
+
+    def settle(self) -> None:
+        """Wait until a step still in flight in a helper process has landed."""
+        if self._in_flight is not None:
+            helper, self._in_flight = self._in_flight, None
+            helper.join()
 
     def mark_dirty(self, neuron_ids: IntArray) -> None:
         """Mark neurons awaiting a re-hash (no-op without LSH)."""
@@ -181,11 +218,17 @@ class SlideLayer:
     # ------------------------------------------------------------------
     # Hash-table maintenance
     # ------------------------------------------------------------------
+    def rebuild_due(self, iteration: int) -> bool:
+        """Whether the rebuild schedule says it is time at ``iteration``."""
+        return (
+            self.lsh_index is not None
+            and self.rebuild_schedule is not None
+            and self.rebuild_schedule.should_rebuild(iteration)
+        )
+
     def maybe_rebuild(self, iteration: int) -> bool:
         """Re-hash dirty neurons if the rebuild schedule says it is time."""
-        if self.lsh_index is None or self.rebuild_schedule is None:
-            return False
-        if not self.rebuild_schedule.should_rebuild(iteration):
+        if not self.rebuild_due(iteration):
             return False
         self.rebuild(iteration)
         return True
@@ -199,6 +242,7 @@ class SlideLayer:
         """
         if self.lsh_index is None:
             return
+        self.settle()
         dirty = np.flatnonzero(self._dirty)
         if dirty.size:
             # Clear only the ids read here, before the weights are gathered:

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.config import SlideNetworkConfig, TrainingConfig
 from repro.core.layer import SlideLayer
+from repro.core.offload import MIN_OFFLOAD_WEIGHTS, StepHelper
 from repro.kernels.fused import Workspace, fused_forward_batch, fused_train_step
 from repro.optim.base import Optimizer
 from repro.optim.factory import make_optimizer
@@ -38,12 +39,18 @@ class SlideNetwork:
         self.config = config
         self.layers: list[SlideLayer] = []
         fan_in = config.input_dim
+        last = len(config.layers) - 1
         for idx, layer_cfg in enumerate(config.layers):
             layer = SlideLayer(
                 fan_in=fan_in,
                 config=layer_cfg,
                 seed=config.seed + idx,
                 name=f"layer{idx}",
+                # The one layer whose steps a helper process can take
+                # (repro.core.offload) lives in shared memory from the start.
+                shared=idx == last
+                and layer_cfg.uses_lsh
+                and layer_cfg.size * fan_in >= MIN_OFFLOAD_WEIGHTS,
             )
             self.layers.append(layer)
             fan_in = layer_cfg.size
@@ -129,6 +136,7 @@ class SlideNetwork:
         batch: SparseBatch,
         optimizer: Optimizer,
         hogwild: bool = True,
+        helper: StepHelper | None = None,
     ) -> dict[str, float]:
         """One mini-batch step (Algorithm 1, lines 7-16).
 
@@ -138,6 +146,10 @@ class SlideNetwork:
         ``hogwild=False`` the micro-batch is one block: one LSH hash sweep,
         one gather + GEMM per layer and one accumulated optimiser step per
         layer.
+
+        Every update has landed when this returns, except the step of a
+        ``helper``'s layer (the trainer's synchronous loop passes one): that
+        lands at the layer's next :meth:`SlideLayer.settle`.
         """
         if hogwild:
             blocks = [
@@ -146,19 +158,29 @@ class SlideNetwork:
             ]
         else:
             blocks = [batch]
-        metrics = fused_train_step(self, blocks, optimizer, self._workspace)
+        metrics = fused_train_step(self, blocks, optimizer, self._workspace, helper)
 
         self.iteration += 1
+        due = [layer for layer in self.layers if layer.rebuild_due(self.iteration)]
+        # Outside the rebuild phase: waiting for a step is ``optimiser_wait``.
+        for layer in due:
+            layer.settle()
         with self.phase_timer.phase("rebuild"):
-            for layer in self.layers:
-                layer.maybe_rebuild(self.iteration)
+            for layer in due:
+                layer.rebuild(self.iteration)
         return metrics
+
+    def settle(self) -> None:
+        """Wait until every layer update still in flight has landed."""
+        for layer in self.layers:
+            layer.settle()
 
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
     def rebuild_all_tables(self) -> None:
         """Force a full re-hash of every LSH-enabled layer."""
+        self.settle()
         for layer in self.layers:
             if layer.lsh_index is not None:
                 layer.lsh_index.build(layer.weights)

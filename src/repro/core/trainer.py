@@ -9,6 +9,7 @@ processes is :class:`repro.parallel.trainer.ProcessHogwildTrainer`'s job.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Sequence
@@ -18,6 +19,7 @@ import numpy as np
 from repro.config import FaultToleranceConfig, TrainingConfig
 from repro.core.inference import evaluate_precision_at_1
 from repro.core.network import SlideNetwork
+from repro.core.offload import StepHelper, offload_pays
 from repro.state import CheckpointStore, restore_train_state
 from repro.types import SparseBatch, SparseExample
 from repro.utils.rng import derive_rng
@@ -170,6 +172,12 @@ class SlideTrainer:
         self.fault_tolerance = fault_tolerance or FaultToleranceConfig()
         self._checkpoint_store = None
         self._last_saved_iteration = -1
+        # The helper process that takes the output layer's optimiser steps
+        # in the synchronous loops (repro.core.offload), started at the
+        # first step that can use one.  The finalizer closes it when the
+        # trainer is closed or collected, or at interpreter exit.
+        self._helper: StepHelper | None = None
+        self._helper_finalizer: weakref.finalize | None = None
 
     # ------------------------------------------------------------------
     # Batching
@@ -259,6 +267,7 @@ class SlideTrainer:
                 # Generator or BatchPrefetcher alike: stop assembly promptly
                 # if an exception aborts the epoch mid-stream.
                 batches.close()
+                self.network.settle()
             if len(eval_pool):
                 self.history.epoch_accuracy.append(
                     evaluate_precision_at_1(self.network, eval_pool)
@@ -290,6 +299,7 @@ class SlideTrainer:
         store = self._store()
         if store is None or self.network.iteration == self._last_saved_iteration:
             return
+        self.network.settle()
         # save_checkpoint canonicalises dirty layers itself, but that would
         # happen *after* the metadata below captured num_rebuilds; rebuild
         # first so the runtime state and the arrays describe the same model.
@@ -349,8 +359,11 @@ class SlideTrainer:
         and leaves epoch/shuffle discipline to the producer.
         """
         eval_pool = eval_examples if eval_examples is not None else []
-        for batch in batches:
-            self._train_one_batch(batch, eval_pool)
+        try:
+            for batch in batches:
+                self._train_one_batch(batch, eval_pool)
+        finally:
+            self.network.settle()
         if len(eval_pool):
             self.history.epoch_accuracy.append(
                 evaluate_precision_at_1(self.network, eval_pool)
@@ -361,7 +374,9 @@ class SlideTrainer:
         self, batch: SparseBatch, eval_pool: ExampleSource
     ) -> IterationRecord:
         start = time.perf_counter()
-        metrics = self.network.train_batch(batch, self.optimizer, hogwild=self.hogwild)
+        metrics = self.network.train_batch(
+            batch, self.optimizer, hogwild=self.hogwild, helper=self._step_helper()
+        )
         elapsed = time.perf_counter() - start
 
         accuracy = None
@@ -370,6 +385,7 @@ class SlideTrainer:
             and eval_pool
             and self.network.iteration % self.training.eval_every == 0
         ):
+            self.network.settle()
             subset = eval_pool[: self.training.eval_samples]
             accuracy = evaluate_precision_at_1(self.network, subset)
 
@@ -384,6 +400,35 @@ class SlideTrainer:
         )
         self.history.records.append(record)
         return record
+
+    # ------------------------------------------------------------------
+    # The output layer's helper process
+    # ------------------------------------------------------------------
+    def _step_helper(self) -> StepHelper | None:
+        """The helper for this step, (re)started as the layer's arrays require.
+
+        Only the synchronous loops defer a step.  A helper is forked with
+        the arrays it steps, so a rebind of any of them restarts it.
+        """
+        if self.hogwild:
+            return None
+        layer = self.network.output_layer
+        if self._helper is not None and self._helper.bound_to(layer, self.optimizer):
+            return self._helper
+        self.close()
+        if offload_pays(layer, self.optimizer):
+            self._helper = StepHelper(
+                layer, self.optimizer, self.network._workspace, self.network.phase_timer
+            )
+            self._helper_finalizer = weakref.finalize(self, self._helper.close)
+        return self._helper
+
+    def close(self) -> None:
+        """Stop the helper process, if one runs (its step in flight lands)."""
+        if self._helper_finalizer is not None:
+            self._helper, finalizer = None, self._helper_finalizer
+            self._helper_finalizer = None
+            finalizer()
 
     # ------------------------------------------------------------------
     # Convenience

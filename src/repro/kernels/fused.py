@@ -39,6 +39,7 @@ from repro.kernels.activations import hidden_activation_grad, relu, softmax_rows
 from repro.kernels.active import select_active_batch
 from repro.optim.base import Optimizer
 from repro.types import FLOAT, FloatArray, IntArray, SparseBatch
+from repro.utils.shared import is_shared, shared_zeros
 from repro.utils.sparse import spans_all, take_rows
 
 __all__ = [
@@ -73,6 +74,18 @@ class Workspace:
             buffer = np.empty(grown, dtype=FLOAT)
             self._buffers[name] = buffer
         return buffer[: shape[0], : shape[1]]
+
+    def share(self, name: str, shape: tuple[int, int]) -> FloatArray:
+        """Make the named buffer a ``shape`` one in a shared mapping, once.
+
+        Its untouched pages stay unallocated, so ``shape`` can be the
+        largest block the buffer will hold; later :meth:`take` calls slice
+        it, and a forked process that inherited it reads what they write.
+        """
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.shape != shape or not is_shared(buffer):
+            buffer = self._buffers[name] = shared_zeros(shape)
+        return buffer
 
     def matmul(self, a: FloatArray, b: FloatArray, name: str) -> FloatArray:
         """``a @ b`` written into the named reusable buffer."""
@@ -138,6 +151,11 @@ class FusedBatchResult:
                 )
                 total += int(np.dot(out_counts, in_counts))
         return total
+
+
+def weight_grad_name(layer) -> str:
+    """The workspace buffer that ``layer``'s weight-gradient GEMM writes into."""
+    return f"wgrad.{layer.name}"
 
 
 def _segment_softmax(values: FloatArray, counts: IntArray) -> FloatArray:
@@ -252,6 +270,8 @@ def fused_forward_batch(
             from_tables = fallback = 0
             rows = np.arange(layer.size, dtype=np.int64)
 
+        # A step of this layer still in flight lands before its rows are read.
+        layer.settle()
         gemm_start = time.perf_counter()
         # An all-row layer is column-major, so it gathers whole rows of
         # ``weights.T``; a full-width ``cols`` (a hidden layer without LSH
@@ -354,13 +374,16 @@ def fused_backward_batch(
     result: FusedBatchResult,
     optimizer: Optimizer,
     workspace: Workspace,
+    helper=None,
 ) -> FloatArray:
     """Backward pass + one accumulated optimiser step per layer.
 
     The weight gradient of layer ``l`` is the single GEMM ``delta_l^T @
     X_l / batch`` over the union block — the mean of the per-sample outer
     products — written into a reusable workspace buffer and applied with one
-    ``sparse_step``.  Returns the per-sample losses.
+    ``sparse_step``.  ``helper`` (a :class:`repro.core.offload.StepHelper`)
+    takes the step of its own layer, which returns before it has landed.
+    Returns the per-sample losses.
     """
     batch_size = len(batch)
     states = result.layer_states
@@ -379,9 +402,13 @@ def fused_backward_batch(
         if state.active_sets is None:
             # The C-contiguous transpose, walked row by row by the optimiser
             # step of the column-major weights.
-            weight_grad = workspace.matmul(state.x_block.T, delta, f"wgrad{layer_idx}").T
+            weight_grad = workspace.matmul(
+                state.x_block.T, delta, weight_grad_name(layer)
+            ).T
         else:
-            weight_grad = workspace.matmul(delta.T, state.x_block, f"wgrad{layer_idx}")
+            weight_grad = workspace.matmul(
+                delta.T, state.x_block, weight_grad_name(layer)
+            )
         weight_grad *= scale
         bias_grad = delta.sum(axis=0)
         bias_grad *= scale
@@ -406,7 +433,12 @@ def fused_backward_batch(
 
         optim_start = time.perf_counter()
         layer.apply_gradient_block(
-            optimizer, state.rows, state.cols, weight_grad, bias_grad
+            optimizer,
+            state.rows,
+            state.cols,
+            weight_grad,
+            bias_grad,
+            helper if helper is not None and helper.layer is layer else None,
         )
         optim_seconds += time.perf_counter() - optim_start
         if next_delta is not None:
@@ -423,12 +455,15 @@ def fused_train_step(
     blocks: Sequence[SparseBatch],
     optimizer: Optimizer,
     workspace: Workspace | None = None,
+    helper=None,
 ) -> dict[str, float]:
     """One training step: forward, backward and update for each block in turn.
 
     Each block is one fused forward/backward with one accumulated optimiser
     step per layer, so a block sees every update of the blocks before it;
-    the optimiser's ``begin_step`` runs once for the whole step.  Returns the
+    the optimiser's ``begin_step`` runs once for the whole step.  A
+    ``helper``'s layer may still be stepping when this returns (see
+    :func:`fused_backward_batch`).  Returns the
     loss averaged over the samples and the work counters summed.  The caller
     (``SlideNetwork.train_batch``) owns the iteration counter and rebuild
     schedule.
@@ -448,7 +483,9 @@ def fused_train_step(
     active_neurons = active_weights = 0
     for block in blocks:
         result = fused_forward_batch(network, block, include_labels=True)
-        losses.append(fused_backward_batch(network, block, result, optimizer, workspace))
+        losses.append(
+            fused_backward_batch(network, block, result, optimizer, workspace, helper)
+        )
         active_neurons += result.total_active_neurons(len(block))
         active_weights += result.total_active_weights(len(block))
     sample_losses = np.concatenate(losses)

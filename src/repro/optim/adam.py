@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.config import OptimizerConfig
 from repro.optim.base import Optimizer
-from repro.types import FLOAT, FloatArray
+from repro.types import FloatArray
 
 __all__ = ["AdamOptimizer"]
 
@@ -58,11 +58,8 @@ class AdamOptimizer(Optimizer):
         self.epsilon = float(epsilon)
         self.update_clip = None if update_clip is None else float(update_clip)
 
-    def _init_state(self, shape: tuple[int, ...], order: str) -> dict[str, FloatArray]:
-        return {
-            "m": np.zeros(shape, dtype=FLOAT, order=order),
-            "v": np.zeros(shape, dtype=FLOAT, order=order),
-        }
+    def _state_slots(self) -> tuple[str, ...]:
+        return ("m", "v")
 
     def to_config(self) -> OptimizerConfig:
         return OptimizerConfig(

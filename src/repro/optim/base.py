@@ -13,7 +13,8 @@ import abc
 
 import numpy as np
 
-from repro.types import FloatArray, IntArray
+from repro.types import FLOAT, FloatArray, IntArray
+from repro.utils.shared import shared_zeros
 from repro.utils.sparse import spans_all, take_rows
 
 __all__ = ["Optimizer"]
@@ -63,13 +64,20 @@ class Optimizer(abc.ABC):
     # ------------------------------------------------------------------
     # Parameter registration
     # ------------------------------------------------------------------
-    def register(self, name: str, shape: tuple[int, ...], order: str = "C") -> None:
-        """Allocate state for a parameter named ``name`` with ``shape``, in the
-        parameter's memory ``order`` (``"C"`` or ``"F"``), so that
-        :meth:`sparse_step` walks both along the same contiguous axis."""
+    def register(
+        self, name: str, shape: tuple[int, ...], order: str = "C", shared: bool = False
+    ) -> None:
+        """Allocate zeroed state for a parameter named ``name`` with ``shape``,
+        in the parameter's memory ``order`` (``"C"`` or ``"F"``), so that
+        :meth:`sparse_step` walks both along the same contiguous axis.
+        ``shared`` places it in anonymous shared mappings, as the parameter
+        is, so that a forked process can step both in place."""
         if name in self._state:
             raise ValueError(f"parameter {name!r} already registered")
-        self._state[name] = self._init_state(shape, order)
+        zeros = shared_zeros if shared else np.zeros
+        self._state[name] = {
+            slot: zeros(shape, dtype=FLOAT, order=order) for slot in self._state_slots()
+        }
 
     def parameter_names(self) -> list[str]:
         """Names of every registered parameter (registration order)."""
@@ -85,8 +93,8 @@ class Optimizer(abc.ABC):
         """
 
     @abc.abstractmethod
-    def _init_state(self, shape: tuple[int, ...], order: str) -> dict[str, FloatArray]:
-        """Create optimiser state arrays of ``shape`` in memory ``order``."""
+    def _state_slots(self) -> tuple[str, ...]:
+        """Names of the state arrays kept per parameter, each shaped like it."""
 
     # ------------------------------------------------------------------
     # Updates

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.config import OptimizerConfig
 from repro.optim.base import Optimizer
-from repro.types import FLOAT, FloatArray
+from repro.types import FloatArray
 
 __all__ = ["SGDOptimizer"]
 
@@ -20,10 +18,8 @@ class SGDOptimizer(Optimizer):
             raise ValueError("momentum must lie in [0, 1)")
         self.momentum = float(momentum)
 
-    def _init_state(self, shape: tuple[int, ...], order: str) -> dict[str, FloatArray]:
-        if self.momentum == 0.0:
-            return {}
-        return {"velocity": np.zeros(shape, dtype=FLOAT, order=order)}
+    def _state_slots(self) -> tuple[str, ...]:
+        return ("velocity",) if self.momentum else ()
 
     def to_config(self) -> OptimizerConfig:
         return OptimizerConfig(

@@ -20,14 +20,21 @@ __all__ = ["PhaseTimer"]
 class PhaseTimer:
     """Accumulates wall-clock seconds under named phases."""
 
-    __slots__ = ("totals",)
+    __slots__ = ("totals", "offloaded")
 
     def __init__(self) -> None:
         self.totals: dict[str, float] = {}
+        # Seconds other processes spent on phases handed to them.  Kept out
+        # of ``totals``, which add up to (part of) the caller's wall clock.
+        self.offloaded: dict[str, float] = {}
 
     def add(self, name: str, seconds: float) -> None:
         """Credit ``seconds`` to ``name``."""
         self.totals[name] = self.totals.get(name, 0.0) + float(seconds)
+
+    def offload(self, name: str, seconds: float) -> None:
+        """Credit ``seconds`` that another process spent on ``name``."""
+        self.offloaded[name] = self.offloaded.get(name, 0.0) + float(seconds)
 
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
@@ -52,3 +59,4 @@ class PhaseTimer:
     def reset(self) -> None:
         """Drop all accumulated totals."""
         self.totals.clear()
+        self.offloaded.clear()
