@@ -1,23 +1,25 @@
-"""The one training kernel: fused union-active-set forward/backward for a block.
+"""The one training kernel: fused forward/backward for a block of examples.
 
 A block is a :class:`~repro.types.SparseBatch` of one or more examples.  Per
 layer:
 
-* the block's per-sample active sets are unioned; the layer's weight block
-  for the union rows (and the union input columns) is gathered **once** and
-  a single GEMM computes every sample's pre-activations;
-* the same sort that unions the active sets gives every (sample, active
-  neuron) pair its column in the union block; activations, softmax and
-  cross-entropy targets are computed on those pairs only and scattered into
-  the block, so ReLU output support and the sparse softmax's partition
-  function are each sample's own — extra union neurons never leak into a
-  sample's activations, next-layer inputs, or loss;
+* a layer with every row active (no LSH) gathers its weight block for the
+  block's input columns once and one GEMM computes every sample's
+  pre-activations;
+* a layer with per-sample active sets (LSH) works on each sample's *own*
+  rows: the sorted active ids are padded to one ``(batch, width)`` id matrix
+  (:class:`PairLayout`), those rows are gathered once, and one batched
+  ``matmul`` gives every (sample, active neuron) pair its logit.  The
+  softmax and cross-entropy run per sample over its own entries, so extra
+  union neurons never leak into a sample's activations, next-layer inputs,
+  or loss, and the work is ``batch x width`` rows, not ``batch x union``;
 * a hidden layer feeds the next one only the columns some sample is
   non-zero in, so a unit that is zero in every row gets neither a gathered
   weight nor an optimiser step in the layer above;
-* the block's weight gradient is one ``delta^T @ X`` GEMM accumulated into a
-  reusable workspace buffer and applied with **one** optimiser step per
-  layer.
+* the block's weight gradient is one ``delta^T @ X`` GEMM over the union of
+  the active rows, accumulated into a reusable workspace buffer and applied
+  with **one** optimiser step per layer; the input gradient of a layer with
+  active sets is one batched ``matmul`` against the rows gathered forward.
 
 :func:`fused_train_step` runs a sequence of blocks under one optimiser
 ``begin_step``.  The synchronous mode passes the micro-batch as one block
@@ -32,6 +34,7 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -95,6 +98,45 @@ class Workspace:
 
 
 @dataclass
+class PairLayout:
+    """Each sample's sorted active ids, padded to one ``(batch, width)`` matrix.
+
+    ``width`` is the largest active set of the block.  A pad repeats its
+    row's last id (0 in an empty row), so every row stays sorted.
+    """
+
+    ids: IntArray
+    # False at the pads.
+    valid: np.ndarray
+    # Each entry's position within the union ``rows`` (0 at the pads).
+    positions: IntArray
+    # The sample of each valid entry, in row-major order.
+    sample: IntArray
+
+    def to_union(self, values: FloatArray, width: int) -> FloatArray:
+        """``values`` at the valid entries, scattered to ``(batch, width)``."""
+        union = np.zeros((self.ids.shape[0], width), dtype=FLOAT)
+        union[self.sample, self.positions[self.valid]] = values[self.valid]
+        return union
+
+
+def _pair_layout(active_sets: list[IntArray]) -> tuple[IntArray, PairLayout]:
+    """The union of ``active_sets`` (sorted unique) and their padded layout."""
+    counts, sample, pair_id = _pairs(active_sets)
+    rows, pair_pos = np.unique(pair_id, return_inverse=True)
+    width = int(counts.max()) if counts.size else 0
+    valid = np.arange(width) < counts[:, None]
+    ids = np.zeros(valid.shape, dtype=np.int64)
+    positions = np.zeros(valid.shape, dtype=np.int64)
+    ids[valid] = pair_id
+    positions[valid] = pair_pos
+    if width:
+        last = ids[np.arange(counts.size), np.maximum(counts - 1, 0)]
+        ids = np.where(valid, ids, last[:, None])
+    return rows, PairLayout(ids=ids, valid=valid, positions=positions, sample=sample)
+
+
+@dataclass
 class FusedLayerState:
     """Batch-level bookkeeping for one layer of the fused forward pass."""
 
@@ -102,22 +144,46 @@ class FusedLayerState:
     rows: IntArray
     # Fan-in column ids the input block covers (``None`` = every column).
     cols: IntArray | None
-    # Gathered weight block ``W[rows][:, cols]`` captured at forward time;
-    # backward uses it so delta propagation sees pre-update weights even
-    # after this layer's gradient block has been applied.
-    block: FloatArray
-    # (batch, |cols|) input block and (batch, |rows|) pre/post activations.
+    # Weights captured at forward time, so that delta propagation sees
+    # pre-update weights after this layer's gradient block has been applied:
+    # the ``(|rows|, |cols|)`` block of a layer without active sets, or each
+    # sample's own rows, ``(batch, width, fan_in)`` (``|cols|`` wide in the
+    # first layer, whose input is the batch's sparse features).
+    gathered: FloatArray
+    # (batch, |cols|) input block.
     x_block: FloatArray
+    # Pre/post activations: (batch, |rows|) without active sets, else
+    # (batch, width) in ``pairs`` layout, zero at the pads.
     pre: FloatArray
     act: FloatArray
-    # 0/1 membership mask of each sample's own active set within ``rows``
-    # (``None`` when every neuron is active for every sample).
-    mask: FloatArray | None
-    # Per-sample active sets (``None`` for dense layers).
+    # Per-sample active sets and their padded layout (``None`` for dense
+    # layers).
     active_sets: list[IntArray] | None
     activation_name: str
+    pairs: PairLayout | None = None
     sampled_from_tables: int = 0
     fallback_random: int = 0
+
+    @property
+    def mask(self) -> np.ndarray | None:
+        """Which entries of ``pre`` / ``act`` are real (``None``: all)."""
+        return None if self.pairs is None else self.pairs.valid
+
+    @cached_property
+    def block(self) -> FloatArray:
+        """The ``(|rows|, |cols|)`` weight block the gradient step covers.
+
+        Gathered as such only by a layer without active sets; for a layer
+        with them it is assembled here from each sample's rows, for
+        inspection only.
+        """
+        if self.pairs is None:
+            return self.gathered
+        block = np.empty((self.rows.size, self.gathered.shape[2]), dtype=FLOAT)
+        block[self.pairs.positions[self.pairs.valid]] = self.gathered[self.pairs.valid]
+        if block.shape[1] != self.cols.size:
+            block = block[:, self.cols]
+        return block
 
     def active_count(self, batch_size: int) -> int:
         if self.active_sets is None:
@@ -158,21 +224,20 @@ def weight_grad_name(layer) -> str:
     return f"wgrad.{layer.name}"
 
 
-def _segment_softmax(values: FloatArray, counts: IntArray) -> FloatArray:
-    """Softmax within each consecutive segment of ``values``.
+def _pair_softmax(pre: FloatArray, valid: np.ndarray) -> FloatArray:
+    """Softmax of each row of ``pre`` over its ``valid`` entries; 0 elsewhere.
 
-    Segment ``i`` is the next ``counts[i]`` entries: one sample's logits on
-    its own active set, so this is
+    Row ``b`` is one sample's logits on its own active set, so this is
     :func:`~repro.kernels.activations.sparse_softmax` run per sample in one
-    pass.  Empty segments are allowed.
+    pass.  A row without a valid entry is all zeros.
     """
-    # reduceat yields the element *at* the offset for an empty segment, so
-    # only the non-empty segments' offsets go in.
-    filled = np.flatnonzero(counts)
-    starts = (np.cumsum(counts) - counts)[filled]
-    sizes = counts[filled]
-    exp = np.exp(values - np.repeat(np.maximum.reduceat(values, starts), sizes))
-    exp /= np.repeat(np.add.reduceat(exp, starts), sizes)
+    logits = np.where(valid, pre, -np.inf)
+    top = logits.max(axis=1, initial=-np.inf, keepdims=True)
+    top[np.isneginf(top)] = 0.0
+    exp = np.exp(logits - top)
+    total = exp.sum(axis=1, keepdims=True)
+    total[total == 0.0] = 1.0
+    exp /= total
     return exp
 
 
@@ -215,9 +280,10 @@ def fused_forward_batch(
     batch: SparseBatch,
     include_labels: bool = False,
 ) -> FusedBatchResult:
-    """Union-active-set forward pass for a whole micro-batch.
+    """Forward pass for a whole micro-batch.
 
-    Per layer: one batched LSH selection, one weight-block gather, one GEMM.
+    Per layer: one batched LSH selection, one gather (of the weight block,
+    or of each sample's own rows) and one GEMM or batched ``matmul``.
     Sample-level sparsity semantics (active-set membership, ReLU pruning,
     sparse softmax support) are each example's own, as if it were run as a
     block of one.
@@ -263,71 +329,71 @@ def fused_forward_batch(
             active_sets: list[IntArray] | None = [sel[0] for sel in selections]
             from_tables = sum(sel[1] for sel in selections)
             fallback = sum(sel[2] for sel in selections)
-            active_counts, pair_sample, pair_id = _pairs(active_sets)
-            rows, pair_pos = np.unique(pair_id, return_inverse=True)
+            rows, pairs = _pair_layout(active_sets)
         else:
-            active_sets = None
+            active_sets = pairs = None
             from_tables = fallback = 0
             rows = np.arange(layer.size, dtype=np.int64)
 
         # A step of this layer still in flight lands before its rows are read.
         layer.settle()
         gemm_start = time.perf_counter()
-        # An all-row layer is column-major, so it gathers whole rows of
-        # ``weights.T``; a full-width ``cols`` (a hidden layer without LSH
-        # below) gathers whole contiguous rows; neither moves single elements.
-        if active_sets is None:
-            block = take_rows(layer.weights.T, cols).T
-        elif spans_all(cols, layer.fan_in):
-            block = layer.weights[rows]
-        else:
-            block = layer.weights[np.ix_(rows, cols)]
-        pre = x_block @ block.T
-        pre += layer.biases[rows]
-
-        mask: FloatArray | None = None
-        if active_sets is None:
+        if pairs is None:
+            # An all-row layer is column-major, so it gathers whole rows of
+            # ``weights.T``, not single elements.
+            gathered = take_rows(layer.weights.T, cols).T
+            pre = x_block @ gathered.T
+            pre += layer.biases
             act = _activate(layer.activation_name, pre, softmax_rows)
         else:
-            # Element-wise work on the pairs only; everything else in the
-            # (batch, |union|) block is zero.
-            mask = np.zeros_like(pre)
-            mask[pair_sample, pair_pos] = 1.0
-            act = np.zeros_like(pre)
-            act[pair_sample, pair_pos] = _activate(
+            # Each sample's own rows, once.  Above the first layer they are
+            # whole rows, against the dense input the probe hashed; the
+            # first layer's input is the batch's sparse features, so it
+            # gathers only their columns.
+            if layer_idx == 0 and not spans_all(cols, layer.fan_in):
+                gathered = layer.weights[pairs.ids[:, :, None], cols]
+                inputs = x_block
+            else:
+                gathered = layer.weights.take(pairs.ids, axis=0)
+                inputs = queries
+            pre = np.matmul(gathered, inputs[:, :, None])[:, :, 0]
+            pre += layer.biases[pairs.ids]
+            act = _activate(
                 layer.activation_name,
-                pre[pair_sample, pair_pos],
-                lambda values: _segment_softmax(values, active_counts),
+                pre,
+                lambda values: _pair_softmax(values, pairs.valid),
             )
+            act[~pairs.valid] = 0.0
 
         states.append(
             FusedLayerState(
                 rows=rows,
                 cols=cols,
-                block=block,
+                gathered=gathered,
                 x_block=x_block,
                 pre=pre,
                 act=act,
-                mask=mask,
                 active_sets=active_sets,
                 activation_name=layer.activation_name,
+                pairs=pairs,
                 sampled_from_tables=from_tables,
                 fallback_random=fallback,
             )
         )
         result.input_counts.append(input_counts)
 
-        # This layer's masked activations feed the next layer.  A column that
-        # is zero in every row (masked out or killed by ReLU) is dropped, so
-        # the layer above neither gathers nor steps its weights; on a block
-        # of one this prunes a sample's exact zeros.
-        x_block = act
-        cols = rows
+        # This layer's masked activations, one column per union row, feed
+        # the next layer.  A column that is zero in every row (masked out or
+        # killed by ReLU) is dropped, so the layer above neither gathers nor
+        # steps its weights; on a block of one this prunes a sample's exact
+        # zeros.
         if not is_output:
+            x_block = act if pairs is None else pairs.to_union(act, rows.size)
+            cols = rows
             input_counts = np.count_nonzero(act, axis=1).astype(np.int64)
-            live = act.any(axis=0)
+            live = x_block.any(axis=0)
             if not live.all():
-                x_block = act[:, live]
+                x_block = x_block[:, live]
                 cols = rows[live]
         gemm_seconds += time.perf_counter() - gemm_start
 
@@ -339,32 +405,42 @@ def fused_forward_batch(
 def _output_delta_and_losses(
     batch: SparseBatch, output_state: FusedLayerState
 ) -> tuple[FloatArray, FloatArray]:
-    """Softmax + cross-entropy ``dL/dz = p - y`` over the union set, and losses.
+    """Softmax + cross-entropy ``dL/dz = p - y`` and the per-sample losses.
 
-    One pass over the batch's ``(sample, label)`` pairs: each ground-truth label
-    present in the sample's *own* active set receives probability mass
-    ``1/|labels|``; labels outside it contribute nothing.
-    ``output_state.rows`` is sorted (guaranteed by ``finalize_active``), so
-    ``searchsorted`` label lookup is exact.
+    ``dL/dz`` is in the layout of ``output_state.act``.  One pass over the
+    batch's ``(sample, label)`` pairs: each ground-truth label present in the
+    sample's *own* active set receives probability mass ``1/|labels|``;
+    labels outside it contribute nothing.  Each sample's ids are sorted
+    (guaranteed by ``finalize_active``), so with the sample as the leading
+    key every entry of the block is sorted and ``searchsorted`` label lookup
+    is exact.
     """
     probabilities = output_state.act
-    rows = output_state.rows
     delta = probabilities.copy()
-    if not rows.size:
+    pairs = output_state.pairs
+    if pairs is None:
+        ids = np.broadcast_to(output_state.rows, probabilities.shape)
+        valid = None
+    else:
+        ids, valid = pairs.ids, pairs.valid.ravel()
+    if not ids.size:
         return delta, np.zeros(len(batch), dtype=np.float64)
+    stride = max(batch.label_dim, int(output_state.rows[-1]) + 1)
+    keys = (np.arange(len(batch))[:, None] * stride + ids).ravel()
     label_counts, sample, labels = _pairs([example.labels for example in batch])
-    positions = np.minimum(np.searchsorted(rows, labels), rows.size - 1)
-    matched = rows[positions] == labels
-    if output_state.mask is not None:
-        matched &= output_state.mask[sample, positions] > 0.0
-    sample, positions = sample[matched], positions[matched]
+    wanted = sample * stride + labels
+    at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+    matched = keys[at] == wanted
+    if valid is not None:
+        matched &= valid[at]
+    sample, at = sample[matched], at[matched]
     mass = 1.0 / label_counts[sample]
     losses = np.bincount(
         sample,
-        weights=-(mass * np.log(probabilities[sample, positions] + 1e-12)),
+        weights=-(mass * np.log(probabilities.ravel()[at] + 1e-12)),
         minlength=len(batch),
     )
-    delta[sample, positions] -= mass
+    delta.ravel()[at] -= mass
     return delta, losses
 
 
@@ -379,7 +455,7 @@ def fused_backward_batch(
     """Backward pass + one accumulated optimiser step per layer.
 
     The weight gradient of layer ``l`` is the single GEMM ``delta_l^T @
-    X_l / batch`` over the union block — the mean of the per-sample outer
+    X_l / batch`` over the union rows — the mean of the per-sample outer
     products — written into a reusable workspace buffer and applied with one
     ``sparse_step``.  ``helper`` (a :class:`repro.core.offload.StepHelper`)
     takes the step of its own layer, which returns before it has landed.
@@ -399,30 +475,45 @@ def fused_backward_batch(
         state = states[layer_idx]
 
         gemm_start = time.perf_counter()
-        if state.active_sets is None:
+        pairs = state.pairs
+        # The weight gradient covers the union rows in either layout.
+        if pairs is None:
+            union_delta = delta
             # The C-contiguous transpose, walked row by row by the optimiser
             # step of the column-major weights.
             weight_grad = workspace.matmul(
                 state.x_block.T, delta, weight_grad_name(layer)
             ).T
         else:
+            union_delta = pairs.to_union(delta, state.rows.size)
             weight_grad = workspace.matmul(
-                delta.T, state.x_block, weight_grad_name(layer)
+                union_delta.T, state.x_block, weight_grad_name(layer)
             )
         weight_grad *= scale
-        bias_grad = delta.sum(axis=0)
+        bias_grad = union_delta.sum(axis=0)
         bias_grad *= scale
 
         if layer_idx > 0:
             below = states[layer_idx - 1]
-            # ``state.block`` is the forward-time weight copy, so delta
+            # ``state.gathered`` is the forward-time weight copy, so delta
             # propagation is unaffected by this layer's update landing first.
-            d_act_below = delta @ state.block
+            if pairs is None:
+                d_act_below = delta @ state.gathered
+            else:
+                d_act_below = np.matmul(delta[:, None, :], state.gathered)[:, 0, :]
+                if d_act_below.shape[1] != state.cols.size:
+                    # Whole rows were gathered: keep the input block's columns.
+                    d_act_below = d_act_below[:, state.cols]
             if state.cols.size < below.rows.size:
                 # Columns dropped in forward get no delta back.
-                scattered = np.zeros_like(below.pre)
+                scattered = np.zeros((batch_size, below.rows.size), dtype=FLOAT)
                 scattered[:, np.searchsorted(below.rows, state.cols)] = d_act_below
                 d_act_below = scattered
+            if below.pairs is not None:
+                # From one column per union row to the layer's own entries.
+                d_act_below = np.take_along_axis(
+                    d_act_below, below.pairs.positions, axis=1
+                )
             grad_mask = hidden_activation_grad(below.activation_name, below.pre)
             if below.mask is not None:
                 grad_mask *= below.mask

@@ -12,7 +12,11 @@ and the run float32, so losses and strided parameters are pinned to small
 multiples of float32 eps.
 
 The fixture is re-recorded (``dump_parent_steps``) only by a change that
-moves these bits on purpose, and that change states the drift.
+moves these bits on purpose, and that change states the drift.  The move of
+LSH layers to per-sample rows (``PairLayout``) re-recorded it: against the
+first recording, losses moved by at most 0.39 float32 eps (relative) and the
+strided parameters by 0.50 eps, and every held-out top-1 and served top-5
+answer of all seven cases was unchanged.
 """
 
 from __future__ import annotations

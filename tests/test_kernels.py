@@ -41,7 +41,7 @@ from repro.hashing.simhash import SimHash
 from repro.hashing.wta import WTAHash
 from repro.kernels import Workspace, fused_forward_batch, select_active_batch
 from repro.kernels.activations import sparse_softmax
-from repro.kernels.fused import _segment_softmax
+from repro.kernels.fused import _pair_softmax
 from repro.lsh.index import LSHIndex
 from repro.optim.adam import AdamOptimizer
 from repro.optim.base import Optimizer
@@ -213,8 +213,8 @@ class TestMaskedSoftmax:
     def test_matches_a_plain_softmax_per_segment(self, rng):
         """``exp(x - max) / sum`` written out for each segment on its own:
         empty segments (first, inner, last), a one-entry segment, and
-        logits near +-700, where an unshifted ``exp`` would overflow."""
-        counts = np.array([0, 1, 3, 0, 4, 2, 9, 0])
+        logits near +-700, where an unshifted ``exp`` would overflow.  Each
+        segment is one row of the padded layout, pads holding junk."""
         segments = [
             np.zeros(0),
             np.array([700.0]),
@@ -225,37 +225,36 @@ class TestMaskedSoftmax:
             rng.normal(size=9) * 5,
             np.zeros(0),
         ]
-        got = _segment_softmax(np.concatenate(segments), counts)
-        expected = []
-        for logits in segments:
+        counts = np.array([segment.size for segment in segments])
+        valid = np.arange(counts.max()) < counts[:, None]
+        pre = rng.normal(size=valid.shape) * 1e3
+        pre[valid] = np.concatenate(segments)
+        got = _pair_softmax(pre, valid)
+        for row, logits in enumerate(segments):
+            expected = np.zeros(valid.shape[1])
             if logits.size:
                 shifted = np.exp(logits - logits.max())
-                expected.append(shifted / shifted.sum())
-        np.testing.assert_allclose(got, np.concatenate(expected), rtol=1e-13, atol=0.0)
+                expected[: logits.size] = shifted / shifted.sum()
+            np.testing.assert_allclose(got[row], expected, rtol=1e-13, atol=0.0)
         assert np.all(np.isfinite(got))
-        assert got[0] == 1.0  # the one-entry segment
+        assert got[1, 0] == 1.0  # the one-entry segment
 
     def test_matches_sparse_softmax_per_row(self, rng):
         pre = rng.normal(size=(6, 10))
-        mask = (rng.random(size=(6, 10)) < 0.5).astype(np.float64)
-        mask[0] = 1.0  # fully active row
-        mask[1] = 0.0  # empty row
-        mask[4] = 0.0  # a second empty row, not next to the first
-        sample, position = np.nonzero(mask)
-        counts = mask.sum(axis=1).astype(np.int64)
-        out = np.zeros_like(pre)
-        out[sample, position] = _segment_softmax(pre[sample, position], counts)
+        valid = rng.random(size=(6, 10)) < 0.5
+        valid[0] = True  # fully active row
+        valid[1] = False  # empty row
+        valid[4] = False  # a second empty row, not next to the first
+        out = _pair_softmax(pre, valid)
         for row in range(pre.shape[0]):
-            members = np.flatnonzero(mask[row])
+            members = np.flatnonzero(valid[row])
             expected = np.zeros(pre.shape[1])
             if members.size:
                 expected[members] = sparse_softmax(pre[row, members])
             np.testing.assert_allclose(out[row], expected, atol=1e-12)
-        # Nothing active at all, and a trailing empty segment.
-        assert _segment_softmax(np.zeros(0), np.zeros(3, dtype=np.int64)).size == 0
-        np.testing.assert_allclose(
-            _segment_softmax(np.array([0.0, 0.0]), np.array([2, 0])), [0.5, 0.5]
-        )
+        # Nothing active at all, and no entries at all.
+        assert not _pair_softmax(pre, np.zeros_like(valid)).any()
+        assert _pair_softmax(np.zeros((3, 0)), np.zeros((3, 0), dtype=bool)).shape == (3, 0)
 
 
 class TestWorkspace:
@@ -483,12 +482,14 @@ class TestFusedTrainingParity:
             block = SparseBatch([example], batch.feature_dim, batch.label_dim)
             alone = fused_forward_batch(net_b, block, include_labels=True).output_state
             np.testing.assert_array_equal(out.active_sets[sample_idx], alone.rows)
-            positions = np.searchsorted(out.rows, alone.rows)
+            # The sample's own entries lead its row of the padded layout.
+            count = alone.rows.size
             np.testing.assert_allclose(
-                out.act[sample_idx, positions], alone.act[0], rtol=0, atol=PARAM_ATOL
+                out.act[sample_idx, :count], alone.act[0], rtol=0, atol=PARAM_ATOL
             )
-            # Union neurons outside this sample's active set carry nothing.
-            off = out.mask[sample_idx] == 0.0
+            # The pads of a shorter active set carry nothing.
+            off = ~out.mask[sample_idx]
+            assert off.sum() == out.act.shape[1] - count
             assert np.all(out.act[sample_idx, off] == 0.0)
 
     def test_full_width_cols_gather_matches_ix_gather(self, rng, monkeypatch):
