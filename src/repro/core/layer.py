@@ -24,7 +24,7 @@ from repro.optim.base import Optimizer
 from repro.sampling.strategies import SamplingStrategy, make_sampling_strategy
 from repro.types import FLOAT, FloatArray, IntArray
 from repro.utils.rng import derive_rng
-from repro.utils.shared import is_shared, shared_copy, shared_zeros
+from repro.utils.shared import is_shared, shared_zeros
 from repro.utils.sparse import take_rows
 
 __all__ = ["SlideLayer"]
@@ -61,13 +61,13 @@ class SlideLayer:
         # ``register_parameters``, its optimiser state) in anonymous shared
         # mappings, so that a forked helper can step them in place.
         scale = np.sqrt(2.0 / self.fan_in)
-        self.weights: FloatArray = self._rng.normal(
-            scale=scale, size=(self.size, self.fan_in)
-        ).astype(FLOAT, order="C" if config.uses_lsh else "F")
-        self.biases: FloatArray = np.zeros(self.size, dtype=FLOAT)
-        if shared:
-            self.weights = shared_copy(self.weights)
-            self.biases = shared_zeros(self.size)
+        draw = self._rng.normal(scale=scale, size=(self.size, self.fan_in))
+        zeros = shared_zeros if shared else np.zeros
+        self.weights: FloatArray = zeros(
+            draw.shape, dtype=FLOAT, order="C" if config.uses_lsh else "F"
+        )
+        self.weights[...] = draw
+        self.biases: FloatArray = zeros(self.size, dtype=FLOAT)
 
         # LSH machinery (optional).
         self.lsh_index: LSHIndex | None = None
@@ -185,7 +185,9 @@ class SlideLayer:
         if helper is None:
             self.step_block(optimizer, rows, cols, weight_grad, bias_grad)
         else:
-            helper.submit(optimizer.step_count, rows, cols, weight_grad, bias_grad)
+            # The helper reads ``weight_grad`` from the shared buffer it is a
+            # view of.
+            helper.submit(optimizer.step_count, rows, cols, bias_grad)
             self._in_flight = helper
         self.last_update_rows = rows
         self.mark_dirty(rows)

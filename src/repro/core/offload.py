@@ -23,6 +23,10 @@ and the helper answers ``(error, busy_ms)`` once the step has landed.  An
 exception in the helper is raised at the next join; a helper that dies
 makes the join raise, and a parent that dies reaches the helper as the end
 of its pipe.
+
+The helper must be forked: the fork is what shares the mappings.  It runs
+only its pipe and numpy ufuncs, so a lock that another thread of the parent
+(a batch prefetcher) held at the fork cannot block it.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ __all__ = ["MIN_OFFLOAD_WEIGHTS", "StepHelper", "offload_pays"]
 # without a helper: N = 2,048 a wash (17.0 / 12.2 / 18.1 against 16.1 /
 # 13.1 / 18.9), N = 4,096 inside the host's noise (19.5 / 18.0 / 13.0
 # against 18.7 / 20.3 / 19.8), N = 32,768 a gain (24.8 / 28.2 against
-# 34.7 / 35.7).
+# 34.7 / 35.7).  The bound sits at 8,192 rows of 128, clear of both.
 MIN_OFFLOAD_WEIGHTS = 8192 * 128
 
 
@@ -114,10 +118,6 @@ class StepHelper:
         self._process.start()
         child.close()
 
-    @property
-    def pid(self) -> int | None:
-        return self._process.pid
-
     def bound_to(self, layer, optimizer: Optimizer) -> bool:
         """Whether the helper was forked with ``layer``'s current arrays."""
         current = _arrays(layer, optimizer)
@@ -130,13 +130,12 @@ class StepHelper:
         step_count: int,
         rows: IntArray,
         cols: IntArray,
-        weight_grad: FloatArray,
         bias_grad: FloatArray,
     ) -> None:
         """Start the step of block ``(rows, cols)`` and return at once.
 
-        ``weight_grad`` is the ``(rows, cols)`` view of the shared
-        weight-gradient buffer that the GEMM wrote.
+        The helper reads the weight gradient where the GEMM wrote it: the
+        ``(rows, cols)`` corner of the workspace's shared buffer.
         """
         self.join()
         if self._broken:
@@ -145,8 +144,6 @@ class StepHelper:
         self._ids[:n_rows] = rows
         self._ids[n_rows : n_rows + n_cols] = cols
         self._bias_grad[:n_rows] = bias_grad
-        if not np.may_share_memory(weight_grad, self._weight_grad):
-            self._weight_grad[:n_rows, :n_cols] = weight_grad
         self._conn.send((step_count, n_rows, n_cols))
         self._pending = True
 

@@ -14,21 +14,13 @@ import numpy as np
 
 from repro.types import FLOAT
 
-__all__ = ["shared_zeros", "shared_copy", "is_shared"]
+__all__ = ["shared_zeros", "is_shared"]
 
 
 def shared_zeros(shape: tuple[int, ...], dtype=FLOAT, order: str = "C") -> np.ndarray:
     """A zero array of ``shape`` in a fresh anonymous shared mapping."""
     nbytes = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
     return np.ndarray(shape, dtype=dtype, buffer=mmap.mmap(-1, max(nbytes, 1)), order=order)
-
-
-def shared_copy(array: np.ndarray) -> np.ndarray:
-    """``array``'s values in a fresh anonymous shared mapping, same memory order."""
-    order = "F" if np.isfortran(array) else "C"
-    out = shared_zeros(array.shape, array.dtype, order)
-    out[...] = array
-    return out
 
 
 def is_shared(array: np.ndarray) -> bool:

@@ -50,7 +50,7 @@ from repro.core.trainer import SlideTrainer
 from repro.datasets.synthetic import SyntheticXCConfig, generate_synthetic_xc
 from repro.state import bind_model_arrays, model_arrays
 from repro.types import SparseBatch
-from repro.utils.shared import is_shared, shared_copy
+from repro.utils.shared import is_shared, shared_zeros
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
@@ -111,6 +111,12 @@ def make_trainer(**kwargs) -> SlideTrainer:
         seed=4,
     )
     return SlideTrainer(network, training, hogwild=False, **kwargs)
+
+
+def shared(array: np.ndarray) -> np.ndarray:
+    out = shared_zeros(array.shape, order="F" if np.isfortran(array) else "C")
+    out[...] = array
+    return out
 
 
 def batches(data, start: int, stop: int):
@@ -216,15 +222,15 @@ def test_a_direct_train_batch_leaves_nothing_in_flight(cores, data):
 def test_a_rebind_restarts_the_helper(cores, data):
     helped = make_trainer()
     helped.train_batches(batches(data, 0, 3))
-    first = helped._helper.pid
+    first = helped._helper._process.pid
     network, optimizer = helped.network, helped.optimizer
     bind_model_arrays(
         network,
         optimizer,
-        {name: shared_copy(a) for name, a in model_arrays(network, optimizer).items()},
+        {name: shared(a) for name, a in model_arrays(network, optimizer).items()},
     )
     helped.train_batches(batches(data, 3, 6))
-    assert helped._helper is not None and helped._helper.pid != first
+    assert helped._helper is not None and helped._helper._process.pid != first
     # Private arrays: a forked copy would take the writes, so no helper.
     bind_model_arrays(
         network,
@@ -264,7 +270,7 @@ def test_an_exception_in_the_helper_is_raised_at_the_next_join(cores, data, monk
 def test_a_dropped_trainer_leaves_no_child_process(cores, data):
     trainer = make_trainer()
     trainer.train_batches(batches(data, 0, 2))
-    pid = trainer._helper.pid
+    pid = trainer._helper._process.pid
     assert pid in {child.pid for child in multiprocessing.active_children()}
     dropped = weakref.ref(trainer)
     del trainer
@@ -300,7 +306,7 @@ def test_a_killed_trainer_takes_its_helper_with_it():
             num_test=1, avg_features_per_example=12, prototype_nnz=6, seed=3))
         trainer = t.make_trainer()
         trainer.train_batches(t.batches(data, 0, 2))
-        print(trainer._helper.pid, flush=True)
+        print(trainer._helper._process.pid, flush=True)
         time.sleep(60)
         """
     )
