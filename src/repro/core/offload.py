@@ -110,8 +110,15 @@ class StepHelper:
         self._conn, child = context.Pipe()
         self._process = context.Process(
             target=_serve,
-            args=(child, self._conn, layer, optimizer, self._ids, self._bias_grad,
-                  self._weight_grad),
+            args=(
+                child,
+                self._conn,
+                layer,
+                optimizer,
+                self._ids,
+                self._bias_grad,
+                self._weight_grad,
+            ),
             name=f"step-helper-{layer.name}",
             daemon=True,
         )

@@ -325,3 +325,4 @@ def test_a_killed_trainer_takes_its_helper_with_it():
     finally:
         process.kill()
         process.wait()
+        process.stdout.close()
