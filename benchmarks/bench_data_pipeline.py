@@ -14,7 +14,7 @@ written out in the real XC text format:
 * ``sharded`` — open the shard cache and stream one epoch through
   ``ShardedDataset.iter_batches`` + ``BatchPrefetcher``.
 
-Each epoch row is the median of ``timed_epochs`` (5) interleaved epochs.
+Each epoch row is the median of ``TIMED_EPOCHS`` (5) interleaved epochs.
 
 The streamed path must beat the eager path (it replaces text parsing with
 mmap reads), and shard-cache training must match eager-loader training loss
@@ -85,6 +85,9 @@ SPEC = BenchSpec(
         MetricGate("rows[stage=sharded_epoch].examples_per_sec", "higher", rel_tol=0.6),
     ),
 )
+
+# Epochs timed per side; the rows and the speedup gate read their medians.
+TIMED_EPOCHS = 5
 
 
 def _slide_network(feature_dim: int, label_dim: int, seed: int) -> SlideNetwork:
@@ -159,7 +162,6 @@ def run(params: dict | None = None) -> dict:
     batch_size = int(p.get("batch_size", 64))
     shard_size = int(p.get("shard_size", 128 if scale <= 1.0 / 1024.0 else 256))
     prefetch_depth = int(p.get("prefetch_depth", 4))
-    timed_epochs = int(p.get("timed_epochs", 5))
     seed = int(p.get("seed", 0))
     dataset = generate_synthetic_xc(delicious_like_config(scale=scale, seed=seed))
     feature_dim = dataset.config.feature_dim
@@ -178,9 +180,9 @@ def run(params: dict | None = None) -> dict:
 
         # A smoke epoch is 4 batches, 7-20 ms, so one timing of each side
         # left the gate to a few ms of scheduling noise: each side is timed
-        # ``timed_epochs`` times, interleaved, and their medians compared.
+        # ``TIMED_EPOCHS`` times, interleaved, and their medians compared.
         eager_times, sharded_times, max_open = [], [], 0
-        for _ in range(timed_epochs):
+        for _ in range(TIMED_EPOCHS):
             eager_s, num_examples, eager_batches = _eager_epoch(
                 xc_path, batch_size, seed
             )
@@ -251,7 +253,6 @@ def run(params: dict | None = None) -> dict:
             "shard_size": shard_size,
             "num_shards": manifest.num_shards,
             "prefetch_depth": prefetch_depth,
-            "timed_epochs": timed_epochs,
             "seed": seed,
         },
         "rows": rows,

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.config import SlideNetworkConfig, TrainingConfig
 from repro.core.layer import SlideLayer
-from repro.core.offload import MIN_OFFLOAD_WEIGHTS, StepHelper
+from repro.core.offload import StepHelper, helper_can_run
 from repro.kernels.fused import Workspace, fused_forward_batch, fused_train_step
 from repro.optim.base import Optimizer
 from repro.optim.factory import make_optimizer
@@ -48,9 +48,7 @@ class SlideNetwork:
                 name=f"layer{idx}",
                 # The one layer whose steps a helper process can take
                 # (repro.core.offload) lives in shared memory from the start.
-                shared=idx == last
-                and layer_cfg.uses_lsh
-                and layer_cfg.size * fan_in >= MIN_OFFLOAD_WEIGHTS,
+                shared=idx == last and helper_can_run(fan_in, layer_cfg),
             )
             self.layers.append(layer)
             fan_in = layer_cfg.size

@@ -13,11 +13,12 @@ Threads cannot do this: the optimiser walks the block in chunks of 16,384
 elements, and on two cores two Python threads running those ufuncs together
 ran at 0.51x the speed of one.
 
-Nothing is copied.  The layer's weights, biases and optimiser state live in
-anonymous shared mappings from construction (``SlideNetwork``); at start
-the helper allocates shared buffers for a step's ids and bias gradient, and
-makes the workspace buffer that the weight-gradient GEMM writes into a
-shared one, so the fork shares all of them.  Per step the training thread
+Nothing is copied.  Where :func:`helper_can_run` holds, the layer's
+weights, biases and optimiser state live in anonymous shared mappings from
+construction (``SlideNetwork``); at start the helper allocates shared
+buffers for a step's ids and bias gradient, and makes the workspace buffer
+that the weight-gradient GEMM writes into a shared one, so the fork shares
+all of them.  Per step the training thread
 writes the ids and the bias gradient, sends ``(step_count, n_rows, n_cols)``
 and the helper answers ``(error, busy_ms)`` once the step has landed.  An
 exception in the helper is raised at the next join; a helper that dies
@@ -25,8 +26,16 @@ makes the join raise, and a parent that dies reaches the helper as the end
 of its pipe.
 
 The helper must be forked: the fork is what shares the mappings.  It runs
-only its pipe and numpy ufuncs, so a lock that another thread of the parent
-(a batch prefetcher) held at the fork cannot block it.
+its pipe, numpy ufuncs and whatever wraps the optimiser's ``sparse_step``.
+Unwrapped, it takes no lock, so a lock that another thread of the parent (a
+batch prefetcher) held at the fork cannot block it.  A wrapper does run in
+the helper: a tracer wrapped around ``sparse_step`` (perfbench's) records
+the output layer's steps in the helper's copy of the tracer, which the
+parent never reads; perfbench forks the helper during its set-up, when that
+copy counts nothing, but a tracer that counts takes its copy's lock in the
+helper.  The join has no timeout: a helper that dies closes its end of the
+pipe and the join raises, but one blocked on a lock inherited in the held
+state would block the join too.
 """
 
 from __future__ import annotations
@@ -38,13 +47,14 @@ import time
 
 import numpy as np
 
+from repro.config import LayerConfig
 from repro.kernels.fused import Workspace, weight_grad_name
 from repro.optim.base import Optimizer
 from repro.perf.phases import PhaseTimer
 from repro.types import FloatArray, IntArray
 from repro.utils.shared import is_shared, shared_zeros
 
-__all__ = ["MIN_OFFLOAD_WEIGHTS", "StepHelper", "offload_pays"]
+__all__ = ["MIN_OFFLOAD_WEIGHTS", "StepHelper", "helper_can_run", "offload_pays"]
 
 # Weights (rows x fan-in) of the smallest output layer whose step goes to a
 # helper.  A step costs the helper's round trip (send, wake-up, answer) of
@@ -74,19 +84,48 @@ def _arrays(layer, optimizer: Optimizer) -> tuple[FloatArray, ...]:
     )
 
 
-def offload_pays(layer, optimizer: Optimizer) -> bool:
-    """Whether a helper process can take ``layer``'s steps and gain by it.
+def _blas_pinned() -> bool:
+    """Whether OpenBLAS and MKL were each told to run one thread.
+
+    Each library reads its own variable first, then ``OMP_NUM_THREADS``;
+    perfbench and ``repro.reports`` set all three to 1 before numpy loads.
+    At the BLAS's default thread count its second thread competes for the
+    core the helper needs: at the perfbench shape a step took 32.5 ms with
+    the helper and 32.4 ms without, against 24.8-28.2 and 34.7-35.7 ms with
+    one BLAS thread.
+    """
+    omp = os.environ.get("OMP_NUM_THREADS")
+    return all(
+        os.environ.get(variable, omp) == "1"
+        for variable in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    )
+
+
+def helper_can_run(fan_in: int, config: LayerConfig) -> bool:
+    """Whether a helper process can take an output layer's steps and gain by it.
 
     It needs an LSH layer of at least :data:`MIN_OFFLOAD_WEIGHTS` weights, a
-    second core, ``fork``, and every array a step writes in a shared
-    mapping (a forked copy of a private array would take the writes).
+    second core, ``fork`` and a BLAS pinned to one thread.  ``SlideNetwork``
+    asks this to place the output layer's arrays in shared mappings, so a
+    layer no helper can step keeps private, huge-page-backed memory.
     """
     return (
-        layer.lsh_index is not None
-        and layer.weights.size >= MIN_OFFLOAD_WEIGHTS
+        config.uses_lsh
+        and config.size * fan_in >= MIN_OFFLOAD_WEIGHTS
         and _cores() >= 2
         and "fork" in multiprocessing.get_all_start_methods()
-        and all(is_shared(array) for array in _arrays(layer, optimizer))
+        and _blas_pinned()
+    )
+
+
+def offload_pays(layer, optimizer: Optimizer) -> bool:
+    """Whether a helper process can take the output ``layer``'s steps now.
+
+    Beyond :func:`helper_can_run`, every array a step writes must sit in a
+    shared mapping: a forked copy of a private array would take the writes.
+    """
+    return helper_can_run(layer.fan_in, layer.config) and all(
+        is_shared(array) for array in _arrays(layer, optimizer)
     )
 
 

@@ -6,14 +6,14 @@ The deferral contract of ``SlideTrainer``'s synchronous loops:
   state equal a trainer's without a helper bit for bit, and an evaluation or
   checkpoint inside the loop sees every step before it;
 * a direct ``SlideNetwork.train_batch`` leaves nothing in flight;
-* a rebind of the layer's arrays restarts the helper, and private arrays or
-  a single core mean no helper at all;
+* a rebind of the layer's arrays restarts the helper, and private arrays, a
+  single core or a BLAS on more than one thread mean no helper at all;
 * an exception in the helper is raised at the next join;
 * a dropped trainer leaves no child process, and a killed training process
   takes its helper with it.
 
 The networks here are far below ``MIN_OFFLOAD_WEIGHTS``, so each test lowers
-it and pretends to a second core.
+it, pretends to a second core and pins the BLAS to one thread.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from repro.config import (
     TrainingConfig,
 )
 from repro.core import layer as layer_module
-from repro.core import network as network_module
 from repro.core import offload, trainer as trainer_module
 from repro.core.network import SlideNetwork
 from repro.core.trainer import SlideTrainer
@@ -58,13 +57,15 @@ pytestmark = pytest.mark.skipif(
 
 DIM, HIDDEN, CLASSES, BATCH = 128, 16, 256, 8
 SRC = Path(__file__).resolve().parents[1] / "src"
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @pytest.fixture
 def cores(monkeypatch):
     """Every layer qualifies by size; the host has ``cores(n)`` cores."""
     monkeypatch.setattr(offload, "MIN_OFFLOAD_WEIGHTS", 0)
-    monkeypatch.setattr(network_module, "MIN_OFFLOAD_WEIGHTS", 0)
+    for variable in BLAS_THREADS:
+        monkeypatch.setenv(variable, "1")
 
     def set_cores(count: int) -> None:
         monkeypatch.setattr(offload, "_cores", lambda: count)
@@ -209,6 +210,28 @@ def test_train_with_evals_and_checkpoints_sees_every_step(cores, data, tmp_path,
         np.testing.assert_array_equal(helped_saved[name], alone_saved[name])
 
 
+@pytest.mark.parametrize(
+    "threads, pinned",
+    [
+        ({}, False),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "1"}, False),
+        ({"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, True),
+        ({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}, False),
+    ],
+)
+def test_a_blas_on_more_threads_means_no_helper(cores, data, monkeypatch, threads, pinned):
+    for variable in BLAS_THREADS:
+        monkeypatch.delenv(variable)
+    for variable, value in threads.items():
+        monkeypatch.setenv(variable, value)
+    trainer = make_trainer()
+    assert is_shared(trainer.network.output_layer.weights) == pinned
+    trainer.train_batches(batches(data, 0, 2))
+    assert (trainer._helper is not None) == pinned
+    trainer.close()
+
+
 def test_a_direct_train_batch_leaves_nothing_in_flight(cores, data):
     trainer = make_trainer()
     network = trainer.network
@@ -296,8 +319,8 @@ def test_a_killed_trainer_takes_its_helper_with_it():
         import sys, time
         sys.path.insert(0, {str(SRC)!r})
         sys.path.insert(0, {str(Path(__file__).parent)!r})
-        from repro.core import network, offload
-        offload.MIN_OFFLOAD_WEIGHTS = network.MIN_OFFLOAD_WEIGHTS = 0
+        from repro.core import offload
+        offload.MIN_OFFLOAD_WEIGHTS = 0
         offload._cores = lambda: 2
         import test_step_helper as t
         from repro.datasets.synthetic import SyntheticXCConfig, generate_synthetic_xc
@@ -310,8 +333,9 @@ def test_a_killed_trainer_takes_its_helper_with_it():
         time.sleep(60)
         """
     )
+    env = dict(os.environ, **{variable: "1" for variable in BLAS_THREADS})
     process = subprocess.Popen(
-        [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True
+        [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True, env=env
     )
     try:
         helper = int(process.stdout.readline())
