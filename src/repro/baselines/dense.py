@@ -23,13 +23,11 @@ from repro.optim.factory import make_optimizer
 from repro.types import (
     FLOAT,
     FloatArray,
-    IntArray,
     SparseBatch,
     SparseExample,
     dense_features,
 )
 from repro.utils.rng import derive_rng
-from repro.utils.topk import top_k_indices
 
 __all__ = ["DenseNetworkConfig", "DenseNetwork"]
 
@@ -83,12 +81,6 @@ class DenseNetwork:
         logits = hidden @ self.w2.T + self.b2
         return hidden_pre, hidden, softmax_rows(logits)
 
-    def predict_dense(self, example: SparseExample) -> FloatArray:
-        """Class scores for one example (API-compatible with SlideNetwork)."""
-        features = example.features.to_dense()[None, :]
-        _, _, probabilities = self.forward(features)
-        return probabilities[0]
-
     def predict_dense_batch(self, examples: list[SparseExample]) -> FloatArray:
         """Class scores for many examples (API-compatible with SlideNetwork)."""
         if not examples:
@@ -96,9 +88,6 @@ class DenseNetwork:
         features = dense_features(examples, self.config.input_dim)
         _, _, probabilities = self.forward(features)
         return probabilities
-
-    def predict_top_k(self, example: SparseExample, k: int = 1) -> IntArray:
-        return top_k_indices(self.predict_dense(example), k)
 
     # ------------------------------------------------------------------
     # Training

@@ -20,11 +20,17 @@ from typing import Literal
 import numpy as np
 
 from repro.config import OptimizerConfig
-from repro.kernels.activations import relu, relu_grad
+from repro.kernels.activations import relu, relu_grad, softmax_rows
 from repro.optim.factory import make_optimizer
-from repro.types import FLOAT, FloatArray, IntArray, SparseBatch, SparseExample
+from repro.types import (
+    FLOAT,
+    FloatArray,
+    IntArray,
+    SparseBatch,
+    SparseExample,
+    dense_features,
+)
 from repro.utils.rng import derive_rng
-from repro.utils.topk import top_k_indices
 
 __all__ = ["SampledSoftmaxConfig", "SampledSoftmaxNetwork"]
 
@@ -113,17 +119,12 @@ class SampledSoftmaxNetwork:
         hidden_pre = features @ self.w1.T + self.b1
         return hidden_pre, relu(hidden_pre)
 
-    def predict_dense(self, example: SparseExample) -> FloatArray:
-        """Full-softmax class scores for evaluation."""
-        features = example.features.to_dense()[None, :]
-        _, hidden = self._hidden(features)
-        logits = hidden @ self.w2.T + self.b2
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        return (exp / exp.sum(axis=1, keepdims=True))[0]
-
-    def predict_top_k(self, example: SparseExample, k: int = 1) -> IntArray:
-        return top_k_indices(self.predict_dense(example), k)
+    def predict_dense_batch(self, examples: list[SparseExample]) -> FloatArray:
+        """Full-softmax class scores for evaluation (API-compatible with SlideNetwork)."""
+        if not examples:
+            return np.zeros((0, self.config.output_dim), dtype=FLOAT)
+        _, hidden = self._hidden(dense_features(examples, self.config.input_dim))
+        return softmax_rows(hidden @ self.w2.T + self.b2)
 
     # ------------------------------------------------------------------
     # Training

@@ -6,7 +6,6 @@ from repro.core.trainer import SlideTrainer, TrainingHistory, IterationRecord
 from repro.core.inference import (
     predict_top_k,
     predict_top_k_batch,
-    predict_dense_batch,
     evaluate_precision_at_1,
     evaluate_precision_at_k,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "IterationRecord",
     "predict_top_k",
     "predict_top_k_batch",
-    "predict_dense_batch",
     "evaluate_precision_at_1",
     "evaluate_precision_at_k",
 ]

@@ -4,23 +4,25 @@ The paper's accuracy metric on Delicious-200K and Amazon-670K is precision@1
 (the standard extreme-classification metric): the fraction of test examples
 whose highest-scoring predicted class is one of the example's true labels.
 
-Evaluation uses the *dense* forward pass: SLIDE's hash tables accelerate
-training, but at evaluation time we want the model's true argmax.  Scoring
-goes through :func:`predict_dense_batch` — one matrix multiply per layer for
-the whole evaluation set — rather than a per-example loop; the LSH-backed
-*serving* counterpart of this module lives in :mod:`repro.serving.engine`.
+Evaluation scores every output neuron: SLIDE's hash tables accelerate
+training, but at evaluation time we want the model's true argmax.  A model
+is anything with a ``predict_dense_batch(examples)`` method returning its
+``(len(examples), output_dim)`` class scores.  For a
+:class:`~repro.core.network.SlideNetwork` that reads only the weight
+columns of each example's non-zero features in the first layer and is one
+matrix multiply per later layer; no ``(batch, input_dim)`` array is built.
+The LSH-backed *serving* counterpart of this module lives in
+:mod:`repro.serving.engine`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.types import FLOAT, FloatArray, IntArray, SparseExample
-from repro.utils.topk import top_k_indices
+from repro.types import IntArray, SparseExample
 
 __all__ = [
     "predict_top_k",
-    "predict_dense_batch",
     "predict_top_k_batch",
     "evaluate_precision_at_1",
     "evaluate_precision_at_k",
@@ -28,25 +30,11 @@ __all__ = [
 
 
 def predict_top_k(network, example: SparseExample, k: int = 1) -> IntArray:
-    """Indices of the ``k`` highest-probability output classes for ``example``."""
-    scores = network.predict_dense(example)
-    return top_k_indices(scores, k)
+    """Indices of the ``k`` highest-scoring classes for ``example``.
 
-
-def predict_dense_batch(network, examples: list[SparseExample]) -> FloatArray:
-    """Dense class-score matrix for ``examples``.
-
-    Uses the network's batched forward pass when it has one
-    (:class:`~repro.core.network.SlideNetwork` and the dense baseline both
-    do) and falls back to stacking per-example scores otherwise, so every
-    model with a ``predict_dense`` method can be evaluated.
+    One row of :func:`predict_top_k_batch`.
     """
-    batched = getattr(network, "predict_dense_batch", None)
-    if batched is not None:
-        return batched(examples)
-    if not examples:
-        return np.zeros((0, 0), dtype=FLOAT)
-    return np.stack([network.predict_dense(example) for example in examples])
+    return predict_top_k_batch(network, [example], k)[0]
 
 
 def predict_top_k_batch(
@@ -55,14 +43,14 @@ def predict_top_k_batch(
     """Top-``k`` class indices for each example; shape ``(len(examples), k)``.
 
     Rows are ordered by descending score.  ``k`` larger than the number of
-    output classes is clamped (rows then have ``output_dim`` columns),
-    matching :func:`predict_top_k` / :func:`~repro.utils.topk.top_k_indices`.
+    output classes is clamped (rows then have ``output_dim`` columns), as
+    :func:`~repro.utils.topk.top_k_indices` clamps it.
     """
     if k <= 0:
         raise ValueError("k must be positive")
     if not examples:
         return np.zeros((0, k), dtype=np.int64)
-    scores = predict_dense_batch(network, examples)
+    scores = network.predict_dense_batch(examples)
     k = min(k, scores.shape[1])
     if k == scores.shape[1]:
         return np.argsort(-scores, axis=1, kind="stable").astype(np.int64)
@@ -93,9 +81,9 @@ def evaluate_precision_at_k(
     are skipped; with ``strict=True`` their presence raises instead of being
     silently dropped, so data-pipeline bugs surface during evaluation.
 
-    ``eval_batch_size`` bounds the densified feature block: scoring runs in
-    chunks so memory stays at ``O(eval_batch_size * max(input_dim,
-    output_dim))`` regardless of how many examples are evaluated.
+    ``eval_batch_size`` bounds the ``(chunk, output_dim)`` score block:
+    scoring runs in chunks, so memory stays at ``O(eval_batch_size *
+    output_dim)`` however many examples are evaluated.
     """
     if k <= 0:
         raise ValueError("k must be positive")

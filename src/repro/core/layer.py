@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import LayerConfig
-from repro.kernels.activations import relu, softmax_rows_inplace, sparse_softmax
+from repro.kernels.activations import softmax_rows_inplace
 from repro.lsh.index import LSHIndex
 from repro.lsh.scheduler import ExponentialDecaySchedule
 from repro.optim.base import Optimizer
@@ -27,7 +27,14 @@ from repro.utils.rng import derive_rng
 from repro.utils.shared import is_shared, shared_zeros
 from repro.utils.sparse import take_rows
 
-__all__ = ["SlideLayer"]
+__all__ = ["SlideLayer", "SPARSE_GATHER_BYTES", "SPARSE_PAD"]
+
+# :meth:`SlideLayer.sparse_forward_batch` pads each example's values to a
+# multiple of this many entries, so the examples of a batch fall into a few
+# pad lengths and each length is one gather and one stacked ``matmul``, of
+# at most ``SPARSE_GATHER_BYTES`` of gathered rows at a time.
+SPARSE_PAD = 32
+SPARSE_GATHER_BYTES = 16 << 20
 
 
 class SlideLayer:
@@ -266,22 +273,12 @@ class SlideLayer:
         return int(np.count_nonzero(self._dirty))
 
     # ------------------------------------------------------------------
-    # Dense helpers (used by inference and the parity tests)
+    # Full (non-sampled) forward passes, used by prediction and serving
     # ------------------------------------------------------------------
-    def dense_forward(self, dense_input: FloatArray) -> FloatArray:
-        """Full (non-sampled) forward pass for a dense input vector."""
-        pre = self.weights @ dense_input + self.biases
-        if self.activation_name == "relu":
-            return relu(pre)
-        if self.activation_name == "softmax":
-            return sparse_softmax(pre)
-        return pre
-
     def dense_forward_batch(self, dense_inputs: FloatArray) -> FloatArray:
         """Full forward pass for a ``(batch, fan_in)`` matrix of inputs.
 
-        One matrix multiply replaces the per-example loop of
-        :meth:`dense_forward`; the bias and the activation are applied in
+        One matrix multiply; the bias and the activation are applied in
         place on its output, so the call holds one output-sized array.
         """
         dense_inputs = np.asarray(dense_inputs, dtype=FLOAT)
@@ -302,25 +299,35 @@ class SlideLayer:
         """Full forward pass for examples given as ``(indices, values)`` pairs.
 
         Equal to :meth:`dense_forward_batch` on the densified examples, but
-        only the weight columns the examples reference are read, and each
-        output row is summed from its own example alone — so it does not
-        change in the last bits with whatever else shares the batch, as a
-        GEMM's rows do.  An example's indices must be unique (the
-        ``SparseVector`` contract): a repeated index is summed here, where
-        densifying keeps its last value.
+        only the weight columns the examples reference are read.  Each
+        example's sum is one ``matmul`` of its values, zero-padded to a
+        multiple of ``SPARSE_PAD``, against its gathered rows of
+        ``weights.T``.  The pad is set by the example's own nnz, never by
+        the batch's, so an output row does not change in the last bits with
+        whatever else shares the batch, as a GEMM's rows do.  An example's
+        indices must be unique (the ``SparseVector`` contract): a repeated
+        index is summed here, where densifying keeps its last value.
         """
         counts = np.array([len(idx) for idx in indices], dtype=np.int64)
+        pads = -(-counts // SPARSE_PAD) * SPARSE_PAD
         pre = np.zeros((counts.size, self.size), dtype=FLOAT)
-        filled = np.flatnonzero(counts)
-        if filled.size:
-            # reduceat yields the element *at* the offset for an empty
-            # segment, so only the non-empty examples' offsets go in.
-            starts = (np.cumsum(counts) - counts)[filled]
-            # One row of ``weights.T`` per referenced input: contiguous runs
-            # of a column-major layer.
-            inputs = take_rows(self.weights.T, np.concatenate(indices))
-            inputs *= np.concatenate(values)[:, None]
-            pre[filled] = np.add.reduceat(inputs, starts, axis=0)
+        # Rows of ``weights.T``: contiguous runs of a column-major layer.
+        columns = self.weights.T
+        for pad in np.unique(pads[pads > 0]).tolist():
+            group = np.flatnonzero(pads == pad)
+            # At most SPARSE_GATHER_BYTES of rows at once: an example of a
+            # wide first layer (an LSH output layer with no hidden layer
+            # before it) gathers megabytes.
+            step = max(1, SPARSE_GATHER_BYTES // (pad * self.size * 4))
+            for start in range(0, group.size, step):
+                rows = group[start : start + step]
+                # The pads read column 0 and weigh it by zero.
+                ids = np.zeros((rows.size, pad), dtype=np.int64)
+                padded = np.zeros((rows.size, 1, pad), dtype=FLOAT)
+                for slot, row in enumerate(rows.tolist()):
+                    ids[slot, : counts[row]] = indices[row]
+                    padded[slot, 0, : counts[row]] = values[row]
+                pre[rows] = np.matmul(padded, take_rows(columns, ids))[:, 0]
         pre += self.biases
         return self._activate_rows(pre)
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
 from repro.config import SlideNetworkConfig, TrainingConfig
 from repro.core.layer import SlideLayer
 from repro.core.offload import StepHelper, helper_can_run
@@ -26,7 +24,7 @@ from repro.optim.base import Optimizer
 from repro.optim.factory import make_optimizer
 from repro.perf.phases import PhaseTimer
 from repro.state import read_manifest, restore_checkpoint_into
-from repro.types import FLOAT, FloatArray, SparseBatch, SparseExample, dense_features
+from repro.types import FloatArray, SparseBatch, SparseExample
 from repro.utils.rng import derive_rng
 
 __all__ = ["SlideNetwork"]
@@ -105,26 +103,31 @@ class SlideNetwork:
     # ------------------------------------------------------------------
     # Prediction
     # ------------------------------------------------------------------
-    def predict_dense(self, example: SparseExample) -> FloatArray:
-        """Full dense forward pass (used for evaluation / parity tests)."""
-        dense = example.features.to_dense()
-        for layer in self.layers:
-            dense = layer.dense_forward(dense)
-        return dense
+    def forward_batch(self, examples: list[SparseExample], depth: int) -> FloatArray:
+        """The full (non-sampled) output of the first ``depth`` layers.
 
-    def predict_dense_batch(self, examples: list[SparseExample]) -> FloatArray:
-        """Full dense forward pass for many examples at once.
-
-        Returns a ``(len(examples), output_dim)`` probability matrix.  One
-        matrix multiply per layer replaces the per-example loop, which is
-        what the serving path's batched dense scorer relies on.
+        Returns a ``(len(examples), layers[depth - 1].size)`` matrix.  The
+        first layer reads only the weight columns the sparse inputs name
+        (:meth:`SlideLayer.sparse_forward_batch`); no ``(batch,
+        input_dim)`` array is built.  Every later layer is one matrix
+        multiply.
         """
-        if not examples:
-            return np.zeros((0, self.output_dim), dtype=FLOAT)
-        features = dense_features(examples, self.input_dim)
-        for layer in self.layers:
+        first, *rest = self.layers[:depth]
+        features = first.sparse_forward_batch(
+            [example.features.indices for example in examples],
+            [example.features.values for example in examples],
+        )
+        for layer in rest:
             features = layer.dense_forward_batch(features)
         return features
+
+    def predict_dense_batch(self, examples: list[SparseExample]) -> FloatArray:
+        """Exact class scores for many examples: every layer, every neuron.
+
+        Returns a ``(len(examples), output_dim)`` probability matrix; the
+        one prediction entry point of evaluation and the dense engine.
+        """
+        return self.forward_batch(examples, len(self.layers))
 
     # ------------------------------------------------------------------
     # Training steps

@@ -7,10 +7,11 @@ the per-layer :class:`~repro.lsh.index.LSHIndex` **query** path read-only and
 aggregates candidate frequencies across all ``L`` tables (the paper's TopK
 collection scheme) instead of going through the layer's sampler:
 
-1. the first hidden layer runs on the sparse input, reading only the weight
-   columns the examples reference, and later hidden layers as one batched
-   dense matrix multiply (they are narrow; the output layer is where
-   extreme classification's cost lives);
+1. the hidden layers run through :meth:`SlideNetwork.forward_batch`, the
+   scorer evaluation uses too: the first reads only the weight columns the
+   examples reference, and each later one is one batched matrix multiply
+   (they are narrow; the output layer is where extreme classification's
+   cost lives);
 2. the wide output layer is probed through the hash tables; the
    ``active_budget`` knob caps how many candidate neurons survive (most
    collisions first), trading accuracy for latency;
@@ -366,17 +367,12 @@ class SparseInferenceEngine(InferenceEngine):
         self._check_k(k)
         if not examples:
             return []
-        *hidden_layers, output_layer = self.network.layers
-        if hidden_layers:
-            # The first layer reads only the weight columns the sparse
-            # inputs name; no (batch, input_dim) matrix is built.
-            features = hidden_layers[0].sparse_forward_batch(
-                [example.features.indices for example in examples],
-                [example.features.values for example in examples],
-            )
-            for layer in hidden_layers[1:]:
-                features = layer.dense_forward_batch(features)
+        output_layer = self.network.output_layer
+        depth = len(self.network.layers) - 1
+        if depth:
+            features = self.network.forward_batch(examples, depth)
         else:
+            # The output layer is the first: its tables hash dense queries.
             features = dense_features(examples, self.network.input_dim)
 
         assert output_layer.lsh_index is not None

@@ -8,7 +8,7 @@ import pytest
 from repro.baselines.dense import DenseNetwork, DenseNetworkConfig
 from repro.baselines.sampled_softmax import SampledSoftmaxConfig, SampledSoftmaxNetwork
 from repro.config import OptimizerConfig
-from repro.core.inference import evaluate_precision_at_1
+from repro.core.inference import evaluate_precision_at_1, predict_top_k
 from repro.types import SparseBatch
 
 
@@ -62,7 +62,7 @@ class TestDenseNetwork:
 
     def test_predict_top_k(self, tiny_dataset):
         network = self._network(tiny_dataset)
-        top2 = network.predict_top_k(tiny_dataset.test[0], k=2)
+        top2 = predict_top_k(network, tiny_dataset.test[0], k=2)
         assert top2.shape == (2,)
 
     def test_flops_per_sample_accounting(self, tiny_dataset):
@@ -137,8 +137,8 @@ class TestSampledSoftmaxNetwork:
 
     def test_full_softmax_prediction_normalised(self, tiny_dataset):
         network = self._network(tiny_dataset)
-        scores = network.predict_dense(tiny_dataset.test[0])
-        assert scores.sum() == pytest.approx(1.0)
+        scores = network.predict_dense_batch(tiny_dataset.test[:4])
+        assert scores.sum(axis=1) == pytest.approx(np.ones(4))
 
     def test_flops_scale_with_sample_fraction(self, tiny_dataset):
         small = self._network(tiny_dataset, fraction=0.1)

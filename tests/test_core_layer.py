@@ -59,7 +59,10 @@ class TestDenseLayerForward:
         dense_input[indices] = values
         state = forward(layer, indices, values)
         np.testing.assert_allclose(
-            state.act[0], layer.dense_forward(dense_input), rtol=0, atol=FORWARD_ATOL
+            state.act[0],
+            layer.dense_forward_batch(dense_input[None, :])[0],
+            rtol=0,
+            atol=FORWARD_ATOL,
         )
 
     def test_empty_input_gives_bias_only(self):

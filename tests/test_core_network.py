@@ -78,7 +78,7 @@ class TestForward:
         example = make_example(rng)
         result = forward_one(network, example)
         np.testing.assert_array_equal(result.output_state.rows, np.arange(10))
-        dense_scores = network.predict_dense(example)
+        (dense_scores,) = network.predict_dense_batch([example])
         # float32 probabilities summed in two orders: measured 1.5e-7
         # relative (about 1 eps), bounded here at 4 eps.
         np.testing.assert_allclose(

@@ -88,7 +88,7 @@ class TestInference:
         top3 = predict_top_k(network, example, k=3)
         assert top3.shape == (3,)
         assert len(set(top3.tolist())) == 3
-        scores = network.predict_dense(example)
+        (scores,) = network.predict_dense_batch([example])
         assert scores[top3[0]] >= scores[top3[1]] >= scores[top3[2]]
 
     def test_precision_at_1_bounds(self, tiny_dataset, tiny_network_config):

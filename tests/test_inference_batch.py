@@ -13,10 +13,12 @@ from repro.core.inference import (
     predict_top_k_batch,
 )
 from repro.core.network import SlideNetwork
-from repro.types import SparseExample, SparseVector
+from repro.types import SparseExample, SparseVector, dense_features
 
-# A batched GEMM sums in another order than the per-example GEMV; in float32
-# the scores differ by up to 2.1e-7 relative (measured), under 4 eps.
+# A row scored in a batch against the same row scored alone: the layers
+# after the first are GEMMs, whose sums for a row change order with the
+# batch's size; in float32 the scores differ by up to 2.1e-7 relative
+# (measured), under 4 eps.
 BATCH_RTOL = 4 * np.finfo(np.float32).eps
 
 
@@ -31,8 +33,13 @@ def test_predict_dense_batch_matches_per_example(network, tiny_dataset):
     assert batched.shape == (12, network.output_dim)
     for row, example in enumerate(examples):
         np.testing.assert_allclose(
-            batched[row], network.predict_dense(example), rtol=BATCH_RTOL
+            batched[row], network.predict_dense_batch([example])[0], rtol=BATCH_RTOL
         )
+    # The dense oracle: every layer one GEMM on the densified input.
+    oracle = dense_features(examples, network.input_dim)
+    for layer in network.layers:
+        oracle = layer.dense_forward_batch(oracle)
+    np.testing.assert_allclose(batched, oracle, rtol=BATCH_RTOL, atol=1e-7)
 
 
 def test_predict_dense_batch_empty(network):
@@ -51,7 +58,7 @@ def test_dense_baseline_batch_matches_per_example(tiny_dataset):
     batched = baseline.predict_dense_batch(examples)
     for row, example in enumerate(examples):
         np.testing.assert_allclose(
-            batched[row], baseline.predict_dense(example), rtol=BATCH_RTOL
+            batched[row], baseline.predict_dense_batch([example])[0], rtol=BATCH_RTOL
         )
 
 

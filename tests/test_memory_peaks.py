@@ -1,4 +1,4 @@
-"""Peak-memory pins for the LSH build paths and the dense scorer.
+"""Peak-memory pins for the LSH build paths and the exact scorer.
 
 ``tracemalloc`` sees numpy's buffers, so the peak it reports inside a call,
 less what the call leaves allocated, is the call's *transient*: the
@@ -13,8 +13,13 @@ the measured window opens.
   its one-byte ``(n, L, K)`` code matrix with at most 32 B a row of slack:
   the codes are the index's only per-row state.
 * ``SlideNetwork.predict_dense_batch`` must hold no more than one output
-  array plus the densified input, with a little slack: the bias and the
-  activation are applied in place on the GEMM output.
+  array plus its first layer's gathered weight rows, with a little slack:
+  the first layer reads only the weight columns of each example's non-zero
+  features, at most ``SPARSE_GATHER_BYTES`` of them at a time, and every
+  layer applies its bias and activation in place.
+* At the paper's Amazon-670K input width (135,909 features) it must build
+  no ``(batch, input_dim)`` array: scoring 512 examples holds less than one
+  densified block (265 MiB; 17 MiB measured).
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import numpy as np
 import pytest
 
 from repro.config import LayerConfig, LSHConfig, SlideNetworkConfig
+from repro.core.layer import SPARSE_GATHER_BYTES, SPARSE_PAD
 from repro.core.network import SlideNetwork
 from repro.lsh.index import LSHIndex
 from repro.types import SparseExample, SparseVector
@@ -96,11 +102,6 @@ def test_full_update_holds_less_than_one_int64_code_tensor(weights):
 
 def test_predict_dense_batch_holds_one_output_array():
     input_dim, labels, batch = 2048, 16384, 256
-    layers = (
-        LayerConfig(size=64, activation="relu"),
-        LayerConfig(size=labels, activation="softmax"),
-    )
-    network = SlideNetwork(SlideNetworkConfig(input_dim=input_dim, layers=layers, seed=0))
     rng = np.random.default_rng(1)
     examples = [
         SparseExample(
@@ -113,12 +114,53 @@ def test_predict_dense_batch_holds_one_output_array():
         )
         for _ in range(batch)
     ]
+    output = batch * labels * 4
+    slack = 1 << 20
+    # A hidden layer first, and the wide layer first: its rows would take
+    # 512 MiB gathered at once.
+    for layers in (
+        (
+            LayerConfig(size=64, activation="relu"),
+            LayerConfig(size=labels, activation="softmax"),
+        ),
+        (LayerConfig(size=labels, activation="softmax"),),
+    ):
+        network = SlideNetwork(
+            SlideNetworkConfig(input_dim=input_dim, layers=layers, seed=0)
+        )
+        scores = []
+        transient = transient_bytes(
+            lambda: scores.append(network.predict_dense_batch(examples))
+        )
+        gathered = min(batch * SPARSE_PAD * layers[0].size * 4, SPARSE_GATHER_BYTES)
+        assert scores[0].shape == (batch, labels)
+        assert transient <= output + gathered + slack, (
+            f"predict_dense_batch transient {transient / 2**20:.1f} MiB"
+        )
+
+
+def test_predict_dense_batch_never_densifies_a_wide_input():
+    input_dim, batch = 135_909, 512
+    layers = (
+        LayerConfig(size=128, activation="relu"),
+        LayerConfig(size=64, activation="softmax"),
+    )
+    network = SlideNetwork(SlideNetworkConfig(input_dim=input_dim, layers=layers, seed=0))
+    rng = np.random.default_rng(2)
+    examples = []
+    for _ in range(batch):
+        indices = np.unique(rng.integers(0, input_dim, size=75))
+        values = rng.random(indices.size).astype(np.float32)
+        examples.append(
+            SparseExample(
+                features=SparseVector(indices, values, input_dim),
+                labels=np.array([0], dtype=np.int64),
+            )
+        )
     scores = []
     transient = transient_bytes(lambda: scores.append(network.predict_dense_batch(examples)))
-    output = batch * labels * 4
     densified = batch * input_dim * 4
-    slack = 1 << 20
-    assert scores[0].shape == (batch, labels)
-    assert transient <= output + densified + slack, (
+    assert scores[0].shape == (batch, 64)
+    assert transient < densified, (
         f"predict_dense_batch transient {transient / 2**20:.1f} MiB"
     )

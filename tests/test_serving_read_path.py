@@ -10,7 +10,9 @@ Three contracts:
    each of them.
 2. **Dense oracle** — ``SlideLayer.sparse_forward_batch`` equals
    ``dense_forward_batch(dense_features(...))``, examples without a single
-   non-zero feature included.
+   non-zero feature included, and each of its rows is bit for bit the row
+   its example gets alone, in batches of up to 64 whose nnz cross every
+   pad length up to 320.
 3. **Nothing raises** — a seeded sweep over odd batches, odd indexes and
    every engine setting: a request the pool hands to ``predict_batch`` must
    come back as ``k`` ids with non-increasing scores.
@@ -32,6 +34,7 @@ from repro.config import (
     SlideNetworkConfig,
     TrainingConfig,
 )
+from repro.core.layer import SPARSE_PAD
 from repro.core.network import SlideNetwork
 from repro.core.trainer import SlideTrainer
 from repro.datasets.synthetic import SyntheticXCConfig, generate_synthetic_xc
@@ -157,23 +160,36 @@ def hidden_of(layer, examples) -> np.ndarray:
 
 
 @pytest.mark.parametrize("activation", ["relu", "linear", "softmax"])
-def test_sparse_forward_batch_equals_the_dense_oracle(activation):
+@pytest.mark.parametrize(
+    "fan_in, size, max_batch",
+    # The wide layer's nnz run to 300, across every pad length up to 320.
+    [(40, 12, 8), (300, 48, 64)],
+)
+def test_sparse_forward_batch_equals_the_dense_oracle(activation, fan_in, size, max_batch):
     from repro.core.layer import SlideLayer
 
     rng = np.random.default_rng(31)
-    layer = SlideLayer(fan_in=40, config=LayerConfig(size=12, activation=activation), seed=1)
-    layer.biases[:] = rng.normal(size=12)
+    layer = SlideLayer(
+        fan_in=fan_in, config=LayerConfig(size=size, activation=activation), seed=1
+    )
+    layer.biases[:] = rng.normal(size=size)
+    pads = set()
     for _ in range(50):
-        examples = random_examples(rng, 40, int(rng.integers(1, 9)))
+        examples = random_examples(rng, fan_in, int(rng.integers(1, max_batch + 1)))
+        pads.update(-(-e.features.nnz // SPARSE_PAD) for e in examples)
         got = hidden_of(layer, examples)
-        oracle = layer.dense_forward_batch(dense_features(examples, 40))
-        np.testing.assert_allclose(got, oracle, rtol=0, atol=SUM_ATOL)
+        oracle = layer.dense_forward_batch(dense_features(examples, fan_in))
+        # Over 300 products the worst measured is 40 eps; the bound scales
+        # SUM_ATOL with the number of products (240 eps).
+        np.testing.assert_allclose(got, oracle, rtol=0, atol=SUM_ATOL * fan_in / 40)
+        # Bit for bit its lone answer, whatever the batch-mates' pads.
         for row, example in enumerate(examples):
             assert got[row].tobytes() == hidden_of(layer, [example])[0].tobytes()
+    assert len(pads) >= min(fan_in // SPARSE_PAD, 6)
     # No feature at all: the activation of the bias, not a neighbour's sum.
-    nothing = [SparseExample(SparseVector([], [], 40), labels=[])] * 3
+    nothing = [SparseExample(SparseVector([], [], fan_in), labels=[])] * 3
     np.testing.assert_array_equal(
-        hidden_of(layer, nothing), layer.dense_forward_batch(np.zeros((3, 40)))
+        hidden_of(layer, nothing), layer.dense_forward_batch(np.zeros((3, fan_in)))
     )
 
 
